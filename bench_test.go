@@ -151,7 +151,11 @@ func BenchmarkFigure9HighLatency(b *testing.B) {
 	var traces []*trace.Trace
 	for _, bm := range experiments.SuiteBenchmarks(42) {
 		if memBound[bm.Name] {
-			traces = append(traces, bm.Gen(benchInsts+benchInsts/5+4096))
+			tr, err := bm.Recipe(trace.LenFor(benchInsts)).Materialise()
+			if err != nil {
+				b.Fatal(err)
+			}
+			traces = append(traces, tr)
 		}
 	}
 	for _, latency := range []int{500, 1000} {

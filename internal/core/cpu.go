@@ -312,30 +312,70 @@ func WarmDonor(key mem.WarmKey, tr *trace.Trace) (*mem.Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
-	warmHierarchy(h, tr)
+	if err := warmHierarchy(h, tr.OpenStream(), 0); err != nil {
+		return nil, err
+	}
 	return h, nil
 }
 
-// warmHierarchy replays the trace's cache warm-up footprint plus the
-// wrong-path fetch region through h. Cold construction and donor
-// warming share this exact sequence; determinism of the snapshot-fork
-// kernel depends on it.
-func warmHierarchy(h *mem.Hierarchy, tr *trace.Trace) {
-	// Warm the instruction path and the data caches: cold misses are an
-	// artefact of short runs (see mem.Hierarchy.PrimeFetch). The
-	// footprint — first-seen IL1 lines interleaved with the data stream
-	// — is precomputed once per trace and shared across every CPU built
-	// over it (trace.WarmFootprint).
-	for _, ev := range tr.WarmFootprint() {
-		if ev.Fetch {
-			h.PrimeFetch(ev.Addr)
-		} else {
-			h.WarmData(ev.Addr)
+// warmLineBytes is the instruction-line granularity of the cache warm-up
+// (the simulator's IL1 line size, Table 1).
+const warmLineBytes = 32
+
+// warmHierarchy replays a workload's whole cache footprint through h:
+// first-seen instruction lines (a global dedup, so a loop body's line is
+// primed once, at its first occurrence) interleaved with every data
+// access, then the wrong-path fetch region. Cold misses are an artefact
+// of short runs (see mem.Hierarchy.PrimeFetch); the paper's
+// 300M-instruction regions run warm. warm is consumed up to limit
+// instructions, or to its end when limit is 0.
+//
+// It is the one warm-up: a cold CPU and a donor replay a borrowed view
+// of the materialised trace to its end, and a sampled run replays a
+// second recipe stream as far as a materialised trace of its budget
+// would reach. A sampled point therefore warms exactly like its
+// full-detail twin, including the evictions a footprint larger than the
+// L2 inflicts on its own oldest lines (a just-in-time per-window warm
+// would hide those and read systematically fast), and forked and cold
+// CPUs start bit-identical.
+func warmHierarchy(h *mem.Hierarchy, warm *trace.InstStream, limit uint64) error {
+	seen := make(map[uint64]struct{})
+	last := ^uint64(0)
+	var done uint64
+	for limit == 0 || done < limit {
+		chunk := 8192
+		if limit > 0 && limit-done < uint64(chunk) {
+			chunk = int(limit - done)
 		}
+		insts, err := warm.Peek(chunk)
+		if err != nil {
+			return err
+		}
+		if len(insts) == 0 {
+			break
+		}
+		for i := range insts {
+			in := &insts[i]
+			// Consecutive instructions mostly share a line, which the
+			// previous one already looked up.
+			if line := in.PC &^ (warmLineBytes - 1); line != last {
+				last = line
+				if _, ok := seen[line]; !ok {
+					seen[line] = struct{}{}
+					h.PrimeFetch(line)
+				}
+			}
+			if in.Op.IsMem() {
+				h.WarmData(in.Addr)
+			}
+		}
+		warm.Skip(len(insts))
+		done += uint64(len(insts))
 	}
 	for pc := uint64(0xF0000000); pc < 0xF0000000+64*4; pc += 32 {
 		h.PrimeFetch(pc) // wrong-path region
 	}
+	return nil
 }
 
 // newCPU builds the pipeline around hier; nil hier builds and warms a
@@ -357,7 +397,9 @@ func newCPU(cfg config.Config, tr *trace.Trace, hier *mem.Hierarchy, arena *Aren
 	}
 	if hier == nil {
 		hier = mem.NewHierarchy(cfg)
-		warmHierarchy(hier, tr)
+		if err := warmHierarchy(hier, tr.OpenStream(), 0); err != nil {
+			return nil, err
+		}
 	}
 
 	physSpace := cfg.PhysRegs

@@ -33,7 +33,6 @@ func TestAllocsPerCommittedInstruction(t *testing.T) {
 	}
 	const insts = 20000
 	tr := trace.FPMix(trace.LenFor(insts), 42)
-	tr.WarmFootprint() // precomputed once per trace, not part of the budget
 	for _, tc := range []struct {
 		name string
 		cfg  config.Config
@@ -97,9 +96,8 @@ func TestPooledDeterminismUnderRecovery(t *testing.T) {
 // TestPooledCPUsShareTraceConcurrently is the recycled-DynInst sibling
 // of TestRunNeverMutatesTrace: several CPUs — each with its own pool —
 // run over one shared trace at once. Under -race this proves the pools
-// are CPU-local and the lazily computed warm-up footprint is safely
-// shared; the result comparison proves concurrency does not leak into
-// simulated state.
+// are CPU-local and concurrent warm-ups only read the trace; the result
+// comparison proves concurrency does not leak into simulated state.
 func TestPooledCPUsShareTraceConcurrently(t *testing.T) {
 	const insts = 20000
 	tr := trace.FPMix(trace.LenFor(insts), 42)

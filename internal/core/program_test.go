@@ -148,8 +148,8 @@ func TestProgramSkipEquivalence(t *testing.T) {
 }
 
 // TestProgramCPUsShareTraceConcurrently: one materialised program trace
-// (including its static image and lazily cached warm footprint) is
-// shared read-only across concurrent CPUs. Run under -race in CI.
+// (including its static image) is shared read-only across concurrent
+// CPUs. Run under -race in CI.
 func TestProgramCPUsShareTraceConcurrently(t *testing.T) {
 	tr := programTrace(t, "hashjoin", 1200)
 	cfg := config.CheckpointDefault(64, 512)

@@ -25,11 +25,14 @@ type sampleState struct {
 	conf *branch.Confidence
 }
 
-// newSampleState builds the persistent substrate exactly as a cold CPU
-// would: the hierarchy is warmed with the stream's whole footprint (see
-// warmWhole; window CPUs adopt it and skip warming), the predictor
-// machinery starts untrained.
-func newSampleState(cfg config.Config, st *trace.InstStream) *sampleState {
+// newSampleState builds the persistent substrate for sampling st exactly
+// as a cold CPU would: untrained predictor machinery and a hierarchy
+// warmed through warmHierarchy from warm, a second stream over the same
+// workload (window CPUs adopt it and skip warming). A program warms to
+// its halt, like a full-detail run over its materialised trace; a
+// synthetic stream never ends, so it warms as far as a materialised
+// trace of the budget reaches.
+func newSampleState(cfg config.Config, st, warm *trace.InstStream, budget uint64) (*sampleState, error) {
 	ss := &sampleState{hier: mem.NewHierarchy(cfg)}
 	if cfg.PerfectBranchPrediction {
 		ss.pred = branch.NewPerfect()
@@ -42,56 +45,14 @@ func newSampleState(cfg config.Config, st *trace.InstStream) *sampleState {
 	if cfg.Commit == config.CommitAdaptive {
 		ss.conf = branch.NewConfidence(cfg.AdaptiveConfidenceBits, cfg.AdaptiveConfidenceMax)
 	}
-	return ss
-}
-
-// warmWhole replays the whole stream's cache footprint through the
-// hierarchy, reproducing warmHierarchy event-for-event: first-seen
-// instruction lines (a global dedup, so a loop body's line is primed
-// once at its first occurrence, exactly like trace.WarmFootprint)
-// interleaved with every data access, then the wrong-path fetch
-// region. This is what makes a sampled point comparable to its
-// full-detail reference — both simulate over a hierarchy that saw the
-// identical warm sequence, including the capacity evictions a
-// footprint larger than the L2 inflicts on its own oldest lines. A
-// just-in-time per-window warm would hide those evictions and read
-// systematically fast. warm is a second stream over the same workload,
-// consumed up to limit instructions (0 = until the stream ends, for
-// programs, mirroring full detail warming the entire materialised
-// trace regardless of the run budget).
-func (ss *sampleState) warmWhole(warm *trace.InstStream, limit uint64) error {
-	seen := make(map[uint64]struct{})
-	var done uint64
-	for limit == 0 || done < limit {
-		chunk := 8192
-		if limit > 0 && limit-done < uint64(chunk) {
-			chunk = int(limit - done)
-		}
-		insts, err := warm.Peek(chunk)
-		if err != nil {
-			return err
-		}
-		if len(insts) == 0 {
-			break
-		}
-		for i := range insts {
-			in := &insts[i]
-			line := in.PC &^ uint64(trace.WarmLineBytes-1)
-			if _, ok := seen[line]; !ok {
-				seen[line] = struct{}{}
-				ss.hier.PrimeFetch(line)
-			}
-			if in.Op.IsMem() {
-				ss.hier.WarmData(in.Addr)
-			}
-		}
-		warm.Skip(len(insts))
-		done += uint64(len(insts))
+	limit := uint64(0)
+	if st.Code() == nil {
+		limit = uint64(trace.LenFor(budget))
 	}
-	for pc := uint64(0xF0000000); pc < 0xF0000000+64*4; pc += 32 {
-		ss.hier.PrimeFetch(pc) // wrong-path region
+	if err := warmHierarchy(ss.hier, warm, limit); err != nil {
+		return nil, err
 	}
-	return nil
+	return ss, nil
 }
 
 // settle clears the window-local residue the persistent substrate may
@@ -129,7 +90,7 @@ func (ss *sampleState) fastForward(cfg config.Config, st *trace.InstStream, n ui
 		}
 		for i := range insts {
 			in := &insts[i]
-			if line := in.PC &^ uint64(trace.WarmLineBytes-1); line != lastLine {
+			if line := in.PC &^ (warmLineBytes - 1); line != lastLine {
 				ss.hier.PrimeFetch(line)
 				lastLine = line
 			}
@@ -162,7 +123,7 @@ func (ss *sampleState) fastForward(cfg config.Config, st *trace.InstStream, n ui
 // snapshots of the same CPU, subtracted), then fast-forward the rest
 // of the period with functional warming only. warm is a second,
 // unconsumed stream over the same workload used for the one-time
-// whole-footprint cache warm (see sampleState.warmWhole). opt.MaxInsts
+// whole-footprint cache warm (see warmHierarchy). opt.MaxInsts
 // bounds the total stream coverage and must be set for synthetic
 // workloads (their streams never end); program streams also stop when
 // the program halts. The returned Results carry detail-window
@@ -189,14 +150,8 @@ func RunSampled(cfg config.Config, st, warm *trace.InstStream, sample trace.Samp
 		return stats.Results{}, fmt.Errorf("core: RunSampled needs a warm stream (a second stream over the same workload)")
 	}
 
-	ss := newSampleState(cfg, st)
-	warmLimit := uint64(0) // programs: warm until the stream ends
-	if st.Code() == nil {
-		// Synthetic streams never end; warm what a materialised run of
-		// this budget would have warmed.
-		warmLimit = uint64(trace.LenFor(budget))
-	}
-	if err := ss.warmWhole(warm, warmLimit); err != nil {
+	ss, err := newSampleState(cfg, st, warm, budget)
+	if err != nil {
 		return stats.Results{}, err
 	}
 	arena := NewArena()

@@ -85,18 +85,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// traceMargin is the extra trace length beyond the committed-instruction
-// target so runs never exhaust the trace.
-func traceMargin(insts uint64) int {
-	return trace.LenFor(insts)
-}
-
-// Benchmark is one suite member: a named workload, available both as a
-// materialised trace (Gen) and as its declarative identity (Recipe —
-// what -server ships instead of megabytes of instruction stream).
+// Benchmark is one suite member: a named workload and its declarative
+// identity for a trace length (Recipe — what -server ships instead of
+// megabytes of instruction stream, and what Materialise regenerates).
 type Benchmark struct {
 	Name   string
-	Gen    func(n int) *trace.Trace
 	Recipe func(n int) trace.Recipe
 }
 
@@ -106,18 +99,12 @@ type Benchmark struct {
 // blocked kernel, and the mixed composite.
 func SuiteBenchmarks(seed uint64) []Benchmark {
 	return []Benchmark{
-		{"stream", trace.Stream,
-			func(n int) trace.Recipe { return trace.Recipe{Kernel: trace.KernelStream, N: n} }},
-		{"strided", func(n int) *trace.Trace { return trace.StridedStream(n, 8) },
-			func(n int) trace.Recipe { return trace.Recipe{Kernel: trace.KernelStrided, N: n, Stride: 8} }},
-		{"stencil", trace.Stencil,
-			func(n int) trace.Recipe { return trace.Recipe{Kernel: trace.KernelStencil, N: n} }},
-		{"reduction", trace.Reduction,
-			func(n int) trace.Recipe { return trace.Recipe{Kernel: trace.KernelReduction, N: n} }},
-		{"blocked", trace.Blocked,
-			func(n int) trace.Recipe { return trace.Recipe{Kernel: trace.KernelBlocked, N: n} }},
-		{"fpmix", func(n int) *trace.Trace { return trace.FPMix(n, seed) },
-			func(n int) trace.Recipe { return trace.Recipe{Kernel: trace.KernelFPMix, N: n, Seed: seed} }},
+		{"stream", func(n int) trace.Recipe { return trace.Recipe{Kernel: trace.KernelStream, N: n} }},
+		{"strided", func(n int) trace.Recipe { return trace.Recipe{Kernel: trace.KernelStrided, N: n, Stride: 8} }},
+		{"stencil", func(n int) trace.Recipe { return trace.Recipe{Kernel: trace.KernelStencil, N: n} }},
+		{"reduction", func(n int) trace.Recipe { return trace.Recipe{Kernel: trace.KernelReduction, N: n} }},
+		{"blocked", func(n int) trace.Recipe { return trace.Recipe{Kernel: trace.KernelBlocked, N: n} }},
+		{"fpmix", func(n int) trace.Recipe { return trace.Recipe{Kernel: trace.KernelFPMix, N: n, Seed: seed} }},
 	}
 }
 
@@ -145,24 +132,25 @@ func (o Options) WithTraceCache() Options {
 	return o
 }
 
-// suite returns the benchmark traces. With an in-process runner they
-// are materialised (once per experiment, or once per process under
-// WithTraceCache); with a remote Runner only the recipes are needed —
-// the server regenerates (and memoises) the workloads itself — so a
-// warm remote rerun skips local generation entirely.
+// suite returns the benchmark traces. For full-detail points run in
+// process they are materialised (once per experiment, or once per
+// process under WithTraceCache). Otherwise only the recipes are needed:
+// a remote Runner's server regenerates (and memoises) the workloads
+// itself, so a warm remote rerun skips local generation entirely, and
+// sampled points open their recipe streams and never read a whole trace.
 func (o Options) suite() ([]suiteTrace, error) {
 	return o.someSuite(false, buildSuite)
 }
 
 // programSuite returns the real-program benchmark traces (see
-// programs.go), with the same caching and remote recipe-only behaviour
-// as the synthetic suite.
+// programs.go), with the same caching and recipe-only behaviour as the
+// synthetic suite.
 func (o Options) programSuite() ([]suiteTrace, error) {
 	return o.someSuite(true, buildProgramSuite)
 }
 
 func (o Options) someSuite(program bool, build func(insts, seed uint64, recipeOnly bool) ([]suiteTrace, error)) ([]suiteTrace, error) {
-	if o.Runner != nil {
+	if o.Runner != nil || o.Sample.Enabled() {
 		return build(o.Insts, o.Seed, true)
 	}
 	if o.cache != nil {
@@ -185,19 +173,22 @@ func (o Options) someSuite(program bool, build func(insts, seed uint64, recipeOn
 func buildSuite(insts, seed uint64, recipeOnly bool) ([]suiteTrace, error) {
 	bs := SuiteBenchmarks(seed)
 	out := make([]suiteTrace, len(bs))
-	n := traceMargin(insts)
 	for i, b := range bs {
-		if recipeOnly {
-			tr, err := trace.RecipeOnly(b.Recipe(n))
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s: %w", b.Name, err)
-			}
-			out[i] = suiteTrace{name: b.Name, tr: tr}
-		} else {
-			out[i] = suiteTrace{name: b.Name, tr: b.Gen(n)}
+		tr, err := suiteMember(b.Recipe(trace.LenFor(insts)), recipeOnly)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", b.Name, err)
 		}
+		out[i] = suiteTrace{name: b.Name, tr: tr}
 	}
 	return out, nil
+}
+
+// suiteMember materialises r, or returns its recipe-only handle.
+func suiteMember(r trace.Recipe, recipeOnly bool) (*trace.Trace, error) {
+	if recipeOnly {
+		return trace.StreamOnly(r)
+	}
+	return r.Materialise()
 }
 
 type suiteTrace struct {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // quickOpts keeps figure regeneration fast while preserving the
@@ -29,7 +30,10 @@ func TestSuiteBenchmarks(t *testing.T) {
 			t.Fatalf("duplicate benchmark %q", b.Name)
 		}
 		names[b.Name] = true
-		tr := b.Gen(2000)
+		tr, err := b.Recipe(2000).Materialise()
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
@@ -69,34 +73,30 @@ func TestTraceCacheSharesSuite(t *testing.T) {
 	}
 }
 
-// TestRemoteSuiteSkipsMaterialisation: with a Runner installed the
-// suite carries recipe-only traces (identity without the instruction
-// stream), matching what the suite's Gen would have produced.
+// TestRemoteSuiteSkipsMaterialisation: with a Runner installed, or with
+// sampled points, the suite carries recipe-only traces (identity without
+// the instruction stream) of the recipes the benchmarks declare. The
+// sampled budget is far past the materialisation cap: sampled points
+// only ever open their recipe streams.
 func TestRemoteSuiteSkipsMaterialisation(t *testing.T) {
-	opt := quickOpts()
-	opt.Runner = func(_ context.Context, _ []sim.RunSpec, _ sim.Options) ([]stats.Results, error) {
+	remote := quickOpts()
+	remote.Runner = func(_ context.Context, _ []sim.RunSpec, _ sim.Options) ([]stats.Results, error) {
 		return nil, nil
 	}
-	remote, err := opt.suite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range remote {
-		if st.tr.Len() != 0 {
-			t.Errorf("%s: remote suite materialised %d instructions", st.name, st.tr.Len())
+	sampled := Options{Insts: 10_000_000, Seed: 42, Sample: trace.DefaultSample()}
+	for name, opt := range map[string]Options{"remote": remote, "sampled": sampled} {
+		suite, err := opt.suite()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if _, ok := st.tr.Recipe(); !ok {
-			t.Errorf("%s: remote suite trace has no recipe", st.name)
-		}
-	}
-	// Recipe and Gen must describe the same workload.
-	for _, b := range SuiteBenchmarks(1) {
-		r, ok := b.Gen(2000).Recipe()
-		if !ok {
-			t.Fatalf("%s: generated trace has no recipe", b.Name)
-		}
-		if want := b.Recipe(2000); r != want {
-			t.Errorf("%s: Gen recipe %+v != declared recipe %+v", b.Name, r, want)
+		for i, st := range suite {
+			if st.tr.Len() != 0 {
+				t.Errorf("%s %s: suite materialised %d instructions", name, st.name, st.tr.Len())
+			}
+			want := SuiteBenchmarks(opt.Seed)[i].Recipe(trace.LenFor(opt.Insts))
+			if r, ok := st.tr.Recipe(); !ok || r != want {
+				t.Errorf("%s %s: suite recipe %+v, want %+v", name, st.name, r, want)
+			}
 		}
 	}
 }

@@ -35,9 +35,9 @@ func ProgramRecipe(name string, insts, seed uint64) (trace.Recipe, error) {
 	}, nil
 }
 
-// buildProgramSuite materialises (or, for remote runners, identifies)
-// the program suite. The signature mirrors buildSuite so both share the
-// Options caching path.
+// buildProgramSuite materialises (or, for remote runners and sampled
+// points, identifies) the program suite. The signature mirrors
+// buildSuite so both share the Options caching path.
 func buildProgramSuite(insts, seed uint64, recipeOnly bool) ([]suiteTrace, error) {
 	names := programs.Names()
 	out := make([]suiteTrace, len(names))
@@ -46,12 +46,7 @@ func buildProgramSuite(insts, seed uint64, recipeOnly bool) ([]suiteTrace, error
 		if err != nil {
 			return nil, err
 		}
-		var tr *trace.Trace
-		if recipeOnly {
-			tr, err = trace.RecipeOnly(r)
-		} else {
-			tr, err = r.Materialise()
-		}
+		tr, err := suiteMember(r, recipeOnly)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", name, err)
 		}
@@ -85,27 +80,6 @@ func Figure9Programs(ctx context.Context, opt Options) (Figure9Result, error) {
 // reference point in benchmarks stays feasible.
 const DefaultSampledInsts = 4_000_000
 
-// sampledProgramSuite identifies the program suite for sampled runs.
-// Sampled points always stream — the suite is recipe-only even for the
-// in-process runner, validated under the streamed budget cap rather
-// than the materialisation cap, and nothing is generated up front.
-func (o Options) sampledProgramSuite() ([]suiteTrace, error) {
-	names := programs.Names()
-	out := make([]suiteTrace, len(names))
-	for i, name := range names {
-		r, err := ProgramRecipe(name, o.Insts, o.Seed)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := trace.StreamOnly(r)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", name, err)
-		}
-		out[i] = suiteTrace{name: name, tr: tr}
-	}
-	return out, nil
-}
-
 // Figure9ProgramsSampled is Figure9Programs under SMARTS sampling: the
 // same grid over the same programs, but each point fast-forwards
 // between detailed windows instead of simulating every instruction.
@@ -121,7 +95,7 @@ func Figure9ProgramsSampled(ctx context.Context, opt Options) (Figure9Result, er
 		}
 	}
 	opt = opt.withDefaults()
-	suite, err := opt.sampledProgramSuite()
+	suite, err := opt.programSuite()
 	if err != nil {
 		return Figure9Result{}, err
 	}

@@ -303,6 +303,10 @@ func TestFleetSingleflightAcrossBatches(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit 2: %v", err)
 	}
+	// Submit returns before the batch's dispatch goroutine runs: release
+	// the leader only once the follower has joined its flight, or the
+	// leader may finish first and the second batch lead a fresh one.
+	waitFor(t, func() bool { return coord.metrics.PointsDeduped.Load() == 1 })
 
 	close(fake.release)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

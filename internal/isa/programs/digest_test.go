@@ -10,6 +10,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/isa/programs"
 	"repro/internal/isa/rv32"
+	"repro/internal/trace"
 )
 
 // pinnedStreams are SHA-256 digests of every program's full mapped
@@ -61,8 +62,8 @@ func hashInst(h hash.Hash, in isa.Inst) {
 }
 
 // TestProgramStreamsPinned drains every registered program through the
-// Streamer and through BuildTrace and checks both against the pinned
-// digests, together with the static image.
+// Streamer and materialises its trace recipe, and checks both against
+// the pinned digests, together with the static image.
 func TestProgramStreamsPinned(t *testing.T) {
 	if got, want := len(pinnedStreams), len(programs.Names()); got != want {
 		t.Fatalf("%d pinned programs, registry has %d; pin every program", got, want)
@@ -96,22 +97,24 @@ func TestProgramStreamsPinned(t *testing.T) {
 			}
 			streamed := hex.EncodeToString(h.Sum(nil))
 
-			insts, img, err := rv32.BuildTrace(p, 1<<24)
+			r := trace.Recipe{Kernel: trace.KernelProgram, Program: pin.name, Input: pin.input, Seed: pinnedSeed}
+			tr, err := r.Materialise()
 			if err != nil {
 				t.Fatal(err)
 			}
 			h.Reset()
-			for _, in := range insts {
-				hashInst(h, in)
+			for i := range tr.Len() {
+				hashInst(h, tr.At(i))
 			}
 			if built := hex.EncodeToString(h.Sum(nil)); built != streamed {
-				t.Errorf("BuildTrace digest %s (%d insts) != Streamer digest %s (%d insts)", built, len(insts), streamed, n)
+				t.Errorf("materialised digest %s (%d insts) != Streamer digest %s (%d insts)", built, tr.Len(), streamed, n)
 			}
 			if streamed != pin.stream {
 				t.Errorf("stream digest %s (%d insts), pinned %s", streamed, n, pin.stream)
 			}
 
 			h.Reset()
+			img := st.Image()
 			for i := range img.Len() {
 				hashInst(h, img.At(i))
 			}

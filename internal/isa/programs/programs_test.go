@@ -36,10 +36,20 @@ func TestEveryProgramBuildsAndHalts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stream, img, err := rv32.BuildTrace(p, 4<<20)
+			st, err := rv32.NewStreamer(p)
 			if err != nil {
 				t.Fatal(err)
 			}
+			var stream []isa.Inst
+			for !st.Halted() && len(stream) < 4<<20 {
+				if stream, err = st.Emit(stream); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !st.Halted() {
+				t.Fatalf("no halt within %d instructions", len(stream))
+			}
+			img := st.Image()
 			if len(stream) == 0 {
 				t.Fatal("empty dynamic stream")
 			}

@@ -257,11 +257,15 @@ func TestUndecodableWordIsLazy(t *testing.T) {
 	if _, err := rv32.Execute(skipped, 10); err != nil {
 		t.Fatalf("unreached undecodable word: %v", err)
 	}
-	insts, img, err := rv32.BuildTrace(skipped, 100)
-	if err != nil || len(insts) != 1 {
-		t.Fatalf("BuildTrace = %d insts, %v; want the jump alone", len(insts), err)
+	st, err := rv32.NewStreamer(skipped)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if in := img.At(1); in.Op != isa.Nop {
+	insts, err := st.Emit(nil)
+	if err != nil || len(insts) != 1 || !st.Halted() {
+		t.Fatalf("Emit = %d insts, %v (halted %v); want the jump alone", len(insts), err, st.Halted())
+	}
+	if in := st.Image().At(1); in.Op != isa.Nop {
 		t.Errorf("image of the undecodable word = %+v, want a Nop", in)
 	}
 
@@ -271,8 +275,11 @@ func TestUndecodableWordIsLazy(t *testing.T) {
 	if _, err := rv32.Execute(reached, 10); err == nil || err.Error() != want {
 		t.Fatalf("Execute error = %v, want %q", err, want)
 	}
-	if _, _, err := rv32.BuildTrace(reached, 100); err == nil || err.Error() != want {
-		t.Fatalf("BuildTrace error = %v, want %q", err, want)
+	if st, err = rv32.NewStreamer(reached); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Emit(nil); err == nil || err.Error() != want {
+		t.Fatalf("Emit error = %v, want %q", err, want)
 	}
 }
 

@@ -2,7 +2,7 @@
 // simulator's program workloads: a binary instruction codec, a
 // label-resolving assembler, and an architectural executor that runs an
 // encoded Program to produce the dynamic instruction stream the
-// pipeline consumes (see BuildTrace).
+// pipeline consumes (see Streamer).
 //
 // The subset is RV32I minus FENCE/CSR plus the M-extension multiply and
 // divide group. EBREAK halts a program; ECALL is decodable but has no

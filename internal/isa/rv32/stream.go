@@ -7,11 +7,11 @@ import (
 	"repro/internal/isa"
 )
 
-// Streamer is the incremental form of BuildTrace: it functionally
-// executes a program chunk by chunk, emitting the same mapped pipeline
-// stream element-for-element without ever materialising it whole. It is
-// the program-side producer of the trace layer's segment streams, which
-// is what lifts the materialisation cap for sampled runs.
+// Streamer functionally executes a program chunk by chunk, emitting its
+// mapped pipeline stream without ever materialising it whole. It is the
+// program-side producer of the trace layer's segment streams: sampled
+// runs read it window by window, and materialised program traces drain
+// it to the halt.
 type Streamer struct {
 	m       *Machine
 	static  []isa.Inst // the text through mapStatic, indexed like it

@@ -1,16 +1,16 @@
 package rv32
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/isa"
 )
 
 // This file is the bridge between the architectural tier and the timing
-// tier: BuildTrace functionally executes a Program and maps every
-// retired RV32 instruction onto the pipeline's operation classes with
-// real PCs, branch outcomes and targets, and effective addresses.
+// tier: the mapping a Streamer applies as it functionally executes a
+// Program, turning every retired RV32 instruction into the pipeline's
+// operation classes with real PCs, branch outcomes and targets, and
+// effective addresses.
 //
 // The mapping:
 //
@@ -80,35 +80,6 @@ func mapStatic(d Decoded, pc uint64) isa.Inst {
 
 func nopAt(pc uint64) isa.Inst {
 	return isa.Inst{Op: isa.Nop, Dest: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone, PC: pc}
-}
-
-// BuildTrace functionally executes p to completion and returns its
-// dynamic pipeline-instruction stream together with the static code
-// Image used by the wrong-path fetch model. The program must halt
-// within maxInsts mapped instructions — the dynamic length is a
-// property of the program, not a caller-supplied budget. It drains a
-// Streamer, so the two emit the same stream by construction.
-func BuildTrace(p *Program, maxInsts int) ([]isa.Inst, *Image, error) {
-	s, err := NewStreamer(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Emit into a chunk buffer and append it, so the trace grows by the
-	// runtime's rule rather than a chunk at a time: materialised traces
-	// are cached, and a whole chunk of spare capacity would stay resident.
-	var out, buf []isa.Inst
-	for !s.Halted() && len(out) < maxInsts {
-		if buf, err = s.Emit(buf[:0]); err != nil {
-			return nil, nil, err
-		}
-		out = append(out, buf...)
-	}
-	// EBREAK maps to nothing, so the final length is the length the
-	// halting step saw.
-	if !s.Halted() || len(out) >= maxInsts {
-		return nil, nil, fmt.Errorf("rv32: %q exceeds %d dynamic instructions without halting", p.Name, maxInsts)
-	}
-	return out, s.Image(), nil
 }
 
 // Image is the static pipeline view of a program's text, one mapped

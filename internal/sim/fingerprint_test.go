@@ -183,7 +183,7 @@ func TestProgramRecipeFingerprints(t *testing.T) {
 		{Kernel: trace.KernelProgram, Program: "chase", Input: 400, Seed: 42},
 		{Kernel: trace.KernelFPMix, N: 400, Seed: 42},
 	} {
-		tr, err := trace.RecipeOnly(r)
+		tr, err := trace.StreamOnly(r)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -102,8 +102,8 @@ func runSpec(spec RunSpec, getDonor func() (*mem.Hierarchy, error), arena *core.
 	}()
 	if spec.Sample.Enabled() {
 		// Sampled points stream; they neither need nor use a warm donor
-		// (the persistent substrate is warmed by fast-forwarding the
-		// stream itself, not by a footprint replay).
+		// (core.RunSampled warms its persistent substrate from a second
+		// stream over the workload).
 		res, err = runSampled(spec)
 		if err != nil {
 			err = fmt.Errorf("sim: %s (%s): %w", spec.Name, spec.Config.Summary(), err)
@@ -147,8 +147,8 @@ func runSampled(spec RunSpec) (stats.Results, error) {
 	}
 	// Two independent streams over the same workload: one the sampling
 	// loop consumes, one the whole-footprint cache warm consumes (the
-	// sampled equivalent of warmHierarchy replaying the materialised
-	// trace's WarmFootprint).
+	// same warm-up a full-detail point replays over its materialised
+	// trace).
 	var st, warm *trace.InstStream
 	if spec.Trace.Len() > 0 {
 		st = spec.Trace.OpenStream()

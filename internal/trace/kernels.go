@@ -7,7 +7,6 @@ import "repro/internal/isa"
 // can be interleaved without aliasing.
 type iterSource interface {
 	emitIter(b *builder)
-	kernelName() string
 }
 
 // elem is the element size in bytes of every array (double precision).
@@ -57,8 +56,6 @@ func newStreamKernel(win regWindow, reg int, pcBase uint64, strideElems int, rng
 		rng:    rng,
 	}
 }
-
-func (k *streamKernel) kernelName() string { return "stream" }
 
 // emitIter emits one unrolled loop iteration: unroll element bodies
 // followed by the index update and the loop-back branch. The long basic
@@ -119,8 +116,6 @@ func newStencilKernel(win regWindow, reg int, pcBase uint64) *stencilKernel {
 	}
 }
 
-func (k *stencilKernel) kernelName() string { return "stencil" }
-
 func (k *stencilKernel) emitIter(b *builder) {
 	w, pc := k.win, k.pcBase
 	for u := 0; u < k.unroll; u++ {
@@ -176,8 +171,6 @@ func newReductionKernel(win regWindow, reg int, pcBase uint64) *reductionKernel 
 	}
 }
 
-func (k *reductionKernel) kernelName() string { return "reduction" }
-
 func (k *reductionKernel) emitIter(b *builder) {
 	w, pc := k.win, k.pcBase
 	for u := 0; u < k.unroll; u++ {
@@ -232,8 +225,6 @@ func newBlockedKernel(win regWindow, reg int, pcBase uint64) *blockedKernel {
 	}
 }
 
-func (k *blockedKernel) kernelName() string { return "blocked" }
-
 func (k *blockedKernel) emitIter(b *builder) {
 	w, pc := k.win, k.pcBase
 	for u := 0; u < k.unroll; u++ {
@@ -276,8 +267,6 @@ func newChaseKernel(win regWindow, reg int, pcBase uint64, rng *prng) *chaseKern
 		rng:    rng,
 	}
 }
-
-func (k *chaseKernel) kernelName() string { return "pointerchase" }
 
 func (k *chaseKernel) emitIter(b *builder) {
 	w, pc := k.win, k.pcBase
@@ -327,8 +316,6 @@ func newCondKernel(win regWindow, reg int, pcBase uint64, pTaken float64, loadDe
 	}
 }
 
-func (k *condKernel) kernelName() string { return "cond" }
-
 func (k *condKernel) emitIter(b *builder) {
 	w, pc := k.win, k.pcBase
 	off := (k.i % k.foot) * elem
@@ -349,58 +336,38 @@ func (k *condKernel) emitIter(b *builder) {
 	k.i++
 }
 
-// fill runs src until the builder holds n instructions, then truncates
-// to exactly n.
-func fill(b *builder, src iterSource, n int) {
-	for b.len() < n {
-		src.emitIter(b)
-	}
-	b.insts = b.insts[:n]
-}
-
 // fullWindow is the register window for single-kernel traces.
 var fullWindow = regWindow{intBase: 0, intN: isa.NumIntRegs, fpBase: 0, fpN: isa.NumFPRegs}
 
-// Stream generates n instructions of the unit-stride FP triad.
-func Stream(n int) *Trace {
-	b := newBuilder(n)
-	fill(b, newStreamKernel(fullWindow, 0, 0x1000, 1, newPRNG(1)), n)
-	return b.trace("stream").withRecipe(Recipe{Kernel: KernelStream, N: n})
+// generate materialises a generator's recipe. Generators take their
+// arguments from code, not the wire, so an invalid recipe (n outside
+// [1, MaxRecipeInsts]) is a programming error.
+func generate(r Recipe) *Trace {
+	tr, err := r.Materialise()
+	if err != nil {
+		panic(err)
+	}
+	return tr
 }
+
+// Stream generates n instructions of the unit-stride FP triad.
+func Stream(n int) *Trace { return generate(Recipe{Kernel: KernelStream, N: n}) }
 
 // StridedStream generates the triad with the given stride in elements;
 // stride 8 makes every load touch a new L2 line.
 func StridedStream(n, strideElems int) *Trace {
-	b := newBuilder(n)
-	fill(b, newStreamKernel(fullWindow, 0, 0x1000, strideElems, newPRNG(1)), n)
-	return b.trace("stream-strided").withRecipe(Recipe{Kernel: KernelStrided, N: n, Stride: strideElems})
+	return generate(Recipe{Kernel: KernelStrided, N: n, Stride: strideElems})
 }
 
 // Stencil generates n instructions of the 3-point stencil.
-func Stencil(n int) *Trace {
-	b := newBuilder(n)
-	fill(b, newStencilKernel(fullWindow, 1, 0x2000), n)
-	return b.trace("stencil").withRecipe(Recipe{Kernel: KernelStencil, N: n})
-}
+func Stencil(n int) *Trace { return generate(Recipe{Kernel: KernelStencil, N: n}) }
 
 // Reduction generates n instructions of the unrolled dot product.
-func Reduction(n int) *Trace {
-	b := newBuilder(n)
-	fill(b, newReductionKernel(fullWindow, 2, 0x3000), n)
-	return b.trace("reduction").withRecipe(Recipe{Kernel: KernelReduction, N: n})
-}
+func Reduction(n int) *Trace { return generate(Recipe{Kernel: KernelReduction, N: n}) }
 
 // Blocked generates n instructions of the cache-blocked matrix-vector
 // product.
-func Blocked(n int) *Trace {
-	b := newBuilder(n)
-	fill(b, newBlockedKernel(fullWindow, 3, 0x4000), n)
-	return b.trace("blocked").withRecipe(Recipe{Kernel: KernelBlocked, N: n})
-}
+func Blocked(n int) *Trace { return generate(Recipe{Kernel: KernelBlocked, N: n}) }
 
 // PointerChase generates n instructions of serial dependent misses.
-func PointerChase(n int) *Trace {
-	b := newBuilder(n)
-	fill(b, newChaseKernel(fullWindow, 4, 0x5000, newPRNG(7)), n)
-	return b.trace("pointerchase").withRecipe(Recipe{Kernel: KernelPointerChase, N: n})
-}
+func PointerChase(n int) *Trace { return generate(Recipe{Kernel: KernelPointerChase, N: n}) }

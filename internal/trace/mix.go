@@ -40,41 +40,30 @@ func (w MixWeights) Validate() error {
 // FPMix generates the paper's headline workload: a deterministic
 // weighted interleave of the FP kernels with DefaultWeights.
 func FPMix(n int, seed uint64) *Trace {
-	return Mix(n, seed, DefaultWeights())
+	return generate(Recipe{Kernel: KernelFPMix, N: n, Seed: seed})
 }
 
 // Mix generates a weighted interleave of the FP kernels. Each kernel
 // instance owns a disjoint register window and address region, so
 // interleaving changes scheduling pressure without creating false
-// cross-kernel dependences.
+// cross-kernel dependences. Only the default weights have a declarative
+// recipe (FPMix); custom weights produce an anonymous, unfingerprintable
+// trace drained from the same kind of stream.
 func Mix(n int, seed uint64, w MixWeights) *Trace {
+	if w == DefaultWeights() {
+		return FPMix(n, seed)
+	}
 	round, err := mixRound(seed, w)
 	if err != nil {
 		panic(err)
 	}
-	b := newBuilder(n)
-	for b.len() < n {
-		for _, src := range round {
-			src.emitIter(b)
-			if b.len() >= n {
-				break
-			}
-		}
-	}
-	b.insts = b.insts[:n]
-	tr := b.trace("fpmix")
-	// Only the default mix has a declarative recipe; custom weights
-	// produce an anonymous (unfingerprintable) trace.
-	if w == DefaultWeights() {
-		tr = tr.withRecipe(Recipe{Kernel: KernelFPMix, N: n, Seed: seed})
-	}
+	tr, _ := synthStream("fpmix", round).drain(n, n) // synthetic streams never fail
 	return tr
 }
 
-// mixRound builds the kernel instances and the one scheduling round Mix
-// and the streaming generator share. All instances draw from one PRNG in
-// round emission order, so replaying whole rounds reproduces the exact
-// materialised sequence (truncation in Mix only drops a suffix).
+// mixRound builds the kernel instances and the one scheduling round of
+// a mix stream. All instances draw from one PRNG in round emission
+// order, so the stream is a pure function of the seed and weights.
 func mixRound(seed uint64, w MixWeights) ([]iterSource, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err

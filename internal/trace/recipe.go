@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/isa/programs"
-	"repro/internal/isa/rv32"
 )
 
 // Kernel names accepted by Recipe. Each maps to one public generator.
@@ -159,53 +158,33 @@ func (r Recipe) String() string {
 	return fmt.Sprintf("%s/n=%d/seed=%d/stride=%d", r.Kernel, r.N, r.Seed, r.Stride)
 }
 
-// Materialise regenerates the trace the recipe describes. Generation is
-// deterministic: two Materialise calls of equal recipes produce
-// instruction-identical traces.
+// Materialise regenerates the trace the recipe describes by draining
+// its stream (OpenStream): the first N instructions of a synthetic
+// kernel, or a program's whole run, which must halt within
+// MaxRecipeInsts. Generation is deterministic — two Materialise calls of
+// equal recipes, on any host, produce instruction-identical traces.
 func (r Recipe) Materialise() (*Trace, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	switch r.Kernel {
-	case KernelStream:
-		return Stream(r.N), nil
-	case KernelStrided:
-		return StridedStream(r.N, r.Stride), nil
-	case KernelStencil:
-		return Stencil(r.N), nil
-	case KernelReduction:
-		return Reduction(r.N), nil
-	case KernelBlocked:
-		return Blocked(r.N), nil
-	case KernelPointerChase:
-		return PointerChase(r.N), nil
-	case KernelFPMix:
-		return FPMix(r.N, r.Seed), nil
-	case KernelProgram:
-		return r.materialiseProgram()
+	st, err := r.OpenStream()
+	if err != nil {
+		return nil, err
 	}
-	panic("unreachable: Validate accepted kernel " + r.Kernel)
-}
-
-// materialiseProgram builds and functionally executes the program into
-// its dynamic stream. Execution is deterministic, so program traces are
-// bit-identical across materialisations, hosts, and fleet nodes — the
-// same contract the synthetic generators give the content-addressed
-// cache.
-func (r Recipe) materialiseProgram() (*Trace, error) {
-	spec, ok := programs.Lookup(r.Program)
-	if !ok {
-		return nil, fmt.Errorf("trace: recipe: unknown program %q", r.Program)
+	if r.Kernel != KernelProgram {
+		t, _ := st.drain(r.N, r.N) // synthetic streams never fail
+		if r.Kernel == KernelStrided {
+			t.name = "stream-strided" // the materialised name predates the kernel's
+		}
+		return t.withRecipe(r), nil
 	}
-	p, err := spec.Build(r.Input, r.Seed)
+	t, err := st.drain(MaxRecipeInsts, 0)
 	if err != nil {
 		return nil, fmt.Errorf("trace: recipe %s: %w", r, err)
 	}
-	insts, img, err := rv32.BuildTrace(p, MaxRecipeInsts)
-	if err != nil {
-		return nil, fmt.Errorf("trace: recipe %s: %w", r, err)
+	if t.Len() >= MaxRecipeInsts {
+		return nil, fmt.Errorf("trace: recipe %s: %q exceeds %d dynamic instructions without halting", r, r.Program, MaxRecipeInsts)
 	}
-	t := &Trace{name: r.Program, insts: insts, code: img}
 	return t.withRecipe(r), nil
 }
 
@@ -225,21 +204,14 @@ func (t *Trace) Recipe() (Recipe, bool) {
 	return t.recipe, t.hasRecipe
 }
 
-// RecipeOnly returns an empty trace carrying just the recipe: a handle
-// for callers that only need the workload's identity — a client
-// shipping specs to a remote service — without paying materialisation.
-// It must never be simulated directly (Len is 0; the core would fail
-// immediately); Materialise the recipe for that.
-func RecipeOnly(r Recipe) (*Trace, error) {
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return (&Trace{name: r.WorkloadName()}).withRecipe(r), nil
-}
-
-// StreamOnly is RecipeOnly under the streamed validation rules: the
-// handle for sampled points, whose synthetic N may exceed the
-// materialisation cap because only a window ever exists in memory.
+// StreamOnly returns an empty trace carrying just the recipe: the one
+// handle for callers that only need the workload's identity — a client
+// shipping specs to a remote service, or a sampled point, which opens
+// the recipe's stream itself — without paying materialisation. It is
+// validated under the streamed rules, since a sampled point's synthetic
+// N may exceed the materialisation cap (only a window ever exists in
+// memory). A full-detail run cannot simulate it directly (Len is 0; the
+// core fails immediately); Materialise the recipe for that.
 func StreamOnly(r Recipe) (*Trace, error) {
 	if err := r.ValidateStreamed(); err != nil {
 		return nil, err

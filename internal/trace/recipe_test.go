@@ -85,7 +85,7 @@ func TestRecipeValidate(t *testing.T) {
 // stream.
 func TestRecipeOnly(t *testing.T) {
 	r := Recipe{Kernel: KernelFPMix, N: 5000, Seed: 3}
-	tr, err := RecipeOnly(r)
+	tr, err := StreamOnly(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestRecipeOnly(t *testing.T) {
 	if got, ok := tr.Recipe(); !ok || got != r {
 		t.Errorf("recipe-only trace recipe %+v, want %+v", got, r)
 	}
-	if _, err := RecipeOnly(Recipe{Kernel: "quicksort", N: 1}); err == nil {
+	if _, err := StreamOnly(Recipe{Kernel: "quicksort", N: 1}); err == nil {
 		t.Error("invalid recipe produced a recipe-only trace")
 	}
 }

@@ -18,8 +18,8 @@ import (
 // what fits in one allocation.
 //
 // Prefix contract: for any recipe, the streamed sequence's first N
-// elements equal Recipe{..., N}.Materialise()'s instructions
-// element-for-element (enforced by TestStreamedMatchesMaterialised).
+// elements are Recipe{..., N}.Materialise()'s instructions, because
+// Materialise drains the same stream.
 type InstStream struct {
 	name string
 	code StaticCode
@@ -99,6 +99,27 @@ func (s *InstStream) Window(n int) (*Trace, error) {
 	return &Trace{name: s.name, insts: append([]isa.Inst(nil), w...), code: s.code}, nil
 }
 
+// drain consumes up to n instructions (fewer if the stream ends first)
+// into a trace with the stream's name and code. size pre-sizes its
+// storage: the exact length when it is known, so a long trace is never
+// copied to grow; 0 for programs, whose trace grows by the runtime's
+// rule, so no spare chunk stays resident in a cached trace.
+func (s *InstStream) drain(n, size int) (*Trace, error) {
+	insts := make([]isa.Inst, 0, size)
+	for len(insts) < n {
+		next, err := s.Peek(min(n-len(insts), 8192))
+		if err != nil {
+			return nil, err
+		}
+		if len(next) == 0 {
+			break
+		}
+		insts = append(insts, next...)
+		s.Skip(len(next))
+	}
+	return &Trace{name: s.name, insts: insts, code: s.code}, nil
+}
+
 // OpenStream returns a stream over an already-materialised trace (a
 // borrowed, zero-copy view; the trace must not be mutated, which Trace
 // never is after construction).
@@ -120,14 +141,17 @@ func (r Recipe) OpenStream() (*InstStream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &InstStream{name: r.WorkloadName(), src: &synthSource{round: round}}, nil
+	return synthStream(r.WorkloadName(), round), nil
+}
+
+// synthStream opens the unbounded stream that replays round.
+func synthStream(name string, round []iterSource) *InstStream {
+	return &InstStream{name: name, src: &synthSource{round: round}}
 }
 
 // synthRound builds the kernel instances a synthetic recipe's stream
-// replays, mirroring each public generator's construction exactly —
-// same windows, regions, seeds and emission order — so the stream is
-// bit-identical to the materialised trace (the generators' emitters are
-// deterministic and truncation-free until fill cuts the tail).
+// replays: the one place each kernel's register window, address region,
+// PC base and PRNG seed are chosen.
 func synthRound(r Recipe) ([]iterSource, error) {
 	switch r.Kernel {
 	case KernelStream:
@@ -148,10 +172,8 @@ func synthRound(r Recipe) ([]iterSource, error) {
 	return nil, fmt.Errorf("trace: recipe %s cannot stream", r.Kernel)
 }
 
-// synthSource emits one full scheduling round per call. Mix's
-// materialiser may stop mid-round at the length cut, but everything it
-// kept is a prefix of the whole-round sequence, so streaming whole
-// rounds reproduces it exactly.
+// synthSource emits one full scheduling round per call; a materialised
+// trace keeps a prefix of that sequence, cut mid-round at its length.
 type synthSource struct {
 	round []iterSource
 }

@@ -1,8 +1,14 @@
-// Package trace generates the deterministic synthetic workloads that
-// stand in for the paper's SPEC2000fp benchmarks (see DESIGN.md §3-4 for
-// the substitution argument). A Trace is a materialised dynamic
-// instruction stream: random access by position makes checkpoint
-// rollback replay trivial and exact.
+// Package trace generates the deterministic workloads the simulator
+// runs: synthetic kernels that stand in for the paper's SPEC2000fp
+// benchmarks (see DESIGN.md §3-4 for the substitution argument) and real
+// RV32 programs. A Recipe names a workload. OpenStream produces its
+// dynamic instruction stream lazily (InstStream), and Materialise drains
+// that stream into a Trace, whose random access by position makes
+// checkpoint rollback replay trivial and exact; StreamOnly is the
+// recipe-only handle for points that never need the whole trace. Each
+// workload has one generator: a kernel is constructed only where its
+// stream is opened (synthRound, mixRound), and the public generators
+// (Stream, FPMix, ...) are one-line wrappers over recipes.
 //
 // Kernels model the behaviours the paper's mechanisms react to:
 //
@@ -21,7 +27,6 @@ package trace
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/isa"
 )
@@ -40,11 +45,6 @@ type Trace struct {
 	// code is the static program image of a program-backed trace
 	// (KernelProgram recipes); nil for synthetic kernels. See Code.
 	code StaticCode
-
-	// warmOnce/warmEvents lazily cache the cache warm-up footprint
-	// (see WarmFootprint). Shared read-only across concurrent CPUs.
-	warmOnce   sync.Once
-	warmEvents []WarmEvent
 }
 
 // StaticCode is the static-code view of a program-backed trace: the
@@ -87,50 +87,6 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// WarmLineBytes is the instruction-cache line granularity of the warm-up
-// footprint (the simulator's IL1 line size, Table 1).
-const WarmLineBytes = 32
-
-// WarmEvent is one step of a trace's cache warm-up replay: either the
-// first-seen IL1 line of an instruction fetch (Fetch true) or one data
-// access (Fetch false). Addr is the line-aligned PC for fetches and the
-// effective byte address for data.
-type WarmEvent struct {
-	Addr  uint64
-	Fetch bool
-}
-
-// WarmFootprint returns the trace's cache warm-up footprint: the exact
-// interleaving of first-seen instruction lines and data accesses that a
-// harness must replay through a cold hierarchy to reach the steady-state
-// cache contents a long-running benchmark would have (the paper's
-// 300M-instruction regions run warm).
-//
-// It is computed once per trace and cached: a parameter sweep builds one
-// CPU per configuration point over the same trace, and rediscovering the
-// footprint (an O(trace) pass with a dedup map) per point dominated CPU
-// construction. The result is shared read-only; callers must not modify
-// it.
-func (t *Trace) WarmFootprint() []WarmEvent {
-	t.warmOnce.Do(func() {
-		seen := make(map[uint64]struct{})
-		events := make([]WarmEvent, 0, len(t.insts)/2)
-		for i := range t.insts {
-			in := &t.insts[i]
-			pc := in.PC &^ (WarmLineBytes - 1)
-			if _, ok := seen[pc]; !ok {
-				seen[pc] = struct{}{}
-				events = append(events, WarmEvent{Addr: pc, Fetch: true})
-			}
-			if in.Op.IsMem() {
-				events = append(events, WarmEvent{Addr: in.Addr})
-			}
-		}
-		t.warmEvents = events
-	})
-	return t.warmEvents
-}
-
 // OpCounts returns a histogram of operation classes.
 func (t *Trace) OpCounts() [isa.NumOps]int64 {
 	var c [isa.NumOps]int64
@@ -140,23 +96,13 @@ func (t *Trace) OpCounts() [isa.NumOps]int64 {
 	return c
 }
 
-// builder accumulates instructions for a trace.
+// builder accumulates the instructions a kernel iteration emits.
 type builder struct {
 	insts []isa.Inst
 }
 
-func newBuilder(n int) *builder {
-	return &builder{insts: make([]isa.Inst, 0, n)}
-}
-
 func (b *builder) emit(in isa.Inst) {
 	b.insts = append(b.insts, in)
-}
-
-func (b *builder) len() int { return len(b.insts) }
-
-func (b *builder) trace(name string) *Trace {
-	return &Trace{name: name, insts: b.insts}
 }
 
 // regWindow hands a kernel instance a disjoint slice of the logical
