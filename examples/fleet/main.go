@@ -34,6 +34,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/fleet"
 	"repro/internal/service"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -143,24 +144,15 @@ func main() {
 	fmt.Printf("   all %d points byte-identical to a single-node run\n", len(jobs))
 }
 
-// runBatch submits jobs through the coordinator and returns the raw
-// result bytes per point.
+// runBatch runs jobs through the coordinator and returns the raw result
+// bytes per point.
 func runBatch(ctx context.Context, client *service.Client, jobs []service.Job) [][]byte {
-	st, err := client.Submit(ctx, jobs)
-	if err != nil {
-		log.Fatal(err)
-	}
 	out := make([][]byte, len(jobs))
-	err = client.Stream(ctx, st.ID, func(ev service.Event) error {
-		switch ev.Type {
-		case "error":
-			return fmt.Errorf("point %d (%s): %s", ev.Index, ev.Name, ev.Error)
-		case "result":
-			out[ev.Index] = append([]byte(nil), ev.Results...)
+	if _, err := client.Run(ctx, jobs, func(ev service.Event, _ *stats.Results) {
+		if ev.Type == "result" {
+			out[ev.Index] = ev.Results
 		}
-		return nil
-	})
-	if err != nil {
+	}); err != nil {
 		log.Fatal(err)
 	}
 	return out

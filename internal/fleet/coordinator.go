@@ -7,7 +7,10 @@
 // each point routes to the worker owning its fingerprint's shard
 // (sim.ShardFor over the currently-ready node list), which makes the
 // fleet's caches partition cleanly: identical points always land on
-// the same node, so no result is computed or stored twice.
+// the same node, so no result is computed or stored twice. A worker
+// answers an all-hit sub-batch in its submit response, so the
+// coordinator opens a worker's event stream only for sub-batches with
+// work left.
 //
 // Three mechanisms keep that guarantee under churn:
 //
@@ -339,7 +342,7 @@ func (c *Coordinator) Submit(jobs []service.Job) (*service.Batch, error) {
 	c.order = append(c.order, b.ID())
 	for len(c.order) > c.maxBatches {
 		victim := c.batches[c.order[0]]
-		if victim != nil && victim.Status().State == service.StateRunning {
+		if victim != nil && victim.State() == service.StateRunning {
 			break
 		}
 		delete(c.batches, c.order[0])
@@ -532,11 +535,13 @@ func (c *Coordinator) route(b *service.Batch, lead []int, results chan<- pointRe
 	}
 }
 
-// runOn submits idxs' jobs to one worker and streams completions into
-// results. On worker failure it marks the node down and returns the
-// points that did not complete, for the caller to re-route. Per-point
-// simulation errors are final (the simulator is deterministic; another
-// node would fail identically) and do not count as unfinished.
+// runOn submits idxs' jobs to one worker and feeds their completions
+// into results, opening the worker's event stream only when the
+// sub-batch has work left (see service.Client.Events). On worker
+// failure it marks the node down and returns the points that did not
+// complete, for the caller to re-route. Per-point simulation errors are
+// final (the simulator is deterministic; another node would fail
+// identically) and do not count as unfinished.
 func (c *Coordinator) runOn(n *node, jobs []service.Job, idxs []int, results chan<- pointResult) (unfinished []int) {
 	sub := make([]service.Job, len(idxs))
 	for k, i := range idxs {
@@ -559,7 +564,11 @@ func (c *Coordinator) runOn(n *node, jobs []service.Job, idxs []int, results cha
 		c.markDown(n, err)
 		return
 	}
-	err = n.client.Stream(ctx, st.ID, func(ev service.Event) error {
+	if !st.FinishedAtAdmission(sub) {
+		// Counted before the stream opens, so before any of its results.
+		c.metrics.WorkerStreams.Add(1)
+	}
+	err = n.client.Events(ctx, sub, st, func(ev service.Event) error {
 		switch ev.Type {
 		case "result":
 			if ev.Index >= 0 && ev.Index < len(idxs) {

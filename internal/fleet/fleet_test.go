@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,6 +18,8 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/service"
+	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -536,5 +539,116 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatalf("condition never became true")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// streamLog counts a worker's event-stream requests.
+type streamLog struct {
+	h       http.Handler
+	streams atomic.Int64
+}
+
+func (l *streamLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/events") {
+		l.streams.Add(1)
+	}
+	l.h.ServeHTTP(w, r)
+}
+
+// TestFleetWarmResubmitOpensNoWorkerStream: resubmitting a batch
+// through the coordinator is answered by the workers' submit responses
+// alone, with bytes identical to the first pass and every breaker
+// closed; a sub-batch holding one miss still streams, from its owner
+// only.
+func TestFleetWarmResubmitOpensNoWorkerStream(t *testing.T) {
+	jobs := policyBatch(1500)
+	var logs []*streamLog
+	var urls []string
+	for range 2 {
+		l := &streamLog{h: service.NewHandler(service.NewScheduler(service.SchedulerOptions{Workers: 1}))}
+		srv := httptest.NewServer(l)
+		defer srv.Close()
+		logs = append(logs, l)
+		urls = append(urls, srv.URL)
+	}
+	coord, err := New(Options{Workers: urls, PingInterval: time.Hour})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	defer coord.Close()
+	front := httptest.NewServer(NewHandler(coord))
+	defer front.Close()
+	client := &service.Client{BaseURL: front.URL}
+	run := func(jobs []service.Job) []json.RawMessage {
+		t.Helper()
+		got := make([]json.RawMessage, len(jobs))
+		_, err := client.Run(context.Background(), jobs, func(ev service.Event, _ *stats.Results) {
+			if ev.Type == "result" {
+				got[ev.Index] = ev.Results
+			}
+		})
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		return got
+	}
+	streams := func() (per []int64, coordTotal uint64) {
+		for _, l := range logs {
+			per = append(per, l.streams.Load())
+		}
+		return per, coord.metrics.WorkerStreams.Load()
+	}
+
+	cold := run(jobs)
+	coldPer, coldTotal := streams()
+	if coldPer[0] == 0 || coldPer[1] == 0 || coldTotal != uint64(coldPer[0]+coldPer[1]) {
+		t.Fatalf("cold pass: worker streams %v, coordinator counted %d", coldPer, coldTotal)
+	}
+
+	warm := run(jobs)
+	if per, total := streams(); !slices.Equal(per, coldPer) || total != coldTotal {
+		t.Errorf("warm pass opened worker streams: %v -> %v (counter %d -> %d)", coldPer, per, coldTotal, total)
+	}
+	for i := range jobs {
+		if !bytes.Equal(warm[i], cold[i]) {
+			t.Errorf("point %d (%s): warm bytes differ from the cold pass", i, jobs[i].Name)
+		}
+	}
+	for _, n := range coord.nodes {
+		if s := n.breaker.State(); s != "closed" {
+			t.Errorf("node %s breaker %s after the warm pass", n.url, s)
+		}
+	}
+
+	miss := jobs[0]
+	miss.Insts++
+	fp, err := miss.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := sim.ShardFor(fp, len(urls))
+	mixed := run(append(slices.Clone(jobs), miss))
+	per, total := streams()
+	for w := range per {
+		want := coldPer[w]
+		if w == owner {
+			want++
+		}
+		if per[w] != want {
+			t.Errorf("worker %d: %d streams after the one-miss pass, want %d (owner %d)", w, per[w], want, owner)
+		}
+	}
+	if total != coldTotal+1 {
+		t.Errorf("coordinator counted %d worker streams, want %d", total, coldTotal+1)
+	}
+	for i := range jobs {
+		if !bytes.Equal(mixed[i], cold[i]) {
+			t.Errorf("point %d (%s): bytes differ in the one-miss pass", i, jobs[i].Name)
+		}
+	}
+	var m strings.Builder
+	coord.WriteMetrics(&m)
+	if want := fmt.Sprintf("ooosim_fleet_worker_streams_total %d\n", total); !strings.Contains(m.String(), want) {
+		t.Errorf("metrics lack %q", want)
 	}
 }

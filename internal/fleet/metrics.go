@@ -20,6 +20,7 @@ type metrics struct {
 	BreakerTrips     atomic.Uint64 // closed→open breaker transitions
 	ProbeFailures    atomic.Uint64 // failed health probes, all nodes
 	RetryExhausted   atomic.Uint64 // points that ran out of retry budget
+	WorkerStreams    atomic.Uint64 // worker event streams opened
 	QueueDepth       atomic.Int64
 }
 
@@ -44,6 +45,7 @@ func (c *Coordinator) WriteMetrics(w io.Writer) {
 	counter(w, "ooosim_fleet_node_failures_total", "Worker dispatch failures (failed submission or severed stream).", m.NodeFailures.Load())
 	counter(w, "ooosim_fleet_breaker_trips_total", "Worker circuit breakers tripped open.", m.BreakerTrips.Load())
 	counter(w, "ooosim_fleet_retry_budget_exhausted_total", "Points that failed after exhausting their re-route budget.", m.RetryExhausted.Load())
+	counter(w, "ooosim_fleet_worker_streams_total", "Worker event streams opened (sub-batches a worker did not finish at admission).", m.WorkerStreams.Load())
 	gauge(w, "ooosim_fleet_queue_depth", "Points admitted but not yet finished.", m.QueueDepth.Load())
 	gauge(w, "ooosim_fleet_nodes", "Workers configured.", int64(len(c.nodes)))
 	ready := c.readyNodes()

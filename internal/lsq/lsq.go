@@ -65,7 +65,11 @@ type Stats struct {
 // order.
 type LSQ struct {
 	capacity int
-	entries  []*Entry // seq-ordered
+	// entries[head:] are the resident entries, oldest first. Commit pops
+	// the old end and rollback the young end, moving no survivor;
+	// popOldest compacts once the dead prefix outgrows the live part.
+	entries []*Entry
+	head    int
 	// stores maps an effective address to its youngest resident store;
 	// older stores to the same address chain behind it via olderSame.
 	stores storeIndex
@@ -85,10 +89,23 @@ func New(capacity int) *LSQ {
 func (q *LSQ) Cap() int { return q.capacity }
 
 // Len returns the number of resident entries.
-func (q *LSQ) Len() int { return len(q.entries) }
+func (q *LSQ) Len() int { return len(q.entries) - q.head }
 
 // Full reports whether the queue is at capacity.
-func (q *LSQ) Full() bool { return len(q.entries) >= q.capacity }
+func (q *LSQ) Full() bool { return q.Len() >= q.capacity }
+
+// popOldest removes the oldest resident entry from the queue (the
+// caller recycles it).
+func (q *LSQ) popOldest() {
+	q.entries[q.head] = nil
+	q.head++
+	if 2*q.head > len(q.entries) {
+		n := copy(q.entries, q.entries[q.head:])
+		clear(q.entries[n:])
+		q.entries = q.entries[:n]
+		q.head = 0
+	}
+}
 
 // Insert allocates an entry at dispatch. Entries must be inserted in
 // increasing sequence order. Returns nil when the queue is full.
@@ -97,7 +114,7 @@ func (q *LSQ) Insert(seq uint64, op isa.Op, addr uint64, payload any) *Entry {
 		q.stats.FullStalls++
 		return nil
 	}
-	if n := len(q.entries); n > 0 && q.entries[n-1].Seq >= seq {
+	if n := len(q.entries); n > q.head && q.entries[n-1].Seq >= seq {
 		panic(fmt.Sprintf("lsq: out-of-order insert seq %d after %d", seq, q.entries[n-1].Seq))
 	}
 	var k Kind
@@ -227,17 +244,11 @@ func (q *LSQ) AddWaiter(store *Entry, onReady func(storeSeq uint64)) {
 // DrainStoresBefore removes every store with Seq < endSeq, invoking
 // write for each in program order (checkpoint-commit draining). Loads
 // older than endSeq are retired from the queue at the same time.
+// Entries are seq-ordered, so the drain pops a prefix.
 func (q *LSQ) DrainStoresBefore(endSeq uint64, write func(addr uint64)) int {
-	// Entries are seq-ordered, so the drain is a strict prefix: retire
-	// it, then slide the survivors forward once instead of walking and
-	// re-appending the whole queue.
-	cut := 0
 	n := 0
-	for ; cut < len(q.entries); cut++ {
-		e := q.entries[cut]
-		if e.Seq >= endSeq {
-			break
-		}
+	for q.Len() > 0 && q.entries[q.head].Seq < endSeq {
+		e := q.entries[q.head]
 		if e.Kind == KindStore {
 			if !e.Executed {
 				panic(fmt.Sprintf("lsq: draining unexecuted store seq %d", e.Seq))
@@ -247,61 +258,47 @@ func (q *LSQ) DrainStoresBefore(endSeq uint64, write func(addr uint64)) int {
 			q.stats.StoresDrained++
 			n++
 		}
+		q.popOldest()
 		q.recycle(e)
 	}
-	if cut == 0 {
-		return 0
-	}
-	m := copy(q.entries, q.entries[cut:])
-	for i := m; i < len(q.entries); i++ {
-		q.entries[i] = nil
-	}
-	q.entries = q.entries[:m]
 	return n
 }
 
 // Retire removes a single entry (ROB-mode per-instruction commit),
-// invoking write for stores.
+// invoking write for stores. Commit is in program order, so e must be
+// the oldest resident entry; retiring any other entry panics.
 func (q *LSQ) Retire(e *Entry, write func(addr uint64)) {
-	for i, x := range q.entries {
-		if x == e {
-			if e.Kind == KindStore {
-				if !e.Executed {
-					panic(fmt.Sprintf("lsq: retiring unexecuted store seq %d", e.Seq))
-				}
-				write(e.Addr)
-				q.dropStore(e)
-				q.stats.StoresDrained++
-			}
-			q.entries = append(q.entries[:i], q.entries[i+1:]...)
-			q.recycle(e)
-			return
-		}
+	if q.Len() == 0 || q.entries[q.head] != e {
+		panic(fmt.Sprintf("lsq: retire of seq %d, which is not the oldest resident entry", e.Seq))
 	}
-	panic(fmt.Sprintf("lsq: retire of unknown entry seq %d", e.Seq))
+	if e.Kind == KindStore {
+		if !e.Executed {
+			panic(fmt.Sprintf("lsq: retiring unexecuted store seq %d", e.Seq))
+		}
+		write(e.Addr)
+		q.dropStore(e)
+		q.stats.StoresDrained++
+	}
+	q.popOldest()
+	q.recycle(e)
 }
 
-// SquashYounger removes every entry with Seq >= seq (rollback). Pending
-// forward waiters of squashed stores are dropped unfired (their loads
-// are younger than the store and therefore squashed too).
+// SquashYounger removes every entry with Seq >= seq (rollback), a
+// suffix of the seq-ordered queue. Pending forward waiters of squashed
+// stores are dropped unfired (their loads are younger than the store
+// and therefore squashed too).
 func (q *LSQ) SquashYounger(seq uint64) int {
 	n := 0
-	kept := q.entries[:0]
-	for _, e := range q.entries {
-		if e.Seq >= seq {
-			if e.Kind == KindStore {
-				q.dropStore(e)
-			}
-			q.recycle(e)
-			n++
-			continue
+	for last := len(q.entries) - 1; last >= q.head && q.entries[last].Seq >= seq; last-- {
+		e := q.entries[last]
+		if e.Kind == KindStore {
+			q.dropStore(e)
 		}
-		kept = append(kept, e)
+		q.entries[last] = nil
+		q.entries = q.entries[:last]
+		q.recycle(e)
+		n++
 	}
-	for i := len(kept); i < len(q.entries); i++ {
-		q.entries[i] = nil
-	}
-	q.entries = kept
 	return n
 }
 
@@ -310,14 +307,15 @@ func (q *LSQ) Stats() Stats { return q.stats }
 
 // CheckInvariants validates ordering for tests.
 func (q *LSQ) CheckInvariants() error {
-	for i := 1; i < len(q.entries); i++ {
-		if q.entries[i-1].Seq >= q.entries[i].Seq {
+	live := q.entries[q.head:]
+	for i := 1; i < len(live); i++ {
+		if live[i-1].Seq >= live[i].Seq {
 			return fmt.Errorf("lsq: entries out of order at %d (%d then %d)",
-				i, q.entries[i-1].Seq, q.entries[i].Seq)
+				i, live[i-1].Seq, live[i].Seq)
 		}
 	}
-	if len(q.entries) > q.capacity {
-		return fmt.Errorf("lsq: %d entries exceed capacity %d", len(q.entries), q.capacity)
+	if len(live) > q.capacity {
+		return fmt.Errorf("lsq: %d entries exceed capacity %d", len(live), q.capacity)
 	}
 	stores := 0
 	var chainErr error
@@ -338,7 +336,7 @@ func (q *LSQ) CheckInvariants() error {
 		return chainErr
 	}
 	resident := 0
-	for _, e := range q.entries {
+	for _, e := range live {
 		if e.Kind == KindStore {
 			resident++
 		}

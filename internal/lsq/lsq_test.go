@@ -1,6 +1,8 @@
 package lsq
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -239,5 +241,134 @@ func TestForwardIndexAfterChurn(t *testing.T) {
 	}
 	if err := q.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestRetireOutOfOrderPanics(t *testing.T) {
+	q := New(8)
+	q.Insert(1, isa.Load, 0x10, nil)
+	l2 := q.Insert(2, isa.Load, 0x20, nil)
+	defer func() {
+		if recover() == nil {
+			t.Error("retiring an entry younger than the oldest must panic")
+		}
+	}()
+	q.Retire(l2, func(uint64) {})
+}
+
+// TestChurnAgainstModel drives the queue through thousands of random
+// inserts, oldest-first retires, prefix drains and suffix squashes, and
+// after every step checks the invariants and every address's forwarding
+// answer against a plain slice model of the resident entries.
+func TestChurnAgainstModel(t *testing.T) {
+	type ref struct {
+		e    *Entry
+		seq  uint64
+		kind Kind
+		addr uint64
+	}
+	rng := rand.New(rand.NewSource(1))
+	q := New(48)
+	var model []ref // resident entries, oldest first
+	seq := uint64(0)
+	var wrote, want []uint64
+	write := func(addr uint64) { wrote = append(wrote, addr) }
+	execute := func(m []ref) {
+		for _, r := range m {
+			if !r.e.Executed {
+				q.MarkExecuted(r.e)
+			}
+		}
+	}
+	stores := func(m []ref) (addrs []uint64) {
+		for _, r := range m {
+			if r.kind == KindStore {
+				addrs = append(addrs, r.addr)
+			}
+		}
+		return addrs
+	}
+	for step := 0; step < 20000; step++ {
+		wrote, want = wrote[:0], want[:0]
+		switch op := rng.Intn(10); {
+		case op < 5: // insert
+			seq += uint64(1 + rng.Intn(3))
+			kind, mop := KindLoad, isa.Load
+			if rng.Intn(2) == 0 {
+				kind, mop = KindStore, isa.Store
+			}
+			addr := uint64(0x10 + 8*rng.Intn(6))
+			e := q.Insert(seq, mop, addr, nil)
+			if (e == nil) != (len(model) == q.Cap()) {
+				t.Fatalf("step %d: insert returned %v with %d resident", step, e, len(model))
+			}
+			if e != nil {
+				model = append(model, ref{e, seq, kind, addr})
+			}
+		case op < 7: // retire the oldest entry
+			if len(model) == 0 {
+				continue
+			}
+			execute(model[:1])
+			want = stores(model[:1])
+			q.Retire(model[0].e, write)
+			model = model[1:]
+		case op < 8: // drain a prefix
+			k := rng.Intn(len(model) + 1)
+			end := seq + 1
+			if k < len(model) {
+				end = model[k].seq
+			}
+			execute(model[:k])
+			want = stores(model[:k])
+			if n := q.DrainStoresBefore(end, write); n != len(want) {
+				t.Fatalf("step %d: drained %d stores, want %d", step, n, len(want))
+			}
+			model = model[k:]
+		case op < 9: // squash a suffix
+			k := rng.Intn(len(model) + 1)
+			from := seq + 1
+			if k < len(model) {
+				from = model[k].seq
+			}
+			if n := q.SquashYounger(from); n != len(model)-k {
+				t.Fatalf("step %d: squashed %d, want %d", step, n, len(model)-k)
+			}
+			model = model[:k]
+		default: // execute one entry
+			if len(model) > 0 {
+				i := rng.Intn(len(model))
+				execute(model[i : i+1])
+			}
+		}
+		if !slices.Equal(wrote, want) {
+			t.Fatalf("step %d: wrote %v, want %v", step, wrote, want)
+		}
+		if q.Len() != len(model) {
+			t.Fatalf("step %d: len %d, model %d", step, q.Len(), len(model))
+		}
+		if err := q.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		probe := seq + 1
+		if len(model) > 0 {
+			probe = model[rng.Intn(len(model))].seq
+		}
+		for addr := uint64(0x10); addr < 0x40; addr += 8 {
+			wantRes, wantStore := NoConflict, (*Entry)(nil)
+			for i := len(model) - 1; i >= 0; i-- {
+				if r := model[i]; r.kind == KindStore && r.addr == addr && r.seq < probe {
+					wantRes = ForwardReady
+					if !r.e.Executed {
+						wantRes, wantStore = ForwardWait, r.e
+					}
+					break
+				}
+			}
+			if res, store := q.LookupForward(probe, addr); res != wantRes || store != wantStore {
+				t.Fatalf("step %d: LookupForward(%d, %#x) = %v, %v; want %v, %v",
+					step, probe, addr, res, store, wantRes, wantStore)
+			}
+		}
 	}
 }

@@ -86,15 +86,10 @@ type Batch struct {
 	logged     bool
 	journaled  bool
 	jdone      bool
-	// cycles and skipped aggregate the simulated-cycle and elided-cycle
-	// totals across the batch's successful points (parsed from each
-	// result), for the completion log line's skip-rate report.
-	cycles  uint64
-	skipped uint64
-	errs    []string
-	results []json.RawMessage
-	events  []Event
-	changed chan struct{} // closed-and-replaced on every event
+	errs       []string
+	results    []json.RawMessage
+	events     []Event
+	changed    chan struct{} // closed-and-replaced on every event
 }
 
 // NewBatch builds a batch tracker for the given jobs and their
@@ -153,23 +148,20 @@ func (b *Batch) Complete(i int, raw json.RawMessage, cached bool, err error) {
 		if cached {
 			b.hits++
 		}
-		// Pull the cycle totals for the done-line's skip-rate report; a
-		// result that does not parse (or predates the counters) adds
-		// nothing, which is the right degradation for a log line.
-		var c struct {
-			Cycles        uint64
-			SkippedCycles uint64
-		}
-		if json.Unmarshal(raw, &c) == nil {
-			b.cycles += c.Cycles
-			b.skipped += c.SkippedCycles
-		}
 	}
 	b.events = append(b.events, ev)
 	if b.done == len(b.jobs) {
 		b.state = StateDone
 		b.events = append(b.events, Event{Type: "done", Index: -1, Done: b.done, Total: len(b.jobs)})
 	}
+}
+
+// State returns the batch's state (StateRunning or StateDone) without
+// copying its results.
+func (b *Batch) State() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state
 }
 
 // Status returns a snapshot of the batch.
@@ -227,7 +219,9 @@ func (b *Batch) TakeJournalDone() bool {
 }
 
 // TakeDoneLine returns the batch's completion log line exactly once,
-// after the last point lands.
+// after the last point lands. The line's skip-rate report sums the
+// cycle counters of the stored results here, so only a batch whose line
+// is taken (a scheduler or coordinator with a Log) parses any result.
 func (b *Batch) TakeDoneLine() (string, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -237,9 +231,22 @@ func (b *Batch) TakeDoneLine() (string, bool) {
 	b.logged = true
 	line := fmt.Sprintf("batch %s done: %d points, %d cache hits, %d errors; %d snapshot groups, warm donors built=%d reused=%d",
 		b.id, len(b.jobs), b.hits, len(b.errs), b.groups, b.warmBuilds, b.warmReuses)
-	if b.cycles > 0 {
+	var cycles, skipped uint64
+	for _, raw := range b.results {
+		// A failed point (nil) or a result that does not parse adds
+		// nothing, which is the right degradation for a log line.
+		var c struct {
+			Cycles        uint64
+			SkippedCycles uint64
+		}
+		if json.Unmarshal(raw, &c) == nil {
+			cycles += c.Cycles
+			skipped += c.SkippedCycles
+		}
+	}
+	if cycles > 0 {
 		line += fmt.Sprintf("; clock-skip elided %d/%d cycles (%.1f%%)",
-			b.skipped, b.cycles, 100*float64(b.skipped)/float64(b.cycles))
+			skipped, cycles, 100*float64(skipped)/float64(cycles))
 	}
 	return line, true
 }

@@ -200,52 +200,38 @@ func (c *Client) Submit(ctx context.Context, jobs []Job) (BatchStatus, error) {
 	if err != nil {
 		return BatchStatus{}, err
 	}
-	var st BatchStatus
-	err = c.retrier().Do(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url("/v1/batches"), bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := c.http().Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			return decodeError(resp)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			// The batch was admitted but its id never arrived intact;
-			// resubmitting is safe (see above), so mark retryable.
-			return faults.MarkTransient(fmt.Errorf("service: decode submit response: %w", err))
-		}
-		return nil
-	})
-	if err != nil {
-		return BatchStatus{}, err
-	}
-	return st, nil
+	return c.status(ctx, http.MethodPost, "/v1/batches", body, http.StatusAccepted, "submit response")
 }
 
 // Status polls a batch, retrying transient failures.
 func (c *Client) Status(ctx context.Context, id string) (BatchStatus, error) {
+	return c.status(ctx, http.MethodGet, "/v1/batches/"+id, nil, http.StatusOK, "status")
+}
+
+// status performs one batch-API request answered by a BatchStatus,
+// retrying per the client's policy. A body that does not decode is
+// retryable: for a submit, the batch was admitted but its id never
+// arrived intact, and resubmitting is safe (see Submit).
+func (c *Client) status(ctx context.Context, method, path string, body []byte, want int, what string) (BatchStatus, error) {
 	var st BatchStatus
 	err := c.retrier().Do(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/v1/batches/"+id), nil)
+		req, err := http.NewRequestWithContext(ctx, method, c.url(path), bytes.NewReader(body))
 		if err != nil {
 			return err
+		}
+		if body != nil {
+			req.Header.Set("Content-Type", "application/json")
 		}
 		resp, err := c.http().Do(req)
 		if err != nil {
 			return err
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
+		if resp.StatusCode != want {
 			return decodeError(resp)
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			return faults.MarkTransient(fmt.Errorf("service: decode status: %w", err))
+			return faults.MarkTransient(fmt.Errorf("service: decode %s: %w", what, err))
 		}
 		return nil
 	})
@@ -313,10 +299,48 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(Event) error) er
 	})
 }
 
-// Run submits a batch, consumes its progress stream, and returns the
-// decoded per-point results in submission order. onEvent, when
-// non-nil, receives every event; for "result" events it also gets the
-// decoded results (each point is decoded exactly once — occupancy
+// FinishedAtAdmission reports whether st, the submit response for
+// jobs, already holds the batch's whole outcome: state done, every
+// point a cache hit, and every result present. The scheduler completes
+// a batch's hits in index order at admission, so such a batch's stream
+// would replay exactly the events Events rebuilds from the response.
+func (st *BatchStatus) FinishedAtAdmission(jobs []Job) bool {
+	if st.State != StateDone || st.Total != len(jobs) || st.CacheHits != len(jobs) || len(st.Results) != len(jobs) {
+		return false
+	}
+	for _, raw := range st.Results {
+		if len(raw) == 0 || string(raw) == "null" {
+			return false
+		}
+	}
+	return true
+}
+
+// Events delivers a submitted batch's events to fn, given its jobs and
+// submit response st. A batch that FinishedAtAdmission needs no
+// /events request: its events are rebuilt from st, one cached "result"
+// per point in index order and then "done", as the stream would replay
+// them. Any other batch streams (see Stream), so error events, late
+// completions and re-routing behave as they always have.
+func (c *Client) Events(ctx context.Context, jobs []Job, st BatchStatus, fn func(Event) error) error {
+	if !st.FinishedAtAdmission(jobs) {
+		return c.Stream(ctx, st.ID, fn)
+	}
+	for i, raw := range st.Results {
+		ev := Event{Type: "result", Index: i, Name: jobs[i].label(), Cached: true, Done: i + 1, Total: len(jobs), Results: raw}
+		if err := fn(ev); err != nil {
+			return err
+		}
+	}
+	return fn(Event{Type: "done", Index: -1, Done: len(jobs), Total: len(jobs)})
+}
+
+// Run submits a batch, collects its events through Events, and returns
+// the decoded per-point results in submission order. An all-hit batch
+// therefore costs one request (the submit response carries every
+// result); any other batch also opens its progress stream. onEvent,
+// when non-nil, receives every event; for "result" events it also gets
+// the decoded results (each point is decoded exactly once — occupancy
 // histograms make Results expensive to re-parse). Any failed point
 // fails the whole call.
 func (c *Client) Run(ctx context.Context, jobs []Job, onEvent func(Event, *stats.Results)) ([]stats.Results, error) {
@@ -327,7 +351,7 @@ func (c *Client) Run(ctx context.Context, jobs []Job, onEvent func(Event, *stats
 	out := make([]stats.Results, len(jobs))
 	got := make([]bool, len(jobs))
 	var pointErrs []string
-	err = c.Stream(ctx, st.ID, func(ev Event) error {
+	err = c.Events(ctx, jobs, st, func(ev Event) error {
 		var res *stats.Results
 		switch ev.Type {
 		case "result":

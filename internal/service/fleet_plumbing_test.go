@@ -348,6 +348,9 @@ func TestDonorEndpointContract(t *testing.T) {
 	if donor.WarmKey() != spec.Warm {
 		t.Fatalf("restored warm key %+v, want %+v", donor.WarmKey(), spec.Warm)
 	}
+	// The server counts a shipment after its write returns, which can be
+	// after the client has read the whole body: wait for the count.
+	waitUntil(t, func() bool { _, _, shipped, _ := s.Donors().Stats(); return shipped > 0 })
 	_, built, shipped, _ := s.Donors().Stats()
 	if built != 1 || shipped != 1 {
 		t.Fatalf("server built=%d shipped=%d, want 1 and 1", built, shipped)

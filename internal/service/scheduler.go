@@ -224,7 +224,7 @@ func (s *Scheduler) Submit(jobs []Job) (*Batch, error) {
 		// Only retire finished batches; a pathological flood of
 		// still-running batches stays addressable.
 		victim := s.batches[s.order[0]]
-		if victim != nil && victim.Status().State == StateRunning {
+		if victim != nil && victim.State() == StateRunning {
 			break
 		}
 		delete(s.batches, s.order[0])
@@ -311,10 +311,16 @@ func snapshotGroupKey(j Job) string {
 }
 
 // countSnapshotGroups counts the distinct snapshot groups in a batch.
+// It keys on the same identity as snapshotGroupKey without formatting
+// it, since every batch at every hop counts its groups, hits included.
 func countSnapshotGroups(jobs []Job) int {
-	seen := map[string]struct{}{}
+	type group struct {
+		recipe string
+		warm   mem.WarmKey
+	}
+	seen := make(map[group]struct{}, len(jobs))
 	for _, j := range jobs {
-		seen[snapshotGroupKey(j)] = struct{}{}
+		seen[group{j.Trace.String(), mem.WarmKeyFor(j.Config)}] = struct{}{}
 	}
 	return len(seen)
 }

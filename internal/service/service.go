@@ -13,7 +13,11 @@
 //     all in-flight batches (with singleflight dedupe of identical
 //     points), and publishes per-point completion events.
 //   - NewHandler / Client: the HTTP daemon surface (cmd/ooosimd) and
-//     the Go client used by cmd/experiments -server.
+//     the Go client used by cmd/experiments -server. A batch whose
+//     every point is a cache hit is finished at admission: its 202
+//     submit response carries every result, so Client.Run answers it
+//     from that one request and opens the event stream only for
+//     batches with work left.
 //
 // Batches are declarative: a Job carries a config.Config and a
 // trace.Recipe, never a materialised trace, so a cache hit skips both

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -127,6 +128,48 @@ func TestBatchDoneLogLine(t *testing.T) {
 	}
 }
 
+// TestBatchDoneLineText pins the completion line of a batch mixing a
+// cache hit, simulated points, a failed point and a result that does
+// not parse: the cycle totals cover every stored result that parses,
+// cached or simulated. The expected text was produced by the
+// implementation that parsed each result as it completed.
+func TestBatchDoneLineText(t *testing.T) {
+	raw := func(cycles int64, skipped uint64) json.RawMessage {
+		b, err := json.Marshal(stats.Results{Cycles: cycles, SkippedCycles: skipped, Committed: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	other := testJob("e", 64)
+	other.Trace = trace.Recipe{Kernel: trace.KernelStencil, N: 6000}
+	jobs := []Job{testJob("a", 32), testJob("b", 64), testJob("c", 128), testJob("d", 256), other}
+	b := NewBatch("b7", jobs, []string{"f0", "f1", "f2", "f3", "f4"})
+	b.Complete(0, raw(1000, 250), true, nil)
+	b.warmShared(true, false)
+	b.Complete(2, raw(3000, 1500), false, nil)
+	b.warmShared(true, true)
+	b.Complete(1, nil, false, errors.New("boom"))
+	b.warmShared(false, false)
+	b.Complete(4, json.RawMessage(`{"Cycles":`), false, nil)
+	if _, ok := b.TakeDoneLine(); ok {
+		t.Fatal("done line before the last point")
+	}
+	b.Complete(3, raw(777, 0), true, nil)
+	line, ok := b.TakeDoneLine()
+	if !ok {
+		t.Fatal("no done line after the last point")
+	}
+	const want = "batch b7 done: 5 points, 2 cache hits, 1 errors; 2 snapshot groups, " +
+		"warm donors built=1 reused=1; clock-skip elided 1750/4777 cycles (36.6%)"
+	if line != want {
+		t.Errorf("done line:\n got %q\nwant %q", line, want)
+	}
+	if _, ok := b.TakeDoneLine(); ok {
+		t.Error("done line taken twice")
+	}
+}
+
 // TestProgramBatchColdThenWarm: a batch of program-recipe points runs
 // cold (the server materialises each program by executing it), then an
 // identical resubmission is served entirely from the content-addressed
@@ -225,5 +268,18 @@ func TestSnapshotGroupKeySplits(t *testing.T) {
 	}
 	if countSnapshotGroups([]Job{a, b, c, d}) != 3 {
 		t.Errorf("counted %d groups, want 3", countSnapshotGroups([]Job{a, b, c, d}))
+	}
+	// The count keys on a struct, not the formatted key: both must agree.
+	e := a
+	e.Config.DL1.LatencyCycles++ // latency only: same group
+	f := a
+	f.Config.PerfectL2 = true
+	jobs := append(figure9Batch(1200), a, b, c, d, e, f)
+	keys := map[string]bool{}
+	for _, j := range jobs {
+		keys[snapshotGroupKey(j)] = true
+	}
+	if got := countSnapshotGroups(jobs); got != len(keys) {
+		t.Errorf("counted %d groups, %d distinct keys", got, len(keys))
 	}
 }
