@@ -16,9 +16,9 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/config"
+	"repro/internal/keyed"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -58,8 +58,10 @@ type Options struct {
 	Sample trace.SampleSpec
 
 	// cache, when set by WithTraceCache, shares generated suite traces
-	// across figures.
-	cache *suiteCache
+	// across figures. Traces are immutable once built (guarded by a core
+	// test), so a cached set is shared read-only across figures and
+	// across every concurrent CPU inside a sweep.
+	cache *keyed.Memo[suiteKey, []suiteTrace]
 }
 
 // RunRecord is the machine-readable form of one completed run.
@@ -108,15 +110,7 @@ func SuiteBenchmarks(seed uint64) []Benchmark {
 	}
 }
 
-// suiteCache memoises generated suite traces keyed by (insts, seed).
-// Traces are immutable once built (guarded by a core test), so the
-// cached set is shared read-only across figures and across every
-// concurrent CPU inside a sweep.
-type suiteCache struct {
-	mu     sync.Mutex
-	traces map[suiteKey][]suiteTrace
-}
-
+// suiteKey names one generated suite in the trace cache.
 type suiteKey struct {
 	insts, seed uint64
 	// program distinguishes the real-program suite from the synthetic
@@ -128,7 +122,7 @@ type suiteKey struct {
 // once and reuse it across figures (cmd/experiments -figure all shares
 // one generation pass this way).
 func (o Options) WithTraceCache() Options {
-	o.cache = &suiteCache{traces: map[suiteKey][]suiteTrace{}}
+	o.cache = &keyed.Memo[suiteKey, []suiteTrace]{}
 	return o
 }
 
@@ -154,18 +148,10 @@ func (o Options) someSuite(program bool, build func(insts, seed uint64, recipeOn
 		return build(o.Insts, o.Seed, true)
 	}
 	if o.cache != nil {
-		o.cache.mu.Lock()
-		defer o.cache.mu.Unlock()
-		key := suiteKey{o.Insts, o.Seed, program}
-		if ts, ok := o.cache.traces[key]; ok {
-			return ts, nil
-		}
-		ts, err := build(o.Insts, o.Seed, false)
-		if err != nil {
-			return nil, err
-		}
-		o.cache.traces[key] = ts
-		return ts, nil
+		ts, _, err := o.cache.Get(suiteKey{o.Insts, o.Seed, program}, func() ([]suiteTrace, error) {
+			return build(o.Insts, o.Seed, false)
+		})
+		return ts, err
 	}
 	return build(o.Insts, o.Seed, false)
 }

@@ -14,10 +14,10 @@
 //
 // Three mechanisms keep that guarantee under churn:
 //
-//   - Coordinator singleflight: concurrent batches sharing a
-//     fingerprint elect one leader submission per point; followers
-//     adopt the leader's bytes and report cached, so not even the
-//     routing layer sends a duplicate downstream.
+//   - Coordinator singleflight (the workers' keyed.Group): concurrent
+//     batches sharing a fingerprint elect one leader submission per
+//     point; followers adopt the leader's bytes and report cached, so
+//     not even the routing layer sends a duplicate downstream.
 //   - Health routing: every worker sits behind a circuit breaker
 //     (closed → open after consecutive failures → half-open probation
 //     after a cooldown). Dispatch failures and failed health probes
@@ -27,9 +27,9 @@
 //     over the survivors under a bounded per-point retry budget; the
 //     simulation is deterministic, so a re-routed point's bytes match
 //     what the dead node would have produced.
-//   - Admission and drain mirror the worker semantics: a bounded
-//     point queue rejects with service.ErrOverloaded (HTTP 429), and
-//     drain stops admission while in-flight batches run dry.
+//   - Admission and drain are the worker's own (service.Front): a
+//     bounded point queue rejects with service.ErrOverloaded (HTTP
+//     429), and drain stops admission while in-flight batches run dry.
 package fleet
 
 import (
@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/keyed"
 	"repro/internal/service"
 	"repro/internal/sim"
 )
@@ -74,9 +75,6 @@ type Options struct {
 	// become routable (a breaker half-opening, a ping recovering one)
 	// before abandoning the points; <= 0 uses 10s.
 	NoNodesGrace time.Duration
-	// MaxBatches bounds how many finished batches stay pollable; <= 0
-	// uses 256.
-	MaxBatches int
 	// HTTPClient overrides the default worker transport (tests,
 	// timeouts).
 	HTTPClient *http.Client
@@ -99,38 +97,25 @@ type node struct {
 
 // Coordinator shards batches over a worker fleet. It implements
 // service.BatchAPI; serve it with service.NewAPIHandler (or
-// fleet.NewHandler for the full production surface).
+// fleet.NewHandler for the full production surface). Its Front admits
+// batches against a bound on queued points, exactly as a worker's
+// admits them against queued misses.
 type Coordinator struct {
+	*service.Front
 	nodes       []*node
-	maxQueue    int
 	log         func(format string, args ...any)
 	pingTimeout time.Duration
 	retryBudget int
 	grace       time.Duration
 
-	metrics  metrics
-	draining atomic.Bool
+	metrics metrics
 
 	// flight deduplicates in-flight points across batches by
 	// fingerprint: one leader submission per point fleet-wide.
-	flightMu sync.Mutex
-	flight   map[string]*flightEntry
-
-	mu         sync.Mutex
-	batches    map[string]*service.Batch
-	order      []string
-	nextID     int
-	maxBatches int
+	flight keyed.Group[json.RawMessage]
 
 	pingStop chan struct{}
 	pingDone chan struct{}
-}
-
-type flightEntry struct {
-	done   chan struct{}
-	raw    json.RawMessage
-	cached bool
-	err    error
 }
 
 // New builds a coordinator and starts its health pinger. Call Close to
@@ -138,10 +123,6 @@ type flightEntry struct {
 func New(opt Options) (*Coordinator, error) {
 	if len(opt.Workers) == 0 {
 		return nil, fmt.Errorf("fleet: no workers configured")
-	}
-	maxBatches := opt.MaxBatches
-	if maxBatches <= 0 {
-		maxBatches = 256
 	}
 	interval := opt.PingInterval
 	if interval <= 0 {
@@ -168,14 +149,11 @@ func New(opt Options) (*Coordinator, error) {
 		grace = 10 * time.Second
 	}
 	c := &Coordinator{
-		maxQueue:    opt.MaxQueue,
+		Front:       service.NewFront("f", opt.MaxQueue),
 		log:         opt.Log,
 		pingTimeout: pingTimeout,
 		retryBudget: budget,
 		grace:       grace,
-		flight:      map[string]*flightEntry{},
-		batches:     map[string]*service.Batch{},
-		maxBatches:  maxBatches,
 		pingStop:    make(chan struct{}),
 		pingDone:    make(chan struct{}),
 	}
@@ -268,34 +246,11 @@ func (c *Coordinator) readyNodes() []*node {
 	return out
 }
 
-// StartDrain stops admitting new batches. Idempotent.
-func (c *Coordinator) StartDrain() { c.draining.Store(true) }
-
-// Draining reports whether StartDrain was called.
-func (c *Coordinator) Draining() bool { return c.draining.Load() }
-
-// Drain starts draining and blocks until every admitted point finished
-// (or ctx expires).
-func (c *Coordinator) Drain(ctx context.Context) error {
-	c.StartDrain()
-	for c.metrics.QueueDepth.Load() > 0 {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(20 * time.Millisecond):
-		}
-	}
-	return nil
-}
-
 // Ready reports why the coordinator should not receive new work:
-// draining, queue over the bound, or no live workers.
+// draining, queue at the bound, or no live workers.
 func (c *Coordinator) Ready() error {
-	if c.draining.Load() {
-		return service.ErrDraining
-	}
-	if q := c.metrics.QueueDepth.Load(); c.maxQueue > 0 && q >= int64(c.maxQueue) {
-		return fmt.Errorf("%w: %d queued >= bound %d", service.ErrOverloaded, q, c.maxQueue)
+	if err := c.Front.Ready(); err != nil {
+		return err
 	}
 	if len(c.readyNodes()) == 0 {
 		return errors.New("fleet: no workers ready")
@@ -306,60 +261,16 @@ func (c *Coordinator) Ready() error {
 // Submit validates and fingerprints the batch, admits it against the
 // queue bound, and dispatches it across the fleet asynchronously.
 func (c *Coordinator) Submit(jobs []service.Job) (*service.Batch, error) {
-	if len(jobs) == 0 {
-		return nil, fmt.Errorf("fleet: empty batch")
+	fps, err := c.Prepare(jobs)
+	if err != nil {
+		return nil, err
 	}
-	if c.draining.Load() {
-		c.metrics.BatchesRejected.Add(1)
-		return nil, service.ErrDraining
+	b, err := c.Admit(jobs, fps, len(jobs))
+	if err != nil {
+		return nil, err
 	}
-	fps := make([]string, len(jobs))
-	for i, j := range jobs {
-		if err := j.Validate(); err != nil {
-			return nil, fmt.Errorf("fleet: job %d: %w", i, err)
-		}
-		fp, err := j.Fingerprint()
-		if err != nil {
-			return nil, fmt.Errorf("fleet: job %d: %w", i, err)
-		}
-		fps[i] = fp
-	}
-	if c.maxQueue > 0 {
-		if q := c.metrics.QueueDepth.Load(); q+int64(len(jobs)) > int64(c.maxQueue) {
-			c.metrics.BatchesRejected.Add(1)
-			return nil, fmt.Errorf("%w: %d queued + %d new points > bound %d",
-				service.ErrOverloaded, q, len(jobs), c.maxQueue)
-		}
-	}
-	c.metrics.BatchesSubmitted.Add(1)
-	c.metrics.Points.Add(uint64(len(jobs)))
-	c.metrics.QueueDepth.Add(int64(len(jobs)))
-
-	c.mu.Lock()
-	c.nextID++
-	b := service.NewBatch(fmt.Sprintf("f%d", c.nextID), append([]service.Job(nil), jobs...), fps)
-	c.batches[b.ID()] = b
-	c.order = append(c.order, b.ID())
-	for len(c.order) > c.maxBatches {
-		victim := c.batches[c.order[0]]
-		if victim != nil && victim.State() == service.StateRunning {
-			break
-		}
-		delete(c.batches, c.order[0])
-		c.order = c.order[1:]
-	}
-	c.mu.Unlock()
-
 	go c.dispatch(b)
 	return b, nil
-}
-
-// Batch returns a previously submitted batch by ID.
-func (c *Coordinator) Batch(id string) (*service.Batch, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b, ok := c.batches[id]
-	return b, ok
 }
 
 // pointResult is one point's outcome arriving at the dispatch loop.
@@ -386,25 +297,19 @@ func (c *Coordinator) dispatch(b *service.Batch) {
 	var lead []int
 	leaders := map[string]bool{}
 	for i, fp := range fps {
-		c.flightMu.Lock()
-		e, inFlight := c.flight[fp]
-		if !inFlight {
-			e = &flightEntry{done: make(chan struct{})}
-			c.flight[fp] = e
-		}
-		c.flightMu.Unlock()
-		if !inFlight && !leaders[fp] {
+		call, leader := c.flight.Join(fp)
+		if leader {
 			leaders[fp] = true
 			lead = append(lead, i)
 			continue
 		}
 		c.metrics.PointsDeduped.Add(1)
-		go func(i int, e *flightEntry) {
-			<-e.done
+		go func() {
+			raw, err := call.Wait()
 			// A shared result is cached by definition: this submission
 			// ran nothing for it.
-			results <- pointResult{i: i, raw: e.raw, cached: e.err == nil, err: e.err}
-		}(i, e)
+			results <- pointResult{i: i, raw: raw, cached: err == nil, err: err}
+		}()
 	}
 
 	go c.route(b, lead, results)
@@ -417,33 +322,20 @@ func (c *Coordinator) dispatch(b *service.Batch) {
 		}
 		done[r.i] = true
 		if leaders[fps[r.i]] {
-			c.resolveFlight(fps[r.i], r)
-			leaders[fps[r.i]] = false // resolve once per fingerprint
+			c.flight.Resolve(fps[r.i], r.raw, r.err)
+			delete(leaders, fps[r.i]) // resolve once per fingerprint
 		}
 		if r.err != nil {
 			c.metrics.PointErrors.Add(1)
 		}
 		b.Complete(r.i, r.raw, r.cached, r.err)
-		c.metrics.QueueDepth.Add(-1)
+		c.Finished(1)
 	}
 	if c.log != nil {
 		if line, ok := b.TakeDoneLine(); ok {
 			c.log("%s", line)
 		}
 	}
-}
-
-// resolveFlight publishes a leader point's outcome to its followers.
-func (c *Coordinator) resolveFlight(fp string, r pointResult) {
-	c.flightMu.Lock()
-	e := c.flight[fp]
-	delete(c.flight, fp)
-	c.flightMu.Unlock()
-	if e == nil {
-		return
-	}
-	e.raw, e.cached, e.err = r.raw, r.cached, r.err
-	close(e.done)
 }
 
 // gracePoll spaces the no-ready-nodes waits inside route.

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/keyed"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -45,6 +46,10 @@ const donorSumHeader = "X-Ooosim-Snapshot-Sum"
 // the requester warms locally (exactly the pre-fleet behaviour), and a
 // node with no peer list behaves like a single-node daemon.
 //
+// The exchange holds the node's one donor memo, keyed by DonorKey and
+// read by the scheduler's miss path and the endpoint alike; a scheduler
+// without a configured exchange keeps a peerless one it does not serve.
+//
 // Donors ship as mem.Hierarchy snapshots (see mem.WriteSnapshot); the
 // adopted donor forks bit-identically to a locally warmed one, so
 // results are byte-identical whichever path produced the donor.
@@ -57,8 +62,7 @@ type DonorExchange struct {
 	// builds; the owning scheduler wires its trace memo here.
 	materialise func(trace.Recipe) (*trace.Trace, error)
 
-	mu  sync.Mutex
-	reg map[string]*donorEntry
+	donors keyed.Memo[string, donor]
 
 	adopted      atomic.Uint64 // donors fetched from a peer
 	built        atomic.Uint64 // donors warmed on this node
@@ -67,22 +71,21 @@ type DonorExchange struct {
 	fetchFails   atomic.Uint64 // peer fetches that fell back to local warm-up
 }
 
-// donorRegistryLimit bounds the registry; donors are a few hundred KB
-// each. Past the bound the whole memo drops (same policy as warmCache).
-const donorRegistryLimit = 128
+const donorMemoLimit = 128 // donors are a few hundred KB each
 
-type donorEntry struct {
-	once  sync.Once
-	ready atomic.Bool
-	donor *mem.Hierarchy
-	err   error
+// donor is one memoised warm donor: the hierarchy its snapshot group's
+// points fork, and its wire form, serialised on the first peer request.
+type donor struct {
+	h        *mem.Hierarchy
+	snapshot func() ([]byte, error)
+}
 
-	blobOnce sync.Once
-	blob     []byte
-	blobErr  error
-
-	sumOnce sync.Once
-	sum     string
+func newDonor(h *mem.Hierarchy) donor {
+	return donor{h: h, snapshot: sync.OnceValues(func() ([]byte, error) {
+		var buf bytes.Buffer
+		err := h.WriteSnapshot(&buf)
+		return buf.Bytes(), err
+	})}
 }
 
 // NewDonorExchange builds the exchange for a node. peers is the full
@@ -100,7 +103,7 @@ func NewDonorExchange(self string, peers []string) *DonorExchange {
 		// warm replay, well under a second at figure scale) plus shipping
 		// a few hundred KB.
 		client: &http.Client{Timeout: 30 * time.Second},
-		reg:    map[string]*donorEntry{},
+		donors: keyed.Memo[string, donor]{Limit: donorMemoLimit},
 	}
 }
 
@@ -135,43 +138,34 @@ func (dx *DonorExchange) home(key string) string {
 	return dx.peers[sim.ShardFor(key, len(dx.peers))]
 }
 
-// entry returns (creating if needed) the registry slot for key.
-func (dx *DonorExchange) entry(key string) *donorEntry {
-	dx.mu.Lock()
-	defer dx.mu.Unlock()
-	e, ok := dx.reg[key]
-	if !ok {
-		if len(dx.reg) >= donorRegistryLimit {
-			dx.reg = map[string]*donorEntry{}
-		}
-		e = &donorEntry{}
-		dx.reg[key] = e
-	}
-	return e
-}
-
-// Acquire returns the group's donor, adopting it from the group's home
-// node when that is a peer and warming locally otherwise (or when the
-// peer fails). A nil donor with nil error never happens; on error the
-// caller degrades to the cold path.
-func (dx *DonorExchange) Acquire(r trace.Recipe, key mem.WarmKey, tr *trace.Trace) (*mem.Hierarchy, error) {
-	e := dx.entry(DonorKey(r, key))
-	e.once.Do(func() {
-		defer e.ready.Store(true)
-		if home := dx.home(DonorKey(r, key)); home != "" && home != dx.self {
-			if donor, err := dx.fetch(home, DonorSpec{Trace: r, Warm: key}); err == nil {
+// Acquire returns the group's donor, building it once per node: adopted
+// from the group's home node when that is a peer, warmed locally from tr
+// otherwise (or when the peer fails). reused is false for the one call
+// that built it. A nil donor means the group cannot be warmed; its
+// points run cold.
+func (dx *DonorExchange) Acquire(r trace.Recipe, warm mem.WarmKey, tr *trace.Trace) (h *mem.Hierarchy, reused bool) {
+	key := DonorKey(r, warm)
+	d, built, _ := dx.donors.Get(key, func() (donor, error) {
+		if home := dx.home(key); home != "" && home != dx.self {
+			if h, err := dx.fetch(home, DonorSpec{Trace: r, Warm: warm}); err == nil {
 				dx.adopted.Add(1)
-				e.donor = donor
-				return
+				return newDonor(h), nil
 			}
 			dx.fetchFails.Add(1)
 		}
-		e.donor, e.err = core.WarmDonor(key, tr)
-		if e.err == nil {
-			dx.built.Add(1)
-		}
+		return dx.warm(warm, tr)
 	})
-	return e.donor, e.err
+	return d.h, !built
+}
+
+// warm builds a donor on this node.
+func (dx *DonorExchange) warm(key mem.WarmKey, tr *trace.Trace) (donor, error) {
+	h, err := core.WarmDonor(key, tr)
+	if err != nil {
+		return donor{}, err
+	}
+	dx.built.Add(1)
+	return newDonor(h), nil
 }
 
 // UseTransport swaps the fetch client's transport (chaos injection).
@@ -274,52 +268,38 @@ func (dx *DonorExchange) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		spec = &s
 	}
 
-	e := dx.entry(key)
-	if spec != nil {
-		e.once.Do(func() {
-			defer e.ready.Store(true)
-			if dx.materialise == nil {
-				e.err = fmt.Errorf("service: donor exchange has no trace source")
-				return
+	// Only a spec builds. A bare lookup must not insert, or requests for
+	// unknown keys would flush warmed donors out of the memo.
+	d, ok, err := dx.donors.Peek(key)
+	if !ok && spec != nil {
+		ok = true
+		d, _, err = dx.donors.Get(key, func() (donor, error) {
+			tr, err := dx.materialise(spec.Trace)
+			if err != nil {
+				return donor{}, err
 			}
-			var tr *trace.Trace
-			if tr, e.err = dx.materialise(spec.Trace); e.err != nil {
-				return
-			}
-			e.donor, e.err = core.WarmDonor(spec.Warm, tr)
-			if e.err == nil {
-				dx.built.Add(1)
-			}
+			return dx.warm(spec.Warm, tr)
 		})
 	}
-	if !e.ready.Load() || e.donor == nil {
-		// Not built here (and no spec to build from), or the build
-		// failed: the requester warms locally.
-		code := http.StatusNotFound
-		msg := "donor not warmed on this node"
-		if e.ready.Load() && e.err != nil {
-			code, msg = http.StatusInternalServerError, e.err.Error()
-		}
-		writeJSON(w, code, apiError{Error: msg})
+	if !ok {
+		// Not built here, and no spec to build from: the requester warms
+		// locally.
+		writeJSON(w, http.StatusNotFound, apiError{Error: "donor not warmed on this node"})
 		return
 	}
-	e.blobOnce.Do(func() {
-		var buf bytes.Buffer
-		e.blobErr = e.donor.WriteSnapshot(&buf)
-		e.blob = buf.Bytes()
-	})
-	if e.blobErr != nil {
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: e.blobErr.Error()})
+	var blob []byte
+	if err == nil {
+		blob, err = d.snapshot()
+	}
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 		return
 	}
-	e.sumOnce.Do(func() {
-		sum := sha256.Sum256(e.blob)
-		e.sum = hex.EncodeToString(sum[:])
-	})
+	sum := sha256.Sum256(blob)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", fmt.Sprint(len(e.blob)))
-	w.Header().Set(donorSumHeader, e.sum)
-	if _, err := w.Write(e.blob); err == nil {
+	w.Header().Set("Content-Length", fmt.Sprint(len(blob)))
+	w.Header().Set(donorSumHeader, hex.EncodeToString(sum[:]))
+	if _, err := w.Write(blob); err == nil {
 		dx.shipped.Add(1)
 	}
 }
@@ -327,10 +307,10 @@ func (dx *DonorExchange) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // writeMetrics renders the exchange counters (part of the scheduler's
 // /metrics surface).
 func (dx *DonorExchange) writeMetrics(w io.Writer) {
-	counter(w, "ooosim_donors_adopted_total", "Warm donors adopted from a peer instead of warming locally.", dx.adopted.Load())
-	counter(w, "ooosim_donors_shipped_total", "Warm donors served to peers.", dx.shipped.Load())
-	counter(w, "ooosim_donor_fetch_retries_total", "Donor fetch attempts retried after a transient failure.", dx.fetchRetries.Load())
-	counter(w, "ooosim_donor_fetch_failures_total", "Peer donor fetches that fell back to a local warm-up.", dx.fetchFails.Load())
+	Counter(w, "ooosim_donors_adopted_total", "Warm donors adopted from a peer instead of warming locally.", dx.adopted.Load())
+	Counter(w, "ooosim_donors_shipped_total", "Warm donors served to peers.", dx.shipped.Load())
+	Counter(w, "ooosim_donor_fetch_retries_total", "Donor fetch attempts retried after a transient failure.", dx.fetchRetries.Load())
+	Counter(w, "ooosim_donor_fetch_failures_total", "Peer donor fetches that fell back to a local warm-up.", dx.fetchFails.Load())
 }
 
 // Stats reports the exchange counters (tests and operator tooling).

@@ -6,6 +6,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -46,7 +47,7 @@ func TestAdmissionControl(t *testing.T) {
 	if _, err := s.Submit([]Job{testJob("c", 128)}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("submit over bound = %v, want ErrOverloaded", err)
 	}
-	if got := s.metrics.BatchesRejected.Load(); got != 1 {
+	if got := s.rejected.Load(); got != 1 {
 		t.Fatalf("BatchesRejected = %d, want 1", got)
 	}
 
@@ -172,7 +173,7 @@ func TestHTTPPlumbing(t *testing.T) {
 		t.Fatalf("drainz status = %d, want 200", dresp.StatusCode)
 	}
 	close(release)
-	waitUntil(t, func() bool { return s.metrics.QueueDepth.Load() == 0 })
+	waitUntil(t, func() bool { return s.queued.Load() == 0 })
 	if err := client.Ready(ctx); !errors.Is(err, ErrNotReady) {
 		t.Fatalf("Ready while draining = %v, want ErrNotReady", err)
 	}
@@ -366,5 +367,41 @@ func waitUntil(t *testing.T, cond func() bool) {
 			t.Fatalf("condition never became true")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestDonorGetsWithoutSpecKeepWarmedDonors: a GET without a spec only
+// looks a donor up. Were it to insert an entry for its key, 200 GETs for
+// unknown keys would flush the donor memo past its bound, and the warmed
+// donor would then answer 404, making the home node warm the group a
+// second time for the next peer.
+func TestDonorGetsWithoutSpecKeepWarmedDonors(t *testing.T) {
+	s := NewScheduler(SchedulerOptions{Donors: NewDonorExchange("", nil)})
+	srv := httptest.NewServer(NewHandler(s))
+	defer srv.Close()
+	j := testJob("x", 64)
+	spec := DonorSpec{Trace: j.Trace, Warm: mem.WarmKeyFor(j.Config)}
+	if _, err := NewDonorExchange("", nil).fetch(srv.URL, spec); err != nil {
+		t.Fatalf("spec fetch: %v", err)
+	}
+	get := func(key string) int {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/v1/donors/" + key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for i := range 200 {
+		if code := get(fmt.Sprintf("%064x", i)); code != http.StatusNotFound {
+			t.Fatalf("unknown key %d: HTTP %d, want 404", i, code)
+		}
+	}
+	if code := get(DonorKey(spec.Trace, spec.Warm)); code != http.StatusOK {
+		t.Fatalf("warmed donor after 200 unknown-key GETs: HTTP %d, want 200", code)
+	}
+	if _, built, _, _ := s.Donors().Stats(); built != 1 {
+		t.Errorf("node built %d donors, want 1", built)
 	}
 }

@@ -13,18 +13,49 @@ import (
 	"repro/internal/stats"
 )
 
-// requestLog wraps a handler and records each request as "METHOD path".
+// requestLog wraps a handler and records each request as "METHOD path",
+// and the batch id of the latest submit response.
 type requestLog struct {
 	h    http.Handler
 	mu   sync.Mutex
 	reqs []string
+	id   string
 }
 
 func (l *requestLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	l.mu.Lock()
 	l.reqs = append(l.reqs, r.Method+" "+r.URL.Path)
 	l.mu.Unlock()
-	l.h.ServeHTTP(w, r)
+	if r.Method != http.MethodPost {
+		l.h.ServeHTTP(w, r)
+		return
+	}
+	tee := &teeWriter{ResponseWriter: w}
+	l.h.ServeHTTP(tee, r)
+	var st BatchStatus
+	if json.Unmarshal(tee.body.Bytes(), &st) == nil {
+		l.mu.Lock()
+		l.id = st.ID
+		l.mu.Unlock()
+	}
+}
+
+// lastID returns the batch id of the latest submit response.
+func (l *requestLog) lastID() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.id
+}
+
+// teeWriter keeps a copy of the response body it writes.
+type teeWriter struct {
+	http.ResponseWriter
+	body bytes.Buffer
+}
+
+func (t *teeWriter) Write(p []byte) (int, error) {
+	t.body.Write(p)
+	return t.ResponseWriter.Write(p)
 }
 
 // take returns the requests recorded since the last take.
@@ -78,10 +109,12 @@ func TestClientRunAllHitOneRequest(t *testing.T) {
 	jobs := []Job{testJob("a", 32), testJob("b", 64), testJob("c", 128)}
 
 	_, cold := runEvents(t, client, jobs) // batch b1: simulates, streams
-	if got := log.take(); len(got) != 2 || got[1] != "GET /v1/batches/b1/events" {
+	b1 := log.lastID()
+	if got := log.take(); len(got) != 2 || got[1] != "GET /v1/batches/"+b1+"/events" {
 		t.Fatalf("cold run requests %v, want a submit and b1's stream", got)
 	}
 	evs, warm := runEvents(t, client, jobs) // batch b2: every point hits
+	b2 := log.lastID()
 	if got := log.take(); len(got) != 1 || got[0] != "POST /v1/batches" {
 		t.Fatalf("all-hit run requests %v, want the submit alone", got)
 	}
@@ -91,7 +124,7 @@ func TestClientRunAllHitOneRequest(t *testing.T) {
 		}
 	}
 	var streamed []Event
-	if err := client.Stream(context.Background(), "b2", func(ev Event) error {
+	if err := client.Stream(context.Background(), b2, func(ev Event) error {
 		streamed = append(streamed, ev)
 		return nil
 	}); err != nil {
@@ -120,7 +153,8 @@ func TestClientRunWithMissStreams(t *testing.T) {
 	_, cold := runEvents(t, client, jobs)
 	log.take()
 	evs, warm := runEvents(t, client, append(jobs, testJob("miss", 256)))
-	if got := log.take(); len(got) != 2 || got[1] != "GET /v1/batches/b2/events" {
+	b2 := log.lastID()
+	if got := log.take(); len(got) != 2 || got[1] != "GET /v1/batches/"+b2+"/events" {
 		t.Fatalf("requests %v, want a submit and b2's stream", got)
 	}
 	for i := range jobs {

@@ -6,31 +6,23 @@ import (
 	"sync/atomic"
 )
 
-// Metrics is the worker daemon's counter set, exposed in Prometheus
-// text format at /metrics. Everything here is either a monotonic
-// counter (suffix _total) or an instantaneous gauge; all updates are
-// atomic, so scrapes never block the simulation path.
+// Metrics is the worker daemon's counter set beyond its Front's
+// admission counters, exposed in Prometheus text format at /metrics.
+// Everything here is either a monotonic counter (suffix _total) or an
+// instantaneous gauge; all updates are atomic, so scrapes never block
+// the simulation path.
 type Metrics struct {
-	// BatchesSubmitted / BatchesRejected count accepted batches and
-	// those refused by admission control (draining or queue bound).
-	BatchesSubmitted atomic.Uint64
-	BatchesRejected  atomic.Uint64
-	// Points counts every submitted point; CachedPoints those answered
-	// without simulation by this node (submission hit, in-flight re-check
-	// hit, or singleflight share); Simulations actual simulator runs;
-	// PointErrors failed points.
-	Points       atomic.Uint64
+	// CachedPoints counts points answered without simulation by this
+	// node (submission hit, in-flight re-check hit, or singleflight
+	// share); Simulations actual simulator runs; PointErrors failed
+	// points.
 	CachedPoints atomic.Uint64
 	Simulations  atomic.Uint64
 	PointErrors  atomic.Uint64
-	// QueueDepth gauges misses admitted but not yet finished; InFlight
-	// gauges runs currently holding a worker slot.
-	QueueDepth atomic.Int64
-	InFlight   atomic.Int64
-	// WarmBuilds / WarmReuses count snapshot-group donors warmed locally
-	// vs forks of an already-available donor (see the scheduler's
-	// snapshot-fork sharing).
-	WarmBuilds atomic.Uint64
+	// InFlight gauges runs currently holding a worker slot.
+	InFlight atomic.Int64
+	// WarmReuses counts forks of an already-available snapshot-group
+	// donor (the donor exchange counts the builds).
 	WarmReuses atomic.Uint64
 	// Cycles / SkippedCycles total the simulated-cycle and elided-cycle
 	// counts over this node's simulator runs (PR 6's event-driven clock
@@ -42,53 +34,59 @@ type Metrics struct {
 	RecoveredBatches atomic.Uint64
 }
 
-// counter and gauge render one metric with a HELP/TYPE header.
-func counter(w io.Writer, name, help string, v uint64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+// MetricHeader writes a series' HELP and TYPE lines in Prometheus text
+// format, ahead of a labelled family's samples; Counter, Gauge and
+// BoolGauge (1 for true) add one unlabelled sample. Workers and fleet
+// coordinators both render /metrics with these.
+func MetricHeader(w io.Writer, typ, name, help string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
-func gauge(w io.Writer, name, help string, v int64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
+func Counter(w io.Writer, name, help string, v uint64) {
+	MetricHeader(w, "counter", name, help)
+	fmt.Fprintf(w, "%s %d\n", name, v)
 }
 
-func boolGauge(w io.Writer, name, help string, b bool) {
+func Gauge(w io.Writer, name, help string, v int64) {
+	MetricHeader(w, "gauge", name, help)
+	fmt.Fprintf(w, "%s %d\n", name, v)
+}
+
+func BoolGauge(w io.Writer, name, help string, b bool) {
 	v := int64(0)
 	if b {
 		v = 1
 	}
-	gauge(w, name, help, v)
+	Gauge(w, name, help, v)
 }
 
-// WriteMetrics renders the scheduler's full metric surface (scheduler
-// counters, cache occupancy, donor-exchange counters, drain/readiness
-// state) in Prometheus text exposition format.
+// WriteMetrics renders the scheduler's full metric surface (admission
+// and scheduler counters, cache occupancy, donor-exchange counters,
+// drain/readiness state) in Prometheus text exposition format.
 func (s *Scheduler) WriteMetrics(w io.Writer) {
 	m := &s.metrics
-	counter(w, "ooosim_batches_submitted_total", "Batches accepted by admission control.", m.BatchesSubmitted.Load())
-	counter(w, "ooosim_batches_rejected_total", "Batches refused while draining or over the queue bound.", m.BatchesRejected.Load())
-	counter(w, "ooosim_points_total", "Simulation points submitted.", m.Points.Load())
-	counter(w, "ooosim_points_cached_total", "Points answered without simulation (cache hit or singleflight share).", m.CachedPoints.Load())
-	counter(w, "ooosim_simulations_total", "Simulator runs actually executed.", m.Simulations.Load())
-	counter(w, "ooosim_point_errors_total", "Points that failed.", m.PointErrors.Load())
-	gauge(w, "ooosim_queue_depth", "Misses admitted but not yet finished.", m.QueueDepth.Load())
-	gauge(w, "ooosim_inflight_simulations", "Runs currently holding a worker slot.", m.InFlight.Load())
-	gauge(w, "ooosim_worker_slots", "Size of the simulation worker pool.", int64(cap(s.sem)))
-	// With a donor exchange attached, local warm-ups are counted by the
-	// exchange (adopted ones are not builds); otherwise by the scheduler.
-	warmBuilds := m.WarmBuilds.Load()
-	if s.donors != nil {
-		warmBuilds += s.donors.built.Load()
+	submitted, rejected, points, queued := s.Counts()
+	Counter(w, "ooosim_batches_submitted_total", "Batches accepted by admission control.", submitted)
+	Counter(w, "ooosim_batches_rejected_total", "Batches refused while draining or over the queue bound.", rejected)
+	Counter(w, "ooosim_points_total", "Simulation points submitted.", points)
+	Counter(w, "ooosim_points_cached_total", "Points answered without simulation (cache hit or singleflight share).", m.CachedPoints.Load())
+	Counter(w, "ooosim_simulations_total", "Simulator runs actually executed.", m.Simulations.Load())
+	Counter(w, "ooosim_point_errors_total", "Points that failed.", m.PointErrors.Load())
+	Gauge(w, "ooosim_queue_depth", "Misses admitted but not yet finished.", queued)
+	Gauge(w, "ooosim_inflight_simulations", "Runs currently holding a worker slot.", m.InFlight.Load())
+	Gauge(w, "ooosim_worker_slots", "Size of the simulation worker pool.", int64(cap(s.sem)))
+	// Adopted donors are not builds: the exchange counts local warm-ups
+	// only, configured or not.
+	Counter(w, "ooosim_warm_builds_total", "Snapshot-group donors warmed on this node.", s.donors.built.Load())
+	Counter(w, "ooosim_warm_reuses_total", "Forks of an already-available donor.", m.WarmReuses.Load())
+	Counter(w, "ooosim_cycles_simulated_total", "Cycles accounted across simulator runs.", m.Cycles.Load())
+	Counter(w, "ooosim_cycles_skipped_total", "Cycles elided by the event-driven clock skip.", m.SkippedCycles.Load())
+	Gauge(w, "ooosim_cache_mem_entries", "Results resident in the cache's memory tier.", int64(s.cache.MemLen()))
+	Counter(w, "ooosim_cache_quarantined_total", "Disk cache entries that failed checksum verification and were quarantined.", s.cache.Quarantined())
+	Counter(w, "ooosim_journal_recovered_batches_total", "Batches re-admitted from the recovery journal after a restart.", m.RecoveredBatches.Load())
+	if s.exchange != nil {
+		s.exchange.writeMetrics(w)
 	}
-	counter(w, "ooosim_warm_builds_total", "Snapshot-group donors warmed on this node.", warmBuilds)
-	counter(w, "ooosim_warm_reuses_total", "Forks of an already-available donor.", m.WarmReuses.Load())
-	counter(w, "ooosim_cycles_simulated_total", "Cycles accounted across simulator runs.", m.Cycles.Load())
-	counter(w, "ooosim_cycles_skipped_total", "Cycles elided by the event-driven clock skip.", m.SkippedCycles.Load())
-	gauge(w, "ooosim_cache_mem_entries", "Results resident in the cache's memory tier.", int64(s.cache.MemLen()))
-	counter(w, "ooosim_cache_quarantined_total", "Disk cache entries that failed checksum verification and were quarantined.", s.cache.Quarantined())
-	counter(w, "ooosim_journal_recovered_batches_total", "Batches re-admitted from the recovery journal after a restart.", m.RecoveredBatches.Load())
-	if s.donors != nil {
-		s.donors.writeMetrics(w)
-	}
-	boolGauge(w, "ooosim_draining", "1 while the node is draining (no new batches admitted).", s.draining.Load())
-	boolGauge(w, "ooosim_ready", "1 while the node admits new batches.", s.Ready() == nil)
+	BoolGauge(w, "ooosim_draining", "1 while the node is draining (no new batches admitted).", s.Draining())
+	BoolGauge(w, "ooosim_ready", "1 while the node admits new batches.", s.Ready() == nil)
 }

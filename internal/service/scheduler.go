@@ -1,17 +1,13 @@
 package service
 
 import (
-	"context"
+	"cmp"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"repro/internal/core"
+	"repro/internal/keyed"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -27,9 +23,6 @@ type SchedulerOptions struct {
 	// Cache is the result store; nil builds a memory-only cache with
 	// DefaultCacheEntries.
 	Cache *Cache
-	// MaxBatches bounds how many finished batches stay pollable before
-	// the oldest are forgotten; <= 0 uses 256.
-	MaxBatches int
 	// MaxQueue is the admission bound: a batch whose misses would push
 	// the number of queued-but-unfinished misses past it is rejected
 	// with ErrOverloaded (HTTP 429 + Retry-After), and readiness flips
@@ -38,7 +31,8 @@ type SchedulerOptions struct {
 	// Donors, when non-nil, is the fleet's warm-donor shipping fabric:
 	// snapshot-group donors are adopted from their home peer instead of
 	// warmed locally, and this node serves its own donors to peers. The
-	// scheduler wires its trace memo into the exchange.
+	// scheduler wires its trace memo into the exchange. Without one the
+	// node keeps the same donor memo privately.
 	Donors *DonorExchange
 	// Log, when non-nil, receives one line per completed batch with the
 	// batch's cache and snapshot-sharing statistics (cmd/ooosimd wires
@@ -51,42 +45,34 @@ type SchedulerOptions struct {
 	Journal *Journal
 }
 
-// ErrDraining rejects submissions while the scheduler is draining.
-var ErrDraining = errors.New("service: draining, not admitting new batches")
-
-// ErrOverloaded rejects submissions that would push the miss queue past
-// the admission bound. The HTTP layer maps it to 429 with Retry-After.
-var ErrOverloaded = errors.New("service: queue full")
-
 // Scheduler executes batches of Jobs. Submission splits each batch into
 // cache hits (answered immediately, no simulation) and misses; misses
 // run through the simulator on the shared bounded pool, deduplicated by
 // fingerprint so concurrent identical submissions — within one batch or
-// across batches — simulate once and share the result.
+// across batches — simulate once and share the result. Its Front admits
+// batches against a bound on queued misses.
 type Scheduler struct {
+	*Front
 	cache    *Cache
 	sem      chan struct{}
-	flight   flightGroup
-	traces   traceCache
-	warms    warmCache
-	donors   *DonorExchange
+	flight   keyed.Group[json.RawMessage]
+	traces   keyed.Memo[string, *trace.Trace]
+	donors   *DonorExchange // the node's donor memo
+	exchange *DonorExchange // donors when configured, and so served to peers; else nil
 	log      func(format string, args ...any)
 	journal  *Journal
-	maxQueue int
 	metrics  Metrics
-	draining atomic.Bool
 
 	// run executes one materialised point; donor is the point's shared
 	// warm-state donor hierarchy (nil runs the cold path). Production
 	// wires sim.RunForked/sim.Run; tests substitute counting wrappers.
 	run func(sim.RunSpec, *mem.Hierarchy) (stats.Results, error)
-
-	mu         sync.Mutex
-	batches    map[string]*Batch
-	order      []string // submission order, for bounded retention
-	nextID     int
-	maxBatches int
 }
+
+// traceMemoLimit bounds the trace memo: distinct recipes are few in
+// practice (a figure uses six), and 64 at figure sizes is a few hundred
+// MB, the most a daemon should pin for workload reuse.
+const traceMemoLimit = 64
 
 // NewScheduler builds a scheduler.
 func NewScheduler(opt SchedulerOptions) *Scheduler {
@@ -98,73 +84,38 @@ func NewScheduler(opt SchedulerOptions) *Scheduler {
 	if cache == nil {
 		cache, _ = NewCache(0, "") // memory-only construction cannot fail
 	}
-	maxBatches := opt.MaxBatches
-	if maxBatches <= 0 {
-		maxBatches = 256
-	}
 	s := &Scheduler{
+		Front:    NewFront("b", opt.MaxQueue),
 		cache:    cache,
 		sem:      make(chan struct{}, workers),
-		donors:   opt.Donors,
+		traces:   keyed.Memo[string, *trace.Trace]{Limit: traceMemoLimit},
+		donors:   cmp.Or(opt.Donors, NewDonorExchange("", nil)),
+		exchange: opt.Donors,
 		log:      opt.Log,
 		journal:  opt.Journal,
-		maxQueue: opt.MaxQueue,
 		run: func(spec sim.RunSpec, donor *mem.Hierarchy) (stats.Results, error) {
 			if donor == nil {
 				return sim.Run(spec)
 			}
 			return sim.RunForked(spec, donor)
 		},
-		batches:    map[string]*Batch{},
-		maxBatches: maxBatches,
 	}
-	if s.donors != nil {
-		// On-demand donor builds (a peer asking before any local point
-		// touched the group) regenerate the trace through the same memo
-		// the simulation path uses.
-		s.donors.materialise = s.traces.get
-	}
+	// On-demand donor builds (a peer asking before any local point
+	// touched the group) regenerate the trace through the same memo the
+	// simulation path uses.
+	s.donors.materialise = s.materialise
 	return s
 }
 
-// StartDrain flips the scheduler into drain mode: new submissions are
-// rejected with ErrDraining, readiness goes false, and in-flight work
-// runs to completion. Idempotent.
-func (s *Scheduler) StartDrain() { s.draining.Store(true) }
-
-// Draining reports whether StartDrain was called.
-func (s *Scheduler) Draining() bool { return s.draining.Load() }
-
-// Drain starts draining and blocks until every admitted miss has
-// finished (or ctx expires). The poll interval is coarse; drain is a
-// shutdown path, not a hot one.
-func (s *Scheduler) Drain(ctx context.Context) error {
-	s.StartDrain()
-	for s.metrics.QueueDepth.Load() > 0 {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(20 * time.Millisecond):
-		}
-	}
-	return nil
-}
-
-// Ready reports why the node should not receive new work (draining, or
-// queue over the admission bound); nil means ready. The /readyz
-// endpoint and fleet coordinators route on it.
-func (s *Scheduler) Ready() error {
-	if s.draining.Load() {
-		return ErrDraining
-	}
-	if q := s.metrics.QueueDepth.Load(); s.maxQueue > 0 && q >= int64(s.maxQueue) {
-		return fmt.Errorf("%w: %d queued >= bound %d", ErrOverloaded, q, s.maxQueue)
-	}
-	return nil
+// materialise returns a recipe's trace, generating each recipe once
+// while it stays in the memo.
+func (s *Scheduler) materialise(r trace.Recipe) (*trace.Trace, error) {
+	tr, _, err := s.traces.Get(r.String(), r.Materialise)
+	return tr, err
 }
 
 // Donors returns the scheduler's donor exchange (nil outside a fleet).
-func (s *Scheduler) Donors() *DonorExchange { return s.donors }
+func (s *Scheduler) Donors() *DonorExchange { return s.exchange }
 
 // Submit validates and fingerprints every job, registers the batch, and
 // returns it with cache hits already completed; misses execute
@@ -175,25 +126,10 @@ func (s *Scheduler) Donors() *DonorExchange { return s.donors }
 // before anything is registered — cache hits alone never trip the
 // bound, since they cost no simulation.
 func (s *Scheduler) Submit(jobs []Job) (*Batch, error) {
-	if len(jobs) == 0 {
-		return nil, fmt.Errorf("service: empty batch")
+	fps, err := s.Prepare(jobs)
+	if err != nil {
+		return nil, err
 	}
-	if s.draining.Load() {
-		s.metrics.BatchesRejected.Add(1)
-		return nil, ErrDraining
-	}
-	fps := make([]string, len(jobs))
-	for i, j := range jobs {
-		if err := j.Validate(); err != nil {
-			return nil, fmt.Errorf("service: job %d (%s): %w", i, j.label(), err)
-		}
-		fp, err := j.Fingerprint()
-		if err != nil {
-			return nil, fmt.Errorf("service: job %d (%s): %w", i, j.label(), err)
-		}
-		fps[i] = fp
-	}
-
 	// Split hits from misses before admission: only misses queue work.
 	hit := make([]json.RawMessage, len(jobs))
 	nMisses := 0
@@ -204,33 +140,10 @@ func (s *Scheduler) Submit(jobs []Job) (*Batch, error) {
 			nMisses++
 		}
 	}
-	if s.maxQueue > 0 && nMisses > 0 {
-		if q := s.metrics.QueueDepth.Load(); q+int64(nMisses) > int64(s.maxQueue) {
-			s.metrics.BatchesRejected.Add(1)
-			return nil, fmt.Errorf("%w: %d queued + %d new misses > bound %d",
-				ErrOverloaded, q, nMisses, s.maxQueue)
-		}
+	b, err := s.Admit(jobs, fps, nMisses)
+	if err != nil {
+		return nil, err
 	}
-	s.metrics.BatchesSubmitted.Add(1)
-	s.metrics.Points.Add(uint64(len(jobs)))
-	s.metrics.QueueDepth.Add(int64(nMisses))
-
-	s.mu.Lock()
-	s.nextID++
-	b := NewBatch(fmt.Sprintf("b%d", s.nextID), append([]Job(nil), jobs...), fps)
-	s.batches[b.id] = b
-	s.order = append(s.order, b.id)
-	for len(s.order) > s.maxBatches {
-		// Only retire finished batches; a pathological flood of
-		// still-running batches stays addressable.
-		victim := s.batches[s.order[0]]
-		if victim != nil && victim.State() == StateRunning {
-			break
-		}
-		delete(s.batches, s.order[0])
-		s.order = s.order[1:]
-	}
-	s.mu.Unlock()
 
 	// Complete the hits, then launch the misses clustered by snapshot
 	// group — (trace recipe, warm-relevant cache shape) — so jobs that
@@ -335,14 +248,6 @@ func (s *Scheduler) logIfDone(b *Batch) {
 	}
 }
 
-// Batch returns a previously submitted batch by ID.
-func (s *Scheduler) Batch(id string) (*Batch, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.batches[id]
-	return b, ok
-}
-
 // runJob executes one cache miss: singleflight by fingerprint, then a
 // worker slot, then trace materialisation and simulation, then cache
 // fill. The result lands in the batch whatever the path. A point that
@@ -350,7 +255,7 @@ func (s *Scheduler) Batch(id string) (*Batch, bool) {
 // the flight deduplicated us against another submission's run — still
 // reports as cached.
 func (s *Scheduler) runJob(b *Batch, i int) {
-	defer s.metrics.QueueDepth.Add(-1)
+	defer s.queued.Add(-1)
 	job, fp := b.jobs[i], b.fps[i]
 	lateHit := false
 	raw, shared, err := s.flight.Do(fp, func() (json.RawMessage, error) {
@@ -377,14 +282,14 @@ func (s *Scheduler) runJob(b *Batch, i int) {
 			}
 		} else {
 			var err error
-			if tr, err = s.traces.get(job.Trace); err != nil {
+			if tr, err = s.materialise(job.Trace); err != nil {
 				return nil, err
 			}
 			// Fork the job's snapshot group's warmed donor instead of
 			// replaying the warm-up per point; a donor failure degrades to
 			// the cold path (never fails the job).
 			var reused bool
-			donor, reused = s.warms.get(s, job, tr)
+			donor, reused = s.donors.Acquire(job.Trace, mem.WarmKeyFor(job.Config), tr)
 			b.warmShared(donor != nil, reused)
 			if donor != nil && reused {
 				s.metrics.WarmReuses.Add(1)
@@ -408,11 +313,9 @@ func (s *Scheduler) runJob(b *Batch, i int) {
 		if err != nil {
 			return nil, err
 		}
-		if err := s.cache.Put(fp, raw); err != nil {
-			// A cache-fill failure (disk full, permissions) must not
-			// fail the run: the result is in hand.
-			return raw, nil
-		}
+		// A cache-fill failure (disk full, permissions) must not fail
+		// the run: the result is in hand.
+		_ = s.cache.Put(fp, raw)
 		return raw, nil
 	})
 	cached := err == nil && (shared || lateHit)
@@ -432,98 +335,4 @@ func (s *Scheduler) runJob(b *Batch, i int) {
 		s.journal.AppendBatchDone(b.id)
 	}
 	s.logIfDone(b)
-}
-
-// warmCache memoises warmed donor hierarchies by snapshot group so a
-// batch sweeping many configurations over few workloads replays each
-// workload's cache warm-up once per geometry (the service-side half of
-// the snapshot-fork kernel; sim.Sweep does the same for local runs).
-// Like traceCache, the memo is dropped wholesale past a bound.
-type warmCache struct {
-	mu sync.Mutex
-	m  map[string]*warmEntry
-}
-
-type warmEntry struct {
-	once  sync.Once
-	donor *mem.Hierarchy
-}
-
-// warmCacheLimit bounds the memo; donors are a few hundred KB each.
-const warmCacheLimit = 128
-
-// get returns the group's warmed donor (nil when warming failed) and
-// whether an already-available donor was reused. With a donor exchange
-// attached the donor may be adopted from the group's home peer instead
-// of warmed here; without one the warm-up replays locally.
-func (wc *warmCache) get(s *Scheduler, j Job, tr *trace.Trace) (donor *mem.Hierarchy, reused bool) {
-	key := snapshotGroupKey(j)
-	wc.mu.Lock()
-	if wc.m == nil {
-		wc.m = map[string]*warmEntry{}
-	}
-	e, ok := wc.m[key]
-	if !ok {
-		if len(wc.m) >= warmCacheLimit {
-			wc.m = map[string]*warmEntry{}
-		}
-		e = &warmEntry{}
-		wc.m[key] = e
-	}
-	wc.mu.Unlock()
-	built := false
-	e.once.Do(func() {
-		built = true
-		// A failed donor (e.g. unwarmable geometry) stays nil: the
-		// group's jobs run cold, preserving the pre-fork behaviour.
-		warm := mem.WarmKeyFor(j.Config)
-		if s.donors != nil {
-			e.donor, _ = s.donors.Acquire(j.Trace, warm, tr)
-		} else {
-			e.donor, _ = core.WarmDonor(warm, tr)
-			if e.donor != nil {
-				s.metrics.WarmBuilds.Add(1)
-			}
-		}
-	})
-	return e.donor, ok && !built
-}
-
-// traceCache memoises materialised traces by canonical recipe string so
-// a batch sweeping many configurations over few workloads generates
-// each workload once. Generation is deduplicated per recipe; the memo
-// is dropped wholesale when it grows past a bound (distinct recipes are
-// few in practice — a figure uses six).
-type traceCache struct {
-	mu sync.Mutex
-	m  map[string]*traceEntry
-}
-
-type traceEntry struct {
-	once sync.Once
-	tr   *trace.Trace
-	err  error
-}
-
-// traceCacheLimit bounds the memo; 64 recipes at figure sizes is a few
-// hundred MB, the most a daemon should pin for workload reuse.
-const traceCacheLimit = 64
-
-func (tc *traceCache) get(r trace.Recipe) (*trace.Trace, error) {
-	key := r.String()
-	tc.mu.Lock()
-	if tc.m == nil {
-		tc.m = map[string]*traceEntry{}
-	}
-	e, ok := tc.m[key]
-	if !ok {
-		if len(tc.m) >= traceCacheLimit {
-			tc.m = map[string]*traceEntry{}
-		}
-		e = &traceEntry{}
-		tc.m[key] = e
-	}
-	tc.mu.Unlock()
-	e.once.Do(func() { e.tr, e.err = r.Materialise() })
-	return e.tr, e.err
 }

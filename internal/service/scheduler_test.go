@@ -276,7 +276,8 @@ func TestBatchEventStreamContract(t *testing.T) {
 // TestSchedulerBatchRetention: finished batches beyond the bound are
 // forgotten oldest-first; running batches are never evicted.
 func TestSchedulerBatchRetention(t *testing.T) {
-	s := NewScheduler(SchedulerOptions{Workers: 1, MaxBatches: 2})
+	s := NewScheduler(SchedulerOptions{Workers: 1})
+	s.maxBatches = 2
 	var ids []string
 	for i := 0; i < 3; i++ {
 		b, err := s.Submit([]Job{testJob("r", 32)})

@@ -8,10 +8,14 @@
 //
 //   - Cache: a two-tier (in-memory LRU + on-disk JSON) store keyed by
 //     sim.Fingerprint content addresses.
+//   - Front: the batch front end a Scheduler and a fleet coordinator
+//     share (validation, queue-bound admission, batch ids that do not
+//     repeat across restarts, bounded retention, drain, readiness).
 //   - Scheduler: splits submitted batches into cache hits and misses,
 //     runs misses through the simulator on one bounded pool shared by
 //     all in-flight batches (with singleflight dedupe of identical
-//     points), and publishes per-point completion events.
+//     points, and once-memos of traces and warm donors, from
+//     internal/keyed), and publishes per-point completion events.
 //   - NewHandler / Client: the HTTP daemon surface (cmd/ooosimd) and
 //     the Go client used by cmd/experiments -server. A batch whose
 //     every point is a cache hit is finished at admission: its 202

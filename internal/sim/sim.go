@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/keyed"
 	"repro/internal/mem"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -170,23 +171,14 @@ func runSampled(spec RunSpec) (stats.Results, error) {
 	})
 }
 
-// warmGroup shares one warmed donor hierarchy across every spec with
-// the same (trace, warm shape): the first member to need it warms the
-// donor once, every member forks it. The once makes donor warming safe
-// and single under concurrent workers.
+// warmGroup is a snapshot group of a sweep: every spec with the same
+// (trace, warm shape) forks one warmed donor hierarchy.
 type warmGroup struct {
 	tr  *trace.Trace
 	key mem.WarmKey
-
-	once  sync.Once
-	donor *mem.Hierarchy
-	err   error
 }
 
-func (g *warmGroup) get() (*mem.Hierarchy, error) {
-	g.once.Do(func() { g.donor, g.err = core.WarmDonor(g.key, g.tr) })
-	return g.donor, g.err
-}
+func (g warmGroup) warm() (*mem.Hierarchy, error) { return core.WarmDonor(g.key, g.tr) }
 
 // groupSpecs assigns every spec its warm group and returns a
 // group-clustered execution order: members of one group run adjacently
@@ -194,25 +186,19 @@ func (g *warmGroup) get() (*mem.Hierarchy, error) {
 // donor a worker forks is the one most recently touched. Results are
 // still reported by spec index, so the reordering is invisible in the
 // output.
-func groupSpecs(specs []RunSpec) (bySpec []*warmGroup, order []int) {
-	type groupKey struct {
-		tr  *trace.Trace
-		key mem.WarmKey
-	}
-	groups := make(map[groupKey]int)
-	bySpec = make([]*warmGroup, len(specs))
+func groupSpecs(specs []RunSpec) (bySpec []warmGroup, order []int) {
+	groups := make(map[warmGroup]int)
+	bySpec = make([]warmGroup, len(specs))
 	var members [][]int
-	var list []*warmGroup
 	for i, s := range specs {
-		k := groupKey{s.Trace, mem.WarmKeyFor(s.Config)}
-		gi, ok := groups[k]
+		g := warmGroup{s.Trace, mem.WarmKeyFor(s.Config)}
+		gi, ok := groups[g]
 		if !ok {
-			gi = len(list)
-			groups[k] = gi
-			list = append(list, &warmGroup{tr: k.tr, key: k.key})
+			gi = len(members)
+			groups[g] = gi
 			members = append(members, nil)
 		}
-		bySpec[i] = list[gi]
+		bySpec[i] = g
 		members[gi] = append(members[gi], i)
 	}
 	order = make([]int, 0, len(specs))
@@ -267,6 +253,9 @@ func Sweep(ctx context.Context, specs []RunSpec, opt Options) ([]stats.Results, 
 	}
 
 	bySpec, order := groupSpecs(specs)
+	// The first member a worker reaches warms its group's donor, once;
+	// every member forks it.
+	var donors keyed.Memo[warmGroup, *mem.Hierarchy]
 
 	idx := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -280,7 +269,11 @@ func Sweep(ctx context.Context, specs []RunSpec, opt Options) ([]stats.Results, 
 				if ctx.Err() != nil {
 					continue // drain remaining indices after cancellation
 				}
-				res, err := runSpec(specs[i], bySpec[i].get, arena)
+				g := bySpec[i]
+				res, err := runSpec(specs[i], func() (*mem.Hierarchy, error) {
+					h, _, err := donors.Get(g, g.warm)
+					return h, err
+				}, arena)
 				if err != nil {
 					fail(err)
 					continue
