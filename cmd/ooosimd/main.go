@@ -45,10 +45,8 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -120,57 +118,18 @@ func main() {
 			log.Printf("ooosimd: recovered %d in-flight batch(es) from the journal", requeued)
 		}
 	}
-	handler := service.NewHandler(sched)
-	if *verbose {
-		inner := handler
-		handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			start := time.Now()
-			inner.ServeHTTP(w, r)
-			log.Printf("%s %s (%.1fms)", r.Method, r.URL.Path, float64(time.Since(start).Microseconds())/1000)
-		})
-	}
-
-	srv := &http.Server{
-		Addr:    *addr,
-		Handler: handler,
-		// A client that stalls mid-headers or parks an idle connection
-		// must not wedge the daemon (the default is no timeout at all).
-		// WriteTimeout and ReadTimeout stay 0 on purpose:
-		// /v1/batches/{id}/events streams NDJSON for as long as a batch
-		// runs, and either deadline would sever live streams (ReadTimeout
-		// trips the server's background read mid-handler). Slow-loris
-		// headers are bounded by ReadHeaderTimeout and parked keep-alive
-		// connections by IdleTimeout.
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
 	// SIGTERM is what orchestrators send; SIGINT is what operators send.
 	// Either starts a graceful drain: readiness flips false (the fleet
 	// coordinator stops routing here), the queue runs dry, then the
 	// listener closes.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		log.Printf("ooosimd: signal received, draining (timeout %s)", *drainTimeout)
-		dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if err := sched.Drain(dctx); err != nil {
-			log.Printf("ooosimd: drain incomplete: %v", err)
-		}
-		// In-flight streams flush during Shutdown's grace window.
-		sctx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel2()
-		srv.Shutdown(sctx)
-	}()
-
 	where := *cacheDir
 	if where == "" {
 		where = "memory only"
 	}
 	log.Printf("ooosimd: listening on %s (workers=%d, cache=%s)", *addr, *workers, where)
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := service.Serve(ctx, "ooosimd", *addr, service.NewHandler(sched), sched.Drain, *drainTimeout, *verbose); err != nil {
 		log.Fatalf("ooosimd: %v", err)
 	}
-	log.Printf("ooosimd: drained, exiting")
 }

@@ -24,17 +24,16 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/service"
 )
 
 // workerList collects repeated -worker flags.
@@ -75,42 +74,10 @@ func main() {
 	}
 	defer coord.Close()
 
-	handler := fleet.NewHandler(coord)
-	if *verbose {
-		inner := handler
-		handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			start := time.Now()
-			inner.ServeHTTP(w, r)
-			log.Printf("%s %s (%.1fms)", r.Method, r.URL.Path, float64(time.Since(start).Microseconds())/1000)
-		})
-	}
-
-	srv := &http.Server{
-		Addr:    *addr,
-		Handler: handler,
-		// Same rationale as ooosimd: bound header reads and idle
-		// connections, leave the streaming endpoints unbounded.
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		log.Printf("ooosimfleet: signal received, draining (timeout %s)", *drainTimeout)
-		dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if err := coord.Drain(dctx); err != nil {
-			log.Printf("ooosimfleet: drain incomplete: %v", err)
-		}
-		sctx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel2()
-		srv.Shutdown(sctx)
-	}()
-
 	log.Printf("ooosimfleet: listening on %s, fronting %d worker(s)", *addr, len(workers))
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := service.Serve(ctx, "ooosimfleet", *addr, fleet.NewHandler(coord), coord.Drain, *drainTimeout, *verbose); err != nil {
 		log.Fatalf("ooosimfleet: %v", err)
 	}
-	log.Printf("ooosimfleet: drained, exiting")
 }

@@ -9,21 +9,22 @@
 //	           [-chaos SEED [-chaos-batches N]]
 //
 // With -url it targets a running ooosimd or ooosimfleet. With
-// -inprocess N it boots a self-contained fleet first — N workers with
-// donor shipping wired plus a coordinator, all on loopback — which is
-// the one-command way to measure fleet behaviour (and what the CI
-// fleet-e2e job uses).
+// -inprocess N it boots a self-contained fleet first (fleet.NewLoopback:
+// N workers with donor shipping wired plus a coordinator, all on
+// loopback), which is the one-command way to measure fleet behaviour
+// (and what the CI fleet-e2e job uses).
 //
 // Each of -concurrency clients loops for -duration: draw -batch-size
-// points from a space of -distinct distinct simulation points (the
-// ratio of the two sets the cache-hit rate), submit, stream to
-// completion, record the submit-to-done latency. A 429 (admission
-// control) is counted, honoured by backing off for the server's
-// Retry-After, and retried — backpressure is a result here, not an
-// error.
+// points from the first -distinct points of the fleet load space
+// (experiments.LoadPoints, the space the benchmark's fleet workloads
+// serve; the ratio of the two sets the cache-hit rate), submit, stream
+// to completion, record the submit-to-done latency. -seed seeds only
+// these draws. A 429 (admission control) is counted, honoured by
+// backing off for the server's Retry-After, and retried — backpressure
+// is a result here, not an error.
 //
-// The report: batches, points, point errors, 429s, points/s, and
-// latency p50/p90/p99.
+// The report: the measured load window, batches, points, point errors,
+// 429s, points/s over that window, and latency p50/p90/p99.
 //
 // Chaos mode (-chaos SEED, requires -inprocess): instead of measuring
 // throughput, run the self-healing acceptance soak. Pass one computes
@@ -43,7 +44,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -55,13 +55,11 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/config"
+	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/fleet"
-	"repro/internal/isa/programs"
 	"repro/internal/service"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -81,11 +79,22 @@ func main() {
 	if (*url == "") == (*inprocess == 0) {
 		log.Fatalf("ooosimload: exactly one of -url or -inprocess is required")
 	}
+	sizes := []string{"concurrency", "batch-size", "distinct"}
+	if *chaosSeed != 0 {
+		sizes = append(sizes, "chaos-batches")
+	}
+	for _, name := range sizes {
+		if v := flag.Lookup(name).Value.(flag.Getter).Get().(int); v < 1 {
+			fmt.Fprintf(os.Stderr, "ooosimload: -%s must be at least 1, got %d\n", name, v)
+			os.Exit(2)
+		}
+	}
+	points := experiments.LoadPoints(*distinct, *insts, 42) // -seed seeds only the draws
 	if *chaosSeed != 0 {
 		if *inprocess <= 0 {
 			log.Fatalf("ooosimload: -chaos requires -inprocess")
 		}
-		if err := runChaos(*chaosSeed, *inprocess, *distinct, *batchSize, *chaosBatches, *insts); err != nil {
+		if err := runChaos(*chaosSeed, *inprocess, points, *batchSize, *chaosBatches); err != nil {
 			log.Fatalf("ooosimload: chaos soak FAILED: %v", err)
 		}
 		fmt.Println("chaos soak PASSED: zero lost points, all bytes identical to the fault-free reference")
@@ -93,13 +102,13 @@ func main() {
 	}
 	target := *url
 	if *inprocess > 0 {
-		var stop func()
-		var err error
-		target, stop, err = bootFleet(*inprocess, *maxQueue)
+		lb, err := fleet.NewLoopback(*inprocess, runtime.GOMAXPROCS(0)/(*inprocess)+1,
+			fleet.Options{MaxQueue: *maxQueue, PingInterval: 500 * time.Millisecond}, nil)
 		if err != nil {
 			log.Fatalf("ooosimload: %v", err)
 		}
-		defer stop()
+		defer lb.Close()
+		target = lb.URL
 		log.Printf("ooosimload: booted %d-worker in-process fleet at %s", *inprocess, target)
 	}
 
@@ -110,8 +119,8 @@ func main() {
 		log.Fatalf("ooosimload: target never became ready: %v", err)
 	}
 
-	points := makePoints(*distinct, *insts)
-	deadline := time.Now().Add(*duration)
+	began := time.Now()
+	deadline := began.Add(*duration)
 
 	var (
 		mu        sync.Mutex
@@ -174,7 +183,9 @@ func main() {
 	}
 	wg.Wait()
 
-	elapsed := *duration
+	// A signal can close the window early, so the rate is over the time
+	// the load actually ran, not the nominal -duration.
+	elapsed := time.Since(began).Round(time.Millisecond)
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	fmt.Printf("target:      %s\n", target)
 	fmt.Printf("duration:    %s  concurrency: %d  batch-size: %d  distinct: %d\n",
@@ -202,72 +213,13 @@ func percentile(sorted []time.Duration, p int) time.Duration {
 	return sorted[idx]
 }
 
-// makePoints enumerates n distinct simulation points spanning the four
-// commit policies, the benchmark kernels, the real RV32 programs and a
-// range of queue sizes — a miniature of the paper's sweep space. When
-// the per-point budget permits, every fifth point runs under SMARTS
-// sampling, so load tests also exercise the streamed sampled path
-// through the service (distinct fingerprints, no donor warming).
-func makePoints(n int, insts uint64) []service.Job {
-	tlen := trace.LenFor(insts)
-	recipes := []trace.Recipe{
-		{Kernel: trace.KernelStream, N: tlen},
-		{Kernel: trace.KernelStrided, N: tlen, Stride: 8},
-		{Kernel: trace.KernelStencil, N: tlen},
-		{Kernel: trace.KernelReduction, N: tlen},
-		{Kernel: trace.KernelBlocked, N: tlen},
-		{Kernel: trace.KernelFPMix, N: tlen, Seed: 42},
-	}
-	for _, name := range programs.Names() {
-		spec, _ := programs.Lookup(name)
-		recipes = append(recipes, trace.Recipe{
-			Kernel:  trace.KernelProgram,
-			Program: name,
-			Input:   spec.InputFor(insts),
-			Seed:    42,
-		})
-	}
-	var sample trace.SampleSpec
-	if p := insts / 2; p >= 260 {
-		sample = trace.SampleSpec{Warmup: p / 8, Detail: p / 4, Period: p}
-	}
-	var cfgs []config.Config
-	for _, sliq := range []int{512, 1024, 2048} {
-		for _, iq := range []int{32, 48, 64, 96, 128} {
-			cfgs = append(cfgs, config.CheckpointDefault(iq, sliq))
-			cfgs = append(cfgs, config.AdaptiveDefault(iq, sliq))
-		}
-	}
-	cfgs = append(cfgs, config.OracleDefault(), config.BaselineSized(128), config.BaselineSized(4096))
-
-	var out []service.Job
-	for i := 0; len(out) < n; i++ {
-		cfg := cfgs[i%len(cfgs)]
-		r := recipes[(i/len(cfgs))%len(recipes)]
-		// Wrap-around past cfgs x recipes would repeat points; vary the
-		// instruction budget instead to stay distinct.
-		job := service.Job{
-			Name:   fmt.Sprintf("load-%d", i),
-			Config: cfg,
-			Trace:  r,
-			Insts:  insts + uint64(i/(len(cfgs)*len(recipes))),
-		}
-		if sample.Enabled() && i%5 == 4 {
-			job.Sample = sample
-		}
-		out = append(out, job)
-	}
-	return out
-}
-
 // runChaos is the self-healing acceptance soak: reference bytes from a
 // fault-free local scheduler, then the same points through an
 // in-process fleet with the seeded aggressive fault plan injected at
 // every distributed seam and one worker killed after the first batch.
 // Returns an error unless every point completes byte-identical to the
 // reference.
-func runChaos(seed int64, workers, distinct, batchSize, nbatches int, insts uint64) error {
-	points := makePoints(distinct, insts)
+func runChaos(seed int64, workers int, points []service.Job, batchSize, nbatches int) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
 
@@ -290,17 +242,49 @@ func runChaos(seed int64, workers, distinct, batchSize, nbatches int, insts uint
 		refBytes[i] = string(rst.Results[i])
 	}
 
-	// Pass 2: the same points through the fray.
+	// Pass 2: the same points through the fray. Every worker gets a
+	// chaotic disk cache (tiny memory tier, so reads actually hit the
+	// faulty disk path), a recovery journal, and a chaos transport on its
+	// donor fetches; the coordinator and its health probes run through
+	// the chaos transport too, with fast breaker settings so the soak
+	// exercises open/half-open/close cycles in seconds.
 	inj := faults.NewInjector(faults.AggressivePlan(seed))
-	cf, err := bootChaosFleet(workers, inj)
+	var caches []*service.Cache
+	chaosWorker := func(_ int, _ string, opt *service.SchedulerOptions) (func(), error) {
+		dir, err := os.MkdirTemp("", "ooosim-chaos-")
+		if err != nil {
+			return nil, err
+		}
+		cleanup := func() { os.RemoveAll(dir) }
+		if opt.Cache, err = service.NewCacheFS(2, dir, faults.ChaosFS{Base: faults.OSFS{}, Inject: inj, Site: "cachefs"}); err != nil {
+			return cleanup, err
+		}
+		if opt.Journal, err = service.OpenJournal(filepath.Join(dir, "journal.ndjson")); err != nil {
+			return cleanup, err
+		}
+		opt.Donors.UseTransport(&faults.RoundTripper{Inject: inj, Site: func(r *http.Request) string {
+			return "donor:" + r.URL.Host
+		}})
+		caches = append(caches, opt.Cache)
+		return func() { opt.Journal.Close(); cleanup() }, nil
+	}
+	lb, err := fleet.NewLoopback(workers, runtime.GOMAXPROCS(0)/workers+1, fleet.Options{
+		PingInterval:    200 * time.Millisecond,
+		PingTimeout:     time.Second,
+		BreakerCooldown: 500 * time.Millisecond,
+		RetryBudget:     10,
+		NoNodesGrace:    5 * time.Second,
+		HTTPClient:      &http.Client{Transport: &faults.RoundTripper{Inject: inj}},
+		Log:             log.Printf,
+	}, chaosWorker)
 	if err != nil {
 		return err
 	}
-	defer cf.stop()
-	log.Printf("chaos: pass 2 — %d-worker fleet at %s under plan seed %d", workers, cf.target, seed)
+	defer lb.Close()
+	log.Printf("chaos: pass 2 — %d-worker fleet at %s under plan seed %d", workers, lb.URL, seed)
 
 	client := &service.Client{
-		BaseURL:    cf.target,
+		BaseURL:    lb.URL,
 		HTTPClient: &http.Client{Transport: &faults.RoundTripper{Inject: inj}},
 		// The stock policy treats 503 as a routing signal and surfaces it;
 		// in this harness nothing drains, so a 503 is always injected
@@ -351,16 +335,16 @@ func runChaos(seed int64, workers, distinct, batchSize, nbatches int, insts uint
 		}
 		log.Printf("chaos: batch %d/%d complete (%d points)", bi+1, nbatches, len(jobs))
 		if bi == 0 {
-			log.Printf("chaos: killing worker 0 (%s)", cf.urls[0])
-			cf.kill()
+			log.Printf("chaos: killing worker 0 (%s)", lb.Workers[0])
+			lb.Kill(0)
 		}
 	}
 
 	log.Printf("chaos: injector: %s", inj.StatsLine())
-	for i, c := range cf.caches {
+	for i, c := range caches {
 		log.Printf("chaos: worker %d quarantined %d corrupt cache entr(ies)", i, c.Quarantined())
 	}
-	for i, s := range cf.scheds {
+	for i, s := range lb.Schedulers {
 		a, b, sh, f := s.Donors().Stats()
 		log.Printf("chaos: worker %d donors: adopted=%d built=%d shipped=%d fetchFails=%d", i, a, b, sh, f)
 	}
@@ -368,155 +352,4 @@ func runChaos(seed int64, workers, distinct, batchSize, nbatches int, insts uint
 		return fmt.Errorf("%d point(s) diverged from the fault-free reference", diverged)
 	}
 	return nil
-}
-
-// chaosFleet is the soak's in-process fleet plus the handles the report
-// needs.
-type chaosFleet struct {
-	target string
-	urls   []string
-	caches []*service.Cache
-	scheds []*service.Scheduler
-	kill   func() // severs worker 0's HTTP server mid-soak
-	stop   func()
-}
-
-// bootChaosFleet is bootFleet with the failure domain wired in: every
-// worker gets a chaotic disk cache (tiny memory tier, so reads actually
-// hit the faulty disk path), a recovery journal, and a chaos transport
-// on its donor fetches; the coordinator and its health probes run
-// through the chaos transport too, with fast breaker settings so the
-// soak exercises open/half-open/close cycles in seconds.
-func bootChaosFleet(workers int, inj *faults.Injector) (*chaosFleet, error) {
-	cf := &chaosFleet{urls: make([]string, workers)}
-	lns := make([]net.Listener, workers)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		lns[i] = ln
-		cf.urls[i] = "http://" + ln.Addr().String()
-	}
-	var stops []func()
-	cf.stop = func() {
-		for _, s := range stops {
-			s()
-		}
-	}
-	slots := runtime.GOMAXPROCS(0)/workers + 1
-	for i := range lns {
-		dir, err := os.MkdirTemp("", "ooosim-chaos-")
-		if err != nil {
-			cf.stop()
-			return nil, err
-		}
-		stops = append(stops, func() { os.RemoveAll(dir) })
-		cache, err := service.NewCacheFS(2, dir, faults.ChaosFS{Base: faults.OSFS{}, Inject: inj, Site: "cachefs"})
-		if err != nil {
-			cf.stop()
-			return nil, err
-		}
-		journal, err := service.OpenJournal(filepath.Join(dir, "journal.ndjson"))
-		if err != nil {
-			cf.stop()
-			return nil, err
-		}
-		stops = append(stops, func() { journal.Close() })
-		donors := service.NewDonorExchange(cf.urls[i], cf.urls)
-		donors.UseTransport(&faults.RoundTripper{Inject: inj, Site: func(r *http.Request) string {
-			return "donor:" + r.URL.Host
-		}})
-		sched := service.NewScheduler(service.SchedulerOptions{
-			Workers: slots,
-			Cache:   cache,
-			Donors:  donors,
-			Journal: journal,
-		})
-		cf.caches = append(cf.caches, cache)
-		cf.scheds = append(cf.scheds, sched)
-		srv := &http.Server{Handler: service.NewHandler(sched)}
-		go srv.Serve(lns[i])
-		stops = append(stops, func() { srv.Close() })
-		if i == 0 {
-			cf.kill = func() { srv.Close() }
-		}
-	}
-
-	coord, err := fleet.New(fleet.Options{
-		Workers:         cf.urls,
-		PingInterval:    200 * time.Millisecond,
-		PingTimeout:     time.Second,
-		BreakerCooldown: 500 * time.Millisecond,
-		RetryBudget:     10,
-		NoNodesGrace:    5 * time.Second,
-		HTTPClient:      &http.Client{Transport: &faults.RoundTripper{Inject: inj}},
-		Log:             log.Printf,
-	})
-	if err != nil {
-		cf.stop()
-		return nil, err
-	}
-	stops = append(stops, coord.Close)
-	fln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		cf.stop()
-		return nil, err
-	}
-	fsrv := &http.Server{Handler: fleet.NewHandler(coord)}
-	go fsrv.Serve(fln)
-	stops = append(stops, func() { fsrv.Close() })
-	cf.target = "http://" + fln.Addr().String()
-	return cf, nil
-}
-
-// bootFleet starts workers+coordinator on loopback listeners and
-// returns the coordinator URL and a shutdown func.
-func bootFleet(workers, maxQueue int) (string, func(), error) {
-	urls := make([]string, workers)
-	lns := make([]net.Listener, workers)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return "", nil, err
-		}
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
-	var stops []func()
-	stop := func() {
-		for _, s := range stops {
-			s()
-		}
-	}
-	slots := runtime.GOMAXPROCS(0)/workers + 1
-	for i := range lns {
-		sched := service.NewScheduler(service.SchedulerOptions{
-			Workers: slots,
-			Donors:  service.NewDonorExchange(urls[i], urls),
-		})
-		srv := &http.Server{Handler: service.NewHandler(sched)}
-		go srv.Serve(lns[i])
-		stops = append(stops, func() { srv.Close() })
-	}
-
-	coord, err := fleet.New(fleet.Options{
-		Workers:      urls,
-		MaxQueue:     maxQueue,
-		PingInterval: 500 * time.Millisecond,
-	})
-	if err != nil {
-		stop()
-		return "", nil, err
-	}
-	stops = append(stops, coord.Close)
-	fln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		stop()
-		return "", nil, err
-	}
-	fsrv := &http.Server{Handler: fleet.NewHandler(coord)}
-	go fsrv.Serve(fln)
-	stops = append(stops, func() { fsrv.Close() })
-	return "http://" + fln.Addr().String(), stop, nil
 }

@@ -1,6 +1,6 @@
 // Fleet walkthrough: boot a three-worker simulation fleet behind a
-// coordinator, all in-process on loopback, then drive the full fleet
-// story through the plain service client:
+// coordinator, all in-process on loopback (fleet.NewLoopback), then
+// drive the full fleet story through the plain service client:
 //
 //  1. a sharded batch — points route to workers by fingerprint, warm
 //     donor snapshots ship between workers so each snapshot group is
@@ -27,8 +27,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"time"
 
 	"repro/internal/config"
@@ -39,46 +37,20 @@ import (
 )
 
 func main() {
-	// --- Boot three workers wired as a fleet. Every worker gets the
-	// same canonical peer list plus its own URL, which is what turns on
-	// donor shipping: each snapshot group has one home worker that warms
-	// the donor, and the others adopt the serialized snapshot over
-	// GET /v1/donors/{key} instead of replaying the warm-up.
+	// --- Boot three workers wired as a fleet, behind a coordinator.
+	// Every worker gets the same canonical peer list plus its own URL,
+	// which is what turns on donor shipping: each snapshot group has one
+	// home worker that warms the donor, and the others adopt the
+	// serialized snapshot over GET /v1/donors/{key} instead of replaying
+	// the warm-up. The coordinator's HTTP surface is the worker API, so
+	// the ordinary client drives it unchanged.
 	const nWorkers = 3
-	urls := make([]string, nWorkers)
-	lns := make([]net.Listener, nWorkers)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
-	scheds := make([]*service.Scheduler, nWorkers)
-	servers := make([]*http.Server, nWorkers)
-	for i := range lns {
-		scheds[i] = service.NewScheduler(service.SchedulerOptions{
-			Workers: 1,
-			Donors:  service.NewDonorExchange(urls[i], urls),
-		})
-		servers[i] = &http.Server{Handler: service.NewHandler(scheds[i])}
-		go servers[i].Serve(lns[i])
-	}
-
-	// --- Front them with a coordinator. Its HTTP surface is the worker
-	// API, so the ordinary client drives it unchanged.
-	coord, err := fleet.New(fleet.Options{Workers: urls, PingInterval: 200 * time.Millisecond})
+	lb, err := fleet.NewLoopback(nWorkers, 1, fleet.Options{PingInterval: 200 * time.Millisecond}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer coord.Close()
-	fln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	go http.Serve(fln, fleet.NewHandler(coord))
-	client := &service.Client{BaseURL: "http://" + fln.Addr().String()}
+	defer lb.Close()
+	client := &service.Client{BaseURL: lb.URL}
 	ctx := context.Background()
 
 	// --- A four-policy slice of the paper's sweep space: the rob
@@ -111,7 +83,7 @@ func main() {
 	start := time.Now()
 	cold := runBatch(ctx, client, jobs)
 	fmt.Printf("   done in %v\n", time.Since(start))
-	for i, s := range scheds {
+	for i, s := range lb.Schedulers {
 		adopted, built, shipped, _ := s.Donors().Stats()
 		fmt.Printf("   worker %d: donors built=%d adopted=%d shipped=%d\n", i, built, adopted, shipped)
 	}
@@ -134,7 +106,7 @@ func main() {
 	go func() {
 		defer close(killed)
 		time.Sleep(30 * time.Millisecond) // let the batch get rolling
-		servers[2].Close()                // severs its event streams mid-flight
+		lb.Kill(2)                        // severs its event streams mid-flight
 		fmt.Printf("   worker 2 killed\n")
 	}()
 	reference := runLocal(jobs) // single plain scheduler, for comparison

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+
+	"repro/internal/isa"
 )
 
 // CommitMode names the retirement mechanism (the commit policy) of the
@@ -356,8 +358,8 @@ func (c Config) Validate() error {
 	if c.PrefetchDegree < 0 || c.PrefetchDegree > 16 {
 		add("prefetch degree %d outside [0,16]", c.PrefetchDegree)
 	}
-	if c.PhysRegs < 64 {
-		add("physical registers %d < 64 (needs at least one per logical register)", c.PhysRegs)
+	if c.PhysRegs <= isa.NumLogical {
+		add("physical registers %d leave none to rename into (need more than one per logical register)", c.PhysRegs)
 	}
 	if c.LSQEntries < 1 {
 		add("LSQ entries %d < 1", c.LSQEntries)

@@ -91,6 +91,7 @@ func TestValidateCatchesErrors(t *testing.T) {
 		func(c *Config) { c.MemoryLatency = 0 },
 		func(c *Config) { c.MemoryPorts = 0 },
 		func(c *Config) { c.PhysRegs = 10 },
+		func(c *Config) { c.PhysRegs = 64 }, // one per logical register, none to rename into
 		func(c *Config) { c.ROBEntries = 0 },
 		func(c *Config) { c.IntMul.Count = 1 }, // mul/div share units
 		func(c *Config) { c.IntAlu.Repeat = 5 },

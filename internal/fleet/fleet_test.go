@@ -72,43 +72,6 @@ func singleNodeBytes(t *testing.T, jobs []service.Job) []json.RawMessage {
 	return st.Results
 }
 
-// bootWorkers starts n in-process workers wired as a fleet (shared
-// canonical peer list, donor exchanges) on real listeners, returning
-// their URLs, schedulers and a per-worker shutdown func.
-func bootWorkers(t *testing.T, n int) (urls []string, scheds []*service.Scheduler, kill []func()) {
-	t.Helper()
-	handlers := make([]http.Handler, n)
-	lns := make([]net.Listener, n)
-	servers := make([]*http.Server, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		lns[i] = ln
-		urls = append(urls, "http://"+ln.Addr().String())
-	}
-	for i := 0; i < n; i++ {
-		i := i
-		s := service.NewScheduler(service.SchedulerOptions{
-			Workers: 1, // serialise per node: widens the mid-batch kill window
-			Donors:  service.NewDonorExchange(urls[i], urls),
-		})
-		scheds = append(scheds, s)
-		handlers[i] = service.NewHandler(s)
-		srv := &http.Server{Handler: handlers[i]}
-		servers[i] = srv
-		go srv.Serve(lns[i])
-		kill = append(kill, func() { srv.Close() }) // severs active connections
-	}
-	t.Cleanup(func() {
-		for _, k := range kill {
-			k()
-		}
-	})
-	return urls, scheds, kill
-}
-
 // TestFleetByteIdenticalToSingleNode is the PR's acceptance test: a
 // three-worker fleet behind a coordinator answers a full four-policy
 // batch with bytes identical to one plain scheduler, while warm donors
@@ -118,18 +81,16 @@ func TestFleetByteIdenticalToSingleNode(t *testing.T) {
 	jobs := policyBatch(1500)
 	want := singleNodeBytes(t, jobs)
 
-	urls, scheds, _ := bootWorkers(t, 3)
-	coord, err := New(Options{Workers: urls, PingInterval: 100 * time.Millisecond})
+	lb, err := NewLoopback(3, 1, Options{PingInterval: 100 * time.Millisecond}, nil)
 	if err != nil {
-		t.Fatalf("coordinator: %v", err)
+		t.Fatalf("fleet: %v", err)
 	}
-	defer coord.Close()
-	front := httptest.NewServer(NewHandler(coord))
-	defer front.Close()
+	defer lb.Close()
+	scheds := lb.Schedulers
 
 	// Through the front door: the coordinator's HTTP surface is the
 	// worker API, so the plain service client drives it unchanged.
-	client := &service.Client{BaseURL: front.URL}
+	client := &service.Client{BaseURL: lb.URL}
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	got := make([]json.RawMessage, len(jobs))
@@ -185,12 +146,13 @@ func TestFleetReroutesAroundDeadNode(t *testing.T) {
 	jobs := policyBatch(30000) // ~10-30ms per point: a wide kill window
 	want := singleNodeBytes(t, jobs)
 
-	urls, _, kill := bootWorkers(t, 2)
-	coord, err := New(Options{Workers: urls, PingInterval: time.Hour, Log: t.Logf})
+	// One slot per worker serialises each node: a wide mid-batch kill window.
+	lb, err := NewLoopback(2, 1, Options{PingInterval: time.Hour, Log: t.Logf}, nil)
 	if err != nil {
-		t.Fatalf("coordinator: %v", err)
+		t.Fatalf("fleet: %v", err)
 	}
-	defer coord.Close()
+	defer lb.Close()
+	coord := lb.Coord
 
 	b, err := coord.Submit(jobs)
 	if err != nil {
@@ -206,7 +168,7 @@ func TestFleetReroutesAroundDeadNode(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	kill[1]()
+	lb.Kill(1)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()

@@ -1,11 +1,14 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
+	"time"
 )
 
 // API wire types.
@@ -173,6 +176,60 @@ func NewHandler(s *Scheduler) http.Handler {
 		opt.Donors = dx
 	}
 	return NewAPIHandler(s, opt)
+}
+
+// Serve is a daemon's serve loop. It serves h on addr until ctx is
+// done, then drains (drain gets drainTimeout), shuts the server down,
+// giving in-flight responses up to five seconds to finish, and logs the
+// exit; name prefixes the log lines. It returns nil only after Shutdown
+// has returned. A listen failure returns at once. verbose logs every
+// request.
+func Serve(ctx context.Context, name, addr string, h http.Handler, drain func(context.Context) error, drainTimeout time.Duration, verbose bool) error {
+	if verbose {
+		inner := h
+		h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			start := time.Now()
+			inner.ServeHTTP(w, r)
+			log.Printf("%s %s (%.1fms)", r.Method, r.URL.Path, float64(time.Since(start).Microseconds())/1000)
+		})
+	}
+	srv := &http.Server{
+		Addr:    addr,
+		Handler: h,
+		// A client that stalls mid-headers or parks an idle connection
+		// must not wedge the daemon (the default is no timeout at all).
+		// WriteTimeout and ReadTimeout stay 0 on purpose:
+		// /v1/batches/{id}/events streams NDJSON for as long as a batch
+		// runs, and either deadline would sever live streams (ReadTimeout
+		// trips the server's background read mid-handler). Slow-loris
+		// headers are bounded by ReadHeaderTimeout and parked keep-alive
+		// connections by IdleTimeout.
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.ListenAndServe() }()
+	select {
+	case err := <-served:
+		return err // never nil: the listener failed before any shutdown
+	case <-ctx.Done():
+	}
+	log.Printf("%s: signal received, draining (timeout %s)", name, drainTimeout)
+	// ctx is done by now; the drain and the grace get their own deadlines.
+	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), drainTimeout)
+	defer cancel()
+	if err := drain(dctx); err != nil {
+		log.Printf("%s: drain incomplete: %v", name, err)
+	}
+	// In-flight streams flush during Shutdown's grace window.
+	sctx, cancel2 := context.WithTimeout(context.WithoutCancel(ctx), 5*time.Second)
+	defer cancel2()
+	srv.Shutdown(sctx)
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	log.Printf("%s: drained, exiting", name)
+	return nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
