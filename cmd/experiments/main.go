@@ -11,7 +11,7 @@
 //
 // -list prints every valid -figure name with a one-line description and
 // exits. -commit restricts the commit-policies ablation to a subset of
-// the registered policies (rob, checkpoint, adaptive, oracle).
+// the policies (rob, checkpoint, adaptive, oracle).
 //
 // Figures 9 and 11 share their simulation runs, as in the paper. Every
 // figure executes through the internal/sim worker pool: -parallel N
@@ -92,7 +92,7 @@ type jsonRecord struct {
 
 func main() {
 	figure := flag.String("figure", "all", "which figure to regenerate (see -list)")
-	commit := flag.String("commit", "", "comma-separated commit policies for the commit-policies ablation (default: all registered)")
+	commit := flag.String("commit", "", "comma-separated commit policies for the commit-policies ablation (default: all)")
 	insts := flag.Uint64("insts", experiments.DefaultInsts, "committed instructions per configuration point")
 	seed := flag.Uint64("seed", 42, "workload seed")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "simulation worker-pool size")

@@ -103,11 +103,6 @@ func main() {
 			cfg.AdaptiveConfidenceThreshold = *confThreshold
 		case config.CommitOracle:
 			cfg = config.OracleDefault()
-		default:
-			// A policy registered without CLI wiring: surface it rather
-			// than silently building the wrong machine.
-			fmt.Fprintf(os.Stderr, "commit policy %q has no flag mapping; use -config FILE\n", mode)
-			os.Exit(2)
 		}
 		cfg.MemoryLatency = *mem
 		cfg.PerfectL2 = *perfectL2

@@ -11,10 +11,9 @@ import (
 )
 
 // CommitMode names the retirement mechanism (the commit policy) of the
-// simulated processor. It is the string key of the commit-policy
-// registry: the wire form, the fingerprint component, and the -commit
-// CLI value are all this name. See policy.go for the registered
-// policies and their parameter-block contracts.
+// simulated processor: the wire form, the fingerprint component, and
+// the -commit CLI value are all this name. See policy.go for the list
+// of policies (CommitModes) and their parameter-block contracts.
 type CommitMode string
 
 const (
@@ -368,11 +367,18 @@ func (c Config) Validate() error {
 		add("instruction queues must have at least one entry (int %d, fp %d)",
 			c.IntQueueEntries, c.FPQueueEntries)
 	}
-	// Per-policy validation: the registered commit policy checks its own
+	// Per-policy validation: the selected commit policy checks its own
 	// parameter block and rejects the blocks it ignores (see policy.go).
-	if spec, ok := commitPolicySpecs[c.Commit]; ok {
-		spec.validate(c, add)
-	} else {
+	switch c.Commit {
+	case CommitROB:
+		validateROB(c, add)
+	case CommitCheckpoint:
+		validateCheckpoint(c, add)
+	case CommitAdaptive:
+		validateAdaptive(c, add)
+	case CommitOracle:
+		validateOracle(c, add)
+	default:
 		add("unknown commit policy %q (valid: %s)", string(c.Commit), commitModeList())
 	}
 	for name, fc := range map[string]FUConfig{

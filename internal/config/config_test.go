@@ -171,27 +171,15 @@ func TestCommitModeString(t *testing.T) {
 }
 
 func TestCommitPolicyRegistry(t *testing.T) {
-	infos := CommitPolicies()
-	if len(infos) != 4 {
-		t.Fatalf("registered %d policies, want 4", len(infos))
-	}
-	want := []CommitMode{CommitROB, CommitCheckpoint, CommitAdaptive, CommitOracle}
-	for i, info := range infos {
-		if info.Mode != want[i] {
-			t.Errorf("policy %d = %q, want %q", i, info.Mode, want[i])
-		}
-		if info.Summary == "" {
-			t.Errorf("policy %q has no summary", info.Mode)
-		}
-		if !KnownCommitMode(info.Mode) {
-			t.Errorf("KnownCommitMode(%q) = false", info.Mode)
-		}
+	want := [...]CommitMode{CommitROB, CommitCheckpoint, CommitAdaptive, CommitOracle}
+	if CommitModes != want {
+		t.Fatalf("CommitModes = %v, want %v", CommitModes, want)
 	}
 	if _, err := ParseCommitMode("adaptive"); err != nil {
 		t.Errorf("ParseCommitMode(adaptive): %v", err)
 	}
 	if _, err := ParseCommitMode("warp"); err == nil {
-		t.Error("ParseCommitMode accepted an unregistered policy")
+		t.Error("ParseCommitMode accepted an unknown policy")
 	} else if !strings.Contains(err.Error(), "oracle") {
 		t.Errorf("error should list valid policies: %v", err)
 	}

@@ -4,21 +4,22 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 )
 
-// MarshalJSON encodes the commit mode as its registry name ("rob",
-// "checkpoint", "adaptive", "oracle"). Unregistered names are rejected
-// so an invalid policy can never acquire a canonical form (and thus a
-// cache fingerprint).
+// MarshalJSON encodes the commit mode as its name ("rob",
+// "checkpoint", "adaptive", "oracle"). Names outside CommitModes are
+// rejected so an invalid policy can never acquire a canonical form (and
+// thus a cache fingerprint).
 func (m CommitMode) MarshalJSON() ([]byte, error) {
-	if !KnownCommitMode(m) {
+	if !slices.Contains(CommitModes[:], m) {
 		return nil, fmt.Errorf("config: cannot encode unknown commit policy %q", string(m))
 	}
 	return json.Marshal(string(m))
 }
 
 // UnmarshalJSON implements json.Unmarshaler for the string form,
-// validated against the policy registry.
+// validated against CommitModes.
 func (m *CommitMode) UnmarshalJSON(data []byte) error {
 	var s string
 	if err := json.Unmarshal(data, &s); err != nil {

@@ -2,14 +2,14 @@ package config
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
-// This file is the config half of the commit-policy registry: each
-// policy declares which parameter blocks of Config it reads and how to
-// validate them. The other half — the retirement engines themselves —
-// lives in internal/core (core.RegisterCommitPolicy); a core test
-// cross-checks that both registries agree.
+// This file holds the commit policies' parameter-block contracts:
+// which blocks of Config each policy reads and how to validate them.
+// Adding a policy means one CommitModes entry here, one case in
+// Config.Validate and one in internal/core's newPolicy.
 //
 // The contract mirrors trace.Recipe's "identical workloads must
 // fingerprint identically" rule from the simulation service: a
@@ -17,90 +17,25 @@ import (
 // configurations that compute the same thing would hash to different
 // content addresses and the result cache would never dedupe them.
 
-// CommitPolicyInfo describes one registered commit policy for CLIs and
-// error messages.
-type CommitPolicyInfo struct {
-	// Mode is the registry key: the wire name of the policy.
-	Mode CommitMode
-	// Summary is a one-line description for -commit usage text.
-	Summary string
-}
-
-// commitPolicySpec couples the public info with the policy's
-// parameter-block validation.
-type commitPolicySpec struct {
-	info CommitPolicyInfo
-	// validate checks the policy's own parameter block and rejects the
-	// blocks it ignores, reporting problems through add.
-	validate func(c Config, add func(format string, args ...any))
-}
-
-// commitPolicySpecs is keyed by CommitMode; commitPolicyOrder preserves
-// registration order for stable listings.
-var (
-	commitPolicySpecs = map[CommitMode]commitPolicySpec{}
-	commitPolicyOrder []CommitMode
-)
-
-func registerCommitPolicy(info CommitPolicyInfo, validate func(Config, func(string, ...any))) {
-	if _, dup := commitPolicySpecs[info.Mode]; dup {
-		panic(fmt.Sprintf("config: commit policy %q registered twice", info.Mode))
-	}
-	commitPolicySpecs[info.Mode] = commitPolicySpec{info: info, validate: validate}
-	commitPolicyOrder = append(commitPolicyOrder, info.Mode)
-}
-
-// CommitPolicies returns the registered commit policies in registration
-// order.
-func CommitPolicies() []CommitPolicyInfo {
-	out := make([]CommitPolicyInfo, 0, len(commitPolicyOrder))
-	for _, m := range commitPolicyOrder {
-		out = append(out, commitPolicySpecs[m].info)
-	}
-	return out
-}
-
-// KnownCommitMode reports whether m names a registered commit policy.
-func KnownCommitMode(m CommitMode) bool {
-	_, ok := commitPolicySpecs[m]
-	return ok
-}
+// CommitModes lists every commit policy in presentation order.
+var CommitModes = [...]CommitMode{CommitROB, CommitCheckpoint, CommitAdaptive, CommitOracle}
 
 // ParseCommitMode resolves a policy name from user input (flags, JSON).
 func ParseCommitMode(s string) (CommitMode, error) {
 	m := CommitMode(s)
-	if !KnownCommitMode(m) {
+	if !slices.Contains(CommitModes[:], m) {
 		return "", fmt.Errorf("config: unknown commit policy %q (valid: %s)", s, commitModeList())
 	}
 	return m, nil
 }
 
-// commitModeList renders the registered policy names for error messages.
+// commitModeList renders the policy names for error messages.
 func commitModeList() string {
-	names := make([]string, len(commitPolicyOrder))
-	for i, m := range commitPolicyOrder {
+	names := make([]string, len(CommitModes))
+	for i, m := range CommitModes {
 		names[i] = string(m)
 	}
 	return strings.Join(names, ", ")
-}
-
-func init() {
-	registerCommitPolicy(CommitPolicyInfo{
-		Mode:    CommitROB,
-		Summary: "conventional in-order retirement from a reorder buffer",
-	}, validateROB)
-	registerCommitPolicy(CommitPolicyInfo{
-		Mode:    CommitCheckpoint,
-		Summary: "the paper's out-of-order checkpoint commit (interval heuristics)",
-	}, validateCheckpoint)
-	registerCommitPolicy(CommitPolicyInfo{
-		Mode:    CommitAdaptive,
-		Summary: "checkpoint commit with confidence-driven checkpoint placement",
-	}, validateAdaptive)
-	registerCommitPolicy(CommitPolicyInfo{
-		Mode:    CommitOracle,
-		Summary: "unbounded-window in-order retirement (limit-study baseline)",
-	}, validateOracle)
 }
 
 // ---- per-policy validation ----

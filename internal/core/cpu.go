@@ -111,23 +111,21 @@ type CPU struct {
 	knownBranch []bool
 
 	// Counters.
-	inflight          int
-	liveFPLong        int
-	liveFPShort       int
-	sumInflight       uint64
-	maxInflight       int
-	committed         uint64
-	fetched           uint64
-	dispatched        uint64
-	issued            uint64
-	replayed          uint64
-	rollbacks         uint64
-	probRecoveries    uint64
-	ckptStallCycles   uint64
-	renameStallCycles uint64
-	retire            stats.Breakdown
-	occ               *stats.Occupancy
-	stalls            dispatchStalls
+	inflight        int
+	liveFPLong      int
+	liveFPShort     int
+	sumInflight     uint64
+	maxInflight     int
+	committed       uint64
+	fetched         uint64
+	dispatched      uint64
+	issued          uint64
+	replayed        uint64
+	rollbacks       uint64
+	probRecoveries  uint64
+	ckptStallCycles uint64
+	retire          stats.Breakdown
+	occ             *stats.Occupancy
 	// policyActivity counts commit-policy state changes that move no
 	// other CPU counter (today: checkpoint takes). The clock skip's
 	// quiescence probe watches it so two outwardly identical stall
@@ -169,24 +167,16 @@ type CPU struct {
 // signature unchanged, diffed at the next cycle's end — the diff is
 // then exactly that one cycle's footprint.
 type skipSnap struct {
-	fetched, dispatched, issued, committed        uint64
-	replayed, rollbacks, probRecoveries           uint64
-	exceptions, policyActivity, nextSeq           uint64
-	wpCounter, renameStallCycles, ckptStallCycles uint64
-	inflight, liveFPLong, liveFPShort             int
-	lastCommitCycle, fetchResumeAt, fetchPos      int64
-	wheelLen                                      int
-	retire                                        stats.Breakdown
-	stalls                                        dispatchStalls
-	sliq                                          queue.SLIQStats
-	mem                                           mem.HierarchyStats
-}
-
-// dispatchStalls breaks down why dispatch groups ended early (counted
-// per rejected instruction attempt).
-type dispatchStalls struct {
-	ROB, IQ, LSQ, Rename, Ckpt, VTag uint64
-	FetchGate                        uint64 // cycles the front end was redirected/stalled
+	fetched, dispatched, issued, committed   uint64
+	replayed, rollbacks, probRecoveries      uint64
+	exceptions, policyActivity, nextSeq      uint64
+	wpCounter, ckptStallCycles               uint64
+	inflight, liveFPLong, liveFPShort        int
+	lastCommitCycle, fetchResumeAt, fetchPos int64
+	wheelLen                                 int
+	retire                                   stats.Breakdown
+	sliq                                     queue.SLIQStats
+	mem                                      mem.HierarchyStats
 }
 
 // New builds a CPU for the given configuration and workload, warming
@@ -468,13 +458,7 @@ func newCPU(cfg config.Config, tr *trace.Trace, hier *mem.Hierarchy, arena *Aren
 		}
 	}
 
-	build, ok := commitPolicyFactories[cfg.Commit]
-	if !ok {
-		// Validate already guards this; a policy registered in config
-		// but not in core is a wiring bug worth a clear error.
-		return nil, fmt.Errorf("core: no commit policy registered for %q", cfg.Commit)
-	}
-	c.policy = build(c)
+	c.policy = newPolicy(c)
 	if cfg.VirtualRegisters {
 		c.vt = vreg.New(cfg.VirtualTags, cfg.PhysRegs, isa.NumLogical)
 		// prevProd links outlive commit in this mode; records must not
@@ -677,12 +661,11 @@ func (c *CPU) snapSkip() {
 	s.fetched, s.dispatched, s.issued, s.committed = c.fetched, c.dispatched, c.issued, c.committed
 	s.replayed, s.rollbacks, s.probRecoveries = c.replayed, c.rollbacks, c.probRecoveries
 	s.exceptions, s.policyActivity, s.nextSeq = c.exceptions, c.policyActivity, c.nextSeq
-	s.wpCounter, s.renameStallCycles, s.ckptStallCycles = c.wpCounter, c.renameStallCycles, c.ckptStallCycles
+	s.wpCounter, s.ckptStallCycles = c.wpCounter, c.ckptStallCycles
 	s.inflight, s.liveFPLong, s.liveFPShort = c.inflight, c.liveFPLong, c.liveFPShort
 	s.lastCommitCycle, s.fetchResumeAt, s.fetchPos = c.lastCommitCycle, c.fetchResumeAt, c.fetchPos
 	s.wheelLen = c.completions.Len()
 	s.retire = c.retire
-	s.stalls = c.stalls
 	if c.sliq != nil {
 		s.sliq = c.sliq.Stats()
 	}
@@ -804,7 +787,7 @@ func (c *CPU) maybeSkip(maxCycles, watchdog int64) {
 			// because Nops skip the rename check and would otherwise
 			// stall on a different counter than destination-carrying
 			// ops.
-			if c.stalls.Ckpt == s.stalls.Ckpt &&
+			if c.ckptStallCycles == s.ckptStallCycles &&
 				!(c.intQ.Full() && c.rt.FreeCount() > 0) {
 				return
 			}
@@ -813,7 +796,7 @@ func (c *CPU) maybeSkip(maxCycles, watchdog int64) {
 		// Synthetic stream: a checkpoint-table stall (Admit rejects
 		// every op alike), an empty rename free list (every synthetic
 		// op carries a destination), or both issue queues full.
-		if c.stalls.Ckpt == s.stalls.Ckpt && c.rt.FreeCount() > 0 &&
+		if c.ckptStallCycles == s.ckptStallCycles && c.rt.FreeCount() > 0 &&
 			!(c.intQ.Full() && c.fpQ.Full()) {
 			return
 		}
@@ -832,27 +815,9 @@ func (c *CPU) maybeSkip(maxCycles, watchdog int64) {
 	// Replicate the probe's footprint once per elided cycle (deltas are
 	// read into locals before the counters move).
 	dWp := c.wpCounter - s.wpCounter
-	dRename := c.renameStallCycles - s.renameStallCycles
 	dCkpt := c.ckptStallCycles - s.ckptStallCycles
-	d := dispatchStalls{
-		ROB:       c.stalls.ROB - s.stalls.ROB,
-		IQ:        c.stalls.IQ - s.stalls.IQ,
-		LSQ:       c.stalls.LSQ - s.stalls.LSQ,
-		Rename:    c.stalls.Rename - s.stalls.Rename,
-		Ckpt:      c.stalls.Ckpt - s.stalls.Ckpt,
-		VTag:      c.stalls.VTag - s.stalls.VTag,
-		FetchGate: c.stalls.FetchGate - s.stalls.FetchGate,
-	}
 	c.wpCounter += uk * dWp
-	c.renameStallCycles += uk * dRename
 	c.ckptStallCycles += uk * dCkpt
-	c.stalls.ROB += uk * d.ROB
-	c.stalls.IQ += uk * d.IQ
-	c.stalls.LSQ += uk * d.LSQ
-	c.stalls.Rename += uk * d.Rename
-	c.stalls.Ckpt += uk * d.Ckpt
-	c.stalls.VTag += uk * d.VTag
-	c.stalls.FetchGate += uk * d.FetchGate
 	if fetchProbes > 0 {
 		c.hier.ReplayFetchHits(uk * fetchProbes)
 	}

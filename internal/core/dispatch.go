@@ -17,7 +17,6 @@ func (c *CPU) dispatchStage() {
 		c.drainSLIQ()
 	}
 	if c.now < c.fetchResumeAt {
-		c.stalls.FetchGate++
 		return
 	}
 
@@ -87,8 +86,6 @@ func (c *CPU) tryDispatch(inst isa.Inst, pos int64, wrongPath bool) bool {
 	if inst.Op.HasDest() {
 		if c.vt != nil {
 			if !c.vt.TryRename() {
-				c.renameStallCycles++
-				c.stalls.VTag++
 				c.resourceStalled = true
 				return false
 			}
@@ -97,8 +94,6 @@ func (c *CPU) tryDispatch(inst isa.Inst, pos int64, wrongPath bool) bool {
 			if c.vt != nil {
 				c.vt.UnRename()
 			}
-			c.renameStallCycles++
-			c.stalls.Rename++
 			c.resourceStalled = true
 			return false
 		}
@@ -112,7 +107,6 @@ func (c *CPU) tryDispatch(inst isa.Inst, pos int64, wrongPath bool) bool {
 			if inst.Op.HasDest() && c.vt != nil {
 				c.vt.UnRename()
 			}
-			c.stalls.IQ++
 			return false
 		}
 	}
@@ -120,7 +114,6 @@ func (c *CPU) tryDispatch(inst isa.Inst, pos int64, wrongPath bool) bool {
 		if inst.Op.HasDest() && c.vt != nil {
 			c.vt.UnRename()
 		}
-		c.stalls.LSQ++
 		c.resourceStalled = true
 		return false
 	}

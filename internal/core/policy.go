@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/checkpoint"
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/rename"
@@ -38,9 +39,6 @@ type CommitPolicy interface {
 	// AllocateDest renames the destination register under the policy's
 	// freeing discipline (deferred Future Free vs. free-at-commit).
 	AllocateDest(dest isa.Reg) (phys, prev rename.PhysReg, ok bool)
-	// UnwindDest reverses AllocateDest for one squashed instruction
-	// during a per-instruction recovery walk (reverse program order).
-	UnwindDest(d *DynInst)
 	// Dispatched records a successfully dispatched instruction into the
 	// retirement structure. It runs after branch resolution bookkeeping,
 	// so d.Mispredicted is already final.
@@ -83,70 +81,23 @@ type CommitPolicy interface {
 	DebugState() string
 }
 
-// commitPolicyFactories is the core half of the commit-policy registry
-// (the config half validates parameter blocks — config.CommitPolicies).
-// Factories run at the end of CPU construction: the shared machinery is
-// built, the policy adds its own.
-var commitPolicyFactories = map[config.CommitMode]func(*CPU) CommitPolicy{}
-
-// RegisterCommitPolicy installs a policy factory under its config mode.
-// Built-in policies register from init; an external experiment can
-// register its own before building CPUs.
-func RegisterCommitPolicy(mode config.CommitMode, build func(*CPU) CommitPolicy) {
-	if _, dup := commitPolicyFactories[mode]; dup {
-		panic(fmt.Sprintf("core: commit policy %q registered twice", mode))
+// newPolicy builds the retirement engine cfg.Commit selects. It runs at
+// the end of CPU construction: the shared machinery is built, the policy
+// adds its own. Validate has already rejected any other mode.
+func newPolicy(c *CPU) CommitPolicy {
+	switch c.cfg.Commit {
+	case config.CommitROB:
+		return newInOrderPolicy(c, c.cfg.ROBEntries, c.cfg.CommitWidth)
+	case config.CommitCheckpoint:
+		return newCheckpointPolicy(c, checkpoint.Policy{
+			BranchInterval: c.cfg.CheckpointBranchInterval,
+			MaxInterval:    c.cfg.CheckpointMaxInterval,
+			MaxStores:      c.cfg.CheckpointMaxStores,
+		})
+	case config.CommitAdaptive:
+		return newAdaptivePolicy(c)
+	case config.CommitOracle:
+		return newInOrderPolicy(c, 0, 0)
 	}
-	commitPolicyFactories[mode] = build
-}
-
-// RegisteredCommitPolicies returns the modes with a core factory (test
-// cross-check against the config registry).
-func RegisteredCommitPolicies() []config.CommitMode {
-	out := make([]config.CommitMode, 0, len(commitPolicyFactories))
-	for m := range commitPolicyFactories {
-		out = append(out, m)
-	}
-	return out
-}
-
-// masterList is a grow-only, seq-ordered list of in-flight instructions
-// with amortised O(1) front/back removal. The checkpoint family uses it
-// as the simulator-side record of the in-flight window (the hardware
-// has no such structure; the simulator needs it to find squash victims
-// and retire windows); the oracle policy uses it as the unbounded
-// window itself.
-type masterList struct {
-	items []*DynInst
-	head  int
-}
-
-func (m *masterList) push(d *DynInst) { m.items = append(m.items, d) }
-func (m *masterList) len() int        { return len(m.items) - m.head }
-func (m *masterList) front() *DynInst {
-	if m.len() == 0 {
-		return nil
-	}
-	return m.items[m.head]
-}
-func (m *masterList) back() *DynInst {
-	if m.len() == 0 {
-		return nil
-	}
-	return m.items[len(m.items)-1]
-}
-func (m *masterList) popFront() *DynInst {
-	d := m.items[m.head]
-	m.items[m.head] = nil
-	m.head++
-	if m.head > 4096 && m.head*2 > len(m.items) {
-		m.items = append(m.items[:0], m.items[m.head:]...)
-		m.head = 0
-	}
-	return d
-}
-func (m *masterList) popBack() *DynInst {
-	d := m.items[len(m.items)-1]
-	m.items[len(m.items)-1] = nil
-	m.items = m.items[:len(m.items)-1]
-	return d
+	panic(fmt.Sprintf("core: unknown commit policy %q", c.cfg.Commit))
 }

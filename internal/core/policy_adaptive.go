@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/branch"
 	"repro/internal/checkpoint"
-	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/stats"
 )
@@ -35,30 +34,30 @@ type adaptivePolicy struct {
 	branchCkpts      uint64 // checkpoints placed immediately before a branch
 }
 
-func init() {
-	RegisterCommitPolicy(config.CommitAdaptive, func(c *CPU) CommitPolicy {
-		base := newCheckpointPolicy(c, checkpoint.Policy{
-			// The fixed branch-interval rule is replaced by the
-			// confidence rule; setting it to the max interval makes the
-			// table's branch clause redundant with the unconditional one.
-			BranchInterval: c.cfg.CheckpointMaxInterval,
-			MaxInterval:    c.cfg.CheckpointMaxInterval,
-			MaxStores:      c.cfg.CheckpointMaxStores,
-		})
-		// Sampled runs thread one confidence estimator through every
-		// window (c.sampleConf); outside them each CPU builds its own.
-		conf := c.sampleConf
-		if conf == nil {
-			conf = branch.NewConfidence(c.cfg.AdaptiveConfidenceBits, c.cfg.AdaptiveConfidenceMax)
-		}
-		a := &adaptivePolicy{
-			checkpointPolicy: base,
-			conf:             conf,
-			threshold:        uint8(c.cfg.AdaptiveConfidenceThreshold),
-		}
-		base.takeRule = a.shouldTakeAdaptive
-		return a
+// newAdaptivePolicy builds the checkpoint-commit machinery with the
+// confidence rule installed as its checkpoint-taking decision.
+func newAdaptivePolicy(c *CPU) *adaptivePolicy {
+	base := newCheckpointPolicy(c, checkpoint.Policy{
+		// The fixed branch-interval rule is replaced by the confidence
+		// rule; setting it to the max interval makes the table's branch
+		// clause redundant with the unconditional one.
+		BranchInterval: c.cfg.CheckpointMaxInterval,
+		MaxInterval:    c.cfg.CheckpointMaxInterval,
+		MaxStores:      c.cfg.CheckpointMaxStores,
 	})
+	// Sampled runs thread one confidence estimator through every
+	// window (c.sampleConf); outside them each CPU builds its own.
+	conf := c.sampleConf
+	if conf == nil {
+		conf = branch.NewConfidence(c.cfg.AdaptiveConfidenceBits, c.cfg.AdaptiveConfidenceMax)
+	}
+	a := &adaptivePolicy{
+		checkpointPolicy: base,
+		conf:             conf,
+		threshold:        uint8(c.cfg.AdaptiveConfidenceThreshold),
+	}
+	base.takeRule = a.shouldTakeAdaptive
+	return a
 }
 
 // shouldTakeAdaptive is the confidence-driven taking rule. It keeps the

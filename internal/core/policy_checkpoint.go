@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/checkpoint"
-	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/queue"
 	"repro/internal/rename"
@@ -20,9 +19,11 @@ import (
 type checkpointPolicy struct {
 	c     *CPU
 	ckpts *checkpoint.Table
-	prob  *queue.Deque[*DynInst]
-	// master is the simulator-side in-flight list (not modelled HW).
-	master masterList
+	prob  queue.Deque[*DynInst]
+	// master is the simulator-side in-flight list (not modelled HW):
+	// the record of the in-flight window the simulator needs to find
+	// squash victims and retire windows.
+	master queue.Deque[*DynInst]
 
 	// SLIQ dependence mask over logical registers (paper section 3).
 	// maskOwnerSeq generation-checks the owner: a freed-and-reallocated
@@ -36,16 +37,6 @@ type checkpointPolicy struct {
 	// its confidence rule here). It must be side-effect-free: Admit can
 	// re-evaluate it for the same instruction across stall cycles.
 	takeRule func(inst isa.Inst) bool
-}
-
-func init() {
-	RegisterCommitPolicy(config.CommitCheckpoint, func(c *CPU) CommitPolicy {
-		return newCheckpointPolicy(c, checkpoint.Policy{
-			BranchInterval: c.cfg.CheckpointBranchInterval,
-			MaxInterval:    c.cfg.CheckpointMaxInterval,
-			MaxStores:      c.cfg.CheckpointMaxStores,
-		})
-	})
 }
 
 // newCheckpointPolicy builds the checkpoint-commit machinery, including
@@ -97,7 +88,6 @@ func (p *checkpointPolicy) Admit(inst isa.Inst, pos int64) bool {
 	}
 	if p.ckpts.Full() {
 		c.ckptStallCycles++
-		c.stalls.Ckpt++
 		return false
 	}
 	p.takeCheckpoint(pos)
@@ -131,7 +121,7 @@ func (p *checkpointPolicy) takeCheckpoint(pos int64) {
 // this is where the paper's delayed long-latency classification happens
 // (section 3).
 func (p *checkpointPolicy) MakeRoom() {
-	if p.prob.Full() {
+	if p.prob.Len() == p.c.cfg.PseudoROBEntries {
 		p.extractPseudoROB()
 	}
 }
@@ -142,12 +132,6 @@ func (p *checkpointPolicy) AllocateDest(dest isa.Reg) (rename.PhysReg, rename.Ph
 	return p.c.rt.Allocate(dest)
 }
 
-// UnwindDest reverses one checkpointed allocation (pseudo-ROB branch
-// recovery; valid because no checkpoint was taken after the allocation).
-func (p *checkpointPolicy) UnwindDest(d *DynInst) {
-	p.c.rt.UnwindCheckpointed(d.Inst.Dest, d.DestPhys, d.PrevPhys)
-}
-
 // Dispatched associates the instruction with the youngest checkpoint
 // and enters it into the pseudo-ROB and the master list. The exception
 // protocol's first pass arms here: the instruction raises when it
@@ -156,11 +140,12 @@ func (p *checkpointPolicy) Dispatched(d *DynInst) {
 	c := p.c
 	d.ckpt = p.ckpts.Youngest()
 	p.ckpts.Associate(d.ckpt, d.Inst.Op)
-	if !p.prob.PushBack(d) {
+	if p.prob.Len() >= c.cfg.PseudoROBEntries {
 		panic("core: pseudo-ROB full after extraction")
 	}
+	p.prob.PushBack(d)
 	d.inProb = true
-	p.master.push(d)
+	p.master.PushBack(d)
 	if c.exceptPhase(d.Pos) == 1 {
 		d.ExceptAt = true
 	}
@@ -207,7 +192,7 @@ func (p *checkpointPolicy) Commit() {
 	// End-of-program drain: the final window has no younger checkpoint
 	// to close it; retire it once every instruction has finished.
 	if c.fetchExhausted() && p.ckpts.Len() == 1 &&
-		p.ckpts.Oldest().Pending == 0 && p.master.len() > 0 {
+		p.ckpts.Oldest().Pending == 0 && p.master.Len() > 0 {
 		c.lq.DrainStoresBefore(c.nextSeq, c.hier.StoreCommit)
 		p.retireWindow(c.nextSeq)
 		c.lastCommitCycle = c.now
@@ -220,8 +205,8 @@ func (p *checkpointPolicy) Commit() {
 // everything else recycles now.
 func (p *checkpointPolicy) retireWindow(endSeq uint64) {
 	c := p.c
-	for p.master.len() > 0 && p.master.front().Seq < endSeq {
-		d := p.master.popFront()
+	for p.master.Len() > 0 && p.master.Front().Seq < endSeq {
+		d := p.master.PopFront()
 		switch {
 		case d.Squashed, d.WrongPath:
 			panic(fmt.Sprintf("core: dead instruction in committed window: %v", d))
@@ -277,7 +262,7 @@ func (p *checkpointPolicy) NextRetireEvent(now int64) int64 {
 		return now
 	}
 	if c.fetchExhausted() && p.ckpts.Len() == 1 &&
-		p.ckpts.Oldest().Pending == 0 && p.master.len() > 0 {
+		p.ckpts.Oldest().Pending == 0 && p.master.Len() > 0 {
 		return now
 	}
 	return -1
@@ -307,14 +292,10 @@ func (p *checkpointPolicy) ResolveMispredict(b *DynInst) {
 // the victims, and the CAM rename state unwinds per instruction.
 func (p *checkpointPolicy) pseudoROBRecovery(b *DynInst) {
 	c := p.c
-	for {
-		back, ok := p.prob.Back()
-		if !ok || back.Seq <= b.Seq {
-			break
-		}
-		d, _ := p.prob.PopBack()
+	for p.prob.Len() > 0 && p.prob.Back().Seq > b.Seq {
+		d := p.prob.PopBack()
 		d.inProb = false
-		m := p.master.popBack()
+		m := p.master.PopBack()
 		if m != d {
 			panic(fmt.Sprintf("core: pseudo-ROB/master desync: %v vs %v", d, m))
 		}
@@ -350,16 +331,11 @@ func (p *checkpointPolicy) rollbackToCheckpoint(target *checkpoint.Entry) {
 			d.inSLIQ = false
 		})
 	}
-	for {
-		back, ok := p.prob.Back()
-		if !ok || back.Seq < startSeq {
-			break
-		}
-		d, _ := p.prob.PopBack()
-		d.inProb = false
+	for p.prob.Len() > 0 && p.prob.Back().Seq >= startSeq {
+		p.prob.PopBack().inProb = false
 	}
-	for p.master.len() > 0 && p.master.back().Seq >= startSeq {
-		d := p.master.popBack()
+	for p.master.Len() > 0 && p.master.Back().Seq >= startSeq {
+		d := p.master.PopBack()
 		c.squashInst(d, false)
 	}
 	c.lq.SquashYounger(startSeq)
@@ -412,7 +388,7 @@ func (p *checkpointPolicy) DebugState() string {
 	if o := p.ckpts.Oldest(); o != nil {
 		s += fmt.Sprintf(" oldest{id=%d pending=%d insts=%d}", o.ID, o.Pending, o.Insts)
 	}
-	s += fmt.Sprintf(" prob=%d/%d", p.prob.Len(), p.prob.Cap())
+	s += fmt.Sprintf(" prob=%d/%d", p.prob.Len(), p.c.cfg.PseudoROBEntries)
 	if p.c.sliq != nil {
 		s += fmt.Sprintf(" sliq=%d/%d", p.c.sliq.Len(), p.c.sliq.Cap())
 	}

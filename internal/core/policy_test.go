@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/config"
@@ -8,9 +11,8 @@ import (
 	"repro/internal/trace"
 )
 
-// policyDefaultConfig returns the canonical configuration of a
-// registered commit policy (checkpoint-family sizes kept small for test
-// speed).
+// policyDefaultConfig returns the canonical configuration of a commit
+// policy (checkpoint-family sizes kept small for test speed).
 func policyDefaultConfig(t *testing.T, m config.CommitMode) config.Config {
 	t.Helper()
 	switch m {
@@ -27,32 +29,18 @@ func policyDefaultConfig(t *testing.T, m config.CommitMode) config.Config {
 	return config.Config{}
 }
 
-// TestCommitPolicyRegistriesAgree cross-checks the two halves of the
-// policy registry: every policy config validates must be constructible
-// by core, and every core factory must be validatable by config. A CPU
-// is built and briefly run for each to prove the factory wiring.
-func TestCommitPolicyRegistriesAgree(t *testing.T) {
-	coreModes := map[config.CommitMode]bool{}
-	for _, m := range RegisteredCommitPolicies() {
-		coreModes[m] = true
-	}
-	infos := config.CommitPolicies()
-	if len(infos) != len(coreModes) {
-		t.Errorf("config registers %d policies, core %d", len(infos), len(coreModes))
-	}
+// TestEveryCommitPolicyRuns builds and briefly runs a CPU for every
+// policy config lists, proving each has a retirement engine in core.
+func TestEveryCommitPolicyRuns(t *testing.T) {
 	tr := trace.FPMix(trace.LenFor(5000), 42)
-	for _, info := range infos {
-		if !coreModes[info.Mode] {
-			t.Errorf("policy %q registered in config but not in core", info.Mode)
-			continue
-		}
-		cpu, err := New(policyDefaultConfig(t, info.Mode), tr)
+	for _, m := range config.CommitModes {
+		cpu, err := New(policyDefaultConfig(t, m), tr)
 		if err != nil {
-			t.Errorf("%s: %v", info.Mode, err)
+			t.Errorf("%s: %v", m, err)
 			continue
 		}
 		if res := cpu.Run(RunOptions{MaxInsts: 5000}); res.Committed < 5000 {
-			t.Errorf("%s: committed %d < 5000 (%s)", info.Mode, res.Committed, cpu.debugState())
+			t.Errorf("%s: committed %d < 5000 (%s)", m, res.Committed, cpu.debugState())
 		}
 	}
 }
@@ -91,6 +79,37 @@ func TestOracleIsUpperBound(t *testing.T) {
 	}
 	if oracle.Policy["oracle.max_retire_burst"] == 0 {
 		t.Error("oracle retire-burst counter missing")
+	}
+}
+
+// TestInOrderRetirement checks the one in-order policy in both of its
+// forms. Bounded, the window fills to exactly its capacity on a
+// memory-bound stream and never retires more than CommitWidth a cycle.
+// Unbounded (the oracle), a single cycle retires more than any commit
+// width once a slow head finishes.
+func TestInOrderRetirement(t *testing.T) {
+	tr := trace.StridedStream(60000, 8)
+	for _, n := range []int{8, 32, 128} {
+		cfg := config.BaselineSized(n)
+		cpu, err := New(cfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := cpu.Run(RunOptions{MaxInsts: 30000})
+		if res.MaxInflight != cfg.ROBEntries {
+			t.Errorf("rob-%d: max in flight %d, want the full window %d", n, res.MaxInflight, cfg.ROBEntries)
+		}
+		if burst := cpu.policy.(*inOrderPolicy).maxBurst; burst == 0 || burst > uint64(cfg.CommitWidth) {
+			t.Errorf("rob-%d: largest retirement %d per cycle, want 1..%d", n, burst, cfg.CommitWidth)
+		}
+		if res.Policy != nil {
+			t.Errorf("rob-%d: the bounded window reports policy counters %v", n, res.Policy)
+		}
+	}
+	oracle := mustRun(t, config.OracleDefault(), rollbackHeavyTrace(60000), 30000)
+	width := uint64(config.BaselineSized(128).CommitWidth)
+	if burst := oracle.Policy["oracle.max_retire_burst"]; burst <= width {
+		t.Errorf("oracle: largest retirement %d per cycle, want more than commit width %d", burst, width)
 	}
 }
 
@@ -335,6 +354,70 @@ func TestPolicyCountersMerge(t *testing.T) {
 	for k, w := range want {
 		if sum.Policy[k] != w {
 			t.Errorf("%s: merged %d, want %d", k, sum.Policy[k], w)
+		}
+	}
+}
+
+// TestCommitPoliciesPinned pins the result bytes of every commit policy
+// on a rollback-heavy synthetic mix and a real program: the SHA-256 of
+// each run's JSON encoding. The hashes were computed on the tree that
+// still had separate ROB and oracle policies, before they were merged
+// into one in-order policy, so the merge (and any later change to
+// retirement) must reproduce them byte for byte. Occupancy collection
+// pins each policy's OccupancyBound through the histogram length:
+// bounded for rob, unbounded for oracle.
+func TestCommitPoliciesPinned(t *testing.T) {
+	want := map[string]string{
+		"rob-32/rollback-heavy":            "24ef095fc3a018810db3fcb1ccfae0987b5055134752bde50022ea9b92e27b2c",
+		"rob-32/isort":                     "bb49be9ed507ab05497a18be9d31e56cb9dd14f4a0f4c9670136a25f66f8626b",
+		"rob-128/rollback-heavy":           "e16b9d64c0ca074abec15712583a7d2863dff4100b8e038579770f1c012dc6f1",
+		"rob-128/isort":                    "292cecd5c936fd022164f294d09046c0f399530ba4cf7bb06b3b3a3d390390b4",
+		"checkpoint-64/512/rollback-heavy": "b4cec866799e4484d9911693fb65f31b58b8ddaa3a0b9b2661c193b50f05820a",
+		"checkpoint-64/512/isort":          "4e087216819374f060606a9ecbfcc4fac3b835b6c2b33b77c3da090eadcf9839",
+		"adaptive-64/512/rollback-heavy":   "64b04d6c448bc315d22e1bf2945a96e2b22dd5be98ddbc95f128b52766b2b198",
+		"adaptive-64/512/isort":            "0ac4856dec9753803da55c5b2ec0b4a0eb71f6662e032398fe58069ee4280622",
+		"oracle/rollback-heavy":            "7ec1e050e723629f6ed1f89203edffda73c040d7c1850a6384fcdd616224d8e2",
+		"oracle/isort":                     "12c38a4d8b198896b8b10399d07a283b1dbf5d123c2afbfcb6168e5e9980ec78",
+	}
+	traces := []struct {
+		name string
+		tr   *trace.Trace
+	}{
+		{"rollback-heavy", rollbackHeavyTrace(60000)},
+		{"isort", programTrace(t, "isort", 400)},
+	}
+	for _, pc := range []struct {
+		name   string
+		cfg    config.Config
+		except bool
+	}{
+		{"rob-32", config.BaselineSized(32), false},
+		{"rob-128", config.BaselineSized(128), false},
+		{"checkpoint-64/512", config.CheckpointDefault(64, 512), true},
+		{"adaptive-64/512", config.AdaptiveDefault(64, 512), false},
+		{"oracle", config.OracleDefault(), false},
+	} {
+		for _, tc := range traces {
+			name := pc.name + "/" + tc.name
+			cpu, err := New(pc.cfg, tc.tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pc.except {
+				cpu.InjectExceptionAt(5000)
+			}
+			res := cpu.Run(RunOptions{MaxInsts: 30000, CollectOccupancy: true})
+			if pc.except && cpu.Exceptions() != 1 {
+				t.Errorf("%s: delivered %d exceptions, want 1", name, cpu.Exceptions())
+			}
+			raw, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(raw)
+			if got := hex.EncodeToString(sum[:]); got != want[name] {
+				t.Errorf("%s: result hash %s, want %s", name, got, want[name])
+			}
 		}
 	}
 }

@@ -20,9 +20,9 @@ func TestMain(m *testing.M) {
 }
 
 // TestAllocsPerCommittedInstruction pins the simulator's steady-state
-// allocation rate on both commit modes: at most one heap allocation per
-// committed instruction, amortising CPU construction over the run. The
-// hot path is designed to allocate nothing per instruction (pooled
+// allocation rate on every commit policy: at most one heap allocation
+// per committed instruction, amortising CPU construction over the run.
+// The hot path is designed to allocate nothing per instruction (pooled
 // DynInsts, intrusive issue-queue entries, recycled LSQ/SLIQ entries);
 // the budget of 1 leaves room for structure growth, checkpoint
 // snapshots, and forward-wait closures. This is the PR-3 regression
@@ -39,6 +39,8 @@ func TestAllocsPerCommittedInstruction(t *testing.T) {
 	}{
 		{"rob", config.BaselineSized(128)},
 		{"checkpoint", config.CheckpointDefault(128, 2048)},
+		{"adaptive", config.AdaptiveDefault(128, 2048)},
+		{"oracle", config.OracleDefault()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var committed uint64

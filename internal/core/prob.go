@@ -14,10 +14,7 @@ import (
 // issue queue into the SLIQ. Records whose window already committed are
 // recycled once classified (see retireWindow).
 func (p *checkpointPolicy) extractPseudoROB() {
-	d, ok := p.prob.PopFront()
-	if !ok {
-		return
-	}
+	d := p.prob.PopFront()
 	d.inProb = false
 	p.classifyExtract(d)
 	if d.Retired {

@@ -67,7 +67,7 @@ func (c *CPU) squashInst(d *DynInst, unwindRename bool) {
 			c.sliq.TriggerReady(d.DestPhys, c.now)
 		}
 		if unwindRename {
-			c.policy.UnwindDest(d)
+			c.rt.Unwind(d.Inst.Dest, d.DestPhys, d.PrevPhys)
 		}
 		c.regReady[d.DestPhys] = false
 		c.longTaint[d.DestPhys] = false

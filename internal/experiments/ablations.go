@@ -65,7 +65,7 @@ func (o Options) sweepSuite(ctx context.Context, title string, variants []varian
 	return res, nil
 }
 
-// AblationCommitPolicies compares every registered commit policy on the
+// AblationCommitPolicies compares every commit policy on the
 // figure-9 workload set: the conventional baseline at realisable (128)
 // and unrealisable (4096) sizes, the paper's checkpointed commit, the
 // adaptive-confidence variant, and the unbounded-window oracle limit.

@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
+	"repro/internal/queue"
 )
 
 // Kind distinguishes queue entries.
@@ -65,11 +66,10 @@ type Stats struct {
 // order.
 type LSQ struct {
 	capacity int
-	// entries[head:] are the resident entries, oldest first. Commit pops
-	// the old end and rollback the young end, moving no survivor;
-	// popOldest compacts once the dead prefix outgrows the live part.
-	entries []*Entry
-	head    int
+	// entries are the resident entries, oldest first: commit pops the
+	// front and rollback the back. The ring is sized to the capacity at
+	// construction, so it never grows.
+	entries queue.Deque[*Entry]
 	// stores maps an effective address to its youngest resident store;
 	// older stores to the same address chain behind it via olderSame.
 	stores storeIndex
@@ -82,30 +82,17 @@ func New(capacity int) *LSQ {
 	if capacity < 1 {
 		panic(fmt.Sprintf("lsq: capacity %d < 1", capacity))
 	}
-	return &LSQ{capacity: capacity}
+	return &LSQ{capacity: capacity, entries: queue.NewDeque[*Entry](capacity)}
 }
 
 // Cap returns the capacity.
 func (q *LSQ) Cap() int { return q.capacity }
 
 // Len returns the number of resident entries.
-func (q *LSQ) Len() int { return len(q.entries) - q.head }
+func (q *LSQ) Len() int { return q.entries.Len() }
 
 // Full reports whether the queue is at capacity.
 func (q *LSQ) Full() bool { return q.Len() >= q.capacity }
-
-// popOldest removes the oldest resident entry from the queue (the
-// caller recycles it).
-func (q *LSQ) popOldest() {
-	q.entries[q.head] = nil
-	q.head++
-	if 2*q.head > len(q.entries) {
-		n := copy(q.entries, q.entries[q.head:])
-		clear(q.entries[n:])
-		q.entries = q.entries[:n]
-		q.head = 0
-	}
-}
 
 // Insert allocates an entry at dispatch. Entries must be inserted in
 // increasing sequence order. Returns nil when the queue is full.
@@ -114,8 +101,8 @@ func (q *LSQ) Insert(seq uint64, op isa.Op, addr uint64, payload any) *Entry {
 		q.stats.FullStalls++
 		return nil
 	}
-	if n := len(q.entries); n > q.head && q.entries[n-1].Seq >= seq {
-		panic(fmt.Sprintf("lsq: out-of-order insert seq %d after %d", seq, q.entries[n-1].Seq))
+	if last := q.entries.Back(); last != nil && last.Seq >= seq {
+		panic(fmt.Sprintf("lsq: out-of-order insert seq %d after %d", seq, last.Seq))
 	}
 	var k Kind
 	switch op {
@@ -137,7 +124,7 @@ func (q *LSQ) Insert(seq uint64, op isa.Op, addr uint64, payload any) *Entry {
 		e = new(Entry)
 	}
 	e.Seq, e.Kind, e.Addr, e.Executed, e.Payload = seq, k, addr, false, payload
-	q.entries = append(q.entries, e)
+	q.entries.PushBack(e)
 	if k == KindStore {
 		// Inserts arrive in seq order, so the new store is the
 		// youngest at its address: it heads the chain.
@@ -247,8 +234,8 @@ func (q *LSQ) AddWaiter(store *Entry, onReady func(storeSeq uint64)) {
 // Entries are seq-ordered, so the drain pops a prefix.
 func (q *LSQ) DrainStoresBefore(endSeq uint64, write func(addr uint64)) int {
 	n := 0
-	for q.Len() > 0 && q.entries[q.head].Seq < endSeq {
-		e := q.entries[q.head]
+	for q.Len() > 0 && q.entries.Front().Seq < endSeq {
+		e := q.entries.Front()
 		if e.Kind == KindStore {
 			if !e.Executed {
 				panic(fmt.Sprintf("lsq: draining unexecuted store seq %d", e.Seq))
@@ -258,7 +245,7 @@ func (q *LSQ) DrainStoresBefore(endSeq uint64, write func(addr uint64)) int {
 			q.stats.StoresDrained++
 			n++
 		}
-		q.popOldest()
+		q.entries.PopFront()
 		q.recycle(e)
 	}
 	return n
@@ -268,7 +255,7 @@ func (q *LSQ) DrainStoresBefore(endSeq uint64, write func(addr uint64)) int {
 // invoking write for stores. Commit is in program order, so e must be
 // the oldest resident entry; retiring any other entry panics.
 func (q *LSQ) Retire(e *Entry, write func(addr uint64)) {
-	if q.Len() == 0 || q.entries[q.head] != e {
+	if q.entries.Front() != e {
 		panic(fmt.Sprintf("lsq: retire of seq %d, which is not the oldest resident entry", e.Seq))
 	}
 	if e.Kind == KindStore {
@@ -279,7 +266,7 @@ func (q *LSQ) Retire(e *Entry, write func(addr uint64)) {
 		q.dropStore(e)
 		q.stats.StoresDrained++
 	}
-	q.popOldest()
+	q.entries.PopFront()
 	q.recycle(e)
 }
 
@@ -289,13 +276,11 @@ func (q *LSQ) Retire(e *Entry, write func(addr uint64)) {
 // and therefore squashed too).
 func (q *LSQ) SquashYounger(seq uint64) int {
 	n := 0
-	for last := len(q.entries) - 1; last >= q.head && q.entries[last].Seq >= seq; last-- {
-		e := q.entries[last]
+	for q.Len() > 0 && q.entries.Back().Seq >= seq {
+		e := q.entries.PopBack()
 		if e.Kind == KindStore {
 			q.dropStore(e)
 		}
-		q.entries[last] = nil
-		q.entries = q.entries[:last]
 		q.recycle(e)
 		n++
 	}
@@ -307,7 +292,8 @@ func (q *LSQ) Stats() Stats { return q.stats }
 
 // CheckInvariants validates ordering for tests.
 func (q *LSQ) CheckInvariants() error {
-	live := q.entries[q.head:]
+	var live []*Entry
+	q.entries.ForEach(func(e *Entry) { live = append(live, e) })
 	for i := 1; i < len(live); i++ {
 		if live[i-1].Seq >= live[i].Seq {
 			return fmt.Errorf("lsq: entries out of order at %d (%d then %d)",

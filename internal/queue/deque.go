@@ -1,38 +1,31 @@
 package queue
 
-import "fmt"
-
-// Deque is a fixed-capacity ring-buffer double-ended queue. The
-// pseudo-ROB uses it as a FIFO that also supports tail removal (squashing
-// the youngest instructions on a branch recovery).
+// Deque is a growable ring-buffer double-ended queue: the one FIFO for
+// the pipeline's in-flight windows (ROB, pseudo-ROB, checkpoint
+// in-flight list, oracle window, LSQ). Dispatch pushes at the back,
+// retirement pops the front, and a squash pops the back.
+//
+// The zero value is an empty, usable deque. PushBack doubles the buffer
+// when it is full, so unbounded windows grow from nothing; bounded
+// windows pre-size with NewDeque and keep their own capacity check,
+// which keeps them from ever growing.
 type Deque[T any] struct {
 	buf        []T
 	head, size int
 }
 
-// NewDeque builds a deque with the given capacity.
-func NewDeque[T any](capacity int) *Deque[T] {
-	if capacity < 1 {
-		panic(fmt.Sprintf("queue: deque capacity %d < 1", capacity))
-	}
-	return &Deque[T]{buf: make([]T, capacity)}
+// NewDeque returns an empty deque whose buffer holds n elements before
+// it first grows.
+func NewDeque[T any](n int) Deque[T] {
+	return Deque[T]{buf: make([]T, n)}
 }
-
-// Cap returns the capacity.
-func (d *Deque[T]) Cap() int { return len(d.buf) }
 
 // Len returns the number of elements.
 func (d *Deque[T]) Len() int { return d.size }
 
-// Full reports whether the deque is at capacity.
-func (d *Deque[T]) Full() bool { return d.size == len(d.buf) }
-
-// Empty reports whether the deque has no elements.
-func (d *Deque[T]) Empty() bool { return d.size == 0 }
-
-// wrap reduces an index in [0, 2*cap) onto the ring; head+offset sums
-// never exceed that, so a conditional subtract replaces the integer
-// division a % would cost on the per-instruction paths.
+// wrap reduces an index in [0, 2*len(buf)) onto the ring; head+offset
+// sums never exceed that, so a conditional subtract replaces the
+// integer division a % would cost on the per-instruction paths.
 func (d *Deque[T]) wrap(i int) int {
 	if i >= len(d.buf) {
 		i -= len(d.buf)
@@ -40,80 +33,70 @@ func (d *Deque[T]) wrap(i int) int {
 	return i
 }
 
-// PushBack appends v at the tail (youngest). It returns false when full.
-func (d *Deque[T]) PushBack(v T) bool {
-	if d.Full() {
-		return false
+// PushBack appends v at the back (youngest), doubling the buffer first
+// when it is full.
+func (d *Deque[T]) PushBack(v T) {
+	if d.size == len(d.buf) {
+		buf := make([]T, max(2*len(d.buf), 16))
+		n := copy(buf, d.buf[d.head:])
+		copy(buf[n:], d.buf[:d.head])
+		d.buf, d.head = buf, 0
 	}
 	d.buf[d.wrap(d.head+d.size)] = v
 	d.size++
-	return true
 }
 
-// PopFront removes and returns the head (oldest) element.
-func (d *Deque[T]) PopFront() (T, bool) {
-	var zero T
+// Front returns the front (oldest) element, or the zero value when the
+// deque is empty.
+func (d *Deque[T]) Front() T {
 	if d.size == 0 {
-		return zero, false
+		var zero T
+		return zero
 	}
+	return d.buf[d.head]
+}
+
+// Back returns the back (youngest) element, or the zero value when the
+// deque is empty.
+func (d *Deque[T]) Back() T {
+	if d.size == 0 {
+		var zero T
+		return zero
+	}
+	return d.buf[d.wrap(d.head+d.size-1)]
+}
+
+// PopFront removes and returns the front (oldest) element. It panics
+// when the deque is empty.
+func (d *Deque[T]) PopFront() T {
+	if d.size == 0 {
+		panic("queue: PopFront on an empty deque")
+	}
+	var zero T
 	v := d.buf[d.head]
 	d.buf[d.head] = zero
 	d.head = d.wrap(d.head + 1)
 	d.size--
-	return v, true
+	return v
 }
 
-// PopBack removes and returns the tail (youngest) element.
-func (d *Deque[T]) PopBack() (T, bool) {
-	var zero T
+// PopBack removes and returns the back (youngest) element. It panics
+// when the deque is empty.
+func (d *Deque[T]) PopBack() T {
 	if d.size == 0 {
-		return zero, false
+		panic("queue: PopBack on an empty deque")
 	}
+	var zero T
 	i := d.wrap(d.head + d.size - 1)
 	v := d.buf[i]
 	d.buf[i] = zero
 	d.size--
-	return v, true
+	return v
 }
 
-// Front returns the head element without removing it.
-func (d *Deque[T]) Front() (T, bool) {
-	var zero T
-	if d.size == 0 {
-		return zero, false
-	}
-	return d.buf[d.head], true
-}
-
-// Back returns the tail element without removing it.
-func (d *Deque[T]) Back() (T, bool) {
-	var zero T
-	if d.size == 0 {
-		return zero, false
-	}
-	return d.buf[d.wrap(d.head+d.size-1)], true
-}
-
-// At returns the i'th element from the head (0 = oldest).
-func (d *Deque[T]) At(i int) T {
-	if i < 0 || i >= d.size {
-		panic(fmt.Sprintf("queue: deque index %d out of range [0,%d)", i, d.size))
-	}
-	return d.buf[d.wrap(d.head+i)]
-}
-
-// ForEach calls fn on each element from oldest to youngest.
+// ForEach calls fn on each element from front to back.
 func (d *Deque[T]) ForEach(fn func(v T)) {
 	for i := 0; i < d.size; i++ {
 		fn(d.buf[d.wrap(d.head+i)])
 	}
-}
-
-// Clear removes all elements.
-func (d *Deque[T]) Clear() {
-	var zero T
-	for i := 0; i < d.size; i++ {
-		d.buf[d.wrap(d.head+i)] = zero
-	}
-	d.head, d.size = 0, 0
 }

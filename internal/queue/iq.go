@@ -1,8 +1,8 @@
 // Package queue implements the instruction-buffering structures of the
 // simulated processor: the general-purpose issue queues (with
-// event-driven wakeup and oldest-first select), a generic deque used for
-// the pseudo-ROB, and the Slow Lane Instruction Queue (SLIQ) of the
-// paper's section 3.
+// event-driven wakeup and oldest-first select), the ring deque that
+// holds every in-flight window (ROB, pseudo-ROB, LSQ, ...), and the Slow
+// Lane Instruction Queue (SLIQ) of the paper's section 3.
 //
 // The issue queue and the SLIQ are on the simulator's innermost loop
 // (one insert per dispatched instruction, one wake per produced value),

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/rename"
@@ -166,92 +167,101 @@ func TestIQResident(t *testing.T) {
 	}
 }
 
+// TestDequeFIFO: order holds across a ring whose contents wrap past the
+// end of the buffer and which then grows, and ForEach walks front to
+// back.
 func TestDequeFIFO(t *testing.T) {
-	d := NewDeque[int](3)
-	if !d.Empty() || d.Cap() != 3 {
-		t.Fatal("new deque state wrong")
-	}
+	d := NewDeque[int](4)
 	d.PushBack(1)
 	d.PushBack(2)
 	d.PushBack(3)
-	if !d.Full() || d.PushBack(4) {
-		t.Fatal("full deque must reject pushes")
+	if d.PopFront() != 1 || d.PopFront() != 2 {
+		t.Fatal("pop front should return the oldest")
 	}
-	if v, _ := d.Front(); v != 1 {
-		t.Fatal("front should be oldest")
+	for v := 4; v <= 6; v++ {
+		d.PushBack(v) // 5 and 6 wrap to the start of the buffer
 	}
-	if v, _ := d.Back(); v != 3 {
-		t.Fatal("back should be youngest")
+	d.PushBack(7) // full and wrapped: the buffer doubles
+	if d.Len() != 5 || d.Front() != 3 || d.Back() != 7 {
+		t.Fatalf("after growth: len %d front %d back %d", d.Len(), d.Front(), d.Back())
 	}
-	if v, ok := d.PopFront(); !ok || v != 1 {
-		t.Fatal("pop front wrong")
-	}
-	if v, ok := d.PopBack(); !ok || v != 3 {
-		t.Fatal("pop back wrong")
-	}
-	if d.Len() != 1 {
-		t.Fatal("length wrong after pops")
-	}
-}
-
-func TestDequeWraparound(t *testing.T) {
-	d := NewDeque[int](4)
-	for round := 0; round < 10; round++ {
-		for i := 0; i < 4; i++ {
-			if !d.PushBack(round*10 + i) {
-				t.Fatal("push failed")
-			}
-		}
-		for i := 0; i < 4; i++ {
-			v, ok := d.PopFront()
-			if !ok || v != round*10+i {
-				t.Fatalf("round %d: got %d want %d", round, v, round*10+i)
-			}
-		}
-	}
-}
-
-func TestDequeAtForEachClear(t *testing.T) {
-	d := NewDeque[string](4)
-	d.PushBack("a")
-	d.PushBack("b")
-	d.PopFront()
-	d.PushBack("c")
-	if d.At(0) != "b" || d.At(1) != "c" {
-		t.Fatal("At indexing wrong")
-	}
-	var seen []string
-	d.ForEach(func(s string) { seen = append(seen, s) })
-	if len(seen) != 2 || seen[0] != "b" || seen[1] != "c" {
+	var seen []int
+	d.ForEach(func(v int) { seen = append(seen, v) })
+	if fmt.Sprint(seen) != "[3 4 5 6 7]" {
 		t.Fatalf("ForEach order: %v", seen)
 	}
-	d.Clear()
-	if !d.Empty() {
-		t.Fatal("Clear failed")
+	if d.PopBack() != 7 {
+		t.Fatal("pop back should return the youngest")
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("At out of range must panic")
-			}
-		}()
-		d.At(0)
-	}()
+	for want := 3; want <= 6; want++ {
+		if v := d.PopFront(); v != want {
+			t.Fatalf("pop front %d, want %d", v, want)
+		}
+	}
+	if d.Len() != 0 {
+		t.Fatal("deque should be empty")
+	}
 }
 
+// TestDequeWraparound: the zero value grows from nothing, and a ring
+// cycled many times over keeps its order.
+func TestDequeWraparound(t *testing.T) {
+	var d Deque[int]
+	for round := 0; round < 10; round++ {
+		for i := 0; i < 20; i++ {
+			d.PushBack(round*100 + i)
+		}
+		for i := 0; i < 20; i++ {
+			if v := d.PopFront(); v != round*100+i {
+				t.Fatalf("round %d: got %d want %d", round, v, round*100+i)
+			}
+		}
+	}
+}
+
+// TestDequeEmptyPops: Front and Back of an empty deque are the zero
+// value; popping one panics.
 func TestDequeEmptyPops(t *testing.T) {
-	d := NewDeque[int](2)
-	if _, ok := d.PopFront(); ok {
-		t.Error("empty pop front must fail")
+	var d Deque[*int]
+	if d.Front() != nil || d.Back() != nil {
+		t.Error("front and back of an empty deque must be the zero value")
 	}
-	if _, ok := d.PopBack(); ok {
-		t.Error("empty pop back must fail")
+	for name, pop := range map[string]func(){
+		"PopFront": func() { d.PopFront() },
+		"PopBack":  func() { d.PopBack() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on an empty deque must panic", name)
+				}
+			}()
+			pop()
+		}()
 	}
-	if _, ok := d.Front(); ok {
-		t.Error("empty front must fail")
-	}
-	if _, ok := d.Back(); ok {
-		t.Error("empty back must fail")
+}
+
+// TestDequePreSizedNoAlloc: a ring sized at construction never
+// allocates while it stays within that size, however often it wraps —
+// the bounded windows (ROB, pseudo-ROB, LSQ) rely on it.
+func TestDequePreSizedNoAlloc(t *testing.T) {
+	d := NewDeque[int](8)
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 8; i++ {
+			d.PushBack(i)
+		}
+		for i := 0; i < 5; i++ {
+			d.PopFront()
+		}
+		for i := 0; i < 5; i++ {
+			d.PushBack(i)
+		}
+		for d.Len() > 0 {
+			d.PopBack()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("pre-sized deque allocated %.1f times per run", allocs)
 	}
 }
 

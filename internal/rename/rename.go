@@ -12,6 +12,8 @@
 //     bit; all such registers are freed together when the checkpoint
 //     owning their window commits (the paper's deferred release).
 //
+// Unwind reverses one allocation of either discipline on a tail squash.
+//
 // Snapshot/Rollback implement the checkpointing of figure 3: a snapshot
 // conceptually costs two bits per physical register (Valid + Future
 // Free); the free list and the logical map are derivable in hardware and
@@ -171,26 +173,6 @@ func (t *Table) Allocate(dest isa.Reg) (newP, prevP PhysReg, ok bool) {
 	return newP, prevP, true
 }
 
-// UnwindCheckpointed reverses a single checkpoint-mode allocation during
-// a pseudo-ROB branch recovery. It is only valid when no checkpoint was
-// taken after the allocation (the caller guarantees it — otherwise the
-// Future Free bit to restore lives in a snapshot, and a full rollback is
-// required). Unwinding must proceed in reverse program order.
-func (t *Table) UnwindCheckpointed(dest isa.Reg, newP, prevP PhysReg) {
-	if t.rmap[dest] != newP {
-		panic(fmt.Sprintf("rename: checkpointed unwind of %v expects p%d, table has p%d",
-			dest, newP, t.rmap[dest]))
-	}
-	t.valid.Clear(int(newP))
-	t.logical[newP] = isa.RegNone
-	t.pushFree(newP)
-	t.rmap[dest] = prevP
-	if prevP != PhysNone {
-		t.valid.Set(int(prevP))
-		t.futureFree.Clear(int(prevP))
-	}
-}
-
 // AllocateROB renames dest in conventional mode, returning both the new
 // mapping and the previous one; the caller must Free the previous
 // mapping when the renaming instruction commits.
@@ -215,11 +197,15 @@ func (t *Table) Free(p PhysReg) {
 	t.pushFree(p)
 }
 
-// UnwindROB reverses a single ROB-mode allocation during a squash walk:
-// the youngest definition of a logical register is removed, restoring
-// prevP as the current mapping. Squashes must unwind in reverse program
-// order.
-func (t *Table) UnwindROB(dest isa.Reg, newP, prevP PhysReg) {
+// Unwind reverses a single allocation during a tail-squash walk: the
+// youngest definition of a logical register is removed, restoring prevP
+// as the current mapping. Squashes must unwind in reverse program order.
+// Under the checkpoint discipline it also clears prevP's Future Free
+// bit, which is only valid when no checkpoint was taken after the
+// allocation (the caller guarantees it — otherwise the bit to restore
+// lives in a snapshot, and a full rollback is required). Under the ROB
+// discipline no Future Free bit is ever set, so the clear is a no-op.
+func (t *Table) Unwind(dest isa.Reg, newP, prevP PhysReg) {
 	if t.rmap[dest] != newP {
 		panic(fmt.Sprintf("rename: unwind of %v expects p%d, table has p%d",
 			dest, newP, t.rmap[dest]))
@@ -230,6 +216,7 @@ func (t *Table) UnwindROB(dest isa.Reg, newP, prevP PhysReg) {
 	t.rmap[dest] = prevP
 	if prevP != PhysNone {
 		t.valid.Set(int(prevP))
+		t.futureFree.Clear(int(prevP))
 	}
 }
 

@@ -149,11 +149,11 @@ func TestUnwindROB(t *testing.T) {
 	n1, p1, _ := tbl.AllocateROB(dest)
 	n2, p2, _ := tbl.AllocateROB(dest)
 	// Unwind in reverse order.
-	tbl.UnwindROB(dest, n2, p2)
+	tbl.Unwind(dest, n2, p2)
 	if tbl.Lookup(dest) != n1 {
 		t.Fatal("first unwind should restore the middle mapping")
 	}
-	tbl.UnwindROB(dest, n1, p1)
+	tbl.Unwind(dest, n1, p1)
 	if tbl.Lookup(dest) != old {
 		t.Fatal("second unwind should restore the original mapping")
 	}
@@ -170,7 +170,7 @@ func TestUnwindCheckpointed(t *testing.T) {
 	if !tbl.FutureFreePending(old) {
 		t.Fatal("precondition: future-free set")
 	}
-	tbl.UnwindCheckpointed(dest, n1, p1)
+	tbl.Unwind(dest, n1, p1)
 	if tbl.Lookup(dest) != old {
 		t.Fatal("mapping not restored")
 	}
