@@ -39,15 +39,6 @@ func (s *Set) Clear(i int) {
 	s.words[i>>6] &^= 1 << uint(i&63)
 }
 
-// SetTo sets bit i to v.
-func (s *Set) SetTo(i int, v bool) {
-	if v {
-		s.Set(i)
-	} else {
-		s.Clear(i)
-	}
-}
-
 // Count returns the number of set bits.
 func (s *Set) Count() int {
 	c := 0
@@ -55,16 +46,6 @@ func (s *Set) Count() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// Any reports whether any bit is set.
-func (s *Set) Any() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // SetAll sets every bit in the capacity (rollback free-list rebuilds
@@ -101,16 +82,6 @@ func (s *Set) Clone() *Set {
 	return c
 }
 
-// OrWith sets s |= other.
-func (s *Set) OrWith(other *Set) {
-	if s.n != other.n {
-		panic("bitset: size mismatch in OrWith")
-	}
-	for i := range s.words {
-		s.words[i] |= other.words[i]
-	}
-}
-
 // AndNotWith sets s &^= other.
 func (s *Set) AndNotWith(other *Set) {
 	if s.n != other.n {
@@ -119,32 +90,6 @@ func (s *Set) AndNotWith(other *Set) {
 	for i := range s.words {
 		s.words[i] &^= other.words[i]
 	}
-}
-
-// FirstSet returns the index of the lowest set bit, or -1 when the set
-// is empty.
-func (s *Set) FirstSet() int {
-	for wi, w := range s.words {
-		if w != 0 {
-			return wi<<6 + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
-}
-
-// FirstClear returns the index of the lowest clear bit, or -1 when every
-// bit in the capacity is set.
-func (s *Set) FirstClear() int {
-	for wi, w := range s.words {
-		if w != ^uint64(0) {
-			i := wi<<6 + bits.TrailingZeros64(^w)
-			if i < s.n {
-				return i
-			}
-			return -1
-		}
-	}
-	return -1
 }
 
 // ForEach calls fn for every set bit in ascending order.
@@ -156,17 +101,4 @@ func (s *Set) ForEach(fn func(i int)) {
 			w &^= 1 << uint(b)
 		}
 	}
-}
-
-// Equal reports whether the two sets have identical contents and size.
-func (s *Set) Equal(other *Set) bool {
-	if s.n != other.n {
-		return false
-	}
-	for i := range s.words {
-		if s.words[i] != other.words[i] {
-			return false
-		}
-	}
-	return true
 }

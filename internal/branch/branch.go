@@ -1,6 +1,6 @@
 // Package branch implements the branch predictors of the simulated
 // processor: the 16K-history gshare predictor from Table 1 of the paper,
-// plus perfect and static predictors used for ablation studies.
+// plus the perfect predictor used for ablation studies.
 //
 // Predictors are speculative state machines: Predict is called at fetch
 // with the current speculative history, Update is called at branch
@@ -196,33 +196,3 @@ func (e *Confidence) Update(pc uint64, correct bool) {
 		e.table[i]++
 	}
 }
-
-// Static predicts a fixed direction (taken by default), the classic
-// not-taken/taken baseline predictor.
-type Static struct {
-	taken bool
-	stats Stats
-}
-
-// NewStatic returns a static predictor with the given fixed direction.
-func NewStatic(taken bool) *Static { return &Static{taken: taken} }
-
-// Predict implements Predictor.
-func (s *Static) Predict(uint64) bool { return s.taken }
-
-// Update implements Predictor.
-func (s *Static) Update(_ uint64, taken bool) {
-	s.stats.Predictions++
-	if taken != s.taken {
-		s.stats.Mispredicts++
-	}
-}
-
-// HistorySnapshot implements Predictor.
-func (s *Static) HistorySnapshot() uint64 { return 0 }
-
-// RestoreHistory implements Predictor.
-func (s *Static) RestoreHistory(uint64) {}
-
-// Stats implements Predictor.
-func (s *Static) Stats() Stats { return s.stats }

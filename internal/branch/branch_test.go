@@ -110,23 +110,6 @@ func TestPerfect(t *testing.T) {
 	p.RestoreHistory(p.HistorySnapshot()) // no-ops, must not panic
 }
 
-func TestStatic(t *testing.T) {
-	s := NewStatic(true)
-	s.Update(0x40, true)
-	s.Update(0x40, false)
-	st := s.Stats()
-	if st.Predictions != 2 || st.Mispredicts != 1 {
-		t.Fatalf("static stats: %+v", st)
-	}
-	if !s.Predict(0x99) {
-		t.Error("static taken must predict taken")
-	}
-	nt := NewStatic(false)
-	if nt.Predict(0x99) {
-		t.Error("static not-taken must predict not-taken")
-	}
-}
-
 func TestMispredictRateZeroOnUnused(t *testing.T) {
 	var s Stats
 	if s.MispredictRate() != 0 {
@@ -134,11 +117,10 @@ func TestMispredictRateZeroOnUnused(t *testing.T) {
 	}
 }
 
-// The interface must be satisfied by all three predictors.
+// The interface must be satisfied by both predictors.
 var (
 	_ Predictor = (*Gshare)(nil)
 	_ Predictor = (*Perfect)(nil)
-	_ Predictor = (*Static)(nil)
 )
 
 func TestConfidenceStartsSaturated(t *testing.T) {

@@ -49,10 +49,6 @@ type Entry struct {
 type Stats struct {
 	Taken     uint64
 	Committed uint64
-	Rollbacks uint64
-	// FullStalls counts take attempts rejected because the table was
-	// full (fetch stalls until the oldest checkpoint commits).
-	FullStalls uint64
 }
 
 // Policy holds the take-a-checkpoint heuristics of the paper.
@@ -105,10 +101,6 @@ func (t *Table) Cap() int { return t.capacity }
 // Full reports whether no further checkpoint can be taken.
 func (t *Table) Full() bool { return len(t.entries) >= t.capacity }
 
-// Empty reports whether the table holds no checkpoint (only before the
-// first instruction or after a total pipeline flush).
-func (t *Table) Empty() bool { return len(t.entries) == 0 }
-
 // Oldest returns the oldest live checkpoint, or nil.
 func (t *Table) Oldest() *Entry {
 	if len(t.entries) == 0 {
@@ -125,10 +117,6 @@ func (t *Table) Youngest() *Entry {
 	}
 	return t.entries[len(t.entries)-1]
 }
-
-// Entries returns the live checkpoints, oldest first. The returned slice
-// must not be modified.
-func (t *Table) Entries() []*Entry { return t.entries }
 
 // ShouldTake applies the paper's heuristics to the instruction about to
 // be dispatched and reports whether a checkpoint must be taken before
@@ -151,11 +139,10 @@ func (t *Table) ShouldTake(op isa.Op) bool {
 	return false
 }
 
-// Take creates a new (youngest) checkpoint. It returns nil and counts a
-// full-stall when the table is at capacity; fetch must stall and retry.
+// Take creates a new (youngest) checkpoint. It returns nil when the
+// table is at capacity; fetch must stall and retry.
 func (t *Table) Take(startSeq uint64, fetchPos int64, snap rename.Snapshot, history uint64) *Entry {
 	if t.Full() {
-		t.stats.FullStalls++
 		return nil
 	}
 	e := &Entry{
@@ -265,22 +252,11 @@ func (t *Table) Rollback(target *Entry) (pendingFree []*bitset.Set) {
 	target.Pending = 0
 	target.Insts = 0
 	target.Stores = 0
-	t.stats.Rollbacks++
 
 	for i := 1; i <= idx; i++ {
 		pendingFree = append(pendingFree, t.entries[i].Snap.FutureFree())
 	}
 	return pendingFree
-}
-
-// PendingFrees returns the captured Future Free sets of all live
-// checkpoints except the oldest (deferred frees not yet applied).
-func (t *Table) PendingFrees() []*bitset.Set {
-	var out []*bitset.Set
-	for i := 1; i < len(t.entries); i++ {
-		out = append(out, t.entries[i].Snap.FutureFree())
-	}
-	return out
 }
 
 // Stats returns a copy of the activity counters.

@@ -343,9 +343,14 @@ func (c Config) Validate() error {
 	if c.BranchMispredictPenalty < 0 {
 		add("negative mispredict penalty %d", c.BranchMispredictPenalty)
 	}
-	for name, cc := range map[string]CacheConfig{"IL1": c.IL1, "DL1": c.DL1, "L2": c.L2} {
-		if err := cc.Validate(); err != nil {
-			add("%s: %v", name, err)
+	// Fixed slices, not maps, so one configuration always reports its
+	// errors in one order (Table 1's).
+	for _, cc := range []struct {
+		name string
+		cc   CacheConfig
+	}{{"IL1", c.IL1}, {"DL1", c.DL1}, {"L2", c.L2}} {
+		if err := cc.cc.Validate(); err != nil {
+			add("%s: %v", cc.name, err)
 		}
 	}
 	if c.MemoryLatency < 1 {
@@ -381,11 +386,12 @@ func (c Config) Validate() error {
 	default:
 		add("unknown commit policy %q (valid: %s)", string(c.Commit), commitModeList())
 	}
-	for name, fc := range map[string]FUConfig{
-		"IntAlu": c.IntAlu, "IntMul": c.IntMul, "IntDiv": c.IntDiv, "FPAlu": c.FPAlu,
-	} {
-		if err := fc.Validate(); err != nil {
-			add("%s: %v", name, err)
+	for _, fc := range []struct {
+		name string
+		fc   FUConfig
+	}{{"IntAlu", c.IntAlu}, {"IntMul", c.IntMul}, {"IntDiv", c.IntDiv}, {"FPAlu", c.FPAlu}} {
+		if err := fc.fc.Validate(); err != nil {
+			add("%s: %v", fc.name, err)
 		}
 	}
 	if c.IntMul.Count != c.IntDiv.Count {

@@ -105,6 +105,34 @@ func TestValidateCatchesErrors(t *testing.T) {
 	}
 }
 
+// TestValidateErrorOrder: one invalid configuration always yields one
+// message, with its parts in Table 1 order. The text is ooosimd's 400
+// response body for a bad job.
+func TestValidateErrorOrder(t *testing.T) {
+	c := Default()
+	c.IL1.LineBytes = 48
+	c.L2.Assoc = 0
+	c.IntAlu.Repeat = 5
+	c.FPAlu.Count = 0
+	first := c.Validate()
+	if first == nil {
+		t.Fatal("expected validation errors")
+	}
+	for i := 0; i < 50; i++ {
+		if got := c.Validate(); got.Error() != first.Error() {
+			t.Fatalf("call %d: %q, want %q", i, got, first)
+		}
+	}
+	msg, at := first.Error(), -1
+	for _, part := range []string{"IL1: ", "L2: ", "IntAlu: ", "FPAlu: "} {
+		i := strings.Index(msg, part)
+		if i <= at {
+			t.Fatalf("%q missing or out of order in %q", part, msg)
+		}
+		at = i
+	}
+}
+
 func TestValidateCheckpointMode(t *testing.T) {
 	bad := []func(c *Config){
 		func(c *Config) { c.Checkpoints = 1 },

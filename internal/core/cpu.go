@@ -419,11 +419,15 @@ func newCPU(cfg config.Config, tr *trace.Trace, hier *mem.Hierarchy, arena *Aren
 		fpQ:  queue.NewIQ[*DynInst](cfg.FPQueueEntries),
 		lq:   lsq.New(cfg.LSQEntries),
 	}
-	// Size the event ring to the longest schedulable completion distance
-	// (a memory-missing load issued behind the slowest functional unit);
-	// anything longer still works via the far-heap spillover.
+	// Size the event ring to the longest completion distance a push can
+	// schedule, counted from the cycle it is pushed in: an op on the
+	// slowest unit, or a load whose address generation is followed by a
+	// DL1, L2 and memory miss — or that merges with a fill an earlier
+	// load, fetch (IL1 in place of DL1) or prefetch (up to PrefetchDegree
+	// cycles behind its demand miss) started. push panics past it.
+	slowestUnit := max(cfg.IntAlu.Latency, cfg.IntMul.Latency, cfg.IntDiv.Latency, cfg.FPAlu.Latency)
 	wheelSlots := eventWheelSlots(cfg.MemoryLatency + cfg.IL1.LatencyCycles +
-		cfg.DL1.LatencyCycles + cfg.L2.LatencyCycles + cfg.IntDiv.Latency + 64)
+		cfg.DL1.LatencyCycles + cfg.L2.LatencyCycles + slowestUnit + cfg.PrefetchDegree + 64)
 	if arena != nil && !cfg.VirtualRegisters {
 		if ch := arena.takeChassis(physSpace, wheelSlots); ch != nil {
 			c.regReady, c.longTaint = ch.regReady, ch.longTaint
@@ -483,7 +487,8 @@ type RunOptions struct {
 	// by Figure 7 (slightly more memory; negligible time).
 	CollectOccupancy bool
 	// WatchdogCycles panics if no instruction commits for this many
-	// cycles (0 means 2M); it exists to catch simulator deadlocks.
+	// cycles, counting from cycle 0 until the first commit (0 means
+	// 2M); it exists to catch simulator deadlocks.
 	WatchdogCycles int64
 	// DisableSkip forces cycle-by-cycle execution, switching off the
 	// event-driven clock skip. Results are bit-identical either way —
@@ -605,11 +610,9 @@ func (c *CPU) Run(opt RunOptions) stats.Results {
 		}
 		c.now++
 
-		if c.committed > 0 || c.inflight > 0 {
-			if c.now-c.lastCommitCycle > watchdog {
-				panic(fmt.Sprintf("core: no commit progress for %d cycles at cycle %d (%s)",
-					watchdog, c.now, c.debugState()))
-			}
+		if c.now-c.lastCommitCycle > watchdog {
+			panic(fmt.Sprintf("core: no commit progress for %d cycles at cycle %d (%s)",
+				watchdog, c.now, c.debugState()))
 		}
 		if c.fetchExhausted() && c.inflight == 0 && c.completions.Len() == 0 {
 			break
@@ -721,15 +724,9 @@ func (c *CPU) maybeSkip(maxCycles, watchdog int64) {
 	if c.intQ.PeekReady() != nil || c.fpQ.PeekReady() != nil {
 		return
 	}
-	bound := maxCycles
-	if c.committed > 0 || c.inflight > 0 {
-		// The watchdog must fire on exactly the cycle it would have:
-		// cap the jump so the panic cycle executes (and panics)
-		// normally.
-		if wd := c.lastCommitCycle + watchdog; wd < bound {
-			bound = wd
-		}
-	}
+	// The watchdog must fire on exactly the cycle it would have: cap the
+	// jump so the panic cycle executes (and panics) normally.
+	bound := min(maxCycles, c.lastCommitCycle+watchdog)
 	if ev := c.policy.NextRetireEvent(c.now); ev >= 0 {
 		if ev <= c.now {
 			return

@@ -196,7 +196,7 @@ func (c *CPU) tryDispatch(inst isa.Inst, pos int64, wrongPath bool) bool {
 		}
 	}
 	if inst.Op.IsMem() {
-		d.lsqe = c.lq.Insert(d.Seq, inst.Op, inst.Addr, d)
+		d.lsqe = c.lq.Insert(d.Seq, inst.Op, inst.Addr)
 		if d.lsqe == nil {
 			panic("core: LSQ full after Full() check")
 		}

@@ -28,8 +28,8 @@ import (
 // identity, so every structure that can outlive an instruction (the
 // consumer lists, SLIQ residency, LSQ forward waiters, the SLIQ
 // dependence-mask owners) stores the Seq alongside the pointer and
-// treats a mismatch as "instruction is gone". The completion heap and
-// the issue queues never hold released records (squash purges both
+// treats a mismatch as "instruction is gone". The completion event wheel
+// and the issue queues never hold released records (squash purges both
 // eagerly). Released records are quarantined on a dead list until the
 // next dispatch stage, so stale pointers created in the same cycle still
 // observe Squashed==true; debug builds (debugPool, enabled by the test
@@ -73,9 +73,6 @@ type DynInst struct {
 	// ExceptAt requests a precise exception when this instruction
 	// completes (exception-replay tests inject it).
 	ExceptAt bool
-	// Replayed marks the second-pass execution of an instruction after
-	// an exception rollback.
-	Replayed bool
 	// Retired marks an instruction whose window already committed while
 	// it still sits in the pseudo-ROB; extraction classifies it (Figure
 	// 12 counts committed work too) and then recycles the record.
@@ -91,8 +88,9 @@ type DynInst struct {
 	// in the pseudo-ROB.
 	inSLIQ bool
 	inProb bool
-	// heapIdx is this instruction's position in the completion heap.
-	heapIdx int32
+	// wheelSlot is this instruction's completion-wheel slot, or
+	// eventNone when no completion is scheduled.
+	wheelSlot int32
 
 	// Virtual-register extension state (Figure 14). The free-list pool
 	// is disabled in virtual-register mode: prevProd links may point at
@@ -108,15 +106,10 @@ type DynInst struct {
 	// prevReleased: the superseded value has been released (release
 	// precedes binding and must be idempotent across deferred retries).
 	prevReleased bool
-	// forwardWait: a load blocked on an older store's data.
-	forwardWait bool
 	// pendingSrcs counts unready sources for LSQ-resident stores,
 	// which wait on the scoreboard instead of occupying an issue-queue
 	// entry (the paper keeps stores in the Load/Store queue).
 	pendingSrcs int
-	// retireClass records the pseudo-ROB classification (debugging);
-	// -1 before extraction.
-	retireClass int8
 }
 
 // String renders a debug line.
@@ -190,7 +183,7 @@ func (p *instPool) acquire() *DynInst {
 func (d *DynInst) init() {
 	d.DestPhys = rename.PhysNone
 	d.PrevPhys = rename.PhysNone
-	d.heapIdx = eventNone
+	d.wheelSlot = eventNone
 	d.iqe.Payload = d
 }
 
@@ -207,7 +200,7 @@ func (p *instPool) release(d *DynInst) {
 		if d.iqe.Resident() {
 			panic(fmt.Sprintf("core: releasing issue-queue-resident %v", d))
 		}
-		if d.heapIdx != eventNone {
+		if d.wheelSlot != eventNone {
 			panic(fmt.Sprintf("core: releasing completion-scheduled %v", d))
 		}
 		if d.inSLIQ || d.inProb {
@@ -237,18 +230,17 @@ func (p *instPool) recycleDead() {
 	p.dead = p.dead[:0]
 }
 
-// eventNone marks a record with no scheduled completion. A scheduled
-// record's heapIdx encodes where it lives: >= 0 is its position in the
-// far heap, <= -2 encodes its calendar-wheel slot as -2-slot.
+// eventNone marks a record with no scheduled completion.
 const eventNone int32 = -1
 
 // eventWheel schedules completion events on a calendar ring indexed by
-// cycle, spilling events beyond the ring horizon to a min-heap. Pop
-// order is exactly the old completion heap's — (DoneCycle, Seq), a
-// total order — so swapping the heap for the wheel is invisible to
-// simulated state (TestFigure9Golden pins it); the win is O(1)
-// push/remove against O(log n) heap churn when kilo-instruction
-// windows keep hundreds of memory fills in flight at once.
+// cycle. Pop order is exactly the old completion heap's — (DoneCycle,
+// Seq), a total order — so swapping the heap for the wheel is invisible
+// to simulated state (TestFigure9Golden pins it); the win is O(1)
+// push/remove against O(log n) heap churn when kilo-instruction windows
+// keep hundreds of memory fills in flight at once. The ring spans the
+// longest completion distance a valid configuration can schedule (see
+// newCPU), so every event fits; push panics on one that does not.
 type eventWheel struct {
 	// buckets[t&mask] holds the (unsorted) events of cycle t for t in
 	// [base, base+len(buckets)); each slot is drained before the ring
@@ -261,13 +253,11 @@ type eventWheel struct {
 	// being drained.
 	base int64
 	n    int
-	far  completionHeap
 	due  []*DynInst
 }
 
-// newEventWheel sizes the ring to cover horizon cycles of schedule
-// distance (rounded up to a power of two); longer latencies still work
-// through the far heap, just slower.
+// eventWheelSlots sizes the ring to cover horizon cycles of schedule
+// distance, rounded up to a power of two of at least 64.
 func eventWheelSlots(horizon int) int {
 	size := 64
 	for size < horizon {
@@ -300,71 +290,60 @@ func (w *eventWheel) recycle() {
 	for i := range w.buckets {
 		w.buckets[i] = w.buckets[i][:0]
 	}
-	w.far.entries = w.far.entries[:0]
 	w.due = w.due[:0]
 	w.base, w.n = 0, 0
 }
 
-// push schedules d at d.DoneCycle.
+// push schedules d at d.DoneCycle. A cycle beyond the ring's horizon
+// would alias a nearer slot, so it panics: the ring is sized so that no
+// valid configuration reaches it.
 func (w *eventWheel) push(d *DynInst) {
-	w.n++
 	t := d.DoneCycle
 	if t < w.base {
 		t = w.base // late push: fire at the next drain, as the heap did
 	}
-	if t < w.base+int64(len(w.buckets)) {
-		s := t & w.mask
-		d.heapIdx = -2 - int32(s)
-		w.buckets[s] = append(w.buckets[s], d)
-		return
+	if t >= w.base+int64(len(w.buckets)) {
+		panic(fmt.Sprintf("core: completion of %v at cycle %d is beyond the event wheel's horizon (base %d, %d slots)",
+			d, d.DoneCycle, w.base, len(w.buckets)))
 	}
-	w.far.push(d)
+	s := t & w.mask
+	d.wheelSlot = int32(s)
+	w.buckets[s] = append(w.buckets[s], d)
+	w.n++
 }
 
 // remove unschedules a completion (squash); a no-op when d is not
 // scheduled — in particular for records already handed out by takeDue,
 // which the writeback drain skips via the Squashed flag instead.
 func (w *eventWheel) remove(d *DynInst) {
-	switch {
-	case d.heapIdx == eventNone:
+	if d.wheelSlot == eventNone {
 		return
-	case d.heapIdx >= 0:
-		w.far.remove(d)
-	default:
-		s := int64(-2 - d.heapIdx)
-		b := w.buckets[s]
-		for i, e := range b {
-			if e == d {
-				last := len(b) - 1
-				b[i] = b[last]
-				b[last] = nil
-				w.buckets[s] = b[:last]
-				d.heapIdx = eventNone
-				w.n--
-				return
-			}
-		}
-		panic(fmt.Sprintf("core: event wheel desync for %v", d))
 	}
-	w.n--
+	b := w.buckets[d.wheelSlot]
+	for i, e := range b {
+		if e == d {
+			last := len(b) - 1
+			b[i] = b[last]
+			b[last] = nil
+			w.buckets[d.wheelSlot] = b[:last]
+			d.wheelSlot = eventNone
+			w.n--
+			return
+		}
+	}
+	panic(fmt.Sprintf("core: event wheel desync for %v", d))
 }
 
 // nextDue returns the cycle of the earliest scheduled event strictly
 // below limit, or limit when none is due before it — the exact target
 // for an event-driven clock jump. It is read-only: no event moves, so a
 // subsequent takeDue at (or before) the returned cycle drains exactly
-// what a cycle-by-cycle walk would have. Cost is one far-heap peek plus
-// a ring scan bounded by the returned distance, so the work amortises
-// to O(1) per skipped cycle.
+// what a cycle-by-cycle walk would have. Cost is a ring scan bounded by
+// the returned distance, so the work amortises to O(1) per skipped
+// cycle.
 func (w *eventWheel) nextDue(limit int64) int64 {
 	if w.n == 0 {
 		return limit
-	}
-	// The far heap is checked first: far entries never migrate into the
-	// ring, so an entry just past base can be sitting in the heap even
-	// though its cycle is within the ring horizon.
-	if d := w.far.peek(); d != nil && d.DoneCycle < limit {
-		limit = d.DoneCycle
 	}
 	hi := w.base + int64(len(w.buckets))
 	if hi > limit {
@@ -399,16 +378,7 @@ func (w *eventWheel) takeDue(now int64) []*DynInst {
 	w.buckets[s] = w.due[:0]
 	w.due = due
 	for _, d := range due {
-		d.heapIdx = eventNone
-	}
-	for {
-		d := w.far.peek()
-		if d == nil || d.DoneCycle > now {
-			break
-		}
-		w.far.pop()
-		due = append(due, d)
-		w.due = due
+		d.wheelSlot = eventNone
 	}
 	w.n -= len(due)
 	// Insertion sort: due batches are a handful of events (about the
@@ -424,109 +394,4 @@ func (w *eventWheel) takeDue(now int64) []*DynInst {
 		due[j+1] = d
 	}
 	return due
-}
-
-// completionHeap orders in-flight completions by DoneCycle (ties by Seq
-// for determinism). It is a typed min-heap (no container/heap interface
-// dispatch) with positional removal so squash can purge scheduled
-// completions eagerly — a record in this heap is never a released one.
-// It backs the eventWheel's far spillover.
-type completionHeap struct {
-	entries []*DynInst
-}
-
-func (h *completionHeap) Len() int { return len(h.entries) }
-
-// less orders by (DoneCycle, Seq).
-func (h *completionHeap) less(a, b *DynInst) bool {
-	if a.DoneCycle != b.DoneCycle {
-		return a.DoneCycle < b.DoneCycle
-	}
-	return a.Seq < b.Seq
-}
-
-// push schedules a completion.
-func (h *completionHeap) push(d *DynInst) {
-	d.heapIdx = int32(len(h.entries))
-	h.entries = append(h.entries, d)
-	h.up(len(h.entries) - 1)
-}
-
-// peek returns the earliest completion without removing it.
-func (h *completionHeap) peek() *DynInst {
-	if len(h.entries) == 0 {
-		return nil
-	}
-	return h.entries[0]
-}
-
-// pop removes and returns the earliest completion.
-func (h *completionHeap) pop() *DynInst {
-	d := h.entries[0]
-	h.removeAt(0)
-	return d
-}
-
-// remove unschedules a completion (squash).
-func (h *completionHeap) remove(d *DynInst) {
-	if d.heapIdx < 0 {
-		return
-	}
-	if h.entries[d.heapIdx] != d {
-		panic(fmt.Sprintf("core: completion heap desync for %v", d))
-	}
-	h.removeAt(int(d.heapIdx))
-}
-
-func (h *completionHeap) removeAt(i int) {
-	e := h.entries
-	last := len(e) - 1
-	d := e[i]
-	if i != last {
-		e[i] = e[last]
-		e[i].heapIdx = int32(i)
-	}
-	e[last] = nil
-	h.entries = e[:last]
-	if i < last {
-		h.down(i)
-		h.up(i)
-	}
-	d.heapIdx = -1
-}
-
-func (h *completionHeap) up(i int) {
-	e := h.entries
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(e[i], e[parent]) {
-			break
-		}
-		e[parent], e[i] = e[i], e[parent]
-		e[parent].heapIdx = int32(parent)
-		e[i].heapIdx = int32(i)
-		i = parent
-	}
-}
-
-func (h *completionHeap) down(i int) {
-	e := h.entries
-	n := len(e)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		min := l
-		if r := l + 1; r < n && h.less(e[r], e[l]) {
-			min = r
-		}
-		if !h.less(e[min], e[i]) {
-			break
-		}
-		e[i], e[min] = e[min], e[i]
-		e[i].heapIdx = int32(i)
-		e[min].heapIdx = int32(min)
-		i = min
-	}
 }

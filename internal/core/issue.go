@@ -118,7 +118,6 @@ func (c *CPU) startExecution(d *DynInst, aluDone int64) {
 			d.DoneCycle = aluDone + int64(c.cfg.DL1.LatencyCycles)
 			c.completions.push(d)
 		case lsq.ForwardWait:
-			d.forwardWait = true
 			// The blocking store executed; the load completes a cycle
 			// later (forwarding bypass). The callback outlives the
 			// load on squash, so it re-checks identity by Seq.
@@ -127,7 +126,6 @@ func (c *CPU) startExecution(d *DynInst, aluDone int64) {
 				if d.Squashed || d.Seq != seq {
 					return
 				}
-				d.forwardWait = false
 				d.DoneCycle = c.now + 1
 				c.completions.push(d)
 			})

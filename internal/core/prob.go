@@ -22,35 +22,29 @@ func (p *checkpointPolicy) extractPseudoROB() {
 	}
 }
 
-// note records the classification on the instruction for debugging.
-func (p *checkpointPolicy) note(d *DynInst, cl stats.RetireClass) {
-	p.c.retire[cl]++
-	d.retireClass = int8(cl)
-}
-
 // classifyExtract buckets the retired entry into Figure 12's classes and
 // maintains the logical-register dependence mask.
 func (p *checkpointPolicy) classifyExtract(d *DynInst) {
 	op := d.Inst.Op
 	switch {
 	case op == isa.Store:
-		p.note(d, stats.RetireStore)
+		p.c.retire[stats.RetireStore]++
 		// Stores have no destination: the mask is unaffected.
 
 	case op == isa.Load:
 		switch {
 		case d.Done:
-			p.note(d, stats.RetireFinishedLoad)
+			p.c.retire[stats.RetireFinishedLoad]++
 			p.maskRedefine(d, false, rename.PhysNone)
 		case d.Issued && d.MissedL2:
 			// The problem makers: seed the dependence mask with the
 			// load's destination.
-			p.note(d, stats.RetireLongLatLoad)
+			p.c.retire[stats.RetireLongLatLoad]++
 			p.maskSeed(d)
 		case d.Issued:
 			// In flight but hit in L1/L2 — the paper counts these
 			// with the finished loads.
-			p.note(d, stats.RetireFinishedLoad)
+			p.c.retire[stats.RetireFinishedLoad]++
 			p.maskRedefine(d, false, rename.PhysNone)
 		default:
 			// Not yet issued: per the paper's t0 example, a load that
@@ -63,12 +57,12 @@ func (p *checkpointPolicy) classifyExtract(d *DynInst) {
 			if dep {
 				_ = rootSeq
 				if p.moveToSLIQ(d, root) {
-					p.note(d, stats.RetireMoved)
+					p.c.retire[stats.RetireMoved]++
 				} else {
-					p.note(d, stats.RetireShortLat)
+					p.c.retire[stats.RetireShortLat]++
 				}
 			} else {
-				p.note(d, stats.RetireShortLat)
+				p.c.retire[stats.RetireShortLat]++
 			}
 			p.maskSeed(d)
 		}
@@ -76,7 +70,7 @@ func (p *checkpointPolicy) classifyExtract(d *DynInst) {
 	default:
 		switch {
 		case d.Done || d.Issued:
-			p.note(d, stats.RetireFinished)
+			p.c.retire[stats.RetireFinished]++
 			p.maskRedefine(d, false, rename.PhysNone)
 		default:
 			p.classifyWaiting(d)
@@ -92,15 +86,15 @@ func (p *checkpointPolicy) classifyWaiting(d *DynInst) {
 	if dep {
 		p.maskPropagate(d, root, rootSeq)
 		if p.moveToSLIQ(d, root) {
-			p.note(d, stats.RetireMoved)
+			p.c.retire[stats.RetireMoved]++
 			return
 		}
 		// SLIQ full or absent: the instruction keeps its issue-queue
 		// entry; account it as short-latency residue.
-		p.note(d, stats.RetireShortLat)
+		p.c.retire[stats.RetireShortLat]++
 		return
 	}
-	p.note(d, stats.RetireShortLat)
+	p.c.retire[stats.RetireShortLat]++
 	p.maskRedefine(d, false, rename.PhysNone)
 }
 

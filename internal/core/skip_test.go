@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/mem"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -165,6 +167,40 @@ func TestSkipWatchdogStillFires(t *testing.T) {
 	}
 }
 
+// TestWatchdogCountsFromCycleZero: a run that stalls before its first
+// commit trips the watchdog WatchdogCycles after cycle 0, not after its
+// first dispatch, identically with the skip on and off. The donor is
+// never warmed, so the first fetch waits on main memory.
+func TestWatchdogCountsFromCycleZero(t *testing.T) {
+	cfg := config.CheckpointDefault(128, 2048)
+	tr := trace.FPMix(20000, 1)
+	capture := func(disable bool) (msg string) {
+		donor, err := mem.WarmKeyFor(cfg).Donor()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cpu, err := NewForked(cfg, tr, donor, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		cpu.Run(RunOptions{WatchdogCycles: 500, DisableSkip: disable})
+		return ""
+	}
+	tick, skip := capture(true), capture(false)
+	const want = "core: no commit progress for 500 cycles at cycle 501 "
+	if !strings.HasPrefix(tick, want) {
+		t.Fatalf("watchdog panic = %q, want prefix %q", tick, want)
+	}
+	if tick != skip {
+		t.Fatalf("watchdog panics diverged:\ntick: %s\nskip: %s", tick, skip)
+	}
+}
+
 // TestSkipDisabledUnderVirtualRegisters: virtual-register mode runs
 // cycle-by-cycle (its deferred-bind machinery sits outside the
 // quiescence probe), so its runs must never report skip activity.
@@ -184,50 +220,66 @@ func TestSkipDisabledUnderVirtualRegisters(t *testing.T) {
 }
 
 // TestEventWheelNextDue pins the skip's event-horizon query against the
-// wheel's pop order: nextDue must see ring and far-heap events alike,
-// never move anything, and clamp to the caller's limit.
+// wheel's pop order: nextDue must find the earliest scheduled event,
+// never move anything, and clamp to the caller's limit. A push past the
+// ring's horizon must panic rather than alias a nearer slot.
 func TestEventWheelNextDue(t *testing.T) {
 	w := newEventWheel(64)
 	mk := func(seq uint64, done int64) *DynInst {
 		d := &DynInst{Seq: seq, DoneCycle: done}
-		d.heapIdx = eventNone
+		d.wheelSlot = eventNone
 		return d
 	}
 	if got := w.nextDue(100); got != 100 {
 		t.Fatalf("empty wheel: nextDue(100) = %d, want 100", got)
 	}
-	w.push(mk(1, 10)) // ring
-	w.push(mk(2, 90)) // far heap (beyond base+64)
+	w.push(mk(1, 10))
+	w.push(mk(2, 40))
 	if got := w.nextDue(100); got != 10 {
-		t.Fatalf("nextDue(100) = %d, want 10 (ring)", got)
+		t.Fatalf("nextDue(100) = %d, want 10", got)
 	}
 	if got := w.nextDue(5); got != 5 {
 		t.Fatalf("nextDue(5) = %d, want clamp to 5", got)
 	}
-	// Drain the ring event; the far event must then be visible even
-	// though its cycle is outside the ring's current horizon.
 	if due := w.takeDue(10); len(due) != 1 || due[0].Seq != 1 {
 		t.Fatalf("takeDue(10) = %v", due)
 	}
-	if got := w.nextDue(1000); got != 90 {
-		t.Fatalf("nextDue(1000) = %d, want 90 (far heap)", got)
+	if got := w.nextDue(1000); got != 40 {
+		t.Fatalf("nextDue(1000) = %d, want 40", got)
 	}
 	if w.Len() != 1 {
 		t.Fatalf("nextDue moved events: len %d, want 1", w.Len())
 	}
-	// A far-heap entry whose cycle is inside the ring horizon (it never
-	// migrates) must still be found before a later ring entry.
-	w2 := newEventWheel(64)
-	w2.push(mk(3, 200)) // far
-	_ = w2.takeDue(150) // base past 140: 200 is now within the ring horizon
-	w2.push(mk(4, 180)) // ring
-	if got := w2.nextDue(1000); got != 180 {
-		t.Fatalf("nextDue(1000) = %d, want 180", got)
+	w.remove(mk(3, 40)) // not scheduled: no-op
+	w.remove(w.buckets[40&w.mask][0])
+	if got := w.nextDue(1000); got != 1000 || w.Len() != 0 {
+		t.Fatalf("after remove: nextDue(1000) = %d, len %d; want 1000, 0", got, w.Len())
 	}
-	w2.remove(mk(4, 180)) // not scheduled: no-op
-	b := w2.buckets[180&w2.mask]
-	w2.remove(b[0])
-	if got := w2.nextDue(1000); got != 200 {
-		t.Fatalf("after remove: nextDue(1000) = %d, want 200 (far entry inside horizon)", got)
+	// takeDue(10) moved the base to 11, so the ring spans [11, 75).
+	w.push(mk(4, 74))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("push past the horizon did not panic")
+		}
+	}()
+	w.push(mk(5, 75))
+}
+
+// TestSlowUnitFitsTheWheel: the wheel's horizon covers the slowest
+// functional unit, not only the integer divider. At 100-cycle memory a
+// horizon sized by the divider is 256 slots, and 17,841 completions of
+// this 400-cycle-FP run land beyond it. The run must stay on the wheel,
+// skip-equivalent, and reach the cycle and commit counts that a wheel
+// with a spill heap for far events produced.
+func TestSlowUnitFitsTheWheel(t *testing.T) {
+	cfg := config.CheckpointDefault(64, 512)
+	cfg.FPAlu.Latency = 400
+	cfg.MemoryLatency = 100
+	tick, skip, _ := runAB(t, cfg, trace.FPMix(40000, 1), RunOptions{MaxInsts: 30000}, nil)
+	if !tick.Equal(skip) {
+		t.Fatalf("skip diverged:\ntick: %+v\nskip: %+v", tick, skip)
+	}
+	if tick.Cycles != 343022 || tick.Committed != 33095 {
+		t.Fatalf("cycles %d, committed %d; want 343022, 33095", tick.Cycles, tick.Committed)
 	}
 }

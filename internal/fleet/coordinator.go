@@ -53,8 +53,10 @@ type Options struct {
 	// Workers lists the worker base URLs (e.g. "http://127.0.0.1:8321").
 	// At least one is required.
 	Workers []string
-	// MaxQueue bounds admitted-but-unfinished points across all batches;
-	// <= 0 admits everything.
+	// MaxQueue bounds admitted-but-unfinished points across all
+	// batches: while points are queued, a batch that would pass it is
+	// refused. An idle coordinator admits any batch, so a figure larger
+	// than the bound still runs as one batch. <= 0 admits everything.
 	MaxQueue int
 	// PingInterval spaces the health pinger's /readyz probes; <= 0 uses
 	// one second.

@@ -67,14 +67,6 @@ type Pool struct {
 	// new operation.
 	nextFree [numClasses][]int64
 	timing   [isa.NumOps]opTiming
-	stats    Stats
-}
-
-// Stats counts issue activity per class.
-type Stats struct {
-	Issued     [numClasses]uint64
-	StructHaz  [numClasses]uint64 // issue attempts rejected: all units busy
-	BusyCycles [numClasses]uint64
 }
 
 // NewPool builds the functional units from the architectural config.
@@ -100,10 +92,6 @@ func NewPool(cfg config.Config) *Pool {
 	return p
 }
 
-// Latency returns the execution latency of op on its unit, excluding any
-// memory time.
-func (p *Pool) Latency(op isa.Op) int64 { return p.timing[op].latency }
-
 // TryIssue attempts to start op at cycle now. On success it reserves a
 // unit and returns the cycle the result is produced. On failure (all
 // units of the class busy this cycle) it returns ok=false; the caller
@@ -115,30 +103,8 @@ func (p *Pool) TryIssue(op isa.Op, now int64) (done int64, ok bool) {
 		if free <= now {
 			t := p.timing[op]
 			units[i] = now + t.repeat
-			p.stats.Issued[class]++
 			return now + t.latency, true
 		}
 	}
-	p.stats.StructHaz[class]++
 	return 0, false
 }
-
-// Flush releases every unit, as after a pipeline squash. In-flight
-// results from squashed instructions are discarded by the core; the units
-// themselves become available immediately (checkpoint recovery restarts
-// the pipeline cleanly).
-func (p *Pool) Flush(now int64) {
-	for c := range p.nextFree {
-		for i := range p.nextFree[c] {
-			if p.nextFree[c][i] > now {
-				p.nextFree[c][i] = now
-			}
-		}
-	}
-}
-
-// Stats returns a copy of the counters.
-func (p *Pool) Stats() Stats { return p.stats }
-
-// Units returns the number of units in class c.
-func (p *Pool) Units(c Class) int { return len(p.nextFree[c]) }

@@ -9,17 +9,18 @@
 // deadlock.
 //
 // Disambiguation is indexed: resident stores chain per effective
-// address (youngest first, intrusively through the entries), so
-// LookupForward is one map probe plus a short chain walk instead of the
-// former backward scan of the whole queue — the scan was the single
-// hottest path in the simulator at kilo-instruction windows. Entries
-// recycle through an internal free list; steady-state inserts allocate
-// nothing.
+// address (youngest first, intrusively through the entries), and an
+// addrmap.Map from address to the chain's head makes LookupForward one
+// table probe plus a short chain walk instead of the former backward
+// scan of the whole queue — the scan was the single hottest path in the
+// simulator at kilo-instruction windows. Entries recycle through an
+// internal free list; steady-state inserts allocate nothing.
 package lsq
 
 import (
 	"fmt"
 
+	"repro/internal/addrmap"
 	"repro/internal/isa"
 	"repro/internal/queue"
 )
@@ -43,8 +44,6 @@ type Entry struct {
 	Addr uint64
 	// Executed marks address (and data, for stores) availability.
 	Executed bool
-	// Payload is the pipeline's record for this instruction.
-	Payload any
 	// waiters are loads blocked on this store's data (forwarding).
 	waiters []func(storeSeq uint64)
 	// olderSame chains stores to the same address, newest first (the
@@ -72,7 +71,7 @@ type LSQ struct {
 	entries queue.Deque[*Entry]
 	// stores maps an effective address to its youngest resident store;
 	// older stores to the same address chain behind it via olderSame.
-	stores storeIndex
+	stores addrmap.Map[*Entry]
 	free   []*Entry
 	stats  Stats
 }
@@ -96,7 +95,7 @@ func (q *LSQ) Full() bool { return q.Len() >= q.capacity }
 
 // Insert allocates an entry at dispatch. Entries must be inserted in
 // increasing sequence order. Returns nil when the queue is full.
-func (q *LSQ) Insert(seq uint64, op isa.Op, addr uint64, payload any) *Entry {
+func (q *LSQ) Insert(seq uint64, op isa.Op, addr uint64) *Entry {
 	if q.Full() {
 		q.stats.FullStalls++
 		return nil
@@ -123,13 +122,13 @@ func (q *LSQ) Insert(seq uint64, op isa.Op, addr uint64, payload any) *Entry {
 	} else {
 		e = new(Entry)
 	}
-	e.Seq, e.Kind, e.Addr, e.Executed, e.Payload = seq, k, addr, false, payload
+	e.Seq, e.Kind, e.Addr, e.Executed = seq, k, addr, false
 	q.entries.PushBack(e)
 	if k == KindStore {
 		// Inserts arrive in seq order, so the new store is the
 		// youngest at its address: it heads the chain.
-		e.olderSame = q.stores.get(addr)
-		q.stores.put(addr, e)
+		e.olderSame, _ = q.stores.Get(addr)
+		q.stores.Put(addr, e)
 	}
 	return e
 }
@@ -141,7 +140,6 @@ func (q *LSQ) recycle(e *Entry) {
 		e.waiters[i] = nil
 	}
 	e.waiters = e.waiters[:0]
-	e.Payload = nil
 	e.olderSame = nil
 	q.free = append(q.free, e)
 }
@@ -149,12 +147,12 @@ func (q *LSQ) recycle(e *Entry) {
 // dropStore unlinks a store from the forwarding index. Chains are short
 // (stores resident at one address), so the walk is cheap.
 func (q *LSQ) dropStore(e *Entry) {
-	head := q.stores.get(e.Addr)
+	head, _ := q.stores.Get(e.Addr)
 	if head == e {
 		if e.olderSame == nil {
-			q.stores.del(e.Addr)
+			q.stores.Del(e.Addr)
 		} else {
-			q.stores.put(e.Addr, e.olderSame)
+			q.stores.Put(e.Addr, e.olderSame)
 		}
 		return
 	}
@@ -203,7 +201,7 @@ const (
 func (q *LSQ) LookupForward(loadSeq uint64, addr uint64) (ForwardResult, *Entry) {
 	// The chain is youngest-first: the first store older than the load
 	// is the youngest matching one.
-	e := q.stores.get(addr)
+	e, _ := q.stores.Get(addr)
 	for e != nil && e.Seq >= loadSeq {
 		e = e.olderSame
 	}
@@ -305,7 +303,7 @@ func (q *LSQ) CheckInvariants() error {
 	}
 	stores := 0
 	var chainErr error
-	q.stores.forEach(func(addr uint64, head *Entry) {
+	q.stores.ForEach(func(addr uint64, head *Entry) {
 		prev := ^uint64(0)
 		for e := head; e != nil; e = e.olderSame {
 			if e.Addr != addr && chainErr == nil {

@@ -10,8 +10,8 @@ import (
 
 func TestInsertOrderAndKinds(t *testing.T) {
 	q := New(8)
-	l := q.Insert(1, isa.Load, 0x100, "l")
-	s := q.Insert(2, isa.Store, 0x200, "s")
+	l := q.Insert(1, isa.Load, 0x100)
+	s := q.Insert(2, isa.Store, 0x200)
 	if l.Kind != KindLoad || s.Kind != KindStore {
 		t.Fatal("kinds wrong")
 	}
@@ -29,13 +29,13 @@ func TestInsertOrderAndKinds(t *testing.T) {
 
 func TestOutOfOrderInsertPanics(t *testing.T) {
 	q := New(8)
-	q.Insert(5, isa.Load, 0x100, nil)
+	q.Insert(5, isa.Load, 0x100)
 	defer func() {
 		if recover() == nil {
 			t.Error("out-of-order insert must panic")
 		}
 	}()
-	q.Insert(4, isa.Load, 0x100, nil)
+	q.Insert(4, isa.Load, 0x100)
 }
 
 func TestNonMemOpPanics(t *testing.T) {
@@ -45,17 +45,17 @@ func TestNonMemOpPanics(t *testing.T) {
 			t.Error("non-memory op must panic")
 		}
 	}()
-	q.Insert(1, isa.IntAlu, 0x100, nil)
+	q.Insert(1, isa.IntAlu, 0x100)
 }
 
 func TestCapacity(t *testing.T) {
 	q := New(2)
-	q.Insert(1, isa.Load, 0x10, nil)
-	q.Insert(2, isa.Load, 0x20, nil)
+	q.Insert(1, isa.Load, 0x10)
+	q.Insert(2, isa.Load, 0x20)
 	if !q.Full() {
 		t.Fatal("should be full")
 	}
-	if q.Insert(3, isa.Load, 0x30, nil) != nil {
+	if q.Insert(3, isa.Load, 0x30) != nil {
 		t.Fatal("full queue must reject")
 	}
 	if q.Stats().FullStalls != 1 {
@@ -65,7 +65,7 @@ func TestCapacity(t *testing.T) {
 
 func TestForwardReady(t *testing.T) {
 	q := New(8)
-	s := q.Insert(1, isa.Store, 0x100, nil)
+	s := q.Insert(1, isa.Store, 0x100)
 	q.MarkExecuted(s)
 	got, blocking := q.LookupForward(2, 0x100)
 	if got != ForwardReady || blocking != nil {
@@ -78,7 +78,7 @@ func TestForwardReady(t *testing.T) {
 
 func TestForwardWaitThenReady(t *testing.T) {
 	q := New(8)
-	s := q.Insert(1, isa.Store, 0x100, nil)
+	s := q.Insert(1, isa.Store, 0x100)
 	got, blocking := q.LookupForward(2, 0x100)
 	if got != ForwardWait || blocking != s {
 		t.Fatalf("got %v (store %v), want ForwardWait on seq 1", got, blocking)
@@ -93,13 +93,13 @@ func TestForwardWaitThenReady(t *testing.T) {
 
 func TestForwardYoungestMatchingStore(t *testing.T) {
 	q := New(8)
-	s1 := q.Insert(1, isa.Store, 0x100, nil)
-	s2 := q.Insert(2, isa.Store, 0x100, nil)
+	s1 := q.Insert(1, isa.Store, 0x100)
+	s2 := q.Insert(2, isa.Store, 0x100)
 	q.MarkExecuted(s1)
 	q.MarkExecuted(s2)
 	// The load must see the youngest older store; both executed, so
 	// ForwardReady — and critically, not a store younger than the load.
-	q.Insert(3, isa.Load, 0x100, nil)
+	q.Insert(3, isa.Load, 0x100)
 	if got, _ := q.LookupForward(3, 0x100); got != ForwardReady {
 		t.Fatalf("got %v", got)
 	}
@@ -111,8 +111,8 @@ func TestForwardYoungestMatchingStore(t *testing.T) {
 
 func TestForwardWaitPicksYoungestOlderStore(t *testing.T) {
 	q := New(8)
-	s1 := q.Insert(1, isa.Store, 0x100, nil)
-	s2 := q.Insert(2, isa.Store, 0x100, nil)
+	s1 := q.Insert(1, isa.Store, 0x100)
+	s2 := q.Insert(2, isa.Store, 0x100)
 	q.MarkExecuted(s1)
 	// s2 (younger, unexecuted) shadows the executed s1.
 	got, blocking := q.LookupForward(3, 0x100)
@@ -123,7 +123,7 @@ func TestForwardWaitPicksYoungestOlderStore(t *testing.T) {
 
 func TestNoConflictDifferentAddress(t *testing.T) {
 	q := New(8)
-	q.Insert(1, isa.Store, 0x100, nil)
+	q.Insert(1, isa.Store, 0x100)
 	if got, _ := q.LookupForward(2, 0x108); got != NoConflict {
 		t.Fatalf("got %v, want NoConflict", got)
 	}
@@ -131,10 +131,10 @@ func TestNoConflictDifferentAddress(t *testing.T) {
 
 func TestDrainStoresBefore(t *testing.T) {
 	q := New(8)
-	s1 := q.Insert(1, isa.Store, 0x10, nil)
-	q.Insert(2, isa.Load, 0x20, nil)
-	s2 := q.Insert(3, isa.Store, 0x30, nil)
-	s3 := q.Insert(4, isa.Store, 0x40, nil)
+	s1 := q.Insert(1, isa.Store, 0x10)
+	q.Insert(2, isa.Load, 0x20)
+	s2 := q.Insert(3, isa.Store, 0x30)
+	s3 := q.Insert(4, isa.Store, 0x40)
 	q.MarkExecuted(s1)
 	q.MarkExecuted(s2)
 	q.MarkExecuted(s3)
@@ -153,7 +153,7 @@ func TestDrainStoresBefore(t *testing.T) {
 
 func TestDrainUnexecutedStorePanics(t *testing.T) {
 	q := New(8)
-	q.Insert(1, isa.Store, 0x10, nil)
+	q.Insert(1, isa.Store, 0x10)
 	defer func() {
 		if recover() == nil {
 			t.Error("draining an unexecuted store must panic")
@@ -164,8 +164,8 @@ func TestDrainUnexecutedStorePanics(t *testing.T) {
 
 func TestRetire(t *testing.T) {
 	q := New(8)
-	l := q.Insert(1, isa.Load, 0x10, nil)
-	s := q.Insert(2, isa.Store, 0x20, nil)
+	l := q.Insert(1, isa.Load, 0x10)
+	s := q.Insert(2, isa.Store, 0x20)
 	q.MarkExecuted(s)
 	var wrote []uint64
 	q.Retire(l, func(a uint64) { wrote = append(wrote, a) })
@@ -183,9 +183,9 @@ func TestRetire(t *testing.T) {
 
 func TestSquashYounger(t *testing.T) {
 	q := New(8)
-	q.Insert(1, isa.Load, 0x10, nil)
-	s := q.Insert(2, isa.Store, 0x20, nil)
-	q.Insert(3, isa.Load, 0x30, nil)
+	q.Insert(1, isa.Load, 0x10)
+	s := q.Insert(2, isa.Store, 0x20)
+	q.Insert(3, isa.Load, 0x30)
 	// A waiter on the store must be dropped with it.
 	fired := false
 	res, blocking := q.LookupForward(3, 0x20)
@@ -200,7 +200,7 @@ func TestSquashYounger(t *testing.T) {
 	// Recycle the squashed records: a new store at the same address
 	// (likely reusing the recycled entry) must not carry the dropped
 	// waiter, and the old store must be gone from the forwarding index.
-	s2 := q.Insert(4, isa.Store, 0x20, nil)
+	s2 := q.Insert(4, isa.Store, 0x20)
 	q.MarkExecuted(s2)
 	if fired {
 		t.Fatal("squashed store's waiter leaked onto a recycled entry")
@@ -218,7 +218,7 @@ func TestForwardIndexAfterChurn(t *testing.T) {
 	seq := uint64(0)
 	insert := func(op isa.Op, addr uint64) *Entry {
 		seq++
-		return q.Insert(seq, op, addr, nil)
+		return q.Insert(seq, op, addr)
 	}
 	a := insert(isa.Store, 0x10)
 	b := insert(isa.Store, 0x10)
@@ -246,8 +246,8 @@ func TestForwardIndexAfterChurn(t *testing.T) {
 
 func TestRetireOutOfOrderPanics(t *testing.T) {
 	q := New(8)
-	q.Insert(1, isa.Load, 0x10, nil)
-	l2 := q.Insert(2, isa.Load, 0x20, nil)
+	q.Insert(1, isa.Load, 0x10)
+	l2 := q.Insert(2, isa.Load, 0x20)
 	defer func() {
 		if recover() == nil {
 			t.Error("retiring an entry younger than the oldest must panic")
@@ -298,7 +298,7 @@ func TestChurnAgainstModel(t *testing.T) {
 				kind, mop = KindStore, isa.Store
 			}
 			addr := uint64(0x10 + 8*rng.Intn(6))
-			e := q.Insert(seq, mop, addr, nil)
+			e := q.Insert(seq, mop, addr)
 			if (e == nil) != (len(model) == q.Cap()) {
 				t.Fatalf("step %d: insert returned %v with %d resident", step, e, len(model))
 			}

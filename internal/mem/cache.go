@@ -1,6 +1,7 @@
 // Package mem models the memory hierarchy of the simulated processor:
 // set-associative LRU caches, an MSHR-style miss tracker that merges
-// requests to in-flight lines, and the main-memory latency model.
+// requests to in-flight lines (an addrmap.Map from line address to
+// fill-completion cycle), and the main-memory latency model.
 //
 // Timing contract: all methods take and return absolute cycle numbers.
 // The hierarchy is a passive timing oracle — the pipeline asks "if this
@@ -20,9 +21,6 @@ type CacheStats struct {
 	Misses   uint64
 }
 
-// Hits returns the number of hits.
-func (s CacheStats) Hits() uint64 { return s.Accesses - s.Misses }
-
 // MissRate returns misses/accesses, or 0 for an untouched cache.
 func (s CacheStats) MissRate() float64 {
 	if s.Accesses == 0 {
@@ -41,8 +39,8 @@ type Cache struct {
 	// ways holds every set's resident tags in one flat backing array:
 	// set s occupies ways[s*assoc : s*assoc+live[s]] in LRU order
 	// (index 0 is the most recently used way). A flat array keeps the
-	// per-access lookup a single indexed load and makes Clone a pair of
-	// copy calls instead of a per-set allocation walk.
+	// per-access lookup a single indexed load and makes Fork's adoption
+	// and the snapshot a pair of flat copies instead of a per-set walk.
 	ways []uint64
 	// live[s] is the number of resident ways in set s.
 	live  []int32
@@ -170,16 +168,6 @@ func (c *Cache) insert(tag uint64) {
 	set[0] = tag
 }
 
-// Clone returns a deep copy sharing no mutable state with c.
-func (c *Cache) Clone() *Cache {
-	nc := *c
-	nc.ways = make([]uint64, len(c.ways))
-	copy(nc.ways, c.ways)
-	nc.live = make([]int32, len(c.live))
-	copy(nc.live, c.live)
-	return &nc
-}
-
 // adoptState copies donor's resident lines and LRU order into c,
 // leaving c's own latency and statistics untouched. Geometry must match
 // (Hierarchy.Fork checks it via WarmKey equality before calling).
@@ -190,10 +178,3 @@ func (c *Cache) adoptState(donor *Cache) {
 
 // Stats returns a copy of the access counters.
 func (c *Cache) Stats() CacheStats { return c.stats }
-
-// Reset empties the cache and zeroes its statistics, reusing the
-// backing arrays.
-func (c *Cache) Reset() {
-	clear(c.live)
-	c.stats = CacheStats{}
-}

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/config"
 )
@@ -25,31 +25,6 @@ func replayAccesses(h *Hierarchy, seed int64, n int) {
 		default:
 			h.Load(now, addr)
 		}
-	}
-}
-
-// TestHierarchyCloneIndependent: a clone replays identically to its
-// original and mutations of one never leak into the other.
-func TestHierarchyCloneIndependent(t *testing.T) {
-	h := NewHierarchy(config.Default())
-	replayAccesses(h, 1, 4000)
-
-	clone := h.Clone()
-	if h.Stats() != clone.Stats() {
-		t.Fatalf("clone stats diverge: %+v vs %+v", h.Stats(), clone.Stats())
-	}
-
-	// Identical continuations must stay identical...
-	replayAccesses(h, 2, 4000)
-	replayAccesses(clone, 2, 4000)
-	if h.Stats() != clone.Stats() {
-		t.Fatalf("identical continuations diverged: %+v vs %+v", h.Stats(), clone.Stats())
-	}
-	// ...and divergent traffic on the clone must not touch the original.
-	before := h.Stats()
-	replayAccesses(clone, 3, 4000)
-	if h.Stats() != before {
-		t.Fatal("clone traffic mutated the original")
 	}
 }
 
@@ -124,6 +99,19 @@ func TestWarmKeyIgnoresTiming(t *testing.T) {
 	c.L2.Assoc = 8
 	if WarmKeyFor(a) == WarmKeyFor(c) {
 		t.Fatal("geometry differences must split WarmKeys")
+	}
+}
+
+// TestDonorErrorOrder: a key with several bad caches always names the
+// first in Table 1 order (IL1, DL1, L2).
+func TestDonorErrorOrder(t *testing.T) {
+	k := WarmKeyFor(config.Default())
+	k.IL1.LineBytes = 48
+	k.L2.Assoc = 0
+	for i := 0; i < 50; i++ {
+		if _, err := k.Donor(); err == nil || !strings.HasPrefix(err.Error(), "mem: warm donor IL1: ") {
+			t.Fatalf("call %d: Donor error = %v, want the IL1 error", i, err)
+		}
 	}
 }
 
@@ -229,49 +217,11 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestMSHRModel compares the open-addressed in-flight table against a
-// map reference under random put/get/del mixes (including the
-// backward-shift deletion paths).
-func TestMSHRModel(t *testing.T) {
-	f := func(ops []uint16) bool {
-		var m mshr
-		ref := map[uint64]int64{}
-		for i, op := range ops {
-			line := uint64(op % 97) // force collisions
-			switch op % 3 {
-			case 0:
-				m.put(line, int64(i))
-				ref[line] = int64(i)
-			case 1:
-				m.del(line)
-				delete(ref, line)
-			default:
-				v, ok := m.get(line)
-				rv, rok := ref[line]
-				if ok != rok || (ok && v != rv) {
-					return false
-				}
-			}
-		}
-		if m.n != len(ref) {
-			return false
-		}
-		for line, rv := range ref {
-			if v, ok := m.get(line); !ok || v != rv {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(5))}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestHierarchyResetReusesTables is the PR-5 satellite regression guard:
-// Reset must reuse every backing array — the old implementation
-// reallocated the in-flight map wholesale on every reset.
-func TestHierarchyResetReusesTables(t *testing.T) {
+// TestHierarchySettleReusesTables: steady-state load traffic plus
+// Settle, which sampled runs call between detailed windows, allocates
+// nothing — the in-flight table keeps its backing arrays across the
+// clear. Settle forgets pending fills and keeps the lines.
+func TestHierarchySettleReusesTables(t *testing.T) {
 	h := NewHierarchy(config.Default())
 	// Populate all tiers and the in-flight tracker.
 	replayAccesses(h, 11, 2000)
@@ -284,13 +234,17 @@ func TestHierarchyResetReusesTables(t *testing.T) {
 		for i, a := range addrs {
 			h.Load(int64(i), a)
 		}
-		h.Reset()
+		h.Settle()
 	})
 	if allocs > 0 {
-		t.Errorf("Reset (plus steady-state traffic) allocates %.1f times per cycle, want 0", allocs)
+		t.Errorf("Settle (plus steady-state traffic) allocates %.1f times per run, want 0", allocs)
 	}
-	// And Reset still means cold.
-	if !h.Load(0, 0x42).MissedL2 {
-		t.Error("Reset must cold the caches")
+	const line = 0x7f00000
+	if !h.Load(0, line).MissedL2 || !h.Load(5, line).MissedL2 {
+		t.Fatal("a cold line must miss, and a load behind its fill must merge")
+	}
+	h.Settle()
+	if got := h.Load(5, line); got.MissedL2 || got.Done != 7 {
+		t.Errorf("load after Settle = %+v, want a DL1 hit done at 7", got)
 	}
 }

@@ -3,6 +3,7 @@ package mem
 import (
 	"fmt"
 
+	"repro/internal/addrmap"
 	"repro/internal/config"
 )
 
@@ -46,13 +47,13 @@ type Hierarchy struct {
 
 	// inflight tracks in-flight L2 line fills (fill-completion cycle per
 	// line address, MSHR-style).
-	inflight mshr
+	inflight addrmap.Map[int64]
 	stats    HierarchyStats
 }
 
 // NewHierarchy builds the memory system from the architectural config.
 func NewHierarchy(cfg config.Config) *Hierarchy {
-	h := &Hierarchy{
+	return &Hierarchy{
 		il1:        NewCache(cfg.IL1),
 		dl1:        NewCache(cfg.DL1),
 		l2:         NewCache(cfg.L2),
@@ -60,9 +61,12 @@ func NewHierarchy(cfg config.Config) *Hierarchy {
 		memLatency: int64(cfg.MemoryLatency),
 		prefetch:   cfg.PrefetchDegree,
 		warm:       WarmKeyFor(cfg),
+		// Unconstrained memory-level parallelism keeps roughly one line
+		// in flight per few cycles of latency on streaming workloads, so
+		// sizing the table to the latency skips the rehashes of growing
+		// from the minimum on every simulation point.
+		inflight: addrmap.New[int64](cfg.MemoryLatency),
 	}
-	h.inflight.init(mshrSizeFor(cfg.MemoryLatency))
-	return h
 }
 
 // WarmKey identifies the warm-relevant shape of a hierarchy: two
@@ -98,9 +102,12 @@ func (k WarmKey) Donor() (*Hierarchy, error) {
 	cfg.IL1.LatencyCycles = 1
 	cfg.DL1.LatencyCycles = 1
 	cfg.L2.LatencyCycles = 1
-	for name, cc := range map[string]config.CacheConfig{"IL1": cfg.IL1, "DL1": cfg.DL1, "L2": cfg.L2} {
-		if err := cc.Validate(); err != nil {
-			return nil, fmt.Errorf("mem: warm donor %s: %w", name, err)
+	for _, c := range []struct {
+		name string
+		cc   config.CacheConfig
+	}{{"IL1", cfg.IL1}, {"DL1", cfg.DL1}, {"L2", cfg.L2}} {
+		if err := c.cc.Validate(); err != nil {
+			return nil, fmt.Errorf("mem: warm donor %s: %w", c.name, err)
 		}
 	}
 	// WarmKeyFor zeroes latencies, so the donor's own key equals k.
@@ -109,19 +116,6 @@ func (k WarmKey) Donor() (*Hierarchy, error) {
 
 // WarmKey returns the hierarchy's warm-relevant shape.
 func (h *Hierarchy) WarmKey() WarmKey { return h.warm }
-
-// Clone returns a deep copy sharing no mutable state with h: caches
-// (flat tag arrays), the in-flight line tracker, and statistics are all
-// copied. The clone and the original may then run on different
-// goroutines.
-func (h *Hierarchy) Clone() *Hierarchy {
-	nh := *h
-	nh.il1 = h.il1.Clone()
-	nh.dl1 = h.dl1.Clone()
-	nh.l2 = h.l2.Clone()
-	nh.inflight = h.inflight.clone()
-	return &nh
-}
 
 // Fork builds a fresh hierarchy for cfg that starts from h's current
 // cache contents: the fork half of the snapshot-fork sweep kernel. The
@@ -145,12 +139,12 @@ func (h *Hierarchy) Fork(cfg config.Config) (*Hierarchy, error) {
 func (h *Hierarchy) Load(now int64, addr uint64) AccessResult {
 	// An in-flight fill of this line absorbs the request (MSHR merge).
 	line := h.l2.LineAddr(addr)
-	if ready, ok := h.inflight.get(line); ok {
+	if ready, ok := h.inflight.Get(line); ok {
 		if ready > now {
 			h.stats.MergedMisses++
 			return AccessResult{Done: ready, MissedL2: true}
 		}
-		h.inflight.del(line)
+		h.inflight.Del(line)
 	}
 
 	done := now + int64(h.dl1.Latency())
@@ -169,7 +163,7 @@ func (h *Hierarchy) Load(now int64, addr uint64) AccessResult {
 	// Main memory. The line is resident (for replacement purposes) from
 	// now on, but consumers must wait for the fill via the MSHR table.
 	done += h.memLatency
-	h.inflight.put(line, done)
+	h.inflight.Put(line, done)
 	h.stats.MemAccesses++
 	h.prefetchAfter(line, done)
 	return AccessResult{Done: done, MissedL2: true}
@@ -184,11 +178,11 @@ func (h *Hierarchy) prefetchAfter(line uint64, done int64) {
 		if h.l2.Probe(next) {
 			continue
 		}
-		if _, busy := h.inflight.get(next); busy {
+		if _, busy := h.inflight.Get(next); busy {
 			continue
 		}
 		h.l2.insert(next >> h.l2.lineShift)
-		h.inflight.put(next, done+int64(i))
+		h.inflight.Put(next, done+int64(i))
 		h.stats.Prefetches++
 	}
 }
@@ -198,11 +192,11 @@ func (h *Hierarchy) prefetchAfter(line uint64, done int64) {
 // IL1 go to L2 and, if needed, memory, reusing the same line tracker.
 func (h *Hierarchy) FetchLatency(now int64, pc uint64) int64 {
 	line := h.l2.LineAddr(pc)
-	if ready, ok := h.inflight.get(line); ok {
+	if ready, ok := h.inflight.Get(line); ok {
 		if ready > now {
 			return ready
 		}
-		h.inflight.del(line)
+		h.inflight.Del(line)
 	}
 	done := now + int64(h.il1.Latency())
 	if h.il1.Access(pc) {
@@ -213,7 +207,7 @@ func (h *Hierarchy) FetchLatency(now int64, pc uint64) int64 {
 		return done
 	}
 	done += h.memLatency
-	h.inflight.put(line, done)
+	h.inflight.Put(line, done)
 	h.stats.MemAccesses++
 	return done
 }
@@ -225,7 +219,7 @@ func (h *Hierarchy) FetchLatency(now int64, pc uint64) int64 {
 // keeps answering "ready", but the cycle it lands the front end can
 // make progress, so the skip must stop there.
 func (h *Hierarchy) FetchFillReady(now int64, pc uint64) int64 {
-	if ready, ok := h.inflight.get(h.l2.LineAddr(pc)); ok && ready > now {
+	if ready, ok := h.inflight.Get(h.l2.LineAddr(pc)); ok && ready > now {
 		return ready
 	}
 	return -1
@@ -276,20 +270,6 @@ func (h *Hierarchy) WarmData(addr uint64) {
 	}
 }
 
-// WouldMissL2 reports whether a load of addr issued now would go to main
-// memory, without changing any state. The pipeline uses it for
-// classification previews in tests.
-func (h *Hierarchy) WouldMissL2(now int64, addr uint64) bool {
-	if h.perfectL2 {
-		return false
-	}
-	line := h.l2.LineAddr(addr)
-	if ready, ok := h.inflight.get(line); ok && ready > now {
-		return true
-	}
-	return !h.dl1.Probe(addr) && !h.l2.Probe(addr)
-}
-
 // Stats returns a copy of the aggregate counters.
 func (h *Hierarchy) Stats() HierarchyStats {
 	s := h.stats
@@ -305,14 +285,4 @@ func (h *Hierarchy) Stats() HierarchyStats {
 // and would read as pending (or long past) on the next window's fresh
 // clock, whereas the lines themselves are exactly the long-lived state
 // functional warming preserves.
-func (h *Hierarchy) Settle() { h.inflight.reset() }
-
-// Reset restores the hierarchy to cold-cache state, reusing every
-// backing array (no allocation).
-func (h *Hierarchy) Reset() {
-	h.il1.Reset()
-	h.dl1.Reset()
-	h.l2.Reset()
-	h.inflight.reset()
-	h.stats = HierarchyStats{}
-}
+func (h *Hierarchy) Settle() { h.inflight.Clear() }

@@ -58,7 +58,6 @@ type IQ[P any] struct {
 	// non-lane heapIdx); pops skip them.
 	fifo     []readyItem[P]
 	fifoHead int
-	stats    IQStats
 }
 
 // fifoLane marks (in IQEntry.heapIdx) residence in the ready FIFO lane.
@@ -70,15 +69,6 @@ const fifoLane int32 = -2
 type readyItem[P any] struct {
 	seq uint64
 	e   *IQEntry[P]
-}
-
-// IQStats counts queue activity.
-type IQStats struct {
-	Inserted uint64
-	Issued   uint64
-	Removed  uint64
-	// FullStalls counts rejected insertions.
-	FullStalls uint64
 }
 
 // NewIQ builds an issue queue with the given capacity.
@@ -150,7 +140,6 @@ func (q *IQ[P]) fifoFront() *readyItem[P] {
 // be resident. Insert returns false when the queue is full.
 func (q *IQ[P]) Insert(e *IQEntry[P], seq uint64, pendingSources int) bool {
 	if q.Full() {
-		q.stats.FullStalls++
 		return false
 	}
 	if pendingSources < 0 {
@@ -165,7 +154,6 @@ func (q *IQ[P]) Insert(e *IQEntry[P], seq uint64, pendingSources int) bool {
 	e.resident = true
 	e.q = q
 	q.occupied++
-	q.stats.Inserted++
 	if e.pending == 0 {
 		q.readyPush(e)
 	}
@@ -206,7 +194,6 @@ func (q *IQ[P]) PopReady() *IQEntry[P] {
 	}
 	e.resident = false
 	q.occupied--
-	q.stats.Issued++
 	return e
 }
 
@@ -232,7 +219,6 @@ func (q *IQ[P]) Unissue(e *IQEntry[P]) {
 	}
 	e.resident = true
 	q.occupied++
-	q.stats.Issued--
 	q.heapPush(e)
 }
 
@@ -249,14 +235,10 @@ func (q *IQ[P]) Remove(e *IQEntry[P]) {
 	}
 	e.resident = false
 	q.occupied--
-	q.stats.Removed++
 }
 
 // Resident reports whether e currently occupies a slot of this queue.
 func (q *IQ[P]) Resident(e *IQEntry[P]) bool { return e != nil && e.resident && e.q == q }
-
-// Stats returns a copy of the counters.
-func (q *IQ[P]) Stats() IQStats { return q.stats }
 
 // The ready set is a hand-rolled 4-ary min-heap over Seq: a typed
 // sibling of container/heap without the interface dispatch and `any`

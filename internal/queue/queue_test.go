@@ -83,9 +83,6 @@ func TestIQCapacity(t *testing.T) {
 	if q.Insert(ent("c"), 3, 1) {
 		t.Fatal("insert into a full queue must fail")
 	}
-	if q.Stats().FullStalls != 1 {
-		t.Fatal("stall not counted")
-	}
 }
 
 func TestIQUnissue(t *testing.T) {
@@ -115,9 +112,9 @@ func TestIQRemove(t *testing.T) {
 	if q.Len() != 0 || q.ReadyCount() != 0 {
 		t.Fatal("remove must handle both waiting and ready entries")
 	}
-	q.Remove(eWait) // double remove is a no-op
-	if q.Stats().Removed != 2 {
-		t.Fatal("remove count wrong")
+	q.Remove(eWait)
+	if q.Len() != 0 {
+		t.Fatal("double remove must be a no-op")
 	}
 }
 
@@ -376,13 +373,15 @@ func TestSLIQMultipleTriggers(t *testing.T) {
 	}
 }
 
+// TestSLIQClear: squashing from seq 0 flushes every entry, woken or
+// still waiting.
 func TestSLIQClear(t *testing.T) {
 	s := NewSLIQ[int](8, 4, 4, sliqRegs)
 	s.Insert(1, 1, 0)
 	s.Insert(2, 2, 0)
 	s.TriggerReady(1, 0)
 	n := 0
-	s.Clear(func(int) { n++ })
+	s.SquashYounger(0, func(int) { n++ })
 	if n != 2 || s.Len() != 0 {
 		t.Fatalf("clear squashed %d, len %d", n, s.Len())
 	}

@@ -50,7 +50,6 @@ type sliqEntry[P any] struct {
 	payload    P
 	eligibleAt int64 // cycle from which it may re-enter the IQ; -1 = waiting
 	squashed   bool
-	heapIdx    int32
 }
 
 // NewSLIQ builds a slow lane queue. capacity is the entry count; delay
@@ -103,7 +102,7 @@ func (s *SLIQ[P]) Insert(seq uint64, trigger rename.PhysReg, payload P) bool {
 	} else {
 		e = new(sliqEntry[P])
 	}
-	*e = sliqEntry[P]{seq: seq, trigger: trigger, payload: payload, eligibleAt: -1, heapIdx: -1}
+	*e = sliqEntry[P]{seq: seq, trigger: trigger, payload: payload, eligibleAt: -1}
 	s.waiting[trigger] = append(s.waiting[trigger], e)
 	s.occupied++
 	s.stats.Inserted++
@@ -232,15 +231,6 @@ func (s *SLIQ[P]) SquashYounger(seq uint64, onSquash func(payload P)) {
 	}
 }
 
-// Clear empties the queue (total flush), invoking onSquash per entry.
-func (s *SLIQ[P]) Clear(onSquash func(payload P)) {
-	s.SquashYounger(0, onSquash)
-	for _, e := range s.wakeable {
-		s.recycle(e)
-	}
-	s.wakeable = s.wakeable[:0]
-}
-
 // WaitingOn returns the number of entries not yet triggered.
 func (s *SLIQ[P]) WaitingOn() int {
 	n := 0
@@ -261,7 +251,6 @@ func (s *SLIQ[P]) Stats() SLIQStats { return s.stats }
 // the rationale).
 
 func (s *SLIQ[P]) heapPush(e *sliqEntry[P]) {
-	e.heapIdx = int32(len(s.wakeable))
 	s.wakeable = append(s.wakeable, e)
 	s.heapUp(len(s.wakeable) - 1)
 }
@@ -271,13 +260,11 @@ func (s *SLIQ[P]) heapPop() *sliqEntry[P] {
 	e := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
-	h[0].heapIdx = 0
 	h[last] = nil
 	s.wakeable = h[:last]
 	if last > 0 {
 		s.heapDown(0)
 	}
-	e.heapIdx = -1
 	return e
 }
 
@@ -289,8 +276,6 @@ func (s *SLIQ[P]) heapUp(i int) {
 			break
 		}
 		h[parent], h[i] = h[i], h[parent]
-		h[parent].heapIdx = int32(parent)
-		h[i].heapIdx = int32(i)
 		i = parent
 	}
 }
@@ -311,8 +296,6 @@ func (s *SLIQ[P]) heapDown(i int) {
 			break
 		}
 		h[i], h[min] = h[min], h[i]
-		h[i].heapIdx = int32(i)
-		h[min].heapIdx = int32(min)
 		i = min
 	}
 }

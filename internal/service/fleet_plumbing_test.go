@@ -64,6 +64,32 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestIdleAdmitsOversizedBatch: an idle node admits a batch with more
+// misses than its queue bound, which could otherwise never run. It is
+// then not ready, and refuses the next batch, until the queue drains
+// below the bound.
+func TestIdleAdmitsOversizedBatch(t *testing.T) {
+	s, release := gatedScheduler(t, SchedulerOptions{Workers: 1, MaxQueue: 2})
+	b, err := s.Submit([]Job{testJob("a", 32), testJob("b", 64), testJob("c", 128)})
+	if err != nil {
+		t.Fatalf("3-miss batch on an idle node with bound 2: %v", err)
+	}
+	if err := s.Ready(); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("Ready over bound = %v, want ErrOverloaded", err)
+	}
+	if _, err := s.Submit([]Job{testJob("d", 16)}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("submit behind the oversized batch = %v, want ErrOverloaded", err)
+	}
+
+	close(release)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := b.Wait(ctx); err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	waitUntil(t, func() bool { return s.Ready() == nil })
+}
+
 // TestAdmissionIgnoresCacheHits: a batch of pure cache hits costs no
 // simulation, so it is admitted even at the queue bound.
 func TestAdmissionIgnoresCacheHits(t *testing.T) {

@@ -84,12 +84,15 @@ func (f *Front) Prepare(jobs []Job) (fps []string, err error) {
 }
 
 // Admit registers a prepared batch that queues work units, or refuses
-// it with ErrOverloaded when that would push the queue past the bound
-// (a batch queueing nothing always passes). Nothing is registered on
-// refusal. The embedder calls Finished as the work completes.
+// it with ErrOverloaded when work is already queued and the batch would
+// push the queue past the bound. A batch queueing nothing always
+// passes, and so does any batch on an idle front, however large: a
+// batch bigger than the bound could otherwise never run. Nothing is
+// registered on refusal. The embedder calls Finished as the work
+// completes.
 func (f *Front) Admit(jobs []Job, fps []string, work int) (*Batch, error) {
 	if f.maxQueue > 0 && work > 0 {
-		if q := f.queued.Load(); q+int64(work) > int64(f.maxQueue) {
+		if q := f.queued.Load(); q > 0 && q+int64(work) > int64(f.maxQueue) {
 			f.rejected.Add(1)
 			return nil, fmt.Errorf("%w: %d queued + %d new > bound %d", ErrOverloaded, q, work, f.maxQueue)
 		}

@@ -23,10 +23,12 @@ type SchedulerOptions struct {
 	// Cache is the result store; nil builds a memory-only cache with
 	// DefaultCacheEntries.
 	Cache *Cache
-	// MaxQueue is the admission bound: a batch whose misses would push
-	// the number of queued-but-unfinished misses past it is rejected
-	// with ErrOverloaded (HTTP 429 + Retry-After), and readiness flips
-	// false while the queue is over the bound. <= 0 admits everything.
+	// MaxQueue is the admission bound: while misses are queued, a batch
+	// whose misses would push the number of queued-but-unfinished
+	// misses past it is rejected with ErrOverloaded (HTTP 429 +
+	// Retry-After). An idle node admits any batch, even one larger than
+	// the bound. Readiness is false while the queue is at or over the
+	// bound. <= 0 admits everything.
 	MaxQueue int
 	// Donors, when non-nil, is the fleet's warm-donor shipping fabric:
 	// snapshot-group donors are adopted from their home peer instead of
@@ -121,10 +123,10 @@ func (s *Scheduler) Donors() *DonorExchange { return s.exchange }
 // returns it with cache hits already completed; misses execute
 // asynchronously on the shared pool. An invalid job rejects the whole
 // batch (nothing runs). Admission control also rejects atomically: a
-// draining scheduler admits nothing (ErrDraining), and a batch whose
-// misses would push the queue past MaxQueue is refused (ErrOverloaded)
-// before anything is registered — cache hits alone never trip the
-// bound, since they cost no simulation.
+// draining scheduler admits nothing (ErrDraining), and while misses are
+// queued a batch whose misses would push the queue past MaxQueue is
+// refused (ErrOverloaded) before anything is registered — cache hits
+// alone never trip the bound, since they cost no simulation.
 func (s *Scheduler) Submit(jobs []Job) (*Batch, error) {
 	fps, err := s.Prepare(jobs)
 	if err != nil {

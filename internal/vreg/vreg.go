@@ -18,15 +18,6 @@ type Tracker struct {
 	vcap, pcap int
 	vLive      int // tags: renamed destinations not yet bound
 	pLive      int // bound physical registers not yet released
-	stats      Stats
-}
-
-// Stats counts admission-control events.
-type Stats struct {
-	TagStalls  uint64 // rename stalled: no virtual tag
-	BindStalls uint64 // writeback deferred: no physical register
-	Binds      uint64
-	Releases   uint64
 }
 
 // New builds a tracker with vcap virtual tags and pcap physical
@@ -47,11 +38,10 @@ func (t *Tracker) TagsLive() int { return t.vLive }
 func (t *Tracker) PhysLive() int { return t.pLive }
 
 // TryRename requests a virtual tag for a destination-producing
-// instruction. It returns false (and counts a stall) when the tag space
-// is exhausted; rename must retry next cycle.
+// instruction. It returns false when the tag space is exhausted; rename
+// must retry next cycle.
 func (t *Tracker) TryRename() bool {
 	if t.vLive >= t.vcap {
-		t.stats.TagStalls++
 		return false
 	}
 	t.vLive++
@@ -70,11 +60,10 @@ func (t *Tracker) UnRename() {
 // TryBind converts a tag to a physical register at writeback. fused
 // reports that the value is released in the same event (its redefiner
 // already completed), in which case no physical register is consumed.
-// It returns false (and counts a stall) when the register file is full;
-// the writeback must be deferred and retried after the next Release.
+// It returns false when the register file is full; the writeback must
+// be deferred and retried after the next Release.
 func (t *Tracker) TryBind(fused bool) bool {
 	if !fused && t.pLive >= t.pcap {
-		t.stats.BindStalls++
 		return false
 	}
 	t.vLive--
@@ -84,7 +73,6 @@ func (t *Tracker) TryBind(fused bool) bool {
 	if !fused {
 		t.pLive++
 	}
-	t.stats.Binds++
 	return true
 }
 
@@ -96,16 +84,11 @@ func (t *Tracker) Release() {
 		panic("vreg: physical register underflow")
 	}
 	t.pLive--
-	t.stats.Releases++
 }
 
 // SquashBound releases the register of a squashed instruction whose
 // value had already been bound.
 func (t *Tracker) SquashBound() { t.Release() }
 
-// CanBind reports whether a bind would currently succeed, without
-// counting a stall.
+// CanBind reports whether a bind would currently succeed.
 func (t *Tracker) CanBind() bool { return t.pLive < t.pcap }
-
-// Stats returns a copy of the counters.
-func (t *Tracker) Stats() Stats { return t.stats }
