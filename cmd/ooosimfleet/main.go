@@ -14,7 +14,9 @@
 // runner, cmd/experiments -server, and cmd/ooosimload all work
 // unchanged against it. Inside, identical points always route to the
 // same worker (cross-node singleflight plus clean cache partitioning),
-// concurrent batches sharing a point submit it downstream once, and a
+// points the coordinator has relayed before are answered from its own
+// memory without contacting a worker, concurrent batches sharing a
+// point submit it downstream once, and a
 // worker that dies mid-batch has its unfinished points re-routed to the
 // survivors — results are byte-identical either way, because the
 // simulator is deterministic.
@@ -49,7 +51,7 @@ func main() {
 	var workers workerList
 	flag.Var(&workers, "worker", "worker base URL (repeat per worker)")
 	addr := flag.String("addr", "127.0.0.1:8320", "listen address")
-	maxQueue := flag.Int("max-queue", 0, "admission bound on queued points; 0 admits everything")
+	maxQueue := flag.Int("max-queue", 0, "admission bound on queued misses; 0 admits everything")
 	pingInterval := flag.Duration("ping-interval", time.Second, "worker readiness probe interval")
 	pingTimeout := flag.Duration("ping-timeout", 2*time.Second, "per-round readiness probe timeout")
 	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive failures that open a worker's circuit breaker")

@@ -32,9 +32,13 @@
 // in-process fleet with the seed's aggressive fault plan injected at
 // every distributed seam (client and coordinator HTTP, donor fetches,
 // worker disk caches), kills one worker after the first batch, and
-// drives -chaos-batches batches through the fray. The run fails unless
-// every point completes with bytes identical to the reference — zero
-// lost points, zero divergence. The same seed replays the same faults.
+// drives -chaos-batches batches through the fray. Each batch runs
+// twice: once as the fleet serves it (repeats may come from the
+// coordinator's memory), and once through a fresh coordinator over the
+// same workers, so every point, repeats included, also routes to the
+// faulty workers. The run fails unless every point completes with
+// bytes identical to the reference — zero lost points, zero
+// divergence. The same seed replays the same faults.
 package main
 
 import (
@@ -44,6 +48,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -217,8 +222,9 @@ func percentile(sorted []time.Duration, p int) time.Duration {
 // fault-free local scheduler, then the same points through an
 // in-process fleet with the seeded aggressive fault plan injected at
 // every distributed seam and one worker killed after the first batch.
-// Returns an error unless every point completes byte-identical to the
-// reference.
+// Each batch is checked as the fleet serves it and again as a fresh
+// coordinator routes it to the workers. Returns an error unless every
+// point completes byte-identical to the reference.
 func runChaos(seed int64, workers int, points []service.Job, batchSize, nbatches int) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
@@ -268,7 +274,7 @@ func runChaos(seed int64, workers int, points []service.Job, batchSize, nbatches
 		caches = append(caches, opt.Cache)
 		return func() { opt.Journal.Close(); cleanup() }, nil
 	}
-	lb, err := fleet.NewLoopback(workers, runtime.GOMAXPROCS(0)/workers+1, fleet.Options{
+	opt := fleet.Options{
 		PingInterval:    200 * time.Millisecond,
 		PingTimeout:     time.Second,
 		BreakerCooldown: 500 * time.Millisecond,
@@ -276,7 +282,8 @@ func runChaos(seed int64, workers int, points []service.Job, batchSize, nbatches
 		NoNodesGrace:    5 * time.Second,
 		HTTPClient:      &http.Client{Transport: &faults.RoundTripper{Inject: inj}},
 		Log:             log.Printf,
-	}, chaosWorker)
+	}
+	lb, err := fleet.NewLoopback(workers, runtime.GOMAXPROCS(0)/workers+1, opt, chaosWorker)
 	if err != nil {
 		return err
 	}
@@ -307,6 +314,30 @@ func runChaos(seed int64, workers int, points []service.Job, batchSize, nbatches
 		return fmt.Errorf("chaos fleet never became ready: %w", err)
 	}
 
+	// fresh serves a new coordinator over the same workers, with the
+	// same chaos transport and breaker settings. Its memory is empty, so
+	// every point sent to it routes to a worker.
+	fresh := func() (url string, stop func(), err error) {
+		o := opt
+		o.Workers = lb.Workers
+		c, err := fleet.New(o)
+		if err != nil {
+			return "", nil, err
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			c.Close()
+			return "", nil, err
+		}
+		srv := &http.Server{Handler: fleet.NewHandler(c)}
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			srv.Serve(ln) // returns once stop closes srv
+		}()
+		return "http://" + ln.Addr().String(), func() { srv.Close(); <-served; c.Close() }, nil
+	}
+
 	rng := rand.New(rand.NewSource(seed))
 	diverged := 0
 	for bi := 0; bi < nbatches; bi++ {
@@ -316,24 +347,37 @@ func runChaos(seed int64, workers int, points []service.Job, batchSize, nbatches
 			idxs[i] = rng.Intn(len(points))
 			jobs[i] = points[idxs[i]]
 		}
-		raw := make([]string, len(jobs))
-		// Run fails on any lost point, so a nil error means the batch is
-		// complete: every point either simulated, hit a cache, or was
-		// re-routed to a survivor.
-		if _, err := client.Run(ctx, jobs, func(ev service.Event, _ *stats.Results) {
-			if ev.Type == "result" && ev.Index >= 0 && ev.Index < len(raw) {
-				raw[ev.Index] = string(ev.Results)
-			}
-		}); err != nil {
-			return fmt.Errorf("batch %d lost points: %w", bi, err)
+		// Once as the fleet serves it, where repeats may come from the
+		// coordinator's memory, then once through a fresh coordinator, so
+		// the repeats reach the faulty workers as well.
+		routed, stop, err := fresh()
+		if err != nil {
+			return err
 		}
-		for i := range jobs {
-			if raw[i] != refBytes[idxs[i]] {
-				diverged++
-				log.Printf("chaos: batch %d point %d (%s) diverged from the reference", bi, i, jobs[i].Name)
+		for _, url := range []string{lb.URL, routed} {
+			c := *client
+			c.BaseURL = url
+			raw := make([]string, len(jobs))
+			// Run fails on any lost point, so a nil error means the batch
+			// is complete: every point either simulated, hit a cache, or
+			// was re-routed to a survivor.
+			if _, err := c.Run(ctx, jobs, func(ev service.Event, _ *stats.Results) {
+				if ev.Type == "result" && ev.Index >= 0 && ev.Index < len(raw) {
+					raw[ev.Index] = string(ev.Results)
+				}
+			}); err != nil {
+				stop()
+				return fmt.Errorf("batch %d lost points at %s: %w", bi, url, err)
+			}
+			for i := range jobs {
+				if raw[i] != refBytes[idxs[i]] {
+					diverged++
+					log.Printf("chaos: batch %d point %d (%s) at %s diverged from the reference", bi, i, jobs[i].Name, url)
+				}
 			}
 		}
-		log.Printf("chaos: batch %d/%d complete (%d points)", bi+1, nbatches, len(jobs))
+		stop()
+		log.Printf("chaos: batch %d/%d complete (%d points, served and routed)", bi+1, nbatches, len(jobs))
 		if bi == 0 {
 			log.Printf("chaos: killing worker 0 (%s)", lb.Workers[0])
 			lb.Kill(0)

@@ -6,8 +6,9 @@
 //     donor snapshots ship between workers so each snapshot group is
 //     warmed once fleet-wide;
 //
-//  2. a warm resubmission — every point answers from the workers'
-//     partitioned caches, zero simulation;
+//  2. a warm resubmission — the coordinator answers every point from
+//     its own memory in the submit response: one HTTP request, no
+//     worker contacted, zero simulation;
 //
 //  3. a mid-batch worker kill — the coordinator marks the node down
 //     and re-routes its unfinished points, and the results are still
@@ -88,11 +89,12 @@ func main() {
 		fmt.Printf("   worker %d: donors built=%d adopted=%d shipped=%d\n", i, built, adopted, shipped)
 	}
 
-	// --- 2. Warm: identical bytes, no simulation anywhere.
+	// --- 2. Warm: identical bytes from the coordinator's memory; no
+	// worker is contacted.
 	fmt.Printf("== warm resubmission\n")
 	start = time.Now()
 	warm := runBatch(ctx, client, jobs)
-	fmt.Printf("   done in %v (cache hits on the workers)\n", time.Since(start))
+	fmt.Printf("   done in %v (answered from the coordinator's memory)\n", time.Since(start))
 	mustMatch(cold, warm, "warm")
 
 	// --- 3. Kill a worker mid-batch. A fresh sweep (new instruction

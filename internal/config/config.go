@@ -69,6 +69,15 @@ type CacheConfig struct {
 // Sets returns the number of sets implied by the geometry.
 func (c CacheConfig) Sets() int { return c.SizeBytes / (c.Assoc * c.LineBytes) }
 
+// Latency bounds. The pipeline sizes its completion wheel from the sum
+// of the latencies, and the memory hierarchy pre-sizes its in-flight
+// fill table to the memory latency, both before the first cycle: an
+// unbounded latency would be an unbounded allocation.
+const (
+	maxMemoryLatency = 1 << 16
+	maxLatency       = 1 << 10 // any cache or functional-unit latency
+)
+
 // Validate reports geometry errors.
 func (c CacheConfig) Validate() error {
 	switch {
@@ -83,6 +92,8 @@ func (c CacheConfig) Validate() error {
 		return fmt.Errorf("config: set count %d not a power of two", c.Sets())
 	case c.LatencyCycles < 1:
 		return fmt.Errorf("config: cache latency %d < 1", c.LatencyCycles)
+	case c.LatencyCycles > maxLatency:
+		return fmt.Errorf("config: cache latency %d > %d", c.LatencyCycles, maxLatency)
 	}
 	return nil
 }
@@ -106,6 +117,9 @@ func (f FUConfig) Validate() error {
 	}
 	if f.Repeat > f.Latency {
 		return fmt.Errorf("config: repeat %d exceeds latency %d", f.Repeat, f.Latency)
+	}
+	if f.Latency > maxLatency {
+		return fmt.Errorf("config: functional unit latency %d > %d", f.Latency, maxLatency)
 	}
 	return nil
 }
@@ -355,6 +369,9 @@ func (c Config) Validate() error {
 	}
 	if c.MemoryLatency < 1 {
 		add("memory latency %d < 1", c.MemoryLatency)
+	}
+	if c.MemoryLatency > maxMemoryLatency {
+		add("memory latency %d > %d", c.MemoryLatency, maxMemoryLatency)
 	}
 	if c.MemoryPorts < 1 {
 		add("memory ports %d < 1", c.MemoryPorts)

@@ -95,6 +95,16 @@ func TestValidateCatchesErrors(t *testing.T) {
 		func(c *Config) { c.ROBEntries = 0 },
 		func(c *Config) { c.IntMul.Count = 1 }, // mul/div share units
 		func(c *Config) { c.IntAlu.Repeat = 5 },
+		// Latencies size allocations made before the first cycle.
+		func(c *Config) { c.MemoryLatency = 1<<16 + 1 },
+		func(c *Config) { c.MemoryLatency = 1 << 30 },
+		func(c *Config) { c.IL1.LatencyCycles = 1<<10 + 1 },
+		func(c *Config) { c.DL1.LatencyCycles = 1<<10 + 1 },
+		func(c *Config) { c.L2.LatencyCycles = 1<<10 + 1 },
+		func(c *Config) { c.IntAlu.Latency = 1<<10 + 1 },
+		func(c *Config) { c.IntMul.Latency = 1<<10 + 1 },
+		func(c *Config) { c.IntDiv.Latency = 1<<10 + 1 },
+		func(c *Config) { c.FPAlu.Latency = 1<<10 + 1 },
 	}
 	for i, mutate := range bad {
 		c := Default()
@@ -102,6 +112,14 @@ func TestValidateCatchesErrors(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
 		}
+	}
+	// The latency bounds themselves validate.
+	c := Default()
+	c.MemoryLatency = 1 << 16
+	c.IL1.LatencyCycles, c.DL1.LatencyCycles, c.L2.LatencyCycles = 1<<10, 1<<10, 1<<10
+	c.FPAlu.Latency = 1 << 10
+	if err := c.Validate(); err != nil {
+		t.Errorf("latencies at their bounds: %v", err)
 	}
 }
 

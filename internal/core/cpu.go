@@ -595,6 +595,7 @@ func (c *CPU) Run(opt RunOptions) stats.Results {
 	skipEnabled := !opt.DisableSkip && c.vt == nil
 
 	for c.committed < target && c.now < maxCycles {
+		c.hier.Expire(c.now)
 		c.portsUsed = 0
 		c.policy.Commit()
 		c.writebackStage()

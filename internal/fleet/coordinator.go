@@ -7,10 +7,15 @@
 // each point routes to the worker owning its fingerprint's shard
 // (sim.ShardFor over the currently-ready node list), which makes the
 // fleet's caches partition cleanly: identical points always land on
-// the same node, so no result is computed or stored twice. A worker
-// answers an all-hit sub-batch in its submit response, so the
-// coordinator opens a worker's event stream only for sub-batches with
-// work left.
+// the same node, so no result is computed twice or stored on two
+// workers. On top of that partition the coordinator keeps a memory tier
+// of its own (a service.Cache with no disk tier; the workers keep
+// durability): it answers every point it has already relayed at
+// admission and routes only the misses, so an all-hit batch comes back
+// done in the submit response and no worker is contacted. A worker
+// answers an all-hit sub-batch in its submit response in the same way,
+// so the coordinator opens a worker's event stream only for
+// sub-batches with work left.
 //
 // Three mechanisms keep that guarantee under churn:
 //
@@ -28,7 +33,7 @@
 //     simulation is deterministic, so a re-routed point's bytes match
 //     what the dead node would have produced.
 //   - Admission and drain are the worker's own (service.Front): a
-//     bounded point queue rejects with service.ErrOverloaded (HTTP
+//     bounded queue of misses rejects with service.ErrOverloaded (HTTP
 //     429), and drain stops admission while in-flight batches run dry.
 package fleet
 
@@ -53,10 +58,12 @@ type Options struct {
 	// Workers lists the worker base URLs (e.g. "http://127.0.0.1:8321").
 	// At least one is required.
 	Workers []string
-	// MaxQueue bounds admitted-but-unfinished points across all
-	// batches: while points are queued, a batch that would pass it is
-	// refused. An idle coordinator admits any batch, so a figure larger
-	// than the bound still runs as one batch. <= 0 admits everything.
+	// MaxQueue bounds admitted-but-unfinished misses across all
+	// batches: while misses are queued, a batch whose misses would pass
+	// it is refused. Points the coordinator answers from its memory
+	// queue nothing, so an all-hit batch always passes. An idle
+	// coordinator admits any batch, so a figure larger than the bound
+	// still runs as one batch. <= 0 admits everything.
 	MaxQueue int
 	// PingInterval spaces the health pinger's /readyz probes; <= 0 uses
 	// one second.
@@ -100,10 +107,12 @@ type node struct {
 // Coordinator shards batches over a worker fleet. It implements
 // service.BatchAPI; serve it with service.NewAPIHandler (or
 // fleet.NewHandler for the full production surface). Its Front admits
-// batches against a bound on queued points, exactly as a worker's
-// admits them against queued misses.
+// batches against a bound on queued misses, exactly as a worker's does.
 type Coordinator struct {
 	*service.Front
+	// cache is the coordinator's memory tier: every point relayed
+	// without error, so a repeat is answered without a worker.
+	cache       *service.Cache
 	nodes       []*node
 	log         func(format string, args ...any)
 	pingTimeout time.Duration
@@ -150,8 +159,10 @@ func New(opt Options) (*Coordinator, error) {
 	if grace <= 0 {
 		grace = 10 * time.Second
 	}
+	cache, _ := service.NewCache(0, "") // memory-only construction cannot fail
 	c := &Coordinator{
 		Front:       service.NewFront("f", opt.MaxQueue),
+		cache:       cache,
 		log:         opt.Log,
 		pingTimeout: pingTimeout,
 		retryBudget: budget,
@@ -260,18 +271,25 @@ func (c *Coordinator) Ready() error {
 	return nil
 }
 
-// Submit validates and fingerprints the batch, admits it against the
-// queue bound, and dispatches it across the fleet asynchronously.
+// Submit validates and fingerprints the batch, answers the points its
+// memory holds, admits the rest against the queue bound, and
+// dispatches them across the fleet asynchronously. An all-hit batch
+// comes back done, so its submit response carries every result.
 func (c *Coordinator) Submit(jobs []service.Job) (*service.Batch, error) {
 	fps, err := c.Prepare(jobs)
 	if err != nil {
 		return nil, err
 	}
-	b, err := c.Admit(jobs, fps, len(jobs))
+	b, misses, err := c.AdmitHits(c.cache, jobs, fps)
 	if err != nil {
 		return nil, err
 	}
-	go c.dispatch(b)
+	c.metrics.PointsCached.Add(uint64(len(jobs) - len(misses)))
+	if len(misses) == 0 {
+		b.LogDone(c.log)
+		return b, nil
+	}
+	go c.dispatch(b, misses)
 	return b, nil
 }
 
@@ -283,14 +301,16 @@ type pointResult struct {
 	err    error
 }
 
-// dispatch routes a batch's points across the fleet until every point
-// completes, re-routing around node failures. It is the only completer
-// of b, so the exactly-once Complete contract holds by construction:
-// results from every source (worker streams, flight followers, terminal
-// errors) funnel through one loop that drops duplicates.
-func (c *Coordinator) dispatch(b *service.Batch) {
-	jobs, fps := b.Jobs(), b.Fingerprints()
-	results := make(chan pointResult, len(jobs))
+// dispatch routes a batch's misses across the fleet until every one
+// completes, re-routing around node failures, and fills the memory
+// tier with each result that arrives without error. It is the only
+// completer of the misses, so the exactly-once Complete contract holds
+// by construction: results from every source (worker streams, flight
+// followers, terminal errors) funnel through one loop that drops
+// duplicates.
+func (c *Coordinator) dispatch(b *service.Batch, misses []int) {
+	fps := b.Fingerprints()
+	results := make(chan pointResult, len(misses))
 
 	// Split points into flight leaders (we submit them) and followers
 	// (an earlier batch is already computing the same fingerprint; adopt
@@ -298,7 +318,8 @@ func (c *Coordinator) dispatch(b *service.Batch) {
 	// follow their first occurrence the same way.
 	var lead []int
 	leaders := map[string]bool{}
-	for i, fp := range fps {
+	for _, i := range misses {
+		fp := fps[i]
 		call, leader := c.flight.Join(fp)
 		if leader {
 			leaders[fp] = true
@@ -316,28 +337,31 @@ func (c *Coordinator) dispatch(b *service.Batch) {
 
 	go c.route(b, lead, results)
 
-	done := make([]bool, len(jobs))
-	for range jobs {
+	done := make([]bool, len(fps))
+	for left := len(misses); left > 0; {
 		r := <-results
 		if done[r.i] {
 			continue
 		}
 		done[r.i] = true
-		if leaders[fps[r.i]] {
-			c.flight.Resolve(fps[r.i], r.raw, r.err)
-			delete(leaders, fps[r.i]) // resolve once per fingerprint
-		}
-		if r.err != nil {
+		left--
+		fp := fps[r.i]
+		// Fill before the flight resolves, so a batch admitted after the
+		// resolution finds the point here. Errors are never kept: the
+		// workers do not cache them either.
+		if r.err == nil {
+			c.cache.Put(fp, r.raw)
+		} else {
 			c.metrics.PointErrors.Add(1)
+		}
+		if leaders[fp] {
+			c.flight.Resolve(fp, r.raw, r.err)
+			delete(leaders, fp) // resolve once per fingerprint
 		}
 		b.Complete(r.i, r.raw, r.cached, r.err)
 		c.Finished(1)
 	}
-	if c.log != nil {
-		if line, ok := b.TakeDoneLine(); ok {
-			c.log("%s", line)
-		}
-	}
+	b.LogDone(c.log)
 }
 
 // gracePoll spaces the no-ready-nodes waits inside route.

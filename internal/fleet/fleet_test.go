@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -19,7 +20,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/service"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -201,6 +201,8 @@ type fakeWorker struct {
 	nextID  int
 	points  atomic.Int64 // points ever submitted to this worker
 	release chan struct{}
+	// fail, when set before the worker serves, fails every point with it.
+	fail error
 }
 
 func newFakeWorker() *fakeWorker {
@@ -225,6 +227,10 @@ func (f *fakeWorker) Submit(jobs []service.Job) (*service.Batch, error) {
 	go func() {
 		<-f.release
 		for i, j := range jobs {
+			if f.fail != nil {
+				b.Complete(i, nil, false, f.fail)
+				continue
+			}
 			b.Complete(i, json.RawMessage(fmt.Sprintf(`{"name":%q}`, j.Name)), false, nil)
 		}
 	}()
@@ -504,30 +510,59 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// streamLog counts a worker's event-stream requests.
-type streamLog struct {
-	h       http.Handler
-	streams atomic.Int64
+// traffic is what a server has received: every request, the event
+// streams among them, and the point count of each batch submit.
+type traffic struct {
+	requests, streams int
+	submits           []int
 }
 
-func (l *streamLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/events") {
-		l.streams.Add(1)
+// requestLog records the traffic a handler serves.
+type requestLog struct {
+	h  http.Handler
+	mu sync.Mutex
+	t  traffic
+}
+
+func (l *requestLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	l.mu.Lock()
+	l.t.requests++
+	switch {
+	case r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/events"):
+		l.t.streams++
+	case r.Method == http.MethodPost && r.URL.Path == "/v1/batches":
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		var req struct{ Jobs []json.RawMessage }
+		json.Unmarshal(body, &req)
+		l.t.submits = append(l.t.submits, len(req.Jobs))
 	}
+	l.mu.Unlock()
 	l.h.ServeHTTP(w, r)
 }
 
-// TestFleetWarmResubmitOpensNoWorkerStream: resubmitting a batch
-// through the coordinator is answered by the workers' submit responses
-// alone, with bytes identical to the first pass and every breaker
-// closed; a sub-batch holding one miss still streams, from its owner
-// only.
-func TestFleetWarmResubmitOpensNoWorkerStream(t *testing.T) {
+// seen returns the traffic so far.
+func (l *requestLog) seen() traffic {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	t := l.t
+	t.submits = slices.Clone(t.submits)
+	return t
+}
+
+// TestFleetWarmResubmitContactsNoWorker: resubmitting a batch through
+// the coordinator costs one HTTP request. The coordinator answers every
+// point from its memory, its 202 submit response is finished at
+// admission (so the client opens no /events stream), and no worker
+// receives a request; the bytes match the first pass. A batch holding
+// one miss sends exactly that point to its owner, as one single-job
+// submit and one stream.
+func TestFleetWarmResubmitContactsNoWorker(t *testing.T) {
 	jobs := policyBatch(1500)
-	var logs []*streamLog
+	var logs []*requestLog
 	var urls []string
 	for range 2 {
-		l := &streamLog{h: service.NewHandler(service.NewScheduler(service.SchedulerOptions{Workers: 1}))}
+		l := &requestLog{h: service.NewHandler(service.NewScheduler(service.SchedulerOptions{Workers: 1}))}
 		srv := httptest.NewServer(l)
 		defer srv.Close()
 		logs = append(logs, l)
@@ -538,38 +573,59 @@ func TestFleetWarmResubmitOpensNoWorkerStream(t *testing.T) {
 		t.Fatalf("coordinator: %v", err)
 	}
 	defer coord.Close()
-	front := httptest.NewServer(NewHandler(coord))
+	frontLog := &requestLog{h: NewHandler(coord)}
+	front := httptest.NewServer(frontLog)
 	defer front.Close()
 	client := &service.Client{BaseURL: front.URL}
-	run := func(jobs []service.Job) []json.RawMessage {
+	run := func(jobs []service.Job) ([]json.RawMessage, service.BatchStatus) {
 		t.Helper()
+		ctx := context.Background()
+		st, err := client.Submit(ctx, jobs)
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
 		got := make([]json.RawMessage, len(jobs))
-		_, err := client.Run(context.Background(), jobs, func(ev service.Event, _ *stats.Results) {
-			if ev.Type == "result" {
+		err = client.Events(ctx, jobs, st, func(ev service.Event) error {
+			switch ev.Type {
+			case "result":
 				got[ev.Index] = ev.Results
+			case "error":
+				return fmt.Errorf("point %d (%s): %s", ev.Index, ev.Name, ev.Error)
 			}
+			return nil
 		})
 		if err != nil {
-			t.Fatalf("run: %v", err)
+			t.Fatalf("events: %v", err)
 		}
-		return got
+		return got, st
 	}
-	streams := func() (per []int64, coordTotal uint64) {
+	workers := func() []traffic {
+		var out []traffic
 		for _, l := range logs {
-			per = append(per, l.streams.Load())
+			out = append(out, l.seen())
 		}
-		return per, coord.metrics.WorkerStreams.Load()
+		return out
 	}
 
-	cold := run(jobs)
-	coldPer, coldTotal := streams()
-	if coldPer[0] == 0 || coldPer[1] == 0 || coldTotal != uint64(coldPer[0]+coldPer[1]) {
-		t.Fatalf("cold pass: worker streams %v, coordinator counted %d", coldPer, coldTotal)
+	cold, _ := run(jobs)
+	coldLog := workers()
+	coldStreams := coord.metrics.WorkerStreams.Load()
+	if coldLog[0].streams == 0 || coldLog[1].streams == 0 || coldStreams != uint64(coldLog[0].streams+coldLog[1].streams) {
+		t.Fatalf("cold pass: worker logs %+v, coordinator counted %d streams", coldLog, coldStreams)
 	}
 
-	warm := run(jobs)
-	if per, total := streams(); !slices.Equal(per, coldPer) || total != coldTotal {
-		t.Errorf("warm pass opened worker streams: %v -> %v (counter %d -> %d)", coldPer, per, coldTotal, total)
+	before := frontLog.seen().requests
+	warm, st := run(jobs)
+	if !st.FinishedAtAdmission(jobs) {
+		t.Errorf("warm submit response not finished at admission: state %s, %d of %d cache hits", st.State, st.CacheHits, st.Total)
+	}
+	if n := frontLog.seen().requests - before; n != 1 {
+		t.Errorf("warm batch cost %d HTTP requests at the coordinator, want 1", n)
+	}
+	for w, got := range workers() {
+		if got.requests != coldLog[w].requests {
+			t.Errorf("worker %d received %d request(s) during the warm pass", w, got.requests-coldLog[w].requests)
+		}
 	}
 	for i := range jobs {
 		if !bytes.Equal(warm[i], cold[i]) {
@@ -589,19 +645,20 @@ func TestFleetWarmResubmitOpensNoWorkerStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	owner := sim.ShardFor(fp, len(urls))
-	mixed := run(append(slices.Clone(jobs), miss))
-	per, total := streams()
-	for w := range per {
-		want := coldPer[w]
+	mixed, _ := run(append(slices.Clone(jobs), miss))
+	for w, got := range workers() {
+		want := coldLog[w]
 		if w == owner {
-			want++
+			want.requests += 2 // the submit and its stream
+			want.streams++
+			want.submits = append(want.submits, 1)
 		}
-		if per[w] != want {
-			t.Errorf("worker %d: %d streams after the one-miss pass, want %d (owner %d)", w, per[w], want, owner)
+		if got.requests != want.requests || got.streams != want.streams || !slices.Equal(got.submits, want.submits) {
+			t.Errorf("worker %d after the one-miss pass: %+v, want %+v (owner %d)", w, got, want, owner)
 		}
 	}
-	if total != coldTotal+1 {
-		t.Errorf("coordinator counted %d worker streams, want %d", total, coldTotal+1)
+	if total := coord.metrics.WorkerStreams.Load(); total != coldStreams+1 {
+		t.Errorf("coordinator counted %d worker streams, want %d", total, coldStreams+1)
 	}
 	for i := range jobs {
 		if !bytes.Equal(mixed[i], cold[i]) {
@@ -610,7 +667,116 @@ func TestFleetWarmResubmitOpensNoWorkerStream(t *testing.T) {
 	}
 	var m strings.Builder
 	coord.WriteMetrics(&m)
-	if want := fmt.Sprintf("ooosim_fleet_worker_streams_total %d\n", total); !strings.Contains(m.String(), want) {
-		t.Errorf("metrics lack %q", want)
+	for _, want := range []string{
+		fmt.Sprintf("ooosim_fleet_worker_streams_total %d\n", coldStreams+1),
+		fmt.Sprintf("ooosim_fleet_points_cached_total %d\n", 2*len(jobs)),
+	} {
+		if !strings.Contains(m.String(), want) {
+			t.Errorf("metrics lack %q", want)
+		}
+	}
+}
+
+// TestFleetAllHitBatchPassesFullQueue: points the coordinator answers
+// from its memory queue nothing, so while a miss holds the queue at
+// MaxQueue an all-hit batch is still admitted, and finished at
+// admission; a batch with one miss is refused.
+func TestFleetAllHitBatchPassesFullQueue(t *testing.T) {
+	fake := newFakeWorker()
+	srv := httptest.NewServer(service.NewAPIHandler(fake, service.HandlerOptions{}))
+	defer srv.Close()
+	coord, err := New(Options{Workers: []string{srv.URL}, MaxQueue: 1, PingInterval: time.Hour})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	defer coord.Close()
+
+	job := func(name string, insts uint64) service.Job {
+		return service.Job{
+			Name:   name,
+			Config: config.CheckpointDefault(64, 512),
+			Trace:  trace.Recipe{Kernel: trace.KernelStream, N: 6000},
+			Insts:  insts,
+		}
+	}
+	hit, pending, other := job("hit", 1500), job("pending", 3000), job("other", 4500)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	first, err := coord.Submit([]service.Job{hit})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	fake.release <- struct{}{} // finishes the first batch only
+	if _, err := first.Wait(ctx); err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+
+	held, err := coord.Submit([]service.Job{pending})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if err := coord.Ready(); !errors.Is(err, service.ErrOverloaded) {
+		t.Fatalf("Ready at bound = %v, want ErrOverloaded", err)
+	}
+	b, err := coord.Submit([]service.Job{hit, hit})
+	if err != nil {
+		t.Fatalf("all-hit batch at the bound: %v", err)
+	}
+	if st := b.Status(); !st.FinishedAtAdmission(b.Jobs()) {
+		t.Errorf("all-hit batch not finished at admission: %+v", st)
+	}
+	if _, err := coord.Submit([]service.Job{hit, other}); !errors.Is(err, service.ErrOverloaded) {
+		t.Fatalf("batch with a miss at the bound = %v, want ErrOverloaded", err)
+	}
+	close(fake.release)
+	if _, err := held.Wait(ctx); err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if got := fake.points.Load(); got != 2 {
+		t.Errorf("worker saw %d points, want 2 (the hits stayed at the coordinator)", got)
+	}
+}
+
+// TestFleetErrorIsNotCached: a point whose worker reports an error is
+// not kept in the coordinator's memory, so resubmitting it routes to
+// the worker again.
+func TestFleetErrorIsNotCached(t *testing.T) {
+	fake := newFakeWorker()
+	fake.fail = errors.New("synthetic simulation failure")
+	close(fake.release)
+	srv := httptest.NewServer(service.NewAPIHandler(fake, service.HandlerOptions{}))
+	defer srv.Close()
+	coord, err := New(Options{Workers: []string{srv.URL}, PingInterval: time.Hour})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	defer coord.Close()
+
+	job := service.Job{
+		Name:   "fails",
+		Config: config.CheckpointDefault(64, 512),
+		Trace:  trace.Recipe{Kernel: trace.KernelStream, N: 6000},
+		Insts:  1500,
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for pass := 1; pass <= 2; pass++ {
+		b, err := coord.Submit([]service.Job{job})
+		if err != nil {
+			t.Fatalf("pass %d: submit: %v", pass, err)
+		}
+		st, err := b.Wait(ctx)
+		if err != nil {
+			t.Fatalf("pass %d: wait: %v", pass, err)
+		}
+		if len(st.Errors) != 1 || !strings.Contains(st.Errors[0], "synthetic simulation failure") {
+			t.Errorf("pass %d: errors %q, want the worker's one failure", pass, st.Errors)
+		}
+		if got := fake.points.Load(); got != int64(pass) {
+			t.Errorf("pass %d: worker saw %d points, want %d", pass, got, pass)
+		}
+	}
+	if got := coord.metrics.PointsCached.Load(); got != 0 {
+		t.Errorf("coordinator answered %d point(s) from memory, want 0", got)
 	}
 }

@@ -21,6 +21,7 @@ type metrics struct {
 	ProbeFailures  atomic.Uint64 // failed health probes, all nodes
 	RetryExhausted atomic.Uint64 // points that ran out of retry budget
 	WorkerStreams  atomic.Uint64 // worker event streams opened
+	PointsCached   atomic.Uint64 // points answered from the coordinator's memory
 }
 
 // WriteMetrics renders the coordinator's metric surface, including one
@@ -38,6 +39,7 @@ func (c *Coordinator) WriteMetrics(w io.Writer) {
 	service.Counter(w, "ooosim_fleet_breaker_trips_total", "Worker circuit breakers tripped open.", m.BreakerTrips.Load())
 	service.Counter(w, "ooosim_fleet_retry_budget_exhausted_total", "Points that failed after exhausting their re-route budget.", m.RetryExhausted.Load())
 	service.Counter(w, "ooosim_fleet_worker_streams_total", "Worker event streams opened (sub-batches a worker did not finish at admission).", m.WorkerStreams.Load())
+	service.Counter(w, "ooosim_fleet_points_cached_total", "Points answered from the coordinator's memory, with no worker contacted.", m.PointsCached.Load())
 	service.Gauge(w, "ooosim_fleet_queue_depth", "Points admitted but not yet finished.", queued)
 	service.Gauge(w, "ooosim_fleet_nodes", "Workers configured.", int64(len(c.nodes)))
 	service.Gauge(w, "ooosim_fleet_nodes_ready", "Workers currently accepting work.", int64(len(c.readyNodes())))

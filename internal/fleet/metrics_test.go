@@ -137,6 +137,7 @@ const coordinatorShape = `
 # TYPE ooosim_fleet_nodes gauge
 # TYPE ooosim_fleet_nodes_ready gauge
 # TYPE ooosim_fleet_point_errors_total counter
+# TYPE ooosim_fleet_points_cached_total counter
 # TYPE ooosim_fleet_points_deduped_total counter
 # TYPE ooosim_fleet_points_total counter
 # TYPE ooosim_fleet_queue_depth gauge
@@ -154,6 +155,7 @@ ooosim_fleet_node_up{node}
 ooosim_fleet_nodes
 ooosim_fleet_nodes_ready
 ooosim_fleet_point_errors_total
+ooosim_fleet_points_cached_total
 ooosim_fleet_points_deduped_total
 ooosim_fleet_points_total
 ooosim_fleet_queue_depth

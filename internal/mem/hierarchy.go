@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/addrmap"
 	"repro/internal/config"
+	"repro/internal/queue"
 )
 
 // AccessResult describes the outcome of a data access.
@@ -46,9 +47,17 @@ type Hierarchy struct {
 	warm         WarmKey
 
 	// inflight tracks in-flight L2 line fills (fill-completion cycle per
-	// line address, MSHR-style).
+	// line address, MSHR-style); fills lists the demand fills in start
+	// order, for Expire to drop each one once it has landed.
 	inflight addrmap.Map[int64]
+	fills    queue.Deque[fill]
 	stats    HierarchyStats
+}
+
+// fill is one demand fill: its line and the cycle it lands.
+type fill struct {
+	line  uint64
+	ready int64
 }
 
 // NewHierarchy builds the memory system from the architectural config.
@@ -163,8 +172,7 @@ func (h *Hierarchy) Load(now int64, addr uint64) AccessResult {
 	// Main memory. The line is resident (for replacement purposes) from
 	// now on, but consumers must wait for the fill via the MSHR table.
 	done += h.memLatency
-	h.inflight.Put(line, done)
-	h.stats.MemAccesses++
+	h.startFill(line, done)
 	h.prefetchAfter(line, done)
 	return AccessResult{Done: done, MissedL2: true}
 }
@@ -207,9 +215,37 @@ func (h *Hierarchy) FetchLatency(now int64, pc uint64) int64 {
 		return done
 	}
 	done += h.memLatency
-	h.inflight.Put(line, done)
-	h.stats.MemAccesses++
+	h.startFill(line, done)
 	return done
+}
+
+// startFill starts a main-memory fill of line that lands at ready.
+// With the prefetcher on it records nothing for Expire: prefetchAfter
+// reads every entry, landed or not, as busy, so the table must keep
+// them all.
+func (h *Hierarchy) startFill(line uint64, ready int64) {
+	h.inflight.Put(line, ready)
+	h.stats.MemAccesses++
+	if h.prefetch == 0 {
+		h.fills.PushBack(fill{line, ready})
+	}
+}
+
+// Expire drops the demand fills that landed at or before now, taking
+// them in start order while the oldest has landed (fills of different
+// latencies may land slightly out of order). An entry a later fill of
+// the same line has replaced stays for that fill. The pipeline calls it
+// at the top of every cycle: every later lookup passes a cycle at least
+// now and reads a landed entry as absent, so dropping one changes no
+// result, and the table holds the fills in flight rather than every
+// line a run has missed.
+func (h *Hierarchy) Expire(now int64) {
+	for h.fills.Len() > 0 && h.fills.Front().ready <= now {
+		f := h.fills.PopFront()
+		if ready, ok := h.inflight.Get(f.line); ok && ready == f.ready {
+			h.inflight.Del(f.line)
+		}
+	}
 }
 
 // FetchFillReady reports the cycle an in-flight miss covering pc's line
@@ -285,4 +321,7 @@ func (h *Hierarchy) Stats() HierarchyStats {
 // and would read as pending (or long past) on the next window's fresh
 // clock, whereas the lines themselves are exactly the long-lived state
 // functional warming preserves.
-func (h *Hierarchy) Settle() { h.inflight.Clear() }
+func (h *Hierarchy) Settle() {
+	h.inflight.Clear()
+	h.fills.Clear()
+}

@@ -280,3 +280,47 @@ func TestPrefetcherDisabledByDefault(t *testing.T) {
 		t.Fatal("prefetcher must be off in the paper's configuration")
 	}
 }
+
+// TestExpireKeepsOnlyFillsInFlight: over a run that misses a new line
+// every cycle, with Expire called at the top of each cycle, the
+// in-flight table holds exactly the fills that have not landed, while
+// every load, merged and landed revisits included, answers as it does
+// on a hierarchy that never expires anything.
+func TestExpireKeepsOnlyFillsInFlight(t *testing.T) {
+	expiring, plain := defaultHierarchy(), defaultHierarchy()
+	var lands []int64 // landing cycle of every fill started, in start order
+	landed := 0       // lands[:landed] landed at or before the current cycle
+	const cycles = 5000
+	for now := int64(0); now < cycles; now++ {
+		expiring.Expire(now)
+		// A new line, one whose fill is in flight (a merge), and one
+		// whose fill landed long ago.
+		for _, back := range []int64{0, 700, 1500} {
+			if back > now {
+				continue
+			}
+			addr := uint64(now-back) << 8
+			started := expiring.Stats().MemAccesses
+			got, want := expiring.Load(now, addr), plain.Load(now, addr)
+			if got != want {
+				t.Fatalf("cycle %d: load of %#x = %+v with Expire, %+v without", now, addr, got, want)
+			}
+			if expiring.Stats().MemAccesses > started {
+				lands = append(lands, got.Done)
+			}
+		}
+		for landed < len(lands) && lands[landed] <= now {
+			landed++
+		}
+		if n, inFlight := expiring.inflight.Len(), len(lands)-landed; n != inFlight {
+			t.Fatalf("cycle %d: table holds %d entries, %d fills in flight", now, n, inFlight)
+		}
+	}
+	if expiring.Stats() != plain.Stats() {
+		t.Errorf("stats with Expire %+v, without %+v", expiring.Stats(), plain.Stats())
+	}
+	if n := plain.inflight.Len(); n < cycles/2 {
+		t.Errorf("without Expire the table ends at %d entries; the run does not exercise growth", n)
+	}
+	t.Logf("table at the end: %d entries with Expire, %d without", expiring.inflight.Len(), plain.inflight.Len())
+}

@@ -94,6 +94,12 @@ func (d *Deque[T]) PopBack() T {
 	return v
 }
 
+// Clear removes every element, keeping the buffer.
+func (d *Deque[T]) Clear() {
+	clear(d.buf)
+	d.head, d.size = 0, 0
+}
+
 // ForEach calls fn on each element from front to back.
 func (d *Deque[T]) ForEach(fn func(v T)) {
 	for i := 0; i < d.size; i++ {

@@ -251,6 +251,18 @@ func (b *Batch) TakeDoneLine() (string, bool) {
 	return line, true
 }
 
+// LogDone passes the batch's completion line to log once, after the
+// last point lands: the scheduler and the coordinator call it wherever
+// a batch may have finished. A nil log takes nothing.
+func (b *Batch) LogDone(log func(format string, args ...any)) {
+	if log == nil {
+		return
+	}
+	if line, ok := b.TakeDoneLine(); ok {
+		log("%s", line)
+	}
+}
+
 // WaitEvent blocks until event i exists and returns it. ok is false
 // when the batch finished before producing an i'th event (the stream's
 // end) — iterate i upward from 0 to consume the full stream, history

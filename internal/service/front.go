@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -23,10 +24,10 @@ var ErrOverloaded = errors.New("service: queue full")
 const retainBatches = 256
 
 // Front is the batch front end a Scheduler and a fleet Coordinator
-// both embed: validation and fingerprinting, queue-bound admission and
-// its counters, batch ids, bounded retention, drain and readiness.
-// Queued work is counted in units each embedder defines: a scheduler
-// queues its cache misses, a coordinator every point.
+// both embed: validation and fingerprinting, the split of a batch into
+// cache hits and misses, queue-bound admission and its counters, batch
+// ids, bounded retention, drain and readiness. Queued work is cache
+// misses, at a scheduler and a coordinator alike.
 type Front struct {
 	idPrefix string
 	maxQueue int
@@ -34,7 +35,7 @@ type Front struct {
 	submitted atomic.Uint64
 	rejected  atomic.Uint64
 	points    atomic.Uint64
-	queued    atomic.Int64 // admitted work not yet finished
+	queued    atomic.Int64 // admitted misses not yet finished
 	draining  atomic.Bool
 
 	mu         sync.Mutex
@@ -45,11 +46,11 @@ type Front struct {
 }
 
 // NewFront builds a front whose batch ids start with prefix and which
-// admits at most maxQueue units of queued work (<= 0 admits
-// everything). Every id also carries a random part drawn once per
-// front, so a restarted process never reissues an id a client may
-// still be streaming: a reconnect after a restart gets 404, not some
-// other batch.
+// admits at most maxQueue queued misses (<= 0 admits everything).
+// Every id also carries a random part drawn once per front, so a
+// restarted process never reissues an id a client may still be
+// streaming: a reconnect after a restart gets 404, not some other
+// batch.
 func NewFront(prefix string, maxQueue int) *Front {
 	return &Front{
 		idPrefix:   fmt.Sprintf("%s%08x-", prefix, rand.Uint32()),
@@ -83,26 +84,37 @@ func (f *Front) Prepare(jobs []Job) (fps []string, err error) {
 	return fps, nil
 }
 
-// Admit registers a prepared batch that queues work units, or refuses
-// it with ErrOverloaded when work is already queued and the batch would
-// push the queue past the bound. A batch queueing nothing always
-// passes, and so does any batch on an idle front, however large: a
-// batch bigger than the bound could otherwise never run. Nothing is
-// registered on refusal. The embedder calls Finished as the work
-// completes.
-func (f *Front) Admit(jobs []Job, fps []string, work int) (*Batch, error) {
-	if f.maxQueue > 0 && work > 0 {
-		if q := f.queued.Load(); q > 0 && q+int64(work) > int64(f.maxQueue) {
+// AdmitHits looks every fingerprint of a prepared batch up in cache
+// and admits the batch with its misses as the queued work. The hits
+// complete at once, in index order, and the misses' indices come back
+// for the embedder to run; it calls Finished as each one completes.
+// Admission refuses the batch with ErrOverloaded when misses are
+// already queued and its own would push the queue past the bound. A
+// batch with no misses always passes, and so does any batch on an idle
+// front, however large: a batch bigger than the bound could otherwise
+// never run. Nothing is registered on refusal.
+func (f *Front) AdmitHits(cache *Cache, jobs []Job, fps []string) (*Batch, []int, error) {
+	hits := make([]json.RawMessage, len(jobs))
+	var misses []int
+	for i, fp := range fps {
+		if raw, _ := cache.Get(fp); raw != nil {
+			hits[i] = raw
+		} else {
+			misses = append(misses, i)
+		}
+	}
+	n := int64(len(misses))
+	if f.maxQueue > 0 && n > 0 {
+		if q := f.queued.Load(); q > 0 && q+n > int64(f.maxQueue) {
 			f.rejected.Add(1)
-			return nil, fmt.Errorf("%w: %d queued + %d new > bound %d", ErrOverloaded, q, work, f.maxQueue)
+			return nil, nil, fmt.Errorf("%w: %d queued + %d new > bound %d", ErrOverloaded, q, n, f.maxQueue)
 		}
 	}
 	f.submitted.Add(1)
 	f.points.Add(uint64(len(jobs)))
-	f.queued.Add(int64(work))
+	f.queued.Add(n)
 
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.nextID++
 	b := NewBatch(f.idPrefix+strconv.Itoa(f.nextID), append([]Job(nil), jobs...), fps)
 	f.batches[b.id] = b
@@ -116,14 +128,21 @@ func (f *Front) Admit(jobs []Job, fps []string, work int) (*Batch, error) {
 		delete(f.batches, f.order[0])
 		f.order = f.order[1:]
 	}
-	return b, nil
+	f.mu.Unlock()
+
+	for i, raw := range hits {
+		if raw != nil {
+			b.Complete(i, raw, true, nil)
+		}
+	}
+	return b, misses, nil
 }
 
-// Finished releases work units admitted by Admit.
-func (f *Front) Finished(work int) { f.queued.Add(-int64(work)) }
+// Finished releases misses admitted by AdmitHits.
+func (f *Front) Finished(n int) { f.queued.Add(-int64(n)) }
 
 // Counts reports the batches admitted and refused, the points
-// admitted, and the work queued but not yet finished.
+// admitted, and the misses queued but not yet finished.
 func (f *Front) Counts() (submitted, rejected, points uint64, queued int64) {
 	return f.submitted.Load(), f.rejected.Load(), f.points.Load(), f.queued.Load()
 }
@@ -144,8 +163,8 @@ func (f *Front) StartDrain() { f.draining.Store(true) }
 // Draining reports whether StartDrain was called.
 func (f *Front) Draining() bool { return f.draining.Load() }
 
-// Drain starts draining and blocks until every admitted unit of work
-// has finished (or ctx expires). The poll interval is coarse; drain is
+// Drain starts draining and blocks until every admitted miss has
+// finished (or ctx expires). The poll interval is coarse; drain is
 // a shutdown path, not a hot one.
 func (f *Front) Drain(ctx context.Context) error {
 	f.StartDrain()

@@ -132,42 +132,26 @@ func (s *Scheduler) Submit(jobs []Job) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Split hits from misses before admission: only misses queue work.
-	hit := make([]json.RawMessage, len(jobs))
-	nMisses := 0
-	for i := range jobs {
-		if raw, ok := s.cache.Get(fps[i]); ok {
-			hit[i] = raw
-		} else {
-			nMisses++
-		}
-	}
-	b, err := s.Admit(jobs, fps, nMisses)
+	b, misses, err := s.AdmitHits(s.cache, jobs, fps)
 	if err != nil {
 		return nil, err
 	}
+	s.metrics.CachedPoints.Add(uint64(len(jobs) - len(misses)))
 
-	// Complete the hits, then launch the misses clustered by snapshot
-	// group — (trace recipe, warm-relevant cache shape) — so jobs that
-	// fork the same warm donor tend to run near each other (best-effort:
-	// the shared pool admits them in arrival order).
-	var misses []int
+	// Launch the misses clustered by snapshot group — (trace recipe,
+	// warm-relevant cache shape) — so jobs that fork the same warm donor
+	// tend to run near each other (best-effort: the shared pool admits
+	// them in arrival order).
 	groupKeys := make([]string, len(b.jobs))
-	for i := range b.jobs {
-		if hit[i] != nil {
-			s.metrics.CachedPoints.Add(1)
-			b.Complete(i, hit[i], true, nil)
-		} else {
-			misses = append(misses, i)
-			groupKeys[i] = snapshotGroupKey(b.jobs[i])
-		}
+	for _, i := range misses {
+		groupKeys[i] = snapshotGroupKey(b.jobs[i])
 	}
 	sort.SliceStable(misses, func(x, y int) bool {
 		return groupKeys[misses[x]] < groupKeys[misses[y]]
 	})
 	// Journal the batch before any miss launches: once admitted, a crash
-	// must be able to re-admit it. All-hit batches completed above and
-	// need no recovery.
+	// must be able to re-admit it. All-hit batches finished at admission
+	// and need no recovery.
 	if s.journal != nil && len(misses) > 0 {
 		if err := s.journal.AppendBatch(b.id, b.jobs); err == nil {
 			b.MarkJournaled()
@@ -178,7 +162,7 @@ func (s *Scheduler) Submit(jobs []Job) (*Batch, error) {
 	for _, i := range misses {
 		go s.runJob(b, i)
 	}
-	s.logIfDone(b)
+	b.LogDone(s.log)
 	return b, nil
 }
 
@@ -238,16 +222,6 @@ func countSnapshotGroups(jobs []Job) int {
 		seen[group{j.Trace.String(), mem.WarmKeyFor(j.Config)}] = struct{}{}
 	}
 	return len(seen)
-}
-
-// logIfDone emits the per-batch completion line once.
-func (s *Scheduler) logIfDone(b *Batch) {
-	if s.log == nil {
-		return
-	}
-	if line, ok := b.TakeDoneLine(); ok {
-		s.log("%s", line)
-	}
 }
 
 // runJob executes one cache miss: singleflight by fingerprint, then a
@@ -336,5 +310,5 @@ func (s *Scheduler) runJob(b *Batch, i int) {
 	if s.journal != nil && b.TakeJournalDone() {
 		s.journal.AppendBatchDone(b.id)
 	}
-	s.logIfDone(b)
+	b.LogDone(s.log)
 }

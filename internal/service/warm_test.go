@@ -106,7 +106,7 @@ func TestBatchDoneLogLine(t *testing.T) {
 	if _, err := b.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// The done event publishes before the worker's logIfDone call; give
+	// The done event publishes before the worker's LogDone call; give
 	// the log a moment.
 	var got []string
 	for deadline := time.Now().Add(5 * time.Second); ; {
