@@ -78,6 +78,21 @@ const (
 	maxLatency       = 1 << 10 // any cache or functional-unit latency
 )
 
+// Structure-size bounds, for the same reason: every structure is built
+// at its configured size before the first cycle, and the checkpoint
+// family's occupancy histogram holds 4·CheckpointMaxInterval·Checkpoints
+// buckets. The largest configurations the figures build sit far inside
+// (4096 entries, 2048 tags, 128 checkpoints, an interval of 512).
+const (
+	maxEntries            = 1 << 16 // registers, virtual tags and queue entries
+	maxCheckpoints        = 256
+	maxCheckpointInterval = 4096
+	maxTableBits          = 24      // predictor and confidence tables
+	maxUnits              = 1 << 10 // functional units of one class
+	maxCacheBytes         = 1 << 26
+	maxCacheLines         = 1 << 20 // a cache's tag array
+)
+
 // Validate reports geometry errors.
 func (c CacheConfig) Validate() error {
 	switch {
@@ -85,6 +100,12 @@ func (c CacheConfig) Validate() error {
 		return fmt.Errorf("config: cache geometry must be positive: %+v", c)
 	case c.LineBytes&(c.LineBytes-1) != 0:
 		return fmt.Errorf("config: line size %d not a power of two", c.LineBytes)
+	case c.SizeBytes > maxCacheBytes:
+		return fmt.Errorf("config: cache size %d > %d", c.SizeBytes, maxCacheBytes)
+	case c.Assoc > c.SizeBytes, c.LineBytes > c.SizeBytes:
+		// Keeps Assoc*LineBytes below from overflowing (to zero, at worst).
+		return fmt.Errorf("config: associativity %d or line size %d exceeds cache size %d",
+			c.Assoc, c.LineBytes, c.SizeBytes)
 	case c.SizeBytes%(c.Assoc*c.LineBytes) != 0:
 		return fmt.Errorf("config: size %d not divisible by assoc*line %d",
 			c.SizeBytes, c.Assoc*c.LineBytes)
@@ -94,6 +115,8 @@ func (c CacheConfig) Validate() error {
 		return fmt.Errorf("config: cache latency %d < 1", c.LatencyCycles)
 	case c.LatencyCycles > maxLatency:
 		return fmt.Errorf("config: cache latency %d > %d", c.LatencyCycles, maxLatency)
+	case c.SizeBytes/c.LineBytes > maxCacheLines:
+		return fmt.Errorf("config: %d cache lines > %d", c.SizeBytes/c.LineBytes, maxCacheLines)
 	}
 	return nil
 }
@@ -117,6 +140,9 @@ func (f FUConfig) Validate() error {
 	}
 	if f.Repeat > f.Latency {
 		return fmt.Errorf("config: repeat %d exceeds latency %d", f.Repeat, f.Latency)
+	}
+	if f.Count > maxUnits {
+		return fmt.Errorf("config: functional unit count %d > %d", f.Count, maxUnits)
 	}
 	if f.Latency > maxLatency {
 		return fmt.Errorf("config: functional unit latency %d > %d", f.Latency, maxLatency)
@@ -351,8 +377,8 @@ func (c Config) Validate() error {
 	if c.IssueWidth < 1 {
 		add("issue width %d < 1", c.IssueWidth)
 	}
-	if c.BranchPredictorBits < 1 || c.BranchPredictorBits > 30 {
-		add("branch predictor bits %d out of range [1,30]", c.BranchPredictorBits)
+	if c.BranchPredictorBits < 1 || c.BranchPredictorBits > maxTableBits {
+		add("branch predictor bits %d out of range [1,%d]", c.BranchPredictorBits, maxTableBits)
 	}
 	if c.BranchMispredictPenalty < 0 {
 		add("negative mispredict penalty %d", c.BranchMispredictPenalty)
@@ -388,6 +414,23 @@ func (c Config) Validate() error {
 	if c.IntQueueEntries < 1 || c.FPQueueEntries < 1 {
 		add("instruction queues must have at least one entry (int %d, fp %d)",
 			c.IntQueueEntries, c.FPQueueEntries)
+	}
+	for _, f := range []struct {
+		name string
+		n    int
+	}{
+		{"physical registers", c.PhysRegs},
+		{"LSQ entries", c.LSQEntries},
+		{"integer queue entries", c.IntQueueEntries},
+		{"FP queue entries", c.FPQueueEntries},
+		{"ROB entries", c.ROBEntries},
+		{"pseudo-ROB entries", c.PseudoROBEntries},
+		{"SLIQ entries", c.SLIQEntries},
+		{"virtual tags", c.VirtualTags},
+	} {
+		if f.n > maxEntries {
+			add("%s %d > %d", f.name, f.n, maxEntries)
+		}
 	}
 	// Per-policy validation: the selected commit policy checks its own
 	// parameter block and rejects the blocks it ignores (see policy.go).

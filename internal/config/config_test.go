@@ -121,7 +121,74 @@ func TestValidateCatchesErrors(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Errorf("latencies at their bounds: %v", err)
 	}
+
+	// Structure sizes bound allocations made before the first cycle too.
+	overBound := []struct {
+		base   func() Config
+		mutate func(c *Config)
+	}{
+		{Default, func(c *Config) { c.PhysRegs = 1<<16 + 1 }},
+		{Default, func(c *Config) { c.LSQEntries = 1<<16 + 1 }},
+		{Default, func(c *Config) { c.IntQueueEntries = 1<<16 + 1 }},
+		{Default, func(c *Config) { c.FPQueueEntries = 1<<16 + 1 }},
+		{Default, func(c *Config) { c.ROBEntries = 1<<16 + 1 }},
+		{Default, func(c *Config) { c.BranchPredictorBits = 25 }},
+		{Default, func(c *Config) { c.BranchPredictorBits = 30 }},
+		{Default, func(c *Config) { c.IntAlu.Count = 1<<10 + 1 }},
+		{Default, func(c *Config) { c.IntMul.Count, c.IntDiv.Count = 1<<10+1, 1<<10+1 }},
+		{Default, func(c *Config) { c.FPAlu.Count = 1<<10 + 1 }},
+		{Default, func(c *Config) { c.L2.SizeBytes = 1 << 27 }},
+		{Default, func(c *Config) { c.L2.SizeBytes, c.L2.LineBytes = 1<<26, 32 }}, // 2M lines
+		// An associativity times line size that overflows to zero must be
+		// rejected, not divided by.
+		{Default, func(c *Config) { c.DL1.Assoc, c.DL1.LineBytes = 1<<40, 1<<32 }},
+		{checkpointCfg, func(c *Config) { c.PseudoROBEntries = 1<<16 + 1 }},
+		{checkpointCfg, func(c *Config) { c.SLIQEntries = 1<<16 + 1 }},
+		{checkpointCfg, func(c *Config) { c.Checkpoints = 257 }},
+		{checkpointCfg, func(c *Config) { c.CheckpointMaxInterval = 4097 }},
+		{checkpointCfg, func(c *Config) { c.VirtualRegisters, c.VirtualTags = true, 1<<16+1 }},
+		{adaptiveCfg, func(c *Config) { c.AdaptiveConfidenceBits = 25 }},
+		{adaptiveCfg, func(c *Config) { c.Checkpoints = 1 << 20 }},
+		{adaptiveCfg, func(c *Config) { c.CheckpointMaxInterval = 1 << 20 }},
+	}
+	for i, tc := range overBound {
+		c := tc.base()
+		tc.mutate(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("over-bound case %d: expected validation error", i)
+		}
+	}
+	// The structure-size bounds themselves validate, under every policy
+	// that reads them.
+	atBounds := func(c *Config) {
+		c.PhysRegs, c.LSQEntries = 1<<16, 1<<16
+		c.IntQueueEntries, c.FPQueueEntries = 1<<16, 1<<16
+		c.BranchPredictorBits = 24
+		c.IntAlu.Count, c.IntMul.Count, c.IntDiv.Count, c.FPAlu.Count = 1<<10, 1<<10, 1<<10, 1<<10
+		c.IL1.SizeBytes, c.DL1.SizeBytes, c.L2.SizeBytes = 1<<25, 1<<25, 1<<26 // 2^20 lines each
+		if c.Commit == CommitROB {
+			c.ROBEntries = 1 << 16
+		}
+		if c.Commit == CommitCheckpoint || c.Commit == CommitAdaptive {
+			c.PseudoROBEntries, c.SLIQEntries = 1<<16, 1<<16
+			c.Checkpoints, c.CheckpointMaxInterval = 256, 4096
+			c.VirtualRegisters, c.VirtualTags = true, 1<<16
+		}
+		if c.Commit == CommitAdaptive {
+			c.AdaptiveConfidenceBits = 24
+		}
+	}
+	for _, base := range []func() Config{Default, checkpointCfg, adaptiveCfg, OracleDefault} {
+		c := base()
+		atBounds(&c)
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s: sizes at their bounds: %v", c.Commit, err)
+		}
+	}
 }
+
+func checkpointCfg() Config { return CheckpointDefault(64, 512) }
+func adaptiveCfg() Config   { return AdaptiveDefault(64, 512) }
 
 // TestValidateErrorOrder: one invalid configuration always yields one
 // message, with its parts in Table 1 order. The text is ooosimd's 400

@@ -76,8 +76,8 @@ func validateAdaptive(c Config, add func(string, ...any)) {
 		add("checkpoint max interval %d < 1", c.CheckpointMaxInterval)
 	}
 	validateCheckpointCommon(c, "adaptive", add)
-	if c.AdaptiveConfidenceBits < 1 || c.AdaptiveConfidenceBits > 30 {
-		add("adaptive confidence table bits %d out of range [1,30]", c.AdaptiveConfidenceBits)
+	if c.AdaptiveConfidenceBits < 1 || c.AdaptiveConfidenceBits > maxTableBits {
+		add("adaptive confidence table bits %d out of range [1,%d]", c.AdaptiveConfidenceBits, maxTableBits)
 	}
 	if c.AdaptiveConfidenceMax < 1 || c.AdaptiveConfidenceMax > 255 {
 		add("adaptive confidence counter max %d out of range [1,255]", c.AdaptiveConfidenceMax)
@@ -104,6 +104,12 @@ func validateCheckpointCommon(c Config, policy string, add func(string, ...any))
 		// A window only commits once a younger checkpoint closes it, so
 		// a single-entry table can never retire anything.
 		add("%s policy requires at least 2 checkpoints, got %d", policy, c.Checkpoints)
+	}
+	if c.Checkpoints > maxCheckpoints {
+		add("checkpoints %d > %d", c.Checkpoints, maxCheckpoints)
+	}
+	if c.CheckpointMaxInterval > maxCheckpointInterval {
+		add("checkpoint max interval %d > %d", c.CheckpointMaxInterval, maxCheckpointInterval)
 	}
 	if c.PseudoROBEntries < 1 {
 		add("%s policy requires a pseudo-ROB, got %d entries", policy, c.PseudoROBEntries)

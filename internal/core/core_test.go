@@ -100,6 +100,15 @@ func rollbackHeavyTrace(n int) *trace.Trace {
 	return trace.Mix(n, 42, trace.MixWeights{Strided: 4, Stream: 1, CondSlow: 40})
 }
 
+// vregConfig turns cfg into a virtual-register machine with the given
+// tag and physical register counts.
+func vregConfig(cfg config.Config, tags, phys int) config.Config {
+	cfg.VirtualRegisters = true
+	cfg.VirtualTags = tags
+	cfg.PhysRegs = phys
+	return cfg
+}
+
 func TestMispredictsCauseRecoveries(t *testing.T) {
 	tr := rollbackHeavyTrace(120000)
 	cfg := config.CheckpointDefault(32, 1024)

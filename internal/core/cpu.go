@@ -57,8 +57,15 @@ type CPU struct {
 	pool *instPool
 
 	// Virtual-register extension (Figure 14); nil when disabled.
+	// deferredBind queues the writebacks waiting for a physical
+	// register, in completion order.
 	vt           *vreg.Tracker
-	deferredBind []*DynInst
+	deferredBind []consumerRef
+	// vbound and vfused are the bind state of the value each rename
+	// register holds (virtual-register mode only): its bind took a
+	// physical register; its redefiner completed first, so its bind and
+	// release fuse and take none.
+	vbound, vfused []bool
 	// archReleased makes the release of each logical register's
 	// architectural initial value idempotent across rollback replays.
 	archReleased [isa.NumLogical]bool
@@ -80,14 +87,13 @@ type CPU struct {
 	// confidence training survives across windows like the predictor.
 	sampleConf *branch.Confidence
 
+	probed // fetch position, activity counters (see maybeSkip)
+
 	// Time and fetch state.
-	now           int64
-	fetchPos      int64
-	nextSeq       uint64
-	fetchResumeAt int64
-	divergedAt    *DynInst // unresolved mispredicted branch (wrong path active)
-	wpCounter     uint64
-	lastLoadAddr  uint64
+	now          int64
+	divergedAt   *DynInst // unresolved mispredicted branch (wrong path active)
+	wpCounter    uint64
+	lastLoadAddr uint64
 
 	// Scoreboard.
 	regReady  []bool
@@ -102,35 +108,18 @@ type CPU struct {
 	// one nil check instead of the former per-dispatch map lookups):
 	// 1 = armed, raises on completion; 2 = replay, checkpoint and
 	// deliver precisely.
-	exceptArm  []uint8
-	exceptions uint64
+	exceptArm []uint8
 	// knownBranch marks trace positions of branches whose misprediction
 	// caused a checkpoint rollback; on replay their resolved direction
 	// is known to the recovery hardware. Lazily allocated on the first
 	// rollback (ROB mode never pays for it).
 	knownBranch []bool
 
-	// Counters.
-	inflight        int
-	liveFPLong      int
-	liveFPShort     int
+	// Counters a skippable cycle may move (see maybeSkip).
 	sumInflight     uint64
 	maxInflight     int
-	committed       uint64
-	fetched         uint64
-	dispatched      uint64
-	issued          uint64
-	replayed        uint64
-	rollbacks       uint64
-	probRecoveries  uint64
 	ckptStallCycles uint64
-	retire          stats.Breakdown
 	occ             *stats.Occupancy
-	// policyActivity counts commit-policy state changes that move no
-	// other CPU counter (today: checkpoint takes). The clock skip's
-	// quiescence probe watches it so two outwardly identical stall
-	// cycles with different policy state can never be conflated.
-	policyActivity uint64
 
 	portsUsed int // data-cache ports consumed this cycle
 	// resourceStalled marks a dispatch rejection on a resource that
@@ -147,8 +136,6 @@ type CPU struct {
 	// per-cycle drain doesn't allocate a closure.
 	sliqAccept func(seq uint64, d *DynInst) bool
 
-	lastCommitCycle int64
-
 	// Event-driven clock skip (see maybeSkip): the arm-probe state plus
 	// the counters reported in stats.Results. The skip is a pure
 	// simulator-speed optimisation — every simulated statistic is
@@ -162,21 +149,35 @@ type CPU struct {
 	longestSkip   uint64
 }
 
-// skipSnap is the end-of-cycle snapshot behind the clock skip's
-// arm-probe protocol: taken when a cycle ends with the activity
-// signature unchanged, diffed at the next cycle's end — the diff is
-// then exactly that one cycle's footprint.
-type skipSnap struct {
+// probed is the pipeline state a skippable cycle leaves unchanged (see
+// maybeSkip). CPU embeds it, so each field reads as c.<name>, and the
+// probe snapshots it in one copy and tests it in one comparison.
+// policyActivity counts commit-policy state changes that move no other
+// counter (today: checkpoint takes), so two outwardly identical stall
+// cycles with different policy state are never conflated.
+type probed struct {
 	fetched, dispatched, issued, committed   uint64
 	replayed, rollbacks, probRecoveries      uint64
 	exceptions, policyActivity, nextSeq      uint64
-	wpCounter, ckptStallCycles               uint64
 	inflight, liveFPLong, liveFPShort        int
 	lastCommitCycle, fetchResumeAt, fetchPos int64
-	wheelLen                                 int
 	retire                                   stats.Breakdown
-	sliq                                     queue.SLIQStats
-	mem                                      mem.HierarchyStats
+}
+
+// skipSnap is the end-of-cycle snapshot behind the clock skip's
+// arm-probe protocol: taken when a cycle ends with the activity
+// signature unchanged, diffed at the next cycle's end — the diff is
+// then exactly that one cycle's footprint. wpCounter and
+// ckptStallCycles sit outside probed: a quiescent cycle may move them,
+// and a jump replicates their per-cycle step.
+type skipSnap struct {
+	probed
+	wpCounter, ckptStallCycles uint64
+	wheelLen                   int
+	sliq                       queue.SLIQStats
+	mem                        mem.HierarchyStats
+	vt                         vreg.Tracker
+	deferred                   int
 }
 
 // New builds a CPU for the given configuration and workload, warming
@@ -264,11 +265,9 @@ func (a *Arena) takeChassis(phys, wheelSlots int) *chassis {
 
 // Recycle parks the CPU's allocation skeleton in the arena for the next
 // point of the same shape. The CPU must not be used afterwards; callers
-// that still need results must collect them first. No-op for nil arenas
-// and virtual-register CPUs (their skeletons are shaped differently and
-// their records are unpooled).
+// that still need results must collect them first. No-op for nil arenas.
 func (c *CPU) Recycle(a *Arena) {
-	if a == nil || c.vt != nil {
+	if a == nil {
 		return
 	}
 	if a.chassis == nil {
@@ -403,9 +402,7 @@ func newCPU(cfg config.Config, tr *trace.Trace, hier *mem.Hierarchy, arena *Aren
 	}
 
 	pool := &instPool{}
-	if arena != nil && !cfg.VirtualRegisters {
-		// Virtual-register mode disables pooling (see below); it must
-		// not flip the shared arena's mode, so it keeps a private pool.
+	if arena != nil {
 		pool = &arena.pool
 	}
 	c := &CPU{
@@ -428,7 +425,7 @@ func newCPU(cfg config.Config, tr *trace.Trace, hier *mem.Hierarchy, arena *Aren
 	slowestUnit := max(cfg.IntAlu.Latency, cfg.IntMul.Latency, cfg.IntDiv.Latency, cfg.FPAlu.Latency)
 	wheelSlots := eventWheelSlots(cfg.MemoryLatency + cfg.IL1.LatencyCycles +
 		cfg.DL1.LatencyCycles + cfg.L2.LatencyCycles + slowestUnit + cfg.PrefetchDegree + 64)
-	if arena != nil && !cfg.VirtualRegisters {
+	if arena != nil {
 		if ch := arena.takeChassis(physSpace, wheelSlots); ch != nil {
 			c.regReady, c.longTaint = ch.regReady, ch.longTaint
 			c.consumers, c.producer = ch.consumers, ch.producer
@@ -465,9 +462,8 @@ func newCPU(cfg config.Config, tr *trace.Trace, hier *mem.Hierarchy, arena *Aren
 	c.policy = newPolicy(c)
 	if cfg.VirtualRegisters {
 		c.vt = vreg.New(cfg.VirtualTags, cfg.PhysRegs, isa.NumLogical)
-		// prevProd links outlive commit in this mode; records must not
-		// recycle (see DynInst).
-		c.pool.disabled = true
+		c.vbound = make([]bool, physSpace)
+		c.vfused = make([]bool, physSpace)
 	}
 	c.lastLoadAddr = 1 << 20
 	if c.sliq != nil {
@@ -592,7 +588,6 @@ func (c *CPU) Run(opt RunOptions) stats.Results {
 		}
 		c.occ = stats.NewOccupancy(bound)
 	}
-	skipEnabled := !opt.DisableSkip && c.vt == nil
 
 	for c.committed < target && c.now < maxCycles {
 		c.hier.Expire(c.now)
@@ -620,10 +615,8 @@ func (c *CPU) Run(opt RunOptions) stats.Results {
 		}
 
 		// Event-driven clock skip, evaluated after every loop-exit
-		// condition so a jump can never mask one. Virtual-register mode
-		// stays cycle-by-cycle (its deferred-bind machinery is outside
-		// the quiescence probe's footprint).
-		if skipEnabled {
+		// condition so a jump can never mask one.
+		if !opt.DisableSkip {
 			sig := c.progressSig()
 			if c.skipArmed {
 				c.maybeSkip(maxCycles, watchdog)
@@ -662,16 +655,15 @@ func (c *CPU) progressSig() uint64 {
 // against (see skipSnap).
 func (c *CPU) snapSkip() {
 	s := &c.skipSnap
-	s.fetched, s.dispatched, s.issued, s.committed = c.fetched, c.dispatched, c.issued, c.committed
-	s.replayed, s.rollbacks, s.probRecoveries = c.replayed, c.rollbacks, c.probRecoveries
-	s.exceptions, s.policyActivity, s.nextSeq = c.exceptions, c.policyActivity, c.nextSeq
+	s.probed = c.probed
 	s.wpCounter, s.ckptStallCycles = c.wpCounter, c.ckptStallCycles
-	s.inflight, s.liveFPLong, s.liveFPShort = c.inflight, c.liveFPLong, c.liveFPShort
-	s.lastCommitCycle, s.fetchResumeAt, s.fetchPos = c.lastCommitCycle, c.fetchResumeAt, c.fetchPos
 	s.wheelLen = c.completions.Len()
-	s.retire = c.retire
 	if c.sliq != nil {
 		s.sliq = c.sliq.Stats()
+	}
+	if c.vt != nil {
+		s.vt = *c.vt
+		s.deferred = len(c.deferredBind)
 	}
 	s.mem = c.hier.Stats()
 }
@@ -690,19 +682,17 @@ func (c *CPU) maybeSkip(maxCycles, watchdog int64) {
 	s := &c.skipSnap
 
 	// Quiescence: the probe moved nothing that distinguishes it from
-	// the cycles about to be elided.
-	if c.fetched != s.fetched || c.dispatched != s.dispatched ||
-		c.issued != s.issued || c.committed != s.committed ||
-		c.replayed != s.replayed || c.rollbacks != s.rollbacks ||
-		c.probRecoveries != s.probRecoveries || c.exceptions != s.exceptions ||
-		c.policyActivity != s.policyActivity || c.nextSeq != s.nextSeq ||
-		c.inflight != s.inflight || c.liveFPLong != s.liveFPLong ||
-		c.liveFPShort != s.liveFPShort || c.lastCommitCycle != s.lastCommitCycle ||
-		c.fetchResumeAt != s.fetchResumeAt || c.fetchPos != s.fetchPos ||
-		c.completions.Len() != s.wheelLen || c.retire != s.retire {
+	// the cycles about to be elided. Under virtual registers every bind,
+	// release and deferral moves the tracker or the deferred queue, so an
+	// unmoved tracker also means the probe's own drain found the queue
+	// waiting on a release, which only a completion or a squash brings.
+	if c.probed != s.probed || c.completions.Len() != s.wheelLen {
 		return
 	}
 	if c.sliq != nil && c.sliq.Stats() != s.sliq {
+		return
+	}
+	if c.vt != nil && (*c.vt != s.vt || len(c.deferredBind) != s.deferred) {
 		return
 	}
 	// Memory counters: a stalled-but-ungated front end re-probes its

@@ -148,8 +148,9 @@ func (c *CPU) tryDispatch(inst isa.Inst, pos int64, wrongPath bool) bool {
 		}
 		c.regReady[d.DestPhys] = false
 		c.longTaint[d.DestPhys] = false
-		if c.vt != nil && d.PrevPhys != rename.PhysNone {
-			d.prevProd = c.producer[d.PrevPhys]
+		if c.vt != nil {
+			c.vbound[d.DestPhys] = false
+			c.vfused[d.DestPhys] = false
 		}
 		c.producer[d.DestPhys] = d
 	}

@@ -23,17 +23,17 @@ import (
 // Ownership and recycling contract: records are acquired from a per-CPU
 // free list at dispatch and returned to it when the instruction leaves
 // the pipeline — at commit (ROB retire or checkpoint-window retirement)
-// or at squash. After releaseInst, no component may hold a *DynInst it
+// or at squash. After release, no component may hold a *DynInst it
 // intends to dereference as that instruction: Seq is the only durable
 // identity, so every structure that can outlive an instruction (the
-// consumer lists, SLIQ residency, LSQ forward waiters, the SLIQ
-// dependence-mask owners) stores the Seq alongside the pointer and
-// treats a mismatch as "instruction is gone". The completion event wheel
-// and the issue queues never hold released records (squash purges both
-// eagerly). Released records are quarantined on a dead list until the
-// next dispatch stage, so stale pointers created in the same cycle still
-// observe Squashed==true; debug builds (debugPool, enabled by the test
-// suite) additionally poison freed records to catch pool misuse.
+// consumer lists, the deferred-bind queue, SLIQ residency, LSQ forward
+// waiters, the SLIQ dependence-mask owners) stores the Seq alongside the
+// pointer and treats a mismatch as "instruction is gone". The completion
+// event wheel and the issue queues never hold released records (squash
+// purges both eagerly). Released records are quarantined on a dead list
+// until the next dispatch stage, so stale pointers created in the same
+// cycle still observe Squashed==true; debug builds (debugPool, enabled by
+// the test suite) additionally poison freed records to catch pool misuse.
 type DynInst struct {
 	// Seq is the dynamic sequence number: unique and monotonically
 	// increasing across fetches, including wrong-path and replayed
@@ -92,20 +92,6 @@ type DynInst struct {
 	// eventNone when no completion is scheduled.
 	wheelSlot int32
 
-	// Virtual-register extension state (Figure 14). The free-list pool
-	// is disabled in virtual-register mode: prevProd links may point at
-	// instructions that committed long before their redefiner completes,
-	// so records must outlive commit there.
-	// prevProd is the producer of the value this instruction redefines.
-	prevProd *DynInst
-	// fusedRelease: the redefiner completed first, so binding this
-	// value consumes no physical register (bind and release fuse).
-	fusedRelease bool
-	// boundPhys: this value's bind consumed a physical register.
-	boundPhys bool
-	// prevReleased: the superseded value has been released (release
-	// precedes binding and must be idempotent across deferred retries).
-	prevReleased bool
 	// pendingSrcs counts unready sources for LSQ-resident stores,
 	// which wait on the scoreboard instead of occupying an issue-queue
 	// entry (the paper keeps stores in the Load/Store queue).
@@ -133,13 +119,11 @@ func (d *DynInst) String() string {
 // sit on the dead list until recycleDead folds them into the free list
 // at the start of the next dispatch stage (the quarantine that keeps
 // same-cycle stale pointers observing the squashed record, not a reused
-// one). disabled turns the pool into a plain allocator (virtual-register
-// mode, see DynInst).
+// one).
 type instPool struct {
-	free     []*DynInst
-	dead     []*DynInst
-	block    []DynInst
-	disabled bool
+	free  []*DynInst
+	dead  []*DynInst
+	block []DynInst
 }
 
 const instBlockSize = 256
@@ -190,9 +174,6 @@ func (d *DynInst) init() {
 // release quarantines a record that left the pipeline (committed or
 // squashed); recycleDead makes it reusable one stage later.
 func (p *instPool) release(d *DynInst) {
-	if p.disabled {
-		return
-	}
 	if debugPool {
 		if d.Seq == poisonSeq {
 			panic("core: double release of a pooled DynInst")

@@ -72,26 +72,32 @@ func TestAllocsPerCommittedInstruction(t *testing.T) {
 // rollback) and the two-pass exception protocol all fire.
 func TestPooledDeterminismUnderRecovery(t *testing.T) {
 	tr := rollbackHeavyTrace(90000)
-	run := func() stats.Results {
-		cfg := config.CheckpointDefault(32, 1024)
-		cpu, err := New(cfg, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cpu.InjectExceptionAt(4000)
-		cpu.InjectExceptionAt(21000)
-		res := cpu.Run(RunOptions{MaxInsts: 50000})
-		if cpu.Exceptions() != 2 {
-			t.Fatalf("delivered %d exceptions, want 2", cpu.Exceptions())
-		}
-		return res
-	}
-	a, b := run(), run()
-	if a.Rollbacks == 0 || a.PseudoROBRecoveries == 0 {
-		t.Fatalf("workload must exercise both recovery paths: %+v", a)
-	}
-	if !a.Equal(b) {
-		t.Fatalf("pooled runs diverged:\n%+v\nvs\n%+v", a, b)
+	for name, cfg := range map[string]config.Config{
+		"checkpoint":      config.CheckpointDefault(32, 1024),
+		"checkpoint-vreg": vregConfig(config.CheckpointDefault(32, 1024), 256, 66),
+	} {
+		t.Run(name, func(t *testing.T) {
+			run := func() stats.Results {
+				cpu, err := New(cfg, tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cpu.InjectExceptionAt(4000)
+				cpu.InjectExceptionAt(21000)
+				res := cpu.Run(RunOptions{MaxInsts: 50000})
+				if cpu.Exceptions() != 2 {
+					t.Fatalf("delivered %d exceptions, want 2", cpu.Exceptions())
+				}
+				return res
+			}
+			a, b := run(), run()
+			if a.Rollbacks == 0 || a.PseudoROBRecoveries == 0 {
+				t.Fatalf("workload must exercise both recovery paths: %+v", a)
+			}
+			if !a.Equal(b) {
+				t.Fatalf("pooled runs diverged:\n%+v\nvs\n%+v", a, b)
+			}
+		})
 	}
 }
 
@@ -138,23 +144,32 @@ func TestPooledCPUsShareTraceConcurrently(t *testing.T) {
 }
 
 // TestPoolRecyclesRecords sanity-checks that the pool actually recycles:
-// a long run must allocate far fewer records than it dispatches.
+// a long run must allocate far fewer records than it dispatches, with
+// and without virtual registers.
 func TestPoolRecyclesRecords(t *testing.T) {
 	const insts = 30000
 	tr := trace.FPMix(trace.LenFor(insts), 7)
-	cpu, err := New(config.CheckpointDefault(64, 1024), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := cpu.Run(RunOptions{MaxInsts: insts})
-	// Records still quarantined plus free ones are all that ever came
-	// from the block allocator besides the live tail of the pipeline.
-	pooled := len(cpu.pool.free) + len(cpu.pool.dead)
-	if uint64(pooled) >= res.Dispatched/4 {
-		t.Fatalf("pool holds %d records for %d dispatches; recycling is not happening",
-			pooled, res.Dispatched)
-	}
-	if pooled == 0 {
-		t.Fatal("no records ever recycled")
+	for name, cfg := range map[string]config.Config{
+		"checkpoint":      config.CheckpointDefault(64, 1024),
+		"checkpoint-vreg": vregConfig(config.CheckpointDefault(64, 1024), 512, 66),
+	} {
+		t.Run(name, func(t *testing.T) {
+			cpu, err := New(cfg, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := cpu.Run(RunOptions{MaxInsts: insts})
+			// Records still quarantined plus free ones are all that ever
+			// came from the block allocator besides the live tail of the
+			// pipeline.
+			pooled := len(cpu.pool.free) + len(cpu.pool.dead)
+			if uint64(pooled) >= res.Dispatched/4 {
+				t.Fatalf("pool holds %d records for %d dispatches; recycling is not happening",
+					pooled, res.Dispatched)
+			}
+			if pooled == 0 {
+				t.Fatal("no records ever recycled")
+			}
+		})
 	}
 }

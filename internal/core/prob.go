@@ -35,7 +35,7 @@ func (p *checkpointPolicy) classifyExtract(d *DynInst) {
 		switch {
 		case d.Done:
 			p.c.retire[stats.RetireFinishedLoad]++
-			p.maskRedefine(d, false, rename.PhysNone)
+			p.maskRedefine(d)
 		case d.Issued && d.MissedL2:
 			// The problem makers: seed the dependence mask with the
 			// load's destination.
@@ -45,7 +45,7 @@ func (p *checkpointPolicy) classifyExtract(d *DynInst) {
 			// In flight but hit in L1/L2 — the paper counts these
 			// with the finished loads.
 			p.c.retire[stats.RetireFinishedLoad]++
-			p.maskRedefine(d, false, rename.PhysNone)
+			p.maskRedefine(d)
 		default:
 			// Not yet issued: per the paper's t0 example, a load that
 			// "has not yet finished its execution" at extraction is
@@ -53,9 +53,8 @@ func (p *checkpointPolicy) classifyExtract(d *DynInst) {
 			// mask so consumers move to the SLIQ rather than clog the
 			// issue queue. The load itself moves too if its address
 			// hangs off another long-latency chain.
-			dep, root, rootSeq := p.maskDependence(d)
+			dep, root, _ := p.maskDependence(d)
 			if dep {
-				_ = rootSeq
 				if p.moveToSLIQ(d, root) {
 					p.c.retire[stats.RetireMoved]++
 				} else {
@@ -71,7 +70,7 @@ func (p *checkpointPolicy) classifyExtract(d *DynInst) {
 		switch {
 		case d.Done || d.Issued:
 			p.c.retire[stats.RetireFinished]++
-			p.maskRedefine(d, false, rename.PhysNone)
+			p.maskRedefine(d)
 		default:
 			p.classifyWaiting(d)
 		}
@@ -95,7 +94,7 @@ func (p *checkpointPolicy) classifyWaiting(d *DynInst) {
 		return
 	}
 	p.c.retire[stats.RetireShortLat]++
-	p.maskRedefine(d, false, rename.PhysNone)
+	p.maskRedefine(d)
 }
 
 // maskDependence reports whether any source of d is covered by the
@@ -154,12 +153,12 @@ func (p *checkpointPolicy) maskPropagate(d *DynInst, root rename.PhysReg, rootSe
 
 // maskRedefine clears the mask for d's destination ("registers get
 // cleared when non-dependent instructions redefine those registers").
-func (p *checkpointPolicy) maskRedefine(d *DynInst, dependent bool, root rename.PhysReg) {
+func (p *checkpointPolicy) maskRedefine(d *DynInst) {
 	if d.Inst.Dest == isa.RegNone {
 		return
 	}
-	p.depMask[d.Inst.Dest] = dependent
-	p.maskOwner[d.Inst.Dest] = root
+	p.depMask[d.Inst.Dest] = false
+	p.maskOwner[d.Inst.Dest] = rename.PhysNone
 	p.maskOwnerSeq[d.Inst.Dest] = 0
 }
 

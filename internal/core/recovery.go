@@ -48,8 +48,8 @@ func (c *CPU) squashInst(d *DynInst, unwindRename bool) {
 
 	if c.vt != nil && d.DestPhys != rename.PhysNone {
 		if d.Done {
-			if d.boundPhys {
-				d.boundPhys = false
+			if c.vbound[d.DestPhys] {
+				c.vbound[d.DestPhys] = false
 				c.vt.SquashBound()
 			}
 		} else {

@@ -119,8 +119,8 @@ func (ss *sampleState) fastForward(cfg config.Config, st *trace.InstStream, n ui
 // RunSampled simulates the stream under the SMARTS sampling protocol:
 // per period, simulate Warmup+Detail instructions in full pipeline
 // detail on a fresh window CPU that adopts the persistent substrate,
-// keeping only the post-warmup portion in the statistics (two
-// snapshots of the same CPU, subtracted), then fast-forward the rest
+// keeping only the post-warmup portion in the statistics (the interval
+// between two snapshots of the same CPU), then fast-forward the rest
 // of the period with functional warming only. warm is a second,
 // unconsumed stream over the same workload used for the one-time
 // whole-footprint cache warm (see warmHierarchy). opt.MaxInsts
@@ -222,12 +222,12 @@ func RunSampled(cfg config.Config, st, warm *trace.InstStream, sample trace.Samp
 		cpu.Recycle(arena)
 		st.Skip(int(fullRes.Committed))
 
-		measured := fullRes.Sub(warmRes)
 		samp.WarmupInsts += warmRes.Committed
-		if measured.Committed > 0 && measured.Cycles > 0 {
-			samp.SampledInsts += measured.Committed
-			samp.AddWindow(measured.IPC())
-			total.Merge(measured)
+		committed, cycles := fullRes.Committed-warmRes.Committed, fullRes.Cycles-warmRes.Cycles
+		if committed > 0 && cycles > 0 {
+			samp.SampledInsts += committed
+			samp.AddWindow(float64(committed) / float64(cycles))
+			total.AddInterval(fullRes, warmRes)
 		}
 		ss.settle()
 		if fullRes.Committed < wd {

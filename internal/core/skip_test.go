@@ -41,8 +41,9 @@ func runAB(t *testing.T, cfg config.Config, tr *trace.Trace, opt RunOptions, exc
 }
 
 // TestSkipEquivalenceAcrossPolicies is the clock skip's central
-// contract: for every commit-policy family, under the nastiest control
-// flow we model (branch rollbacks, pseudo-ROB recoveries, the two-pass
+// contract: for every commit-policy family, and for the checkpointed
+// machine with virtual registers, under the nastiest control flow we
+// model (branch rollbacks, pseudo-ROB recoveries, the two-pass
 // exception protocol) and a memory latency long enough to create real
 // quiescent stretches, the skipping run's statistics are bit-identical
 // to the cycle-by-cycle run's — and the skip genuinely engaged, so the
@@ -58,6 +59,7 @@ func TestSkipEquivalenceAcrossPolicies(t *testing.T) {
 		{"checkpoint", config.CheckpointDefault(32, 1024), true},
 		{"adaptive", config.AdaptiveDefault(32, 1024), true},
 		{"oracle", config.OracleDefault(), false},
+		{"checkpoint-vreg", vregConfig(config.CheckpointDefault(32, 1024), 256, 96), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
@@ -198,24 +200,6 @@ func TestWatchdogCountsFromCycleZero(t *testing.T) {
 	}
 	if tick != skip {
 		t.Fatalf("watchdog panics diverged:\ntick: %s\nskip: %s", tick, skip)
-	}
-}
-
-// TestSkipDisabledUnderVirtualRegisters: virtual-register mode runs
-// cycle-by-cycle (its deferred-bind machinery sits outside the
-// quiescence probe), so its runs must never report skip activity.
-func TestSkipDisabledUnderVirtualRegisters(t *testing.T) {
-	cfg := config.CheckpointDefault(64, 2048)
-	cfg.VirtualRegisters = true
-	cfg.VirtualTags = 2048
-	cfg.MemoryLatency = 1500
-	cpu, err := New(cfg, trace.FPMix(30000, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := cpu.Run(RunOptions{MaxInsts: 20000})
-	if res.SkippedCycles != 0 || res.SkipEvents != 0 {
-		t.Fatalf("virtual-register run reported skip activity: %+v", res)
 	}
 }
 

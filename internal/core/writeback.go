@@ -36,13 +36,24 @@ func (c *CPU) completeInst(d *DynInst) {
 		// new value can take the register its redefinition frees (and
 		// releasing after a failed bind would deadlock a full file).
 		c.vregReleasePrev(d)
-		if !c.vt.TryBind(d.fusedRelease) {
-			c.deferredBind = append(c.deferredBind, d)
+		if !c.bindVreg(d) {
+			c.deferredBind = append(c.deferredBind, consumerRef{d: d, seq: d.Seq})
 			return
 		}
-		d.boundPhys = !d.fusedRelease
 	}
 	c.finishCompletion(d)
+}
+
+// bindVreg binds the value d produces to a physical register, or
+// reports false when the register file is full and the writeback must
+// wait. A fused value takes no register, so it always binds.
+func (c *CPU) bindVreg(d *DynInst) bool {
+	fused := c.vfused[d.DestPhys]
+	if !c.vt.TryBind(fused) {
+		return false
+	}
+	c.vbound[d.DestPhys] = !fused
+	return true
 }
 
 // finishCompletion performs the writeback proper.
@@ -105,23 +116,22 @@ func (c *CPU) finishCompletion(d *DynInst) {
 }
 
 // drainDeferredBinds retries writebacks stalled on physical-register
-// exhaustion, in completion order, while registers are available.
+// exhaustion, in completion order, while registers are available. Each
+// waiting writeback released its superseded value when it first
+// completed (see completeInst).
 func (c *CPU) drainDeferredBinds() {
 	n := 0
 	for ; n < len(c.deferredBind); n++ {
-		d := c.deferredBind[n]
-		if d.Squashed {
-			// The squash already returned its tag.
+		ref := c.deferredBind[n]
+		d := ref.d
+		if d.Seq != ref.seq || d.Squashed {
+			// Squashed (and possibly recycled since): the squash already
+			// returned its tag.
 			continue
 		}
-		c.vregReleasePrev(d)
-		if !d.fusedRelease && !c.vt.CanBind() {
+		if !c.bindVreg(d) {
 			break
 		}
-		if !c.vt.TryBind(d.fusedRelease) {
-			panic("core: vreg bind failed after CanBind")
-		}
-		d.boundPhys = !d.fusedRelease
 		c.finishCompletion(d)
 	}
 	if n > 0 {
@@ -129,34 +139,33 @@ func (c *CPU) drainDeferredBinds() {
 	}
 }
 
-// vregReleasePrev releases the value this instruction redefines, per the
+// vregReleasePrev releases the value d redefines, per the
 // ephemeral-register early-release rule: the replacement value now
 // exists (or is being written), so the old one's register is recycled.
-// Idempotent: deferred binds retry through here.
+// It runs once, when d completes. The superseded value is named by
+// d.PrevPhys, which stays allocated until d's checkpoint window commits,
+// after d completed; so its producer, readiness and bind state are still
+// that value's.
 func (c *CPU) vregReleasePrev(d *DynInst) {
-	if d.prevReleased {
-		return
-	}
-	d.prevReleased = true
-	prev := d.prevProd
+	p := d.PrevPhys
 	switch {
-	case d.PrevPhys == rename.PhysNone:
+	case p == rename.PhysNone:
 		// No previous mapping: nothing to release.
-	case prev == nil:
+	case c.producer[p] == nil:
 		// The previous value was architectural initial state; release
 		// it exactly once even across rollback replays.
 		if !c.archReleased[d.Inst.Dest] {
 			c.archReleased[d.Inst.Dest] = true
 			c.vt.Release()
 		}
-	case prev.Done:
-		if prev.boundPhys {
-			prev.boundPhys = false
+	case c.regReady[p]:
+		if c.vbound[p] {
+			c.vbound[p] = false
 			c.vt.Release()
 		}
 	default:
 		// The previous producer has not completed yet; fuse its bind
 		// with the release so it never consumes a register.
-		prev.fusedRelease = true
+		c.vfused[p] = true
 	}
 }

@@ -3,14 +3,18 @@ package stats
 import (
 	"fmt"
 	"math"
+	"strings"
+
+	"repro/internal/branch"
+	"repro/internal/lsq"
 )
 
 // Sampled summarises a SMARTS-style sampled run: how much of the
 // dynamic stream was measured in detail, how much was functionally
 // fast-forwarded, and the spread of the per-window IPC observations
-// that turns the sampled mean into an error bar. The per-window sums
-// (rather than a slice of window IPCs) keep the block mergeable: two
-// shards' sums add, and the CLT interval of the union falls out.
+// that turns the sampled mean into an error bar. Per-window sums stand
+// in for a slice of window IPCs: the mean, variance and CLT interval all
+// derive from them, so the block stays a fixed size.
 type Sampled struct {
 	// Windows counts measured detail windows.
 	Windows uint64 `json:"windows"`
@@ -28,17 +32,6 @@ type Sampled struct {
 	// which the mean, variance and confidence interval derive.
 	SumIPC  float64 `json:"sum_ipc"`
 	SumIPC2 float64 `json:"sum_ipc2"`
-}
-
-// merge folds another sampled block's tallies into s.
-func (s *Sampled) merge(o Sampled) {
-	s.Windows += o.Windows
-	s.SampledInsts += o.SampledInsts
-	s.WarmupInsts += o.WarmupInsts
-	s.FastForwardInsts += o.FastForwardInsts
-	s.TotalInsts += o.TotalInsts
-	s.SumIPC += o.SumIPC
-	s.SumIPC2 += o.SumIPC2
 }
 
 // AddWindow records one measured window's IPC observation.
@@ -110,88 +103,116 @@ func (s *Sampled) String() string {
 		s.IPCMean(), s.IPCCI95())
 }
 
-// Sub returns the difference full − warm between two Results snapshots
-// of the same CPU, where warm was captured at an earlier commit point
-// of the same run. It isolates the interval between the snapshots —
-// how sampled runs discard each window's warmup (and, because the
-// persistent predictor/BTB/cache substrate accumulates across windows,
-// everything before the window too). Cumulative counters subtract;
-// extremes (MaxInflight, LongestSkip, "max_" policy keys) keep full's
-// value, the interval's observation being unrecoverable; MeanInflight
-// un-weights the cycle-weighted means. Occupancy histograms are not
-// subtractable and sampled runs never collect them.
-func (r Results) Sub(warm Results) Results {
-	d := r
-	d.Cycles = r.Cycles - warm.Cycles
-	d.Committed = r.Committed - warm.Committed
-	d.Fetched = r.Fetched - warm.Fetched
-	d.Dispatched = r.Dispatched - warm.Dispatched
-	d.Issued = r.Issued - warm.Issued
-	d.Replayed = r.Replayed - warm.Replayed
-	d.Rollbacks = r.Rollbacks - warm.Rollbacks
-	d.PseudoROBRecoveries = r.PseudoROBRecoveries - warm.PseudoROBRecoveries
-	d.CheckpointsTaken = r.CheckpointsTaken - warm.CheckpointsTaken
-	d.CheckpointsCommitted = r.CheckpointsCommitted - warm.CheckpointsCommitted
-	d.CheckpointStallCycles = r.CheckpointStallCycles - warm.CheckpointStallCycles
-	d.SLIQMoved = r.SLIQMoved - warm.SLIQMoved
-	d.SLIQWoken = r.SLIQWoken - warm.SLIQWoken
-	d.SkippedCycles = r.SkippedCycles - warm.SkippedCycles
-	d.SkipEvents = r.SkipEvents - warm.SkipEvents
+// AddInterval folds into r the interval between two Results snapshots
+// of one CPU run: full, and warm, captured at an earlier commit point of
+// the same run. A sampled run adds each window this way, discarding its
+// warmup (and, because the persistent predictor/BTB/cache substrate
+// accumulates across windows, everything before the window too).
+// Counters add full − warm. Extremes (MaxInflight, LongestSkip, "max_"
+// policy keys) keep the larger of r's and full's value, the interval's
+// own being unrecoverable; a "max_" key is stored only when it exceeds
+// the value held. MeanInflight becomes the cycle-weighted mean of r's
+// and the interval's. r adopts full's Name when it has none. Snapshots
+// are plain CPU runs: occupancy histograms are not subtractable and
+// sampled runs never collect them, and neither snapshot carries a
+// Sampled block.
+func (r *Results) AddInterval(full, warm Results) {
+	if r.Name == "" {
+		r.Name = full.Name
+	}
+	cycles := full.Cycles - warm.Cycles
+	var mean float64
+	if cycles > 0 {
+		mean = (full.MeanInflight*float64(full.Cycles) - warm.MeanInflight*float64(warm.Cycles)) / float64(cycles)
+	}
+	if total := r.Cycles + cycles; total > 0 {
+		r.MeanInflight = (r.MeanInflight*float64(r.Cycles) + mean*float64(cycles)) / float64(total)
+	}
+	r.Cycles += cycles
+	r.Committed += full.Committed - warm.Committed
+	r.Fetched += full.Fetched - warm.Fetched
+	r.Dispatched += full.Dispatched - warm.Dispatched
+	r.Issued += full.Issued - warm.Issued
+	r.Replayed += full.Replayed - warm.Replayed
+	r.Rollbacks += full.Rollbacks - warm.Rollbacks
+	r.PseudoROBRecoveries += full.PseudoROBRecoveries - warm.PseudoROBRecoveries
+	r.CheckpointsTaken += full.CheckpointsTaken - warm.CheckpointsTaken
+	r.CheckpointsCommitted += full.CheckpointsCommitted - warm.CheckpointsCommitted
+	r.CheckpointStallCycles += full.CheckpointStallCycles - warm.CheckpointStallCycles
+	r.SLIQMoved += full.SLIQMoved - warm.SLIQMoved
+	r.SLIQWoken += full.SLIQWoken - warm.SLIQWoken
+	r.SkippedCycles += full.SkippedCycles - warm.SkippedCycles
+	r.SkipEvents += full.SkipEvents - warm.SkipEvents
+	r.LongestSkip = max(r.LongestSkip, full.LongestSkip)
 
-	d.Branch.Predictions = r.Branch.Predictions - warm.Branch.Predictions
-	d.Branch.Mispredicts = r.Branch.Mispredicts - warm.Branch.Mispredicts
+	r.Branch.Predictions += full.Branch.Predictions - warm.Branch.Predictions
+	r.Branch.Mispredicts += full.Branch.Mispredicts - warm.Branch.Mispredicts
 
-	if r.BTB != nil {
-		b := *r.BTB
+	if full.BTB != nil {
+		if r.BTB == nil {
+			r.BTB = &branch.BTBStats{}
+		}
+		var w branch.BTBStats
 		if warm.BTB != nil {
-			b.Lookups -= warm.BTB.Lookups
-			b.Hits -= warm.BTB.Hits
-			b.BadTargets -= warm.BTB.BadTargets
+			w = *warm.BTB
 		}
-		d.BTB = &b
+		r.BTB.Lookups += full.BTB.Lookups - w.Lookups
+		r.BTB.Hits += full.BTB.Hits - w.Hits
+		r.BTB.BadTargets += full.BTB.BadTargets - w.BadTargets
 	}
-	if r.LSQ != nil {
-		q := *r.LSQ
+	if full.LSQ != nil {
+		if r.LSQ == nil {
+			r.LSQ = &lsq.Stats{}
+		}
+		var w lsq.Stats
 		if warm.LSQ != nil {
-			q.Loads -= warm.LSQ.Loads
-			q.Stores -= warm.LSQ.Stores
-			q.Forwards -= warm.LSQ.Forwards
-			q.ForwardStalls -= warm.LSQ.ForwardStalls
-			q.StoresDrained -= warm.LSQ.StoresDrained
-			q.FullStalls -= warm.LSQ.FullStalls
+			w = *warm.LSQ
 		}
-		d.LSQ = &q
+		r.LSQ.Loads += full.LSQ.Loads - w.Loads
+		r.LSQ.Stores += full.LSQ.Stores - w.Stores
+		r.LSQ.Forwards += full.LSQ.Forwards - w.Forwards
+		r.LSQ.ForwardStalls += full.LSQ.ForwardStalls - w.ForwardStalls
+		r.LSQ.StoresDrained += full.LSQ.StoresDrained - w.StoresDrained
+		r.LSQ.FullStalls += full.LSQ.FullStalls - w.FullStalls
 	}
 
-	d.Mem.IL1.Accesses = r.Mem.IL1.Accesses - warm.Mem.IL1.Accesses
-	d.Mem.IL1.Misses = r.Mem.IL1.Misses - warm.Mem.IL1.Misses
-	d.Mem.DL1.Accesses = r.Mem.DL1.Accesses - warm.Mem.DL1.Accesses
-	d.Mem.DL1.Misses = r.Mem.DL1.Misses - warm.Mem.DL1.Misses
-	d.Mem.L2.Accesses = r.Mem.L2.Accesses - warm.Mem.L2.Accesses
-	d.Mem.L2.Misses = r.Mem.L2.Misses - warm.Mem.L2.Misses
-	d.Mem.MemAccesses = r.Mem.MemAccesses - warm.Mem.MemAccesses
-	d.Mem.MergedMisses = r.Mem.MergedMisses - warm.Mem.MergedMisses
-	d.Mem.StoreWrites = r.Mem.StoreWrites - warm.Mem.StoreWrites
-	d.Mem.Prefetches = r.Mem.Prefetches - warm.Mem.Prefetches
+	r.Mem.IL1.Accesses += full.Mem.IL1.Accesses - warm.Mem.IL1.Accesses
+	r.Mem.IL1.Misses += full.Mem.IL1.Misses - warm.Mem.IL1.Misses
+	r.Mem.DL1.Accesses += full.Mem.DL1.Accesses - warm.Mem.DL1.Accesses
+	r.Mem.DL1.Misses += full.Mem.DL1.Misses - warm.Mem.DL1.Misses
+	r.Mem.L2.Accesses += full.Mem.L2.Accesses - warm.Mem.L2.Accesses
+	r.Mem.L2.Misses += full.Mem.L2.Misses - warm.Mem.L2.Misses
+	r.Mem.MemAccesses += full.Mem.MemAccesses - warm.Mem.MemAccesses
+	r.Mem.MergedMisses += full.Mem.MergedMisses - warm.Mem.MergedMisses
+	r.Mem.StoreWrites += full.Mem.StoreWrites - warm.Mem.StoreWrites
+	r.Mem.Prefetches += full.Mem.Prefetches - warm.Mem.Prefetches
 
-	for c := range d.Retire {
-		d.Retire[c] = r.Retire[c] - warm.Retire[c]
+	for c := range r.Retire {
+		r.Retire[c] += full.Retire[c] - warm.Retire[c]
 	}
-	if len(r.Policy) > 0 {
-		d.Policy = make(map[string]uint64, len(r.Policy))
-		for k, v := range r.Policy {
+	if len(full.Policy) > 0 {
+		if r.Policy == nil {
+			r.Policy = make(map[string]uint64, len(full.Policy))
+		}
+		for k, v := range full.Policy {
 			if policyCounterIsMax(k) {
-				d.Policy[k] = v
+				if v > r.Policy[k] {
+					r.Policy[k] = v
+				}
 			} else {
-				d.Policy[k] = v - warm.Policy[k]
+				r.Policy[k] += v - warm.Policy[k]
 			}
 		}
 	}
-	if d.Cycles > 0 {
-		d.MeanInflight = (r.MeanInflight*float64(r.Cycles) - warm.MeanInflight*float64(warm.Cycles)) / float64(d.Cycles)
-	} else {
-		d.MeanInflight = 0
+	r.MaxInflight = max(r.MaxInflight, full.MaxInflight)
+}
+
+// policyCounterIsMax reports whether a Policy key names a maximum-style
+// metric ("<policy>.max_<metric>", e.g. "oracle.max_retire_burst"):
+// summing two maxima would fabricate a value no run ever observed.
+func policyCounterIsMax(key string) bool {
+	if i := strings.IndexByte(key, '.'); i >= 0 {
+		key = key[i+1:]
 	}
-	d.Occ = nil
-	return d
+	return strings.HasPrefix(key, "max_")
 }

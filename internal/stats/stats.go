@@ -222,19 +222,6 @@ func (o *Occupancy) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// mergeOcc returns a fresh tracker holding a+b, sized to the larger of
-// the two.
-func mergeOcc(a, b *Occupancy) *Occupancy {
-	n := len(a.count)
-	if len(b.count) > n {
-		n = len(b.count)
-	}
-	out := NewOccupancy(n - 1)
-	a.MergeInto(out)
-	b.MergeInto(out)
-	return out
-}
-
 // Percentile returns the smallest in-flight count x such that at least
 // p (0 < p <= 1) of the sampled cycles had occupancy <= x. This is the
 // "25% of the time the ROB had less than N instructions" statistic of
@@ -349,9 +336,9 @@ type Results struct {
 
 	// Policy carries commit-policy-specific counters, keyed
 	// "<policy>.<metric>" (e.g. "adaptive.low_confidence_branches").
-	// Policies that define no extra counters leave it nil. Merge
-	// aggregates per key: metrics whose name starts with "max_" (after
-	// the policy prefix) take the maximum, everything else sums. JSON
+	// Policies that define no extra counters leave it nil. AddInterval
+	// folds per key: metrics whose name starts with "max_" (after the
+	// policy prefix) take the maximum, everything else sums. JSON
 	// encodes maps with sorted keys, so the canonical encoding (and
 	// Results.Equal) stays deterministic.
 	Policy map[string]uint64 `json:",omitempty"`
@@ -368,119 +355,6 @@ type Results struct {
 	// — for full-detail runs). When present, every other counter in
 	// Results covers only the measured detail windows.
 	Sampled *Sampled `json:",omitempty"`
-}
-
-// Merge folds another run's measurements into r, producing suite-level
-// aggregates: counters sum, the occupancy histograms merge, MaxInflight
-// takes the maximum and MeanInflight becomes the cycle-weighted mean,
-// so the merged IPC is total committed over total cycles. Name is kept
-// unless r's is empty. Merge and the JSON round-trip together make
-// sweep output machine-consumable: per-benchmark Results serialise,
-// ship, and aggregate downstream.
-func (r *Results) Merge(o Results) {
-	if r.Name == "" {
-		r.Name = o.Name
-	}
-	total := r.Cycles + o.Cycles
-	if total > 0 {
-		r.MeanInflight = (r.MeanInflight*float64(r.Cycles) + o.MeanInflight*float64(o.Cycles)) / float64(total)
-	}
-	r.Cycles = total
-	r.Committed += o.Committed
-	r.Fetched += o.Fetched
-	r.Dispatched += o.Dispatched
-	r.Issued += o.Issued
-	r.Replayed += o.Replayed
-	r.Rollbacks += o.Rollbacks
-	r.PseudoROBRecoveries += o.PseudoROBRecoveries
-	r.CheckpointsTaken += o.CheckpointsTaken
-	r.CheckpointsCommitted += o.CheckpointsCommitted
-	r.CheckpointStallCycles += o.CheckpointStallCycles
-	r.SLIQMoved += o.SLIQMoved
-	r.SLIQWoken += o.SLIQWoken
-	r.SkippedCycles += o.SkippedCycles
-	r.SkipEvents += o.SkipEvents
-	if o.LongestSkip > r.LongestSkip {
-		r.LongestSkip = o.LongestSkip
-	}
-
-	r.Branch.Predictions += o.Branch.Predictions
-	r.Branch.Mispredicts += o.Branch.Mispredicts
-
-	if o.BTB != nil {
-		if r.BTB == nil {
-			r.BTB = &branch.BTBStats{}
-		}
-		r.BTB.Lookups += o.BTB.Lookups
-		r.BTB.Hits += o.BTB.Hits
-		r.BTB.BadTargets += o.BTB.BadTargets
-	}
-	if o.LSQ != nil {
-		if r.LSQ == nil {
-			r.LSQ = &lsq.Stats{}
-		}
-		r.LSQ.Loads += o.LSQ.Loads
-		r.LSQ.Stores += o.LSQ.Stores
-		r.LSQ.Forwards += o.LSQ.Forwards
-		r.LSQ.ForwardStalls += o.LSQ.ForwardStalls
-		r.LSQ.StoresDrained += o.LSQ.StoresDrained
-		r.LSQ.FullStalls += o.LSQ.FullStalls
-	}
-
-	r.Mem.IL1.Accesses += o.Mem.IL1.Accesses
-	r.Mem.IL1.Misses += o.Mem.IL1.Misses
-	r.Mem.DL1.Accesses += o.Mem.DL1.Accesses
-	r.Mem.DL1.Misses += o.Mem.DL1.Misses
-	r.Mem.L2.Accesses += o.Mem.L2.Accesses
-	r.Mem.L2.Misses += o.Mem.L2.Misses
-	r.Mem.MemAccesses += o.Mem.MemAccesses
-	r.Mem.MergedMisses += o.Mem.MergedMisses
-	r.Mem.StoreWrites += o.Mem.StoreWrites
-	r.Mem.Prefetches += o.Mem.Prefetches
-
-	for c := range r.Retire {
-		r.Retire[c] += o.Retire[c]
-	}
-	if len(o.Policy) > 0 {
-		if r.Policy == nil {
-			r.Policy = make(map[string]uint64, len(o.Policy))
-		}
-		for k, v := range o.Policy {
-			if policyCounterIsMax(k) {
-				if v > r.Policy[k] {
-					r.Policy[k] = v
-				}
-			} else {
-				r.Policy[k] += v
-			}
-		}
-	}
-	if o.MaxInflight > r.MaxInflight {
-		r.MaxInflight = o.MaxInflight
-	}
-	if o.Occ != nil {
-		if r.Occ == nil {
-			r.Occ = mergeOcc(NewOccupancy(1), o.Occ)
-		} else {
-			r.Occ = mergeOcc(r.Occ, o.Occ)
-		}
-	}
-	if o.Sampled != nil {
-		if r.Sampled == nil {
-			r.Sampled = &Sampled{}
-		}
-		r.Sampled.merge(*o.Sampled)
-	}
-}
-
-// policyCounterIsMax reports whether a Policy key names a maximum-style
-// metric ("<policy>.max_<metric>", e.g. "oracle.max_retire_burst"):
-// summing two maxima would fabricate a value no run ever observed.
-func policyCounterIsMax(key string) bool {
-	if i := strings.IndexByte(key, '.'); i >= 0 {
-		key = key[i+1:]
-	}
-	return strings.HasPrefix(key, "max_")
 }
 
 // Equal reports whether two result sets are identical. Comparison goes

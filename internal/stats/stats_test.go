@@ -205,134 +205,145 @@ func TestResultsJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestResultsMerge pins how AddInterval folds sampled windows into a
+// run total: counters add the interval, the in-flight mean is
+// cycle-weighted, the maximum keeps the largest full snapshot, and the
+// name is adopted only while the total has none.
 func TestResultsMerge(t *testing.T) {
-	oa := NewOccupancy(8)
-	oa.Sample(2, 1, 0)
-	a := Results{Name: "a", Cycles: 100, Committed: 200, MeanInflight: 10, MaxInflight: 20, Occ: oa}
-	a.Retire[RetireStore] = 5
-	a.Branch.Predictions = 10
+	warm := Results{Name: "warm", Cycles: 100, Committed: 150, MeanInflight: 10, MaxInflight: 20}
+	warm.Retire[RetireStore] = 2
+	warm.Branch.Predictions = 10
+	full := Results{Name: "a", Cycles: 400, Committed: 650, MeanInflight: 25, MaxInflight: 30}
+	full.Retire[RetireStore] = 7
+	full.Branch.Predictions = 40
 
-	ob := NewOccupancy(16)
-	ob.Sample(12, 0, 1)
-	b := Results{Name: "b", Cycles: 300, Committed: 300, MeanInflight: 30, MaxInflight: 25, Occ: ob}
-	b.Retire[RetireStore] = 7
-	b.Branch.Predictions = 30
-
-	a.Merge(b)
-	if a.Name != "a" {
-		t.Errorf("merge must keep the receiver's name, got %q", a.Name)
+	var total Results
+	total.AddInterval(full, warm)
+	if total.Name != "a" {
+		t.Errorf("an empty name must adopt full's, got %q", total.Name)
 	}
-	if a.Cycles != 400 || a.Committed != 500 {
-		t.Errorf("counters: cycles=%d committed=%d", a.Cycles, a.Committed)
+	if total.Cycles != 300 || total.Committed != 500 {
+		t.Errorf("counters: cycles=%d committed=%d", total.Cycles, total.Committed)
 	}
-	if a.IPC() != 500.0/400.0 {
-		t.Errorf("merged IPC = %v", a.IPC())
+	if total.Retire[RetireStore] != 5 || total.Branch.Predictions != 30 {
+		t.Error("breakdown or branch counters not folded as deltas")
 	}
-	// Cycle-weighted mean: (10*100 + 30*300) / 400 = 25.
-	if math.Abs(a.MeanInflight-25) > 1e-9 {
-		t.Errorf("weighted mean in-flight = %v, want 25", a.MeanInflight)
+	// The interval's mean un-weights the snapshots: (25*400 - 10*100) / 300.
+	if math.Abs(total.MeanInflight-30) > 1e-9 {
+		t.Errorf("interval mean in-flight = %v, want 30", total.MeanInflight)
 	}
-	if a.MaxInflight != 25 {
-		t.Errorf("max in-flight = %d, want 25", a.MaxInflight)
-	}
-	if a.Retire[RetireStore] != 12 || a.Branch.Predictions != 40 {
-		t.Error("breakdown or branch counters not summed")
-	}
-	// The occupancy grows to the larger histogram and holds both samples.
-	if a.Occ.Samples() != 2 || a.Occ.Max() != 12 {
-		t.Errorf("merged occupancy: samples=%d max=%d", a.Occ.Samples(), a.Occ.Max())
+	if total.MaxInflight != 30 {
+		t.Errorf("max in-flight = %d, want 30", total.MaxInflight)
 	}
 
-	// Merging into a result without occupancy adopts the other's.
-	c := Results{Cycles: 50, Committed: 10}
-	c.Merge(a)
-	if c.Occ == nil || c.Occ.Samples() != 2 {
-		t.Error("merge must adopt occupancy when the receiver has none")
+	total.AddInterval(Results{Name: "b", Cycles: 300, Committed: 300, MeanInflight: 10, MaxInflight: 25}, Results{})
+	if total.Name != "a" {
+		t.Errorf("the fold must keep the total's name, got %q", total.Name)
 	}
-	if c.Name != "a" {
-		t.Errorf("empty name must adopt the other's, got %q", c.Name)
+	if total.IPC() != 800.0/600.0 {
+		t.Errorf("folded IPC = %v", total.IPC())
+	}
+	// Cycle-weighted mean: (30*300 + 10*300) / 600 = 20.
+	if math.Abs(total.MeanInflight-20) > 1e-9 {
+		t.Errorf("weighted mean in-flight = %v, want 20", total.MeanInflight)
+	}
+	if total.MaxInflight != 30 {
+		t.Errorf("max in-flight = %d, want 30", total.MaxInflight)
 	}
 }
 
-// TestResultsMergeExhaustive guards Merge against new fields: every
-// numeric field of Results (recursively) must be aggregated, so a
-// counter added later without a Merge clause fails here instead of
-// silently dropping out of suite aggregates. Fields that are not plain
-// sums are listed explicitly.
+// TestResultsMergeExhaustive guards AddInterval against new fields:
+// every numeric field of Results (recursively, through the BTB and LSQ
+// blocks) must be folded, so a counter added later without a fold
+// clause fails here instead of silently dropping out of sampled
+// results. The total starts at 2, full at 5 and warm at 1 in every
+// field: a delta fold reads 2+4=6; the extremes, max(2,5)=5; the
+// in-flight mean, (2*2 + 6*4)/6 with the interval's (5*5 - 1*1)/4 = 6.
+// Occ and Sampled are not folded: snapshots never carry them.
 func TestResultsMergeExhaustive(t *testing.T) {
-	// Expected merged value when both inputs have every numeric field
-	// set to 1: sums become 2; max stays 1; the cycle-weighted mean of
-	// two equal values stays 1.
 	special := map[string]float64{
-		"MaxInflight":  1,
-		"MeanInflight": 1,
-		"LongestSkip":  1, // max across shards, not a sum
+		"MaxInflight":  5,
+		"LongestSkip":  5,
+		"MeanInflight": 28.0 / 6,
 	}
+	skip := map[string]bool{"Occ": true, "Sampled": true}
 
-	setOnes := func(r *Results) {
+	set := func(r *Results, n int) {
 		var walk func(v reflect.Value)
 		walk = func(v reflect.Value) {
 			for i := 0; i < v.NumField(); i++ {
 				f := v.Field(i)
+				if skip[v.Type().Field(i).Name] {
+					continue
+				}
 				switch f.Kind() {
+				case reflect.Pointer:
+					f.Set(reflect.New(f.Type().Elem()))
+					walk(f.Elem())
 				case reflect.Struct:
 					walk(f)
 				case reflect.Array:
 					for j := 0; j < f.Len(); j++ {
-						f.Index(j).SetUint(1)
+						f.Index(j).SetUint(uint64(n))
 					}
 				case reflect.Uint64:
-					f.SetUint(1)
+					f.SetUint(uint64(n))
 				case reflect.Int64, reflect.Int:
-					f.SetInt(1)
+					f.SetInt(int64(n))
 				case reflect.Float64:
-					f.SetFloat(1)
+					f.SetFloat(float64(n))
 				}
 			}
 		}
 		walk(reflect.ValueOf(r).Elem())
 	}
 
-	var a, b Results
-	setOnes(&a)
-	setOnes(&b)
-	a.Merge(b)
+	var total, full, warm Results
+	set(&total, 2)
+	set(&full, 5)
+	set(&warm, 1)
+	total.AddInterval(full, warm)
 
 	var check func(v reflect.Value, path string)
 	check = func(v reflect.Value, path string) {
 		for i := 0; i < v.NumField(); i++ {
 			f := v.Field(i)
 			name := v.Type().Field(i).Name
+			if skip[name] {
+				continue
+			}
 			p := path + name
-			want := 2.0
+			want := 6.0
 			if w, ok := special[p]; ok {
 				want = w
 			}
 			switch f.Kind() {
+			case reflect.Pointer:
+				check(f.Elem(), p+".")
 			case reflect.Struct:
 				check(f, p+".")
 			case reflect.Array:
 				for j := 0; j < f.Len(); j++ {
 					if got := float64(f.Index(j).Uint()); got != want {
-						t.Errorf("%s[%d] = %v after Merge, want %v (not aggregated?)", p, j, got, want)
+						t.Errorf("%s[%d] = %v after AddInterval, want %v (not folded?)", p, j, got, want)
 					}
 				}
 			case reflect.Uint64:
 				if got := float64(f.Uint()); got != want {
-					t.Errorf("%s = %v after Merge, want %v (not aggregated?)", p, got, want)
+					t.Errorf("%s = %v after AddInterval, want %v (not folded?)", p, got, want)
 				}
 			case reflect.Int64, reflect.Int:
 				if got := float64(f.Int()); got != want {
-					t.Errorf("%s = %v after Merge, want %v (not aggregated?)", p, got, want)
+					t.Errorf("%s = %v after AddInterval, want %v (not folded?)", p, got, want)
 				}
 			case reflect.Float64:
 				if got := f.Float(); got != want {
-					t.Errorf("%s = %v after Merge, want %v (not aggregated?)", p, got, want)
+					t.Errorf("%s = %v after AddInterval, want %v (not folded?)", p, got, want)
 				}
 			}
 		}
 	}
-	check(reflect.ValueOf(a), "")
+	check(reflect.ValueOf(total), "")
 }
 
 func TestResultsDerived(t *testing.T) {
@@ -376,21 +387,38 @@ func TestPolicyCountersJSONAndMerge(t *testing.T) {
 		t.Fatalf("nil policy map must be omitted: %s", plain)
 	}
 
-	// Merge sums per key (materialising the receiver's map on demand),
-	// except max_-style metrics, which take the maximum: summing two
-	// peak values would fabricate a burst no run ever observed.
+	// AddInterval folds per key (materialising the total's map on
+	// demand): counters add their interval delta, while max_-style
+	// metrics take the maximum, since summing two peak values would
+	// fabricate a burst no run ever observed. A max_ key is stored only
+	// when it exceeds the value held; every other key of full is stored
+	// even when its delta is zero.
 	var c Results
-	c.Merge(a)
-	c.Merge(Results{Policy: map[string]uint64{
-		"adaptive.low_confidence_branches": 2,
+	c.AddInterval(a, Results{})
+	c.AddInterval(Results{Policy: map[string]uint64{
+		"adaptive.low_confidence_branches": 9,
 		"oracle.max_retire_burst":          40,
+	}}, Results{Policy: map[string]uint64{
+		"adaptive.low_confidence_branches": 7,
+		"oracle.max_retire_burst":          38,
 	}})
-	c.Merge(Results{Policy: map[string]uint64{"oracle.max_retire_burst": 25}})
+	c.AddInterval(Results{Policy: map[string]uint64{"oracle.max_retire_burst": 25}}, Results{})
 	if c.Policy["adaptive.low_confidence_branches"] != 5 {
 		t.Fatalf("summed policy counter wrong: %+v", c.Policy)
 	}
 	if c.Policy["oracle.max_retire_burst"] != 40 {
-		t.Fatalf("max-style policy counter must merge by maximum: %+v", c.Policy)
+		t.Fatalf("max-style policy counter must fold by maximum: %+v", c.Policy)
+	}
+	var z Results
+	z.AddInterval(Results{Policy: map[string]uint64{
+		"adaptive.branch_checkpoints": 4,
+		"oracle.max_retire_burst":     0,
+	}}, Results{Policy: map[string]uint64{"adaptive.branch_checkpoints": 4}})
+	if v, ok := z.Policy["adaptive.branch_checkpoints"]; !ok || v != 0 {
+		t.Fatalf("a zero delta must still store its key: %+v", z.Policy)
+	}
+	if _, ok := z.Policy["oracle.max_retire_burst"]; ok {
+		t.Fatalf("a max_ key no larger than the value held must not be stored: %+v", z.Policy)
 	}
 }
 

@@ -7,8 +7,9 @@
 //
 // The tracker is a pure admission-control state machine — the simulator
 // asks it whether rename/writeback may proceed and informs it of
-// redefinitions, completions and squashes. See DESIGN.md §3 for the
-// fidelity argument and the approximations made on rollback.
+// redefinitions, completions and squashes. README.md's "Virtual
+// registers (Figure 14)" section states the approximations, including
+// those made on rollback.
 package vreg
 
 import "fmt"
@@ -89,6 +90,3 @@ func (t *Tracker) Release() {
 // SquashBound releases the register of a squashed instruction whose
 // value had already been bound.
 func (t *Tracker) SquashBound() { t.Release() }
-
-// CanBind reports whether a bind would currently succeed.
-func (t *Tracker) CanBind() bool { return t.pLive < t.pcap }
