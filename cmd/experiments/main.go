@@ -18,7 +18,8 @@
 // bounds the pool (default GOMAXPROCS), and the rendered tables are
 // identical for every worker count because results are ordered by spec,
 // not by completion. -json FILE additionally dumps every run's raw
-// results for machine consumption.
+// results for machine consumption, each sweep's runs in spec order, so
+// two dumps of the same figures diff clean at any worker count.
 //
 // -server URL routes every simulation point to an ooosimd daemon
 // instead of the in-process pool: previously computed points return

@@ -2,23 +2,12 @@ package branch
 
 import "fmt"
 
-// BTB is a set-associative branch-target buffer keyed by fetch PC. It
-// serves two roles for program-backed workloads:
-//
-//   - Target prediction: a direction predictor alone cannot redirect
-//     fetch; a taken prediction needs a target, and a BTB miss or a
-//     stale target is a misfetch even when the direction was right.
-//
-//   - Resolution tracking: after a rollback, the entry of the branch
-//     that caused it records which dynamic instance (trace position)
-//     was resolved, so the replayed branch predicts correctly instead
-//     of ping-ponging — this replaces the positional knownBranch
-//     shortcut synthetic traces use (their branches have no targets,
-//     only positions). Displacement of a resolved entry — by same-PC
-//     re-resolution or set eviction — is reported to the caller, which
-//     preserves the displaced position in its positional fallback:
-//     resolution knowledge is monotone, which is what guarantees
-//     forward progress against mispredict livelock.
+// BTB is a set-associative branch-target buffer keyed by fetch PC, for
+// program-backed workloads: a direction predictor alone cannot redirect
+// fetch; a taken prediction needs a target, and a BTB miss or a stale
+// target is a misfetch even when the direction was right. It predicts
+// targets only: which replayed branches a rollback already resolved is
+// the core's positional record, not a property of a fetch PC.
 //
 // The BTB is deterministic: lookup order, LRU updates, and eviction
 // choices are pure functions of the access sequence.
@@ -31,11 +20,10 @@ type BTB struct {
 }
 
 type btbEntry struct {
-	valid       bool
-	pc          uint64
-	target      uint64
-	resolvedPos int64
-	lru         uint64
+	valid  bool
+	pc     uint64
+	target uint64
+	lru    uint64
 }
 
 // BTBStats counts target-buffer performance.
@@ -66,11 +54,7 @@ func NewBTB(sets, ways int) *BTB {
 	if ways < 1 {
 		panic(fmt.Sprintf("branch: btb ways %d < 1", ways))
 	}
-	b := &BTB{sets: sets, ways: ways, entries: make([]btbEntry, sets*ways)}
-	for i := range b.entries {
-		b.entries[i].resolvedPos = -1
-	}
-	return b
+	return &BTB{sets: sets, ways: ways, entries: make([]btbEntry, sets*ways)}
 }
 
 func (b *BTB) setBase(pc uint64) int {
@@ -106,23 +90,14 @@ func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {
 // wrong target.
 func (b *BTB) CountBadTarget() { b.stats.BadTargets++ }
 
-// install inserts or updates the entry for pc. pos >= 0 additionally
-// marks the entry resolved at that trace position. The returned
-// position, when reported, is resolution knowledge this call displaced
-// — a different position re-resolved at the same pc, or an evicted
-// resolved entry — which the caller must preserve elsewhere.
-func (b *BTB) install(pc, target uint64, pos int64) (displaced int64, hasDisplaced bool) {
+// Install records the resolved target of a taken branch at pc,
+// replacing the least recently used way of its set on a miss.
+func (b *BTB) Install(pc, target uint64) {
 	b.clock++
 	if e := b.find(pc); e != nil {
 		e.target = target
 		e.lru = b.clock
-		if pos >= 0 {
-			if e.resolvedPos >= 0 && e.resolvedPos != pos {
-				displaced, hasDisplaced = e.resolvedPos, true
-			}
-			e.resolvedPos = pos
-		}
-		return displaced, hasDisplaced
+		return
 	}
 	base := b.setBase(pc)
 	var victim *btbEntry
@@ -136,45 +111,8 @@ func (b *BTB) install(pc, target uint64, pos int64) (displaced int64, hasDisplac
 			victim = e
 		}
 	}
-	if victim.valid && victim.resolvedPos >= 0 {
-		displaced, hasDisplaced = victim.resolvedPos, true
-	}
-	*victim = btbEntry{valid: true, pc: pc, target: target, resolvedPos: pos, lru: b.clock}
-	return displaced, hasDisplaced
-}
-
-// Install records the resolved target of a taken branch at pc.
-func (b *BTB) Install(pc, target uint64) (displaced int64, hasDisplaced bool) {
-	return b.install(pc, target, -1)
-}
-
-// MarkResolved records that the dynamic branch instance at trace
-// position pos (fetch PC pc, actual target target) has been resolved by
-// a rollback, so its replay must not mispredict again.
-func (b *BTB) MarkResolved(pc uint64, pos int64, target uint64) (displaced int64, hasDisplaced bool) {
-	return b.install(pc, target, pos)
-}
-
-// ResolvedAt returns the trace position the entry at pc was resolved
-// for, or -1.
-func (b *BTB) ResolvedAt(pc uint64) int64 {
-	if e := b.find(pc); e != nil {
-		return e.resolvedPos
-	}
-	return -1
+	*victim = btbEntry{valid: true, pc: pc, target: target, lru: b.clock}
 }
 
 // Stats returns the accumulated counters.
 func (b *BTB) Stats() BTBStats { return b.stats }
-
-// ClearResolutions forgets every per-instance resolution mark while
-// keeping targets, validity and recency. Sampled runs call it between
-// detailed windows: resolution positions index into one window's trace
-// and would be dangling (or worse, falsely valid) in the next, whereas
-// targets are genuine long-lived state the fast-forward warming is
-// meant to preserve.
-func (b *BTB) ClearResolutions() {
-	for i := range b.entries {
-		b.entries[i].resolvedPos = -1
-	}
-}

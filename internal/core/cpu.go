@@ -32,7 +32,6 @@ type CPU struct {
 	cfg  config.Config
 	tr   *trace.Trace
 	hier *mem.Hierarchy
-	pred branch.Predictor
 	fus  *fu.Pool
 	rt   *rename.Table
 	intQ *queue.IQ[*DynInst]
@@ -70,22 +69,15 @@ type CPU struct {
 	// architectural initial value idempotent across rollback replays.
 	archReleased [isa.NumLogical]bool
 
+	frontEnd // c.pred, c.btb, c.conf (see newFrontEnd)
+
 	// Program-backed workloads: code is the trace's static image (nil
-	// for synthetic kernels) and btb the branch-target buffer keyed by
-	// real fetch PCs (nil under perfect prediction, which needs no
-	// target prediction). wpStart/wpBase locate the wrong-path fetch
+	// for synthetic kernels). wpStart/wpBase locate the wrong-path fetch
 	// stream inside the image: the static index fetch diverged to, and
 	// the wpCounter value at divergence (see nextWrongPathInst).
 	code    trace.StaticCode
-	btb     *branch.BTB
 	wpStart int
 	wpBase  uint64
-
-	// sampleConf is the persistent JRS confidence estimator a sampled
-	// run's windows share (nil outside sampled runs); the adaptive
-	// commit policy adopts it instead of building a fresh one, so
-	// confidence training survives across windows like the predictor.
-	sampleConf *branch.Confidence
 
 	probed // fetch position, activity counters (see maybeSkip)
 
@@ -111,8 +103,9 @@ type CPU struct {
 	exceptArm []uint8
 	// knownBranch marks trace positions of branches whose misprediction
 	// caused a checkpoint rollback; on replay their resolved direction
-	// is known to the recovery hardware. Lazily allocated on the first
-	// rollback (ROB mode never pays for it).
+	// is known to the recovery hardware. It is the one record of those
+	// resolutions, for program and synthetic traces alike. Lazily
+	// allocated on the first rollback (ROB mode never pays for it).
 	knownBranch []bool
 
 	// Counters a skippable cycle may move (see maybeSkip).
@@ -147,6 +140,36 @@ type CPU struct {
 	skippedCycles uint64
 	skipEvents    uint64
 	longestSkip   uint64
+}
+
+// frontEnd is a CPU's branch machinery: the direction predictor, the
+// BTB keyed by real fetch PCs (program traces only; nil under perfect
+// prediction, which needs no target prediction) and the adaptive
+// policy's JRS confidence estimator (nil under every other policy). A
+// sampled run builds one and threads it through its windows, so their
+// training outlives each window CPU the way the cache contents do.
+type frontEnd struct {
+	pred branch.Predictor
+	btb  *branch.BTB
+	conf *branch.Confidence
+}
+
+// newFrontEnd builds untrained branch machinery for cfg; code is the
+// workload's static image, nil for synthetic kernels.
+func newFrontEnd(cfg config.Config, code trace.StaticCode) frontEnd {
+	var fe frontEnd
+	if cfg.PerfectBranchPrediction {
+		fe.pred = branch.NewPerfect()
+	} else {
+		fe.pred = branch.NewGshare(cfg.BranchPredictorBits)
+		if code != nil {
+			fe.btb = branch.NewBTB(config.BTBSets, config.BTBWays)
+		}
+	}
+	if cfg.Commit == config.CommitAdaptive {
+		fe.conf = branch.NewConfidence(cfg.AdaptiveConfidenceBits, cfg.AdaptiveConfidenceMax)
+	}
+	return fe
 }
 
 // probed is the pipeline state a skippable cycle leaves unchanged (see
@@ -210,9 +233,10 @@ func NewForked(cfg config.Config, tr *trace.Trace, donor *mem.Hierarchy, arena *
 // worker hands the same Arena to every point it runs, so the record
 // blocks grown for one point serve every later one instead of being
 // re-allocated per point (construction churn was a visible slice of the
-// sweep's profile). Records are zeroed on recycle, so nothing of a
-// finished CPU leaks into — or stays pinned by — the next. An Arena is
-// single-owner: never share one across concurrently running CPUs.
+// sweep's profile). Records are zeroed on reuse, and Recycle zeroes the
+// free ones it parks, so nothing of a finished CPU leaks into — or stays
+// pinned by — the next. An Arena is single-owner: never share one across
+// concurrently running CPUs.
 type Arena struct {
 	pool    instPool
 	chassis map[chassisKey]*chassis
@@ -264,11 +288,16 @@ func (a *Arena) takeChassis(phys, wheelSlots int) *chassis {
 }
 
 // Recycle parks the CPU's allocation skeleton in the arena for the next
-// point of the same shape. The CPU must not be used afterwards; callers
-// that still need results must collect them first. No-op for nil arenas.
+// point of the same shape, and clears the references its free records
+// still carry (each keeps its poisoned Seq). The CPU must not be used
+// afterwards; callers that still need results must collect them first.
+// No-op for nil arenas.
 func (c *CPU) Recycle(a *Arena) {
 	if a == nil {
 		return
+	}
+	for _, d := range c.pool.free {
+		*d = DynInst{Seq: poisonSeq}
 	}
 	if a.chassis == nil {
 		a.chassis = map[chassisKey]*chassis{}
@@ -367,17 +396,16 @@ func warmHierarchy(h *mem.Hierarchy, warm *trace.InstStream, limit uint64) error
 	return nil
 }
 
-// newCPU builds the pipeline around hier; nil hier builds and warms a
-// fresh hierarchy (the cold path). A non-nil hier is adopted as-is: the
-// CPU takes sole ownership and mutates it for the rest of its life, so
-// callers must hand each CPU its own Fork/Clone and never reuse it
-// (the same single-owner contract as the pooled DynInst records) —
-// except under adopt, where the sampled-run driver deliberately threads
-// one long-lived substrate through a strictly sequential series of
-// window CPUs. A non-nil adopt substitutes the persistent predictor,
-// BTB and confidence estimator for freshly built ones (hier must then
-// be adopt's hierarchy).
-func newCPU(cfg config.Config, tr *trace.Trace, hier *mem.Hierarchy, arena *Arena, adopt *sampleState) (*CPU, error) {
+// newCPU builds the pipeline around hier and fe. A nil hier builds and
+// warms a fresh hierarchy (the cold path), and a nil fe builds fresh
+// branch machinery (newFrontEnd). A non-nil hier or fe is adopted
+// as-is: the CPU takes sole ownership and mutates it for the rest of
+// its life, so callers must hand each CPU its own Fork/Clone and never
+// reuse it (the same single-owner contract as the pooled DynInst
+// records) — except in a sampled run, whose driver deliberately threads
+// one hierarchy and one front end through a strictly sequential series
+// of window CPUs.
+func newCPU(cfg config.Config, tr *trace.Trace, hier *mem.Hierarchy, arena *Arena, fe *frontEnd) (*CPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -444,19 +472,10 @@ func newCPU(cfg config.Config, tr *trace.Trace, hier *mem.Hierarchy, arena *Aren
 		c.regReady[c.rt.Lookup(isa.Reg(l))] = true
 	}
 	c.code = tr.Code()
-	if adopt != nil {
-		c.pred = adopt.pred
-		c.btb = adopt.btb
-		c.sampleConf = adopt.conf
+	if fe != nil {
+		c.frontEnd = *fe
 	} else {
-		if cfg.PerfectBranchPrediction {
-			c.pred = branch.NewPerfect()
-		} else {
-			c.pred = branch.NewGshare(cfg.BranchPredictorBits)
-		}
-		if c.code != nil && !cfg.PerfectBranchPrediction {
-			c.btb = branch.NewBTB(config.BTBSets, config.BTBWays)
-		}
+		c.frontEnd = newFrontEnd(cfg, c.code)
 	}
 
 	c.policy = newPolicy(c)
@@ -517,50 +536,27 @@ func (c *CPU) exceptPhase(pos int64) uint8 {
 }
 
 // branchResolved reports whether the branch at trace position pos
-// (fetch PC pc) replays with a known resolution after a checkpoint
-// rollback. Program-backed traces carry the resolution in the BTB entry
-// of the branch's fetch PC, with the positional table as the fallback
-// for resolutions the BTB has since displaced; synthetic traces (whose
-// branches have no real PCs) use the positional table alone.
-func (c *CPU) branchResolved(pos int64, pc uint64) bool {
-	if pos < 0 {
-		return false
-	}
-	if c.btb != nil && c.btb.ResolvedAt(pc) == pos {
-		return true
-	}
-	return c.knownBranch != nil && c.knownBranch[pos]
+// replays with a known resolution after a checkpoint rollback.
+func (c *CPU) branchResolved(pos int64) bool {
+	return pos >= 0 && c.knownBranch != nil && c.knownBranch[pos]
 }
 
-// knownAt records a rollback-resolved branch position in the positional
-// table.
-func (c *CPU) knownAt(pos int64) {
-	if pos < 0 {
+// markBranchKnown records that b's resolution is carried by the
+// recovery hardware, so its replay will not mispredict. The mark is
+// never cleared: resolution knowledge is monotone, which is the
+// forward-progress guarantee against mispredict livelock. Program
+// traces also install b's target, as the rollback hardware writes it.
+func (c *CPU) markBranchKnown(b *DynInst) {
+	if b.Pos < 0 {
 		return
 	}
 	if c.knownBranch == nil {
 		c.knownBranch = make([]bool, c.tr.Len())
 	}
-	c.knownBranch[pos] = true
-}
-
-// markBranchKnown records that b's resolution is carried by the
-// recovery hardware, so its replay will not mispredict. Program traces
-// record it in b's BTB entry; any resolution knowledge the install
-// displaces (a same-PC re-resolution or a set eviction) drops to the
-// positional table, keeping resolution knowledge monotone — the
-// forward-progress guarantee against mispredict livelock.
-func (c *CPU) markBranchKnown(b *DynInst) {
-	if b.Pos < 0 {
-		return
-	}
+	c.knownBranch[b.Pos] = true
 	if c.btb != nil {
-		if displaced, ok := c.btb.MarkResolved(b.Inst.PC, b.Pos, b.Inst.Target); ok {
-			c.knownAt(displaced)
-		}
-		return
+		c.btb.Install(b.Inst.PC, b.Inst.Target)
 	}
-	c.knownAt(b.Pos)
 }
 
 // Exceptions returns the number of precisely delivered exceptions.

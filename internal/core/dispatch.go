@@ -10,9 +10,6 @@ import (
 // fetch (correct path or wrong path), renaming, checkpoint taking,
 // pseudo-ROB insertion/extraction and dispatch into the issue queues.
 func (c *CPU) dispatchStage() {
-	// Records released last cycle (and earlier this cycle by commit/
-	// writeback) become reusable now; dispatch is the only acquirer.
-	c.pool.recycleDead()
 	if c.sliq != nil {
 		c.drainSLIQ()
 	}
@@ -213,7 +210,7 @@ func (c *CPU) tryDispatch(inst isa.Inst, pos int64, wrongPath bool) bool {
 	if inst.Op == isa.Branch && !wrongPath {
 		mispredict := false
 		redirect := inst.PC + 4
-		if !c.cfg.PerfectBranchPrediction && !c.branchResolved(pos, inst.PC) {
+		if !c.cfg.PerfectBranchPrediction && !c.branchResolved(pos) {
 			if c.btb != nil {
 				// Program-backed trace: the direction predictor alone
 				// cannot redirect fetch — a taken prediction is only
@@ -240,12 +237,7 @@ func (c *CPU) tryDispatch(inst isa.Inst, pos int64, wrongPath bool) bool {
 		}
 		c.pred.Update(inst.PC, inst.Taken)
 		if c.btb != nil && inst.Taken {
-			// Train the BTB with the resolved target; any resolution
-			// knowledge an eviction displaces falls back to the
-			// positional table (see markBranchKnown).
-			if displaced, ok := c.btb.Install(inst.PC, inst.Target); ok {
-				c.knownAt(displaced)
-			}
+			c.btb.Install(inst.PC, inst.Target)
 		}
 		if mispredict {
 			d.Mispredicted = true

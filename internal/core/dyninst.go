@@ -30,10 +30,12 @@ import (
 // waiters, the SLIQ dependence-mask owners) stores the Seq alongside the
 // pointer and treats a mismatch as "instruction is gone". The completion
 // event wheel and the issue queues never hold released records (squash
-// purges both eagerly). Released records are quarantined on a dead list
-// until the next dispatch stage, so stale pointers created in the same
-// cycle still observe Squashed==true; debug builds (debugPool, enabled by
-// the test suite) additionally poison freed records to catch pool misuse.
+// purges both eagerly). Release poisons Seq, so every such check fails
+// from that moment; the record's other fields stay untouched until
+// dispatch, the only acquirer, reuses it. A reader of the same cycle
+// that runs before dispatch may therefore still read Squashed without a
+// Seq check (writeback's due batch, and finishCompletion after a
+// recovery squashed its own instruction).
 type DynInst struct {
 	// Seq is the dynamic sequence number: unique and monotonically
 	// increasing across fetches, including wrong-path and replayed
@@ -115,42 +117,36 @@ func (d *DynInst) String() string {
 }
 
 // instPool recycles DynInst records within one CPU. Fresh records come
-// from block allocations (instBlockSize at a time); released records
-// sit on the dead list until recycleDead folds them into the free list
-// at the start of the next dispatch stage (the quarantine that keeps
-// same-cycle stale pointers observing the squashed record, not a reused
-// one).
+// from block allocations (instBlockSize at a time); a released record
+// goes straight back on the free list with its Seq poisoned, and acquire
+// zeroes it when dispatch takes it again (see the contract on DynInst).
 type instPool struct {
 	free  []*DynInst
-	dead  []*DynInst
 	block []DynInst
 }
 
 const instBlockSize = 256
 
-// debugPool enables pool-misuse checks: released records are poisoned
-// and acquisition verifies the poison. The core test suite switches it
-// on (see TestMain); it stays off in production runs to keep the reset
-// path minimal.
+// debugPool enables pool-misuse checks: release verifies that the record
+// is live and resident nowhere, and acquisition that it is still
+// poisoned. The core test suite switches it on (see TestMain); it stays
+// off in production runs to keep the reset path minimal.
 var debugPool = false
 
 // poisonSeq marks a record resident in the free list.
 const poisonSeq = ^uint64(0) - 0x5eed
 
 // acquire returns a zeroed record with iqe.Payload bound. Free-list
-// records were zeroed when recycleDead folded them in; fresh-block
-// records are runtime-zeroed.
+// records are zeroed here; fresh-block records are runtime-zeroed.
 func (p *instPool) acquire() *DynInst {
 	if n := len(p.free); n > 0 {
 		d := p.free[n-1]
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
-		if debugPool {
-			if d.Seq != poisonSeq {
-				panic(fmt.Sprintf("core: pool corruption: free-list record has seq %d", d.Seq))
-			}
-			d.Seq = 0
+		if debugPool && d.Seq != poisonSeq {
+			panic(fmt.Sprintf("core: pool corruption: free-list record has seq %d", d.Seq))
 		}
+		*d = DynInst{}
 		d.init()
 		return d
 	}
@@ -171,8 +167,9 @@ func (d *DynInst) init() {
 	d.iqe.Payload = d
 }
 
-// release quarantines a record that left the pipeline (committed or
-// squashed); recycleDead makes it reusable one stage later.
+// release returns a record that left the pipeline (committed or
+// squashed) to the free list, poisoning its Seq so that every holder's
+// Seq check fails from now on.
 func (p *instPool) release(d *DynInst) {
 	if debugPool {
 		if d.Seq == poisonSeq {
@@ -188,27 +185,8 @@ func (p *instPool) release(d *DynInst) {
 			panic(fmt.Sprintf("core: releasing queue-resident %v (sliq=%v prob=%v)", d, d.inSLIQ, d.inProb))
 		}
 	}
-	p.dead = append(p.dead, d)
-}
-
-// recycleDead folds the quarantine into the free list, zeroing each
-// record as it goes: the quarantine window (same-cycle stale pointers
-// observing Squashed) has passed, and clean free-list records both drop
-// every cross-structure reference — an arena-shared pool must not pin a
-// finished CPU's structures — and make acquire a plain pop.
-func (p *instPool) recycleDead() {
-	if len(p.dead) == 0 {
-		return
-	}
-	for i, d := range p.dead {
-		p.dead[i] = nil
-		*d = DynInst{}
-		if debugPool {
-			d.Seq = poisonSeq
-		}
-		p.free = append(p.free, d)
-	}
-	p.dead = p.dead[:0]
+	d.Seq = poisonSeq
+	p.free = append(p.free, d)
 }
 
 // eventNone marks a record with no scheduled completion.
@@ -341,8 +319,8 @@ func (w *eventWheel) nextDue(limit int64) int64 {
 // takeDue unschedules and returns every event due at cycle now, in
 // (DoneCycle, Seq) order. The returned slice is reused by the next
 // call. The caller processes the batch with mutation in flight: events
-// it squashes mid-batch stay readable (records are quarantined until
-// the next dispatch stage) and are skipped via their Squashed flag, and
+// it squashes mid-batch keep their Squashed flag (only dispatch, later
+// in the cycle, reuses a released record) and are skipped by it, and
 // events it pushes land at now+1 or later.
 func (w *eventWheel) takeDue(now int64) []*DynInst {
 	w.base = now + 1

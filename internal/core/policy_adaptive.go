@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/branch"
 	"repro/internal/checkpoint"
 	"repro/internal/isa"
 	"repro/internal/stats"
@@ -22,10 +21,10 @@ import (
 //
 // This explores the direction the paper defers to future work ("we
 // expect to analyze a whole set of different strategies as to when
-// checkpoints should be taken").
+// checkpoints should be taken"). The estimator is the CPU's (c.conf,
+// see newFrontEnd), which a sampled run threads through every window.
 type adaptivePolicy struct {
 	*checkpointPolicy
-	conf      *branch.Confidence
 	threshold uint8
 
 	// Counters surfaced through stats.Results.Policy.
@@ -45,15 +44,8 @@ func newAdaptivePolicy(c *CPU) *adaptivePolicy {
 		MaxInterval:    c.cfg.CheckpointMaxInterval,
 		MaxStores:      c.cfg.CheckpointMaxStores,
 	})
-	// Sampled runs thread one confidence estimator through every
-	// window (c.sampleConf); outside them each CPU builds its own.
-	conf := c.sampleConf
-	if conf == nil {
-		conf = branch.NewConfidence(c.cfg.AdaptiveConfidenceBits, c.cfg.AdaptiveConfidenceMax)
-	}
 	a := &adaptivePolicy{
 		checkpointPolicy: base,
-		conf:             conf,
 		threshold:        uint8(c.cfg.AdaptiveConfidenceThreshold),
 	}
 	base.takeRule = a.shouldTakeAdaptive
@@ -78,13 +70,13 @@ func (a *adaptivePolicy) shouldTakeAdaptive(inst isa.Inst) bool {
 	if y == nil || y.Insts == 0 {
 		return false
 	}
-	return a.conf.Value(inst.PC) < a.threshold
+	return a.c.conf.Value(inst.PC) < a.threshold
 }
 
 // Dispatched extends the base bookkeeping with estimator training: a
 // correctly predicted branch saturates its counter upward, a
 // misprediction resets it. Branches replayed with a rollback-resolved
-// direction (branchKnown) cannot mispredict and train as correct — the
+// direction (branchResolved) cannot mispredict and train as correct — the
 // recovery hardware really does know them. Wrong-path fetch never
 // synthesises branches, so every branch seen here is a real one.
 func (a *adaptivePolicy) Dispatched(d *DynInst) {
@@ -92,7 +84,7 @@ func (a *adaptivePolicy) Dispatched(d *DynInst) {
 	if d.Inst.Op != isa.Branch || d.WrongPath {
 		return
 	}
-	if a.conf.Value(d.Inst.PC) < a.threshold {
+	if a.c.conf.Value(d.Inst.PC) < a.threshold {
 		a.lowConfBranches++
 	} else {
 		a.highConfBranches++
@@ -100,7 +92,7 @@ func (a *adaptivePolicy) Dispatched(d *DynInst) {
 	if d.ckpt != nil && d.ckpt.StartSeq == d.Seq {
 		a.branchCkpts++
 	}
-	a.conf.Update(d.Inst.PC, !d.Mispredicted)
+	a.c.conf.Update(d.Inst.PC, !d.Mispredicted)
 }
 
 // AddStats extends the checkpoint counters with the estimator's view.

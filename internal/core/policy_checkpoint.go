@@ -357,12 +357,10 @@ func (p *checkpointPolicy) rollbackToCheckpoint(target *checkpoint.Entry) {
 // protocol (section 2): roll back to the excepting instruction's
 // checkpoint, then re-execute "in a stricter sense" with a checkpoint
 // placed exactly before the excepting instruction, leaving the machine
-// precise for the operating system.
+// precise for the operating system. d was armed from c.exceptArm at
+// dispatch (see Dispatched), so the table exists.
 func (p *checkpointPolicy) RaiseException(d *DynInst) {
 	c := p.c
-	if c.exceptArm == nil {
-		c.exceptArm = make([]uint8, c.tr.Len())
-	}
 	c.exceptArm[d.Pos] = 2
 	p.rollbackToCheckpoint(d.ckpt)
 	c.fetchResumeAt = c.now + int64(c.cfg.BranchMispredictPenalty)

@@ -2,10 +2,13 @@ package core
 
 import (
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/lsq"
+	"repro/internal/rename"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -159,10 +162,9 @@ func TestPoolRecyclesRecords(t *testing.T) {
 				t.Fatal(err)
 			}
 			res := cpu.Run(RunOptions{MaxInsts: insts})
-			// Records still quarantined plus free ones are all that ever
-			// came from the block allocator besides the live tail of the
-			// pipeline.
-			pooled := len(cpu.pool.free) + len(cpu.pool.dead)
+			// Free records are all that ever came from the block
+			// allocator besides the live tail of the pipeline.
+			pooled := len(cpu.pool.free)
 			if uint64(pooled) >= res.Dispatched/4 {
 				t.Fatalf("pool holds %d records for %d dispatches; recycling is not happening",
 					pooled, res.Dispatched)
@@ -171,5 +173,34 @@ func TestPoolRecyclesRecords(t *testing.T) {
 				t.Fatal("no records ever recycled")
 			}
 		})
+	}
+}
+
+// TestReleasePoisonsSeqUntilReuse pins the pool's liveness rule: release
+// poisons Seq at once, so every holder's Seq check fails from then on,
+// and leaves the rest of the record untouched, so a reader earlier in
+// the same cycle still sees Squashed; the next acquire hands the same
+// record back zeroed.
+func TestReleasePoisonsSeqUntilReuse(t *testing.T) {
+	var p instPool
+	d := p.acquire()
+	d.Seq, d.Pos, d.DestPhys = 7, 3, 5
+	d.Squashed, d.Done, d.Retired = true, true, true
+	d.lsqe = &lsq.Entry{}
+	p.release(d)
+	if d.Seq != poisonSeq {
+		t.Fatalf("released record reads seq %d, want the poison %d", d.Seq, poisonSeq)
+	}
+	if !d.Squashed || d.Pos != 3 || d.lsqe == nil {
+		t.Fatalf("release cleared more than Seq: %+v", *d)
+	}
+	got := p.acquire()
+	if got != d {
+		t.Fatal("acquire did not reuse the released record")
+	}
+	want := DynInst{DestPhys: rename.PhysNone, PrevPhys: rename.PhysNone, wheelSlot: eventNone}
+	want.iqe.Payload = got
+	if !reflect.DeepEqual(*got, want) {
+		t.Fatalf("reused record is not zeroed:\n got %+v\nwant %+v", *got, want)
 	}
 }

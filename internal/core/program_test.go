@@ -1,9 +1,12 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/isa/programs"
 	"repro/internal/mem"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -176,5 +179,44 @@ func TestProgramCPUsShareTraceConcurrently(t *testing.T) {
 		if !r.Equal(serial) {
 			t.Fatalf("concurrent program CPU %d diverged from serial:\n%+v\nvs\n%+v", i, r, serial)
 		}
+	}
+}
+
+// TestProgramRollbacksPinned pins the result bytes of program runs that
+// roll back, with the clock skip on and off. Of the five suite programs
+// at a 60k-instruction budget only hashjoin rolls back under these two
+// configurations, so a replayed program branch that forgot its
+// rollback-resolved direction (or remembered one it never had) moves
+// these bytes before anything else notices.
+func TestProgramRollbacksPinned(t *testing.T) {
+	want := map[string]string{
+		"checkpoint-32/512": "0f01dbe99f3672bce16100192d0f98222067a2922bbe343f3f80bc065a7f6a62",
+		"adaptive-32/512":   "5ee114bce9b906f6737fbbd0608d06868c4659f8f874b290a671e7826b2031d0",
+	}
+	const insts = 60000
+	spec, _ := programs.Lookup("hashjoin")
+	tr := programTrace(t, "hashjoin", spec.InputFor(insts))
+	for _, tc := range []struct {
+		name string
+		cfg  config.Config
+	}{
+		{"checkpoint-32/512", config.CheckpointDefault(32, 512)},
+		{"adaptive-32/512", config.AdaptiveDefault(32, 512)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tick, skip, _ := runAB(t, tc.cfg, tr, RunOptions{MaxInsts: insts}, nil)
+			if !tick.Equal(skip) {
+				t.Fatalf("skip run diverged from cycle-by-cycle run:\ntick: %+v\nskip: %+v", tick, skip)
+			}
+			if tick.Rollbacks == 0 {
+				t.Fatal("no rollback: the pin covers no replayed branch")
+			}
+			h := sha256.New()
+			hashResults(t, h, tick)
+			hashResults(t, h, skip)
+			if got := hex.EncodeToString(h.Sum(nil)); got != want[tc.name] {
+				t.Errorf("result hash %s, want %s (%d rollbacks)", got, want[tc.name], tick.Rollbacks)
+			}
+		})
 	}
 }

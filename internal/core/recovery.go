@@ -20,7 +20,8 @@ func (c *CPU) resolveMispredict(b *DynInst) {
 // instead and pass false. The caller removes the instruction from the
 // retirement structure (ROB/pseudo-ROB/master/window) and the LSQ; this
 // handles everything else, and finally releases the record to the free
-// list (quarantined until the next dispatch stage — see instPool).
+// list (its Seq poisoned, its Squashed flag readable until dispatch
+// reuses it — see DynInst).
 func (c *CPU) squashInst(d *DynInst, unwindRename bool) {
 	if d.Squashed {
 		return

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/branch"
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -13,38 +12,26 @@ import (
 
 // sampleState is the long-lived microarchitectural substrate a sampled
 // run threads through its detailed windows: the state that takes far
-// longer than one window to converge (cache contents, branch-predictor
-// tables, BTB targets, JRS confidence counters) and is therefore kept
-// alive and functionally warmed across the fast-forward gaps, while
-// short-lived pipeline state (queues, rename, in-flight misses) is
-// rebuilt per window and re-converged by the discarded warmup portion.
+// longer than one window to converge (cache contents, and the front
+// end's predictor tables, BTB targets and JRS confidence counters) and
+// is therefore kept alive and functionally warmed across the
+// fast-forward gaps, while short-lived pipeline state (queues, rename,
+// in-flight misses, rollback-resolved branch positions) is rebuilt per
+// window and re-converged by the discarded warmup portion.
 type sampleState struct {
 	hier *mem.Hierarchy
-	pred branch.Predictor
-	btb  *branch.BTB
-	conf *branch.Confidence
+	frontEnd
 }
 
 // newSampleState builds the persistent substrate for sampling st exactly
-// as a cold CPU would: untrained predictor machinery and a hierarchy
-// warmed through warmHierarchy from warm, a second stream over the same
-// workload (window CPUs adopt it and skip warming). A program warms to
-// its halt, like a full-detail run over its materialised trace; a
+// as a cold CPU would: an untrained front end and a hierarchy warmed
+// through warmHierarchy from warm, a second stream over the same
+// workload (window CPUs adopt both and skip warming). A program warms
+// to its halt, like a full-detail run over its materialised trace; a
 // synthetic stream never ends, so it warms as far as a materialised
 // trace of the budget reaches.
 func newSampleState(cfg config.Config, st, warm *trace.InstStream, budget uint64) (*sampleState, error) {
-	ss := &sampleState{hier: mem.NewHierarchy(cfg)}
-	if cfg.PerfectBranchPrediction {
-		ss.pred = branch.NewPerfect()
-	} else {
-		ss.pred = branch.NewGshare(cfg.BranchPredictorBits)
-	}
-	if st.Code() != nil && !cfg.PerfectBranchPrediction {
-		ss.btb = branch.NewBTB(config.BTBSets, config.BTBWays)
-	}
-	if cfg.Commit == config.CommitAdaptive {
-		ss.conf = branch.NewConfidence(cfg.AdaptiveConfidenceBits, cfg.AdaptiveConfidenceMax)
-	}
+	ss := &sampleState{hier: mem.NewHierarchy(cfg), frontEnd: newFrontEnd(cfg, st.Code())}
 	limit := uint64(0)
 	if st.Code() == nil {
 		limit = uint64(trace.LenFor(budget))
@@ -53,17 +40,6 @@ func newSampleState(cfg config.Config, st, warm *trace.InstStream, budget uint64
 		return nil, err
 	}
 	return ss, nil
-}
-
-// settle clears the window-local residue the persistent substrate may
-// carry between windows: in-flight fill timestamps (absolute cycles of
-// the finished window's clock) and BTB resolution marks (positions into
-// the finished window's trace).
-func (ss *sampleState) settle() {
-	ss.hier.Settle()
-	if ss.btb != nil {
-		ss.btb.ClearResolutions()
-	}
 }
 
 // fastForward functionally executes up to n instructions from the
@@ -118,15 +94,15 @@ func (ss *sampleState) fastForward(cfg config.Config, st *trace.InstStream, n ui
 
 // RunSampled simulates the stream under the SMARTS sampling protocol:
 // per period, simulate Warmup+Detail instructions in full pipeline
-// detail on a fresh window CPU that adopts the persistent substrate,
-// keeping only the post-warmup portion in the statistics (the interval
-// between two snapshots of the same CPU), then fast-forward the rest
-// of the period with functional warming only. warm is a second,
-// unconsumed stream over the same workload used for the one-time
-// whole-footprint cache warm (see warmHierarchy). opt.MaxInsts
-// bounds the total stream coverage and must be set for synthetic
-// workloads (their streams never end); program streams also stop when
-// the program halts. The returned Results carry detail-window
+// detail on a fresh window CPU that adopts the persistent hierarchy and
+// front end, keeping only the post-warmup portion in the statistics
+// (the interval between two snapshots of the same CPU), then
+// fast-forward the rest of the period with functional warming only.
+// warm is a second, unconsumed stream over the same workload used for
+// the one-time whole-footprint cache warm (see warmHierarchy).
+// opt.MaxInsts bounds the total stream coverage and must be set for
+// synthetic workloads (their streams never end); program streams also
+// stop when the program halts. The returned Results carry detail-window
 // statistics only, plus the Sampled block with the per-window IPC
 // spread.
 func RunSampled(cfg config.Config, st, warm *trace.InstStream, sample trace.SampleSpec, opt RunOptions) (stats.Results, error) {
@@ -189,7 +165,7 @@ func RunSampled(cfg config.Config, st, warm *trace.InstStream, sample trace.Samp
 		if win.Len() == 0 {
 			break
 		}
-		cpu, err := newCPU(cfg, win, ss.hier, arena, ss)
+		cpu, err := newCPU(cfg, win, ss.hier, arena, &ss.frontEnd)
 		if err != nil {
 			return stats.Results{}, err
 		}
@@ -229,7 +205,9 @@ func RunSampled(cfg config.Config, st, warm *trace.InstStream, sample trace.Samp
 			samp.AddWindow(float64(committed) / float64(cycles))
 			total.AddInterval(fullRes, warmRes)
 		}
-		ss.settle()
+		// In-flight fill timestamps are absolute cycles of the finished
+		// window's clock.
+		ss.hier.Settle()
 		if fullRes.Committed < wd {
 			break // window ran out of stream: the program halted
 		}

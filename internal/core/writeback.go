@@ -16,8 +16,8 @@ func (c *CPU) writebackStage() {
 	for _, d := range c.completions.takeDue(c.now) {
 		if d.Squashed {
 			// An older event in this batch squashed it mid-drain; the
-			// record is quarantined (not recycled) until the next
-			// dispatch stage, so the flag is safely readable.
+			// record is released but not yet reused (only dispatch
+			// acquires, later in the cycle), so the flag still reads.
 			continue
 		}
 		c.completeInst(d)
@@ -106,9 +106,9 @@ func (c *CPU) finishCompletion(d *DynInst) {
 	if d.Inst.Op == isa.Branch && d.Mispredicted && c.divergedAt == d {
 		c.resolveMispredict(d)
 	}
-	// Safe even if the recovery above squashed-and-released d: released
-	// records are quarantined with their fields intact until the next
-	// dispatch stage (see instPool).
+	// Safe even if the recovery above squashed-and-released d: release
+	// poisons only Seq, and no record is reused before this cycle's
+	// dispatch stage (see DynInst).
 	if d.ExceptAt && !d.Squashed {
 		d.ExceptAt = false
 		c.policy.RaiseException(d)

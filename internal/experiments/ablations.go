@@ -65,22 +65,28 @@ func (o Options) sweepSuite(ctx context.Context, title string, variants []varian
 	return res, nil
 }
 
-// AblationCommitPolicies compares every commit policy on the
-// figure-9 workload set: the conventional baseline at realisable (128)
-// and unrealisable (4096) sizes, the paper's checkpointed commit, the
-// adaptive-confidence variant, and the unbounded-window oracle limit.
-// The ordering the sweep should reproduce is
-// rob-128 < {checkpoint, adaptive} <= rob-4096 <= oracle.
-// An optional mode list restricts the sweep (cmd/experiments -commit).
-func AblationCommitPolicies(ctx context.Context, opt Options, modes ...config.CommitMode) (AblationResult, error) {
-	opt = opt.withDefaults()
-	all := []variant{
+// commitPolicyVariants is the commit-policy comparison's variant set:
+// the conventional baseline at realisable (128) and unrealisable (4096)
+// sizes, the paper's checkpointed commit, the adaptive-confidence
+// variant, and the unbounded-window oracle limit. The synthetic and
+// program tables share it, so they read side by side.
+func commitPolicyVariants() []variant {
+	return []variant{
 		{"rob-128", config.BaselineSized(128)},
 		{"rob-4096", config.BaselineSized(4096)},
 		{"checkpoint-128/2048", config.CheckpointDefault(128, 2048)},
 		{"adaptive-128/2048", config.AdaptiveDefault(128, 2048)},
 		{"oracle-unbounded", config.OracleDefault()},
 	}
+}
+
+// AblationCommitPolicies compares every commit policy on the figure-9
+// workload set (see commitPolicyVariants). The ordering the sweep should
+// reproduce is rob-128 < {checkpoint, adaptive} <= rob-4096 <= oracle.
+// An optional mode list restricts the sweep (cmd/experiments -commit).
+func AblationCommitPolicies(ctx context.Context, opt Options, modes ...config.CommitMode) (AblationResult, error) {
+	opt = opt.withDefaults()
+	all := commitPolicyVariants()
 	vs := all
 	if len(modes) > 0 {
 		want := map[config.CommitMode]bool{}

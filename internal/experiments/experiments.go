@@ -41,7 +41,10 @@ type Options struct {
 	// progress/ETA.
 	Progress func(done, total int, line string)
 	// Record, when non-nil, receives every completed run for machine
-	// consumption (cmd/experiments -json). Calls are serialised.
+	// consumption (cmd/experiments -json). Each sweep hands its runs
+	// over in spec order when it returns, whatever the worker count or
+	// runner; a sweep that fails or is interrupted hands over the runs
+	// it finished. Calls are serialised.
 	Record func(RunRecord)
 	// Runner, when non-nil, replaces the in-process sweep engine for
 	// every figure: cmd/experiments -server installs the simulation
@@ -208,13 +211,31 @@ func (o Options) runPoints(ctx context.Context, points []point, suite []suiteTra
 	}
 	sopt := sim.Options{Workers: o.Workers, Progress: o.Progress}
 	if o.Record != nil {
-		sopt.OnResult = func(spec sim.RunSpec, res stats.Results) {
-			o.Record(RunRecord{
-				Benchmark: spec.Name,
-				Config:    spec.Config.Summary(),
-				Results:   res,
-			})
+		// Runs complete in any order. Park each under its spec index and
+		// record them in index order once the sweep returns, failed or
+		// not. Identical specs give identical results, so which of their
+		// indices a completion takes does not matter.
+		finished := make([]*stats.Results, len(specs))
+		open := make(map[sim.RunSpec][]int, len(specs))
+		for i, s := range specs {
+			open[s] = append(open[s], i)
 		}
+		sopt.OnResult = func(spec sim.RunSpec, res stats.Results) {
+			is := open[spec]
+			finished[is[0]] = &res
+			open[spec] = is[1:]
+		}
+		defer func() {
+			for i, res := range finished {
+				if res != nil {
+					o.Record(RunRecord{
+						Benchmark: specs[i].Name,
+						Config:    specs[i].Config.Summary(),
+						Results:   *res,
+					})
+				}
+			}
+		}()
 	}
 	run := o.Runner
 	if run == nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -390,5 +391,75 @@ func TestAblationCommitPolicies(t *testing.T) {
 	}
 	if _, err := AblationCommitPolicies(ctx(), quickOpts(), config.CommitMode("warp")); err == nil {
 		t.Fatal("an unmatched filter must error, not run an empty sweep")
+	}
+}
+
+// TestRecordFollowsSpecOrder: Options.Record hands a sweep's runs over
+// in spec order whatever order the runner completes them in, and a
+// sweep that fails midway still records the runs it finished, in spec
+// order. Each fake result carries its spec index + 1 as Committed.
+func TestRecordFollowsSpecOrder(t *testing.T) {
+	reverse := func(_ context.Context, specs []sim.RunSpec, opt sim.Options) ([]stats.Results, error) {
+		out := make([]stats.Results, len(specs))
+		for i := len(specs) - 1; i >= 0; i-- {
+			out[i] = stats.Results{Committed: uint64(i + 1)}
+			opt.OnResult(specs[i], out[i])
+		}
+		return out, nil
+	}
+	// failing finishes every odd index, youngest first, then fails.
+	failing := func(_ context.Context, specs []sim.RunSpec, opt sim.Options) ([]stats.Results, error) {
+		for i := len(specs) - 1; i >= 0; i-- {
+			if i%2 == 1 {
+				opt.OnResult(specs[i], stats.Results{Committed: uint64(i + 1)})
+			}
+		}
+		return nil, errors.New("worker lost")
+	}
+	// want lists every spec of the commit-policy ablation in spec order:
+	// variant-major, then suite order.
+	type rec struct {
+		bench, config string
+		committed     uint64
+	}
+	var want []rec
+	for _, v := range commitPolicyVariants() {
+		for _, b := range SuiteBenchmarks(42) {
+			want = append(want, rec{b.Name, v.cfg.Summary(), uint64(len(want) + 1)})
+		}
+	}
+	var oddWant []rec
+	for i := 1; i < len(want); i += 2 {
+		oddWant = append(oddWant, want[i])
+	}
+
+	for _, tc := range []struct {
+		name   string
+		runner func(context.Context, []sim.RunSpec, sim.Options) ([]stats.Results, error)
+		want   []rec
+	}{
+		{"reverse", reverse, want},
+		{"failing", failing, oddWant},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := quickOpts()
+			opt.Runner = tc.runner
+			var got []rec
+			opt.Record = func(r RunRecord) {
+				got = append(got, rec{r.Benchmark, r.Config, r.Results.Committed})
+			}
+			_, err := AblationCommitPolicies(ctx(), opt)
+			if (err != nil) != (tc.name == "failing") {
+				t.Fatalf("sweep error %v", err)
+			}
+			if len(got) != len(tc.want) {
+				t.Fatalf("recorded %d runs, want %d", len(got), len(tc.want))
+			}
+			for i := range got {
+				if got[i] != tc.want[i] {
+					t.Fatalf("record %d is %+v, want %+v", i, got[i], tc.want[i])
+				}
+			}
+		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/config"
 	"repro/internal/isa/programs"
 	"repro/internal/trace"
 )
@@ -108,19 +107,12 @@ func Figure9ProgramsSampled(ctx context.Context, opt Options) (Figure9Result, er
 }
 
 // AblationCommitPoliciesPrograms is the commit-policy comparison over
-// the real-program suite: the same variant set as
-// AblationCommitPolicies, so the two tables read side by side.
+// the real-program suite, with AblationCommitPolicies' variant set.
 func AblationCommitPoliciesPrograms(ctx context.Context, opt Options) (AblationResult, error) {
 	opt = opt.withDefaults()
 	suite, err := opt.programSuite()
 	if err != nil {
 		return AblationResult{}, err
 	}
-	return opt.sweepSuite(ctx, "commit policies (program suite)", []variant{
-		{"rob-128", config.BaselineSized(128)},
-		{"rob-4096", config.BaselineSized(4096)},
-		{"checkpoint-128/2048", config.CheckpointDefault(128, 2048)},
-		{"adaptive-128/2048", config.AdaptiveDefault(128, 2048)},
-		{"oracle-unbounded", config.OracleDefault()},
-	}, suite)
+	return opt.sweepSuite(ctx, "commit policies (program suite)", commitPolicyVariants(), suite)
 }
