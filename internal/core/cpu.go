@@ -598,7 +598,7 @@ func (c *CPU) Run(opt RunOptions) stats.Results {
 			c.maxInflight = c.inflight
 		}
 		if c.occ != nil {
-			c.occ.Sample(c.inflight, c.liveFPLong, c.liveFPShort)
+			c.occ.SampleN(1, c.inflight, c.liveFPLong, c.liveFPShort)
 		}
 		c.now++
 

@@ -28,14 +28,17 @@ import (
 // identity, so every structure that can outlive an instruction (the
 // consumer lists, the deferred-bind queue, SLIQ residency, LSQ forward
 // waiters, the SLIQ dependence-mask owners) stores the Seq alongside the
-// pointer and treats a mismatch as "instruction is gone". The completion
-// event wheel and the issue queues never hold released records (squash
-// purges both eagerly). Release poisons Seq, so every such check fails
-// from that moment; the record's other fields stay untouched until
-// dispatch, the only acquirer, reuses it. A reader of the same cycle
-// that runs before dispatch may therefore still read Squashed without a
-// Seq check (writeback's due batch, and finishCompletion after a
-// recovery squashed its own instruction).
+// pointer and treats a mismatch as "instruction is gone". The issue
+// queues' ready sets hold the same kind of reference: squash only frees
+// the queue slot, and a ready item whose entry has left the queue or
+// carries another seq is dropped when it reaches the front. The
+// completion event wheel never holds a released record (squash
+// unschedules it eagerly). Release poisons Seq, so every such check
+// fails from that moment; the record's other fields stay untouched
+// until dispatch, the only acquirer, reuses it. A reader of the same
+// cycle that runs before dispatch may therefore still read Squashed
+// without a Seq check (writeback's due batch, and finishCompletion
+// after a recovery squashed its own instruction).
 type DynInst struct {
 	// Seq is the dynamic sequence number: unique and monotonically
 	// increasing across fetches, including wrong-path and replayed

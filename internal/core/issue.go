@@ -23,9 +23,6 @@ func (c *CPU) issueStage() {
 			break
 		}
 		d := e.Payload
-		if d.Squashed {
-			continue
-		}
 		if d.Inst.Op == isa.Load && c.portsUsed >= c.cfg.MemoryPorts {
 			retry = append(retry, e)
 			failures++
@@ -73,21 +70,19 @@ func (c *CPU) propagateLongTaint(p rename.PhysReg) {
 	}
 }
 
-// popOldestReady pops the globally oldest ready entry across both issue
-// queues.
+// popOldestReady takes the globally oldest ready entry across both issue
+// queues out of its queue.
 func (c *CPU) popOldestReady() *queue.IQEntry[*DynInst] {
 	ei, ef := c.intQ.PeekReady(), c.fpQ.PeekReady()
 	switch {
 	case ei == nil && ef == nil:
 		return nil
-	case ei == nil:
-		return c.fpQ.PopReady()
-	case ef == nil:
-		return c.intQ.PopReady()
-	case ei.Seq < ef.Seq:
-		return c.intQ.PopReady()
+	case ef == nil || (ei != nil && ei.Seq < ef.Seq):
+		c.intQ.Take(ei)
+		return ei
 	default:
-		return c.fpQ.PopReady()
+		c.fpQ.Take(ef)
+		return ef
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/config"
 	"repro/internal/lsq"
@@ -202,5 +203,18 @@ func TestReleasePoisonsSeqUntilReuse(t *testing.T) {
 	want.iqe.Payload = got
 	if !reflect.DeepEqual(*got, want) {
 		t.Fatalf("reused record is not zeroed:\n got %+v\nwant %+v", *got, want)
+	}
+}
+
+// TestDynInstSizePinned keeps the in-flight record within 160 bytes on
+// 64-bit hosts, two and a half cache lines: every wake, select and
+// commit walks these records, so a field that grows them costs every
+// instruction.
+func TestDynInstSizePinned(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pin is for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(DynInst{}); got > 160 {
+		t.Fatalf("DynInst is %d bytes, want at most 160", got)
 	}
 }

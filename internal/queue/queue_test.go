@@ -2,6 +2,8 @@ package queue
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/rename"
@@ -15,6 +17,16 @@ func ent(payload string) *IQEntry[string] {
 	return e
 }
 
+// pop takes the oldest ready entry the way the issue stage does, or
+// returns nil when none is ready.
+func pop(q *IQ[string]) *IQEntry[string] {
+	e := q.PeekReady()
+	if e != nil {
+		q.Take(e)
+	}
+	return e
+}
+
 func TestIQInsertPopOrder(t *testing.T) {
 	q := NewIQ[string](8)
 	// Ready entries pop oldest-first regardless of insertion order of
@@ -24,7 +36,7 @@ func TestIQInsertPopOrder(t *testing.T) {
 	}
 	var got []uint64
 	for {
-		e := q.PopReady()
+		e := pop(q)
 		if e == nil {
 			break
 		}
@@ -45,20 +57,34 @@ func TestIQWakeup(t *testing.T) {
 	q := NewIQ[string](4)
 	e := ent("x")
 	q.Insert(e, 1, 2)
-	if e.Ready() || q.ReadyCount() != 0 {
+	if q.PeekReady() != nil {
 		t.Fatal("entry with pending sources must not be ready")
 	}
 	q.Wake(e)
-	if e.Ready() {
+	if q.PeekReady() != nil {
 		t.Fatal("one of two sources is not enough")
 	}
 	q.Wake(e)
-	if !e.Ready() || q.ReadyCount() != 1 {
+	if q.PeekReady() != e {
 		t.Fatal("entry should be ready after both wakes")
 	}
-	if got := q.PopReady(); got != e {
+	if got := pop(q); got != e {
 		t.Fatal("wrong entry popped")
 	}
+}
+
+// TestIQTakeChecksFront: Take accepts only the entry PeekReady returned.
+func TestIQTakeChecksFront(t *testing.T) {
+	q := NewIQ[string](4)
+	a, b := ent("a"), ent("b")
+	q.Insert(a, 1, 0)
+	q.Insert(b, 2, 0)
+	defer func() {
+		if recover() == nil {
+			t.Error("taking an entry behind the ready front must panic")
+		}
+	}()
+	q.Take(b)
 }
 
 func TestIQWakePanics(t *testing.T) {
@@ -77,7 +103,7 @@ func TestIQCapacity(t *testing.T) {
 	q := NewIQ[string](2)
 	q.Insert(ent("a"), 1, 1)
 	q.Insert(ent("b"), 2, 1)
-	if !q.Full() || q.Free() != 0 {
+	if !q.Full() || q.Len() != 2 {
 		t.Fatal("queue should be full")
 	}
 	if q.Insert(ent("c"), 3, 1) {
@@ -88,15 +114,15 @@ func TestIQCapacity(t *testing.T) {
 func TestIQUnissue(t *testing.T) {
 	q := NewIQ[string](4)
 	q.Insert(ent("a"), 5, 0)
-	e := q.PopReady()
+	e := pop(q)
 	if q.Len() != 0 {
 		t.Fatal("pop must free the slot")
 	}
 	q.Unissue(e)
-	if q.Len() != 1 || q.ReadyCount() != 1 {
+	if q.Len() != 1 || q.PeekReady() != e {
 		t.Fatal("unissue must restore the entry")
 	}
-	if got := q.PopReady(); got != e {
+	if got := pop(q); got != e {
 		t.Fatal("unissued entry must be selectable again")
 	}
 }
@@ -109,7 +135,7 @@ func TestIQRemove(t *testing.T) {
 	q.Insert(eReady, 2, 0)
 	q.Remove(eWait)
 	q.Remove(eReady)
-	if q.Len() != 0 || q.ReadyCount() != 0 {
+	if q.Len() != 0 || q.PeekReady() != nil {
 		t.Fatal("remove must handle both waiting and ready entries")
 	}
 	q.Remove(eWait)
@@ -131,8 +157,38 @@ func TestIQReinsertAfterRemove(t *testing.T) {
 	if !q.Insert(e, 7, 0) {
 		t.Fatal("reinsert failed")
 	}
-	if got := q.PopReady(); got != e || got.Seq != 7 {
+	if got := pop(q); got != e || got.Seq != 7 {
 		t.Fatalf("reinserted entry wrong: %v", got)
+	}
+
+	// A ready entry removed (squashed) leaves its ready item behind. The
+	// record comes back under a new seq, either as it is or zeroed the
+	// way the pipeline's record pool hands it out, waits on a source and
+	// is woken before anything peeks: only the seq tells the stale item
+	// from the live one. The stale item must never surface, and the
+	// entry pops exactly once.
+	for _, zero := range []bool{false, true} {
+		q := NewIQ[string](4)
+		e, older := ent("x"), ent("older")
+		q.Insert(e, 3, 0)
+		q.Remove(e)
+		if zero {
+			*e = IQEntry[string]{Payload: "x"}
+		}
+		q.Insert(older, 5, 0)
+		q.Insert(e, 9, 1)
+		q.Wake(e)
+		for _, want := range []*IQEntry[string]{older, e} {
+			if got := pop(q); got != want {
+				t.Fatalf("zero=%v: popped %v, want %v", zero, got, want)
+			}
+		}
+		if e.Seq != 9 {
+			t.Fatalf("zero=%v: entry carries seq %d, want 9", zero, e.Seq)
+		}
+		if got := pop(q); got != nil || q.Len() != 0 {
+			t.Fatalf("zero=%v: popped %v after the queue emptied (len %d)", zero, got, q.Len())
+		}
 	}
 }
 
@@ -152,15 +208,12 @@ func TestIQResident(t *testing.T) {
 	q := NewIQ[string](4)
 	e := ent("x")
 	q.Insert(e, 1, 0)
-	if !q.Resident(e) {
+	if !e.Resident() {
 		t.Fatal("inserted entry must be resident")
 	}
-	q.PopReady()
-	if q.Resident(e) {
+	pop(q)
+	if e.Resident() {
 		t.Fatal("popped entry must not be resident")
-	}
-	if q.Resident(nil) {
-		t.Fatal("nil entry is never resident")
 	}
 }
 
@@ -272,8 +325,8 @@ func TestSLIQWakeFlow(t *testing.T) {
 			t.Fatal("insert failed")
 		}
 	}
-	if s.Len() != 6 || s.WaitingOn() != 6 {
-		t.Fatalf("len=%d waiting=%d", s.Len(), s.WaitingOn())
+	if s.Len() != 6 || s.NextWake() != -1 {
+		t.Fatalf("len=%d next wake=%d, want 6 waiting entries", s.Len(), s.NextWake())
 	}
 	// No drain before the trigger fires.
 	if n := s.Drain(100, func(uint64, int) bool { return true }); n != 0 {
@@ -331,24 +384,40 @@ func TestSLIQCapacity(t *testing.T) {
 }
 
 func TestSLIQSquashYounger(t *testing.T) {
-	s := NewSLIQ[int](8, 4, 4, sliqRegs)
+	s := NewSLIQ[int](16, 4, 4, sliqRegs)
 	var squashed []int
-	for i := uint64(0); i < 6; i++ {
-		s.Insert(i, rename.PhysReg(i%2), int(i))
+	for i := uint64(0); i < 9; i++ {
+		s.Insert(i, rename.PhysReg(i%3), int(i))
 	}
-	s.TriggerReady(0, 0) // seqs 0,2,4 become wakeable
-	s.SquashYounger(3, func(p int) { squashed = append(squashed, p) })
-	if len(squashed) != 3 { // 3,4,5
-		t.Fatalf("squashed %v, want 3 entries", squashed)
+	// Wake out of seq order: trigger 1's seqs 1,4,7 fill the in-order
+	// lane, then trigger 0's seqs 0,3,6 fall behind its tail into the
+	// heap. Trigger 2's seqs 2,5,8 keep waiting.
+	s.TriggerReady(1, 0)
+	s.TriggerReady(0, 0)
+	if s.wakeable.lane.Len() != 3 || len(s.wakeable.heap) != 3 {
+		t.Fatalf("wake set split %d lane / %d heap, want 3 / 3", s.wakeable.lane.Len(), len(s.wakeable.heap))
 	}
-	if s.Len() != 3 {
-		t.Fatalf("len = %d, want 3", s.Len())
+	// Squashes waiting 5,8, lane 4,7 and heap 6.
+	s.SquashYounger(4, func(p int) { squashed = append(squashed, p) })
+	slices.Sort(squashed)
+	if fmt.Sprint(squashed) != "[4 5 6 7 8]" {
+		t.Fatalf("squashed %v, want [4 5 6 7 8]", squashed)
 	}
-	// Only the surviving wakeable entries drain.
+	if s.Len() != 4 {
+		t.Fatalf("len = %d, want 4", s.Len())
+	}
+	// Only the surviving wakeable entries drain, oldest first.
 	var drained []uint64
-	s.Drain(100, func(seq uint64, _ int) bool { drained = append(drained, seq); return true })
-	if len(drained) != 2 || drained[0] != 0 || drained[1] != 2 {
-		t.Fatalf("drained %v, want [0 2]", drained)
+	record := func(seq uint64, _ int) bool { drained = append(drained, seq); return true }
+	s.Drain(100, record)
+	if fmt.Sprint(drained) != "[0 1 3]" {
+		t.Fatalf("drained %v, want [0 1 3]", drained)
+	}
+	s.TriggerReady(2, 100)
+	drained = nil
+	s.Drain(104, record)
+	if fmt.Sprint(drained) != "[2]" || s.Len() != 0 || s.NextWake() != -1 {
+		t.Fatalf("drained %v (len %d, next wake %d), want [2] and an empty SLIQ", drained, s.Len(), s.NextWake())
 	}
 }
 
@@ -362,7 +431,7 @@ func TestSLIQMultipleTriggers(t *testing.T) {
 	if len(got) != 1 || got[0] != 2 {
 		t.Fatalf("only trigger-20's entry should wake, got %v", got)
 	}
-	if s.WaitingOn() != 1 {
+	if s.Len() != 1 || s.NextWake() != -1 {
 		t.Fatal("entry 1 should still wait")
 	}
 	s.TriggerReady(10, 5)
@@ -442,4 +511,64 @@ func TestSLIQNextWake(t *testing.T) {
 	if got := s.NextWake(); got != 0 {
 		t.Fatalf("squashed head: NextWake = %d, want 0", got)
 	}
+}
+
+// TestSeqHeapModel drives a seqHeap with random pushes and pops against
+// a sorted reference. Seqs come in ascending runs, as dispatch produces
+// them, broken by older ones, so items cross between the in-order lane
+// and the heap in both directions.
+func TestSeqHeapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var h seqHeap[int]
+	var ref []uint64 // ascending
+	used := map[uint64]bool{}
+	tail := uint64(0)
+	maxLane, maxHeap := 0, 0
+	check := func(step int) {
+		it, ok := h.front()
+		if ok != (len(ref) > 0) || ok && (it.seq != ref[0] || it.v != int(ref[0])) {
+			t.Fatalf("step %d: front (%d, %d, %v), want %v", step, it.seq, it.v, ok, ref[:min(len(ref), 1)])
+		}
+	}
+	for step := 0; step < 50000; step++ {
+		if rng.Intn(10) < 6 {
+			var seq uint64
+			if rng.Intn(3) == 0 {
+				seq = uint64(rng.Int63n(int64(tail) + 1))
+			} else {
+				tail += uint64(1 + rng.Intn(3))
+				seq = tail
+			}
+			if used[seq] {
+				continue
+			}
+			used[seq] = true
+			h.push(seq, int(seq))
+			i, _ := slices.BinarySearch(ref, seq)
+			ref = slices.Insert(ref, i, seq)
+		} else if len(ref) > 0 {
+			check(step)
+			h.pop()
+			ref = ref[1:]
+		}
+		check(step)
+		maxLane, maxHeap = max(maxLane, h.lane.Len()), max(maxHeap, len(h.heap))
+		if step%1000 == 0 {
+			var all []uint64
+			h.each(func(v int) { all = append(all, uint64(v)) })
+			slices.Sort(all)
+			if !slices.Equal(all, ref) {
+				t.Fatalf("step %d: each walked %d items, want %d", step, len(all), len(ref))
+			}
+		}
+	}
+	if maxLane < 8 || maxHeap < 8 {
+		t.Fatalf("lane peaked at %d items and heap at %d: the pushes did not exercise both", maxLane, maxHeap)
+	}
+	for len(ref) > 0 {
+		check(-1)
+		h.pop()
+		ref = ref[1:]
+	}
+	check(-1)
 }

@@ -13,7 +13,9 @@ import (
 // transitively depends on (its trigger). When the trigger register is
 // written, a wake process begins: after a configurable start-up delay,
 // entries re-enter the issue queue at a configurable width per cycle,
-// oldest first ("linearly from one point", as the paper puts it).
+// oldest first ("linearly from one point", as the paper puts it). Woken
+// entries wait in a seqHeap, the ordered set behind the issue queues'
+// ready entries.
 //
 // Entries recycle through an internal free list and the trigger index is
 // a slice over the physical-register space, so steady-state inserts and
@@ -26,8 +28,9 @@ type SLIQ[P any] struct {
 	occupied int
 	// waiting[reg] holds the not-yet-woken entries tagged with reg.
 	waiting [][]*sliqEntry[P]
-	// wakeable orders woken entries by sequence number (min-heap).
-	wakeable []*sliqEntry[P]
+	// wakeable orders woken entries oldest first. A squashed entry stays
+	// in it, marked, until it reaches the front.
+	wakeable seqHeap[*sliqEntry[P]]
 	// free recycles entry records (squash-on-rollback and drain both
 	// feed it; Insert consumes it).
 	free []*sliqEntry[P]
@@ -139,7 +142,7 @@ func (s *SLIQ[P]) TriggerReady(reg rename.PhysReg, now int64) {
 			continue
 		}
 		e.eligibleAt = now + s.delay
-		s.heapPush(e)
+		s.wakeable.push(e.seq, e)
 		started = true
 	}
 	if started {
@@ -154,10 +157,15 @@ func (s *SLIQ[P]) TriggerReady(reg rename.PhysReg, now int64) {
 // is strictly in order, as in the paper.
 func (s *SLIQ[P]) Drain(now int64, accept func(seq uint64, payload P) bool) int {
 	drained := 0
-	for drained < s.width && len(s.wakeable) > 0 {
-		e := s.wakeable[0]
+	for drained < s.width {
+		it, ok := s.wakeable.front()
+		if !ok {
+			break
+		}
+		e := it.v
 		if e.squashed {
-			s.recycle(s.heapPop())
+			s.wakeable.pop()
+			s.recycle(e)
 			continue
 		}
 		if e.eligibleAt > now {
@@ -169,7 +177,8 @@ func (s *SLIQ[P]) Drain(now int64, accept func(seq uint64, payload P) bool) int 
 		if !accept(e.seq, e.payload) {
 			break
 		}
-		s.recycle(s.heapPop())
+		s.wakeable.pop()
+		s.recycle(e)
 		s.occupied--
 		s.stats.Woken++
 		drained++
@@ -186,18 +195,19 @@ func (s *SLIQ[P]) Drain(now int64, accept func(seq uint64, payload P) bool) int 
 // which is always safe. The event-driven clock skip uses this to bound
 // its jump.
 func (s *SLIQ[P]) NextWake() int64 {
-	if len(s.wakeable) == 0 {
+	it, ok := s.wakeable.front()
+	switch {
+	case !ok:
 		return -1
+	case it.v.squashed:
+		return 0
 	}
-	if e := s.wakeable[0]; !e.squashed {
-		return e.eligibleAt
-	}
-	return 0
+	return it.v.eligibleAt
 }
 
 // SquashYounger removes every entry with sequence number >= seq,
 // calling onSquash for each removed payload. Entries already woken stay
-// in the wake heap (marked dead) and are collected by Drain.
+// in the wake set (marked dead) and are collected by Drain.
 func (s *SLIQ[P]) SquashYounger(seq uint64, onSquash func(payload P)) {
 	for trigger, entries := range s.waiting {
 		if len(entries) == 0 {
@@ -221,81 +231,15 @@ func (s *SLIQ[P]) SquashYounger(seq uint64, onSquash func(payload P)) {
 	}
 	// Wakeable entries are lazily discarded in Drain; account for them
 	// now so Len stays exact.
-	for _, e := range s.wakeable {
+	s.wakeable.each(func(e *sliqEntry[P]) {
 		if !e.squashed && e.seq >= seq {
 			e.squashed = true
 			s.occupied--
 			s.stats.Squashed++
 			onSquash(e.payload)
 		}
-	}
-}
-
-// WaitingOn returns the number of entries not yet triggered.
-func (s *SLIQ[P]) WaitingOn() int {
-	n := 0
-	for _, entries := range s.waiting {
-		for _, e := range entries {
-			if !e.squashed {
-				n++
-			}
-		}
-	}
-	return n
+	})
 }
 
 // Stats returns a copy of the counters.
 func (s *SLIQ[P]) Stats() SLIQStats { return s.stats }
-
-// The wake set is a typed min-heap over seq (see the IQ ready heap for
-// the rationale).
-
-func (s *SLIQ[P]) heapPush(e *sliqEntry[P]) {
-	s.wakeable = append(s.wakeable, e)
-	s.heapUp(len(s.wakeable) - 1)
-}
-
-func (s *SLIQ[P]) heapPop() *sliqEntry[P] {
-	h := s.wakeable
-	e := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = nil
-	s.wakeable = h[:last]
-	if last > 0 {
-		s.heapDown(0)
-	}
-	return e
-}
-
-func (s *SLIQ[P]) heapUp(i int) {
-	h := s.wakeable
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent].seq <= h[i].seq {
-			break
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-}
-
-func (s *SLIQ[P]) heapDown(i int) {
-	h := s.wakeable
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		min := l
-		if r := l + 1; r < n && h[r].seq < h[l].seq {
-			min = r
-		}
-		if h[i].seq <= h[min].seq {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-}

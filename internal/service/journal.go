@@ -10,19 +10,21 @@ import (
 )
 
 // Journal is the scheduler's batch recovery log: an append-only NDJSON
-// file recording which batches were admitted and which fingerprints
-// have since completed into the durable cache. A restarted ooosimd
-// replays it (see Scheduler.Recover) and re-admits every batch that
-// was in flight at the crash — already-completed points come back as
-// disk-cache hits, so only the genuinely missing points re-simulate,
-// and determinism pins the resumed batch byte-identical to what the
-// original would have produced.
+// file recording which batches were admitted and which have finished. A
+// restarted ooosimd replays it (see Scheduler.Recover) and re-admits
+// every batch that was in flight at the crash — points that completed
+// before it come back as disk-cache hits, so only the genuinely missing
+// points re-simulate, and determinism pins the resumed batch
+// byte-identical to what the original would have produced.
 //
 // Record types, one JSON object per line:
 //
 //	{"t":"batch","id":"b12","jobs":[...]}   batch admitted with >=1 miss
-//	{"t":"point","fp":"<64 hex>"}           miss completed and cached
 //	{"t":"batchdone","id":"b12"}            every point of b12 landed
+//
+// Replay skips any other record type, so a journal written by an older
+// daemon (which also logged each completed point) replays the same
+// pending batches.
 //
 // Appends are single-writer under a mutex onto an O_APPEND file, so a
 // crash can tear at most the final record; Replay tolerates (and
@@ -38,7 +40,6 @@ type journalRecord struct {
 	T    string `json:"t"`
 	ID   string `json:"id,omitempty"`
 	Jobs []Job  `json:"jobs,omitempty"`
-	FP   string `json:"fp,omitempty"`
 }
 
 // OpenJournal opens (creating if needed) the journal at path.
@@ -81,11 +82,6 @@ func (j *Journal) AppendBatch(id string, jobs []Job) error {
 	return j.append(journalRecord{T: "batch", ID: id, Jobs: jobs})
 }
 
-// AppendPoint records a completed-and-cached fingerprint.
-func (j *Journal) AppendPoint(fp string) error {
-	return j.append(journalRecord{T: "point", FP: fp})
-}
-
 // AppendBatchDone records that every point of a journaled batch landed.
 func (j *Journal) AppendBatchDone(id string) error {
 	return j.append(journalRecord{T: "batchdone", ID: id})
@@ -98,24 +94,22 @@ type RecoveredBatch struct {
 }
 
 // Replay reads the journal and returns the batches still in flight at
-// the last shutdown (admitted, no batchdone) plus the set of
-// fingerprints known completed. Unparseable lines — the torn final
-// record an O_APPEND crash can leave — are skipped, not fatal; at
-// worst a torn "point" record re-runs one point, and determinism makes
-// the re-run byte-identical.
-func (j *Journal) Replay() (pending []RecoveredBatch, completed map[string]bool, err error) {
+// the last shutdown (admitted, no batchdone). Unparseable lines — the
+// torn final record an O_APPEND crash can leave — are skipped, not
+// fatal: at worst a torn "batchdone" re-admits a finished batch, whose
+// points all come back as cache hits.
+func (j *Journal) Replay() (pending []RecoveredBatch, err error) {
 	f, err := os.Open(j.path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, map[string]bool{}, nil
+			return nil, nil
 		}
-		return nil, nil, fmt.Errorf("service: journal replay: %w", err)
+		return nil, fmt.Errorf("service: journal replay: %w", err)
 	}
 	defer f.Close()
 
 	batches := map[string]*RecoveredBatch{}
 	var order []string
-	completed = map[string]bool{}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 64<<10), 16<<20) // batch records carry full job lists
 	for sc.Scan() {
@@ -136,23 +130,19 @@ func (j *Journal) Replay() (pending []RecoveredBatch, completed map[string]bool,
 				order = append(order, rec.ID)
 			}
 			batches[rec.ID] = &RecoveredBatch{ID: rec.ID, Jobs: rec.Jobs}
-		case "point":
-			if rec.FP != "" {
-				completed[rec.FP] = true
-			}
 		case "batchdone":
 			delete(batches, rec.ID)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("service: journal replay: %w", err)
+		return nil, fmt.Errorf("service: journal replay: %w", err)
 	}
 	for _, id := range order {
 		if rb, ok := batches[id]; ok {
 			pending = append(pending, *rb)
 		}
 	}
-	return pending, completed, nil
+	return pending, nil
 }
 
 // Reset truncates the journal. Called after recovery has re-admitted

@@ -29,9 +29,6 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := j.AppendBatch("b1", jobsA); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.AppendPoint(fakeKey(0)); err != nil {
-		t.Fatal(err)
-	}
 	if err := j.AppendBatch("b2", jobsB); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +36,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pending, completed, err := j.Replay()
+	pending, err := j.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,16 +46,51 @@ func TestJournalRoundTrip(t *testing.T) {
 	if len(pending[0].Jobs) != 2 || pending[0].Jobs[0].Name != "a0" {
 		t.Fatalf("recovered jobs wrong: %+v", pending[0].Jobs)
 	}
-	if !completed[fakeKey(0)] || len(completed) != 1 {
-		t.Fatalf("completed = %v", completed)
-	}
 
 	if err := j.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	pending, completed, err = j.Replay()
-	if err != nil || len(pending) != 0 || len(completed) != 0 {
-		t.Fatalf("post-reset replay not empty: %v %v %v", pending, completed, err)
+	pending, err = j.Replay()
+	if err != nil || len(pending) != 0 {
+		t.Fatalf("post-reset replay not empty: %v %v", pending, err)
+	}
+}
+
+// TestJournalReplaySkipsUnknownRecords: a journal written by an older
+// daemon carries a "point" record per completed miss, and a newer one may
+// add record types; replay skips them and recovers the same pending
+// batches.
+func TestJournalReplaySkipsUnknownRecords(t *testing.T) {
+	dir := t.TempDir()
+	j := openTestJournal(t, dir)
+	if err := j.AppendBatch("b1", []Job{testJob("a", 32)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendBatch("b2", []Job{testJob("b", 48)}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "journal.ndjson"), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		`{"t":"point","fp":"` + fakeKey(0) + `"}`,
+		`{"t":"point","fp":"` + fakeKey(1) + `"}`,
+		`{"t":"future","id":"b1"}`,
+		`{"t":"batchdone","id":"b2"}`,
+	} {
+		if _, err := f.WriteString(line + "\n"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Close()
+
+	pending, err := j.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pending) != 1 || pending[0].ID != "b1" || pending[0].Jobs[0].Name != "a" {
+		t.Fatalf("pending = %+v, want just b1", pending)
 	}
 }
 
@@ -70,37 +102,32 @@ func TestJournalTornFinalRecord(t *testing.T) {
 	if err := j.AppendBatch("b1", []Job{testJob("a", 32)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.AppendPoint(fakeKey(1)); err != nil {
-		t.Fatal(err)
-	}
 	// Simulate the torn write: a prefix of a valid record, no newline.
 	path := filepath.Join(dir, "journal.ndjson")
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"t":"point","fp":"deadbe`); err != nil {
+	if _, err := f.WriteString(`{"t":"batch","id":"b2","jobs":[{"na`); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 
-	pending, completed, err := j.Replay()
+	pending, err := j.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pending) != 1 || pending[0].ID != "b1" {
 		t.Fatalf("torn record corrupted replay: pending=%+v", pending)
 	}
-	if !completed[fakeKey(1)] || len(completed) != 1 {
-		t.Fatalf("torn record corrupted completed set: %v", completed)
-	}
 }
 
-// TestRestartRecovery is the satellite's crash contract: a daemon dies
-// mid-batch with the journal partially written (one point completed and
-// journaled, plus a torn final record), a fresh scheduler over the same
-// cache dir recovers, and the resumed batch completes byte-identical
-// with zero duplicate simulator calls for the already-journaled point.
+// TestRestartRecovery is the journal's crash contract: a daemon dies
+// mid-batch (one point completed into the disk cache, the batch record
+// journaled without its batchdone, plus a torn final record), a fresh
+// scheduler over the same cache dir recovers, and the resumed batch
+// completes byte-identical with zero duplicate simulator calls for the
+// already-cached point.
 func TestRestartRecovery(t *testing.T) {
 	dir := t.TempDir()
 	cacheDir := filepath.Join(dir, "cache")
@@ -121,8 +148,8 @@ func TestRestartRecovery(t *testing.T) {
 
 	// "Crashing" daemon: run the full batch so its journal and cache
 	// fill, then fabricate the crash state by rewriting the journal as
-	// if only p0's point record (and no batchdone) made it to disk —
-	// plus a torn final record — and evicting p1/p2 from the disk cache.
+	// if only the batch record (and no batchdone) made it to disk — plus
+	// a torn final record — and evicting p1/p2 from the disk cache.
 	cache1, err := NewCache(4, cacheDir)
 	if err != nil {
 		t.Fatal(err)
@@ -156,14 +183,11 @@ func TestRestartRecovery(t *testing.T) {
 	if err := j2.AppendBatch("b1", jobs); err != nil {
 		t.Fatal(err)
 	}
-	if err := j2.AppendPoint(fps[0]); err != nil {
-		t.Fatal(err)
-	}
 	f, err := os.OpenFile(jpath, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString(`{"t":"point","fp":"torn`)
+	f.WriteString(`{"t":"batch","id":"b2","jobs":[{"torn`)
 	f.Close()
 
 	// Restarted daemon over the same cache dir and journal.
@@ -200,8 +224,8 @@ func TestRestartRecovery(t *testing.T) {
 		t.Fatalf("recovered batch failed: %v %v", err, st.Errors)
 	}
 
-	// Zero duplicate simulator calls for the journaled-and-cached point:
-	// only the two evicted points re-ran.
+	// Zero duplicate simulator calls for the cached point: only the two
+	// evicted points re-ran.
 	if got := runs2.Load(); got != 2 {
 		t.Fatalf("restart re-simulated %d points, want 2", got)
 	}
@@ -215,7 +239,7 @@ func TestRestartRecovery(t *testing.T) {
 
 	// Recovery truncated and re-journaled: a third replay sees the
 	// re-admitted batch marked done, nothing pending.
-	pending, _, err := j2.Replay()
+	pending, err := j2.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,9 +248,9 @@ func TestRestartRecovery(t *testing.T) {
 	}
 }
 
-// TestSchedulerJournalsBatchLifecycle: a journaled scheduler writes
-// batch, per-miss point, and batchdone records; an all-hit batch
-// writes nothing.
+// TestSchedulerJournalsBatchLifecycle: a journaled scheduler writes a
+// batch record and a batchdone record, and nothing per point; an all-hit
+// batch writes nothing.
 func TestSchedulerJournalsBatchLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	j := openTestJournal(t, dir)
@@ -250,8 +274,8 @@ func TestSchedulerJournalsBatchLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		if bytes.Contains(raw, []byte(`"batchdone"`)) {
-			if !bytes.Contains(raw, []byte(`"t":"batch"`)) || !bytes.Contains(raw, []byte(`"t":"point"`)) {
-				t.Fatalf("journal missing records: %s", raw)
+			if !bytes.Contains(raw, []byte(`"t":"batch"`)) || bytes.Count(raw, []byte("\n")) != 2 {
+				t.Fatalf("journal should hold one batch and one batchdone record: %s", raw)
 			}
 			break
 		}

@@ -41,7 +41,7 @@ type SchedulerOptions struct {
 	// log.Printf here so operators can see the sharing engage).
 	Log func(format string, args ...any)
 	// Journal, when non-nil, is the batch recovery log: admitted batches
-	// with misses and completed fingerprints are appended so a restarted
+	// with misses and their completions are appended so a restarted
 	// daemon can re-admit in-flight work (see Scheduler.Recover). Append
 	// failures degrade recovery, never the running daemon.
 	Journal *Journal
@@ -178,7 +178,7 @@ func (s *Scheduler) Recover() (requeued int, err error) {
 	if s.journal == nil {
 		return 0, nil
 	}
-	pending, completed, err := s.journal.Replay()
+	pending, err := s.journal.Replay()
 	if err != nil {
 		return 0, err
 	}
@@ -197,8 +197,7 @@ func (s *Scheduler) Recover() (requeued int, err error) {
 	}
 	s.metrics.RecoveredBatches.Add(uint64(requeued))
 	if s.log != nil && (requeued > 0 || len(pending) > 0) {
-		s.log("journal recovery: re-admitted %d/%d batch(es), %d point(s) already cached",
-			requeued, len(pending), len(completed))
+		s.log("journal recovery: re-admitted %d/%d batch(es)", requeued, len(pending))
 	}
 	return requeued, nil
 }
@@ -300,11 +299,6 @@ func (s *Scheduler) runJob(b *Batch, i int) {
 	}
 	if err != nil {
 		s.metrics.PointErrors.Add(1)
-	}
-	if s.journal != nil && err == nil && !shared && !lateHit {
-		// This flight actually simulated and filled the cache: record the
-		// fingerprint so recovery knows the point is durable.
-		s.journal.AppendPoint(fp)
 	}
 	b.Complete(i, raw, cached, err)
 	if s.journal != nil && b.TakeJournalDone() {

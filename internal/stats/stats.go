@@ -110,29 +110,11 @@ func NewOccupancy(maxInflight int) *Occupancy {
 	}
 }
 
-// Sample records one cycle's occupancy. Counts beyond the tracker's
-// capacity are clamped to the top bucket.
-func (o *Occupancy) Sample(inflight, liveLong, liveShort int) {
-	if inflight < 0 {
-		inflight = 0
-	}
-	if inflight >= len(o.count) {
-		inflight = len(o.count) - 1
-	}
-	o.count[inflight]++
-	o.sumLong[inflight] += uint64(liveLong)
-	o.sumShort[inflight] += uint64(liveShort)
-	o.samples++
-	o.sumInfl += uint64(inflight)
-	if inflight > o.max {
-		o.max = inflight
-	}
-}
-
-// SampleN records n cycles that all observed the same occupancy, as if
-// Sample had been called n times: the event-driven clock skip replays
-// the quiescent cycle's constant sample for every cycle it elides, so
-// the histogram is bit-identical to the cycle-by-cycle run.
+// SampleN records n cycles that all observed the same occupancy. Counts
+// beyond the tracker's capacity are clamped to the top bucket. The
+// cycle loop records each cycle with n = 1; the event-driven clock skip
+// replays the quiescent cycle's constant sample for every cycle it
+// elides, so the histogram is bit-identical to the cycle-by-cycle run.
 func (o *Occupancy) SampleN(n uint64, inflight, liveLong, liveShort int) {
 	if n == 0 {
 		return

@@ -49,7 +49,7 @@ func TestOccupancyPercentiles(t *testing.T) {
 	o := NewOccupancy(100)
 	// 100 samples: occupancy i at cycle i.
 	for i := 0; i <= 99; i++ {
-		o.Sample(i, i/10, i/20)
+		o.SampleN(1, i, i/10, i/20)
 	}
 	if o.Samples() != 100 {
 		t.Fatalf("samples = %d", o.Samples())
@@ -73,9 +73,9 @@ func TestOccupancyPercentiles(t *testing.T) {
 
 func TestOccupancyLiveAtPercentile(t *testing.T) {
 	o := NewOccupancy(10)
-	o.Sample(1, 4, 2)
-	o.Sample(2, 8, 4)
-	o.Sample(10, 100, 100)
+	o.SampleN(1, 1, 4, 2)
+	o.SampleN(1, 2, 8, 4)
+	o.SampleN(1, 10, 100, 100)
 	long, short := o.LiveAtPercentile(0.67)
 	// Cycles with occupancy <= p67 (=2): averages of (4,8) and (2,4).
 	if long != 6 || short != 3 {
@@ -85,8 +85,8 @@ func TestOccupancyLiveAtPercentile(t *testing.T) {
 
 func TestOccupancyClamping(t *testing.T) {
 	o := NewOccupancy(4)
-	o.Sample(100, 0, 0) // clamps to the top bucket
-	o.Sample(-5, 0, 0)  // clamps to zero
+	o.SampleN(1, 100, 0, 0) // clamps to the top bucket
+	o.SampleN(1, -5, 0, 0)  // clamps to zero
 	if o.Percentile(1.0) != 4 {
 		t.Fatal("overflow sample must clamp to capacity")
 	}
@@ -97,8 +97,8 @@ func TestOccupancyClamping(t *testing.T) {
 
 func TestOccupancyMerge(t *testing.T) {
 	a, b := NewOccupancy(10), NewOccupancy(10)
-	a.Sample(1, 1, 0)
-	b.Sample(3, 0, 1)
+	a.SampleN(1, 1, 1, 0)
+	b.SampleN(1, 3, 0, 1)
 	b.MergeInto(a)
 	if a.Samples() != 2 {
 		t.Fatal("merge must add samples")
@@ -124,7 +124,7 @@ func TestQuickPercentileMonotonic(t *testing.T) {
 	f := func(samples []uint8, p1, p2 uint8) bool {
 		o := NewOccupancy(256)
 		for _, s := range samples {
-			o.Sample(int(s), 0, 0)
+			o.SampleN(1, int(s), 0, 0)
 		}
 		a, b := float64(p1%101)/100, float64(p2%101)/100
 		if a > b {
@@ -139,9 +139,9 @@ func TestQuickPercentileMonotonic(t *testing.T) {
 
 func TestOccupancyJSONRoundTrip(t *testing.T) {
 	o := NewOccupancy(16)
-	o.Sample(3, 2, 1)
-	o.Sample(7, 5, 0)
-	o.Sample(7, 1, 1)
+	o.SampleN(1, 3, 2, 1)
+	o.SampleN(1, 7, 5, 0)
+	o.SampleN(1, 7, 1, 1)
 	data, err := json.Marshal(o)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestOccupancyJSONMalformed(t *testing.T) {
 
 func TestResultsJSONRoundTrip(t *testing.T) {
 	o := NewOccupancy(8)
-	o.Sample(2, 1, 0)
+	o.SampleN(1, 2, 1, 0)
 	r := Results{
 		Name: "checkpoint/fpmix", Cycles: 1000, Committed: 2500,
 		Fetched: 3000, Issued: 2600, Rollbacks: 3, SLIQMoved: 40,
@@ -424,12 +424,13 @@ func TestPolicyCountersJSONAndMerge(t *testing.T) {
 
 // TestOccupancySampleN pins the clock skip's weighted sampling: n
 // identical samples recorded at once must leave the histogram
-// bit-identical to n Sample calls, including clamping and max tracking.
+// bit-identical to n single-cycle samples, including clamping and max
+// tracking.
 func TestOccupancySampleN(t *testing.T) {
 	a, b := NewOccupancy(8), NewOccupancy(8)
 	record := func(o *Occupancy, n uint64, inflight, long, short int) {
 		for i := uint64(0); i < n; i++ {
-			o.Sample(inflight, long, short)
+			o.SampleN(1, inflight, long, short)
 		}
 	}
 	for _, s := range []struct {
