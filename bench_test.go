@@ -2,9 +2,8 @@ package repro
 
 // One benchmark per table/figure of the paper's evaluation. Each
 // iteration regenerates the corresponding experiment on a reduced
-// instruction budget (benchInsts) so -bench=. completes in minutes; the
-// full-budget numbers recorded in EXPERIMENTS.md come from
-// cmd/experiments. The suite-average IPC of the headline configuration
+// instruction budget (benchInsts) so -bench=. completes in minutes;
+// full-budget numbers come from cmd/experiments. The suite-average IPC of the headline configuration
 // is attached as a custom metric so regressions in simulated performance
 // (not just simulator speed) are visible. Figures execute through the
 // internal/sim worker pool; BenchmarkFigure9Parallel measures the same

@@ -95,7 +95,7 @@ func main() {
 	figure := flag.String("figure", "all", "which figure to regenerate (see -list)")
 	commit := flag.String("commit", "", "comma-separated commit policies for the commit-policies ablation (default: all)")
 	insts := flag.Uint64("insts", experiments.DefaultInsts, "committed instructions per configuration point")
-	seed := flag.Uint64("seed", 42, "workload seed")
+	seed := flag.Uint64("seed", 42, "workload seed (nonzero)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "simulation worker-pool size")
 	server := flag.String("server", "", "run every point against an ooosimd daemon at URL")
 	jsonOut := flag.String("json", "", "write every run's raw results as JSON to FILE")
@@ -111,6 +111,12 @@ func main() {
 			fmt.Printf("%-26s %s\n", s.name, s.desc)
 		}
 		return
+	}
+
+	// experiments.Options reads a zero Seed as the default, 42.
+	if *seed == 0 {
+		fmt.Fprintln(os.Stderr, "-seed: must be nonzero (0 selects the default seed 42)")
+		os.Exit(2)
 	}
 
 	// Resolve -commit up front: a typo must fail fast, not after an

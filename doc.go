@@ -23,6 +23,6 @@
 //   - examples/ holds runnable API walkthroughs.
 //   - bench_test.go (this package) provides one benchmark per figure.
 //
-// See README.md for a quickstart, DESIGN.md for the modelling contract,
-// and EXPERIMENTS.md for recorded paper-vs-measured results.
+// See README.md for a quickstart, its Architecture section for the
+// modelling contract, and `experiments -list` for the experiment index.
 package repro

@@ -3,11 +3,12 @@
 // plus the perfect predictor used for ablation studies.
 //
 // Predictors are speculative state machines: Predict is called at fetch
-// with the current speculative history, Update is called at branch
-// resolution with the true outcome. Because the simulator fetches down
-// the correct path (wrong-path fetch is modelled as a stall, see
-// DESIGN.md), speculative history equals committed history except across
-// rollbacks, which restore it via HistorySnapshot/RestoreHistory.
+// with the current speculative history, and Update trains them with the
+// true outcome, which the trace carries. The core fetches wrong-path
+// instructions after a misprediction (core's nextWrongPathInst), but
+// wrong-path branches never reach the predictor, so speculative history
+// equals committed history except across rollbacks, which restore it
+// via HistorySnapshot/RestoreHistory.
 package branch
 
 import "fmt"

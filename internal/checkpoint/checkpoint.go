@@ -1,15 +1,18 @@
 // Package checkpoint implements the checkpoint table that replaces the
 // reorder buffer in the paper's out-of-order commit processor (section 2).
 //
-// A checkpoint is taken immediately before an instruction chosen by the
-// paper's heuristics (first branch after 64 instructions, unconditionally
-// after 512 instructions, or after 64 stores). Every dispatched
-// instruction is associated with the youngest checkpoint and counted in
-// its pending counter; the counter is decremented as instructions finish.
-// A checkpoint commits when its counter reaches zero, it is the oldest
-// checkpoint, and its window has been closed by a younger checkpoint —
-// "commit" then retires the whole window at once: deferred register
-// frees are applied and the window's stores drain to memory.
+// The table owns the checkpoint mechanism over one rename table. Take
+// captures a rename snapshot immediately before the instruction the
+// core's taking rule chose (the paper's heuristics and the adaptive
+// confidence clause live in core, checkpointPolicy.shouldTake). Every
+// dispatched instruction is associated with the youngest checkpoint and
+// counted in its pending counter; the counter is decremented as
+// instructions finish. A checkpoint commits when its counter reaches
+// zero, it is the oldest checkpoint, and its window has been closed by
+// a younger checkpoint — "commit" then retires the whole window at once:
+// the table applies its deferred register frees, and the caller drains
+// the window's stores to memory. Rollback restores the rename state a
+// live checkpoint captured.
 package checkpoint
 
 import (
@@ -31,17 +34,17 @@ type Entry struct {
 	// FetchPos is the trace position to resume fetching from after a
 	// rollback to this checkpoint.
 	FetchPos int64
-	// Snap is the rename-table snapshot taken with this checkpoint. Its
+	// snap is the rename-table snapshot taken with this checkpoint. Its
 	// captured Future Free set belongs to the *previous* window and is
 	// released when the previous checkpoint commits.
-	Snap rename.Snapshot
+	snap rename.Snapshot
 	// History is the branch-predictor global history at take time.
 	History uint64
 	// Pending counts associated instructions that have not finished.
 	Pending int
-	// Insts counts all instructions ever associated (statistics).
-	Insts int
-	// Stores counts associated store instructions.
+	// Insts counts the associated instructions not squashed since, and
+	// Stores the stores among them: the core's taking rule reads both.
+	Insts  int
 	Stores int
 }
 
@@ -51,43 +54,24 @@ type Stats struct {
 	Committed uint64
 }
 
-// Policy holds the take-a-checkpoint heuristics of the paper.
-type Policy struct {
-	// BranchInterval: take at the first branch once this many
-	// instructions have been associated with the youngest checkpoint.
-	BranchInterval int
-	// MaxInterval: take unconditionally after this many instructions.
-	MaxInterval int
-	// MaxStores: take after this many stores (LSQ deadlock avoidance).
-	MaxStores int
-}
-
 // Table is the checkpoint table. Entries are ordered oldest first.
 type Table struct {
 	capacity int
-	policy   Policy
+	rt       *rename.Table
 	entries  []*Entry
 	nextID   uint64
 	stats    Stats
-
-	// OnDiscard, when non-nil, receives every entry Rollback discards
-	// (youngest first), after it has been unlinked: the owner recycles
-	// the entry's snapshot backing there. Committed entries are returned
-	// from Commit instead, so the caller releases those directly.
-	OnDiscard func(*Entry)
 }
 
-// NewTable builds a checkpoint table with the given capacity and policy.
-func NewTable(capacity int, policy Policy) *Table {
+// NewTable builds a checkpoint table with the given capacity over the
+// rename table rt, whose snapshots it takes, commits and restores.
+func NewTable(capacity int, rt *rename.Table) *Table {
 	if capacity < 1 {
 		panic(fmt.Sprintf("checkpoint: capacity %d < 1", capacity))
 	}
-	if policy.BranchInterval < 1 || policy.MaxInterval < 1 || policy.MaxStores < 1 {
-		panic(fmt.Sprintf("checkpoint: invalid policy %+v", policy))
-	}
 	return &Table{
 		capacity: capacity,
-		policy:   policy,
+		rt:       rt,
 		entries:  make([]*Entry, 0, capacity),
 	}
 }
@@ -118,30 +102,11 @@ func (t *Table) Youngest() *Entry {
 	return t.entries[len(t.entries)-1]
 }
 
-// ShouldTake applies the paper's heuristics to the instruction about to
-// be dispatched and reports whether a checkpoint must be taken before
-// it. It must be called before Associate for that instruction. An empty
-// table always requires a checkpoint ("there must always exist a
-// checkpoint for our mechanism to work").
-func (t *Table) ShouldTake(op isa.Op) bool {
-	y := t.Youngest()
-	if y == nil {
-		return true
-	}
-	switch {
-	case y.Insts >= t.policy.MaxInterval:
-		return true
-	case op == isa.Branch && y.Insts >= t.policy.BranchInterval:
-		return true
-	case op == isa.Store && y.Stores >= t.policy.MaxStores:
-		return true
-	}
-	return false
-}
-
-// Take creates a new (youngest) checkpoint. It returns nil when the
-// table is at capacity; fetch must stall and retry.
-func (t *Table) Take(startSeq uint64, fetchPos int64, snap rename.Snapshot, history uint64) *Entry {
+// Take snapshots the rename table and creates a new (youngest)
+// checkpoint whose window starts at startSeq. It returns nil, and takes
+// no snapshot, when the table is at capacity; fetch must stall and
+// retry.
+func (t *Table) Take(startSeq uint64, fetchPos int64, history uint64) *Entry {
 	if t.Full() {
 		return nil
 	}
@@ -149,7 +114,7 @@ func (t *Table) Take(startSeq uint64, fetchPos int64, snap rename.Snapshot, hist
 		ID:       t.nextID,
 		StartSeq: startSeq,
 		FetchPos: fetchPos,
-		Snap:     snap,
+		snap:     t.rt.TakeSnapshot(),
 		History:  history,
 	}
 	t.nextID++
@@ -207,31 +172,32 @@ func (t *Table) CanCommit() bool {
 	return len(t.entries) >= 2 && t.entries[0].Pending == 0
 }
 
-// Commit retires the oldest checkpoint and returns it together with the
-// Future Free set to release (captured by the next checkpoint's
-// snapshot) and the window-end sequence number (the next checkpoint's
-// StartSeq), which bounds the stores to drain. It panics if CanCommit is
-// false.
-func (t *Table) Commit() (e *Entry, futureFree *bitset.Set, endSeq uint64) {
+// Commit retires the oldest checkpoint: it frees the window's deferred
+// registers (the Future Free set the next checkpoint captured), recycles
+// the retired snapshot, and returns the window-end sequence number (the
+// next checkpoint's StartSeq), which bounds the stores to drain. It
+// panics if CanCommit is false.
+func (t *Table) Commit() (endSeq uint64) {
 	if !t.CanCommit() {
 		panic("checkpoint: Commit called while not committable")
 	}
-	e = t.entries[0]
-	next := t.entries[1]
+	e, next := t.entries[0], t.entries[1]
+	t.rt.CommitFutureFree(next.snap.FutureFree())
+	t.rt.ReleaseSnapshot(e.snap)
 	copy(t.entries, t.entries[1:])
 	t.entries[len(t.entries)-1] = nil
 	t.entries = t.entries[:len(t.entries)-1]
 	t.stats.Committed++
-	return e, next.Snap.FutureFree(), next.StartSeq
+	return next.StartSeq
 }
 
-// Rollback discards every checkpoint younger than target and reopens
+// Rollback discards every checkpoint younger than target, reopens
 // target's window (its counters reset: the whole window is squashed and
-// will be re-fetched). It returns the captured Future Free sets of the
-// still-live checkpoints younger than the oldest (the pending deferred
-// frees rename.Table.Rollback needs to reconstruct the free list).
-// Target must be live.
-func (t *Table) Rollback(target *Entry) (pendingFree []*bitset.Set) {
+// will be re-fetched) and restores the rename table to target's
+// snapshot. The free list is rebuilt around the deferred frees still
+// owed: the Future Free sets captured by the live checkpoints younger
+// than the oldest. Target must be live.
+func (t *Table) Rollback(target *Entry) {
 	idx := -1
 	for i, e := range t.entries {
 		if e == target {
@@ -243,9 +209,7 @@ func (t *Table) Rollback(target *Entry) (pendingFree []*bitset.Set) {
 		panic(fmt.Sprintf("checkpoint: rollback target %d not live", target.ID))
 	}
 	for i := len(t.entries) - 1; i > idx; i-- {
-		if t.OnDiscard != nil {
-			t.OnDiscard(t.entries[i])
-		}
+		t.rt.ReleaseSnapshot(t.entries[i].snap)
 		t.entries[i] = nil
 	}
 	t.entries = t.entries[:idx+1]
@@ -253,10 +217,11 @@ func (t *Table) Rollback(target *Entry) (pendingFree []*bitset.Set) {
 	target.Insts = 0
 	target.Stores = 0
 
-	for i := 1; i <= idx; i++ {
-		pendingFree = append(pendingFree, t.entries[i].Snap.FutureFree())
+	var pendingFree []*bitset.Set
+	for _, e := range t.entries[1:] {
+		pendingFree = append(pendingFree, e.snap.FutureFree())
 	}
-	return pendingFree
+	t.rt.Rollback(target.snap, pendingFree)
 }
 
 // Stats returns a copy of the activity counters.

@@ -1,105 +1,183 @@
 package checkpoint
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/isa"
 	"repro/internal/rename"
 )
 
-func paperPolicy() Policy {
-	return Policy{BranchInterval: 64, MaxInterval: 512, MaxStores: 64}
-}
-
 func newTableWithRename(t *testing.T) (*Table, *rename.Table) {
 	t.Helper()
-	return NewTable(8, paperPolicy()), rename.New(128)
+	rt := rename.New(128)
+	return NewTable(8, rt), rt
 }
 
 // take creates a checkpoint, failing the test if the table is full.
-func take(t *testing.T, ct *Table, rt *rename.Table, seq uint64, pos int64) *Entry {
+func take(t *testing.T, ct *Table, seq uint64, pos int64) *Entry {
 	t.Helper()
-	e := ct.Take(seq, pos, rt.TakeSnapshot(), 0)
+	e := ct.Take(seq, pos, 0)
 	if e == nil {
 		t.Fatal("unexpected checkpoint-table full")
 	}
 	return e
 }
 
+// The taking rule (an empty table always takes; the paper's first
+// branch after 64 instructions, any op after 512, a store after 64
+// stores) is decided in core by checkpointPolicy.shouldTake, whose
+// decisions core's TestCheckpointTakingRule checks case by case. The
+// four heuristic tests below check the table's half of each clause: the
+// state of the youngest checkpoint that the rule reads.
+
+// TestEmptyTableAlwaysTakes: the empty-table clause ("there must always
+// exist a checkpoint for our mechanism to work") fires when Youngest is
+// nil. Only a table that has never taken is empty: Commit keeps the
+// younger checkpoint, Rollback keeps its target, and a take refused on
+// a full table changes nothing.
 func TestEmptyTableAlwaysTakes(t *testing.T) {
 	ct, _ := newTableWithRename(t)
-	if !ct.ShouldTake(isa.IntAlu) {
-		t.Fatal("empty table must force a checkpoint")
+	if ct.Youngest() != nil || ct.Len() != 0 {
+		t.Fatal("a new table must be empty, so its first instruction takes")
+	}
+	e0 := take(t, ct, 0, 0)
+	if ct.Youngest() != e0 {
+		t.Fatal("the first take must become the youngest")
+	}
+	e1 := take(t, ct, 10, 10)
+	for ct.CanCommit() {
+		ct.Commit()
+	}
+	if ct.Len() != 1 || ct.Youngest() != e1 {
+		t.Fatalf("after commit: %d live, want only e1", ct.Len())
+	}
+	ct.Rollback(e1)
+	if ct.Len() != 1 || ct.Youngest() != e1 {
+		t.Fatalf("after rollback: %d live, want only e1", ct.Len())
+	}
+	for seq := uint64(20); !ct.Full(); seq += 10 {
+		take(t, ct, seq, int64(seq))
+	}
+	y := ct.Youngest()
+	if ct.Take(900, 900, 0) != nil || ct.Youngest() != y {
+		t.Fatal("a refused take must leave the youngest checkpoint alone")
 	}
 }
 
+// TestBranchHeuristic: the branch clause fires once the youngest window
+// holds 64 instructions. Insts counts every associated instruction,
+// drops those a partial squash (pseudo-ROB branch recovery) removes, so
+// wrong-path instructions never count toward the correct path's 64, and
+// starts from zero in the window the branch's checkpoint opens.
 func TestBranchHeuristic(t *testing.T) {
-	ct, rt := newTableWithRename(t)
-	e := take(t, ct, rt, 0, 0)
-	for i := 0; i < 63; i++ {
+	ct, _ := newTableWithRename(t)
+	e := take(t, ct, 0, 0)
+	for i := 0; i < 62; i++ {
 		ct.Associate(e, isa.IntAlu)
 	}
-	if ct.ShouldTake(isa.Branch) {
-		t.Fatal("63 instructions: branch must not trigger yet")
+	ct.Associate(e, isa.Branch) // mispredicted
+	for _, op := range []isa.Op{isa.IntAlu, isa.Load, isa.FPAlu} {
+		ct.Associate(e, op) // its wrong path
+	}
+	ct.Finished(e) // one wrong-path instruction completed before recovery
+	ct.SquashedDone(e, isa.IntAlu)
+	ct.Squashed(e, isa.Load)
+	ct.Squashed(e, isa.FPAlu)
+	if e.Insts != 63 {
+		t.Fatalf("after recovery the window holds %d instructions, want the correct path's 63", e.Insts)
 	}
 	ct.Associate(e, isa.IntAlu)
-	if !ct.ShouldTake(isa.Branch) {
-		t.Fatal("first branch after 64 instructions must trigger")
+	if ct.Youngest() != e || e.Insts != 64 {
+		t.Fatalf("the youngest window holds %d instructions, want 64", e.Insts)
 	}
-	if ct.ShouldTake(isa.IntAlu) {
-		t.Fatal("non-branches must not trigger the branch rule")
+	b := take(t, ct, 64, 64) // the first branch after 64 instructions
+	if ct.Youngest() != b || b.Insts != 0 || e.Insts != 64 {
+		t.Fatalf("the branch's window must start empty (%d) and close e's at 64 (%d)", b.Insts, e.Insts)
 	}
 }
 
+// TestMaxIntervalHeuristic: the unconditional clause fires once the
+// youngest window holds 512 instructions of any kind, so Insts counts
+// every op class alike; a rollback reopens the target's window at zero,
+// as its instructions will be fetched and counted again.
 func TestMaxIntervalHeuristic(t *testing.T) {
-	ct, rt := newTableWithRename(t)
-	e := take(t, ct, rt, 0, 0)
+	ct, _ := newTableWithRename(t)
+	e := take(t, ct, 0, 0)
+	ops := []isa.Op{isa.FPAlu, isa.IntAlu, isa.Load, isa.Store, isa.Branch}
 	for i := 0; i < 512; i++ {
-		ct.Associate(e, isa.FPAlu)
+		ct.Associate(e, ops[i%len(ops)])
 	}
-	if !ct.ShouldTake(isa.FPAlu) {
-		t.Fatal("512 instructions must force a checkpoint at any op")
+	if ct.Youngest() != e || e.Insts != 512 {
+		t.Fatalf("the youngest window holds %d instructions, want 512", e.Insts)
+	}
+	y := take(t, ct, 512, 512)
+	ct.Associate(y, isa.FPAlu)
+	ct.Rollback(e)
+	if ct.Youngest() != e || e.Insts != 0 || e.Stores != 0 || e.Pending != 0 {
+		t.Fatalf("the reopened window must count from zero: %+v", e)
 	}
 }
 
+// TestStoreHeuristic: the store clause (LSQ deadlock avoidance) fires at
+// a store once the youngest window holds 64 stores. Stores counts stores
+// only, so interleaved FP ops leave it alone, and a squashed store
+// leaves it whether or not it had finished.
 func TestStoreHeuristic(t *testing.T) {
-	ct, rt := newTableWithRename(t)
-	e := take(t, ct, rt, 0, 0)
+	ct, _ := newTableWithRename(t)
+	e := take(t, ct, 0, 0)
 	for i := 0; i < 64; i++ {
 		ct.Associate(e, isa.Store)
+		ct.Associate(e, isa.FPAlu)
 	}
-	if !ct.ShouldTake(isa.Store) {
-		t.Fatal("64 stores must force a checkpoint at the next store")
+	if e.Stores != 64 || e.Insts != 128 {
+		t.Fatalf("stores = %d, insts = %d, want 64 and 128", e.Stores, e.Insts)
 	}
-	if ct.ShouldTake(isa.FPAlu) {
-		t.Fatal("the store rule only fires at stores")
+	ct.Finished(e) // a store completed
+	ct.SquashedDone(e, isa.Store)
+	ct.Squashed(e, isa.Store)
+	if e.Stores != 62 {
+		t.Fatalf("stores after squashing two = %d, want 62", e.Stores)
+	}
+	ct.Associate(e, isa.Store)
+	ct.Associate(e, isa.Store)
+	if ct.Youngest() != e || e.Stores != 64 {
+		t.Fatalf("the youngest window holds %d stores, want 64", e.Stores)
+	}
+	if s := take(t, ct, 128, 128); s.Stores != 0 {
+		t.Fatalf("the store's window must start with no stores, has %d", s.Stores)
 	}
 }
 
 func TestTakeFullStall(t *testing.T) {
 	ct, rt := newTableWithRename(t)
 	for i := uint64(0); i < 8; i++ {
-		take(t, ct, rt, i*100, int64(i*100))
+		take(t, ct, i*100, int64(i*100))
 	}
 	if !ct.Full() {
 		t.Fatal("table should be full")
 	}
-	if e := ct.Take(900, 900, rt.TakeSnapshot(), 0); e != nil {
+	_, prev, _ := rt.Allocate(isa.IntReg(1))
+	if e := ct.Take(900, 900, 0); e != nil {
 		t.Fatal("take on a full table must fail")
+	}
+	if !rt.FutureFreePending(prev) {
+		t.Fatal("a refused take must not snapshot the rename table")
 	}
 }
 
 func TestCommitFlow(t *testing.T) {
 	ct, rt := newTableWithRename(t)
-	e0 := take(t, ct, rt, 0, 0)
+	e0 := take(t, ct, 0, 0)
 	ct.Associate(e0, isa.IntAlu)
 	ct.Associate(e0, isa.Store)
 
 	if ct.CanCommit() {
 		t.Fatal("open window (no younger checkpoint) must not commit")
 	}
-	rt.Allocate(isa.IntReg(1)) // superseded mapping captured by e1
-	e1 := take(t, ct, rt, 10, 10)
+	_, old, _ := rt.Allocate(isa.IntReg(1)) // superseded mapping captured by e1
+	e1 := take(t, ct, 10, 10)
 	if ct.CanCommit() {
 		t.Fatal("window with pending instructions must not commit")
 	}
@@ -108,26 +186,26 @@ func TestCommitFlow(t *testing.T) {
 	if !ct.CanCommit() {
 		t.Fatal("closed, finished window must commit")
 	}
-	got, ff, endSeq := ct.Commit()
-	if got != e0 {
-		t.Fatal("commit must retire the oldest")
-	}
-	if endSeq != 10 {
+	free := rt.FreeCount()
+	if endSeq := ct.Commit(); endSeq != 10 {
 		t.Fatalf("endSeq = %d, want e1.StartSeq", endSeq)
 	}
-	if ff.Count() != 1 {
-		t.Fatalf("future-free count = %d, want 1 (the superseded mapping)", ff.Count())
+	if !rt.IsFree(old) || rt.FreeCount() != free+1 {
+		t.Fatalf("free registers %d -> %d, want the superseded p%d back", free, rt.FreeCount(), old)
 	}
 	if ct.Oldest() != e1 {
 		t.Fatal("e1 should now be oldest")
 	}
+	if err := rt.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestCommitPanicsWhenNotReady(t *testing.T) {
-	ct, rt := newTableWithRename(t)
-	e := take(t, ct, rt, 0, 0)
+	ct, _ := newTableWithRename(t)
+	e := take(t, ct, 0, 0)
 	ct.Associate(e, isa.IntAlu)
-	take(t, ct, rt, 5, 5)
+	take(t, ct, 5, 5)
 	defer func() {
 		if recover() == nil {
 			t.Error("commit with pending instructions must panic")
@@ -137,8 +215,8 @@ func TestCommitPanicsWhenNotReady(t *testing.T) {
 }
 
 func TestFinishedUnderflowPanics(t *testing.T) {
-	ct, rt := newTableWithRename(t)
-	e := take(t, ct, rt, 0, 0)
+	ct, _ := newTableWithRename(t)
+	e := take(t, ct, 0, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("finishing more than associated must panic")
@@ -148,8 +226,8 @@ func TestFinishedUnderflowPanics(t *testing.T) {
 }
 
 func TestSquashAccounting(t *testing.T) {
-	ct, rt := newTableWithRename(t)
-	e := take(t, ct, rt, 0, 0)
+	ct, _ := newTableWithRename(t)
+	e := take(t, ct, 0, 0)
 	ct.Associate(e, isa.Store)
 	ct.Associate(e, isa.IntAlu)
 	ct.Finished(e) // the store finished
@@ -162,16 +240,18 @@ func TestSquashAccounting(t *testing.T) {
 
 func TestRollback(t *testing.T) {
 	ct, rt := newTableWithRename(t)
-	e0 := take(t, ct, rt, 0, 0)
+	e0 := take(t, ct, 0, 0)
 	ct.Associate(e0, isa.IntAlu)
-	rt.Allocate(isa.IntReg(1))
-	e1 := take(t, ct, rt, 100, 100)
+	_, owed, _ := rt.Allocate(isa.IntReg(1))
+	e1 := take(t, ct, 100, 100)
 	ct.Associate(e1, isa.FPAlu)
+	f2 := rt.Lookup(isa.FPReg(2))
 	rt.Allocate(isa.FPReg(2))
-	e2 := take(t, ct, rt, 200, 200)
+	e2 := take(t, ct, 200, 200)
 	ct.Associate(e2, isa.FPAlu)
+	rt.Allocate(isa.FPReg(3))
 
-	pending := ct.Rollback(e1)
+	ct.Rollback(e1)
 	if ct.Len() != 2 {
 		t.Fatalf("live checkpoints = %d, want 2", ct.Len())
 	}
@@ -181,21 +261,29 @@ func TestRollback(t *testing.T) {
 	if e1.Pending != 0 || e1.Insts != 0 {
 		t.Fatal("target window must reset")
 	}
-	// Pending frees: e1's captured set (owed to e0's commit).
-	if len(pending) != 1 {
-		t.Fatalf("pending frees = %d, want 1", len(pending))
-	}
 	if e0.Insts != 1 {
 		t.Fatal("older window must be untouched")
 	}
+	// The rename table is back at e1's snapshot: f2's allocation made
+	// after it is undone, and e1's captured set (owed to e0's commit)
+	// stays out of the free list.
+	if got := rt.Lookup(isa.FPReg(2)); got != f2 {
+		t.Fatalf("f2 maps to p%d after rollback, want its snapshot mapping p%d", got, f2)
+	}
+	if free := 128 - isa.NumLogical - 1; rt.FreeCount() != free {
+		t.Fatalf("free registers = %d, want %d (all but the owed p%d)", rt.FreeCount(), free, owed)
+	}
 	if err := ct.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRollbackUnknownTargetPanics(t *testing.T) {
-	ct, rt := newTableWithRename(t)
-	take(t, ct, rt, 0, 0)
+	ct, _ := newTableWithRename(t)
+	take(t, ct, 0, 0)
 	stray := &Entry{ID: 99}
 	defer func() {
 		if recover() == nil {
@@ -206,9 +294,9 @@ func TestRollbackUnknownTargetPanics(t *testing.T) {
 }
 
 func TestEntriesOrderingInvariant(t *testing.T) {
-	ct, rt := newTableWithRename(t)
+	ct, _ := newTableWithRename(t)
 	for i := uint64(0); i < 5; i++ {
-		e := take(t, ct, rt, i*50, int64(i*50))
+		e := take(t, ct, i*50, int64(i*50))
 		ct.Associate(e, isa.IntAlu)
 		ct.Finished(e)
 	}
@@ -224,17 +312,98 @@ func TestEntriesOrderingInvariant(t *testing.T) {
 }
 
 func TestNewTablePanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewTable(0, paperPolicy()) },
-		func() { NewTable(4, Policy{}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic")
+		}
+	}()
+	NewTable(0, rename.New(128))
+}
+
+// FuzzCheckpointTable drives the table and a small rename table through
+// legal sequences the fuzz bytes choose (take; allocate and associate;
+// finish; commit everything committable; roll back to a live entry) and
+// checks after every step both tables' invariants and register
+// conservation. The seed corpus is 300 seeded random walks of 400 steps.
+func FuzzCheckpointTable(f *testing.F) {
+	for seed := int64(0); seed < 300; seed++ {
+		ops := make([]byte, 800)
+		rand.New(rand.NewSource(seed)).Read(ops)
+		f.Add(ops)
 	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		rt := rename.New(isa.NumLogical + 16)
+		ct := NewTable(4, rt)
+		var seq uint64
+		var unfinished []*Entry // the checkpoint of each unfinished instruction
+		for i := 0; i+1 < len(ops); i += 2 {
+			arg := int(ops[i+1])
+			switch ops[i] % 5 {
+			case 0:
+				ct.Take(seq, int64(seq), 0)
+			case 1:
+				// The core dispatches nothing before the first checkpoint.
+				y := ct.Youngest()
+				if y == nil {
+					break
+				}
+				if _, _, ok := rt.Allocate(isa.Reg(arg % isa.NumLogical)); ok {
+					ct.Associate(y, isa.IntAlu)
+					unfinished = append(unfinished, y)
+					seq++
+				}
+			case 2:
+				if n := len(unfinished); n > 0 {
+					k := arg % n
+					ct.Finished(unfinished[k])
+					unfinished[k] = unfinished[n-1]
+					unfinished = unfinished[:n-1]
+				}
+			case 3:
+				for ct.CanCommit() {
+					ct.Commit()
+				}
+			case 4:
+				if ct.Len() == 0 {
+					break
+				}
+				target := ct.entries[arg%ct.Len()]
+				ct.Rollback(target)
+				kept := unfinished[:0]
+				for _, e := range unfinished {
+					if e.ID < target.ID {
+						kept = append(kept, e)
+					}
+				}
+				unfinished = kept
+			}
+			for _, err := range []error{ct.CheckInvariants(), rt.CheckInvariants(), conserved(ct, rt)} {
+				if err != nil {
+					t.Fatalf("step %d (op %d): %v", i/2, ops[i]%5, err)
+				}
+			}
+		}
+	})
+}
+
+// conserved checks that a register is free exactly when it is not
+// valid, not in the live Future Free set, and not in the set captured
+// by any live checkpoint but the oldest: those are the deferred frees
+// still owed, while the oldest's was released when its predecessor
+// committed.
+func conserved(ct *Table, rt *rename.Table) error {
+	for p := 0; p < rt.NumPhys(); p++ {
+		r := rename.PhysReg(p)
+		want := !rt.Valid(r) && !rt.FutureFreePending(r)
+		for i := 1; i < len(ct.entries); i++ {
+			if ct.entries[i].snap.FutureFree().Get(p) {
+				want = false
+			}
+		}
+		if rt.IsFree(r) != want {
+			return fmt.Errorf("p%d: free=%v, want %v (valid=%v futureFree=%v)",
+				p, rt.IsFree(r), want, rt.Valid(r), rt.FutureFreePending(r))
+		}
+	}
+	return nil
 }

@@ -144,8 +144,8 @@ type CPU struct {
 
 // frontEnd is a CPU's branch machinery: the direction predictor, the
 // BTB keyed by real fetch PCs (program traces only; nil under perfect
-// prediction, which needs no target prediction) and the adaptive
-// policy's JRS confidence estimator (nil under every other policy). A
+// prediction, which needs no target prediction) and the JRS confidence
+// estimator of the adaptive taking rule (nil under every other mode). A
 // sampled run builds one and threads it through its windows, so their
 // training outlives each window CPU the way the cache contents do.
 type frontEnd struct {

@@ -201,7 +201,7 @@ func (c *CPU) tryDispatch(inst isa.Inst, pos int64, wrongPath bool) bool {
 	}
 
 	// Branch prediction happens at fetch; history and counters are
-	// trained immediately (see DESIGN.md for the modelling argument).
+	// trained immediately.
 	// A branch whose misprediction already caused a checkpoint rollback
 	// is known-resolved on its replay: the recovery state carries its
 	// direction, which also guarantees forward progress when gshare
@@ -252,7 +252,7 @@ func (c *CPU) tryDispatch(inst isa.Inst, pos int64, wrongPath bool) bool {
 	// association and pseudo-ROB/ROB/window entry, plus the exception
 	// protocol's first pass where the policy supports it). This runs
 	// after branch resolution so policies see d.Mispredicted — the
-	// adaptive policy trains its confidence estimator here.
+	// adaptive taking rule trains its confidence estimator here.
 	c.policy.Dispatched(d)
 
 	c.dispatched++
@@ -285,7 +285,7 @@ func (c *CPU) setWrongPathStart(pc uint64) {
 // path would really compute). Synthetic traces synthesise a
 // deterministic mix of ALU, FP and load operations. Either way the
 // stream consumes rename, queue, functional-unit and memory bandwidth
-// until the branch resolves (see DESIGN.md §3).
+// until the branch resolves.
 func (c *CPU) nextWrongPathInst() isa.Inst {
 	k := c.wpCounter
 	c.wpCounter++

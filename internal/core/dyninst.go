@@ -4,7 +4,8 @@
 // baseline, the paper's checkpointed out-of-order commit with
 // pseudo-ROB and Slow Lane Instruction Queuing, the adaptive-confidence
 // checkpointing variant, and the unbounded-window oracle limit. See
-// DESIGN.md for the modelling contract and policy.go for the seam.
+// README's Architecture section for the modelling contract and
+// policy.go for the seam.
 package core
 
 import (

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/checkpoint"
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/rename"
@@ -16,7 +15,8 @@ import (
 // LSQ, caches, the DynInst pool); the policy owns the commit-side
 // structures (ROB, checkpoint table, pseudo-ROB, oracle window) and is
 // hooked at dispatch admission, completion, per-cycle retirement,
-// branch/exception recovery and stats extraction.
+// branch/exception recovery and stats extraction. inOrderPolicy serves
+// rob and oracle; checkpointPolicy serves checkpoint and adaptive.
 //
 // Lifetime contract: policies operate on pooled DynInst records (see
 // the ownership contract on DynInst). A policy must release records it
@@ -83,19 +83,14 @@ type CommitPolicy interface {
 
 // newPolicy builds the retirement engine cfg.Commit selects. It runs at
 // the end of CPU construction: the shared machinery is built, the policy
-// adds its own. Validate has already rejected any other mode.
+// adds its own. Validate has already rejected any other mode. The
+// checkpoint-family modes differ only in shouldTake's branch clause.
 func newPolicy(c *CPU) CommitPolicy {
 	switch c.cfg.Commit {
 	case config.CommitROB:
 		return newInOrderPolicy(c, c.cfg.ROBEntries, c.cfg.CommitWidth)
-	case config.CommitCheckpoint:
-		return newCheckpointPolicy(c, checkpoint.Policy{
-			BranchInterval: c.cfg.CheckpointBranchInterval,
-			MaxInterval:    c.cfg.CheckpointMaxInterval,
-			MaxStores:      c.cfg.CheckpointMaxStores,
-		})
-	case config.CommitAdaptive:
-		return newAdaptivePolicy(c)
+	case config.CommitCheckpoint, config.CommitAdaptive:
+		return newCheckpointPolicy(c)
 	case config.CommitOracle:
 		return newInOrderPolicy(c, 0, 0)
 	}

@@ -14,8 +14,8 @@ import (
 // checkpoint table commits whole instruction windows at once, a
 // pseudo-ROB FIFO delays the long-latency classification (section 3),
 // and the SLIQ slow lane (owned by the CPU, built here) keeps the small
-// issue queues useful. It is also the base of the adaptive policy,
-// which only replaces the checkpoint-taking rule.
+// issue queues useful. It serves both checkpoint-family modes, which
+// differ only in the taking rule's branch clause (see shouldTake).
 type checkpointPolicy struct {
 	c     *CPU
 	ckpts *checkpoint.Table
@@ -25,53 +25,68 @@ type checkpointPolicy struct {
 	// squash victims and retire windows.
 	master queue.Deque[*DynInst]
 
-	// SLIQ dependence mask over logical registers (paper section 3).
-	// maskOwnerSeq generation-checks the owner: a freed-and-reallocated
-	// physical register must not satisfy a stale mask bit.
-	depMask      [isa.NumLogical]bool
-	maskOwner    [isa.NumLogical]rename.PhysReg
-	maskOwnerSeq [isa.NumLogical]uint64
+	// mask is the SLIQ dependence mask over logical registers (paper
+	// section 3), see maskEntry.
+	mask [isa.NumLogical]maskEntry
 
-	// takeRule, when non-nil, replaces the table's interval heuristics
-	// as the checkpoint-taking decision (the adaptive policy installs
-	// its confidence rule here). It must be side-effect-free: Admit can
-	// re-evaluate it for the same instruction across stall cycles.
-	takeRule func(inst isa.Inst) bool
+	// The adaptive rule's confidence threshold and its counters.
+	threshold        uint8
+	lowConfBranches  uint64 // branches dispatched below the threshold
+	highConfBranches uint64
+	branchCkpts      uint64 // checkpoints placed immediately before a branch
+}
+
+// maskEntry is one logical register's dependence-mask state: root is
+// the destination of the long-latency load at the root of its chain
+// (PhysNone: not in the mask), and seq generation-checks it, so a
+// freed-and-reallocated register cannot satisfy a stale mask bit.
+type maskEntry struct {
+	root rename.PhysReg
+	seq  uint64
 }
 
 // newCheckpointPolicy builds the checkpoint-commit machinery, including
 // the CPU-owned SLIQ (it is threaded through the shared wakeup paths).
-func newCheckpointPolicy(c *CPU, pol checkpoint.Policy) *checkpointPolicy {
+func newCheckpointPolicy(c *CPU) *checkpointPolicy {
 	p := &checkpointPolicy{
-		c:     c,
-		ckpts: checkpoint.NewTable(c.cfg.Checkpoints, pol),
-		prob:  queue.NewDeque[*DynInst](c.cfg.PseudoROBEntries),
-	}
-	// Rollback-discarded windows recycle their snapshot backing; the
-	// rollback itself only reads the surviving entries' snapshots (the
-	// pendingFree sets), so discarded ones are dead by the time the
-	// table unlinks them.
-	p.ckpts.OnDiscard = func(e *checkpoint.Entry) {
-		c.rt.ReleaseSnapshot(e.Snap)
-		e.Snap = rename.Snapshot{}
+		c:         c,
+		ckpts:     checkpoint.NewTable(c.cfg.Checkpoints, c.rt),
+		prob:      queue.NewDeque[*DynInst](c.cfg.PseudoROBEntries),
+		threshold: uint8(c.cfg.AdaptiveConfidenceThreshold),
 	}
 	if c.cfg.SLIQEntries > 0 {
 		c.sliq = queue.NewSLIQ[*DynInst](c.cfg.SLIQEntries, c.cfg.SLIQWakeDelay,
 			c.cfg.SLIQWakeWidth, c.rt.NumPhys())
 	}
-	for i := range p.maskOwner {
-		p.maskOwner[i] = rename.PhysNone
-	}
+	p.clearDepMasks()
 	return p
 }
 
-// shouldTake evaluates the checkpoint-taking rule for the instruction
-// about to dispatch.
+// shouldTake is the checkpoint-taking rule for the instruction about to
+// dispatch. An empty table always takes ("there must always exist a
+// checkpoint for our mechanism to work"), and so does the paper's
+// safety rule: after CheckpointMaxInterval instructions, or at a store
+// after CheckpointMaxStores stores. At a branch the paper takes after
+// CheckpointBranchInterval instructions. The adaptive mode (c.conf
+// non-nil) replaces that clause, one of the strategies the paper leaves
+// to future work: it takes before each branch whose confidence counter
+// is below the threshold, so the likeliest rollback targets become the
+// cheapest. Its non-empty-window guard makes a stalled retry converge,
+// as Admit may re-evaluate the rule for the same instruction.
 func (p *checkpointPolicy) shouldTake(inst isa.Inst) bool {
-	if p.takeRule != nil {
-		return p.takeRule(inst)
+	cfg := &p.c.cfg
+	y := p.ckpts.Youngest()
+	switch {
+	case y == nil || y.Insts >= cfg.CheckpointMaxInterval:
+		return true
+	case inst.Op == isa.Store:
+		return y.Stores >= cfg.CheckpointMaxStores
+	case inst.Op != isa.Branch:
+		return false
+	case p.c.conf != nil:
+		return y.Insts > 0 && p.c.conf.Value(inst.PC) < p.threshold
 	}
-	return p.ckpts.ShouldTake(inst.Op)
+	return y.Insts >= cfg.CheckpointBranchInterval
 }
 
 // Admit takes any required checkpoint before the instruction; doing it
@@ -107,12 +122,11 @@ func (p *checkpointPolicy) takeCheckpoint(pos int64) {
 	// what the next cycle can do; the clock skip's quiescence probe
 	// watches this to tell two outwardly identical stall cycles apart.
 	c.policyActivity++
-	snap := c.rt.TakeSnapshot()
 	if pos < 0 {
 		// Wrong-path instruction: record the correct-path resume point.
 		pos = c.fetchPos
 	}
-	if e := p.ckpts.Take(c.nextSeq, pos, snap, c.pred.HistorySnapshot()); e == nil {
+	if e := p.ckpts.Take(c.nextSeq, pos, c.pred.HistorySnapshot()); e == nil {
 		panic("core: checkpoint table full after Full() check")
 	}
 }
@@ -135,7 +149,10 @@ func (p *checkpointPolicy) AllocateDest(dest isa.Reg) (rename.PhysReg, rename.Ph
 // Dispatched associates the instruction with the youngest checkpoint
 // and enters it into the pseudo-ROB and the master list. The exception
 // protocol's first pass arms here: the instruction raises when it
-// completes.
+// completes. The adaptive rule's estimator trains on correct-path
+// branches: a correct prediction raises the counter, a misprediction
+// resets it. Replayed rollback-resolved branches (knownBranch) cannot
+// mispredict and train as correct: the recovery hardware knows them.
 func (p *checkpointPolicy) Dispatched(d *DynInst) {
 	c := p.c
 	d.ckpt = p.ckpts.Youngest()
@@ -149,6 +166,18 @@ func (p *checkpointPolicy) Dispatched(d *DynInst) {
 	if c.exceptPhase(d.Pos) == 1 {
 		d.ExceptAt = true
 	}
+	if c.conf == nil || d.Inst.Op != isa.Branch || d.WrongPath {
+		return
+	}
+	if c.conf.Value(d.Inst.PC) < p.threshold {
+		p.lowConfBranches++
+	} else {
+		p.highConfBranches++
+	}
+	if d.ckpt.StartSeq == d.Seq {
+		p.branchCkpts++
+	}
+	c.conf.Update(d.Inst.PC, !d.Mispredicted)
 }
 
 // Completed decrements the owning checkpoint's pending counter.
@@ -178,14 +207,9 @@ func (p *checkpointPolicy) Squashed(d *DynInst) {
 func (p *checkpointPolicy) Commit() {
 	c := p.c
 	for p.ckpts.CanCommit() {
-		e, futureFree, endSeq := p.ckpts.Commit()
-		c.rt.CommitFutureFree(futureFree)
+		endSeq := p.ckpts.Commit()
 		c.lq.DrainStoresBefore(endSeq, c.hier.StoreCommit)
 		p.retireWindow(endSeq)
-		// The committed window's snapshot is dead (futureFree above
-		// belongs to the next checkpoint); recycle its backing sets.
-		c.rt.ReleaseSnapshot(e.Snap)
-		e.Snap = rename.Snapshot{}
 		c.lastCommitCycle = c.now
 	}
 
@@ -254,8 +278,7 @@ func (p *checkpointPolicy) DispatchStalled() {
 // — a committable checkpoint, or the end-of-program drain of the final
 // open window — and -1 otherwise. Both conditions can only become true
 // through a completion (Pending hitting zero) or a checkpoint take,
-// events the clock skip already observes, so -1 is safe. The adaptive
-// policy inherits this (it only replaces the checkpoint-taking rule).
+// events the clock skip already observes, so -1 is safe.
 func (p *checkpointPolicy) NextRetireEvent(now int64) int64 {
 	c := p.c
 	if p.ckpts.CanCommit() {
@@ -312,9 +335,8 @@ func (p *checkpointPolicy) pseudoROBRecovery(b *DynInst) {
 
 // clearDepMasks resets the SLIQ dependence-tracking state.
 func (p *checkpointPolicy) clearDepMasks() {
-	for i := range p.depMask {
-		p.depMask[i] = false
-		p.maskOwner[i] = rename.PhysNone
+	for i := range p.mask {
+		p.mask[i].root = rename.PhysNone
 	}
 }
 
@@ -340,8 +362,7 @@ func (p *checkpointPolicy) rollbackToCheckpoint(target *checkpoint.Entry) {
 	}
 	c.lq.SquashYounger(startSeq)
 
-	pendingFree := p.ckpts.Rollback(target)
-	c.rt.Rollback(target.Snap, pendingFree)
+	p.ckpts.Rollback(target)
 	c.pred.RestoreHistory(target.History)
 	c.fetchPos = target.FetchPos
 
@@ -372,12 +393,21 @@ func (p *checkpointPolicy) OccupancyBound() int {
 	return 4 * p.c.cfg.CheckpointMaxInterval * p.c.cfg.Checkpoints
 }
 
-// AddStats extracts the checkpoint-table counters.
+// AddStats extracts the checkpoint-table and adaptive-rule counters.
 func (p *checkpointPolicy) AddStats(r *stats.Results) {
 	cs := p.ckpts.Stats()
 	r.CheckpointsTaken = cs.Taken
 	r.CheckpointsCommitted = cs.Committed
 	r.CheckpointStallCycles = p.c.ckptStallCycles
+	if p.c.conf == nil {
+		return
+	}
+	if r.Policy == nil {
+		r.Policy = make(map[string]uint64, 3)
+	}
+	r.Policy["adaptive.low_confidence_branches"] = p.lowConfBranches
+	r.Policy["adaptive.high_confidence_branches"] = p.highConfBranches
+	r.Policy["adaptive.branch_checkpoints"] = p.branchCkpts
 }
 
 // DebugState renders the checkpoint table and pseudo-ROB occupancy.
@@ -389,6 +419,9 @@ func (p *checkpointPolicy) DebugState() string {
 	s += fmt.Sprintf(" prob=%d/%d", p.prob.Len(), p.c.cfg.PseudoROBEntries)
 	if p.c.sliq != nil {
 		s += fmt.Sprintf(" sliq=%d/%d", p.c.sliq.Len(), p.c.sliq.Cap())
+	}
+	if p.c.conf != nil {
+		s += fmt.Sprintf(" conf<%d", p.threshold)
 	}
 	return s
 }

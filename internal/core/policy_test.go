@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/isa"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -214,6 +215,63 @@ func TestAdaptiveExceptionProtocol(t *testing.T) {
 	}
 	if res.Committed < 40000 {
 		t.Fatal("execution must complete after exceptions")
+	}
+}
+
+// TestCheckpointTakingRule checks shouldTake, the one taking rule of
+// both checkpoint-family modes, against the paper's defaults (branch
+// after 64 instructions, any op after 512, a store after 64 stores) and
+// the adaptive mode's confidence clause. insts counts the instructions
+// associated with the youngest checkpoint (-1: the table is empty), the
+// last stores of them stores.
+func TestCheckpointTakingRule(t *testing.T) {
+	const lowPC, highPC = 0x1000, 0x2000
+	branch := func(pc uint64) isa.Inst { return isa.Inst{Op: isa.Branch, PC: pc} }
+	for _, tc := range []struct {
+		name          string
+		mode          config.CommitMode
+		insts, stores int
+		inst          isa.Inst
+		want          bool
+	}{
+		{"empty table", config.CommitCheckpoint, -1, 0, isa.Inst{Op: isa.IntAlu}, true},
+		{"empty table", config.CommitAdaptive, -1, 0, isa.Inst{Op: isa.IntAlu}, true},
+		{"branch after 63", config.CommitCheckpoint, 63, 0, branch(highPC), false},
+		{"branch after 64", config.CommitCheckpoint, 64, 0, branch(highPC), true},
+		{"non-branch after 64", config.CommitCheckpoint, 64, 0, isa.Inst{Op: isa.IntAlu}, false},
+		{"any op after 512", config.CommitCheckpoint, 512, 0, isa.Inst{Op: isa.FPAlu}, true},
+		{"any op after 512", config.CommitAdaptive, 512, 0, isa.Inst{Op: isa.FPAlu}, true},
+		{"store after 64 stores", config.CommitCheckpoint, 64, 64, isa.Inst{Op: isa.Store}, true},
+		{"fp op after 64 stores", config.CommitCheckpoint, 64, 64, isa.Inst{Op: isa.FPAlu}, false},
+		{"store after 64 stores", config.CommitAdaptive, 64, 64, isa.Inst{Op: isa.Store}, true},
+		{"fp op after 64 stores", config.CommitAdaptive, 64, 64, isa.Inst{Op: isa.FPAlu}, false},
+		{"low-confidence branch", config.CommitAdaptive, 1, 0, branch(lowPC), true},
+		{"high-confidence branch after 64", config.CommitAdaptive, 64, 0, branch(highPC), false},
+		{"low-confidence branch, empty window", config.CommitAdaptive, 0, 0, branch(lowPC), false},
+	} {
+		t.Run(string(tc.mode)+"/"+tc.name, func(t *testing.T) {
+			cpu, err := New(policyDefaultConfig(t, tc.mode), trace.FPMix(1000, 42))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cpu.conf != nil {
+				cpu.conf.Update(lowPC, false)
+			}
+			p := cpu.policy.(*checkpointPolicy)
+			if tc.insts >= 0 {
+				e := p.ckpts.Take(0, 0, 0)
+				for i := 0; i < tc.insts; i++ {
+					op := isa.IntAlu
+					if i >= tc.insts-tc.stores {
+						op = isa.Store
+					}
+					p.ckpts.Associate(e, op)
+				}
+			}
+			if got := p.shouldTake(tc.inst); got != tc.want {
+				t.Errorf("shouldTake(%v) = %v, want %v", tc.inst.Op, got, tc.want)
+			}
+		})
 	}
 }
 

@@ -103,17 +103,17 @@ func (p *checkpointPolicy) classifyWaiting(d *DynInst) {
 // chain.
 func (p *checkpointPolicy) maskDependence(d *DynInst) (bool, rename.PhysReg, uint64) {
 	for _, s := range [2]isa.Reg{d.Inst.Src1, d.Inst.Src2} {
-		if s == isa.RegNone || !p.depMask[s] {
+		if s == isa.RegNone {
 			continue
 		}
-		root := p.maskOwner[s]
-		if !p.triggerLive(root, p.maskOwnerSeq[s]) {
-			// The root already produced its value (or was squashed);
-			// the mask bit is stale and will be cleared by the next
-			// redefinition.
+		m := p.mask[s]
+		if !p.triggerLive(m.root, m.seq) {
+			// Not in the mask, or the root already produced its value
+			// (or was squashed): the mask bit is stale and will be
+			// cleared by the next redefinition.
 			continue
 		}
-		return true, root, p.maskOwnerSeq[s]
+		return true, m.root, m.seq
 	}
 	return false, rename.PhysNone, 0
 }
@@ -135,9 +135,7 @@ func (p *checkpointPolicy) triggerLive(root rename.PhysReg, rootSeq uint64) bool
 
 // maskSeed marks a long-latency load's destination in the mask.
 func (p *checkpointPolicy) maskSeed(d *DynInst) {
-	p.depMask[d.Inst.Dest] = true
-	p.maskOwner[d.Inst.Dest] = d.DestPhys
-	p.maskOwnerSeq[d.Inst.Dest] = d.Seq
+	p.mask[d.Inst.Dest] = maskEntry{d.DestPhys, d.Seq}
 }
 
 // maskPropagate extends the mask to a dependent instruction's
@@ -146,9 +144,7 @@ func (p *checkpointPolicy) maskPropagate(d *DynInst, root rename.PhysReg, rootSe
 	if d.Inst.Dest == isa.RegNone {
 		return
 	}
-	p.depMask[d.Inst.Dest] = true
-	p.maskOwner[d.Inst.Dest] = root
-	p.maskOwnerSeq[d.Inst.Dest] = rootSeq
+	p.mask[d.Inst.Dest] = maskEntry{root, rootSeq}
 }
 
 // maskRedefine clears the mask for d's destination ("registers get
@@ -157,9 +153,7 @@ func (p *checkpointPolicy) maskRedefine(d *DynInst) {
 	if d.Inst.Dest == isa.RegNone {
 		return
 	}
-	p.depMask[d.Inst.Dest] = false
-	p.maskOwner[d.Inst.Dest] = rename.PhysNone
-	p.maskOwnerSeq[d.Inst.Dest] = 0
+	p.mask[d.Inst.Dest] = maskEntry{root: rename.PhysNone}
 }
 
 // moveToSLIQ transfers a waiting instruction from its issue queue to the

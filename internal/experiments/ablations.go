@@ -9,10 +9,10 @@ import (
 )
 
 // The ablation studies go beyond the paper's figures and probe the
-// design choices DESIGN.md calls out — including the checkpoint-taking
-// strategies the paper defers to future work ("we expect to analyze a
-// whole set of different strategies as to when checkpoints should be
-// taken").
+// model's design choices (`experiments -list` names each) — including
+// the checkpoint-taking strategies the paper defers to future work ("we
+// expect to analyze a whole set of different strategies as to when
+// checkpoints should be taken").
 
 // AblationResult holds one named sweep: label -> suite-average IPC.
 type AblationResult struct {

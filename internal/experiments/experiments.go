@@ -2,8 +2,8 @@
 // evaluation (section 4). Each FigureN function sweeps the paper's
 // parameters over the synthetic SPEC2000fp-stand-in suite and reports
 // suite averages, mirroring the paper's "averaging over all the
-// applications in the set". See DESIGN.md §5 for the experiment index
-// and EXPERIMENTS.md for recorded paper-vs-measured results.
+// applications in the set". `experiments -list` prints the experiment
+// index.
 //
 // Execution goes through the internal/sim worker-pool engine: every
 // figure flattens its parameter grid into one []sim.RunSpec, submits it
@@ -28,10 +28,10 @@ import (
 type Options struct {
 	// Insts is the committed-instruction target per configuration
 	// point. It must be large enough that each workload's touched
-	// footprint exceeds the L2 capacity (see DESIGN.md §4); DefaultInsts
+	// footprint exceeds the L2 capacity (README, "Workloads"); DefaultInsts
 	// satisfies that with margin.
 	Insts uint64
-	// Seed parameterises the mixed workload.
+	// Seed parameterises the mixed workload; zero selects 42.
 	Seed uint64
 	// Workers bounds the sweep worker pool; <= 0 uses GOMAXPROCS.
 	Workers int
@@ -99,9 +99,9 @@ type Benchmark struct {
 }
 
 // SuiteBenchmarks returns the evaluation suite, the synthetic stand-in
-// for SPEC2000fp (DESIGN.md §4): two latency-wall streams, a moderately
-// memory-bound stencil, an ILP-limited reduction, a cache-resident
-// blocked kernel, and the mixed composite.
+// for SPEC2000fp (README, "Workloads"): two latency-wall streams, a
+// moderately memory-bound stencil, an ILP-limited reduction, a
+// cache-resident blocked kernel, and the mixed composite.
 func SuiteBenchmarks(seed uint64) []Benchmark {
 	return []Benchmark{
 		{"stream", func(n int) trace.Recipe { return trace.Recipe{Kernel: trace.KernelStream, N: n} }},

@@ -13,7 +13,7 @@ import (
 )
 
 // quickOpts keeps figure regeneration fast while preserving the
-// streaming kernels' steady-state miss behaviour (see DESIGN.md §4).
+// streaming kernels' steady-state miss behaviour (README, "Workloads").
 func quickOpts() Options {
 	return Options{Insts: 50_000, Seed: 42}
 }

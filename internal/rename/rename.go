@@ -322,6 +322,9 @@ func (t *Table) Logical(p PhysReg) isa.Reg {
 // register.
 func (t *Table) Valid(p PhysReg) bool { return p != PhysNone && t.valid.Get(int(p)) }
 
+// IsFree reports whether p is on the free list.
+func (t *Table) IsFree(p PhysReg) bool { return p != PhysNone && t.inFree[p] }
+
 // FutureFreePending reports whether p is marked for deferred freeing in
 // the live window.
 func (t *Table) FutureFreePending(p PhysReg) bool {

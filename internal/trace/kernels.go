@@ -59,7 +59,7 @@ func newStreamKernel(win regWindow, reg int, pcBase uint64, strideElems int, rng
 
 // emitIter emits one unrolled loop iteration: unroll element bodies
 // followed by the index update and the loop-back branch. The long basic
-// block mirrors unrolled SPEC2000fp inner loops (see DESIGN.md §4) and
+// block mirrors unrolled SPEC2000fp inner loops (README, "Workloads") and
 // is what lets the checkpoint-at-branches heuristic form large windows.
 func (k *streamKernel) emitIter(b *builder) {
 	w, pc := k.win, k.pcBase

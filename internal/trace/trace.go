@@ -1,6 +1,6 @@
 // Package trace generates the deterministic workloads the simulator
 // runs: synthetic kernels that stand in for the paper's SPEC2000fp
-// benchmarks (see DESIGN.md §3-4 for the substitution argument) and real
+// benchmarks (README, "Workloads", describes the substitution) and real
 // RV32 programs. A Recipe names a workload. OpenStream produces its
 // dynamic instruction stream lazily (InstStream), and Materialise drains
 // that stream into a Trace, whose random access by position makes

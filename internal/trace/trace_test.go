@@ -68,7 +68,7 @@ func TestFPMixInstructionMix(t *testing.T) {
 	total := float64(tr.Len())
 	frac := func(op isa.Op) float64 { return float64(counts[op]) / total }
 
-	// SPECfp-like bands (DESIGN.md §4).
+	// SPECfp-like bands (README, "Workloads").
 	if f := frac(isa.Load); f < 0.20 || f > 0.45 {
 		t.Errorf("load fraction %.2f outside [0.20, 0.45]", f)
 	}
