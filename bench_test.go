@@ -22,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/isa/programs"
+	"repro/internal/lsq"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -115,11 +116,22 @@ func BenchmarkFigure9Programs(b *testing.B) {
 	// CI divide allocs/op by committed/op to enforce the <= 1.0
 	// allocations-per-committed-instruction budget on the program path
 	// (program traces can end before the Insts budget, so the count
-	// cannot be derived from points x Insts).
+	// cannot be derived from points x Insts). Only simulated runs count:
+	// a sweep reuses the result of a SLIQ that never filled for every
+	// larger SLIQ of its ladder (see sim.Sweep), and each copy shares its
+	// LSQ counters, which every program run carries, with the run it
+	// copies.
 	var committed uint64
-	opt.Record = func(rec experiments.RunRecord) { committed += rec.Results.Committed }
+	simulated := make(map[*lsq.Stats]bool)
+	opt.Record = func(rec experiments.RunRecord) {
+		if !simulated[rec.Results.LSQ] {
+			simulated[rec.Results.LSQ] = true
+			committed += rec.Results.Committed
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		clear(simulated)
 		r, err := experiments.Figure9Programs(context.Background(), opt)
 		if err != nil {
 			b.Fatal(err)

@@ -113,9 +113,18 @@ func main() {
 		return
 	}
 
-	// experiments.Options reads a zero Seed as the default, 42.
+	// experiments.Options reads a zero Seed as the default, 42, a zero
+	// Insts as DefaultInsts and fewer than one worker as GOMAXPROCS.
 	if *seed == 0 {
 		fmt.Fprintln(os.Stderr, "-seed: must be nonzero (0 selects the default seed 42)")
+		os.Exit(2)
+	}
+	if *insts == 0 {
+		fmt.Fprintf(os.Stderr, "-insts: must be nonzero (0 selects the default budget %d)\n", experiments.DefaultInsts)
+		os.Exit(2)
+	}
+	if *parallel < 1 {
+		fmt.Fprintf(os.Stderr, "-parallel: must be at least 1, got %d\n", *parallel)
 		os.Exit(2)
 	}
 

@@ -562,6 +562,11 @@ func (c *CPU) markBranchKnown(b *DynInst) {
 // Exceptions returns the number of precisely delivered exceptions.
 func (c *CPU) Exceptions() uint64 { return c.exceptions }
 
+// SLIQRefused reports whether the SLIQ ever turned an instruction away
+// because it was full (false without a SLIQ). A run it never refused is
+// the run of every larger SLIQ too (see queue.SLIQ), which sim.Sweep uses.
+func (c *CPU) SLIQRefused() bool { return c.sliq != nil && c.sliq.Stats().FullStalls > 0 }
+
 // Run simulates until the instruction target, trace exhaustion, or the
 // cycle bound, and returns the collected results.
 func (c *CPU) Run(opt RunOptions) stats.Results {

@@ -21,6 +21,10 @@ import (
 // a slice over the physical-register space, so steady-state inserts and
 // trigger writes allocate nothing.
 type SLIQ[P any] struct {
+	// capacity is read only by Insert's fullness test (Cap serves
+	// diagnostics), so a run that no Insert ever refused is the same run
+	// at any larger capacity. sim.Sweep relies on this to reuse one run
+	// for every larger SLIQ of a sweep.
 	capacity int
 	delay    int64
 	width    int
@@ -85,15 +89,12 @@ func (s *SLIQ[P]) Cap() int { return s.capacity }
 // Len returns the number of resident entries.
 func (s *SLIQ[P]) Len() int { return s.occupied }
 
-// Full reports whether no entry can be inserted.
-func (s *SLIQ[P]) Full() bool { return s.occupied >= s.capacity }
-
 // Insert moves an instruction into the slow lane, tagged with the
 // physical register of the long-latency load it waits on. It returns
 // false when the SLIQ is full (the instruction then stays in the issue
 // queue, consuming a precious entry — the caller's fallback).
 func (s *SLIQ[P]) Insert(seq uint64, trigger rename.PhysReg, payload P) bool {
-	if s.Full() {
+	if s.occupied >= s.capacity {
 		s.stats.FullStalls++
 		return false
 	}

@@ -11,9 +11,11 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/config"
@@ -80,7 +82,8 @@ func ProgressLine(spec RunSpec, res stats.Results) string {
 // labelled with the spec, never as process-killing panics — a worker
 // pool must survive one bad point.
 func Run(spec RunSpec) (stats.Results, error) {
-	return runSpec(spec, nil, nil)
+	res, _, err := runSpec(spec, nil, nil)
+	return res, err
 }
 
 // RunForked executes one spec against a fork of donor's warmed cache
@@ -88,14 +91,16 @@ func Run(spec RunSpec) (stats.Results, error) {
 // and core.NewForked). The donor is only read; it may serve concurrent
 // RunForked calls. Error handling matches Run.
 func RunForked(spec RunSpec, donor *mem.Hierarchy) (stats.Results, error) {
-	return runSpec(spec, func() (*mem.Hierarchy, error) { return donor, nil }, nil)
+	res, _, err := runSpec(spec, func() (*mem.Hierarchy, error) { return donor, nil }, nil)
+	return res, err
 }
 
 // runSpec is the worker body shared by the cold and forked paths: a nil
 // getDonor runs cold (build and warm a private hierarchy), otherwise
 // the CPU forks the donor's warmed cache state. arena, when non-nil, is
-// the calling worker's record arena (single-owner).
-func runSpec(spec RunSpec, getDonor func() (*mem.Hierarchy, error), arena *core.Arena) (res stats.Results, err error) {
+// the calling worker's record arena (single-owner). refused reports
+// core.CPU.SLIQRefused for a full-detail run.
+func runSpec(spec RunSpec, getDonor func() (*mem.Hierarchy, error), arena *core.Arena) (res stats.Results, refused bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("sim: %s (%s): panic: %v", spec.Name, spec.Config.Summary(), r)
@@ -109,7 +114,7 @@ func runSpec(spec RunSpec, getDonor func() (*mem.Hierarchy, error), arena *core.
 		if err != nil {
 			err = fmt.Errorf("sim: %s (%s): %w", spec.Name, spec.Config.Summary(), err)
 		}
-		return res, err
+		return res, false, err
 	}
 	var cpu *core.CPU
 	if getDonor == nil {
@@ -121,15 +126,16 @@ func runSpec(spec RunSpec, getDonor func() (*mem.Hierarchy, error), arena *core.
 		}
 	}
 	if err != nil {
-		return stats.Results{}, fmt.Errorf("sim: %s (%s): %w", spec.Name, spec.Config.Summary(), err)
+		return stats.Results{}, false, fmt.Errorf("sim: %s (%s): %w", spec.Name, spec.Config.Summary(), err)
 	}
 	res = cpu.Run(core.RunOptions{
 		MaxInsts:         spec.Insts,
 		CollectOccupancy: spec.CollectOccupancy,
 		DisableSkip:      spec.DisableSkip,
 	})
+	refused = cpu.SLIQRefused()
 	cpu.Recycle(arena)
-	return res, nil
+	return res, refused, nil
 }
 
 // runSampled executes a sampled point: open the workload's segment
@@ -181,11 +187,11 @@ type warmGroup struct {
 func (g warmGroup) warm() (*mem.Hierarchy, error) { return core.WarmDonor(g.key, g.tr) }
 
 // groupSpecs assigns every spec its warm group and returns a
-// group-clustered execution order: members of one group run adjacently
-// (groups in first-appearance order, members in spec order), so the
-// donor a worker forks is the one most recently touched. Results are
-// still reported by spec index, so the reordering is invisible in the
-// output.
+// group-clustered order: members of one group are adjacent (groups in
+// first-appearance order, members in spec order), so the donor a worker
+// forks is mostly the one most recently touched. ladderTasks splits the
+// order into the sweep's tasks. Results are still reported by spec
+// index, so the reordering is invisible in the output.
 func groupSpecs(specs []RunSpec) (bySpec []warmGroup, order []int) {
 	groups := make(map[warmGroup]int)
 	bySpec = make([]warmGroup, len(specs))
@@ -208,6 +214,50 @@ func groupSpecs(specs []RunSpec) (bySpec []warmGroup, order []int) {
 	return bySpec, order
 }
 
+// ladderTasks splits a group-clustered order into the tasks of a pool
+// of workers. A ladder is the specs that differ only in
+// Config.SLIQEntries: a full-detail spec with a SLIQ joins the ladder of
+// its own copy with the SLIQ cleared, and every other spec is a task of
+// its own. A ladder's members run smallest SLIQ first. Longer tasks come
+// first, so no ladder starts last while the other workers idle; ties
+// keep the group order. Ladders form only while there are more tasks
+// than workers: with a worker for every task, a ladder would run its
+// members one after another while the workers they could have used sit
+// idle, so then every spec is a task of its own, in group order.
+func ladderTasks(specs []RunSpec, order []int, workers int) [][]int {
+	ladders := make(map[RunSpec]int)
+	var tasks [][]int
+	for _, i := range order {
+		key := specs[i]
+		if key.Config.SLIQEntries <= 0 || key.Sample.Enabled() {
+			tasks = append(tasks, []int{i})
+			continue
+		}
+		key.Config.SLIQEntries = 0
+		t, ok := ladders[key]
+		if !ok {
+			t = len(tasks)
+			ladders[key] = t
+			tasks = append(tasks, nil)
+		}
+		tasks[t] = append(tasks[t], i)
+	}
+	if len(tasks) <= workers {
+		tasks = make([][]int, len(order))
+		for k, i := range order {
+			tasks[k] = []int{i}
+		}
+		return tasks
+	}
+	for _, t := range tasks {
+		slices.SortStableFunc(t, func(a, b int) int {
+			return cmp.Compare(specs[a].Config.SLIQEntries, specs[b].Config.SLIQEntries)
+		})
+	}
+	slices.SortStableFunc(tasks, func(a, b []int) int { return cmp.Compare(len(b), len(a)) })
+	return tasks
+}
+
 // Sweep executes every spec over a bounded worker pool and returns the
 // results in spec order: results[i] belongs to specs[i] regardless of
 // which worker finished it when, so sweep output is deterministic for
@@ -219,8 +269,23 @@ func groupSpecs(specs []RunSpec) (bySpec []warmGroup, order []int) {
 // snapshot-fork kernel: each group warms one donor hierarchy via the
 // trace's warm-up footprint and every member forks the donor's cache
 // state, so a figure-9-style sweep replays each workload's warm-up once
-// per cache geometry instead of once per point. Execution order is
-// group-clustered for donor locality; results stay in spec order.
+// per cache geometry instead of once per point.
+//
+// Specs that differ only in their SLIQ size form a ladder (see
+// ladderTasks), which one worker runs smallest SLIQ first. Once a
+// member's SLIQ never refused an insert (core.CPU.SLIQRefused), every
+// larger member takes its result without simulating: the SLIQ's
+// capacity is read only by that fullness test, so the larger runs would
+// be identical. Reused results share their Occ, BTB and LSQ pointers
+// and Policy map with the run they copy; no caller writes through them
+// (only stats.Results.AddInterval does, inside sampled runs, which
+// never join a ladder). A ladder trades parallelism for work: its
+// members run one after another, so ladders form only while the sweep
+// has more tasks than workers, and a pool with a worker for every task
+// runs every spec on its own. Execution order is ladders first, longest
+// first, and otherwise group-clustered for donor locality; every spec,
+// simulated or reused, still gets its Progress and OnResult call, and
+// results stay in spec order.
 func Sweep(ctx context.Context, specs []RunSpec, opt Options) ([]stats.Results, error) {
 	if len(specs) == 0 {
 		return nil, ctx.Err()
@@ -256,8 +321,22 @@ func Sweep(ctx context.Context, specs []RunSpec, opt Options) ([]stats.Results, 
 	// The first member a worker reaches warms its group's donor, once;
 	// every member forks it.
 	var donors keyed.Memo[warmGroup, *mem.Hierarchy]
+	deliver := func(i int, res stats.Results) {
+		results[i] = res
+		if opt.Progress != nil || opt.OnResult != nil {
+			mu.Lock()
+			done++
+			if opt.Progress != nil {
+				opt.Progress(done, len(specs), ProgressLine(specs[i], res))
+			}
+			if opt.OnResult != nil {
+				opt.OnResult(specs[i], res)
+			}
+			mu.Unlock()
+		}
+	}
 
-	idx := make(chan int)
+	tasks := make(chan []int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -265,44 +344,45 @@ func Sweep(ctx context.Context, specs []RunSpec, opt Options) ([]stats.Results, 
 			// Each worker owns a record arena: DynInst blocks grown for
 			// one point are reused by every later point it runs.
 			arena := core.NewArena()
-			for i := range idx {
-				if ctx.Err() != nil {
-					continue // drain remaining indices after cancellation
-				}
-				g := bySpec[i]
-				res, err := runSpec(specs[i], func() (*mem.Hierarchy, error) {
-					h, _, err := donors.Get(g, g.warm)
-					return h, err
-				}, arena)
-				if err != nil {
-					fail(err)
-					continue
-				}
-				results[i] = res
-				if opt.Progress != nil || opt.OnResult != nil {
-					mu.Lock()
-					done++
-					if opt.Progress != nil {
-						opt.Progress(done, len(specs), ProgressLine(specs[i], res))
+			for task := range tasks {
+				var clean *stats.Results // a run no SLIQ refusal shaped
+				for _, i := range task {
+					if ctx.Err() != nil {
+						break // drain remaining tasks after cancellation
 					}
-					if opt.OnResult != nil {
-						opt.OnResult(specs[i], res)
+					// A larger SLIQ that fails validation must fail as
+					// its own run would.
+					if clean != nil && specs[i].Config.Validate() == nil {
+						deliver(i, *clean)
+						continue
 					}
-					mu.Unlock()
+					g := bySpec[i]
+					res, refused, err := runSpec(specs[i], func() (*mem.Hierarchy, error) {
+						h, _, err := donors.Get(g, g.warm)
+						return h, err
+					}, arena)
+					if err != nil {
+						fail(err)
+						break
+					}
+					if !refused {
+						clean = &res
+					}
+					deliver(i, res)
 				}
 			}
 		}()
 	}
 
 feed:
-	for _, i := range order {
+	for _, t := range ladderTasks(specs, order, workers) {
 		select {
-		case idx <- i:
+		case tasks <- t:
 		case <-ctx.Done():
 			break feed
 		}
 	}
-	close(idx)
+	close(tasks)
 	wg.Wait()
 
 	mu.Lock()

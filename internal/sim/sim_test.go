@@ -120,20 +120,36 @@ func TestSweepOrder(t *testing.T) {
 }
 
 // TestSweepErrorPropagation checks a failing spec surfaces as a labelled
-// error (no panic) and poisons the whole sweep.
+// error (no panic) and poisons the whole sweep. The second case puts an
+// oversized SLIQ in a ladder above a SLIQ that never fills: it must fail
+// validation as its own run would, not take the smaller run's result.
 func TestSweepErrorPropagation(t *testing.T) {
 	n := trace.LenFor(testInsts)
 	tr := trace.Stream(n)
-	specs := []RunSpec{
-		{Name: "good", Config: config.BaselineSized(128), Trace: tr, Insts: 1000},
-		{Name: "bad", Config: config.Config{}, Trace: tr, Insts: 1000},
+	good := RunSpec{Name: "good", Config: config.BaselineSized(128), Trace: tr, Insts: 1000}
+	clean := RunSpec{Name: "ladder", Config: config.CheckpointDefault(32, 64), Trace: tr, Insts: 1000}
+	if _, refused, err := runSpec(clean, nil, nil); err != nil || refused {
+		t.Fatalf("SLIQ 64 run: refused %v, err %v; the ladder case needs a clean run", refused, err)
 	}
-	_, err := Sweep(context.Background(), specs, Options{Workers: 2})
-	if err == nil {
-		t.Fatal("invalid configuration did not fail the sweep")
-	}
-	if !strings.Contains(err.Error(), "bad") {
-		t.Errorf("error %q does not name the failing spec", err)
+	oversized := clean
+	oversized.Config.SLIQEntries = 1<<16 + 1
+	for _, tc := range []struct {
+		bad     string // what the error must name
+		specs   []RunSpec
+		workers int
+	}{
+		{"bad", []RunSpec{good, {Name: "bad", Config: config.Config{}, Trace: tr, Insts: 1000}}, 2},
+		// One worker and two tasks, so the ladder forms.
+		{oversized.Config.Summary(), []RunSpec{good, oversized, clean}, 1},
+	} {
+		_, err := Sweep(context.Background(), tc.specs, Options{Workers: tc.workers})
+		if err == nil {
+			t.Errorf("%s: invalid configuration did not fail the sweep", tc.bad)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.bad) {
+			t.Errorf("error %q does not name the failing spec %s", err, tc.bad)
+		}
 	}
 }
 
