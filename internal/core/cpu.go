@@ -38,9 +38,14 @@ type CPU struct {
 	fpQ  *queue.IQ[*DynInst]
 	lq   *lsq.LSQ
 
-	// policy is the retirement engine selected by cfg.Commit; it owns
-	// the commit-side structures (ROB, checkpoint table, pseudo-ROB,
-	// oracle window) behind the CommitPolicy seam.
+	// window holds every in-flight record in program order from
+	// dispatch to release: the ROB, or the checkpoint family's in-flight
+	// list with the pseudo-ROB as its youngest stretch. Commit pops its
+	// front and every recovery its back (squashYounger). It is pre-sized
+	// to ROBEntries, which only rob sets.
+	window queue.Deque[*DynInst]
+	// policy is the retirement engine selected by cfg.Commit (see
+	// CommitPolicy).
 	policy CommitPolicy
 
 	// sliq is the slow lane of the issue-queue hierarchy: built by the
@@ -444,6 +449,7 @@ func newCPU(cfg config.Config, tr *trace.Trace, hier *mem.Hierarchy, arena *Aren
 		fpQ:  queue.NewIQ[*DynInst](cfg.FPQueueEntries),
 		lq:   lsq.New(cfg.LSQEntries),
 	}
+	c.window = queue.NewDeque[*DynInst](cfg.ROBEntries)
 	// Size the event ring to the longest completion distance a push can
 	// schedule, counted from the cycle it is pushed in: an op on the
 	// slowest unit, or a load whose address generation is followed by a

@@ -80,20 +80,11 @@ func (c *CPU) tryDispatch(inst isa.Inst, pos int64, wrongPath bool) bool {
 	if !c.policy.Admit(inst, pos) {
 		return false
 	}
-	if inst.Op.HasDest() {
-		if c.vt != nil {
-			if !c.vt.TryRename() {
-				c.resourceStalled = true
-				return false
-			}
-		}
-		if c.rt.FreeCount() == 0 {
-			if c.vt != nil {
-				c.vt.UnRename()
-			}
-			c.resourceStalled = true
-			return false
-		}
+	// A destination needs a rename register and, with virtual
+	// registers, a tag; both are taken below, once every check passed.
+	if inst.Op.HasDest() && ((c.vt != nil && c.vt.TagsFull()) || c.rt.FreeCount() == 0) {
+		c.resourceStalled = true
+		return false
 	}
 	// Stores live in the LSQ, not the general-purpose queues (paper
 	// section 2, "Committing Store Instructions").
@@ -101,16 +92,10 @@ func (c *CPU) tryDispatch(inst isa.Inst, pos int64, wrongPath bool) bool {
 	if inst.Op != isa.Store {
 		iq = c.iqFor(inst.Op)
 		if iq.Full() {
-			if inst.Op.HasDest() && c.vt != nil {
-				c.vt.UnRename()
-			}
 			return false
 		}
 	}
 	if inst.Op.IsMem() && c.lq.Full() {
-		if inst.Op.HasDest() && c.vt != nil {
-			c.vt.UnRename()
-		}
 		c.resourceStalled = true
 		return false
 	}
@@ -146,6 +131,9 @@ func (c *CPU) tryDispatch(inst isa.Inst, pos int64, wrongPath bool) bool {
 		c.regReady[d.DestPhys] = false
 		c.longTaint[d.DestPhys] = false
 		if c.vt != nil {
+			if !c.vt.TryRename() {
+				panic("core: virtual tag rename failed after TagsFull check")
+			}
 			c.vbound[d.DestPhys] = false
 			c.vfused[d.DestPhys] = false
 		}
@@ -248,11 +236,12 @@ func (c *CPU) tryDispatch(inst isa.Inst, pos int64, wrongPath bool) bool {
 		}
 	}
 
-	// Hand the finished record to the retirement structure (checkpoint
-	// association and pseudo-ROB/ROB/window entry, plus the exception
-	// protocol's first pass where the policy supports it). This runs
-	// after branch resolution so policies see d.Mispredicted — the
-	// adaptive taking rule trains its confidence estimator here.
+	// Enter the finished record into the window and hand it to the
+	// policy (checkpoint association, plus the exception protocol's
+	// first pass where the policy supports it). This runs after branch
+	// resolution so policies see d.Mispredicted — the adaptive taking
+	// rule trains its confidence estimator here.
+	c.window.PushBack(d)
 	c.policy.Dispatched(d)
 
 	c.dispatched++

@@ -22,24 +22,25 @@ import (
 // Fields are managed by the CPU; tests inspect them read-only.
 //
 // Ownership and recycling contract: records are acquired from a per-CPU
-// free list at dispatch and returned to it when the instruction leaves
-// the pipeline — at commit (ROB retire or checkpoint-window retirement)
-// or at squash. After release, no component may hold a *DynInst it
-// intends to dereference as that instruction: Seq is the only durable
-// identity, so every structure that can outlive an instruction (the
-// consumer lists, the deferred-bind queue, SLIQ residency, LSQ forward
-// waiters, the SLIQ dependence-mask owners) stores the Seq alongside the
-// pointer and treats a mismatch as "instruction is gone". The issue
-// queues' ready sets hold the same kind of reference: squash only frees
-// the queue slot, and a ready item whose entry has left the queue or
-// carries another seq is dropped when it reaches the front. The
-// completion event wheel never holds a released record (squash
-// unschedules it eagerly). Release poisons Seq, so every such check
-// fails from that moment; the record's other fields stay untouched
-// until dispatch, the only acquirer, reuses it. A reader of the same
-// cycle that runs before dispatch may therefore still read Squashed
-// without a Seq check (writeback's due batch, and finishCompletion
-// after a recovery squashed its own instruction).
+// free list at dispatch, which pushes each onto the CPU's in-flight
+// window, the only structure that owns a live record, and return to the
+// free list as they leave it: at commit (in the checkpoint family, once
+// committed and extracted, in either order) or at squash. After release,
+// no component may hold a *DynInst it intends to dereference as that
+// instruction: Seq is the only durable identity, so every structure that
+// can outlive an instruction (the consumer lists, the deferred-bind
+// queue, SLIQ residency, LSQ forward waiters, the SLIQ dependence-mask
+// owners) stores the Seq alongside the pointer and treats a mismatch as
+// "instruction is gone". The issue queues' ready sets hold the same kind
+// of reference: squash only frees the queue slot, and a ready item whose
+// entry has left the queue or carries another seq is dropped when it
+// reaches the front. The completion event wheel never holds a released
+// record (squash unschedules it eagerly). Release poisons Seq, so every
+// such check fails from that moment; the record's other fields stay
+// untouched until dispatch, the only acquirer, reuses it. A reader of
+// the same cycle that runs before dispatch may therefore still read
+// Squashed without a Seq check (writeback's due batch, and
+// finishCompletion after a recovery squashed its own instruction).
 type DynInst struct {
 	// Seq is the dynamic sequence number: unique and monotonically
 	// increasing across fetches, including wrong-path and replayed
@@ -79,10 +80,6 @@ type DynInst struct {
 	// ExceptAt requests a precise exception when this instruction
 	// completes (exception-replay tests inject it).
 	ExceptAt bool
-	// Retired marks an instruction whose window already committed while
-	// it still sits in the pseudo-ROB; extraction classifies it (Figure
-	// 12 counts committed work too) and then recycles the record.
-	Retired bool
 
 	// Structure handles. iqe is the embedded issue-queue entry (see
 	// queue.IQEntry): queue residence costs no allocation, and
@@ -90,10 +87,8 @@ type DynInst struct {
 	iqe  queue.IQEntry[*DynInst]
 	lsqe *lsq.Entry
 	ckpt *checkpoint.Entry
-	// inSLIQ marks residence in the slow lane; inProb marks residence
-	// in the pseudo-ROB.
+	// inSLIQ marks residence in the slow lane.
 	inSLIQ bool
-	inProb bool
 	// wheelSlot is this instruction's completion-wheel slot, or
 	// eventNone when no completion is scheduled.
 	wheelSlot int32
@@ -185,8 +180,8 @@ func (p *instPool) release(d *DynInst) {
 		if d.wheelSlot != eventNone {
 			panic(fmt.Sprintf("core: releasing completion-scheduled %v", d))
 		}
-		if d.inSLIQ || d.inProb {
-			panic(fmt.Sprintf("core: releasing queue-resident %v (sliq=%v prob=%v)", d, d.inSLIQ, d.inProb))
+		if d.inSLIQ {
+			panic(fmt.Sprintf("core: releasing SLIQ-resident %v", d))
 		}
 	}
 	d.Seq = poisonSeq

@@ -12,17 +12,18 @@ import (
 // CommitPolicy is the retirement engine of a CPU: everything that used
 // to be a commit-mode switch in the pipeline is a method here. The CPU
 // owns the shared machinery (fetch, rename scoreboard, issue queues,
-// LSQ, caches, the DynInst pool); the policy owns the commit-side
-// structures (ROB, checkpoint table, pseudo-ROB, oracle window) and is
-// hooked at dispatch admission, completion, per-cycle retirement,
-// branch/exception recovery and stats extraction. inOrderPolicy serves
-// rob and oracle; checkpointPolicy serves checkpoint and adaptive.
+// LSQ, caches, the DynInst pool) and the in-flight window. A policy
+// owns no ROB or pseudo-ROB list: it decides when a record leaves the
+// window and which squashYounger walk a recovery makes, owns the
+// checkpoint table, and is hooked at dispatch admission, completion,
+// per-cycle retirement, branch/exception recovery and stats extraction.
+// inOrderPolicy serves rob and oracle; checkpointPolicy serves
+// checkpoint and adaptive.
 //
 // Lifetime contract: policies operate on pooled DynInst records (see
-// the ownership contract on DynInst). A policy must release records it
-// retires (c.pool.release) and must never hold a *DynInst past the
-// instruction's release except alongside its Seq; the pseudo-ROB's
-// Retired handshake in the checkpoint family is the worked example.
+// the ownership contract on DynInst). A policy that pops a record from
+// the window must release it (c.pool.release), and must never hold a
+// *DynInst past the instruction's release except alongside its Seq.
 type CommitPolicy interface {
 	// Admit is called at the top of every dispatch attempt, before any
 	// shared resource check. It performs the policy's pre-instruction
@@ -39,14 +40,15 @@ type CommitPolicy interface {
 	// AllocateDest renames the destination register under the policy's
 	// freeing discipline (deferred Future Free vs. free-at-commit).
 	AllocateDest(dest isa.Reg) (phys, prev rename.PhysReg, ok bool)
-	// Dispatched records a successfully dispatched instruction into the
-	// retirement structure. It runs after branch resolution bookkeeping,
-	// so d.Mispredicted is already final.
+	// Dispatched is called once dispatch has pushed d at the window's
+	// back. It runs after branch resolution bookkeeping, so
+	// d.Mispredicted is already final.
 	Dispatched(d *DynInst)
 	// Completed is notified when d finishes execution (writeback).
 	Completed(d *DynInst)
 	// Squashed removes d from the policy's retirement accounting; the
-	// caller (squashInst) handles every shared structure.
+	// squash walk (squashYounger) handles the window and every shared
+	// structure.
 	Squashed(d *DynInst)
 	// Commit is the per-cycle retirement stage.
 	Commit()
@@ -88,11 +90,26 @@ type CommitPolicy interface {
 func newPolicy(c *CPU) CommitPolicy {
 	switch c.cfg.Commit {
 	case config.CommitROB:
-		return newInOrderPolicy(c, c.cfg.ROBEntries, c.cfg.CommitWidth)
+		return &inOrderPolicy{c: c, capacity: c.cfg.ROBEntries, width: c.cfg.CommitWidth}
 	case config.CommitCheckpoint, config.CommitAdaptive:
 		return newCheckpointPolicy(c)
 	case config.CommitOracle:
-		return newInOrderPolicy(c, 0, 0)
+		return &inOrderPolicy{c: c}
 	}
 	panic(fmt.Sprintf("core: unknown commit policy %q", c.cfg.Commit))
+}
+
+// commitInst commits d, which the caller's walk reached in window
+// order: its LSQ entry leaves (a store writes to memory) and the commit
+// counters move. The caller decides when the record leaves the window.
+func (c *CPU) commitInst(d *DynInst) {
+	if d.Squashed || d.WrongPath || !d.Done {
+		panic(fmt.Sprintf("core: committing dead or unfinished instruction %v (wrong path %v)", d, d.WrongPath))
+	}
+	if d.lsqe != nil {
+		c.lq.Remove(d.lsqe, c.hier.StoreCommit)
+		d.lsqe = nil
+	}
+	c.committed++
+	c.inflight--
 }

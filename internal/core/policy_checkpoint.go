@@ -16,14 +16,16 @@ import (
 // and the SLIQ slow lane (owned by the CPU, built here) keeps the small
 // issue queues useful. It serves both checkpoint-family modes, which
 // differ only in the taking rule's branch clause (see shouldTake).
+//
+// The pseudo-ROB is the window's youngest stretch, behind an extraction
+// cursor. A record leaves the window once it has both committed and
+// been extracted, so the window's front holds either retired records
+// (committed, not yet extracted) or extracted ones (not yet committed),
+// never both: one of the two counts is always zero.
 type checkpointPolicy struct {
-	c     *CPU
-	ckpts *checkpoint.Table
-	prob  queue.Deque[*DynInst]
-	// master is the simulator-side in-flight list (not modelled HW):
-	// the record of the in-flight window the simulator needs to find
-	// squash victims and retire windows.
-	master queue.Deque[*DynInst]
+	c                  *CPU
+	ckpts              *checkpoint.Table
+	retired, extracted int
 
 	// mask is the SLIQ dependence mask over logical registers (paper
 	// section 3), see maskEntry.
@@ -51,7 +53,6 @@ func newCheckpointPolicy(c *CPU) *checkpointPolicy {
 	p := &checkpointPolicy{
 		c:         c,
 		ckpts:     checkpoint.NewTable(c.cfg.Checkpoints, c.rt),
-		prob:      queue.NewDeque[*DynInst](c.cfg.PseudoROBEntries),
 		threshold: uint8(c.cfg.AdaptiveConfidenceThreshold),
 	}
 	if c.cfg.SLIQEntries > 0 {
@@ -135,10 +136,14 @@ func (p *checkpointPolicy) takeCheckpoint(pos int64) {
 // this is where the paper's delayed long-latency classification happens
 // (section 3).
 func (p *checkpointPolicy) MakeRoom() {
-	if p.prob.Len() == p.c.cfg.PseudoROBEntries {
+	if p.probLen() == p.c.cfg.PseudoROBEntries {
 		p.extractPseudoROB()
 	}
 }
+
+// probLen is the pseudo-ROB's occupancy: the window behind the
+// extraction cursor.
+func (p *checkpointPolicy) probLen() int { return p.c.window.Len() - p.extracted }
 
 // AllocateDest uses the deferred-release discipline: the previous
 // mapping's Future Free bit is set and released at window commit.
@@ -146,10 +151,10 @@ func (p *checkpointPolicy) AllocateDest(dest isa.Reg) (rename.PhysReg, rename.Ph
 	return p.c.rt.Allocate(dest)
 }
 
-// Dispatched associates the instruction with the youngest checkpoint
-// and enters it into the pseudo-ROB and the master list. The exception
-// protocol's first pass arms here: the instruction raises when it
-// completes. The adaptive rule's estimator trains on correct-path
+// Dispatched associates the instruction, which dispatch has just pushed
+// into the window's pseudo-ROB stretch, with the youngest checkpoint.
+// The exception protocol's first pass arms here: the instruction raises
+// when it completes. The adaptive rule's estimator trains on correct-path
 // branches: a correct prediction raises the counter, a misprediction
 // resets it. Replayed rollback-resolved branches (knownBranch) cannot
 // mispredict and train as correct: the recovery hardware knows them.
@@ -157,12 +162,9 @@ func (p *checkpointPolicy) Dispatched(d *DynInst) {
 	c := p.c
 	d.ckpt = p.ckpts.Youngest()
 	p.ckpts.Associate(d.ckpt, d.Inst.Op)
-	if p.prob.Len() >= c.cfg.PseudoROBEntries {
+	if p.probLen() > c.cfg.PseudoROBEntries {
 		panic("core: pseudo-ROB full after extraction")
 	}
-	p.prob.PushBack(d)
-	d.inProb = true
-	p.master.PushBack(d)
 	if c.exceptPhase(d.Pos) == 1 {
 		d.ExceptAt = true
 	}
@@ -207,44 +209,43 @@ func (p *checkpointPolicy) Squashed(d *DynInst) {
 func (p *checkpointPolicy) Commit() {
 	c := p.c
 	for p.ckpts.CanCommit() {
-		endSeq := p.ckpts.Commit()
-		c.lq.DrainStoresBefore(endSeq, c.hier.StoreCommit)
-		p.retireWindow(endSeq)
+		p.retireWindow(p.ckpts.Commit())
 		c.lastCommitCycle = c.now
 	}
-
-	// End-of-program drain: the final window has no younger checkpoint
-	// to close it; retire it once every instruction has finished.
-	if c.fetchExhausted() && p.ckpts.Len() == 1 &&
-		p.ckpts.Oldest().Pending == 0 && p.master.Len() > 0 {
-		c.lq.DrainStoresBefore(c.nextSeq, c.hier.StoreCommit)
+	if p.finalWindowDone() {
 		p.retireWindow(c.nextSeq)
 		c.lastCommitCycle = c.now
 	}
 }
 
-// retireWindow removes committed instructions (Seq < endSeq) from the
-// simulator's in-flight list. Records still resident in the pseudo-ROB
-// stay alive (Retired) until extraction classifies them for Figure 12;
-// everything else recycles now.
+// finalWindowDone reports the end-of-program drain: the final window
+// has no younger checkpoint to close it, so it retires once every
+// instruction has finished.
+func (p *checkpointPolicy) finalWindowDone() bool {
+	c := p.c
+	return c.fetchExhausted() && p.ckpts.Len() == 1 &&
+		p.ckpts.Oldest().Pending == 0 && c.window.Len() > p.retired
+}
+
+// retireWindow commits the window's instructions with Seq < endSeq,
+// oldest first, so their stores drain to memory in program order. A
+// record still in the pseudo-ROB stays in the window until extraction
+// classifies it for Figure 12; an extracted one leaves now.
 func (p *checkpointPolicy) retireWindow(endSeq uint64) {
 	c := p.c
-	for p.master.Len() > 0 && p.master.Front().Seq < endSeq {
-		d := p.master.PopFront()
-		switch {
-		case d.Squashed, d.WrongPath:
-			panic(fmt.Sprintf("core: dead instruction in committed window: %v", d))
-		case !d.Done:
-			panic(fmt.Sprintf("core: unfinished instruction in committed window: %v", d))
+	for p.retired < c.window.Len() {
+		d := c.window.At(p.retired)
+		if d.Seq >= endSeq {
+			break
 		}
-		d.lsqe = nil
-		c.committed++
-		c.inflight--
-		if d.inProb {
-			d.Retired = true
-		} else {
-			c.pool.release(d)
+		c.commitInst(d)
+		if p.extracted == 0 {
+			p.retired++
+			continue
 		}
+		c.window.PopFront()
+		p.extracted--
+		c.pool.release(d)
 	}
 }
 
@@ -259,7 +260,7 @@ func (p *checkpointPolicy) DispatchStalled() {
 	// happen at extraction, extraction normally happens at dispatch,
 	// dispatch needs queue space.
 	if c.intQ.Full() || c.fpQ.Full() {
-		for i := 0; i < c.cfg.FetchWidth && p.prob.Len() > 0; i++ {
+		for i := 0; i < c.cfg.FetchWidth && p.probLen() > 0; i++ {
 			p.extractPseudoROB()
 		}
 	}
@@ -280,12 +281,7 @@ func (p *checkpointPolicy) DispatchStalled() {
 // through a completion (Pending hitting zero) or a checkpoint take,
 // events the clock skip already observes, so -1 is safe.
 func (p *checkpointPolicy) NextRetireEvent(now int64) int64 {
-	c := p.c
-	if p.ckpts.CanCommit() {
-		return now
-	}
-	if c.fetchExhausted() && p.ckpts.Len() == 1 &&
-		p.ckpts.Oldest().Pending == 0 && p.master.Len() > 0 {
+	if p.ckpts.CanCommit() || p.finalWindowDone() {
 		return now
 	}
 	return -1
@@ -299,7 +295,8 @@ func (p *checkpointPolicy) NextRetireEvent(now int64) int64 {
 // take-a-checkpoint-at-branches heuristic minimises.
 func (p *checkpointPolicy) ResolveMispredict(b *DynInst) {
 	c := p.c
-	if b.inProb && p.ckpts.Youngest() != nil && p.ckpts.Youngest().StartSeq <= b.Seq {
+	inProb := p.probLen() > 0 && b.Seq >= c.window.At(p.extracted).Seq
+	if y := p.ckpts.Youngest(); inProb && y != nil && y.StartSeq <= b.Seq {
 		p.pseudoROBRecovery(b)
 		return
 	}
@@ -311,20 +308,11 @@ func (p *checkpointPolicy) ResolveMispredict(b *DynInst) {
 
 // pseudoROBRecovery squashes every instruction younger than the branch.
 // All of them are wrong-path and, because the branch is still in the
-// pseudo-ROB, all of them are too — the FIFO tail walk finds exactly
-// the victims, and the CAM rename state unwinds per instruction.
+// pseudo-ROB, all of them are too — the window's tail walk finds
+// exactly the victims, and the CAM rename state unwinds per instruction.
 func (p *checkpointPolicy) pseudoROBRecovery(b *DynInst) {
 	c := p.c
-	for p.prob.Len() > 0 && p.prob.Back().Seq > b.Seq {
-		d := p.prob.PopBack()
-		d.inProb = false
-		m := p.master.PopBack()
-		if m != d {
-			panic(fmt.Sprintf("core: pseudo-ROB/master desync: %v vs %v", d, m))
-		}
-		c.squashInst(d, true)
-	}
-	c.lq.SquashYounger(b.Seq + 1)
+	c.squashYounger(b.Seq+1, true)
 	c.fetchPos = b.Pos + 1
 	c.probRecoveries++
 	// Squashed wrong-path instructions may have seeded the SLIQ
@@ -353,14 +341,9 @@ func (p *checkpointPolicy) rollbackToCheckpoint(target *checkpoint.Entry) {
 			d.inSLIQ = false
 		})
 	}
-	for p.prob.Len() > 0 && p.prob.Back().Seq >= startSeq {
-		p.prob.PopBack().inProb = false
-	}
-	for p.master.Len() > 0 && p.master.Back().Seq >= startSeq {
-		d := p.master.PopBack()
-		c.squashInst(d, false)
-	}
-	c.lq.SquashYounger(startSeq)
+	c.squashYounger(startSeq, false)
+	// Extraction usually ran past the rollback point.
+	p.extracted = min(p.extracted, c.window.Len())
 
 	p.ckpts.Rollback(target)
 	c.pred.RestoreHistory(target.History)
@@ -416,7 +399,7 @@ func (p *checkpointPolicy) DebugState() string {
 	if o := p.ckpts.Oldest(); o != nil {
 		s += fmt.Sprintf(" oldest{id=%d pending=%d insts=%d}", o.ID, o.Pending, o.Insts)
 	}
-	s += fmt.Sprintf(" prob=%d/%d", p.prob.Len(), p.c.cfg.PseudoROBEntries)
+	s += fmt.Sprintf(" prob=%d/%d", p.probLen(), p.c.cfg.PseudoROBEntries)
 	if p.c.sliq != nil {
 		s += fmt.Sprintf(" sliq=%d/%d", p.c.sliq.Len(), p.c.sliq.Cap())
 	}

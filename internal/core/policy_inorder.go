@@ -4,17 +4,16 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
-	"repro/internal/queue"
 	"repro/internal/rename"
 	"repro/internal/stats"
 )
 
 // inOrderPolicy retires finished instructions strictly in program order
-// from the head of its window. Bounded, it is the conventional baseline
-// the paper replaces: a reorder buffer of capacity entries that retires
-// at most width instructions a cycle. With capacity and width both zero
-// it is the unbounded-window limit for Figure 1 style studies (the
-// oracle): the window grows without bound and every finished head
+// from the head of the CPU's window. Bounded, it is the conventional
+// baseline the paper replaces: a reorder buffer of capacity entries that
+// retires at most width instructions a cycle. With capacity and width
+// both zero it is the unbounded-window limit for Figure 1 style studies
+// (the oracle): the window grows without bound and every finished head
 // instruction retires the cycle it reaches the front. Throughput is then
 // bounded only by the substrate the paper holds fixed (register file,
 // issue queues, LSQ, memory ports — though instructions holding none of
@@ -22,8 +21,7 @@ import (
 // the gap between the oracle and any realisable policy is exactly the
 // cost of the commit mechanism.
 type inOrderPolicy struct {
-	c      *CPU
-	window queue.Deque[*DynInst]
+	c *CPU
 	// capacity bounds the window and width the per-cycle retirement;
 	// zero means unbounded.
 	capacity, width int
@@ -31,20 +29,9 @@ type inOrderPolicy struct {
 	maxBurst uint64 // largest single-cycle retirement
 }
 
-// newInOrderPolicy builds an in-order window; a bounded one is sized
-// at construction so it never grows.
-func newInOrderPolicy(c *CPU, capacity, width int) *inOrderPolicy {
-	return &inOrderPolicy{
-		c:        c,
-		window:   queue.NewDeque[*DynInst](capacity),
-		capacity: capacity,
-		width:    width,
-	}
-}
-
 // Admit stalls dispatch only while a bounded window is full.
 func (p *inOrderPolicy) Admit(isa.Inst, int64) bool {
-	return p.capacity == 0 || p.window.Len() < p.capacity
+	return p.capacity == 0 || p.c.window.Len() < p.capacity
 }
 
 // MakeRoom is a no-op: window space was checked in Admit.
@@ -56,19 +43,17 @@ func (p *inOrderPolicy) AllocateDest(dest isa.Reg) (rename.PhysReg, rename.PhysR
 	return p.c.rt.AllocateROB(dest)
 }
 
-// Dispatched appends the instruction at the window tail.
-func (p *inOrderPolicy) Dispatched(d *DynInst) {
-	if p.capacity > 0 && p.window.Len() >= p.capacity {
+// Dispatched checks the window bound Admit enforced.
+func (p *inOrderPolicy) Dispatched(*DynInst) {
+	if p.capacity > 0 && p.c.window.Len() > p.capacity {
 		panic("core: ROB full after Admit")
 	}
-	p.window.PushBack(d)
 }
 
 // Completed is a no-op: Commit polls Done at the head.
 func (p *inOrderPolicy) Completed(*DynInst) {}
 
-// Squashed is a no-op: ResolveMispredict removes victims from the
-// window itself.
+// Squashed is a no-op: the policy keeps no per-instruction accounting.
 func (p *inOrderPolicy) Squashed(*DynInst) {}
 
 // Commit retires finished instructions from the window head, at most
@@ -78,24 +63,16 @@ func (p *inOrderPolicy) Commit() {
 	c := p.c
 	var n int
 	for p.width == 0 || n < p.width {
-		d := p.window.Front()
+		d := c.window.Front()
 		if d == nil || !d.Done {
 			break
 		}
-		p.window.PopFront()
-		if d.WrongPath || d.Squashed {
-			panic(fmt.Sprintf("core: committing dead instruction %v", d))
-		}
+		c.window.PopFront()
+		c.commitInst(d)
 		if d.PrevPhys != rename.PhysNone {
 			c.rt.Free(d.PrevPhys)
 			c.producer[d.PrevPhys] = nil
 		}
-		if d.lsqe != nil {
-			c.lq.Retire(d.lsqe, c.hier.StoreCommit)
-			d.lsqe = nil
-		}
-		c.committed++
-		c.inflight--
 		c.lastCommitCycle = c.now
 		c.pool.release(d)
 		n++
@@ -114,7 +91,7 @@ func (p *inOrderPolicy) DispatchStalled() {}
 // head can only become retirable through a completion event, which the
 // clock skip already bounds by the event wheel.
 func (p *inOrderPolicy) NextRetireEvent(now int64) int64 {
-	if d := p.window.Front(); d != nil && d.Done {
+	if d := p.c.window.Front(); d != nil && d.Done {
 		return now
 	}
 	return -1
@@ -124,16 +101,7 @@ func (p *inOrderPolicy) NextRetireEvent(now int64) int64 {
 // the window tail (all of it wrong-path, since fetch diverged at the
 // branch).
 func (p *inOrderPolicy) ResolveMispredict(b *DynInst) {
-	c := p.c
-	for {
-		d := p.window.Back()
-		if d == nil || d.Seq <= b.Seq {
-			break
-		}
-		p.window.PopBack()
-		c.squashInst(d, true)
-	}
-	c.lq.SquashYounger(b.Seq + 1)
+	p.c.squashYounger(b.Seq+1, true)
 }
 
 // RaiseException is a no-op: in-order retirement models no exception
@@ -171,5 +139,5 @@ func (p *inOrderPolicy) AddStats(r *stats.Results) {
 // DebugState renders the window occupancy against its capacity (0 is
 // unbounded).
 func (p *inOrderPolicy) DebugState() string {
-	return fmt.Sprintf(" window=%d/%d", p.window.Len(), p.capacity)
+	return fmt.Sprintf(" window=%d/%d", p.c.window.Len(), p.capacity)
 }

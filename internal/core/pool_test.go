@@ -186,7 +186,7 @@ func TestReleasePoisonsSeqUntilReuse(t *testing.T) {
 	var p instPool
 	d := p.acquire()
 	d.Seq, d.Pos, d.DestPhys = 7, 3, 5
-	d.Squashed, d.Done, d.Retired = true, true, true
+	d.Squashed, d.Done = true, true
 	d.lsqe = &lsq.Entry{}
 	p.release(d)
 	if d.Seq != poisonSeq {

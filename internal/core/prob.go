@@ -11,15 +11,19 @@ import (
 // decision (section 3): only now — when the instruction is the oldest in
 // the FIFO — is it classified, and not-yet-issued instructions that
 // transitively depend on an L2-missing load are moved from the precious
-// issue queue into the SLIQ. Records whose window already committed are
-// recycled once classified (see retireWindow).
+// issue queue into the SLIQ. A record whose window already committed
+// leaves the window once classified (see retireWindow).
 func (p *checkpointPolicy) extractPseudoROB() {
-	d := p.prob.PopFront()
-	d.inProb = false
+	c := p.c
+	d := c.window.At(p.extracted)
 	p.classifyExtract(d)
-	if d.Retired {
-		p.c.pool.release(d)
+	if p.retired == 0 {
+		p.extracted++
+		return
 	}
+	c.window.PopFront()
+	p.retired--
+	c.pool.release(d)
 }
 
 // classifyExtract buckets the retired entry into Figure 12's classes and

@@ -6,26 +6,30 @@ import (
 
 // resolveMispredict handles a mispredicted branch at resolution time:
 // the policy-specific recovery (ROB/oracle tail squash, pseudo-ROB
-// recovery or checkpoint rollback) runs between clearing the wrong-path
-// fetch state and charging the front-end redirect penalty.
+// recovery or checkpoint rollback, each one squashYounger walk) runs
+// between clearing the wrong-path fetch state and charging the
+// front-end redirect penalty.
 func (c *CPU) resolveMispredict(b *DynInst) {
 	c.divergedAt = nil
 	c.policy.ResolveMispredict(b)
 	c.fetchResumeAt = c.now + int64(c.cfg.BranchMispredictPenalty)
 }
 
-// squashInst removes one instruction from the pipeline. unwindRename
-// selects per-instruction CAM unwinding (tail-squash recoveries, which
-// walk in reverse program order); full rollbacks restore a snapshot
-// instead and pass false. The caller removes the instruction from the
-// retirement structure (ROB/pseudo-ROB/master/window) and the LSQ; this
-// handles everything else, and finally releases the record to the free
-// list (its Seq poisoned, its Squashed flag readable until dispatch
+// squashYounger is every recovery's one squash walk: it squashes the
+// window's instructions with Seq >= seq, youngest first. unwindRename
+// unwinds each CAM rename mapping on the way (branch recoveries); a
+// checkpoint rollback restores a snapshot instead.
+func (c *CPU) squashYounger(seq uint64, unwindRename bool) {
+	for c.window.Len() > 0 && c.window.Back().Seq >= seq {
+		c.squashInst(c.window.PopBack(), unwindRename)
+	}
+}
+
+// squashInst removes one instruction, already popped from the window,
+// from every other structure, and finally releases the record to the
+// free list (its Seq poisoned, its Squashed flag readable until dispatch
 // reuses it — see DynInst).
 func (c *CPU) squashInst(d *DynInst, unwindRename bool) {
-	if d.Squashed {
-		return
-	}
 	d.Squashed = true
 
 	if d.countedLive {
@@ -42,7 +46,10 @@ func (c *CPU) squashInst(d *DynInst, unwindRename bool) {
 	// Unschedule any pending completion so the event wheel never holds
 	// a released record.
 	c.completions.remove(d)
-	d.lsqe = nil
+	if d.lsqe != nil {
+		c.lq.Squash(d.lsqe)
+		d.lsqe = nil
+	}
 
 	// Policy-side accounting (checkpoint pending/instruction counters).
 	c.policy.Squashed(d)

@@ -1,6 +1,9 @@
-// Package lsq models the load/store queue: program-ordered tracking of
-// in-flight memory operations, store-to-load forwarding, and draining of
-// committed stores to the memory hierarchy.
+// Package lsq models the load/store queue: occupancy of in-flight
+// memory operations, store-to-load forwarding, and draining of
+// committed stores to the memory hierarchy. Program order lives in the
+// core's in-flight window: its commit walk removes committed entries
+// oldest first, so stores reach memory in order, and its squash walk
+// removes squashed ones youngest first.
 //
 // Following the paper, the LSQ is treated as a pseudo-perfect resource
 // (4096 entries in Table 1) except that its occupancy rules matter: in
@@ -22,7 +25,6 @@ import (
 
 	"repro/internal/addrmap"
 	"repro/internal/isa"
-	"repro/internal/queue"
 )
 
 // Kind distinguishes queue entries.
@@ -61,14 +63,13 @@ type Stats struct {
 	FullStalls    uint64
 }
 
-// LSQ is the load/store queue. Entries are kept in program (sequence)
-// order.
+// LSQ is the load/store queue.
 type LSQ struct {
 	capacity int
-	// entries are the resident entries, oldest first: commit pops the
-	// front and rollback the back. The ring is sized to the capacity at
-	// construction, so it never grows.
-	entries queue.Deque[*Entry]
+	// n counts the resident entries; next is the smallest seq Insert
+	// accepts, one past the last inserted.
+	n    int
+	next uint64
 	// stores maps an effective address to its youngest resident store;
 	// older stores to the same address chain behind it via olderSame.
 	stores addrmap.Map[*Entry]
@@ -81,14 +82,14 @@ func New(capacity int) *LSQ {
 	if capacity < 1 {
 		panic(fmt.Sprintf("lsq: capacity %d < 1", capacity))
 	}
-	return &LSQ{capacity: capacity, entries: queue.NewDeque[*Entry](capacity)}
+	return &LSQ{capacity: capacity}
 }
 
 // Cap returns the capacity.
 func (q *LSQ) Cap() int { return q.capacity }
 
 // Len returns the number of resident entries.
-func (q *LSQ) Len() int { return q.entries.Len() }
+func (q *LSQ) Len() int { return q.n }
 
 // Full reports whether the queue is at capacity.
 func (q *LSQ) Full() bool { return q.Len() >= q.capacity }
@@ -100,8 +101,8 @@ func (q *LSQ) Insert(seq uint64, op isa.Op, addr uint64) *Entry {
 		q.stats.FullStalls++
 		return nil
 	}
-	if last := q.entries.Back(); last != nil && last.Seq >= seq {
-		panic(fmt.Sprintf("lsq: out-of-order insert seq %d after %d", seq, last.Seq))
+	if seq < q.next {
+		panic(fmt.Sprintf("lsq: out-of-order insert seq %d after %d", seq, q.next-1))
 	}
 	var k Kind
 	switch op {
@@ -123,7 +124,8 @@ func (q *LSQ) Insert(seq uint64, op isa.Op, addr uint64) *Entry {
 		e = new(Entry)
 	}
 	e.Seq, e.Kind, e.Addr, e.Executed = seq, k, addr, false
-	q.entries.PushBack(e)
+	q.n++
+	q.next = seq + 1
 	if k == KindStore {
 		// Inserts arrive in seq order, so the new store is the
 		// youngest at its address: it heads the chain.
@@ -133,9 +135,13 @@ func (q *LSQ) Insert(seq uint64, op isa.Op, addr uint64) *Entry {
 	return e
 }
 
-// recycle returns a removed entry to the free list. The entry's waiter
-// backing array is kept for reuse.
-func (q *LSQ) recycle(e *Entry) {
+// release takes a resident entry out of the queue and returns it to the
+// free list. The entry's waiter backing array is kept for reuse.
+func (q *LSQ) release(e *Entry) {
+	if q.n == 0 {
+		panic(fmt.Sprintf("lsq: removing seq %d from an empty queue", e.Seq))
+	}
+	q.n--
 	for i := range e.waiters {
 		e.waiters[i] = nil
 	}
@@ -226,107 +232,57 @@ func (q *LSQ) AddWaiter(store *Entry, onReady func(storeSeq uint64)) {
 	store.waiters = append(store.waiters, onReady)
 }
 
-// DrainStoresBefore removes every store with Seq < endSeq, invoking
-// write for each in program order (checkpoint-commit draining). Loads
-// older than endSeq are retired from the queue at the same time.
-// Entries are seq-ordered, so the drain pops a prefix.
-func (q *LSQ) DrainStoresBefore(endSeq uint64, write func(addr uint64)) int {
-	n := 0
-	for q.Len() > 0 && q.entries.Front().Seq < endSeq {
-		e := q.entries.Front()
-		if e.Kind == KindStore {
-			if !e.Executed {
-				panic(fmt.Sprintf("lsq: draining unexecuted store seq %d", e.Seq))
-			}
-			write(e.Addr)
-			q.dropStore(e)
-			q.stats.StoresDrained++
-			n++
-		}
-		q.entries.PopFront()
-		q.recycle(e)
-	}
-	return n
-}
-
-// Retire removes a single entry (ROB-mode per-instruction commit),
-// invoking write for stores. Commit is in program order, so e must be
-// the oldest resident entry; retiring any other entry panics.
-func (q *LSQ) Retire(e *Entry, write func(addr uint64)) {
-	if q.entries.Front() != e {
-		panic(fmt.Sprintf("lsq: retire of seq %d, which is not the oldest resident entry", e.Seq))
-	}
+// Remove takes a committed entry out of the queue; a store writes its
+// data through write as it leaves. The core removes committed entries
+// oldest first, so stores reach memory in program order.
+func (q *LSQ) Remove(e *Entry, write func(addr uint64)) {
 	if e.Kind == KindStore {
 		if !e.Executed {
-			panic(fmt.Sprintf("lsq: retiring unexecuted store seq %d", e.Seq))
+			panic(fmt.Sprintf("lsq: committing unexecuted store seq %d", e.Seq))
 		}
 		write(e.Addr)
 		q.dropStore(e)
 		q.stats.StoresDrained++
 	}
-	q.entries.PopFront()
-	q.recycle(e)
+	q.release(e)
 }
 
-// SquashYounger removes every entry with Seq >= seq (rollback), a
-// suffix of the seq-ordered queue. Pending forward waiters of squashed
-// stores are dropped unfired (their loads are younger than the store
-// and therefore squashed too).
-func (q *LSQ) SquashYounger(seq uint64) int {
-	n := 0
-	for q.Len() > 0 && q.entries.Back().Seq >= seq {
-		e := q.entries.PopBack()
-		if e.Kind == KindStore {
-			q.dropStore(e)
-		}
-		q.recycle(e)
-		n++
+// Squash takes a squashed entry out of the queue. Pending forward
+// waiters of a squashed store are dropped unfired (their loads are
+// younger than the store and therefore squashed too).
+func (q *LSQ) Squash(e *Entry) {
+	if e.Kind == KindStore {
+		q.dropStore(e)
 	}
-	return n
+	q.release(e)
 }
 
 // Stats returns a copy of the counters.
 func (q *LSQ) Stats() Stats { return q.stats }
 
-// CheckInvariants validates ordering for tests.
+// CheckInvariants validates the forwarding index (each chain holds its
+// own address's stores, youngest first) and the occupancy, for tests.
 func (q *LSQ) CheckInvariants() error {
-	var live []*Entry
-	q.entries.ForEach(func(e *Entry) { live = append(live, e) })
-	for i := 1; i < len(live); i++ {
-		if live[i-1].Seq >= live[i].Seq {
-			return fmt.Errorf("lsq: entries out of order at %d (%d then %d)",
-				i, live[i-1].Seq, live[i].Seq)
-		}
-	}
-	if len(live) > q.capacity {
-		return fmt.Errorf("lsq: %d entries exceed capacity %d", len(live), q.capacity)
-	}
 	stores := 0
-	var chainErr error
+	var err error
 	q.stores.ForEach(func(addr uint64, head *Entry) {
-		prev := ^uint64(0)
-		for e := head; e != nil; e = e.olderSame {
-			if e.Addr != addr && chainErr == nil {
-				chainErr = fmt.Errorf("lsq: store seq %d indexed under %#x, has addr %#x", e.Seq, addr, e.Addr)
-			}
-			if e.Seq >= prev && chainErr == nil {
-				chainErr = fmt.Errorf("lsq: store chain for %#x out of order", addr)
-			}
-			prev = e.Seq
+		for e, prev := head, ^uint64(0); e != nil && err == nil; prev, e = e.Seq, e.olderSame {
 			stores++
+			switch {
+			case e.Addr != addr:
+				err = fmt.Errorf("lsq: store seq %d indexed under %#x, has addr %#x", e.Seq, addr, e.Addr)
+			case e.Seq >= prev:
+				err = fmt.Errorf("lsq: store chain for %#x out of order", addr)
+			}
 		}
 	})
-	if chainErr != nil {
-		return chainErr
-	}
-	resident := 0
-	for _, e := range live {
-		if e.Kind == KindStore {
-			resident++
-		}
-	}
-	if stores != resident {
-		return fmt.Errorf("lsq: forwarding index has %d stores, queue has %d", stores, resident)
+	switch {
+	case err != nil:
+		return err
+	case q.n > q.capacity:
+		return fmt.Errorf("lsq: %d entries exceed capacity %d", q.n, q.capacity)
+	case stores > q.n:
+		return fmt.Errorf("lsq: forwarding index has %d stores, queue holds %d entries", stores, q.n)
 	}
 	return nil
 }

@@ -132,15 +132,17 @@ func TestNoConflictDifferentAddress(t *testing.T) {
 func TestDrainStoresBefore(t *testing.T) {
 	q := New(8)
 	s1 := q.Insert(1, isa.Store, 0x10)
-	q.Insert(2, isa.Load, 0x20)
+	l := q.Insert(2, isa.Load, 0x20)
 	s2 := q.Insert(3, isa.Store, 0x30)
 	s3 := q.Insert(4, isa.Store, 0x40)
 	q.MarkExecuted(s1)
 	q.MarkExecuted(s2)
 	q.MarkExecuted(s3)
 	var written []uint64
-	n := q.DrainStoresBefore(4, func(addr uint64) { written = append(written, addr) })
-	if n != 2 || len(written) != 2 || written[0] != 0x10 || written[1] != 0x30 {
+	for _, e := range []*Entry{s1, l, s2} {
+		q.Remove(e, func(addr uint64) { written = append(written, addr) })
+	}
+	if q.Stats().StoresDrained != 2 || !slices.Equal(written, []uint64{0x10, 0x30}) {
 		t.Fatalf("drained %v", written)
 	}
 	if q.Len() != 1 {
@@ -153,13 +155,13 @@ func TestDrainStoresBefore(t *testing.T) {
 
 func TestDrainUnexecutedStorePanics(t *testing.T) {
 	q := New(8)
-	q.Insert(1, isa.Store, 0x10)
+	s := q.Insert(1, isa.Store, 0x10)
 	defer func() {
 		if recover() == nil {
 			t.Error("draining an unexecuted store must panic")
 		}
 	}()
-	q.DrainStoresBefore(2, func(uint64) {})
+	q.Remove(s, func(uint64) {})
 }
 
 func TestRetire(t *testing.T) {
@@ -168,11 +170,11 @@ func TestRetire(t *testing.T) {
 	s := q.Insert(2, isa.Store, 0x20)
 	q.MarkExecuted(s)
 	var wrote []uint64
-	q.Retire(l, func(a uint64) { wrote = append(wrote, a) })
+	q.Remove(l, func(a uint64) { wrote = append(wrote, a) })
 	if len(wrote) != 0 {
 		t.Fatal("retiring a load writes nothing")
 	}
-	q.Retire(s, func(a uint64) { wrote = append(wrote, a) })
+	q.Remove(s, func(a uint64) { wrote = append(wrote, a) })
 	if len(wrote) != 1 || wrote[0] != 0x20 {
 		t.Fatalf("store write: %v", wrote)
 	}
@@ -185,7 +187,7 @@ func TestSquashYounger(t *testing.T) {
 	q := New(8)
 	q.Insert(1, isa.Load, 0x10)
 	s := q.Insert(2, isa.Store, 0x20)
-	q.Insert(3, isa.Load, 0x30)
+	l := q.Insert(3, isa.Load, 0x30)
 	// A waiter on the store must be dropped with it.
 	fired := false
 	res, blocking := q.LookupForward(3, 0x20)
@@ -193,9 +195,10 @@ func TestSquashYounger(t *testing.T) {
 		t.Fatalf("got %v, want ForwardWait on the store", res)
 	}
 	q.AddWaiter(blocking, func(uint64) { fired = true })
-	n := q.SquashYounger(2)
-	if n != 2 || q.Len() != 1 {
-		t.Fatalf("squashed %d, len %d", n, q.Len())
+	q.Squash(l)
+	q.Squash(s)
+	if q.Len() != 1 {
+		t.Fatalf("len %d after squashing two of three", q.Len())
 	}
 	// Recycle the squashed records: a new store at the same address
 	// (likely reusing the recycled entry) must not carry the dropped
@@ -211,7 +214,7 @@ func TestSquashYounger(t *testing.T) {
 }
 
 // TestForwardIndexAfterChurn exercises the per-address store index
-// through a drain/squash/reuse cycle and cross-checks it against the
+// through a commit/squash/reuse cycle and cross-checks it against the
 // queue invariants.
 func TestForwardIndexAfterChurn(t *testing.T) {
 	q := New(16)
@@ -226,11 +229,11 @@ func TestForwardIndexAfterChurn(t *testing.T) {
 	q.MarkExecuted(a)
 	q.MarkExecuted(b)
 	q.MarkExecuted(c)
-	q.DrainStoresBefore(2, func(uint64) {}) // drains a
+	q.Remove(a, func(uint64) {})
 	if got, _ := q.LookupForward(10, 0x10); got != ForwardReady {
 		t.Fatalf("got %v, want forward from b", got)
 	}
-	q.SquashYounger(3) // squashes c
+	q.Squash(c)
 	if got, _ := q.LookupForward(10, 0x20); got != NoConflict {
 		t.Fatalf("got %v, want NoConflict after squash", got)
 	}
@@ -244,22 +247,12 @@ func TestForwardIndexAfterChurn(t *testing.T) {
 	}
 }
 
-func TestRetireOutOfOrderPanics(t *testing.T) {
-	q := New(8)
-	q.Insert(1, isa.Load, 0x10)
-	l2 := q.Insert(2, isa.Load, 0x20)
-	defer func() {
-		if recover() == nil {
-			t.Error("retiring an entry younger than the oldest must panic")
-		}
-	}()
-	q.Retire(l2, func(uint64) {})
-}
-
 // TestChurnAgainstModel drives the queue through thousands of random
-// inserts, oldest-first retires, prefix drains and suffix squashes, and
-// after every step checks the invariants and every address's forwarding
-// answer against a plain slice model of the resident entries.
+// inserts, oldest-first retires, prefix drains and suffix squashes (the
+// core's commit and squash walks: Remove oldest first, Squash youngest
+// first), and after every step checks the invariants and every
+// address's forwarding answer against a plain slice model of the
+// resident entries.
 func TestChurnAgainstModel(t *testing.T) {
 	type ref struct {
 		e    *Entry
@@ -311,28 +304,20 @@ func TestChurnAgainstModel(t *testing.T) {
 			}
 			execute(model[:1])
 			want = stores(model[:1])
-			q.Retire(model[0].e, write)
+			q.Remove(model[0].e, write)
 			model = model[1:]
 		case op < 8: // drain a prefix
 			k := rng.Intn(len(model) + 1)
-			end := seq + 1
-			if k < len(model) {
-				end = model[k].seq
-			}
 			execute(model[:k])
 			want = stores(model[:k])
-			if n := q.DrainStoresBefore(end, write); n != len(want) {
-				t.Fatalf("step %d: drained %d stores, want %d", step, n, len(want))
+			for _, r := range model[:k] {
+				q.Remove(r.e, write)
 			}
 			model = model[k:]
 		case op < 9: // squash a suffix
 			k := rng.Intn(len(model) + 1)
-			from := seq + 1
-			if k < len(model) {
-				from = model[k].seq
-			}
-			if n := q.SquashYounger(from); n != len(model)-k {
-				t.Fatalf("step %d: squashed %d, want %d", step, n, len(model)-k)
+			for i := len(model) - 1; i >= k; i-- {
+				q.Squash(model[i].e)
 			}
 			model = model[:k]
 		default: // execute one entry

@@ -1,9 +1,11 @@
 package queue
 
-// Deque is a growable ring-buffer double-ended queue: the one FIFO for
-// the pipeline's in-flight windows (ROB, pseudo-ROB, checkpoint
-// in-flight list, oracle window, LSQ). Dispatch pushes at the back,
-// retirement pops the front, and a squash pops the back.
+// Deque is a growable ring-buffer double-ended queue. It holds a core's
+// in-flight window, the one program-order list that serves as the ROB,
+// the checkpoint list and the pseudo-ROB: dispatch pushes at the back,
+// retirement pops the front, a squash pops the back, and At reads any
+// position in between. It also queues the seq heap's in-order lane and
+// the memory hierarchy's fills.
 //
 // The zero value is an empty, usable deque. PushBack doubles the buffer
 // when it is full, so unbounded windows grow from nothing; bounded
@@ -100,9 +102,11 @@ func (d *Deque[T]) Clear() {
 	d.head, d.size = 0, 0
 }
 
-// ForEach calls fn on each element from front to back.
-func (d *Deque[T]) ForEach(fn func(v T)) {
-	for i := 0; i < d.size; i++ {
-		fn(d.buf[d.wrap(d.head+i)])
+// At returns the element i places behind the front (At(0) is the
+// front). It panics when i is out of range.
+func (d *Deque[T]) At(i int) T {
+	if uint(i) >= uint(d.size) {
+		panic("queue: At index out of range")
 	}
+	return d.buf[d.wrap(d.head+i)]
 }

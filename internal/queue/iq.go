@@ -1,8 +1,8 @@
 // Package queue implements the instruction-buffering structures of the
 // simulated processor: the general-purpose issue queues (with
 // event-driven wakeup and oldest-first select), the ring deque that
-// holds every in-flight window (ROB, pseudo-ROB, LSQ, ...), and the Slow
-// Lane Instruction Queue (SLIQ) of the paper's section 3.
+// holds a core's in-flight window, and the Slow Lane Instruction Queue
+// (SLIQ) of the paper's section 3.
 //
 // The hierarchy has one ordering rule: an issue queue selects its
 // oldest ready entry, and woken SLIQ entries re-enter the issue queues

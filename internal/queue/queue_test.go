@@ -218,8 +218,8 @@ func TestIQResident(t *testing.T) {
 }
 
 // TestDequeFIFO: order holds across a ring whose contents wrap past the
-// end of the buffer and which then grows, and ForEach walks front to
-// back.
+// end of the buffer and which then grows, At indexes front to back,
+// and an index past either end panics.
 func TestDequeFIFO(t *testing.T) {
 	d := NewDeque[int](4)
 	d.PushBack(1)
@@ -236,9 +236,21 @@ func TestDequeFIFO(t *testing.T) {
 		t.Fatalf("after growth: len %d front %d back %d", d.Len(), d.Front(), d.Back())
 	}
 	var seen []int
-	d.ForEach(func(v int) { seen = append(seen, v) })
+	for i := 0; i < d.Len(); i++ {
+		seen = append(seen, d.At(i))
+	}
 	if fmt.Sprint(seen) != "[3 4 5 6 7]" {
-		t.Fatalf("ForEach order: %v", seen)
+		t.Fatalf("At order: %v", seen)
+	}
+	for _, i := range []int{-1, d.Len()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("At(%d) on a deque of %d did not panic", i, d.Len())
+				}
+			}()
+			d.At(i)
+		}()
 	}
 	if d.PopBack() != 7 {
 		t.Fatal("pop back should return the youngest")

@@ -98,7 +98,9 @@ func (h *seqHeap[V]) pop() {
 
 // each calls fn on every item, in no particular order.
 func (h *seqHeap[V]) each(fn func(v V)) {
-	h.lane.ForEach(func(it seqItem[V]) { fn(it.v) })
+	for i := 0; i < h.lane.Len(); i++ {
+		fn(h.lane.At(i).v)
+	}
 	for _, it := range h.heap {
 		fn(it.v)
 	}

@@ -20,6 +20,11 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// maxBatchBody bounds a batch submission's body on workers and
+// coordinators alike: about 40 times the largest batch in the tree, the
+// benchmark's fleet-warm prime of all 726 fleet points (about 0.8 MB).
+const maxBatchBody = 32 << 20
+
 // BatchAPI is the submit/poll surface shared by a worker scheduler and
 // a fleet coordinator: anything implementing it serves the same HTTP
 // API, so clients cannot tell a coordinator from a single node.
@@ -52,7 +57,8 @@ type HandlerOptions struct {
 //	POST /v1/batches             submit a batch ({"jobs":[...]}),
 //	                             202 + BatchStatus (hits already done);
 //	                             429 + Retry-After over the admission
-//	                             bound, 503 + Retry-After while draining
+//	                             bound, 503 + Retry-After while draining,
+//	                             413 past maxBatchBody bytes
 //	GET  /v1/batches/{id}        poll a batch, 200 + BatchStatus
 //	GET  /v1/batches/{id}/events NDJSON progress stream: full history
 //	                             replayed, then live events, closed
@@ -104,10 +110,14 @@ func NewAPIHandler(s BatchAPI, opt HandlerOptions) http.Handler {
 
 	mux.HandleFunc("POST /v1/batches", func(w http.ResponseWriter, r *http.Request) {
 		var req submitRequest
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, apiError{Error: "bad request body: " + err.Error()})
+			code := http.StatusBadRequest
+			if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			writeJSON(w, code, apiError{Error: "bad request body: " + err.Error()})
 			return
 		}
 		b, err := s.Submit(req.Jobs)

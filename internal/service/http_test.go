@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -166,6 +168,26 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("unknown field in body: status %d, want 400", resp.StatusCode)
 	}
 
+	// A body past the limit: 413, which the client treats as final.
+	// JSON whitespace inside the jobs array carries the body past the
+	// limit without the test buffering it.
+	rec := httptest.NewRecorder()
+	body := io.MultiReader(strings.NewReader(`{"jobs":[`), io.LimitReader(spaces{}, maxBatchBody))
+	srv.Config.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batches", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d, want 413 (%s)", rec.Code, rec.Body)
+	}
+	var posts atomic.Int32
+	tooLarge := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		posts.Add(1)
+		w.WriteHeader(http.StatusRequestEntityTooLarge)
+	}))
+	defer tooLarge.Close()
+	_, err = (&Client{BaseURL: tooLarge.URL}).Submit(ctx, []Job{testJob("big", 64)})
+	if se := new(StatusError); !errors.As(err, &se) || se.Code != http.StatusRequestEntityTooLarge || posts.Load() != 1 {
+		t.Errorf("submit answered 413: error %v after %d posts, want one post", err, posts.Load())
+	}
+
 	// Health endpoint.
 	resp, err = http.Get(srv.URL + "/healthz")
 	if err != nil {
@@ -175,6 +197,16 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz status %d", resp.StatusCode)
 	}
+}
+
+// spaces is an endless run of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
 }
 
 // TestHTTPPollWhileRunning polls a batch mid-flight and checks the

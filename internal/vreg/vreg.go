@@ -38,11 +38,15 @@ func (t *Tracker) TagsLive() int { return t.vLive }
 // PhysLive returns the bound physical register count.
 func (t *Tracker) PhysLive() int { return t.pLive }
 
+// TagsFull reports whether every virtual tag is live: rename must
+// stall until a bind or a squash returns one.
+func (t *Tracker) TagsFull() bool { return t.vLive >= t.vcap }
+
 // TryRename requests a virtual tag for a destination-producing
 // instruction. It returns false when the tag space is exhausted; rename
 // must retry next cycle.
 func (t *Tracker) TryRename() bool {
-	if t.vLive >= t.vcap {
+	if t.TagsFull() {
 		return false
 	}
 	t.vLive++

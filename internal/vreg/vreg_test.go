@@ -4,14 +4,20 @@ import "testing"
 
 func TestRenameTagLimit(t *testing.T) {
 	tr := New(2, 64, 32)
-	if !tr.TryRename() || !tr.TryRename() {
+	if !tr.TryRename() || tr.TagsFull() || !tr.TryRename() {
 		t.Fatal("two tags should be available")
+	}
+	if !tr.TagsFull() {
+		t.Fatal("both tags live: the tag space must read full")
 	}
 	if tr.TryRename() {
 		t.Fatal("tag space exhausted: rename must stall")
 	}
+	if tr.TagsLive() != 2 {
+		t.Fatalf("a refused rename must take no tag: %d live", tr.TagsLive())
+	}
 	tr.UnRename()
-	if !tr.TryRename() {
+	if tr.TagsFull() || !tr.TryRename() {
 		t.Fatal("returned tag must be reusable")
 	}
 }
