@@ -7,9 +7,10 @@
 // confidence clause live in core, checkpointPolicy.shouldTake). Every
 // dispatched instruction is associated with the youngest checkpoint and
 // counted in its pending counter; the counter is decremented as
-// instructions finish. A checkpoint commits when its counter reaches
-// zero, it is the oldest checkpoint, and its window has been closed by
-// a younger checkpoint — "commit" then retires the whole window at once:
+// instructions finish (see Entry). A checkpoint commits when its
+// counter reaches zero, it is the oldest checkpoint, and its window has
+// been closed by a younger checkpoint — "commit" then retires the whole
+// window at once:
 // the table applies its deferred register frees, and the caller drains
 // the window's stores to memory. Rollback restores the rename state a
 // live checkpoint captured.
@@ -23,7 +24,10 @@ import (
 	"repro/internal/rename"
 )
 
-// Entry is one live checkpoint.
+// Entry is one live checkpoint. Its counters describe its window: the
+// core calls Associate at dispatch, Complete when an instruction
+// finishes and Squash when one is squashed, on the entry the
+// instruction was associated with.
 type Entry struct {
 	// ID is a unique, monotonically increasing checkpoint identifier.
 	ID uint64
@@ -46,6 +50,39 @@ type Entry struct {
 	// Stores the stores among them: the core's taking rule reads both.
 	Insts  int
 	Stores int
+}
+
+// Associate counts a newly dispatched instruction of class op in e's
+// window.
+func (e *Entry) Associate(op isa.Op) {
+	e.Pending++
+	e.Insts++
+	if op == isa.Store {
+		e.Stores++
+	}
+}
+
+// Complete records that one of e's instructions finished executing.
+func (e *Entry) Complete() {
+	if e.Pending <= 0 {
+		panic(fmt.Sprintf("checkpoint: pending counter underflow on checkpoint %d", e.ID))
+	}
+	e.Pending--
+}
+
+// Squash removes a squashed instruction of class op from e's window;
+// done reports whether it had finished (its pending count fell then).
+func (e *Entry) Squash(op isa.Op, done bool) {
+	if !done {
+		e.Complete()
+	}
+	if e.Insts <= 0 {
+		panic(fmt.Sprintf("checkpoint: instruction count underflow on checkpoint %d", e.ID))
+	}
+	e.Insts--
+	if op == isa.Store {
+		e.Stores--
+	}
 }
 
 // Stats counts checkpoint-table activity.
@@ -121,48 +158,6 @@ func (t *Table) Take(startSeq uint64, fetchPos int64, history uint64) *Entry {
 	t.entries = append(t.entries, e)
 	t.stats.Taken++
 	return e
-}
-
-// Associate counts a newly dispatched instruction against checkpoint e.
-func (t *Table) Associate(e *Entry, op isa.Op) {
-	e.Pending++
-	e.Insts++
-	if op == isa.Store {
-		e.Stores++
-	}
-}
-
-// Finished records that an instruction associated with e has completed
-// execution.
-func (t *Table) Finished(e *Entry) {
-	if e.Pending <= 0 {
-		panic(fmt.Sprintf("checkpoint: pending counter underflow on checkpoint %d", e.ID))
-	}
-	e.Pending--
-}
-
-// Squashed removes a still-pending instruction from e's accounting
-// during a partial squash (pseudo-ROB branch recovery removes younger
-// instructions without discarding their checkpoint).
-func (t *Table) Squashed(e *Entry, op isa.Op) {
-	t.Finished(e)
-	e.Insts--
-	if op == isa.Store {
-		e.Stores--
-	}
-}
-
-// SquashedDone removes an already-finished instruction from e's
-// accounting during a squash (its pending count was decremented when it
-// completed).
-func (t *Table) SquashedDone(e *Entry, op isa.Op) {
-	e.Insts--
-	if e.Insts < 0 {
-		panic(fmt.Sprintf("checkpoint: instruction count underflow on checkpoint %d", e.ID))
-	}
-	if op == isa.Store {
-		e.Stores--
-	}
 }
 
 // CanCommit reports whether the oldest checkpoint is ready to commit:

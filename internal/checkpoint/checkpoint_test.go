@@ -75,20 +75,20 @@ func TestBranchHeuristic(t *testing.T) {
 	ct, _ := newTableWithRename(t)
 	e := take(t, ct, 0, 0)
 	for i := 0; i < 62; i++ {
-		ct.Associate(e, isa.IntAlu)
+		e.Associate(isa.IntAlu)
 	}
-	ct.Associate(e, isa.Branch) // mispredicted
+	e.Associate(isa.Branch) // mispredicted
 	for _, op := range []isa.Op{isa.IntAlu, isa.Load, isa.FPAlu} {
-		ct.Associate(e, op) // its wrong path
+		e.Associate(op) // its wrong path
 	}
-	ct.Finished(e) // one wrong-path instruction completed before recovery
-	ct.SquashedDone(e, isa.IntAlu)
-	ct.Squashed(e, isa.Load)
-	ct.Squashed(e, isa.FPAlu)
+	e.Complete() // one wrong-path instruction completed before recovery
+	e.Squash(isa.IntAlu, true)
+	e.Squash(isa.Load, false)
+	e.Squash(isa.FPAlu, false)
 	if e.Insts != 63 {
 		t.Fatalf("after recovery the window holds %d instructions, want the correct path's 63", e.Insts)
 	}
-	ct.Associate(e, isa.IntAlu)
+	e.Associate(isa.IntAlu)
 	if ct.Youngest() != e || e.Insts != 64 {
 		t.Fatalf("the youngest window holds %d instructions, want 64", e.Insts)
 	}
@@ -107,13 +107,13 @@ func TestMaxIntervalHeuristic(t *testing.T) {
 	e := take(t, ct, 0, 0)
 	ops := []isa.Op{isa.FPAlu, isa.IntAlu, isa.Load, isa.Store, isa.Branch}
 	for i := 0; i < 512; i++ {
-		ct.Associate(e, ops[i%len(ops)])
+		e.Associate(ops[i%len(ops)])
 	}
 	if ct.Youngest() != e || e.Insts != 512 {
 		t.Fatalf("the youngest window holds %d instructions, want 512", e.Insts)
 	}
 	y := take(t, ct, 512, 512)
-	ct.Associate(y, isa.FPAlu)
+	y.Associate(isa.FPAlu)
 	ct.Rollback(e)
 	if ct.Youngest() != e || e.Insts != 0 || e.Stores != 0 || e.Pending != 0 {
 		t.Fatalf("the reopened window must count from zero: %+v", e)
@@ -128,20 +128,20 @@ func TestStoreHeuristic(t *testing.T) {
 	ct, _ := newTableWithRename(t)
 	e := take(t, ct, 0, 0)
 	for i := 0; i < 64; i++ {
-		ct.Associate(e, isa.Store)
-		ct.Associate(e, isa.FPAlu)
+		e.Associate(isa.Store)
+		e.Associate(isa.FPAlu)
 	}
 	if e.Stores != 64 || e.Insts != 128 {
 		t.Fatalf("stores = %d, insts = %d, want 64 and 128", e.Stores, e.Insts)
 	}
-	ct.Finished(e) // a store completed
-	ct.SquashedDone(e, isa.Store)
-	ct.Squashed(e, isa.Store)
+	e.Complete() // a store completed
+	e.Squash(isa.Store, true)
+	e.Squash(isa.Store, false)
 	if e.Stores != 62 {
 		t.Fatalf("stores after squashing two = %d, want 62", e.Stores)
 	}
-	ct.Associate(e, isa.Store)
-	ct.Associate(e, isa.Store)
+	e.Associate(isa.Store)
+	e.Associate(isa.Store)
 	if ct.Youngest() != e || e.Stores != 64 {
 		t.Fatalf("the youngest window holds %d stores, want 64", e.Stores)
 	}
@@ -170,8 +170,8 @@ func TestTakeFullStall(t *testing.T) {
 func TestCommitFlow(t *testing.T) {
 	ct, rt := newTableWithRename(t)
 	e0 := take(t, ct, 0, 0)
-	ct.Associate(e0, isa.IntAlu)
-	ct.Associate(e0, isa.Store)
+	e0.Associate(isa.IntAlu)
+	e0.Associate(isa.Store)
 
 	if ct.CanCommit() {
 		t.Fatal("open window (no younger checkpoint) must not commit")
@@ -181,8 +181,8 @@ func TestCommitFlow(t *testing.T) {
 	if ct.CanCommit() {
 		t.Fatal("window with pending instructions must not commit")
 	}
-	ct.Finished(e0)
-	ct.Finished(e0)
+	e0.Complete()
+	e0.Complete()
 	if !ct.CanCommit() {
 		t.Fatal("closed, finished window must commit")
 	}
@@ -204,7 +204,7 @@ func TestCommitFlow(t *testing.T) {
 func TestCommitPanicsWhenNotReady(t *testing.T) {
 	ct, _ := newTableWithRename(t)
 	e := take(t, ct, 0, 0)
-	ct.Associate(e, isa.IntAlu)
+	e.Associate(isa.IntAlu)
 	take(t, ct, 5, 5)
 	defer func() {
 		if recover() == nil {
@@ -222,17 +222,17 @@ func TestFinishedUnderflowPanics(t *testing.T) {
 			t.Error("finishing more than associated must panic")
 		}
 	}()
-	ct.Finished(e)
+	e.Complete()
 }
 
 func TestSquashAccounting(t *testing.T) {
 	ct, _ := newTableWithRename(t)
 	e := take(t, ct, 0, 0)
-	ct.Associate(e, isa.Store)
-	ct.Associate(e, isa.IntAlu)
-	ct.Finished(e) // the store finished
-	ct.Squashed(e, isa.IntAlu)
-	ct.SquashedDone(e, isa.Store)
+	e.Associate(isa.Store)
+	e.Associate(isa.IntAlu)
+	e.Complete() // the store finished
+	e.Squash(isa.IntAlu, false)
+	e.Squash(isa.Store, true)
 	if e.Pending != 0 || e.Insts != 0 || e.Stores != 0 {
 		t.Fatalf("accounting after squash: %+v", e)
 	}
@@ -241,14 +241,14 @@ func TestSquashAccounting(t *testing.T) {
 func TestRollback(t *testing.T) {
 	ct, rt := newTableWithRename(t)
 	e0 := take(t, ct, 0, 0)
-	ct.Associate(e0, isa.IntAlu)
+	e0.Associate(isa.IntAlu)
 	_, owed, _ := rt.Allocate(isa.IntReg(1))
 	e1 := take(t, ct, 100, 100)
-	ct.Associate(e1, isa.FPAlu)
+	e1.Associate(isa.FPAlu)
 	f2 := rt.Lookup(isa.FPReg(2))
 	rt.Allocate(isa.FPReg(2))
 	e2 := take(t, ct, 200, 200)
-	ct.Associate(e2, isa.FPAlu)
+	e2.Associate(isa.FPAlu)
 	rt.Allocate(isa.FPReg(3))
 
 	ct.Rollback(e1)
@@ -297,8 +297,8 @@ func TestEntriesOrderingInvariant(t *testing.T) {
 	ct, _ := newTableWithRename(t)
 	for i := uint64(0); i < 5; i++ {
 		e := take(t, ct, i*50, int64(i*50))
-		ct.Associate(e, isa.IntAlu)
-		ct.Finished(e)
+		e.Associate(isa.IntAlu)
+		e.Complete()
 	}
 	if err := ct.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -348,14 +348,14 @@ func FuzzCheckpointTable(f *testing.F) {
 					break
 				}
 				if _, _, ok := rt.Allocate(isa.Reg(arg % isa.NumLogical)); ok {
-					ct.Associate(y, isa.IntAlu)
+					y.Associate(isa.IntAlu)
 					unfinished = append(unfinished, y)
 					seq++
 				}
 			case 2:
 				if n := len(unfinished); n > 0 {
 					k := arg % n
-					ct.Finished(unfinished[k])
+					unfinished[k].Complete()
 					unfinished[k] = unfinished[n-1]
 					unfinished = unfinished[:n-1]
 				}

@@ -36,7 +36,7 @@ type CPU struct {
 	rt   *rename.Table
 	intQ *queue.IQ[*DynInst]
 	fpQ  *queue.IQ[*DynInst]
-	lq   *lsq.LSQ
+	lq   *lsq.LSQ[*DynInst]
 
 	// window holds every in-flight record in program order from
 	// dispatch to release: the ROB, or the checkpoint family's in-flight
@@ -130,9 +130,11 @@ type CPU struct {
 	// but not issued this cycle (structural hazards); kept on the CPU
 	// so the per-cycle loop never allocates it.
 	issueRetry []*queue.IQEntry[*DynInst]
-	// sliqAccept is the bound SLIQ drain callback, built once so the
-	// per-cycle drain doesn't allocate a closure.
-	sliqAccept func(seq uint64, d *DynInst) bool
+	// sliqAccept and forwardWake are the bound SLIQ drain and LSQ
+	// forward-wake callbacks, built once so the per-cycle paths don't
+	// allocate a closure.
+	sliqAccept  func(seq uint64, d *DynInst) bool
+	forwardWake func(seq uint64, d *DynInst)
 
 	// Event-driven clock skip (see maybeSkip): the arm-probe state plus
 	// the counters reported in stats.Results. The skip is a pure
@@ -447,7 +449,7 @@ func newCPU(cfg config.Config, tr *trace.Trace, hier *mem.Hierarchy, arena *Aren
 		rt:   rename.New(physSpace),
 		intQ: queue.NewIQ[*DynInst](cfg.IntQueueEntries),
 		fpQ:  queue.NewIQ[*DynInst](cfg.FPQueueEntries),
-		lq:   lsq.New(cfg.LSQEntries),
+		lq:   lsq.New[*DynInst](cfg.LSQEntries),
 	}
 	c.window = queue.NewDeque[*DynInst](cfg.ROBEntries)
 	// Size the event ring to the longest completion distance a push can
@@ -491,9 +493,7 @@ func newCPU(cfg config.Config, tr *trace.Trace, hier *mem.Hierarchy, arena *Aren
 		c.vfused = make([]bool, physSpace)
 	}
 	c.lastLoadAddr = 1 << 20
-	if c.sliq != nil {
-		c.sliqAccept = c.acceptFromSLIQ
-	}
+	c.sliqAccept, c.forwardWake = c.acceptFromSLIQ, c.wakeForwardedLoad
 	return c, nil
 }
 
@@ -724,15 +724,10 @@ func (c *CPU) maybeSkip(maxCycles, watchdog int64) {
 	}
 	// The watchdog must fire on exactly the cycle it would have: cap the
 	// jump so the panic cycle executes (and panics) normally.
-	bound := min(maxCycles, c.lastCommitCycle+watchdog)
-	if ev := c.policy.NextRetireEvent(c.now); ev >= 0 {
-		if ev <= c.now {
-			return
-		}
-		if ev < bound {
-			bound = ev
-		}
+	if c.policy.CanRetire() {
+		return
 	}
+	bound := min(maxCycles, c.lastCommitCycle+watchdog)
 	if c.sliq != nil {
 		if w := c.sliq.NextWake(); w >= 0 {
 			if w < c.now {

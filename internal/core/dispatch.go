@@ -124,7 +124,7 @@ func (c *CPU) tryDispatch(inst isa.Inst, pos int64, wrongPath bool) bool {
 	}
 	if inst.Op.HasDest() {
 		var ok bool
-		d.DestPhys, d.PrevPhys, ok = c.policy.AllocateDest(inst.Dest)
+		d.DestPhys, d.PrevPhys, ok = c.rt.Allocate(inst.Dest)
 		if !ok {
 			panic("core: rename failed after FreeCount check")
 		}
@@ -312,11 +312,9 @@ func (c *CPU) drainSLIQ() {
 	c.sliq.Drain(c.now, c.sliqAccept)
 }
 
-// acceptFromSLIQ is the SLIQ drain callback (bound once in New).
+// acceptFromSLIQ is the SLIQ drain callback (bound once in New); the
+// SLIQ hands it live records only.
 func (c *CPU) acceptFromSLIQ(seq uint64, d *DynInst) bool {
-	if d.Squashed {
-		return true // consume and continue
-	}
 	// Re-compute source availability, as the paper requires.
 	pending := 0
 	for i := 0; i < d.NumSrcs; i++ {

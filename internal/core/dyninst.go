@@ -27,20 +27,22 @@ import (
 // free list as they leave it: at commit (in the checkpoint family, once
 // committed and extracted, in either order) or at squash. After release,
 // no component may hold a *DynInst it intends to dereference as that
-// instruction: Seq is the only durable identity, so every structure that
-// can outlive an instruction (the consumer lists, the deferred-bind
-// queue, SLIQ residency, LSQ forward waiters, the SLIQ dependence-mask
-// owners) stores the Seq alongside the pointer and treats a mismatch as
-// "instruction is gone". The issue queues' ready sets hold the same kind
-// of reference: squash only frees the queue slot, and a ready item whose
-// entry has left the queue or carries another seq is dropped when it
-// reaches the front. The completion event wheel never holds a released
-// record (squash unschedules it eagerly). Release poisons Seq, so every
-// such check fails from that moment; the record's other fields stay
-// untouched until dispatch, the only acquirer, reuses it. A reader of
-// the same cycle that runs before dispatch may therefore still read
-// Squashed without a Seq check (writeback's due batch, and
-// finishCompletion after a recovery squashed its own instruction).
+// instruction: Seq is the only durable identity and the only liveness
+// test, so every structure that can outlive an instruction (the
+// consumer lists, the deferred-bind queue, the SLIQ's entries, the LSQ's
+// forward waiters, the SLIQ dependence-mask owners) stores the Seq
+// alongside the pointer and treats a mismatch as "instruction is gone".
+// The issue queues' ready sets hold the same kind of reference. Squash
+// (squashInst) frees the record's slot in every structure that counts
+// occupancy (issue queue, SLIQ, LSQ) and takes it out of its
+// checkpoint's counters; a seq-checked reference it leaves behind is
+// dropped when its holder next reaches it. The completion event wheel
+// never holds a released record (squash unschedules it eagerly).
+// Release poisons Seq, so every such check fails from that moment; the
+// record's other fields stay untouched until dispatch, the only
+// acquirer, reuses it. A reader of the same cycle that holds a record
+// without its Seq (writeback's due batch, finishCompletion after a
+// recovery, the rollback's divergedAt check) tests released instead.
 type DynInst struct {
 	// Seq is the dynamic sequence number: unique and monotonically
 	// increasing across fetches, including wrong-path and replayed
@@ -70,8 +72,6 @@ type DynInst struct {
 	// WrongPath marks synthetic instructions fetched past an unresolved
 	// mispredicted branch; they never commit.
 	WrongPath bool
-	// Squashed instructions are dead; late completion events ignore them.
-	Squashed bool
 	// LiveLong records the blocked-long/blocked-short classification
 	// made at dispatch (Figure 7's live-instruction split); countedLive
 	// marks that the instruction is in the live FP counters.
@@ -85,7 +85,7 @@ type DynInst struct {
 	// queue.IQEntry): queue residence costs no allocation, and
 	// iqe.Resident() replaces the former nil-pointer check.
 	iqe  queue.IQEntry[*DynInst]
-	lsqe *lsq.Entry
+	lsqe *lsq.Entry[*DynInst]
 	ckpt *checkpoint.Entry
 	// inSLIQ marks residence in the slow lane.
 	inSLIQ bool
@@ -103,8 +103,8 @@ type DynInst struct {
 func (d *DynInst) String() string {
 	state := "waiting"
 	switch {
-	case d.Squashed:
-		state = "squashed"
+	case d.released():
+		state = "released"
 	case d.Done:
 		state = "done"
 	case d.Issued:
@@ -134,6 +134,13 @@ var debugPool = false
 
 // poisonSeq marks a record resident in the free list.
 const poisonSeq = ^uint64(0) - 0x5eed
+
+// released reports whether d is on the free list (its Seq is poisoned).
+func (d *DynInst) released() bool { return d.Seq == poisonSeq }
+
+// holdsSeq is the liveness test of a seq-checked reference to d: the
+// reference is live while d still carries the seq it was taken with.
+func holdsSeq(seq uint64, d *DynInst) bool { return d.Seq == seq }
 
 // acquire returns a zeroed record with iqe.Payload bound. Free-list
 // records are zeroed here; fresh-block records are runtime-zeroed.
@@ -272,7 +279,7 @@ func (w *eventWheel) push(d *DynInst) {
 
 // remove unschedules a completion (squash); a no-op when d is not
 // scheduled — in particular for records already handed out by takeDue,
-// which the writeback drain skips via the Squashed flag instead.
+// which the writeback drain skips as released instead.
 func (w *eventWheel) remove(d *DynInst) {
 	if d.wheelSlot == eventNone {
 		return
@@ -318,9 +325,9 @@ func (w *eventWheel) nextDue(limit int64) int64 {
 // takeDue unschedules and returns every event due at cycle now, in
 // (DoneCycle, Seq) order. The returned slice is reused by the next
 // call. The caller processes the batch with mutation in flight: events
-// it squashes mid-batch keep their Squashed flag (only dispatch, later
-// in the cycle, reuses a released record) and are skipped by it, and
-// events it pushes land at now+1 or later.
+// it squashes mid-batch stay released (only dispatch, later in the
+// cycle, reuses a released record) and are skipped by it, and events it
+// pushes land at now+1 or later.
 func (w *eventWheel) takeDue(now int64) []*DynInst {
 	w.base = now + 1
 	if w.n == 0 {

@@ -56,7 +56,7 @@ func (c *CPU) propagateLongTaint(p rename.PhysReg) {
 	c.longTaint[p] = true
 	for _, ref := range c.consumers[p] {
 		cons := ref.d
-		if cons.Seq != ref.seq || cons.Squashed || cons.Done || cons.Issued {
+		if cons.Seq != ref.seq || cons.Done || cons.Issued {
 			continue
 		}
 		if cons.countedLive && !cons.LiveLong {
@@ -113,17 +113,9 @@ func (c *CPU) startExecution(d *DynInst, aluDone int64) {
 			d.DoneCycle = aluDone + int64(c.cfg.DL1.LatencyCycles)
 			c.completions.push(d)
 		case lsq.ForwardWait:
-			// The blocking store executed; the load completes a cycle
-			// later (forwarding bypass). The callback outlives the
-			// load on squash, so it re-checks identity by Seq.
-			seq := d.Seq
-			c.lq.AddWaiter(store, func(uint64) {
-				if d.Squashed || d.Seq != seq {
-					return
-				}
-				d.DoneCycle = c.now + 1
-				c.completions.push(d)
-			})
+			// The load waits for the blocking store's data (see
+			// wakeForwardedLoad).
+			c.lq.AddWaiter(store, d.Seq, d)
 		case lsq.NoConflict:
 			res := c.hier.Load(aluDone, d.Inst.Addr)
 			d.DoneCycle = res.Done
@@ -139,4 +131,16 @@ func (c *CPU) startExecution(d *DynInst, aluDone int64) {
 		d.DoneCycle = aluDone
 		c.completions.push(d)
 	}
+}
+
+// wakeForwardedLoad is the LSQ's forward-wake callback (bound once in
+// New): the store d waited on has executed, so d completes a cycle later
+// (forwarding bypass). The waiter outlives a squashed load, so it
+// re-checks identity by Seq.
+func (c *CPU) wakeForwardedLoad(seq uint64, d *DynInst) {
+	if d.Seq != seq {
+		return
+	}
+	d.DoneCycle = c.now + 1
+	c.completions.push(d)
 }

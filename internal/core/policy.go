@@ -5,20 +5,20 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/isa"
-	"repro/internal/rename"
 	"repro/internal/stats"
 )
 
 // CommitPolicy is the retirement engine of a CPU: everything that used
 // to be a commit-mode switch in the pipeline is a method here. The CPU
-// owns the shared machinery (fetch, rename scoreboard, issue queues,
-// LSQ, caches, the DynInst pool) and the in-flight window. A policy
-// owns no ROB or pseudo-ROB list: it decides when a record leaves the
-// window and which squashYounger walk a recovery makes, owns the
-// checkpoint table, and is hooked at dispatch admission, completion,
-// per-cycle retirement, branch/exception recovery and stats extraction.
-// inOrderPolicy serves rob and oracle; checkpointPolicy serves
-// checkpoint and adaptive.
+// owns the shared machinery (fetch, rename, scoreboard, issue queues,
+// LSQ, caches, the DynInst pool) and the in-flight window, and it keeps
+// every per-instruction count: completion and squash update the
+// record's checkpoint (d.ckpt) directly. A policy owns no ROB or
+// pseudo-ROB list: it decides when a record leaves the window and which
+// squashYounger walk a recovery makes, owns the checkpoint table, and is
+// hooked at dispatch admission, per-cycle retirement, branch/exception
+// recovery and stats extraction. inOrderPolicy serves rob and oracle;
+// checkpointPolicy serves checkpoint and adaptive.
 //
 // Lifetime contract: policies operate on pooled DynInst records (see
 // the ownership contract on DynInst). A policy that pops a record from
@@ -37,19 +37,10 @@ type CommitPolicy interface {
 	// immediately before the record is built: the checkpoint family
 	// extracts the oldest pseudo-ROB entry here when the FIFO is full.
 	MakeRoom()
-	// AllocateDest renames the destination register under the policy's
-	// freeing discipline (deferred Future Free vs. free-at-commit).
-	AllocateDest(dest isa.Reg) (phys, prev rename.PhysReg, ok bool)
 	// Dispatched is called once dispatch has pushed d at the window's
 	// back. It runs after branch resolution bookkeeping, so
 	// d.Mispredicted is already final.
 	Dispatched(d *DynInst)
-	// Completed is notified when d finishes execution (writeback).
-	Completed(d *DynInst)
-	// Squashed removes d from the policy's retirement accounting; the
-	// squash walk (squashYounger) handles the window and every shared
-	// structure.
-	Squashed(d *DynInst)
 	// Commit is the per-cycle retirement stage.
 	Commit()
 	// DispatchStalled runs at the end of a dispatch cycle that admitted
@@ -64,16 +55,11 @@ type CommitPolicy interface {
 	// without a replay mechanism ignore it (matching the former
 	// checkpoint-mode-only behaviour).
 	RaiseException(d *DynInst)
-	// NextRetireEvent reports the earliest cycle >= now at which Commit
-	// could retire (or otherwise make progress) given the policy's
-	// current state, or -1 when no retirement is schedulable before some
-	// new completion event arrives. The event-driven clock skip consults
-	// it on quiescent cycles: a stalled checkpoint table or full
-	// pseudo-ROB is quiescent only if no retirement can free it. A
-	// policy may be conservative (returning now disables the skip, which
-	// is always correct) but must never place the event later than it
-	// could really fire.
-	NextRetireEvent(now int64) int64
+	// CanRetire reports whether Commit could retire something this
+	// cycle. The event-driven clock skip never jumps while it holds: a
+	// stalled checkpoint table or full pseudo-ROB is quiescent only if
+	// no retirement can free it.
+	CanRetire() bool
 	// OccupancyBound sizes the occupancy histogram for this policy's
 	// reachable window.
 	OccupancyBound() int
@@ -103,7 +89,7 @@ func newPolicy(c *CPU) CommitPolicy {
 // order: its LSQ entry leaves (a store writes to memory) and the commit
 // counters move. The caller decides when the record leaves the window.
 func (c *CPU) commitInst(d *DynInst) {
-	if d.Squashed || d.WrongPath || !d.Done {
+	if d.released() || d.WrongPath || !d.Done {
 		panic(fmt.Sprintf("core: committing dead or unfinished instruction %v (wrong path %v)", d, d.WrongPath))
 	}
 	if d.lsqe != nil {

@@ -56,8 +56,8 @@ func newCheckpointPolicy(c *CPU) *checkpointPolicy {
 		threshold: uint8(c.cfg.AdaptiveConfidenceThreshold),
 	}
 	if c.cfg.SLIQEntries > 0 {
-		c.sliq = queue.NewSLIQ[*DynInst](c.cfg.SLIQEntries, c.cfg.SLIQWakeDelay,
-			c.cfg.SLIQWakeWidth, c.rt.NumPhys())
+		c.sliq = queue.NewSLIQ(c.cfg.SLIQEntries, c.cfg.SLIQWakeDelay,
+			c.cfg.SLIQWakeWidth, c.rt.NumPhys(), holdsSeq)
 	}
 	p.clearDepMasks()
 	return p
@@ -145,12 +145,6 @@ func (p *checkpointPolicy) MakeRoom() {
 // extraction cursor.
 func (p *checkpointPolicy) probLen() int { return p.c.window.Len() - p.extracted }
 
-// AllocateDest uses the deferred-release discipline: the previous
-// mapping's Future Free bit is set and released at window commit.
-func (p *checkpointPolicy) AllocateDest(dest isa.Reg) (rename.PhysReg, rename.PhysReg, bool) {
-	return p.c.rt.Allocate(dest)
-}
-
 // Dispatched associates the instruction, which dispatch has just pushed
 // into the window's pseudo-ROB stretch, with the youngest checkpoint.
 // The exception protocol's first pass arms here: the instruction raises
@@ -161,7 +155,7 @@ func (p *checkpointPolicy) AllocateDest(dest isa.Reg) (rename.PhysReg, rename.Ph
 func (p *checkpointPolicy) Dispatched(d *DynInst) {
 	c := p.c
 	d.ckpt = p.ckpts.Youngest()
-	p.ckpts.Associate(d.ckpt, d.Inst.Op)
+	d.ckpt.Associate(d.Inst.Op)
 	if p.probLen() > c.cfg.PseudoROBEntries {
 		panic("core: pseudo-ROB full after extraction")
 	}
@@ -180,25 +174,6 @@ func (p *checkpointPolicy) Dispatched(d *DynInst) {
 		p.branchCkpts++
 	}
 	c.conf.Update(d.Inst.PC, !d.Mispredicted)
-}
-
-// Completed decrements the owning checkpoint's pending counter.
-func (p *checkpointPolicy) Completed(d *DynInst) {
-	if d.ckpt != nil {
-		p.ckpts.Finished(d.ckpt)
-	}
-}
-
-// Squashed removes the instruction from its checkpoint's accounting.
-func (p *checkpointPolicy) Squashed(d *DynInst) {
-	if d.ckpt == nil {
-		return
-	}
-	if d.Done {
-		p.ckpts.SquashedDone(d.ckpt, d.Inst.Op)
-	} else {
-		p.ckpts.Squashed(d.ckpt, d.Inst.Op)
-	}
 }
 
 // Commit retires every committable checkpoint: the oldest window whose
@@ -275,16 +250,13 @@ func (p *checkpointPolicy) DispatchStalled() {
 	}
 }
 
-// NextRetireEvent reports "now" while a window could commit this cycle
-// — a committable checkpoint, or the end-of-program drain of the final
-// open window — and -1 otherwise. Both conditions can only become true
-// through a completion (Pending hitting zero) or a checkpoint take,
-// events the clock skip already observes, so -1 is safe.
-func (p *checkpointPolicy) NextRetireEvent(now int64) int64 {
-	if p.ckpts.CanCommit() || p.finalWindowDone() {
-		return now
-	}
-	return -1
+// CanRetire reports a window that could commit this cycle: a
+// committable checkpoint, or the end-of-program drain of the final open
+// window. Both can only become true through a completion (Pending
+// hitting zero) or a checkpoint take, events the clock skip already
+// observes.
+func (p *checkpointPolicy) CanRetire() bool {
+	return p.ckpts.CanCommit() || p.finalWindowDone()
 }
 
 // ResolveMispredict recovers a mispredicted branch: if the branch is
@@ -334,14 +306,7 @@ func (p *checkpointPolicy) clearDepMasks() {
 // start. Squashed correct-path instructions count as replayed work.
 func (p *checkpointPolicy) rollbackToCheckpoint(target *checkpoint.Entry) {
 	c := p.c
-	startSeq := target.StartSeq
-
-	if c.sliq != nil {
-		c.sliq.SquashYounger(startSeq, func(d *DynInst) {
-			d.inSLIQ = false
-		})
-	}
-	c.squashYounger(startSeq, false)
+	c.squashYounger(target.StartSeq, false)
 	// Extraction usually ran past the rollback point.
 	p.extracted = min(p.extracted, c.window.Len())
 
@@ -351,7 +316,7 @@ func (p *checkpointPolicy) rollbackToCheckpoint(target *checkpoint.Entry) {
 
 	// The dependence masks refer to pre-rollback physical registers.
 	p.clearDepMasks()
-	if c.divergedAt != nil && c.divergedAt.Seq >= startSeq {
+	if c.divergedAt != nil && c.divergedAt.released() {
 		c.divergedAt = nil
 	}
 	c.rollbacks++

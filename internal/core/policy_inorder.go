@@ -37,12 +37,6 @@ func (p *inOrderPolicy) Admit(isa.Inst, int64) bool {
 // MakeRoom is a no-op: window space was checked in Admit.
 func (p *inOrderPolicy) MakeRoom() {}
 
-// AllocateDest uses the conventional discipline: the previous mapping
-// is freed when the redefining instruction commits.
-func (p *inOrderPolicy) AllocateDest(dest isa.Reg) (rename.PhysReg, rename.PhysReg, bool) {
-	return p.c.rt.AllocateROB(dest)
-}
-
 // Dispatched checks the window bound Admit enforced.
 func (p *inOrderPolicy) Dispatched(*DynInst) {
 	if p.capacity > 0 && p.c.window.Len() > p.capacity {
@@ -50,15 +44,9 @@ func (p *inOrderPolicy) Dispatched(*DynInst) {
 	}
 }
 
-// Completed is a no-op: Commit polls Done at the head.
-func (p *inOrderPolicy) Completed(*DynInst) {}
-
-// Squashed is a no-op: the policy keeps no per-instruction accounting.
-func (p *inOrderPolicy) Squashed(*DynInst) {}
-
 // Commit retires finished instructions from the window head, at most
 // width of them when a width is set, freeing superseded physical
-// registers and draining stores.
+// registers (the conventional discipline) and draining stores.
 func (p *inOrderPolicy) Commit() {
 	c := p.c
 	var n int
@@ -86,15 +74,12 @@ func (p *inOrderPolicy) Commit() {
 // retire.
 func (p *inOrderPolicy) DispatchStalled() {}
 
-// NextRetireEvent reports "now" while the window head is finished
-// (Commit would retire it this cycle) and -1 otherwise: an unfinished
-// head can only become retirable through a completion event, which the
-// clock skip already bounds by the event wheel.
-func (p *inOrderPolicy) NextRetireEvent(now int64) int64 {
-	if d := p.c.window.Front(); d != nil && d.Done {
-		return now
-	}
-	return -1
+// CanRetire reports a finished window head: an unfinished head can only
+// become retirable through a completion event, which the clock skip
+// already bounds by the event wheel.
+func (p *inOrderPolicy) CanRetire() bool {
+	d := p.c.window.Front()
+	return d != nil && d.Done
 }
 
 // ResolveMispredict squashes everything younger than the branch from

@@ -265,7 +265,7 @@ func TestCheckpointTakingRule(t *testing.T) {
 					if i >= tc.insts-tc.stores {
 						op = isa.Store
 					}
-					p.ckpts.Associate(e, op)
+					e.Associate(op)
 				}
 			}
 			if got := p.shouldTake(tc.inst); got != tc.want {

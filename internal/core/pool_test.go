@@ -178,21 +178,21 @@ func TestPoolRecyclesRecords(t *testing.T) {
 }
 
 // TestReleasePoisonsSeqUntilReuse pins the pool's liveness rule: release
-// poisons Seq at once, so every holder's Seq check fails from then on,
-// and leaves the rest of the record untouched, so a reader earlier in
-// the same cycle still sees Squashed; the next acquire hands the same
-// record back zeroed.
+// poisons Seq at once, so every holder's Seq check fails and released
+// reads true from then on, and leaves the rest of the record untouched
+// for a reader earlier in the same cycle; the next acquire hands the
+// same record back zeroed.
 func TestReleasePoisonsSeqUntilReuse(t *testing.T) {
 	var p instPool
 	d := p.acquire()
 	d.Seq, d.Pos, d.DestPhys = 7, 3, 5
-	d.Squashed, d.Done = true, true
-	d.lsqe = &lsq.Entry{}
+	d.Done = true
+	d.lsqe = &lsq.Entry[*DynInst]{}
 	p.release(d)
-	if d.Seq != poisonSeq {
+	if d.Seq != poisonSeq || !d.released() || holdsSeq(7, d) {
 		t.Fatalf("released record reads seq %d, want the poison %d", d.Seq, poisonSeq)
 	}
-	if !d.Squashed || d.Pos != 3 || d.lsqe == nil {
+	if !d.Done || d.Pos != 3 || d.lsqe == nil {
 		t.Fatalf("release cleared more than Seq: %+v", *d)
 	}
 	got := p.acquire()

@@ -134,7 +134,7 @@ func (p *checkpointPolicy) triggerLive(root rename.PhysReg, rootSeq uint64) bool
 		return false
 	}
 	pr := c.producer[root]
-	return pr != nil && !pr.Squashed && pr.Seq == rootSeq
+	return pr != nil && pr.Seq == rootSeq
 }
 
 // maskSeed marks a long-latency load's destination in the mask.

@@ -26,12 +26,12 @@ func (c *CPU) squashYounger(seq uint64, unwindRename bool) {
 }
 
 // squashInst removes one instruction, already popped from the window,
-// from every other structure, and finally releases the record to the
-// free list (its Seq poisoned, its Squashed flag readable until dispatch
-// reuses it — see DynInst).
+// from every other structure: it is the one path that frees a squashed
+// record's slot in the issue queue, the SLIQ, the LSQ and the completion
+// wheel and takes it out of its checkpoint's counters. It finally
+// releases the record to the free list, poisoning its Seq, which kills
+// every seq-checked reference still held elsewhere (see DynInst).
 func (c *CPU) squashInst(d *DynInst, unwindRename bool) {
-	d.Squashed = true
-
 	if d.countedLive {
 		d.countedLive = false
 		if d.LiveLong {
@@ -43,6 +43,12 @@ func (c *CPU) squashInst(d *DynInst, unwindRename bool) {
 	if d.iqe.Resident() {
 		c.iqFor(d.Inst.Op).Remove(&d.iqe)
 	}
+	if d.inSLIQ {
+		// The slot frees now; the SLIQ drops the entry, dead from the
+		// release below, when it next reaches it.
+		d.inSLIQ = false
+		c.sliq.Squash()
+	}
 	// Unschedule any pending completion so the event wheel never holds
 	// a released record.
 	c.completions.remove(d)
@@ -50,9 +56,9 @@ func (c *CPU) squashInst(d *DynInst, unwindRename bool) {
 		c.lq.Squash(d.lsqe)
 		d.lsqe = nil
 	}
-
-	// Policy-side accounting (checkpoint pending/instruction counters).
-	c.policy.Squashed(d)
+	if d.ckpt != nil {
+		d.ckpt.Squash(d.Inst.Op, d.Done)
+	}
 
 	if c.vt != nil && d.DestPhys != rename.PhysNone {
 		if d.Done {
@@ -68,9 +74,10 @@ func (c *CPU) squashInst(d *DynInst, unwindRename bool) {
 	}
 
 	if d.DestPhys != rename.PhysNone {
-		// Wake any slow-lane instructions waiting on this dying
-		// register so no trigger is lost; they re-evaluate their real
-		// source readiness on re-insertion.
+		// Slow-lane entries waiting on this dying register depend on
+		// d, so the walk has already squashed them: the trigger drops
+		// them now. A live one would wake and re-evaluate its sources
+		// on re-insertion, so no trigger is lost.
 		if c.sliq != nil {
 			c.sliq.TriggerReady(d.DestPhys, c.now)
 		}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/config"
+	"repro/internal/isa"
 	"repro/internal/stats"
 )
 
@@ -12,9 +14,12 @@ import (
 // at a time through branch rollbacks, pseudo-ROB recoveries and the
 // two-pass exception protocol, and checks the in-flight window after
 // every cycle: program order, live records only, one LSQ entry per
-// memory record, the committed prefix and the extraction cursor. The
-// stepped run must also match a plain run bit for bit, so stepping
-// observes the machine without perturbing it.
+// memory record, one issue-queue or SLIQ slot per resident record, the
+// live checkpoints' counters, the committed prefix and the extraction
+// cursor. The stepped run must also match a plain run bit for bit, so
+// stepping observes the machine without perturbing it. Every
+// checkpoint-family run squashes SLIQ residents, so the slots and
+// counters a squash frees are checked too.
 func TestWindowInvariantsPerCycle(t *testing.T) {
 	tr := rollbackHeavyTrace(30000)
 	const insts, exceptAt = 20000, 5000
@@ -37,8 +42,8 @@ func TestWindowInvariantsPerCycle(t *testing.T) {
 				cpu.InjectExceptionAt(exceptAt)
 				return cpu
 			}
-			want := run().Run(RunOptions{MaxInsts: insts, DisableSkip: true})
-
+			// Stepped first, so a broken invariant fails at its first
+			// cycle instead of wedging the plain run until the watchdog.
 			cpu := run()
 			var got stats.Results
 			var sawRetired, sawExtracted bool
@@ -56,7 +61,7 @@ func TestWindowInvariantsPerCycle(t *testing.T) {
 					sawExtracted = sawExtracted || p.extracted > 0
 				}
 			}
-			if !got.Equal(want) {
+			if want := run().Run(RunOptions{MaxInsts: insts, DisableSkip: true}); !got.Equal(want) {
 				t.Fatalf("stepped run diverged from a plain run:\nstepped: %+v\n  plain: %+v", got, want)
 			}
 			if got.Branch.Mispredicts == 0 {
@@ -66,6 +71,9 @@ func TestWindowInvariantsPerCycle(t *testing.T) {
 				if !sawRetired || !sawExtracted || got.Rollbacks == 0 || cpu.Exceptions() != 1 {
 					t.Fatalf("a cursor or recovery went unexercised: retired %v, extracted %v, %d rollbacks, %d exceptions",
 						sawRetired, sawExtracted, got.Rollbacks, cpu.Exceptions())
+				}
+				if cpu.sliq.Stats().Squashed == 0 {
+					t.Fatal("no SLIQ resident was squashed; the lazy SLIQ removal went unchecked")
 				}
 			}
 		})
@@ -85,11 +93,14 @@ func checkWindow(c *CPU) error {
 			return fmt.Errorf("pseudo-ROB holds %d of %d entries", n, c.cfg.PseudoROBEntries)
 		}
 	}
-	memOps := 0
+	// counts is what the window holds of one live checkpoint's window.
+	type counts struct{ insts, stores, pending int }
+	ckpts := map[*checkpoint.Entry]*counts{}
+	memOps, iqResident, sliqResident := 0, 0, 0
 	for i := 0; i < c.window.Len(); i++ {
 		d := c.window.At(i)
 		switch {
-		case d.Seq == poisonSeq || d.Squashed:
+		case d.released():
 			return fmt.Errorf("window position %d holds a dead record %v", i, d)
 		case i > 0 && d.Seq <= c.window.At(i-1).Seq:
 			return fmt.Errorf("window seqs out of order at %d: %d after %d", i, d.Seq, c.window.At(i-1).Seq)
@@ -97,9 +108,41 @@ func checkWindow(c *CPU) error {
 		if d.lsqe != nil {
 			memOps++
 		}
+		if d.iqe.Resident() {
+			iqResident++
+		}
+		if d.inSLIQ {
+			sliqResident++
+		}
+		if p, ok := c.policy.(*checkpointPolicy); ok && d.ckpt.ID >= p.ckpts.Oldest().ID {
+			n := ckpts[d.ckpt]
+			if n == nil {
+				n = &counts{}
+				ckpts[d.ckpt] = n
+			}
+			n.insts++
+			if d.Inst.Op == isa.Store {
+				n.stores++
+			}
+			if !d.Done {
+				n.pending++
+			}
+		}
 	}
 	if memOps != c.lq.Len() {
 		return fmt.Errorf("%d window records hold an LSQ entry, the LSQ holds %d", memOps, c.lq.Len())
+	}
+	if n := c.intQ.Len() + c.fpQ.Len(); iqResident != n {
+		return fmt.Errorf("%d window records hold an issue-queue entry, the queues hold %d", iqResident, n)
+	}
+	if c.sliq != nil && sliqResident != c.sliq.Len() {
+		return fmt.Errorf("%d window records are SLIQ residents, the SLIQ holds %d", sliqResident, c.sliq.Len())
+	}
+	for e, n := range ckpts {
+		if e.Insts != n.insts || e.Stores != n.stores || e.Pending != n.pending {
+			return fmt.Errorf("checkpoint %d counts %d insts, %d stores, %d pending; its window holds %d, %d, %d",
+				e.ID, e.Insts, e.Stores, e.Pending, n.insts, n.stores, n.pending)
+		}
 	}
 	if c.inflight != c.window.Len()-retired {
 		return fmt.Errorf("inflight %d, window %d minus %d committed", c.inflight, c.window.Len(), retired)

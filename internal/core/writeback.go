@@ -7,17 +7,17 @@ import (
 
 // writebackStage retires completion events whose time has come: values
 // are written to the register file, dependants are woken (issue queues
-// and SLIQ), memory entries are marked executed, checkpoint counters are
-// decremented, and mispredicted branches trigger recovery.
+// and SLIQ), memory entries are marked executed, checkpoint pending
+// counters are decremented, and mispredicted branches trigger recovery.
 func (c *CPU) writebackStage() {
 	if c.vt != nil {
 		c.drainDeferredBinds()
 	}
 	for _, d := range c.completions.takeDue(c.now) {
-		if d.Squashed {
+		if d.released() {
 			// An older event in this batch squashed it mid-drain; the
-			// record is released but not yet reused (only dispatch
-			// acquires, later in the cycle), so the flag still reads.
+			// record is not yet reused (only dispatch acquires, later
+			// in the cycle).
 			continue
 		}
 		c.completeInst(d)
@@ -77,7 +77,6 @@ func (c *CPU) finishCompletion(d *DynInst) {
 				continue
 			}
 			switch {
-			case cons.Squashed:
 			case cons.Inst.Op == isa.Store:
 				// LSQ-resident: the store executes once its last
 				// source arrives.
@@ -99,9 +98,11 @@ func (c *CPU) finishCompletion(d *DynInst) {
 		}
 	}
 	if d.lsqe != nil {
-		c.lq.MarkExecuted(d.lsqe)
+		c.lq.MarkExecuted(d.lsqe, c.forwardWake)
 	}
-	c.policy.Completed(d)
+	if d.ckpt != nil {
+		d.ckpt.Complete()
+	}
 
 	if d.Inst.Op == isa.Branch && d.Mispredicted && c.divergedAt == d {
 		c.resolveMispredict(d)
@@ -109,7 +110,7 @@ func (c *CPU) finishCompletion(d *DynInst) {
 	// Safe even if the recovery above squashed-and-released d: release
 	// poisons only Seq, and no record is reused before this cycle's
 	// dispatch stage (see DynInst).
-	if d.ExceptAt && !d.Squashed {
+	if d.ExceptAt && !d.released() {
 		d.ExceptAt = false
 		c.policy.RaiseException(d)
 	}
@@ -124,7 +125,7 @@ func (c *CPU) drainDeferredBinds() {
 	for ; n < len(c.deferredBind); n++ {
 		ref := c.deferredBind[n]
 		d := ref.d
-		if d.Seq != ref.seq || d.Squashed {
+		if d.Seq != ref.seq {
 			// Squashed (and possibly recycled since): the squash already
 			// returned its tag.
 			continue

@@ -15,10 +15,6 @@ import (
 // lands near the per-point instruction budget, keeping the two suites
 // comparable.
 
-// ProgramSuiteNames lists the program-suite members (every registered
-// program, sorted).
-func ProgramSuiteNames() []string { return programs.Names() }
-
 // ProgramRecipe returns the recipe the experiment suites use for one
 // program under a committed-instruction budget.
 func ProgramRecipe(name string, insts, seed uint64) (trace.Recipe, error) {

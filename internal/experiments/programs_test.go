@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/isa/programs"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -16,7 +17,7 @@ func programQuickOpts() Options {
 }
 
 func TestProgramSuiteBuilds(t *testing.T) {
-	names := ProgramSuiteNames()
+	names := programs.Names()
 	if len(names) < 4 {
 		t.Fatalf("program suite too small: %v", names)
 	}

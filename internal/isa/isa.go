@@ -176,18 +176,6 @@ func (in Inst) String() string {
 	}
 }
 
-// Sources appends the valid source registers of in to dst and returns it.
-// Using an append-style API avoids allocating in the rename hot path.
-func (in Inst) Sources(dst []Reg) []Reg {
-	if in.Src1 != RegNone {
-		dst = append(dst, in.Src1)
-	}
-	if in.Src2 != RegNone {
-		dst = append(dst, in.Src2)
-	}
-	return dst
-}
-
 // Validate checks structural invariants of the instruction and returns a
 // descriptive error for malformed instructions. Generators use it in tests;
 // the pipeline assumes instructions are valid.

@@ -103,21 +103,6 @@ func TestOpString(t *testing.T) {
 	}
 }
 
-func TestInstSources(t *testing.T) {
-	in := Inst{Op: FPAlu, Dest: FPReg(0), Src1: FPReg(1), Src2: FPReg(2)}
-	if got := in.Sources(nil); len(got) != 2 {
-		t.Fatalf("want 2 sources, got %v", got)
-	}
-	in.Src2 = RegNone
-	if got := in.Sources(nil); len(got) != 1 || got[0] != FPReg(1) {
-		t.Fatalf("want [f1], got %v", got)
-	}
-	in.Src1 = RegNone
-	if got := in.Sources(nil); len(got) != 0 {
-		t.Fatalf("want no sources, got %v", got)
-	}
-}
-
 func TestInstValidate(t *testing.T) {
 	valid := []Inst{
 		{Op: IntAlu, Dest: IntReg(1), Src1: IntReg(2), Src2: RegNone},

@@ -5,6 +5,12 @@
 // oldest first, so stores reach memory in order, and its squash walk
 // removes squashed ones youngest first.
 //
+// A load that must wait for an older store's data parks on that store
+// as a seq-checked (seq, load) pair, P being the load's payload type.
+// MarkExecuted hands each pair to the caller's wake function, which
+// drops a load that no longer carries its seq, so a squash removes no
+// pair and parking allocates nothing.
+//
 // Following the paper, the LSQ is treated as a pseudo-perfect resource
 // (4096 entries in Table 1) except that its occupancy rules matter: in
 // checkpoint mode, entries are held until the owning checkpoint commits,
@@ -40,17 +46,24 @@ const (
 // LSQ and recycled after removal: the pipeline must drop its handle when
 // it retires or squashes the instruction and must not dereference it
 // afterwards.
-type Entry struct {
+type Entry[P any] struct {
 	Seq  uint64
 	Kind Kind
 	Addr uint64
 	// Executed marks address (and data, for stores) availability.
 	Executed bool
 	// waiters are loads blocked on this store's data (forwarding).
-	waiters []func(storeSeq uint64)
+	waiters []waiter[P]
 	// olderSame chains stores to the same address, newest first (the
 	// forwarding index; intrusive so indexing allocates nothing).
-	olderSame *Entry
+	olderSame *Entry[P]
+}
+
+// waiter is a load parked on a store's data: the load's payload and the
+// seq it carried when it parked.
+type waiter[P any] struct {
+	seq  uint64
+	load P
 }
 
 // Stats counts queue activity.
@@ -63,8 +76,9 @@ type Stats struct {
 	FullStalls    uint64
 }
 
-// LSQ is the load/store queue.
-type LSQ struct {
+// LSQ is the load/store queue; P is the payload type of a parked load
+// (see AddWaiter).
+type LSQ[P any] struct {
 	capacity int
 	// n counts the resident entries; next is the smallest seq Insert
 	// accepts, one past the last inserted.
@@ -72,31 +86,31 @@ type LSQ struct {
 	next uint64
 	// stores maps an effective address to its youngest resident store;
 	// older stores to the same address chain behind it via olderSame.
-	stores addrmap.Map[*Entry]
-	free   []*Entry
+	stores addrmap.Map[*Entry[P]]
+	free   []*Entry[P]
 	stats  Stats
 }
 
 // New builds a load/store queue with the given capacity.
-func New(capacity int) *LSQ {
+func New[P any](capacity int) *LSQ[P] {
 	if capacity < 1 {
 		panic(fmt.Sprintf("lsq: capacity %d < 1", capacity))
 	}
-	return &LSQ{capacity: capacity}
+	return &LSQ[P]{capacity: capacity}
 }
 
 // Cap returns the capacity.
-func (q *LSQ) Cap() int { return q.capacity }
+func (q *LSQ[P]) Cap() int { return q.capacity }
 
 // Len returns the number of resident entries.
-func (q *LSQ) Len() int { return q.n }
+func (q *LSQ[P]) Len() int { return q.n }
 
 // Full reports whether the queue is at capacity.
-func (q *LSQ) Full() bool { return q.Len() >= q.capacity }
+func (q *LSQ[P]) Full() bool { return q.Len() >= q.capacity }
 
 // Insert allocates an entry at dispatch. Entries must be inserted in
 // increasing sequence order. Returns nil when the queue is full.
-func (q *LSQ) Insert(seq uint64, op isa.Op, addr uint64) *Entry {
+func (q *LSQ[P]) Insert(seq uint64, op isa.Op, addr uint64) *Entry[P] {
 	if q.Full() {
 		q.stats.FullStalls++
 		return nil
@@ -115,13 +129,13 @@ func (q *LSQ) Insert(seq uint64, op isa.Op, addr uint64) *Entry {
 	default:
 		panic(fmt.Sprintf("lsq: non-memory op %v", op))
 	}
-	var e *Entry
+	var e *Entry[P]
 	if n := len(q.free); n > 0 {
 		e = q.free[n-1]
 		q.free[n-1] = nil
 		q.free = q.free[:n-1]
 	} else {
-		e = new(Entry)
+		e = new(Entry[P])
 	}
 	e.Seq, e.Kind, e.Addr, e.Executed = seq, k, addr, false
 	q.n++
@@ -137,14 +151,12 @@ func (q *LSQ) Insert(seq uint64, op isa.Op, addr uint64) *Entry {
 
 // release takes a resident entry out of the queue and returns it to the
 // free list. The entry's waiter backing array is kept for reuse.
-func (q *LSQ) release(e *Entry) {
+func (q *LSQ[P]) release(e *Entry[P]) {
 	if q.n == 0 {
 		panic(fmt.Sprintf("lsq: removing seq %d from an empty queue", e.Seq))
 	}
 	q.n--
-	for i := range e.waiters {
-		e.waiters[i] = nil
-	}
+	clear(e.waiters)
 	e.waiters = e.waiters[:0]
 	e.olderSame = nil
 	q.free = append(q.free, e)
@@ -152,7 +164,7 @@ func (q *LSQ) release(e *Entry) {
 
 // dropStore unlinks a store from the forwarding index. Chains are short
 // (stores resident at one address), so the walk is cheap.
-func (q *LSQ) dropStore(e *Entry) {
+func (q *LSQ[P]) dropStore(e *Entry[P]) {
 	head, _ := q.stores.Get(e.Addr)
 	if head == e {
 		if e.olderSame == nil {
@@ -172,15 +184,16 @@ func (q *LSQ) dropStore(e *Entry) {
 }
 
 // MarkExecuted records that the entry's address (and data for stores)
-// has been computed. For stores this releases any loads waiting to
-// forward from it.
-func (q *LSQ) MarkExecuted(e *Entry) {
+// has been computed. For stores this hands every load parked on it to
+// wake, in the order they parked, with the seq each parked under, so
+// wake can drop a load that no longer carries it.
+func (q *LSQ[P]) MarkExecuted(e *Entry[P], wake func(seq uint64, load P)) {
 	e.Executed = true
 	if e.Kind == KindStore {
-		for i, w := range e.waiters {
-			e.waiters[i] = nil
-			w(e.Seq)
+		for _, w := range e.waiters {
+			wake(w.seq, w.load)
 		}
+		clear(e.waiters)
 		e.waiters = e.waiters[:0]
 	}
 }
@@ -195,16 +208,16 @@ const (
 	// ForwardReady: an older executed store matches; forward its data.
 	ForwardReady
 	// ForwardWait: an older store matches but its data is not ready;
-	// the load must wait (register a callback via AddWaiter).
+	// the load must wait (park it with AddWaiter).
 	ForwardWait
 )
 
 // LookupForward finds the youngest store older than loadSeq with a
 // matching address. On ForwardWait it returns the blocking store so the
-// caller can register a wake callback with AddWaiter. Unresolved store
+// caller can park the load on it with AddWaiter. Unresolved store
 // addresses are compared against the architectural address the generator
 // provided, per the paper's pseudo-perfect disambiguation.
-func (q *LSQ) LookupForward(loadSeq uint64, addr uint64) (ForwardResult, *Entry) {
+func (q *LSQ[P]) LookupForward(loadSeq uint64, addr uint64) (ForwardResult, *Entry[P]) {
 	// The chain is youngest-first: the first store older than the load
 	// is the youngest matching one.
 	e, _ := q.stores.Get(addr)
@@ -222,20 +235,21 @@ func (q *LSQ) LookupForward(loadSeq uint64, addr uint64) (ForwardResult, *Entry)
 	return ForwardReady, nil
 }
 
-// AddWaiter registers a callback invoked when the (unexecuted) store's
-// data becomes available; callers obtain store from a ForwardWait
-// lookup. Waiters of squashed stores are dropped without being invoked.
-func (q *LSQ) AddWaiter(store *Entry, onReady func(storeSeq uint64)) {
+// AddWaiter parks load, whose seq is seq, on the (unexecuted) store
+// until its data becomes available (see MarkExecuted); callers obtain
+// store from a ForwardWait lookup. Waiters of squashed stores are
+// dropped unwoken.
+func (q *LSQ[P]) AddWaiter(store *Entry[P], seq uint64, load P) {
 	if store.Executed {
 		panic(fmt.Sprintf("lsq: waiter on executed store seq %d", store.Seq))
 	}
-	store.waiters = append(store.waiters, onReady)
+	store.waiters = append(store.waiters, waiter[P]{seq, load})
 }
 
 // Remove takes a committed entry out of the queue; a store writes its
 // data through write as it leaves. The core removes committed entries
 // oldest first, so stores reach memory in program order.
-func (q *LSQ) Remove(e *Entry, write func(addr uint64)) {
+func (q *LSQ[P]) Remove(e *Entry[P], write func(addr uint64)) {
 	if e.Kind == KindStore {
 		if !e.Executed {
 			panic(fmt.Sprintf("lsq: committing unexecuted store seq %d", e.Seq))
@@ -250,7 +264,7 @@ func (q *LSQ) Remove(e *Entry, write func(addr uint64)) {
 // Squash takes a squashed entry out of the queue. Pending forward
 // waiters of a squashed store are dropped unfired (their loads are
 // younger than the store and therefore squashed too).
-func (q *LSQ) Squash(e *Entry) {
+func (q *LSQ[P]) Squash(e *Entry[P]) {
 	if e.Kind == KindStore {
 		q.dropStore(e)
 	}
@@ -258,14 +272,14 @@ func (q *LSQ) Squash(e *Entry) {
 }
 
 // Stats returns a copy of the counters.
-func (q *LSQ) Stats() Stats { return q.stats }
+func (q *LSQ[P]) Stats() Stats { return q.stats }
 
 // CheckInvariants validates the forwarding index (each chain holds its
 // own address's stores, youngest first) and the occupancy, for tests.
-func (q *LSQ) CheckInvariants() error {
+func (q *LSQ[P]) CheckInvariants() error {
 	stores := 0
 	var err error
-	q.stores.ForEach(func(addr uint64, head *Entry) {
+	q.stores.ForEach(func(addr uint64, head *Entry[P]) {
 		for e, prev := head, ^uint64(0); e != nil && err == nil; prev, e = e.Seq, e.olderSame {
 			stores++
 			switch {

@@ -8,8 +8,11 @@ import (
 	"repro/internal/isa"
 )
 
+// noWake is the wake function of tests that park no load.
+func noWake(uint64, int) {}
+
 func TestInsertOrderAndKinds(t *testing.T) {
-	q := New(8)
+	q := New[int](8)
 	l := q.Insert(1, isa.Load, 0x100)
 	s := q.Insert(2, isa.Store, 0x200)
 	if l.Kind != KindLoad || s.Kind != KindStore {
@@ -28,7 +31,7 @@ func TestInsertOrderAndKinds(t *testing.T) {
 }
 
 func TestOutOfOrderInsertPanics(t *testing.T) {
-	q := New(8)
+	q := New[int](8)
 	q.Insert(5, isa.Load, 0x100)
 	defer func() {
 		if recover() == nil {
@@ -39,7 +42,7 @@ func TestOutOfOrderInsertPanics(t *testing.T) {
 }
 
 func TestNonMemOpPanics(t *testing.T) {
-	q := New(8)
+	q := New[int](8)
 	defer func() {
 		if recover() == nil {
 			t.Error("non-memory op must panic")
@@ -49,7 +52,7 @@ func TestNonMemOpPanics(t *testing.T) {
 }
 
 func TestCapacity(t *testing.T) {
-	q := New(2)
+	q := New[int](2)
 	q.Insert(1, isa.Load, 0x10)
 	q.Insert(2, isa.Load, 0x20)
 	if !q.Full() {
@@ -64,9 +67,9 @@ func TestCapacity(t *testing.T) {
 }
 
 func TestForwardReady(t *testing.T) {
-	q := New(8)
+	q := New[int](8)
 	s := q.Insert(1, isa.Store, 0x100)
-	q.MarkExecuted(s)
+	q.MarkExecuted(s, noWake)
 	got, blocking := q.LookupForward(2, 0x100)
 	if got != ForwardReady || blocking != nil {
 		t.Fatalf("got %v (store %v), want ForwardReady", got, blocking)
@@ -77,26 +80,26 @@ func TestForwardReady(t *testing.T) {
 }
 
 func TestForwardWaitThenReady(t *testing.T) {
-	q := New(8)
+	q := New[int](8)
 	s := q.Insert(1, isa.Store, 0x100)
 	got, blocking := q.LookupForward(2, 0x100)
 	if got != ForwardWait || blocking != s {
 		t.Fatalf("got %v (store %v), want ForwardWait on seq 1", got, blocking)
 	}
-	fired := uint64(0)
-	q.AddWaiter(blocking, func(storeSeq uint64) { fired = storeSeq })
-	q.MarkExecuted(s)
-	if fired != 1 {
-		t.Fatal("waiter must fire when the store executes")
+	var fired []uint64
+	q.AddWaiter(blocking, 2, 20)
+	q.MarkExecuted(s, func(seq uint64, load int) { fired = append(fired, seq, uint64(load)) })
+	if !slices.Equal(fired, []uint64{2, 20}) {
+		t.Fatalf("woke %v, want the parked load's seq 2 and payload 20", fired)
 	}
 }
 
 func TestForwardYoungestMatchingStore(t *testing.T) {
-	q := New(8)
+	q := New[int](8)
 	s1 := q.Insert(1, isa.Store, 0x100)
 	s2 := q.Insert(2, isa.Store, 0x100)
-	q.MarkExecuted(s1)
-	q.MarkExecuted(s2)
+	q.MarkExecuted(s1, noWake)
+	q.MarkExecuted(s2, noWake)
 	// The load must see the youngest older store; both executed, so
 	// ForwardReady — and critically, not a store younger than the load.
 	q.Insert(3, isa.Load, 0x100)
@@ -110,10 +113,10 @@ func TestForwardYoungestMatchingStore(t *testing.T) {
 }
 
 func TestForwardWaitPicksYoungestOlderStore(t *testing.T) {
-	q := New(8)
+	q := New[int](8)
 	s1 := q.Insert(1, isa.Store, 0x100)
 	s2 := q.Insert(2, isa.Store, 0x100)
-	q.MarkExecuted(s1)
+	q.MarkExecuted(s1, noWake)
 	// s2 (younger, unexecuted) shadows the executed s1.
 	got, blocking := q.LookupForward(3, 0x100)
 	if got != ForwardWait || blocking != s2 {
@@ -122,7 +125,7 @@ func TestForwardWaitPicksYoungestOlderStore(t *testing.T) {
 }
 
 func TestNoConflictDifferentAddress(t *testing.T) {
-	q := New(8)
+	q := New[int](8)
 	q.Insert(1, isa.Store, 0x100)
 	if got, _ := q.LookupForward(2, 0x108); got != NoConflict {
 		t.Fatalf("got %v, want NoConflict", got)
@@ -130,16 +133,16 @@ func TestNoConflictDifferentAddress(t *testing.T) {
 }
 
 func TestDrainStoresBefore(t *testing.T) {
-	q := New(8)
+	q := New[int](8)
 	s1 := q.Insert(1, isa.Store, 0x10)
 	l := q.Insert(2, isa.Load, 0x20)
 	s2 := q.Insert(3, isa.Store, 0x30)
 	s3 := q.Insert(4, isa.Store, 0x40)
-	q.MarkExecuted(s1)
-	q.MarkExecuted(s2)
-	q.MarkExecuted(s3)
+	q.MarkExecuted(s1, noWake)
+	q.MarkExecuted(s2, noWake)
+	q.MarkExecuted(s3, noWake)
 	var written []uint64
-	for _, e := range []*Entry{s1, l, s2} {
+	for _, e := range []*Entry[int]{s1, l, s2} {
 		q.Remove(e, func(addr uint64) { written = append(written, addr) })
 	}
 	if q.Stats().StoresDrained != 2 || !slices.Equal(written, []uint64{0x10, 0x30}) {
@@ -154,7 +157,7 @@ func TestDrainStoresBefore(t *testing.T) {
 }
 
 func TestDrainUnexecutedStorePanics(t *testing.T) {
-	q := New(8)
+	q := New[int](8)
 	s := q.Insert(1, isa.Store, 0x10)
 	defer func() {
 		if recover() == nil {
@@ -165,10 +168,10 @@ func TestDrainUnexecutedStorePanics(t *testing.T) {
 }
 
 func TestRetire(t *testing.T) {
-	q := New(8)
+	q := New[int](8)
 	l := q.Insert(1, isa.Load, 0x10)
 	s := q.Insert(2, isa.Store, 0x20)
-	q.MarkExecuted(s)
+	q.MarkExecuted(s, noWake)
 	var wrote []uint64
 	q.Remove(l, func(a uint64) { wrote = append(wrote, a) })
 	if len(wrote) != 0 {
@@ -184,7 +187,7 @@ func TestRetire(t *testing.T) {
 }
 
 func TestSquashYounger(t *testing.T) {
-	q := New(8)
+	q := New[int](8)
 	q.Insert(1, isa.Load, 0x10)
 	s := q.Insert(2, isa.Store, 0x20)
 	l := q.Insert(3, isa.Load, 0x30)
@@ -194,7 +197,7 @@ func TestSquashYounger(t *testing.T) {
 	if res != ForwardWait || blocking != s {
 		t.Fatalf("got %v, want ForwardWait on the store", res)
 	}
-	q.AddWaiter(blocking, func(uint64) { fired = true })
+	q.AddWaiter(blocking, 3, 30)
 	q.Squash(l)
 	q.Squash(s)
 	if q.Len() != 1 {
@@ -204,7 +207,7 @@ func TestSquashYounger(t *testing.T) {
 	// (likely reusing the recycled entry) must not carry the dropped
 	// waiter, and the old store must be gone from the forwarding index.
 	s2 := q.Insert(4, isa.Store, 0x20)
-	q.MarkExecuted(s2)
+	q.MarkExecuted(s2, func(uint64, int) { fired = true })
 	if fired {
 		t.Fatal("squashed store's waiter leaked onto a recycled entry")
 	}
@@ -217,18 +220,18 @@ func TestSquashYounger(t *testing.T) {
 // through a commit/squash/reuse cycle and cross-checks it against the
 // queue invariants.
 func TestForwardIndexAfterChurn(t *testing.T) {
-	q := New(16)
+	q := New[int](16)
 	seq := uint64(0)
-	insert := func(op isa.Op, addr uint64) *Entry {
+	insert := func(op isa.Op, addr uint64) *Entry[int] {
 		seq++
 		return q.Insert(seq, op, addr)
 	}
 	a := insert(isa.Store, 0x10)
 	b := insert(isa.Store, 0x10)
 	c := insert(isa.Store, 0x20)
-	q.MarkExecuted(a)
-	q.MarkExecuted(b)
-	q.MarkExecuted(c)
+	q.MarkExecuted(a, noWake)
+	q.MarkExecuted(b, noWake)
+	q.MarkExecuted(c, noWake)
 	q.Remove(a, func(uint64) {})
 	if got, _ := q.LookupForward(10, 0x10); got != ForwardReady {
 		t.Fatalf("got %v, want forward from b", got)
@@ -238,7 +241,7 @@ func TestForwardIndexAfterChurn(t *testing.T) {
 		t.Fatalf("got %v, want NoConflict after squash", got)
 	}
 	d := insert(isa.Store, 0x20)
-	q.MarkExecuted(d)
+	q.MarkExecuted(d, noWake)
 	if got, _ := q.LookupForward(10, 0x20); got != ForwardReady {
 		t.Fatalf("got %v, want forward from reinserted store", got)
 	}
@@ -255,13 +258,13 @@ func TestForwardIndexAfterChurn(t *testing.T) {
 // resident entries.
 func TestChurnAgainstModel(t *testing.T) {
 	type ref struct {
-		e    *Entry
+		e    *Entry[int]
 		seq  uint64
 		kind Kind
 		addr uint64
 	}
 	rng := rand.New(rand.NewSource(1))
-	q := New(48)
+	q := New[int](48)
 	var model []ref // resident entries, oldest first
 	seq := uint64(0)
 	var wrote, want []uint64
@@ -269,7 +272,7 @@ func TestChurnAgainstModel(t *testing.T) {
 	execute := func(m []ref) {
 		for _, r := range m {
 			if !r.e.Executed {
-				q.MarkExecuted(r.e)
+				q.MarkExecuted(r.e, noWake)
 			}
 		}
 	}
@@ -340,7 +343,7 @@ func TestChurnAgainstModel(t *testing.T) {
 			probe = model[rng.Intn(len(model))].seq
 		}
 		for addr := uint64(0x10); addr < 0x40; addr += 8 {
-			wantRes, wantStore := NoConflict, (*Entry)(nil)
+			wantRes, wantStore := NoConflict, (*Entry[int])(nil)
 			for i := len(model) - 1; i >= 0; i-- {
 				if r := model[i]; r.kind == KindStore && r.addr == addr && r.seq < probe {
 					wantRes = ForwardReady

@@ -6,9 +6,11 @@
 //
 // The hierarchy has one ordering rule: an issue queue selects its
 // oldest ready entry, and woken SLIQ entries re-enter the issue queues
-// oldest first. One ordered set, seqHeap, implements it for both, and
-// neither takes an item out early: each owner drops dead items when
-// they reach the front.
+// oldest first. One ordered set, seqHeap, implements it for both. Both
+// hold seq-checked references and neither takes one out early: a squash
+// frees the slot only, and each owner drops a dead reference when it
+// next reaches it (at the ready set's front, or at the SLIQ's trigger
+// write or wake front).
 //
 // The issue queue and the SLIQ are on the simulator's innermost loop
 // (one insert per dispatched instruction, one wake per produced value),

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -329,8 +330,78 @@ func TestDequePreSizedNoAlloc(t *testing.T) {
 
 const sliqRegs = 64
 
+// alwaysLive is the liveness test of SLIQ tests that squash nothing.
+func alwaysLive[P any](uint64, P) bool { return true }
+
+// sliqRec is a SLIQ test payload with the pipeline's liveness rule: it
+// is live while it carries its entry's seq. A squash poisons the seq,
+// and reusing the record for a later instruction gives it a new one.
+type sliqRec struct{ seq uint64 }
+
+const deadSeq = ^uint64(0)
+
+func recLive(seq uint64, r *sliqRec) bool { return r.seq == seq }
+
+// squash kills r's resident entry the way the pipeline's squash does.
+func squash(s *SLIQ[*sliqRec], r *sliqRec) {
+	r.seq = deadSeq
+	s.Squash()
+}
+
+// sliqEntries returns where each entry record sits: a waiting list, the
+// wake set or the free list. It fails when a record sits in two places
+// (it was recycled twice) or the waiting count is off.
+func sliqEntries[P any](s *SLIQ[P]) (map[*sliqEntry[P]]string, error) {
+	where := map[*sliqEntry[P]]string{}
+	place := func(e *sliqEntry[P], at string) error {
+		if prev, dup := where[e]; dup {
+			return fmt.Errorf("entry record of seq %d is in %s and in %s", e.seq, prev, at)
+		}
+		where[e] = at
+		return nil
+	}
+	waiting := 0
+	for reg, list := range s.waiting {
+		waiting += len(list)
+		for _, e := range list {
+			if err := place(e, fmt.Sprintf("waiting list %d", reg)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for i := 0; i < s.wakeable.lane.Len(); i++ {
+		if err := place(s.wakeable.lane.At(i).v, "the wake lane"); err != nil {
+			return nil, err
+		}
+	}
+	for _, it := range s.wakeable.heap {
+		if err := place(it.v, "the wake heap"); err != nil {
+			return nil, err
+		}
+	}
+	for _, e := range s.free {
+		if err := place(e, "the free list"); err != nil {
+			return nil, err
+		}
+	}
+	if waiting != s.waitingN {
+		return nil, fmt.Errorf("waiting lists hold %d entries, waitingN says %d", waiting, s.waitingN)
+	}
+	return where, nil
+}
+
+// sliqAllFree checks that all n entry records a test made are back on
+// the free list, each once.
+func sliqAllFree[P any](s *SLIQ[P], n int) error {
+	where, err := sliqEntries(s)
+	if err == nil && (len(where) != n || len(s.free) != n) {
+		err = fmt.Errorf("%d entry records, %d of them free; want all %d free", len(where), len(s.free), n)
+	}
+	return err
+}
+
 func TestSLIQWakeFlow(t *testing.T) {
-	s := NewSLIQ[int](16, 4, 4, sliqRegs)
+	s := NewSLIQ(16, 4, 4, sliqRegs, alwaysLive[int])
 	trig := rename.PhysReg(7)
 	for i := uint64(0); i < 6; i++ {
 		if !s.Insert(i, trig, int(i)) {
@@ -369,7 +440,7 @@ func TestSLIQWakeFlow(t *testing.T) {
 }
 
 func TestSLIQDrainStopsWhenRejected(t *testing.T) {
-	s := NewSLIQ[int](8, 0, 4, sliqRegs)
+	s := NewSLIQ(8, 0, 4, sliqRegs, alwaysLive[int])
 	s.Insert(1, 1, 0)
 	s.Insert(2, 1, 0)
 	s.TriggerReady(1, 10)
@@ -384,7 +455,7 @@ func TestSLIQDrainStopsWhenRejected(t *testing.T) {
 }
 
 func TestSLIQCapacity(t *testing.T) {
-	s := NewSLIQ[int](2, 4, 4, sliqRegs)
+	s := NewSLIQ(2, 4, 4, sliqRegs, alwaysLive[int])
 	s.Insert(1, 1, 0)
 	s.Insert(2, 1, 0)
 	if s.Insert(3, 1, 0) {
@@ -395,11 +466,15 @@ func TestSLIQCapacity(t *testing.T) {
 	}
 }
 
+// TestSLIQSquashYounger squashes every entry from seq 4 on, waiting or
+// woken: each frees its slot at once, none wakes, and every entry
+// record returns to the free list exactly once.
 func TestSLIQSquashYounger(t *testing.T) {
-	s := NewSLIQ[int](16, 4, 4, sliqRegs)
-	var squashed []int
+	s := NewSLIQ(16, 4, 4, sliqRegs, recLive)
+	var recs []*sliqRec
 	for i := uint64(0); i < 9; i++ {
-		s.Insert(i, rename.PhysReg(i%3), int(i))
+		recs = append(recs, &sliqRec{seq: i})
+		s.Insert(i, rename.PhysReg(i%3), recs[i])
 	}
 	// Wake out of seq order: trigger 1's seqs 1,4,7 fill the in-order
 	// lane, then trigger 0's seqs 0,3,6 fall behind its tail into the
@@ -410,17 +485,21 @@ func TestSLIQSquashYounger(t *testing.T) {
 		t.Fatalf("wake set split %d lane / %d heap, want 3 / 3", s.wakeable.lane.Len(), len(s.wakeable.heap))
 	}
 	// Squashes waiting 5,8, lane 4,7 and heap 6.
-	s.SquashYounger(4, func(p int) { squashed = append(squashed, p) })
-	slices.Sort(squashed)
-	if fmt.Sprint(squashed) != "[4 5 6 7 8]" {
-		t.Fatalf("squashed %v, want [4 5 6 7 8]", squashed)
+	for _, r := range recs[4:] {
+		squash(s, r)
 	}
 	if s.Len() != 4 {
 		t.Fatalf("len = %d, want 4", s.Len())
 	}
 	// Only the surviving wakeable entries drain, oldest first.
 	var drained []uint64
-	record := func(seq uint64, _ int) bool { drained = append(drained, seq); return true }
+	record := func(seq uint64, r *sliqRec) bool {
+		if r.seq != seq {
+			t.Fatalf("drain offered the dead payload of seq %d", seq)
+		}
+		drained = append(drained, seq)
+		return true
+	}
 	s.Drain(100, record)
 	if fmt.Sprint(drained) != "[0 1 3]" {
 		t.Fatalf("drained %v, want [0 1 3]", drained)
@@ -431,10 +510,13 @@ func TestSLIQSquashYounger(t *testing.T) {
 	if fmt.Sprint(drained) != "[2]" || s.Len() != 0 || s.NextWake() != -1 {
 		t.Fatalf("drained %v (len %d, next wake %d), want [2] and an empty SLIQ", drained, s.Len(), s.NextWake())
 	}
+	if err := sliqAllFree(s, 9); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestSLIQMultipleTriggers(t *testing.T) {
-	s := NewSLIQ[string](8, 1, 4, sliqRegs)
+	s := NewSLIQ(8, 1, 4, sliqRegs, alwaysLive[string])
 	s.Insert(1, 10, "a")
 	s.Insert(2, 20, "b")
 	s.TriggerReady(20, 0)
@@ -454,53 +536,86 @@ func TestSLIQMultipleTriggers(t *testing.T) {
 	}
 }
 
-// TestSLIQClear: squashing from seq 0 flushes every entry, woken or
-// still waiting.
+// TestSLIQClear: squashing every entry, woken or still waiting, empties
+// the SLIQ at once; a dead woken head vetoes the clock skip until Drain
+// drops it, and the dead waiting entry never wakes.
 func TestSLIQClear(t *testing.T) {
-	s := NewSLIQ[int](8, 4, 4, sliqRegs)
-	s.Insert(1, 1, 0)
-	s.Insert(2, 2, 0)
+	s := NewSLIQ(8, 4, 4, sliqRegs, recLive)
+	a, b := &sliqRec{seq: 1}, &sliqRec{seq: 2}
+	s.Insert(1, 1, a)
+	s.Insert(2, 2, b)
 	s.TriggerReady(1, 0)
-	n := 0
-	s.SquashYounger(0, func(int) { n++ })
-	if n != 2 || s.Len() != 0 {
-		t.Fatalf("clear squashed %d, len %d", n, s.Len())
+	squash(s, a)
+	squash(s, b)
+	if s.Len() != 0 || s.NextWake() != 0 {
+		t.Fatalf("after clear: len %d, next wake %d, want 0 and 0", s.Len(), s.NextWake())
+	}
+	if n := s.Drain(100, func(uint64, *sliqRec) bool { t.Fatal("drain offered a dead entry"); return true }); n != 0 {
+		t.Fatalf("drained %d dead entries", n)
+	}
+	s.TriggerReady(2, 100)
+	if st := s.Stats(); s.NextWake() != -1 || st.WakeStarts != 1 || st.Squashed != 2 {
+		t.Fatalf("next wake %d, stats %+v: want -1, one wake start and two squashes", s.NextWake(), st)
+	}
+	if err := sliqAllFree(s, 2); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestSLIQRecycling exercises the internal entry pool: entries squashed
-// or drained must be reusable without cross-talk between generations.
+// TestSLIQRecycling exercises the internal entry pool and the reuse of
+// payload records under new seqs, as the pipeline recycles its
+// instruction records: entries squashed or drained must be reusable
+// without cross-talk between generations. The squashed entries wait on
+// a trigger that fires only at the end, so their dead entries pile up
+// behind the live entry of the last round, which alone wakes.
 func TestSLIQRecycling(t *testing.T) {
-	s := NewSLIQ[int](8, 0, 8, sliqRegs)
-	for round := 0; round < 5; round++ {
+	s := NewSLIQ(8, 0, 8, sliqRegs, recLive)
+	recs := [3]*sliqRec{{}, {}, {}}
+	const rounds = 5
+	for round := 0; round < rounds; round++ {
 		base := uint64(round * 10)
-		s.Insert(base+1, 3, round*10+1)
-		s.Insert(base+2, 3, round*10+2)
-		s.Insert(base+3, 4, round*10+3)
-		// Squash one while waiting, wake and drain the others.
-		s.SquashYounger(base+3, func(int) {})
+		for i, r := range recs {
+			r.seq = base + uint64(i) + 1
+			s.Insert(r.seq, rename.PhysReg(3+i/2), r)
+		}
+		if round < rounds-1 {
+			// Squash one while waiting, wake and drain the others.
+			squash(s, recs[2])
+		}
 		s.TriggerReady(3, int64(round))
-		var got []int
-		s.Drain(int64(round), func(_ uint64, p int) bool { got = append(got, p); return true })
-		if len(got) != 2 || got[0] != round*10+1 || got[1] != round*10+2 {
+		var got []uint64
+		s.Drain(int64(round), func(seq uint64, r *sliqRec) bool { got = append(got, r.seq); return true })
+		if len(got) != 2 || got[0] != base+1 || got[1] != base+2 {
 			t.Fatalf("round %d drained %v", round, got)
 		}
-		if s.Len() != 0 {
-			t.Fatalf("round %d: len = %d, want 0", round, s.Len())
-		}
 	}
-	if st := s.Stats(); st.Inserted != 15 || st.Woken != 10 || st.Squashed != 5 {
-		t.Fatalf("stats: %+v", s.Stats())
+	if s.Len() != 1 {
+		t.Fatalf("len = %d, want the last round's waiting entry", s.Len())
+	}
+	s.TriggerReady(4, 10)
+	var got []uint64
+	s.Drain(10, func(seq uint64, _ *sliqRec) bool { got = append(got, seq); return true })
+	if fmt.Sprint(got) != "[43]" || s.Len() != 0 {
+		t.Fatalf("trigger 4 drained %v (len %d), want [43] and an empty SLIQ", got, s.Len())
+	}
+	if st := s.Stats(); st.Inserted != 15 || st.Woken != 11 || st.Squashed != 4 || st.WakeStarts != 6 {
+		t.Fatalf("stats: %+v", st)
+	}
+	// Round 0 allocated three entry records and each later round one
+	// more, for the dead entry it left waiting on trigger 4.
+	if err := sliqAllFree(s, 3+rounds-1); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestSLIQNextWake(t *testing.T) {
-	s := NewSLIQ[int](8, 4, 4, sliqRegs)
+	s := NewSLIQ(8, 4, 4, sliqRegs, recLive)
 	if got := s.NextWake(); got != -1 {
 		t.Fatalf("empty SLIQ: NextWake = %d, want -1", got)
 	}
-	s.Insert(1, 3, 10)
-	s.Insert(2, 3, 20)
+	head := &sliqRec{seq: 2}
+	s.Insert(1, 3, &sliqRec{seq: 1})
+	s.Insert(2, 3, head)
 	// Waiting entries are invisible: they wake only via TriggerReady.
 	if got := s.NextWake(); got != -1 {
 		t.Fatalf("waiting-only SLIQ: NextWake = %d, want -1", got)
@@ -511,18 +626,192 @@ func TestSLIQNextWake(t *testing.T) {
 		t.Fatalf("NextWake = %d, want 104", got)
 	}
 	// Draining the head exposes the next entry's eligibility.
-	if n := s.Drain(104, func(seq uint64, _ int) bool { return seq == 1 }); n != 1 {
+	if n := s.Drain(104, func(seq uint64, _ *sliqRec) bool { return seq == 1 }); n != 1 {
 		t.Fatal("head did not drain")
 	}
 	if got := s.NextWake(); got != 104 {
 		t.Fatalf("after partial drain: NextWake = %d, want 104", got)
 	}
 	// A squashed head must report "no skip" (0), never a future cycle
-	// that would let a clock jump sail past the dead entry's collection.
-	s.SquashYounger(2, func(int) {})
+	// that would let a clock jump sail past the dead entry's collection;
+	// Drain skips it, and the SLIQ is empty.
+	squash(s, head)
 	if got := s.NextWake(); got != 0 {
 		t.Fatalf("squashed head: NextWake = %d, want 0", got)
 	}
+	if n := s.Drain(105, func(uint64, *sliqRec) bool { return true }); n != 0 || s.NextWake() != -1 {
+		t.Fatalf("drained %d past the dead head, next wake %d: want 0 and -1", n, s.NextWake())
+	}
+}
+
+// FuzzSLIQ drives a SLIQ through walks the fuzz bytes choose (insert,
+// trigger, drain accepting or refusing, squash a resident, advance the
+// clock) against a plain reference model: the resident entries, the
+// per-trigger waiting lists and the pump (delayed, width-bounded,
+// oldest first). A squash makes the entry's payload dead under the
+// pipeline's liveness rule, then frees the slot; payload records are
+// reused under new seqs, as the pipeline reuses its records. After
+// every step it checks Len, NextWake, and that every entry record sits
+// in one place, so none was recycled twice or leaked; every drain
+// checks the order of the drained seqs. The
+// seed corpus is 300 seeded random walks of 400 steps.
+func FuzzSLIQ(f *testing.F) {
+	for seed := int64(0); seed < 300; seed++ {
+		ops := make([]byte, 800)
+		rand.New(rand.NewSource(seed)).Read(ops)
+		f.Add(ops)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) < 3 {
+			return
+		}
+		const triggers = 4
+		capacity, delay, width := 1+int(ops[0]%8), int64(ops[1]%4), 1+int(ops[2]%4)
+		s := NewSLIQ(capacity, int(delay), width, triggers, recLive)
+
+		// The model: woken entries sorted by seq, dead ones included
+		// until the pump reaches them; waiting lists per trigger.
+		type ment struct {
+			seq        uint64
+			rec        *sliqRec
+			eligibleAt int64
+		}
+		live := func(e *ment) bool { return e.rec.seq == e.seq }
+		var waiting [triggers][]*ment
+		var woken []*ment
+		resident := 0
+		var spare []*sliqRec // payload records free for reuse
+		var now int64
+		var seq, squashes uint64
+		known := map[*sliqEntry[*sliqRec]]bool{} // every entry record seen
+
+		for i := 3; i+1 < len(ops); i += 2 {
+			arg := int(ops[i+1])
+			switch ops[i] % 5 {
+			case 0:
+				seq++
+				var r *sliqRec
+				if n := len(spare); n > 0 && arg%2 == 0 {
+					r, spare = spare[n-1], spare[:n-1]
+				} else {
+					r = &sliqRec{}
+				}
+				r.seq = seq
+				trig := arg % triggers
+				ok := s.Insert(seq, rename.PhysReg(trig), r)
+				if ok != (resident < capacity) {
+					t.Fatalf("step %d: insert of seq %d returned %v with %d of %d resident", i, seq, ok, resident, capacity)
+				}
+				if !ok {
+					spare = append(spare, r)
+					break
+				}
+				waiting[trig] = append(waiting[trig], &ment{seq: seq, rec: r})
+				resident++
+			case 1:
+				trig := arg % triggers
+				s.TriggerReady(rename.PhysReg(trig), now)
+				for _, e := range waiting[trig] {
+					if live(e) {
+						e.eligibleAt = now + delay
+						j, _ := slices.BinarySearchFunc(woken, e.seq, func(w *ment, seq uint64) int { return cmp.Compare(w.seq, seq) })
+						woken = slices.Insert(woken, j, e)
+					}
+				}
+				waiting[trig] = nil
+			case 2:
+				// Refusals come from the argument's bits, one per offer.
+				var want, got []uint64
+				offers := 0
+				accept := func() bool {
+					ok := arg>>(offers%8)&1 == 1 || arg%3 != 0
+					offers++
+					return ok
+				}
+				for len(want) < width && len(woken) > 0 {
+					e := woken[0]
+					if !live(e) {
+						woken = woken[1:]
+						continue
+					}
+					if e.eligibleAt > now || !accept() {
+						break
+					}
+					woken = woken[1:]
+					want = append(want, e.seq)
+					spare = append(spare, e.rec)
+					resident--
+				}
+				offers = 0
+				n := s.Drain(now, func(seq uint64, r *sliqRec) bool {
+					if r.seq != seq {
+						t.Fatalf("step %d: drain offered the dead payload of seq %d", i, seq)
+					}
+					if !accept() {
+						return false
+					}
+					got = append(got, seq)
+					return true
+				})
+				if n != len(got) || !slices.Equal(got, want) {
+					t.Fatalf("step %d: drained %v (returned %d), want %v", i, got, n, want)
+				}
+			case 3:
+				// Squash the arg-th live resident, waiting or woken.
+				var all []*ment
+				for _, list := range waiting {
+					all = append(all, list...)
+				}
+				all = append(all, woken...)
+				all = slices.DeleteFunc(all, func(e *ment) bool { return !live(e) })
+				if len(all) == 0 {
+					break
+				}
+				e := all[arg%len(all)]
+				squash(s, e.rec)
+				spare = append(spare, e.rec)
+				resident--
+				squashes++
+			case 4:
+				now += int64(arg % 8)
+			}
+
+			if s.Len() != resident {
+				t.Fatalf("step %d: Len %d, model holds %d live residents", i, s.Len(), resident)
+			}
+			want := int64(-1)
+			if len(woken) > 0 {
+				want = woken[0].eligibleAt
+				if !live(woken[0]) {
+					want = 0
+				}
+			}
+			if got := s.NextWake(); got != want {
+				t.Fatalf("step %d: NextWake %d, want %d", i, got, want)
+			}
+			// Dead entries leave exactly when the model drops them.
+			held := len(woken)
+			for _, list := range waiting {
+				held += len(list)
+			}
+			if got := s.waitingN + s.wakeable.lane.Len() + len(s.wakeable.heap); got != held {
+				t.Fatalf("step %d: the SLIQ holds %d entries, dead ones included; the model %d", i, got, held)
+			}
+			where, err := sliqEntries(s)
+			if err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+			for e := range where {
+				known[e] = true
+			}
+			if len(where) != len(known) {
+				t.Fatalf("step %d: %d of %d entry records leaked", i, len(known)-len(where), len(known))
+			}
+		}
+		if st := s.Stats(); st.Squashed != squashes {
+			t.Fatalf("stats count %d squashes, the walk made %d", st.Squashed, squashes)
+		}
+	})
 }
 
 // TestSeqHeapModel drives a seqHeap with random pushes and pops against
@@ -565,14 +854,6 @@ func TestSeqHeapModel(t *testing.T) {
 		}
 		check(step)
 		maxLane, maxHeap = max(maxLane, h.lane.Len()), max(maxHeap, len(h.heap))
-		if step%1000 == 0 {
-			var all []uint64
-			h.each(func(v int) { all = append(all, uint64(v)) })
-			slices.Sort(all)
-			if !slices.Equal(all, ref) {
-				t.Fatalf("step %d: each walked %d items, want %d", step, len(all), len(ref))
-			}
-		}
 	}
 	if maxLane < 8 || maxHeap < 8 {
 		t.Fatalf("lane peaked at %d items and heap at %d: the pushes did not exercise both", maxLane, maxHeap)

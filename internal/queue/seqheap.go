@@ -95,13 +95,3 @@ func (h *seqHeap[V]) pop() {
 		i = least
 	}
 }
-
-// each calls fn on every item, in no particular order.
-func (h *seqHeap[V]) each(fn func(v V)) {
-	for i := 0; i < h.lane.Len(); i++ {
-		fn(h.lane.At(i).v)
-	}
-	for _, it := range h.heap {
-		fn(it.v)
-	}
-}

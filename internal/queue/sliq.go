@@ -17,6 +17,13 @@ import (
 // entries wait in a seqHeap, the ordered set behind the issue queues'
 // ready entries.
 //
+// An entry is a seq-checked reference to its payload: it is live while
+// the caller's liveness test (bound at construction) accepts the
+// entry's seq and payload. A squash frees the slot at once (Squash) and
+// makes the payload dead; the entry stays in its waiting list or the
+// wake set, never wakes, and is dropped and recycled when TriggerReady
+// or Drain next reaches it.
+//
 // Entries recycle through an internal free list and the trigger index is
 // a slice over the physical-register space, so steady-state inserts and
 // trigger writes allocate nothing.
@@ -28,15 +35,17 @@ type SLIQ[P any] struct {
 	capacity int
 	delay    int64
 	width    int
+	live     func(seq uint64, payload P) bool
 
-	occupied int
+	// occupied counts the live residents; waitingN counts the entries in
+	// the waiting lists, dead ones included.
+	occupied, waitingN int
 	// waiting[reg] holds the not-yet-woken entries tagged with reg.
 	waiting [][]*sliqEntry[P]
-	// wakeable orders woken entries oldest first. A squashed entry stays
-	// in it, marked, until it reaches the front.
+	// wakeable orders woken entries oldest first.
 	wakeable seqHeap[*sliqEntry[P]]
-	// free recycles entry records (squash-on-rollback and drain both
-	// feed it; Insert consumes it).
+	// free recycles entry records (TriggerReady and Drain feed it;
+	// Insert consumes it).
 	free []*sliqEntry[P]
 
 	stats SLIQStats
@@ -46,17 +55,15 @@ type SLIQ[P any] struct {
 type SLIQStats struct {
 	Inserted   uint64
 	Woken      uint64 // re-inserted into the issue queue
-	Squashed   uint64
+	Squashed   uint64 // slots freed by Squash
 	FullStalls uint64
 	WakeStarts uint64 // wake processes begun (one per trigger write)
 }
 
 type sliqEntry[P any] struct {
 	seq        uint64
-	trigger    rename.PhysReg
 	payload    P
 	eligibleAt int64 // cycle from which it may re-enter the IQ; -1 = waiting
-	squashed   bool
 }
 
 // NewSLIQ builds a slow lane queue. capacity is the entry count; delay
@@ -64,8 +71,9 @@ type sliqEntry[P any] struct {
 // and the first re-insertion (the paper uses 4 and shows insensitivity
 // from 1 to 12 in Figure 10); width is the re-insertion bandwidth per
 // cycle (4 in the paper); nRegs bounds the trigger register name space
-// (the physical register file size).
-func NewSLIQ[P any](capacity, delay, width, nRegs int) *SLIQ[P] {
+// (the physical register file size); live is the liveness test of an
+// entry's payload (see SLIQ).
+func NewSLIQ[P any](capacity, delay, width, nRegs int, live func(seq uint64, payload P) bool) *SLIQ[P] {
 	if capacity < 1 {
 		panic(fmt.Sprintf("queue: SLIQ capacity %d < 1", capacity))
 	}
@@ -79,6 +87,7 @@ func NewSLIQ[P any](capacity, delay, width, nRegs int) *SLIQ[P] {
 		capacity: capacity,
 		delay:    int64(delay),
 		width:    width,
+		live:     live,
 		waiting:  make([][]*sliqEntry[P], nRegs),
 	}
 }
@@ -86,7 +95,7 @@ func NewSLIQ[P any](capacity, delay, width, nRegs int) *SLIQ[P] {
 // Cap returns the capacity.
 func (s *SLIQ[P]) Cap() int { return s.capacity }
 
-// Len returns the number of resident entries.
+// Len returns the number of live resident entries.
 func (s *SLIQ[P]) Len() int { return s.occupied }
 
 // Insert moves an instruction into the slow lane, tagged with the
@@ -106,11 +115,23 @@ func (s *SLIQ[P]) Insert(seq uint64, trigger rename.PhysReg, payload P) bool {
 	} else {
 		e = new(sliqEntry[P])
 	}
-	*e = sliqEntry[P]{seq: seq, trigger: trigger, payload: payload, eligibleAt: -1}
+	*e = sliqEntry[P]{seq: seq, payload: payload, eligibleAt: -1}
 	s.waiting[trigger] = append(s.waiting[trigger], e)
 	s.occupied++
+	s.waitingN++
 	s.stats.Inserted++
 	return true
+}
+
+// Squash frees the slot of a resident entry whose payload the caller
+// has just made dead. The entry itself leaves when TriggerReady or Drain
+// next reaches it.
+func (s *SLIQ[P]) Squash() {
+	if s.occupied == 0 {
+		panic("queue: SLIQ squash with no resident entry")
+	}
+	s.occupied--
+	s.stats.Squashed++
 }
 
 // recycle returns a no-longer-referenced entry to the free list.
@@ -120,10 +141,11 @@ func (s *SLIQ[P]) recycle(e *sliqEntry[P]) {
 	s.free = append(s.free, e)
 }
 
-// TriggerReady starts the wake process for every entry waiting on reg:
-// they become eligible for re-insertion delay cycles after now.
+// TriggerReady starts the wake process for every live entry waiting on
+// reg: they become eligible for re-insertion delay cycles after now.
+// Dead entries waiting on reg leave the SLIQ.
 func (s *SLIQ[P]) TriggerReady(reg rename.PhysReg, now int64) {
-	if s.occupied == 0 {
+	if s.waitingN == 0 {
 		// Every waiting list is empty; skip the per-register index
 		// probe (writeback calls this for every completed value).
 		return
@@ -133,13 +155,12 @@ func (s *SLIQ[P]) TriggerReady(reg rename.PhysReg, now int64) {
 		return
 	}
 	s.waiting[reg] = entries[:0]
+	s.waitingN -= len(entries)
 	started := false
 	for i, e := range entries {
 		entries[i] = nil
-		if e.squashed {
-			// Unreachable: SquashYounger removes waiting entries
-			// eagerly (and recycles them there — recycling again here
-			// would corrupt the free list).
+		if !s.live(e.seq, e.payload) {
+			s.recycle(e)
 			continue
 		}
 		e.eligibleAt = now + s.delay
@@ -151,11 +172,12 @@ func (s *SLIQ[P]) TriggerReady(reg rename.PhysReg, now int64) {
 	}
 }
 
-// Drain offers eligible entries to the pipeline oldest-first, up to the
-// configured width per cycle. accept re-inserts the instruction into its
-// issue queue (or issues it directly) and returns true; returning false
-// retains the entry at the head and stops this cycle's pump — the walk
-// is strictly in order, as in the paper.
+// Drain offers eligible live entries to the pipeline oldest-first, up to
+// the configured width per cycle, dropping the dead ones it passes.
+// accept re-inserts the instruction into its issue queue (or issues it
+// directly) and returns true; returning false retains the entry at the
+// head and stops this cycle's pump — the walk is strictly in order, as
+// in the paper.
 func (s *SLIQ[P]) Drain(now int64, accept func(seq uint64, payload P) bool) int {
 	drained := 0
 	for drained < s.width {
@@ -164,7 +186,7 @@ func (s *SLIQ[P]) Drain(now int64, accept func(seq uint64, payload P) bool) int 
 			break
 		}
 		e := it.v
-		if e.squashed {
+		if !s.live(e.seq, e.payload) {
 			s.wakeable.pop()
 			s.recycle(e)
 			continue
@@ -191,55 +213,19 @@ func (s *SLIQ[P]) Drain(now int64, accept func(seq uint64, payload P) bool) int 
 // entry to the pipeline, or -1 when no entry is woken (waiting entries
 // become wakeable only through TriggerReady, an event the caller can
 // see coming). The walk is strictly in order, so the head alone
-// determines the answer; a squashed head is reported as "now" (0) —
-// callers treating the result as a quiescence bound must then not skip,
-// which is always safe. The event-driven clock skip uses this to bound
-// its jump.
+// determines the answer; a dead head, which the next Drain drops, is
+// reported as "now" (0) — callers treating the result as a quiescence
+// bound must then not skip, which is always safe. The event-driven
+// clock skip uses this to bound its jump.
 func (s *SLIQ[P]) NextWake() int64 {
 	it, ok := s.wakeable.front()
 	switch {
 	case !ok:
 		return -1
-	case it.v.squashed:
+	case !s.live(it.seq, it.v.payload):
 		return 0
 	}
 	return it.v.eligibleAt
-}
-
-// SquashYounger removes every entry with sequence number >= seq,
-// calling onSquash for each removed payload. Entries already woken stay
-// in the wake set (marked dead) and are collected by Drain.
-func (s *SLIQ[P]) SquashYounger(seq uint64, onSquash func(payload P)) {
-	for trigger, entries := range s.waiting {
-		if len(entries) == 0 {
-			continue
-		}
-		kept := entries[:0]
-		for _, e := range entries {
-			if e.seq >= seq {
-				s.occupied--
-				s.stats.Squashed++
-				onSquash(e.payload)
-				s.recycle(e)
-			} else {
-				kept = append(kept, e)
-			}
-		}
-		for i := len(kept); i < len(entries); i++ {
-			entries[i] = nil
-		}
-		s.waiting[trigger] = kept
-	}
-	// Wakeable entries are lazily discarded in Drain; account for them
-	// now so Len stays exact.
-	s.wakeable.each(func(e *sliqEntry[P]) {
-		if !e.squashed && e.seq >= seq {
-			e.squashed = true
-			s.occupied--
-			s.stats.Squashed++
-			onSquash(e.payload)
-		}
-	})
 }
 
 // Stats returns a copy of the counters.

@@ -3,16 +3,18 @@
 // logical register it renames, a Valid bit, and the paper's new Future
 // Free bit, plus a free list.
 //
-// Two freeing disciplines are supported, matching the two processors
-// under study:
+// Allocation is one operation: Allocate installs the new mapping and
+// marks the previous one's Future Free bit. Two freeing disciplines
+// follow it, matching the two processors under study:
 //
-//   - ROB mode: AllocateROB returns the previous mapping; the caller
-//     frees it when the redefining instruction commits (conventional).
-//   - Checkpoint mode: Allocate marks the previous mapping's Future Free
-//     bit; all such registers are freed together when the checkpoint
-//     owning their window commits (the paper's deferred release).
+//   - ROB mode: the caller frees the previous mapping with Free when
+//     the redefining instruction commits (conventional); Free clears
+//     the Future Free bit, which no snapshot ever captures there.
+//   - Checkpoint mode: TakeSnapshot captures the marked registers, and
+//     they are freed together when the checkpoint owning their window
+//     commits (the paper's deferred release).
 //
-// Unwind reverses one allocation of either discipline on a tail squash.
+// Unwind reverses one allocation on a tail squash under either.
 //
 // Snapshot/Rollback implement the checkpointing of figure 3: a snapshot
 // conceptually costs two bits per physical register (Valid + Future
@@ -135,9 +137,13 @@ func (t *Table) pushFree(p PhysReg) {
 	t.inFree[p] = true
 }
 
-// allocate takes a register from the free stack and installs the new
-// mapping, returning the new and previous physical registers.
-func (t *Table) allocate(dest isa.Reg) (newP, prevP PhysReg, ok bool) {
+// Allocate renames dest: it takes a register from the free list,
+// installs the new mapping and sets the previous mapping's Future Free
+// bit (figures 4-5 of the paper). It returns the new and previous
+// physical registers, or ok=false when the free list is empty. The
+// previous mapping is freed by Free (ROB mode) or by its window's
+// checkpoint commit (checkpoint mode; see the package comment).
+func (t *Table) Allocate(dest isa.Reg) (newP, prevP PhysReg, ok bool) {
 	if !dest.Valid() {
 		panic(fmt.Sprintf("rename: allocate for invalid register %v", dest))
 	}
@@ -154,33 +160,13 @@ func (t *Table) allocate(dest isa.Reg) (newP, prevP PhysReg, ok bool) {
 	t.rmap[dest] = newP
 	if prevP != PhysNone {
 		t.valid.Clear(int(prevP))
-	}
-	return newP, prevP, true
-}
-
-// Allocate renames dest in checkpoint mode: the previous mapping's
-// Future Free bit is set so it is released when the current window's
-// checkpoint commits (figures 4-5 of the paper). It returns the new and
-// previous physical registers, or ok=false when the free list is empty.
-func (t *Table) Allocate(dest isa.Reg) (newP, prevP PhysReg, ok bool) {
-	newP, prevP, ok = t.allocate(dest)
-	if !ok {
-		return PhysNone, PhysNone, false
-	}
-	if prevP != PhysNone {
 		t.futureFree.Set(int(prevP))
 	}
 	return newP, prevP, true
 }
 
-// AllocateROB renames dest in conventional mode, returning both the new
-// mapping and the previous one; the caller must Free the previous
-// mapping when the renaming instruction commits.
-func (t *Table) AllocateROB(dest isa.Reg) (newP, prevP PhysReg, ok bool) {
-	return t.allocate(dest)
-}
-
-// Free returns p to the free list (ROB-mode commit, or rollback cleanup).
+// Free returns p to the free list (ROB-mode commit, or rollback
+// cleanup), clearing its Future Free bit.
 func (t *Table) Free(p PhysReg) {
 	if p == PhysNone {
 		return
@@ -200,11 +186,10 @@ func (t *Table) Free(p PhysReg) {
 // Unwind reverses a single allocation during a tail-squash walk: the
 // youngest definition of a logical register is removed, restoring prevP
 // as the current mapping. Squashes must unwind in reverse program order.
-// Under the checkpoint discipline it also clears prevP's Future Free
-// bit, which is only valid when no checkpoint was taken after the
-// allocation (the caller guarantees it — otherwise the bit to restore
-// lives in a snapshot, and a full rollback is required). Under the ROB
-// discipline no Future Free bit is ever set, so the clear is a no-op.
+// It also clears prevP's Future Free bit, which is only valid when no
+// checkpoint was taken after the allocation (the caller guarantees it —
+// otherwise the bit to restore lives in a snapshot, and a full rollback
+// is required).
 func (t *Table) Unwind(dest isa.Reg, newP, prevP PhysReg) {
 	if t.rmap[dest] != newP {
 		panic(fmt.Sprintf("rename: unwind of %v expects p%d, table has p%d",

@@ -108,21 +108,24 @@ func TestCommitFutureFree(t *testing.T) {
 	}
 }
 
+// TestAllocateROBAndFree: under the ROB discipline the caller frees the
+// superseded mapping at commit, and Free clears the Future Free bit
+// Allocate set on it.
 func TestAllocateROBAndFree(t *testing.T) {
 	tbl := newTable(t)
 	dest := isa.FPReg(4)
 	old := tbl.Lookup(dest)
-	newP, prevP, ok := tbl.AllocateROB(dest)
+	newP, prevP, ok := tbl.Allocate(dest)
 	if !ok || prevP != old {
-		t.Fatalf("AllocateROB: %v %v %v", newP, prevP, ok)
-	}
-	if tbl.FutureFreePending(old) {
-		t.Error("ROB mode must not set future-free bits")
+		t.Fatalf("Allocate: %v %v %v", newP, prevP, ok)
 	}
 	free := tbl.FreeCount()
 	tbl.Free(prevP)
 	if tbl.FreeCount() != free+1 {
 		t.Error("Free must return the register")
+	}
+	if tbl.FutureFreePending(old) {
+		t.Error("Free must clear the freed register's Future Free bit")
 	}
 	if err := tbl.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -131,7 +134,7 @@ func TestAllocateROBAndFree(t *testing.T) {
 
 func TestFreePanics(t *testing.T) {
 	tbl := newTable(t)
-	p, _, _ := tbl.AllocateROB(isa.IntReg(0))
+	p, _, _ := tbl.Allocate(isa.IntReg(0))
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -146,8 +149,8 @@ func TestUnwindROB(t *testing.T) {
 	tbl := newTable(t)
 	dest := isa.IntReg(5)
 	old := tbl.Lookup(dest)
-	n1, p1, _ := tbl.AllocateROB(dest)
-	n2, p2, _ := tbl.AllocateROB(dest)
+	n1, p1, _ := tbl.Allocate(dest)
+	n2, p2, _ := tbl.Allocate(dest)
 	// Unwind in reverse order.
 	tbl.Unwind(dest, n2, p2)
 	if tbl.Lookup(dest) != n1 {

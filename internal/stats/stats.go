@@ -358,15 +358,6 @@ func (r Results) IPC() float64 {
 	return float64(r.Committed) / float64(r.Cycles)
 }
 
-// SkipRate returns the fraction of simulated cycles elided by the
-// event-driven clock skip (0 when skipping never engaged).
-func (r Results) SkipRate() float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(r.SkippedCycles) / float64(r.Cycles)
-}
-
 // ReplayRate returns replayed (thrown-away) instructions per committed
 // instruction, a measure of rollback overhead.
 func (r Results) ReplayRate() float64 {

@@ -487,14 +487,3 @@ func TestSkipCountersOmittedWhenZero(t *testing.T) {
 		}
 	}
 }
-
-// TestSkipRate covers the derived metric.
-func TestSkipRate(t *testing.T) {
-	if got := (Results{}).SkipRate(); got != 0 {
-		t.Fatalf("empty SkipRate = %v, want 0", got)
-	}
-	r := Results{Cycles: 200, SkippedCycles: 150}
-	if got := r.SkipRate(); got != 0.75 {
-		t.Fatalf("SkipRate = %v, want 0.75", got)
-	}
-}
