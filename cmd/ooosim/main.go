@@ -200,11 +200,16 @@ func main() {
 	printResults(cfg, res)
 }
 
-// parseSample parses the -sample flag's warmup:detail:period form.
+// parseSample parses the -sample flag's warmup:detail:period form. The
+// all-zero spec, which the library reads as "not sampled", is an error
+// here: a run asked to sample must not fall back to full detail.
 func parseSample(s string) (trace.SampleSpec, error) {
 	var spec trace.SampleSpec
 	if _, err := fmt.Sscanf(s, "%d:%d:%d", &spec.Warmup, &spec.Detail, &spec.Period); err != nil {
 		return trace.SampleSpec{}, fmt.Errorf("-sample wants warmup:detail:period instruction counts, got %q", s)
+	}
+	if !spec.Enabled() {
+		return trace.SampleSpec{}, fmt.Errorf("-sample %q: detail window must be >= 1 (omit -sample for a full-detail run)", s)
 	}
 	return spec, spec.Validate()
 }

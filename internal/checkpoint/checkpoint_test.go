@@ -332,7 +332,8 @@ func FuzzCheckpointTable(f *testing.F) {
 		f.Add(ops)
 	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		rt := rename.New(isa.NumLogical + 16)
+		const phys = isa.NumLogical + 16
+		rt := rename.New(phys)
 		ct := NewTable(4, rt)
 		var seq uint64
 		var unfinished []*Entry // the checkpoint of each unfinished instruction
@@ -377,7 +378,7 @@ func FuzzCheckpointTable(f *testing.F) {
 				}
 				unfinished = kept
 			}
-			for _, err := range []error{ct.CheckInvariants(), rt.CheckInvariants(), conserved(ct, rt)} {
+			for _, err := range []error{ct.CheckInvariants(), rt.CheckInvariants(), conserved(ct, rt, phys)} {
 				if err != nil {
 					t.Fatalf("step %d (op %d): %v", i/2, ops[i]%5, err)
 				}
@@ -386,13 +387,13 @@ func FuzzCheckpointTable(f *testing.F) {
 	})
 }
 
-// conserved checks that a register is free exactly when it is not
-// valid, not in the live Future Free set, and not in the set captured
-// by any live checkpoint but the oldest: those are the deferred frees
-// still owed, while the oldest's was released when its predecessor
-// committed.
-func conserved(ct *Table, rt *rename.Table) error {
-	for p := 0; p < rt.NumPhys(); p++ {
+// conserved checks that each of rt's phys registers is free exactly
+// when it is not valid, not in the live Future Free set, and not in the
+// set captured by any live checkpoint but the oldest: those are the
+// deferred frees still owed, while the oldest's was released when its
+// predecessor committed.
+func conserved(ct *Table, rt *rename.Table, phys int) error {
+	for p := 0; p < phys; p++ {
 		r := rename.PhysReg(p)
 		want := !rt.Valid(r) && !rt.FutureFreePending(r)
 		for i := 1; i < len(ct.entries); i++ {

@@ -16,13 +16,33 @@ import (
 	"repro/internal/vreg"
 )
 
-// consumerRef is one wakeup registration: a waiting instruction plus the
-// Seq it had when it registered. Records recycle (see DynInst), so the
-// Seq is re-checked at wake time — a mismatch means the slot was reused
-// by a younger instruction and the registration is stale.
+// consumerRef is one wait-list registration: a waiting instruction plus
+// the Seq it had when it registered. Records recycle (see DynInst), so
+// the Seq is re-checked at wake time — a mismatch means the slot was
+// reused by a younger instruction and the registration is stale.
 type consumerRef struct {
 	d   *DynInst
 	seq uint64
+}
+
+// physReg is the scoreboard record of one rename register.
+type physReg struct {
+	// producer is the instruction that last took the register at rename
+	// (nil for architectural initial state, and once a squash or an
+	// in-order commit gave it up).
+	producer *DynInst
+	// waiters is the register's one wait list: dispatch registers every
+	// unready source, and moveToSLIQ a slow-lane resident's trigger wait
+	// unless the trigger is one of its sources. The write wakes and
+	// empties it (finishCompletion), and so does the producer's squash.
+	waiters []consumerRef
+	// ready: the value is written. longTaint: it transitively depends on
+	// an L2-missing load (Figure 7's live-instruction split).
+	ready, longTaint bool
+	// vbound and vfused are the value's bind state (virtual-register mode
+	// only): its bind took a physical register; its redefiner completed
+	// first, so its bind and release fuse and take none.
+	vbound, vfused bool
 }
 
 // CPU is one simulated processor instance bound to a workload trace.
@@ -65,11 +85,6 @@ type CPU struct {
 	// register, in completion order.
 	vt           *vreg.Tracker
 	deferredBind []consumerRef
-	// vbound and vfused are the bind state of the value each rename
-	// register holds (virtual-register mode only): its bind took a
-	// physical register; its redefiner completed first, so its bind and
-	// release fuse and take none.
-	vbound, vfused []bool
 	// archReleased makes the release of each logical register's
 	// architectural initial value idempotent across rollback replays.
 	archReleased [isa.NumLogical]bool
@@ -92,11 +107,8 @@ type CPU struct {
 	wpCounter    uint64
 	lastLoadAddr uint64
 
-	// Scoreboard.
-	regReady  []bool
-	longTaint []bool
-	consumers [][]consumerRef
-	producer  []*DynInst
+	// regs is the scoreboard: one record per rename register.
+	regs []physReg
 
 	completions eventWheel
 
@@ -253,15 +265,12 @@ type Arena struct {
 func NewArena() *Arena { return &Arena{} }
 
 // chassis is a CPU's recyclable allocation skeleton: the scoreboard
-// arrays and the completion wheel, whose per-point construction (and
+// records and the completion wheel, whose per-point construction (and
 // collection) was a measurable slice of sweep time. Recycle parks a
 // finished CPU's skeleton in the Arena; newCPU adopts a parked one of
 // the same shape and resets it.
 type chassis struct {
-	regReady   []bool
-	longTaint  []bool
-	consumers  [][]consumerRef
-	producer   []*DynInst
+	regs       []physReg
 	wheel      eventWheel
 	issueRetry []*queue.IQEntry[*DynInst]
 }
@@ -280,14 +289,11 @@ func (a *Arena) takeChassis(phys, wheelSlots int) *chassis {
 		return nil
 	}
 	delete(a.chassis, chassisKey{phys, wheelSlots})
-	clear(ch.regReady)
-	clear(ch.longTaint)
-	clear(ch.producer)
-	for i := range ch.consumers {
-		// Keep the grown backing arrays — re-registering consumers is
-		// exactly what the next point will do. Stale refs beyond the
-		// truncation point only reference pool-owned records.
-		ch.consumers[i] = ch.consumers[i][:0]
+	for i := range ch.regs {
+		// Keep the grown wait lists — re-registering waiters is exactly
+		// what the next point will do. Stale refs beyond the truncation
+		// point only reference pool-owned records.
+		ch.regs[i] = physReg{waiters: ch.regs[i].waiters[:0]}
 	}
 	ch.wheel.recycle()
 	ch.issueRetry = ch.issueRetry[:0]
@@ -309,16 +315,9 @@ func (c *CPU) Recycle(a *Arena) {
 	if a.chassis == nil {
 		a.chassis = map[chassisKey]*chassis{}
 	}
-	key := chassisKey{len(c.regReady), len(c.completions.buckets)}
-	a.chassis[key] = &chassis{
-		regReady:   c.regReady,
-		longTaint:  c.longTaint,
-		consumers:  c.consumers,
-		producer:   c.producer,
-		wheel:      c.completions,
-		issueRetry: c.issueRetry,
-	}
-	c.regReady, c.longTaint, c.consumers, c.producer = nil, nil, nil, nil
+	key := chassisKey{len(c.regs), len(c.completions.buckets)}
+	a.chassis[key] = &chassis{regs: c.regs, wheel: c.completions, issueRetry: c.issueRetry}
+	c.regs = nil
 	c.completions = eventWheel{}
 	c.issueRetry = nil
 }
@@ -463,21 +462,15 @@ func newCPU(cfg config.Config, tr *trace.Trace, hier *mem.Hierarchy, arena *Aren
 		cfg.DL1.LatencyCycles + cfg.L2.LatencyCycles + slowestUnit + cfg.PrefetchDegree + 64)
 	if arena != nil {
 		if ch := arena.takeChassis(physSpace, wheelSlots); ch != nil {
-			c.regReady, c.longTaint = ch.regReady, ch.longTaint
-			c.consumers, c.producer = ch.consumers, ch.producer
-			c.completions = ch.wheel
-			c.issueRetry = ch.issueRetry
+			c.regs, c.completions, c.issueRetry = ch.regs, ch.wheel, ch.issueRetry
 		}
 	}
-	if c.regReady == nil {
-		c.regReady = make([]bool, physSpace)
-		c.longTaint = make([]bool, physSpace)
-		c.consumers = make([][]consumerRef, physSpace)
-		c.producer = make([]*DynInst, physSpace)
+	if c.regs == nil {
+		c.regs = make([]physReg, physSpace)
 		c.completions = newEventWheel(wheelSlots)
 	}
 	for l := 0; l < isa.NumLogical; l++ {
-		c.regReady[c.rt.Lookup(isa.Reg(l))] = true
+		c.regs[c.rt.Lookup(isa.Reg(l))].ready = true
 	}
 	c.code = tr.Code()
 	if fe != nil {
@@ -489,8 +482,6 @@ func newCPU(cfg config.Config, tr *trace.Trace, hier *mem.Hierarchy, arena *Aren
 	c.policy = newPolicy(c)
 	if cfg.VirtualRegisters {
 		c.vt = vreg.New(cfg.VirtualTags, cfg.PhysRegs, isa.NumLogical)
-		c.vbound = make([]bool, physSpace)
-		c.vfused = make([]bool, physSpace)
 	}
 	c.lastLoadAddr = 1 << 20
 	c.sliqAccept, c.forwardWake = c.acceptFromSLIQ, c.wakeForwardedLoad

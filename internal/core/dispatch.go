@@ -128,16 +128,11 @@ func (c *CPU) tryDispatch(inst isa.Inst, pos int64, wrongPath bool) bool {
 		if !ok {
 			panic("core: rename failed after FreeCount check")
 		}
-		c.regReady[d.DestPhys] = false
-		c.longTaint[d.DestPhys] = false
-		if c.vt != nil {
-			if !c.vt.TryRename() {
-				panic("core: virtual tag rename failed after TagsFull check")
-			}
-			c.vbound[d.DestPhys] = false
-			c.vfused[d.DestPhys] = false
+		if c.vt != nil && !c.vt.TryRename() {
+			panic("core: virtual tag rename failed after TagsFull check")
 		}
-		c.producer[d.DestPhys] = d
+		r := &c.regs[d.DestPhys]
+		*r = physReg{producer: d, waiters: r.waiters}
 	}
 
 	// Source readiness, consumer registration and the blocked-long
@@ -145,17 +140,15 @@ func (c *CPU) tryDispatch(inst isa.Inst, pos int64, wrongPath bool) bool {
 	pending := 0
 	long := false
 	for i := 0; i < d.NumSrcs; i++ {
-		p := d.SrcPhys[i]
-		if !c.regReady[p] {
+		r := &c.regs[d.SrcPhys[i]]
+		if !r.ready {
 			pending++
-			c.consumers[p] = append(c.consumers[p], consumerRef{d: d, seq: d.Seq})
-			if c.longTaint[p] {
-				long = true
-			}
+			r.waiters = append(r.waiters, consumerRef{d: d, seq: d.Seq})
+			long = long || r.longTaint
 		}
 	}
 	if long && d.DestPhys != rename.PhysNone {
-		c.longTaint[d.DestPhys] = true
+		c.regs[d.DestPhys].longTaint = true
 	}
 	if inst.Op == isa.FPAlu && pending > 0 {
 		d.LiveLong = long
@@ -318,7 +311,7 @@ func (c *CPU) acceptFromSLIQ(seq uint64, d *DynInst) bool {
 	// Re-compute source availability, as the paper requires.
 	pending := 0
 	for i := 0; i < d.NumSrcs; i++ {
-		if !c.regReady[d.SrcPhys[i]] {
+		if !c.regs[d.SrcPhys[i]].ready {
 			pending++
 		}
 	}

@@ -29,20 +29,21 @@ import (
 // no component may hold a *DynInst it intends to dereference as that
 // instruction: Seq is the only durable identity and the only liveness
 // test, so every structure that can outlive an instruction (the
-// consumer lists, the deferred-bind queue, the SLIQ's entries, the LSQ's
-// forward waiters, the SLIQ dependence-mask owners) stores the Seq
-// alongside the pointer and treats a mismatch as "instruction is gone".
-// The issue queues' ready sets hold the same kind of reference. Squash
-// (squashInst) frees the record's slot in every structure that counts
-// occupancy (issue queue, SLIQ, LSQ) and takes it out of its
-// checkpoint's counters; a seq-checked reference it leaves behind is
-// dropped when its holder next reaches it. The completion event wheel
-// never holds a released record (squash unschedules it eagerly).
-// Release poisons Seq, so every such check fails from that moment; the
-// record's other fields stay untouched until dispatch, the only
-// acquirer, reuses it. A reader of the same cycle that holds a record
-// without its Seq (writeback's due batch, finishCompletion after a
-// recovery, the rollback's divergedAt check) tests released instead.
+// registers' wait lists, SLIQ trigger waits included, the deferred-bind
+// queue, the SLIQ's wake set, the LSQ's forward waiters, the SLIQ
+// dependence-mask owners) stores the Seq alongside the pointer and
+// treats a mismatch as "instruction is gone". The issue queues' ready
+// sets hold the same kind of reference. Squash (squashInst) frees the
+// record's slot in every structure that counts occupancy (issue queue,
+// SLIQ, LSQ) and takes it out of its checkpoint's counters; a
+// seq-checked reference it leaves behind is dropped when its holder next
+// reaches it. The completion event wheel never holds a released record
+// (squash unschedules it eagerly). Release poisons Seq, so every such
+// check fails from that moment; the record's other fields stay
+// untouched until dispatch, the only acquirer, reuses it. A reader of
+// the same cycle that holds a record without its Seq (writeback's due
+// batch, finishCompletion after a recovery, the rollback's divergedAt
+// check) tests released instead.
 type DynInst struct {
 	// Seq is the dynamic sequence number: unique and monotonically
 	// increasing across fetches, including wrong-path and replayed
@@ -80,6 +81,8 @@ type DynInst struct {
 	// ExceptAt requests a precise exception when this instruction
 	// completes (exception-replay tests inject it).
 	ExceptAt bool
+	// inSLIQ marks residence in the slow lane, waiting or woken.
+	inSLIQ bool
 
 	// Structure handles. iqe is the embedded issue-queue entry (see
 	// queue.IQEntry): queue residence costs no allocation, and
@@ -87,8 +90,10 @@ type DynInst struct {
 	iqe  queue.IQEntry[*DynInst]
 	lsqe *lsq.Entry[*DynInst]
 	ckpt *checkpoint.Entry
-	// inSLIQ marks residence in the slow lane.
-	inSLIQ bool
+	// sliqTrigger is a waiting SLIQ resident's trigger register, on
+	// whose wait list it waits; its write starts the wake and resets the
+	// field to PhysNone. It means nothing outside the SLIQ.
+	sliqTrigger rename.PhysReg
 	// wheelSlot is this instruction's completion-wheel slot, or
 	// eventNone when no completion is scheduled.
 	wheelSlot int32

@@ -48,13 +48,16 @@ func (c *CPU) issueStage() {
 // L2-missing load and reclassifies already-dispatched waiting consumers
 // from blocked-short to blocked-long (Figure 7's split). Dispatch-time
 // classification alone misses consumers dispatched in the window before
-// the load's miss is discovered.
+// the load's miss is discovered. The wait list also holds SLIQ trigger
+// waits; those add no taint, since a resident's chain to its trigger
+// runs through source waits this recursion reaches anyway.
 func (c *CPU) propagateLongTaint(p rename.PhysReg) {
-	if c.longTaint[p] {
+	r := &c.regs[p]
+	if r.longTaint {
 		return
 	}
-	c.longTaint[p] = true
-	for _, ref := range c.consumers[p] {
+	r.longTaint = true
+	for _, ref := range r.waiters {
 		cons := ref.d
 		if cons.Seq != ref.seq || cons.Done || cons.Issued {
 			continue

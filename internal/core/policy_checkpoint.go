@@ -57,7 +57,7 @@ func newCheckpointPolicy(c *CPU) *checkpointPolicy {
 	}
 	if c.cfg.SLIQEntries > 0 {
 		c.sliq = queue.NewSLIQ(c.cfg.SLIQEntries, c.cfg.SLIQWakeDelay,
-			c.cfg.SLIQWakeWidth, c.rt.NumPhys(), holdsSeq)
+			c.cfg.SLIQWakeWidth, holdsSeq)
 	}
 	p.clearDepMasks()
 	return p

@@ -59,7 +59,7 @@ func (p *inOrderPolicy) Commit() {
 		c.commitInst(d)
 		if d.PrevPhys != rename.PhysNone {
 			c.rt.Free(d.PrevPhys)
-			c.producer[d.PrevPhys] = nil
+			c.regs[d.PrevPhys].producer = nil
 		}
 		c.lastCommitCycle = c.now
 		c.pool.release(d)

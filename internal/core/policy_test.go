@@ -472,6 +472,9 @@ func TestCommitPoliciesPinned(t *testing.T) {
 			if pc.except && cpu.Exceptions() != 1 {
 				t.Errorf("%s: delivered %d exceptions, want 1", name, cpu.Exceptions())
 			}
+			if err := checkIdentities(res); err != nil {
+				t.Error(err)
+			}
 			raw, err := json.Marshal(res)
 			if err != nil {
 				t.Fatal(err)

@@ -27,9 +27,9 @@ func TestMain(m *testing.M) {
 // allocation rate on every commit policy: at most one heap allocation
 // per committed instruction, amortising CPU construction over the run.
 // The hot path is designed to allocate nothing per instruction (pooled
-// DynInsts, intrusive issue-queue entries, recycled LSQ/SLIQ entries);
-// the budget of 1 leaves room for structure growth, checkpoint
-// snapshots, and forward-wait closures. This is the PR-3 regression
+// DynInsts, intrusive issue-queue entries, recycled LSQ entries, SLIQ
+// residence without a record); the budget of 1 leaves room for
+// structure growth and checkpoint snapshots. This is the PR-3 regression
 // guard: a reintroduced per-dispatch allocation trips it immediately.
 func TestAllocsPerCommittedInstruction(t *testing.T) {
 	if raceEnabled {

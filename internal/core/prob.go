@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/isa"
 	"repro/internal/rename"
 	"repro/internal/stats"
@@ -124,17 +126,16 @@ func (p *checkpointPolicy) maskDependence(d *DynInst) (bool, rename.PhysReg, uin
 
 // triggerLive reports whether a SLIQ trigger register is still awaiting
 // a write from the producer recorded in the mask — the condition under
-// which waiting on it is guaranteed to end with a TriggerReady. The
-// sequence check rejects registers freed and reallocated since the mask
-// bit was set (and, with recycled records, producers whose slot was
-// reused by a younger instruction).
+// which a wait on its wait list is guaranteed to end with a wake (or
+// with the squash of the waiter). The sequence check rejects registers
+// freed and reallocated since the mask bit was set (and, with recycled
+// records, producers whose slot was reused by a younger instruction).
 func (p *checkpointPolicy) triggerLive(root rename.PhysReg, rootSeq uint64) bool {
-	c := p.c
-	if root == rename.PhysNone || c.regReady[root] {
+	if root == rename.PhysNone {
 		return false
 	}
-	pr := c.producer[root]
-	return pr != nil && pr.Seq == rootSeq
+	r := &p.c.regs[root]
+	return !r.ready && r.producer != nil && r.producer.Seq == rootSeq
 }
 
 // maskSeed marks a long-latency load's destination in the mask.
@@ -161,8 +162,11 @@ func (p *checkpointPolicy) maskRedefine(d *DynInst) {
 }
 
 // moveToSLIQ transfers a waiting instruction from its issue queue to the
-// slow lane. It returns false when no SLIQ is configured, it is full, or
-// the trigger register already produced its value.
+// slow lane, waiting on the trigger register root. It returns false when
+// no SLIQ is configured, it is full, or the trigger register already
+// produced its value. The trigger wait goes on root's wait list, where
+// dispatch already put it when root is one of d's sources; the write
+// starts the wake (finishCompletion).
 func (p *checkpointPolicy) moveToSLIQ(d *DynInst, root rename.PhysReg) bool {
 	c := p.c
 	if c.sliq == nil || !d.iqe.Resident() {
@@ -172,13 +176,18 @@ func (p *checkpointPolicy) moveToSLIQ(d *DynInst, root rename.PhysReg) bool {
 		// Already ready to issue; moving it would only delay it.
 		return false
 	}
-	if root == rename.PhysNone || c.regReady[root] {
+	if root == rename.PhysNone || c.regs[root].ready {
 		return false
 	}
-	if !c.sliq.Insert(d.Seq, root, d) {
+	if !c.sliq.Insert() {
 		return false
 	}
 	c.iqFor(d.Inst.Op).Remove(&d.iqe)
 	d.inSLIQ = true
+	d.sliqTrigger = root
+	if !slices.Contains(d.SrcPhys[:d.NumSrcs], root) {
+		r := &c.regs[root]
+		r.waiters = append(r.waiters, consumerRef{d: d, seq: d.Seq})
+	}
 	return true
 }

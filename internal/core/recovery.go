@@ -44,8 +44,8 @@ func (c *CPU) squashInst(d *DynInst, unwindRename bool) {
 		c.iqFor(d.Inst.Op).Remove(&d.iqe)
 	}
 	if d.inSLIQ {
-		// The slot frees now; the SLIQ drops the entry, dead from the
-		// release below, when it next reaches it.
+		// The slot frees now. A trigger wait left on a wait list, or a
+		// woken item in the wake set, is dead from the release below.
 		d.inSLIQ = false
 		c.sliq.Squash()
 	}
@@ -60,35 +60,27 @@ func (c *CPU) squashInst(d *DynInst, unwindRename bool) {
 		d.ckpt.Squash(d.Inst.Op, d.Done)
 	}
 
-	if c.vt != nil && d.DestPhys != rename.PhysNone {
-		if d.Done {
-			if c.vbound[d.DestPhys] {
-				c.vbound[d.DestPhys] = false
+	if d.DestPhys != rename.PhysNone {
+		r := &c.regs[d.DestPhys]
+		if c.vt != nil {
+			if !d.Done {
+				// Covers both queued and deferred-bind instructions: the
+				// tag is still held until binding succeeds.
+				c.vt.UnRename()
+			} else if r.vbound {
+				r.vbound = false
 				c.vt.SquashBound()
 			}
-		} else {
-			// Covers both queued and deferred-bind instructions: the
-			// tag is still held until binding succeeds.
-			c.vt.UnRename()
-		}
-	}
-
-	if d.DestPhys != rename.PhysNone {
-		// Slow-lane entries waiting on this dying register depend on
-		// d, so the walk has already squashed them: the trigger drops
-		// them now. A live one would wake and re-evaluate its sources
-		// on re-insertion, so no trigger is lost.
-		if c.sliq != nil {
-			c.sliq.TriggerReady(d.DestPhys, c.now)
 		}
 		if unwindRename {
 			c.rt.Unwind(d.Inst.Dest, d.DestPhys, d.PrevPhys)
 		}
-		c.regReady[d.DestPhys] = false
-		c.longTaint[d.DestPhys] = false
-		c.consumers[d.DestPhys] = c.consumers[d.DestPhys][:0]
-		if c.producer[d.DestPhys] == d {
-			c.producer[d.DestPhys] = nil
+		// Every waiter, a SLIQ resident's trigger wait included, depends
+		// on d, so the youngest-first walk has already squashed it.
+		r.ready, r.longTaint = false, false
+		r.waiters = r.waiters[:0]
+		if r.producer == d {
+			r.producer = nil
 		}
 	}
 

@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/checkpoint"
 	"repro/internal/config"
 	"repro/internal/isa"
+	"repro/internal/rename"
 	"repro/internal/stats"
 )
 
@@ -14,12 +16,16 @@ import (
 // at a time through branch rollbacks, pseudo-ROB recoveries and the
 // two-pass exception protocol, and checks the in-flight window after
 // every cycle: program order, live records only, one LSQ entry per
-// memory record, one issue-queue or SLIQ slot per resident record, the
-// live checkpoints' counters, the committed prefix and the extraction
-// cursor. The stepped run must also match a plain run bit for bit, so
-// stepping observes the machine without perturbing it. Every
+// memory record, one issue-queue or SLIQ slot per resident record, each
+// waiting SLIQ resident on its trigger's wait list, the live
+// checkpoints' counters, the committed prefix and the extraction
+// cursor; each cycle's results must satisfy the counter identities
+// (checkIdentities). The stepped run must also match a plain run bit for
+// bit, so stepping observes the machine without perturbing it. Every
 // checkpoint-family run squashes SLIQ residents, so the slots and
-// counters a squash frees are checked too.
+// counters a squash frees are checked too, and parks a resident on a
+// trigger that is not one of its sources, the wait list entry that
+// moveToSLIQ adds.
 func TestWindowInvariantsPerCycle(t *testing.T) {
 	tr := rollbackHeavyTrace(30000)
 	const insts, exceptAt = 20000, 5000
@@ -47,22 +53,32 @@ func TestWindowInvariantsPerCycle(t *testing.T) {
 			cpu := run()
 			var got stats.Results
 			var sawRetired, sawExtracted bool
+			var trigWaits int
 			for {
 				before := cpu.now
 				got = cpu.Run(RunOptions{MaxInsts: insts, MaxCycles: before + 1, DisableSkip: true})
 				if cpu.now == before {
 					break
 				}
-				if err := checkWindow(cpu); err != nil {
+				n, err := checkWindow(cpu)
+				if err == nil {
+					err = checkIdentities(got)
+				}
+				if err != nil {
 					t.Fatalf("cycle %d: %v", before, err)
 				}
+				trigWaits += n
 				if p, ok := cpu.policy.(*checkpointPolicy); ok {
 					sawRetired = sawRetired || p.retired > 0
 					sawExtracted = sawExtracted || p.extracted > 0
 				}
 			}
-			if want := run().Run(RunOptions{MaxInsts: insts, DisableSkip: true}); !got.Equal(want) {
+			want := run().Run(RunOptions{MaxInsts: insts, DisableSkip: true})
+			if !got.Equal(want) {
 				t.Fatalf("stepped run diverged from a plain run:\nstepped: %+v\n  plain: %+v", got, want)
+			}
+			if err := checkIdentities(want); err != nil {
+				t.Fatal(err)
 			}
 			if got.Branch.Mispredicts == 0 {
 				t.Fatal("no branch mispredicted; the squash walk went unchecked")
@@ -75,22 +91,26 @@ func TestWindowInvariantsPerCycle(t *testing.T) {
 				if cpu.sliq.Stats().Squashed == 0 {
 					t.Fatal("no SLIQ resident was squashed; the lazy SLIQ removal went unchecked")
 				}
+				if trigWaits == 0 {
+					t.Fatal("no SLIQ resident waited on a trigger outside its sources; moveToSLIQ's wait went unchecked")
+				}
 			}
 		})
 	}
 }
 
-// checkWindow validates the in-flight window between cycles.
-func checkWindow(c *CPU) error {
+// checkWindow validates the in-flight window between cycles. It counts
+// the waiting SLIQ residents whose trigger is not one of their sources.
+func checkWindow(c *CPU) (trigWaits int, err error) {
 	// retired is the committed prefix; in-order commit pops its records.
 	var retired, extracted int
 	if p, ok := c.policy.(*checkpointPolicy); ok {
 		retired, extracted = p.retired, p.extracted
 		if retired != 0 && extracted != 0 {
-			return fmt.Errorf("retired %d and extracted %d both non-zero", retired, extracted)
+			return 0, fmt.Errorf("retired %d and extracted %d both non-zero", retired, extracted)
 		}
 		if n := p.probLen(); n < 0 || n > c.cfg.PseudoROBEntries {
-			return fmt.Errorf("pseudo-ROB holds %d of %d entries", n, c.cfg.PseudoROBEntries)
+			return 0, fmt.Errorf("pseudo-ROB holds %d of %d entries", n, c.cfg.PseudoROBEntries)
 		}
 	}
 	// counts is what the window holds of one live checkpoint's window.
@@ -101,9 +121,9 @@ func checkWindow(c *CPU) error {
 		d := c.window.At(i)
 		switch {
 		case d.released():
-			return fmt.Errorf("window position %d holds a dead record %v", i, d)
+			return 0, fmt.Errorf("window position %d holds a dead record %v", i, d)
 		case i > 0 && d.Seq <= c.window.At(i-1).Seq:
-			return fmt.Errorf("window seqs out of order at %d: %d after %d", i, d.Seq, c.window.At(i-1).Seq)
+			return 0, fmt.Errorf("window seqs out of order at %d: %d after %d", i, d.Seq, c.window.At(i-1).Seq)
 		}
 		if d.lsqe != nil {
 			memOps++
@@ -113,6 +133,20 @@ func checkWindow(c *CPU) error {
 		}
 		if d.inSLIQ {
 			sliqResident++
+		}
+		if t := d.sliqTrigger; d.inSLIQ && t != rename.PhysNone {
+			// A waiting resident: its trigger is unwritten, and it waits
+			// on the trigger's wait list under its current seq.
+			r := &c.regs[t]
+			if r.ready {
+				return 0, fmt.Errorf("SLIQ resident %v waits on p%d, which is written", d, t)
+			}
+			if !slices.Contains(r.waiters, consumerRef{d: d, seq: d.Seq}) {
+				return 0, fmt.Errorf("SLIQ resident %v waits on p%d but is not on its wait list", d, t)
+			}
+			if !slices.Contains(d.SrcPhys[:d.NumSrcs], t) {
+				trigWaits++
+			}
 		}
 		if p, ok := c.policy.(*checkpointPolicy); ok && d.ckpt.ID >= p.ckpts.Oldest().ID {
 			n := ckpts[d.ckpt]
@@ -130,22 +164,52 @@ func checkWindow(c *CPU) error {
 		}
 	}
 	if memOps != c.lq.Len() {
-		return fmt.Errorf("%d window records hold an LSQ entry, the LSQ holds %d", memOps, c.lq.Len())
+		return 0, fmt.Errorf("%d window records hold an LSQ entry, the LSQ holds %d", memOps, c.lq.Len())
 	}
 	if n := c.intQ.Len() + c.fpQ.Len(); iqResident != n {
-		return fmt.Errorf("%d window records hold an issue-queue entry, the queues hold %d", iqResident, n)
+		return 0, fmt.Errorf("%d window records hold an issue-queue entry, the queues hold %d", iqResident, n)
 	}
 	if c.sliq != nil && sliqResident != c.sliq.Len() {
-		return fmt.Errorf("%d window records are SLIQ residents, the SLIQ holds %d", sliqResident, c.sliq.Len())
+		return 0, fmt.Errorf("%d window records are SLIQ residents, the SLIQ holds %d", sliqResident, c.sliq.Len())
 	}
 	for e, n := range ckpts {
 		if e.Insts != n.insts || e.Stores != n.stores || e.Pending != n.pending {
-			return fmt.Errorf("checkpoint %d counts %d insts, %d stores, %d pending; its window holds %d, %d, %d",
+			return 0, fmt.Errorf("checkpoint %d counts %d insts, %d stores, %d pending; its window holds %d, %d, %d",
 				e.ID, e.Insts, e.Stores, e.Pending, n.insts, n.stores, n.pending)
 		}
 	}
 	if c.inflight != c.window.Len()-retired {
-		return fmt.Errorf("inflight %d, window %d minus %d committed", c.inflight, c.window.Len(), retired)
+		return 0, fmt.Errorf("inflight %d, window %d minus %d committed", c.inflight, c.window.Len(), retired)
+	}
+	return trigWaits, nil
+}
+
+// checkIdentities checks the counter identities that every full-detail
+// result satisfies. Fetch and dispatch are one stage, so they count
+// alike; nothing issues, commits or is replayed without dispatching, and
+// nothing commits, wakes from the SLIQ or is classified at extraction
+// without being taken, moved or dispatched first. A sampled result is
+// exempt: its measured windows can, for one, wake SLIQ residents that
+// the warm-up before them moved.
+func checkIdentities(r stats.Results) error {
+	if r.Sampled != nil {
+		return nil
+	}
+	switch {
+	case r.Fetched != r.Dispatched:
+		return fmt.Errorf("%s: fetched %d, dispatched %d", r.Name, r.Fetched, r.Dispatched)
+	case r.Issued > r.Dispatched:
+		return fmt.Errorf("%s: issued %d > dispatched %d", r.Name, r.Issued, r.Dispatched)
+	case r.Committed+r.Replayed > r.Dispatched:
+		return fmt.Errorf("%s: committed %d + replayed %d > dispatched %d", r.Name, r.Committed, r.Replayed, r.Dispatched)
+	case r.CheckpointsCommitted > r.CheckpointsTaken:
+		return fmt.Errorf("%s: %d checkpoints committed, %d taken", r.Name, r.CheckpointsCommitted, r.CheckpointsTaken)
+	case r.SLIQWoken > r.SLIQMoved:
+		return fmt.Errorf("%s: %d SLIQ wakes, %d moves", r.Name, r.SLIQWoken, r.SLIQMoved)
+	case r.Retire.Total() > r.Dispatched:
+		return fmt.Errorf("%s: %d extractions classified, %d dispatched", r.Name, r.Retire.Total(), r.Dispatched)
+	case r.Occ != nil && r.Occ.Samples() != uint64(r.Cycles):
+		return fmt.Errorf("%s: %d occupancy samples over %d cycles", r.Name, r.Occ.Samples(), r.Cycles)
 	}
 	return nil
 }

@@ -6,9 +6,10 @@ import (
 )
 
 // writebackStage retires completion events whose time has come: values
-// are written to the register file, dependants are woken (issue queues
-// and SLIQ), memory entries are marked executed, checkpoint pending
-// counters are decremented, and mispredicted branches trigger recovery.
+// are written to the register file, the register's waiters are woken
+// (issue-queue sources, LSQ stores and SLIQ triggers), memory entries
+// are marked executed, checkpoint pending counters are decremented, and
+// mispredicted branches trigger recovery.
 func (c *CPU) writebackStage() {
 	if c.vt != nil {
 		c.drainDeferredBinds()
@@ -48,11 +49,11 @@ func (c *CPU) completeInst(d *DynInst) {
 // reports false when the register file is full and the writeback must
 // wait. A fused value takes no register, so it always binds.
 func (c *CPU) bindVreg(d *DynInst) bool {
-	fused := c.vfused[d.DestPhys]
-	if !c.vt.TryBind(fused) {
+	r := &c.regs[d.DestPhys]
+	if !c.vt.TryBind(r.vfused) {
 		return false
 	}
-	c.vbound[d.DestPhys] = !fused
+	r.vbound = !r.vfused
 	return true
 }
 
@@ -62,10 +63,9 @@ func (c *CPU) finishCompletion(d *DynInst) {
 	d.DoneCycle = c.now
 
 	if d.DestPhys != rename.PhysNone {
-		c.regReady[d.DestPhys] = true
-		c.longTaint[d.DestPhys] = false
-		waiting := c.consumers[d.DestPhys]
-		for _, ref := range waiting {
+		r := &c.regs[d.DestPhys]
+		r.ready, r.longTaint = true, false
+		for _, ref := range r.waiters {
 			// Stale refs beyond the truncation point are harmless: the
 			// records are pool-owned (never garbage collected), so the
 			// slots are not zeroed — that skips a write barrier per
@@ -90,12 +90,15 @@ func (c *CPU) finishCompletion(d *DynInst) {
 				}
 			case cons.iqe.Resident():
 				c.iqFor(cons.Inst.Op).Wake(&cons.iqe)
+			case cons.inSLIQ && cons.sliqTrigger == d.DestPhys:
+				// The slow-lane resident's trigger: its wake starts, once
+				// (a resident reading its trigger as both sources is
+				// listed twice).
+				cons.sliqTrigger = rename.PhysNone
+				c.sliq.Wake(cons.Seq, cons, c.now)
 			}
 		}
-		c.consumers[d.DestPhys] = waiting[:0]
-		if c.sliq != nil {
-			c.sliq.TriggerReady(d.DestPhys, c.now)
-		}
+		r.waiters = r.waiters[:0]
 	}
 	if d.lsqe != nil {
 		c.lq.MarkExecuted(d.lsqe, c.forwardWake)
@@ -152,21 +155,21 @@ func (c *CPU) vregReleasePrev(d *DynInst) {
 	switch {
 	case p == rename.PhysNone:
 		// No previous mapping: nothing to release.
-	case c.producer[p] == nil:
+	case c.regs[p].producer == nil:
 		// The previous value was architectural initial state; release
 		// it exactly once even across rollback replays.
 		if !c.archReleased[d.Inst.Dest] {
 			c.archReleased[d.Inst.Dest] = true
 			c.vt.Release()
 		}
-	case c.regReady[p]:
-		if c.vbound[p] {
-			c.vbound[p] = false
+	case c.regs[p].ready:
+		if c.regs[p].vbound {
+			c.regs[p].vbound = false
 			c.vt.Release()
 		}
 	default:
 		// The previous producer has not completed yet; fuse its bind
 		// with the release so it never consumes a register.
-		c.vfused[p] = true
+		c.regs[p].vfused = true
 	}
 }

@@ -5,19 +5,20 @@
 // (SLIQ) of the paper's section 3.
 //
 // The hierarchy has one ordering rule: an issue queue selects its
-// oldest ready entry, and woken SLIQ entries re-enter the issue queues
-// oldest first. One ordered set, seqHeap, implements it for both. Both
-// hold seq-checked references and neither takes one out early: a squash
-// frees the slot only, and each owner drops a dead reference when it
-// next reaches it (at the ready set's front, or at the SLIQ's trigger
-// write or wake front).
+// oldest ready entry, and woken SLIQ residents re-enter the issue
+// queues oldest first. One ordered set, seqHeap, implements it for both.
+// Both hold seq-checked references and neither takes one out early: a
+// squash frees the slot only, and each owner drops a dead reference when
+// it next reaches it (at the ready set's front or the SLIQ's wake
+// front).
 //
 // The issue queue and the SLIQ are on the simulator's innermost loop
 // (one insert per dispatched instruction, one wake per produced value),
 // so both are allocation-free in steady state: IQ entries are intrusive
 // — the pipeline embeds IQEntry in its own instruction record and queue
-// residence costs nothing — and SLIQ entries recycle through an internal
-// free list.
+// residence costs nothing — and the SLIQ keeps no per-resident record
+// at all: a slot count, and a wake set item once the trigger is written.
+// Who waits on which register is the pipeline's scoreboard's business.
 package queue
 
 import "fmt"

@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"repro/internal/rename"
 )
 
 // ent builds a standalone entry for tests; the pipeline embeds entries
@@ -328,13 +326,11 @@ func TestDequePreSizedNoAlloc(t *testing.T) {
 	}
 }
 
-const sliqRegs = 64
-
 // alwaysLive is the liveness test of SLIQ tests that squash nothing.
 func alwaysLive[P any](uint64, P) bool { return true }
 
 // sliqRec is a SLIQ test payload with the pipeline's liveness rule: it
-// is live while it carries its entry's seq. A squash poisons the seq,
+// is live while it carries its resident's seq. A squash poisons the seq,
 // and reusing the record for a later instruction gives it a new one.
 type sliqRec struct{ seq uint64 }
 
@@ -342,123 +338,76 @@ const deadSeq = ^uint64(0)
 
 func recLive(seq uint64, r *sliqRec) bool { return r.seq == seq }
 
-// squash kills r's resident entry the way the pipeline's squash does.
+// squash kills r's resident the way the pipeline's squash does.
 func squash(s *SLIQ[*sliqRec], r *sliqRec) {
 	r.seq = deadSeq
 	s.Squash()
 }
 
-// sliqEntries returns where each entry record sits: a waiting list, the
-// wake set or the free list. It fails when a record sits in two places
-// (it was recycled twice) or the waiting count is off.
-func sliqEntries[P any](s *SLIQ[P]) (map[*sliqEntry[P]]string, error) {
-	where := map[*sliqEntry[P]]string{}
-	place := func(e *sliqEntry[P], at string) error {
-		if prev, dup := where[e]; dup {
-			return fmt.Errorf("entry record of seq %d is in %s and in %s", e.seq, prev, at)
-		}
-		where[e] = at
-		return nil
-	}
-	waiting := 0
-	for reg, list := range s.waiting {
-		waiting += len(list)
-		for _, e := range list {
-			if err := place(e, fmt.Sprintf("waiting list %d", reg)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for i := 0; i < s.wakeable.lane.Len(); i++ {
-		if err := place(s.wakeable.lane.At(i).v, "the wake lane"); err != nil {
-			return nil, err
-		}
-	}
-	for _, it := range s.wakeable.heap {
-		if err := place(it.v, "the wake heap"); err != nil {
-			return nil, err
-		}
-	}
-	for _, e := range s.free {
-		if err := place(e, "the free list"); err != nil {
-			return nil, err
-		}
-	}
-	if waiting != s.waitingN {
-		return nil, fmt.Errorf("waiting lists hold %d entries, waitingN says %d", waiting, s.waitingN)
-	}
-	return where, nil
-}
+// wakeItems is the wake set's item count, dead items included.
+func wakeItems[P any](s *SLIQ[P]) int { return s.wakeable.lane.Len() + len(s.wakeable.heap) }
 
-// sliqAllFree checks that all n entry records a test made are back on
-// the free list, each once.
-func sliqAllFree[P any](s *SLIQ[P], n int) error {
-	where, err := sliqEntries(s)
-	if err == nil && (len(where) != n || len(s.free) != n) {
-		err = fmt.Errorf("%d entry records, %d of them free; want all %d free", len(where), len(s.free), n)
-	}
-	return err
-}
-
+// TestSLIQWakeFlow: residents wait until woken, then re-enter after the
+// start-up delay at the pump width, oldest first whatever order their
+// wakes started in.
 func TestSLIQWakeFlow(t *testing.T) {
-	s := NewSLIQ(16, 4, 4, sliqRegs, alwaysLive[int])
-	trig := rename.PhysReg(7)
-	for i := uint64(0); i < 6; i++ {
-		if !s.Insert(i, trig, int(i)) {
+	s := NewSLIQ(16, 4, 4, alwaysLive[int])
+	for i := 0; i < 6; i++ {
+		if !s.Insert() {
 			t.Fatal("insert failed")
 		}
 	}
 	if s.Len() != 6 || s.NextWake() != -1 {
-		t.Fatalf("len=%d next wake=%d, want 6 waiting entries", s.Len(), s.NextWake())
+		t.Fatalf("len=%d next wake=%d, want 6 waiting residents", s.Len(), s.NextWake())
 	}
-	// No drain before the trigger fires.
+	// No drain before a wake starts.
 	if n := s.Drain(100, func(uint64, int) bool { return true }); n != 0 {
-		t.Fatal("nothing should drain before the trigger")
+		t.Fatal("nothing should drain before a wake")
 	}
-	s.TriggerReady(trig, 100)
+	for _, seq := range []uint64{3, 0, 5, 1, 4, 2} {
+		s.Wake(seq, int(seq), 100)
+	}
 	// Start-up delay: not eligible until cycle 104.
 	if n := s.Drain(103, func(uint64, int) bool { return true }); n != 0 {
 		t.Fatal("drain before the wake delay must yield nothing")
 	}
 	var got []uint64
-	n := s.Drain(104, func(seq uint64, _ int) bool { got = append(got, seq); return true })
-	if n != 4 {
+	record := func(seq uint64, _ int) bool { got = append(got, seq); return true }
+	if n := s.Drain(104, record); n != 4 {
 		t.Fatalf("first pump cycle drained %d, want width=4", n)
 	}
-	for i, seq := range got {
-		if seq != uint64(i) {
-			t.Fatalf("drain order %v, want oldest-first", got)
-		}
-	}
-	if n := s.Drain(105, func(uint64, int) bool { return true }); n != 2 {
+	if n := s.Drain(105, record); n != 2 {
 		t.Fatalf("second pump cycle drained %d, want 2", n)
 	}
-	st := s.Stats()
-	if st.Woken != 6 || st.WakeStarts != 1 {
-		t.Fatalf("stats: %+v", st)
+	if fmt.Sprint(got) != "[0 1 2 3 4 5]" {
+		t.Fatalf("drain order %v, want oldest-first", got)
+	}
+	if st := s.Stats(); st.Inserted != 6 || st.Woken != 6 || st.Wakes != 6 || s.Len() != 0 {
+		t.Fatalf("len %d, stats: %+v", s.Len(), st)
 	}
 }
 
 func TestSLIQDrainStopsWhenRejected(t *testing.T) {
-	s := NewSLIQ(8, 0, 4, sliqRegs, alwaysLive[int])
-	s.Insert(1, 1, 0)
-	s.Insert(2, 1, 0)
-	s.TriggerReady(1, 10)
+	s := NewSLIQ(8, 0, 4, alwaysLive[int])
+	s.Insert()
+	s.Insert()
+	s.Wake(1, 0, 10)
+	s.Wake(2, 0, 10)
 	n := s.Drain(10, func(seq uint64, _ int) bool { return seq == 1 })
 	if n != 1 {
 		t.Fatalf("drained %d, want 1 (head rejected stops the pump)", n)
 	}
-	// Entry 2 is retained and drains later.
+	// Resident 2 is retained and drains later.
 	if n := s.Drain(11, func(uint64, int) bool { return true }); n != 1 {
-		t.Fatal("retained entry must drain on a later cycle")
+		t.Fatal("retained resident must drain on a later cycle")
 	}
 }
 
 func TestSLIQCapacity(t *testing.T) {
-	s := NewSLIQ(2, 4, 4, sliqRegs, alwaysLive[int])
-	s.Insert(1, 1, 0)
-	s.Insert(2, 1, 0)
-	if s.Insert(3, 1, 0) {
+	s := NewSLIQ(2, 4, 4, alwaysLive[int])
+	s.Insert()
+	s.Insert()
+	if s.Insert() {
 		t.Fatal("full SLIQ must reject")
 	}
 	if s.Stats().FullStalls != 1 {
@@ -466,21 +415,22 @@ func TestSLIQCapacity(t *testing.T) {
 	}
 }
 
-// TestSLIQSquashYounger squashes every entry from seq 4 on, waiting or
-// woken: each frees its slot at once, none wakes, and every entry
-// record returns to the free list exactly once.
+// TestSLIQSquashYounger squashes every resident from seq 4 on, waiting
+// or woken: each frees its slot at once, a waiting one leaves nothing
+// behind, and a woken one never drains and leaves the wake set when the
+// pump reaches it.
 func TestSLIQSquashYounger(t *testing.T) {
-	s := NewSLIQ(16, 4, 4, sliqRegs, recLive)
+	s := NewSLIQ(16, 4, 4, recLive)
 	var recs []*sliqRec
 	for i := uint64(0); i < 9; i++ {
 		recs = append(recs, &sliqRec{seq: i})
-		s.Insert(i, rename.PhysReg(i%3), recs[i])
+		s.Insert()
 	}
-	// Wake out of seq order: trigger 1's seqs 1,4,7 fill the in-order
-	// lane, then trigger 0's seqs 0,3,6 fall behind its tail into the
-	// heap. Trigger 2's seqs 2,5,8 keep waiting.
-	s.TriggerReady(1, 0)
-	s.TriggerReady(0, 0)
+	// Wake out of seq order: seqs 1,4,7 fill the in-order lane, then
+	// 0,3,6 fall behind its tail into the heap. Seqs 2,5,8 keep waiting.
+	for _, seq := range []uint64{1, 4, 7, 0, 3, 6} {
+		s.Wake(seq, recs[seq], 0)
+	}
 	if s.wakeable.lane.Len() != 3 || len(s.wakeable.heap) != 3 {
 		t.Fatalf("wake set split %d lane / %d heap, want 3 / 3", s.wakeable.lane.Len(), len(s.wakeable.heap))
 	}
@@ -488,10 +438,10 @@ func TestSLIQSquashYounger(t *testing.T) {
 	for _, r := range recs[4:] {
 		squash(s, r)
 	}
-	if s.Len() != 4 {
-		t.Fatalf("len = %d, want 4", s.Len())
+	if s.Len() != 4 || wakeItems(s) != 6 {
+		t.Fatalf("len %d, %d wake items; want 4 residents and all 6 items until the pump passes", s.Len(), wakeItems(s))
 	}
-	// Only the surviving wakeable entries drain, oldest first.
+	// Only the surviving woken residents drain, oldest first.
 	var drained []uint64
 	record := func(seq uint64, r *sliqRec) bool {
 		if r.seq != seq {
@@ -501,131 +451,99 @@ func TestSLIQSquashYounger(t *testing.T) {
 		return true
 	}
 	s.Drain(100, record)
-	if fmt.Sprint(drained) != "[0 1 3]" {
-		t.Fatalf("drained %v, want [0 1 3]", drained)
+	if fmt.Sprint(drained) != "[0 1 3]" || wakeItems(s) != 0 {
+		t.Fatalf("drained %v leaving %d wake items, want [0 1 3] and none", drained, wakeItems(s))
 	}
-	s.TriggerReady(2, 100)
+	s.Wake(2, recs[2], 100)
 	drained = nil
 	s.Drain(104, record)
 	if fmt.Sprint(drained) != "[2]" || s.Len() != 0 || s.NextWake() != -1 {
 		t.Fatalf("drained %v (len %d, next wake %d), want [2] and an empty SLIQ", drained, s.Len(), s.NextWake())
 	}
-	if err := sliqAllFree(s, 9); err != nil {
-		t.Fatal(err)
-	}
 }
 
-func TestSLIQMultipleTriggers(t *testing.T) {
-	s := NewSLIQ(8, 1, 4, sliqRegs, alwaysLive[string])
-	s.Insert(1, 10, "a")
-	s.Insert(2, 20, "b")
-	s.TriggerReady(20, 0)
-	var got []uint64
-	s.Drain(1, func(seq uint64, _ string) bool { got = append(got, seq); return true })
-	if len(got) != 1 || got[0] != 2 {
-		t.Fatalf("only trigger-20's entry should wake, got %v", got)
-	}
-	if s.Len() != 1 || s.NextWake() != -1 {
-		t.Fatal("entry 1 should still wait")
-	}
-	s.TriggerReady(10, 5)
-	got = nil
-	s.Drain(6, func(seq uint64, _ string) bool { got = append(got, seq); return true })
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("trigger-10's entry should wake, got %v", got)
-	}
-}
-
-// TestSLIQClear: squashing every entry, woken or still waiting, empties
-// the SLIQ at once; a dead woken head vetoes the clock skip until Drain
-// drops it, and the dead waiting entry never wakes.
+// TestSLIQClear: squashing every resident, woken or still waiting,
+// empties the SLIQ at once; a dead woken head vetoes the clock skip
+// until Drain drops it.
 func TestSLIQClear(t *testing.T) {
-	s := NewSLIQ(8, 4, 4, sliqRegs, recLive)
+	s := NewSLIQ(8, 4, 4, recLive)
 	a, b := &sliqRec{seq: 1}, &sliqRec{seq: 2}
-	s.Insert(1, 1, a)
-	s.Insert(2, 2, b)
-	s.TriggerReady(1, 0)
+	s.Insert()
+	s.Insert()
+	s.Wake(1, a, 0)
 	squash(s, a)
 	squash(s, b)
 	if s.Len() != 0 || s.NextWake() != 0 {
 		t.Fatalf("after clear: len %d, next wake %d, want 0 and 0", s.Len(), s.NextWake())
 	}
-	if n := s.Drain(100, func(uint64, *sliqRec) bool { t.Fatal("drain offered a dead entry"); return true }); n != 0 {
-		t.Fatalf("drained %d dead entries", n)
+	if n := s.Drain(100, func(uint64, *sliqRec) bool { t.Fatal("drain offered a dead resident"); return true }); n != 0 {
+		t.Fatalf("drained %d dead residents", n)
 	}
-	s.TriggerReady(2, 100)
-	if st := s.Stats(); s.NextWake() != -1 || st.WakeStarts != 1 || st.Squashed != 2 {
-		t.Fatalf("next wake %d, stats %+v: want -1, one wake start and two squashes", s.NextWake(), st)
-	}
-	if err := sliqAllFree(s, 2); err != nil {
-		t.Fatal(err)
+	if st := s.Stats(); s.NextWake() != -1 || wakeItems(s) != 0 || st.Wakes != 1 || st.Squashed != 2 {
+		t.Fatalf("next wake %d, %d wake items, stats %+v: want -1, none, one wake and two squashes",
+			s.NextWake(), wakeItems(s), st)
 	}
 }
 
-// TestSLIQRecycling exercises the internal entry pool and the reuse of
-// payload records under new seqs, as the pipeline recycles its
-// instruction records: entries squashed or drained must be reusable
-// without cross-talk between generations. The squashed entries wait on
-// a trigger that fires only at the end, so their dead entries pile up
-// behind the live entry of the last round, which alone wakes.
+// TestSLIQRecycling reuses one payload record under a new seq for each
+// resident, as the pipeline reuses its instruction records: every
+// earlier generation was woken and then squashed, so its dead item still
+// sits in the wake set when the record's next occupant wakes. Only the
+// live generation drains, and the pump drops the rest as it passes.
 func TestSLIQRecycling(t *testing.T) {
-	s := NewSLIQ(8, 0, 8, sliqRegs, recLive)
-	recs := [3]*sliqRec{{}, {}, {}}
 	const rounds = 5
-	for round := 0; round < rounds; round++ {
-		base := uint64(round * 10)
-		for i, r := range recs {
-			r.seq = base + uint64(i) + 1
-			s.Insert(r.seq, rename.PhysReg(3+i/2), r)
+	s := NewSLIQ(rounds, 2, 8, recLive)
+	rec := &sliqRec{}
+	for gen := uint64(1); gen <= rounds; gen++ {
+		rec.seq = gen
+		if !s.Insert() {
+			t.Fatalf("generation %d found no free slot", gen)
 		}
-		if round < rounds-1 {
-			// Squash one while waiting, wake and drain the others.
-			squash(s, recs[2])
-		}
-		s.TriggerReady(3, int64(round))
-		var got []uint64
-		s.Drain(int64(round), func(seq uint64, r *sliqRec) bool { got = append(got, r.seq); return true })
-		if len(got) != 2 || got[0] != base+1 || got[1] != base+2 {
-			t.Fatalf("round %d drained %v", round, got)
+		s.Wake(gen, rec, int64(gen))
+		if gen < rounds {
+			squash(s, rec)
 		}
 	}
-	if s.Len() != 1 {
-		t.Fatalf("len = %d, want the last round's waiting entry", s.Len())
+	if s.Len() != 1 || wakeItems(s) != rounds || s.NextWake() != 0 {
+		t.Fatalf("len %d, %d wake items, next wake %d; want 1, %d and a dead head (0)",
+			s.Len(), wakeItems(s), s.NextWake(), rounds)
 	}
-	s.TriggerReady(4, 10)
 	var got []uint64
-	s.Drain(10, func(seq uint64, _ *sliqRec) bool { got = append(got, seq); return true })
-	if fmt.Sprint(got) != "[43]" || s.Len() != 0 {
-		t.Fatalf("trigger 4 drained %v (len %d), want [43] and an empty SLIQ", got, s.Len())
+	s.Drain(rounds+2, func(seq uint64, r *sliqRec) bool { got = append(got, seq); return true })
+	if fmt.Sprint(got) != fmt.Sprint([]uint64{rounds}) || s.Len() != 0 || wakeItems(s) != 0 {
+		t.Fatalf("drained %v leaving len %d and %d wake items, want [%d] and an empty SLIQ",
+			got, s.Len(), wakeItems(s), rounds)
 	}
-	if st := s.Stats(); st.Inserted != 15 || st.Woken != 11 || st.Squashed != 4 || st.WakeStarts != 6 {
+	if st := s.Stats(); st.Inserted != rounds || st.Woken != 1 || st.Squashed != rounds-1 || st.Wakes != rounds {
 		t.Fatalf("stats: %+v", st)
 	}
-	// Round 0 allocated three entry records and each later round one
-	// more, for the dead entry it left waiting on trigger 4.
-	if err := sliqAllFree(s, 3+rounds-1); err != nil {
-		t.Fatal(err)
+	// Every slot is free again.
+	for i := 0; i < rounds; i++ {
+		if !s.Insert() {
+			t.Fatalf("insert %d refused by an empty SLIQ of %d slots", i, rounds)
+		}
 	}
 }
 
 func TestSLIQNextWake(t *testing.T) {
-	s := NewSLIQ(8, 4, 4, sliqRegs, recLive)
+	s := NewSLIQ(8, 4, 4, recLive)
 	if got := s.NextWake(); got != -1 {
 		t.Fatalf("empty SLIQ: NextWake = %d, want -1", got)
 	}
-	head := &sliqRec{seq: 2}
-	s.Insert(1, 3, &sliqRec{seq: 1})
-	s.Insert(2, 3, head)
-	// Waiting entries are invisible: they wake only via TriggerReady.
+	first, head := &sliqRec{seq: 1}, &sliqRec{seq: 2}
+	s.Insert()
+	s.Insert()
+	// Waiting residents are invisible: they wake only through Wake.
 	if got := s.NextWake(); got != -1 {
 		t.Fatalf("waiting-only SLIQ: NextWake = %d, want -1", got)
 	}
-	s.TriggerReady(3, 100)
-	// Both entries become eligible at 100 + delay.
+	s.Wake(1, first, 100)
+	s.Wake(2, head, 100)
+	// Both become eligible at 100 + delay.
 	if got := s.NextWake(); got != 104 {
 		t.Fatalf("NextWake = %d, want 104", got)
 	}
-	// Draining the head exposes the next entry's eligibility.
+	// Draining the head exposes the next resident's eligibility.
 	if n := s.Drain(104, func(seq uint64, _ *sliqRec) bool { return seq == 1 }); n != 1 {
 		t.Fatal("head did not drain")
 	}
@@ -633,7 +551,7 @@ func TestSLIQNextWake(t *testing.T) {
 		t.Fatalf("after partial drain: NextWake = %d, want 104", got)
 	}
 	// A squashed head must report "no skip" (0), never a future cycle
-	// that would let a clock jump sail past the dead entry's collection;
+	// that would let a clock jump sail past the dead item's collection;
 	// Drain skips it, and the SLIQ is empty.
 	squash(s, head)
 	if got := s.NextWake(); got != 0 {
@@ -645,16 +563,17 @@ func TestSLIQNextWake(t *testing.T) {
 }
 
 // FuzzSLIQ drives a SLIQ through walks the fuzz bytes choose (insert,
-// trigger, drain accepting or refusing, squash a resident, advance the
-// clock) against a plain reference model: the resident entries, the
-// per-trigger waiting lists and the pump (delayed, width-bounded,
-// oldest first). A squash makes the entry's payload dead under the
-// pipeline's liveness rule, then frees the slot; payload records are
-// reused under new seqs, as the pipeline reuses its records. After
-// every step it checks Len, NextWake, and that every entry record sits
-// in one place, so none was recycled twice or leaked; every drain
-// checks the order of the drained seqs. The
-// seed corpus is 300 seeded random walks of 400 steps.
+// wake a waiting resident, drain accepting or refusing, squash a waiting
+// or woken resident, advance the clock) against a plain reference
+// model: the waiting residents, and the woken ones in seq order with
+// their eligibility cycles, dead ones included until the pump (delayed,
+// width-bounded, oldest first) reaches them. A squash makes the
+// resident's payload dead under the pipeline's liveness rule, then
+// frees the slot; payload records are reused under new seqs, as the
+// pipeline reuses its records. After every step it checks Len,
+// NextWake and the wake set's item count, dead items included; every
+// drain checks the order of the drained seqs. The seed corpus is 300
+// seeded random walks of 400 steps.
 func FuzzSLIQ(f *testing.F) {
 	for seed := int64(0); seed < 300; seed++ {
 		ops := make([]byte, 800)
@@ -665,25 +584,20 @@ func FuzzSLIQ(f *testing.F) {
 		if len(ops) < 3 {
 			return
 		}
-		const triggers = 4
 		capacity, delay, width := 1+int(ops[0]%8), int64(ops[1]%4), 1+int(ops[2]%4)
-		s := NewSLIQ(capacity, int(delay), width, triggers, recLive)
+		s := NewSLIQ(capacity, int(delay), width, recLive)
 
-		// The model: woken entries sorted by seq, dead ones included
-		// until the pump reaches them; waiting lists per trigger.
 		type ment struct {
 			seq        uint64
 			rec        *sliqRec
 			eligibleAt int64
 		}
 		live := func(e *ment) bool { return e.rec.seq == e.seq }
-		var waiting [triggers][]*ment
-		var woken []*ment
+		var waiting, woken []*ment // woken: sorted by seq
 		resident := 0
 		var spare []*sliqRec // payload records free for reuse
 		var now int64
-		var seq, squashes uint64
-		known := map[*sliqEntry[*sliqRec]]bool{} // every entry record seen
+		var seq, squashes, wakes, drained uint64
 
 		for i := 3; i+1 < len(ops); i += 2 {
 			arg := int(ops[i+1])
@@ -697,8 +611,7 @@ func FuzzSLIQ(f *testing.F) {
 					r = &sliqRec{}
 				}
 				r.seq = seq
-				trig := arg % triggers
-				ok := s.Insert(seq, rename.PhysReg(trig), r)
+				ok := s.Insert()
 				if ok != (resident < capacity) {
 					t.Fatalf("step %d: insert of seq %d returned %v with %d of %d resident", i, seq, ok, resident, capacity)
 				}
@@ -706,19 +619,20 @@ func FuzzSLIQ(f *testing.F) {
 					spare = append(spare, r)
 					break
 				}
-				waiting[trig] = append(waiting[trig], &ment{seq: seq, rec: r})
+				waiting = append(waiting, &ment{seq: seq, rec: r})
 				resident++
 			case 1:
-				trig := arg % triggers
-				s.TriggerReady(rename.PhysReg(trig), now)
-				for _, e := range waiting[trig] {
-					if live(e) {
-						e.eligibleAt = now + delay
-						j, _ := slices.BinarySearchFunc(woken, e.seq, func(w *ment, seq uint64) int { return cmp.Compare(w.seq, seq) })
-						woken = slices.Insert(woken, j, e)
-					}
+				if len(waiting) == 0 {
+					break
 				}
-				waiting[trig] = nil
+				j := arg % len(waiting)
+				e := waiting[j]
+				waiting = slices.Delete(waiting, j, j+1)
+				s.Wake(e.seq, e.rec, now)
+				wakes++
+				e.eligibleAt = now + delay
+				k, _ := slices.BinarySearchFunc(woken, e.seq, func(w *ment, seq uint64) int { return cmp.Compare(w.seq, seq) })
+				woken = slices.Insert(woken, k, e)
 			case 2:
 				// Refusals come from the argument's bits, one per offer.
 				var want, got []uint64
@@ -756,18 +670,20 @@ func FuzzSLIQ(f *testing.F) {
 				if n != len(got) || !slices.Equal(got, want) {
 					t.Fatalf("step %d: drained %v (returned %d), want %v", i, got, n, want)
 				}
+				drained += uint64(n)
 			case 3:
-				// Squash the arg-th live resident, waiting or woken.
-				var all []*ment
-				for _, list := range waiting {
-					all = append(all, list...)
-				}
-				all = append(all, woken...)
-				all = slices.DeleteFunc(all, func(e *ment) bool { return !live(e) })
+				// Squash the arg-th live resident, waiting or woken. A
+				// waiting one leaves nothing behind; a woken one stays in
+				// the wake set, dead, until the pump reaches it.
+				all := slices.Concat(waiting, slices.DeleteFunc(slices.Clone(woken), func(e *ment) bool { return !live(e) }))
 				if len(all) == 0 {
 					break
 				}
-				e := all[arg%len(all)]
+				j := arg % len(all)
+				e := all[j]
+				if j < len(waiting) {
+					waiting = slices.Delete(waiting, j, j+1)
+				}
 				squash(s, e.rec)
 				spare = append(spare, e.rec)
 				resident--
@@ -789,27 +705,14 @@ func FuzzSLIQ(f *testing.F) {
 			if got := s.NextWake(); got != want {
 				t.Fatalf("step %d: NextWake %d, want %d", i, got, want)
 			}
-			// Dead entries leave exactly when the model drops them.
-			held := len(woken)
-			for _, list := range waiting {
-				held += len(list)
-			}
-			if got := s.waitingN + s.wakeable.lane.Len() + len(s.wakeable.heap); got != held {
-				t.Fatalf("step %d: the SLIQ holds %d entries, dead ones included; the model %d", i, got, held)
-			}
-			where, err := sliqEntries(s)
-			if err != nil {
-				t.Fatalf("step %d: %v", i, err)
-			}
-			for e := range where {
-				known[e] = true
-			}
-			if len(where) != len(known) {
-				t.Fatalf("step %d: %d of %d entry records leaked", i, len(known)-len(where), len(known))
+			// Dead items leave exactly when the model drops them.
+			if got := wakeItems(s); got != len(woken) {
+				t.Fatalf("step %d: the wake set holds %d items, dead ones included; the model %d", i, got, len(woken))
 			}
 		}
-		if st := s.Stats(); st.Squashed != squashes {
-			t.Fatalf("stats count %d squashes, the walk made %d", st.Squashed, squashes)
+		st := s.Stats()
+		if st.Squashed != squashes || st.Wakes != wakes || st.Woken != drained {
+			t.Fatalf("stats %+v; the walk made %d squashes, %d wakes and %d drains", st, squashes, wakes, drained)
 		}
 	})
 }

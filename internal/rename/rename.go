@@ -117,9 +117,6 @@ func New(nPhys int) *Table {
 	return t
 }
 
-// NumPhys returns the physical register file size.
-func (t *Table) NumPhys() int { return t.n }
-
 // FreeCount returns the number of allocatable physical registers.
 func (t *Table) FreeCount() int { return len(t.freeStack) }
 

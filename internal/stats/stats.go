@@ -259,7 +259,9 @@ type Results struct {
 	// Committed is the number of architecturally retired instructions.
 	Committed uint64
 	// Fetched counts all fetched instructions, including re-fetches
-	// after rollbacks.
+	// after rollbacks. Fetch and dispatch are one stage in this model
+	// (an instruction is fetched only once every dispatch check passed),
+	// so it always equals Dispatched.
 	Fetched uint64
 	// Dispatched and Issued count pipeline activity.
 	Dispatched uint64
