@@ -1,7 +1,6 @@
 // Package bitset provides a dense fixed-capacity bit set used for the
-// rename table's Valid/Future-Free vectors and the checkpoint snapshots
-// built from them. The paper's cost argument for checkpoints (two bits
-// per physical register) is exactly the size of two of these.
+// rename table's Valid and Future Free vectors; each checkpoint keeps
+// the Future Free vector it captured.
 package bitset
 
 import "math/bits"
@@ -64,22 +63,6 @@ func (s *Set) Reset() {
 	for i := range s.words {
 		s.words[i] = 0
 	}
-}
-
-// CopyFrom overwrites s with the contents of src. Both sets must have
-// the same capacity.
-func (s *Set) CopyFrom(src *Set) {
-	if s.n != src.n {
-		panic("bitset: size mismatch in CopyFrom")
-	}
-	copy(s.words, src.words)
-}
-
-// Clone returns an independent copy of s.
-func (s *Set) Clone() *Set {
-	c := New(s.n)
-	copy(c.words, s.words)
-	return c
 }
 
 // AndNotWith sets s &^= other.

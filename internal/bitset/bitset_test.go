@@ -38,41 +38,13 @@ func TestBasicOps(t *testing.T) {
 	}
 }
 
-func TestCopyCloneEqual(t *testing.T) {
-	a := New(77)
-	a.Set(5)
-	a.Set(76)
-	b := a.Clone()
-	if b.Len() != 77 || !b.Get(5) || !b.Get(76) || b.Count() != 2 {
-		t.Fatal("clone must equal original")
-	}
-	b.Clear(5)
-	if !a.Get(5) {
-		t.Fatal("clone must be independent")
-	}
-	c := New(77)
-	c.Set(0)
-	c.CopyFrom(a)
-	if c.Get(0) || !c.Get(5) || !c.Get(76) || c.Count() != 2 {
-		t.Fatal("CopyFrom mismatch")
-	}
-}
-
 func TestSizeMismatchPanics(t *testing.T) {
-	a, b := New(64), New(65)
-	for name, fn := range map[string]func(){
-		"CopyFrom":   func() { a.CopyFrom(b) },
-		"AndNotWith": func() { a.AndNotWith(b) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic on size mismatch", name)
-				}
-			}()
-			fn()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AndNotWith: expected panic on size mismatch")
+		}
+	}()
+	New(64).AndNotWith(New(65))
 }
 
 func TestOrAndNot(t *testing.T) {

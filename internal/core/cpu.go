@@ -46,8 +46,10 @@ type physReg struct {
 }
 
 // CPU is one simulated processor instance bound to a workload trace.
-// Construct with New; drive with Run. A CPU is single-use per Run — the
-// harness builds a fresh CPU per configuration point.
+// Construct with New; drive with Run. Run resumes where the previous
+// call stopped, so a CPU can be driven in steps (a sampled run's window
+// CPU runs its warm-up, then its measured window); the harness builds a
+// fresh CPU per configuration point.
 type CPU struct {
 	cfg  config.Config
 	tr   *trace.Trace
@@ -249,13 +251,15 @@ func NewForked(cfg config.Config, tr *trace.Trace, donor *mem.Hierarchy, arena *
 }
 
 // Arena owns a DynInst record pool that outlives a single CPU: a sweep
-// worker hands the same Arena to every point it runs, so the record
-// blocks grown for one point serve every later one instead of being
-// re-allocated per point (construction churn was a visible slice of the
-// sweep's profile). Records are zeroed on reuse, and Recycle zeroes the
-// free ones it parks, so nothing of a finished CPU leaks into — or stays
-// pinned by — the next. An Arena is single-owner: never share one across
-// concurrently running CPUs.
+// worker hands the same Arena to every point it runs, and a sampled run
+// to every window CPU, so the record blocks grown for one CPU serve
+// every later one instead of being re-allocated (construction churn was
+// a visible slice of the sweep's profile). It also parks each finished
+// CPU's chassis for the next CPU of the same shape. Recycle returns a
+// finished CPU's in-flight records to the pool and zeroes every free
+// record, and acquire zeroes a record again on reuse, so nothing of a
+// finished CPU leaks into, or stays pinned by, the next. An Arena is
+// single-owner: never share one across concurrently running CPUs.
 type Arena struct {
 	pool    instPool
 	chassis map[chassisKey]*chassis
@@ -301,13 +305,17 @@ func (a *Arena) takeChassis(phys, wheelSlots int) *chassis {
 }
 
 // Recycle parks the CPU's allocation skeleton in the arena for the next
-// point of the same shape, and clears the references its free records
-// still carry (each keeps its poisoned Seq). The CPU must not be used
-// afterwards; callers that still need results must collect them first.
-// No-op for nil arenas.
+// point of the same shape, and returns the records still in its
+// in-flight window to the free list. Every free record is cleared of
+// the references it carries and keeps only its poisoned Seq. The CPU
+// must not be used afterwards; callers that still need results must
+// collect them first. No-op for nil arenas.
 func (c *CPU) Recycle(a *Arena) {
 	if a == nil {
 		return
+	}
+	for i := 0; i < c.window.Len(); i++ {
+		c.pool.free = append(c.pool.free, c.window.At(i))
 	}
 	for _, d := range c.pool.free {
 		*d = DynInst{Seq: poisonSeq}

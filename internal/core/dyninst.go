@@ -11,7 +11,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/checkpoint"
 	"repro/internal/isa"
 	"repro/internal/lsq"
 	"repro/internal/queue"
@@ -86,10 +85,12 @@ type DynInst struct {
 
 	// Structure handles. iqe is the embedded issue-queue entry (see
 	// queue.IQEntry): queue residence costs no allocation, and
-	// iqe.Resident() replaces the former nil-pointer check.
+	// iqe.Resident() replaces the former nil-pointer check. ckpt is the
+	// checkpoint whose window holds the record, until it commits (see
+	// commitInst).
 	iqe  queue.IQEntry[*DynInst]
 	lsqe *lsq.Entry[*DynInst]
-	ckpt *checkpoint.Entry
+	ckpt *rename.Checkpoint
 	// sliqTrigger is a waiting SLIQ resident's trigger register, on
 	// whose wait list it waits; its write starts the wake and resets the
 	// field to PhysNone. It means nothing outside the SLIQ.

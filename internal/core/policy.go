@@ -86,7 +86,8 @@ func newPolicy(c *CPU) CommitPolicy {
 }
 
 // commitInst commits d, which the caller's walk reached in window
-// order: its LSQ entry leaves (a store writes to memory) and the commit
+// order: its LSQ entry leaves (a store writes to memory), it lets go of
+// its checkpoint, whose table slot a later take reuses, and the commit
 // counters move. The caller decides when the record leaves the window.
 func (c *CPU) commitInst(d *DynInst) {
 	if d.released() || d.WrongPath || !d.Done {
@@ -96,6 +97,7 @@ func (c *CPU) commitInst(d *DynInst) {
 		c.lq.Remove(d.lsqe, c.hier.StoreCommit)
 		d.lsqe = nil
 	}
+	d.ckpt = nil
 	c.committed++
 	c.inflight--
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/checkpoint"
 	"repro/internal/isa"
 	"repro/internal/queue"
 	"repro/internal/rename"
@@ -24,7 +23,7 @@ import (
 // never both: one of the two counts is always zero.
 type checkpointPolicy struct {
 	c                  *CPU
-	ckpts              *checkpoint.Table
+	ckpts              *rename.CheckpointTable
 	retired, extracted int
 
 	// mask is the SLIQ dependence mask over logical registers (paper
@@ -52,7 +51,7 @@ type maskEntry struct {
 func newCheckpointPolicy(c *CPU) *checkpointPolicy {
 	p := &checkpointPolicy{
 		c:         c,
-		ckpts:     checkpoint.NewTable(c.cfg.Checkpoints, c.rt),
+		ckpts:     rename.NewCheckpointTable(c.cfg.Checkpoints, c.rt),
 		threshold: uint8(c.cfg.AdaptiveConfidenceThreshold),
 	}
 	if c.cfg.SLIQEntries > 0 {
@@ -304,7 +303,7 @@ func (p *checkpointPolicy) clearDepMasks() {
 // target: every instruction of its window and younger is squashed, the
 // rename map snapshot is restored, and fetch resumes at the window
 // start. Squashed correct-path instructions count as replayed work.
-func (p *checkpointPolicy) rollbackToCheckpoint(target *checkpoint.Entry) {
+func (p *checkpointPolicy) rollbackToCheckpoint(target *rename.Checkpoint) {
 	c := p.c
 	c.squashYounger(target.StartSeq, false)
 	// Extraction usually ran past the rollback point.

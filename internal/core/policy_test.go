@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/isa"
+	"repro/internal/rename"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -472,7 +473,7 @@ func TestCommitPoliciesPinned(t *testing.T) {
 			if pc.except && cpu.Exceptions() != 1 {
 				t.Errorf("%s: delivered %d exceptions, want 1", name, cpu.Exceptions())
 			}
-			if err := checkIdentities(res); err != nil {
+			if err := res.CheckIdentities(); err != nil {
 				t.Error(err)
 			}
 			raw, err := json.Marshal(res)
@@ -483,6 +484,57 @@ func TestCommitPoliciesPinned(t *testing.T) {
 			if got := hex.EncodeToString(sum[:]); got != want[name] {
 				t.Errorf("%s: result hash %s, want %s", name, got, want[name])
 			}
+		}
+	}
+}
+
+// TestSLIQWakesOnceForADoubleSourceTrigger dispatches a consumer that
+// reads its producer's register as both sources, so it sits on that
+// register's wait list twice, and moves it to the SLIQ with that
+// register as its trigger. The producer's write must start exactly one
+// wake (finishCompletion resets the trigger at the first), and the
+// resident must drain back into its issue queue once: a second wake
+// item would hand the pump a record already back in its queue.
+func TestSLIQWakesOnceForADoubleSourceTrigger(t *testing.T) {
+	cpu, err := New(config.CheckpointDefault(32, 512), trace.FPMix(1000, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := cpu.policy.(*checkpointPolicy)
+	r1 := isa.IntReg(1)
+	for pos, inst := range []isa.Inst{
+		{Op: isa.IntAlu, Dest: r1, Src1: isa.IntReg(2), Src2: isa.RegNone},
+		{Op: isa.IntAlu, Dest: isa.IntReg(3), Src1: r1, Src2: r1},
+	} {
+		if !cpu.tryDispatch(inst, int64(pos), false) {
+			t.Fatalf("dispatch %d stalled", pos)
+		}
+	}
+	prod, cons := cpu.window.At(0), cpu.window.At(1)
+	trigger := prod.DestPhys
+	waits := 0
+	for _, ref := range cpu.regs[trigger].waiters {
+		if ref.d == cons {
+			waits++
+		}
+	}
+	if cons.SrcPhys != [2]rename.PhysReg{trigger, trigger} || waits != 2 {
+		t.Fatalf("consumer reads %v and waits %d times on p%d, want both sources and two waits", cons.SrcPhys, waits, trigger)
+	}
+	if !p.moveToSLIQ(cons, trigger) {
+		t.Fatal("the consumer did not move to the SLIQ")
+	}
+
+	cpu.finishCompletion(prod)
+	if got := cpu.sliq.Stats().Wakes; got != 1 {
+		t.Errorf("the trigger's write started %d wakes, want 1", got)
+	}
+	cpu.now += int64(cpu.cfg.SLIQWakeDelay)
+	for range 2 {
+		cpu.drainSLIQ()
+		if got := cpu.sliq.Stats().Woken; got != 1 || !cons.iqe.Resident() || cons.inSLIQ {
+			t.Fatalf("after a drain: %d drained, consumer queued %v, in the SLIQ %v; want one drain back into the queue",
+				got, cons.iqe.Resident(), cons.inSLIQ)
 		}
 	}
 }

@@ -177,6 +177,53 @@ func TestPoolRecyclesRecords(t *testing.T) {
 	}
 }
 
+// TestRecycleReturnsWindowRecords stops runs with instructions in
+// flight and recycles each CPU into its arena: the free list must then
+// hold the records that were free plus every record of the in-flight
+// window, each poisoned and otherwise zero, so nothing of the finished
+// CPU stays pinned by, or leaks into, the next CPU the arena serves.
+func TestRecycleReturnsWindowRecords(t *testing.T) {
+	tr := trace.FPMix(trace.LenFor(20000), 42)
+	for _, tc := range []struct {
+		name string
+		cfg  config.Config
+	}{
+		{"rob", config.BaselineSized(128)},
+		{"checkpoint", config.CheckpointDefault(128, 2048)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			arena := NewArena()
+			cpu, err := newCPU(tc.cfg, tr, nil, arena, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cpu.Run(RunOptions{MaxInsts: 5000})
+			want := map[*DynInst]bool{}
+			for _, d := range arena.pool.free {
+				want[d] = true
+			}
+			if cpu.window.Len() == 0 {
+				t.Fatal("the run stopped with an empty window; nothing to strand")
+			}
+			for i := 0; i < cpu.window.Len(); i++ {
+				want[cpu.window.At(i)] = true
+			}
+			cpu.Recycle(arena)
+			if got := len(arena.pool.free); got != len(want) {
+				t.Fatalf("free list holds %d records, want %d (the free ones plus the window's)", got, len(want))
+			}
+			for _, d := range arena.pool.free {
+				if !want[d] {
+					t.Fatalf("free list holds a record that was neither free nor in flight: %v", d)
+				}
+				if !reflect.DeepEqual(*d, DynInst{Seq: poisonSeq}) {
+					t.Fatalf("recycled record is not poisoned and zeroed: %+v", *d)
+				}
+			}
+		})
+	}
+}
+
 // TestReleasePoisonsSeqUntilReuse pins the pool's liveness rule: release
 // poisons Seq at once, so every holder's Seq check fails and released
 // reads true from then on, and leaves the rest of the record untouched

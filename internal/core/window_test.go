@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/checkpoint"
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/rename"
@@ -17,15 +16,16 @@ import (
 // two-pass exception protocol, and checks the in-flight window after
 // every cycle: program order, live records only, one LSQ entry per
 // memory record, one issue-queue or SLIQ slot per resident record, each
-// waiting SLIQ resident on its trigger's wait list, the live
-// checkpoints' counters, the committed prefix and the extraction
-// cursor; each cycle's results must satisfy the counter identities
-// (checkIdentities). The stepped run must also match a plain run bit for
-// bit, so stepping observes the machine without perturbing it. Every
-// checkpoint-family run squashes SLIQ residents, so the slots and
-// counters a squash frees are checked too, and parks a resident on a
-// trigger that is not one of its sources, the wait list entry that
-// moveToSLIQ adds.
+// waiting SLIQ resident on its trigger's wait list and waking only at
+// its trigger's write, each record's checkpoint, the live checkpoints'
+// counters, the committed prefix and the extraction cursor; each
+// cycle's results must satisfy the counter identities
+// (stats.Results.CheckIdentities). The stepped run must also match a
+// plain run bit for bit, so stepping observes the machine without
+// perturbing it. Every checkpoint-family run squashes SLIQ residents,
+// so the slots and counters a squash frees are checked too, and parks
+// a resident on a trigger that is not one of its sources, the wait
+// list entry that moveToSLIQ adds.
 func TestWindowInvariantsPerCycle(t *testing.T) {
 	tr := rollbackHeavyTrace(30000)
 	const insts, exceptAt = 20000, 5000
@@ -54,15 +54,18 @@ func TestWindowInvariantsPerCycle(t *testing.T) {
 			var got stats.Results
 			var sawRetired, sawExtracted bool
 			var trigWaits int
+			var waits []sliqWait
 			for {
 				before := cpu.now
 				got = cpu.Run(RunOptions{MaxInsts: insts, MaxCycles: before + 1, DisableSkip: true})
 				if cpu.now == before {
 					break
 				}
-				n, err := checkWindow(cpu)
+				var n int
+				var err error
+				waits, n, err = checkWindow(cpu, waits)
 				if err == nil {
-					err = checkIdentities(got)
+					err = got.CheckIdentities()
 				}
 				if err != nil {
 					t.Fatalf("cycle %d: %v", before, err)
@@ -77,7 +80,7 @@ func TestWindowInvariantsPerCycle(t *testing.T) {
 			if !got.Equal(want) {
 				t.Fatalf("stepped run diverged from a plain run:\nstepped: %+v\n  plain: %+v", got, want)
 			}
-			if err := checkIdentities(want); err != nil {
+			if err := want.CheckIdentities(); err != nil {
 				t.Fatal(err)
 			}
 			if got.Branch.Mispredicts == 0 {
@@ -99,31 +102,62 @@ func TestWindowInvariantsPerCycle(t *testing.T) {
 	}
 }
 
-// checkWindow validates the in-flight window between cycles. It counts
-// the waiting SLIQ residents whose trigger is not one of their sources.
-func checkWindow(c *CPU) (trigWaits int, err error) {
-	// retired is the committed prefix; in-order commit pops its records.
-	var retired, extracted int
-	if p, ok := c.policy.(*checkpointPolicy); ok {
-		retired, extracted = p.retired, p.extracted
-		if retired != 0 && extracted != 0 {
-			return 0, fmt.Errorf("retired %d and extracted %d both non-zero", retired, extracted)
-		}
-		if n := p.probLen(); n < 0 || n > c.cfg.PseudoROBEntries {
-			return 0, fmt.Errorf("pseudo-ROB holds %d of %d entries", n, c.cfg.PseudoROBEntries)
+// sliqWait is a waiting SLIQ resident as the end of one cycle saw it.
+type sliqWait struct {
+	d       *DynInst
+	seq     uint64
+	trigger rename.PhysReg
+}
+
+// checkWindow validates the in-flight window between cycles. prev holds
+// the waiting SLIQ residents the previous cycle's check saw: each one
+// still live that no longer waits must have seen its trigger written.
+// It returns this cycle's waiting residents, reusing prev's array, and
+// counts those whose trigger is not one of their sources.
+func checkWindow(c *CPU, prev []sliqWait) (waits []sliqWait, trigWaits int, err error) {
+	for _, w := range prev {
+		d := w.d
+		if holdsSeq(w.seq, d) && !(d.inSLIQ && d.sliqTrigger == w.trigger) && !c.regs[w.trigger].ready {
+			return nil, 0, fmt.Errorf("SLIQ resident %v stopped waiting on p%d before its write", d, w.trigger)
 		}
 	}
-	// counts is what the window holds of one live checkpoint's window.
-	type counts struct{ insts, stores, pending int }
-	ckpts := map[*checkpoint.Entry]*counts{}
+	waits = prev[:0]
+	// retired is the committed prefix; in-order commit pops its records.
+	var retired, extracted int
+	p, ckptFamily := c.policy.(*checkpointPolicy)
+	if ckptFamily {
+		retired, extracted = p.retired, p.extracted
+		if retired != 0 && extracted != 0 {
+			return nil, 0, fmt.Errorf("retired %d and extracted %d both non-zero", retired, extracted)
+		}
+		if n := p.probLen(); n < 0 || n > c.cfg.PseudoROBEntries {
+			return nil, 0, fmt.Errorf("pseudo-ROB holds %d of %d entries", n, c.cfg.PseudoROBEntries)
+		}
+	}
+	// counts is what the window holds of one live checkpoint's window;
+	// next is the live checkpoint after it, if any.
+	type counts struct {
+		insts, stores, pending int
+		next                   *rename.Checkpoint
+	}
+	ckpts := map[*rename.Checkpoint]*counts{}
+	if ckptFamily {
+		for i := 0; i < p.ckpts.Len(); i++ {
+			n := &counts{}
+			if i+1 < p.ckpts.Len() {
+				n.next = p.ckpts.At(i + 1)
+			}
+			ckpts[p.ckpts.At(i)] = n
+		}
+	}
 	memOps, iqResident, sliqResident := 0, 0, 0
 	for i := 0; i < c.window.Len(); i++ {
 		d := c.window.At(i)
 		switch {
 		case d.released():
-			return 0, fmt.Errorf("window position %d holds a dead record %v", i, d)
+			return nil, 0, fmt.Errorf("window position %d holds a dead record %v", i, d)
 		case i > 0 && d.Seq <= c.window.At(i-1).Seq:
-			return 0, fmt.Errorf("window seqs out of order at %d: %d after %d", i, d.Seq, c.window.At(i-1).Seq)
+			return nil, 0, fmt.Errorf("window seqs out of order at %d: %d after %d", i, d.Seq, c.window.At(i-1).Seq)
 		}
 		if d.lsqe != nil {
 			memOps++
@@ -139,77 +173,63 @@ func checkWindow(c *CPU) (trigWaits int, err error) {
 			// on the trigger's wait list under its current seq.
 			r := &c.regs[t]
 			if r.ready {
-				return 0, fmt.Errorf("SLIQ resident %v waits on p%d, which is written", d, t)
+				return nil, 0, fmt.Errorf("SLIQ resident %v waits on p%d, which is written", d, t)
 			}
 			if !slices.Contains(r.waiters, consumerRef{d: d, seq: d.Seq}) {
-				return 0, fmt.Errorf("SLIQ resident %v waits on p%d but is not on its wait list", d, t)
+				return nil, 0, fmt.Errorf("SLIQ resident %v waits on p%d but is not on its wait list", d, t)
 			}
 			if !slices.Contains(d.SrcPhys[:d.NumSrcs], t) {
 				trigWaits++
 			}
+			waits = append(waits, sliqWait{d: d, seq: d.Seq, trigger: t})
 		}
-		if p, ok := c.policy.(*checkpointPolicy); ok && d.ckpt.ID >= p.ckpts.Oldest().ID {
-			n := ckpts[d.ckpt]
-			if n == nil {
-				n = &counts{}
-				ckpts[d.ckpt] = n
+		// A committed record has let go of its checkpoint, whose slot a
+		// later take reuses; an uncommitted one points at the live
+		// checkpoint whose window holds it.
+		if i < retired || !ckptFamily {
+			if d.ckpt != nil {
+				return nil, 0, fmt.Errorf("committed or in-order record %v points at checkpoint %d", d, d.ckpt.ID)
 			}
-			n.insts++
-			if d.Inst.Op == isa.Store {
-				n.stores++
-			}
-			if !d.Done {
-				n.pending++
-			}
+			continue
+		}
+		n := ckpts[d.ckpt]
+		switch {
+		case n == nil:
+			return nil, 0, fmt.Errorf("uncommitted record %v points at no live checkpoint", d)
+		case d.ckpt.StartSeq > d.Seq || n.next != nil && n.next.StartSeq <= d.Seq:
+			return nil, 0, fmt.Errorf("record %v is outside the window of its checkpoint %d (start %d)", d, d.ckpt.ID, d.ckpt.StartSeq)
+		}
+		n.insts++
+		if d.Inst.Op == isa.Store {
+			n.stores++
+		}
+		if !d.Done {
+			n.pending++
 		}
 	}
 	if memOps != c.lq.Len() {
-		return 0, fmt.Errorf("%d window records hold an LSQ entry, the LSQ holds %d", memOps, c.lq.Len())
+		return nil, 0, fmt.Errorf("%d window records hold an LSQ entry, the LSQ holds %d", memOps, c.lq.Len())
 	}
 	if n := c.intQ.Len() + c.fpQ.Len(); iqResident != n {
-		return 0, fmt.Errorf("%d window records hold an issue-queue entry, the queues hold %d", iqResident, n)
+		return nil, 0, fmt.Errorf("%d window records hold an issue-queue entry, the queues hold %d", iqResident, n)
 	}
 	if c.sliq != nil && sliqResident != c.sliq.Len() {
-		return 0, fmt.Errorf("%d window records are SLIQ residents, the SLIQ holds %d", sliqResident, c.sliq.Len())
+		return nil, 0, fmt.Errorf("%d window records are SLIQ residents, the SLIQ holds %d", sliqResident, c.sliq.Len())
 	}
 	for e, n := range ckpts {
+		// The end-of-program drain commits the final window's records
+		// but keeps its checkpoint; a live checkpoint without records
+		// has nothing to compare.
+		if n.insts == 0 {
+			continue
+		}
 		if e.Insts != n.insts || e.Stores != n.stores || e.Pending != n.pending {
-			return 0, fmt.Errorf("checkpoint %d counts %d insts, %d stores, %d pending; its window holds %d, %d, %d",
+			return nil, 0, fmt.Errorf("checkpoint %d counts %d insts, %d stores, %d pending; its window holds %d, %d, %d",
 				e.ID, e.Insts, e.Stores, e.Pending, n.insts, n.stores, n.pending)
 		}
 	}
 	if c.inflight != c.window.Len()-retired {
-		return 0, fmt.Errorf("inflight %d, window %d minus %d committed", c.inflight, c.window.Len(), retired)
+		return nil, 0, fmt.Errorf("inflight %d, window %d minus %d committed", c.inflight, c.window.Len(), retired)
 	}
-	return trigWaits, nil
-}
-
-// checkIdentities checks the counter identities that every full-detail
-// result satisfies. Fetch and dispatch are one stage, so they count
-// alike; nothing issues, commits or is replayed without dispatching, and
-// nothing commits, wakes from the SLIQ or is classified at extraction
-// without being taken, moved or dispatched first. A sampled result is
-// exempt: its measured windows can, for one, wake SLIQ residents that
-// the warm-up before them moved.
-func checkIdentities(r stats.Results) error {
-	if r.Sampled != nil {
-		return nil
-	}
-	switch {
-	case r.Fetched != r.Dispatched:
-		return fmt.Errorf("%s: fetched %d, dispatched %d", r.Name, r.Fetched, r.Dispatched)
-	case r.Issued > r.Dispatched:
-		return fmt.Errorf("%s: issued %d > dispatched %d", r.Name, r.Issued, r.Dispatched)
-	case r.Committed+r.Replayed > r.Dispatched:
-		return fmt.Errorf("%s: committed %d + replayed %d > dispatched %d", r.Name, r.Committed, r.Replayed, r.Dispatched)
-	case r.CheckpointsCommitted > r.CheckpointsTaken:
-		return fmt.Errorf("%s: %d checkpoints committed, %d taken", r.Name, r.CheckpointsCommitted, r.CheckpointsTaken)
-	case r.SLIQWoken > r.SLIQMoved:
-		return fmt.Errorf("%s: %d SLIQ wakes, %d moves", r.Name, r.SLIQWoken, r.SLIQMoved)
-	case r.Retire.Total() > r.Dispatched:
-		return fmt.Errorf("%s: %d extractions classified, %d dispatched", r.Name, r.Retire.Total(), r.Dispatched)
-	case r.Occ != nil && r.Occ.Samples() != uint64(r.Cycles):
-		return fmt.Errorf("%s: %d occupancy samples over %d cycles", r.Name, r.Occ.Samples(), r.Cycles)
-	}
-	return nil
+	return waits, trigWaits, nil
 }

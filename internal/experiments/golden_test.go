@@ -15,7 +15,7 @@ var goldenOpts = Options{Insts: 3000, Seed: 42, Workers: 1}
 
 func renderFigure9(t *testing.T) string {
 	t.Helper()
-	r, err := Figure9(context.Background(), goldenOpts)
+	r, err := Figure9(context.Background(), withIdentityChecks(t, goldenOpts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestFigure9GoldenParallelWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := goldenOpts
+	opt := withIdentityChecks(t, goldenOpts)
 	opt.Workers = 8
 	r, err := Figure9(context.Background(), opt)
 	if err != nil {
@@ -83,4 +83,21 @@ func TestFigure9GoldenParallelWorkers(t *testing.T) {
 	if got := r.String() + r.Figure11String(); got != string(want) {
 		t.Fatalf("parallel sweep diverged from the golden:\n%s", got)
 	}
+}
+
+// withIdentityChecks returns opt with a Record hook that checks the
+// counter identities (stats.Results.CheckIdentities) on every run the
+// figure makes, before any hook opt already had.
+func withIdentityChecks(t *testing.T, opt Options) Options {
+	t.Helper()
+	next := opt.Record
+	opt.Record = func(rec RunRecord) {
+		if err := rec.Results.CheckIdentities(); err != nil {
+			t.Errorf("%s / %s: %v", rec.Benchmark, rec.Config, err)
+		}
+		if next != nil {
+			next(rec)
+		}
+	}
+	return opt
 }

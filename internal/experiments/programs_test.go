@@ -79,7 +79,7 @@ func TestFigure9ProgramsShape(t *testing.T) {
 	opt := programQuickOpts()
 	var records []RunRecord
 	opt.Record = func(rec RunRecord) { records = append(records, rec) }
-	r, err := Figure9Programs(ctx(), opt)
+	r, err := Figure9Programs(ctx(), withIdentityChecks(t, opt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestFigure9ProgramsShape(t *testing.T) {
 // but the oracle must still bound every policy and no policy may
 // collapse.
 func TestAblationCommitPoliciesPrograms(t *testing.T) {
-	r, err := AblationCommitPoliciesPrograms(ctx(), programQuickOpts())
+	r, err := AblationCommitPoliciesPrograms(ctx(), withIdentityChecks(t, programQuickOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,14 @@
 // Package rename implements the CAM-style register mapping of the paper
-// (section 2, figures 3-6): one entry per physical register holding the
-// logical register it renames, a Valid bit, and the paper's new Future
-// Free bit, plus a free list.
+// (section 2, figures 3-6) and the checkpoint table that snapshots it.
+//
+// What the rename table stores: the map from each logical register to
+// its physical register, the Valid bits (the map's image, kept for the
+// one-probe Valid test), the paper's Future Free bits and the free list.
+// What it derives: the CAM entry's logical name is the map's inverse and
+// is not kept. A checkpoint stores the map and the Future Free bits it
+// captured, its hardware cost of about two bits per physical register;
+// rollback rebuilds the Valid bits from the map, and the free list from
+// both, as the hardware would.
 //
 // Allocation is one operation: Allocate installs the new mapping and
 // marks the previous one's Future Free bit. Two freeing disciplines
@@ -9,17 +16,12 @@
 //
 //   - ROB mode: the caller frees the previous mapping with Free when
 //     the redefining instruction commits (conventional); Free clears
-//     the Future Free bit, which no snapshot ever captures there.
-//   - Checkpoint mode: TakeSnapshot captures the marked registers, and
-//     they are freed together when the checkpoint owning their window
-//     commits (the paper's deferred release).
+//     the Future Free bit, which no checkpoint ever captures there.
+//   - Checkpoint mode: CheckpointTable.Take captures the marked
+//     registers, and they are freed together when the checkpoint owning
+//     their window commits (the paper's deferred release).
 //
 // Unwind reverses one allocation on a tail squash under either.
-//
-// Snapshot/Rollback implement the checkpointing of figure 3: a snapshot
-// conceptually costs two bits per physical register (Valid + Future
-// Free); the free list and the logical map are derivable in hardware and
-// are kept outside the snapshot (Rollback re-derives them).
 //
 // The free list is a LIFO stack, so allocation is a pop instead of a
 // lowest-free bitmap scan (the scan was a visible slice of the dispatch
@@ -46,10 +48,10 @@ const PhysNone PhysReg = -1
 // Table is the CAM register map. Not safe for concurrent use.
 type Table struct {
 	n int
-	// logical[p] is the logical register that physical p renames. Only
-	// meaningful while p is valid or awaiting a deferred free.
-	logical []isa.Reg
-	// valid marks current mappings (at most one per logical register).
+	// rmap is the logical->physical map, the inverse of the CAM's
+	// associative lookup.
+	rmap [isa.NumLogical]PhysReg
+	// valid marks current mappings: the image of rmap.
 	valid *bitset.Set
 	// futureFree marks old mappings superseded since the last
 	// checkpoint; they are freed when that window's checkpoint commits.
@@ -61,29 +63,7 @@ type Table struct {
 	inFree    []bool
 	// scratch is the rollback work set for re-deriving the free list.
 	scratch *bitset.Set
-	// rmap is the logical->physical inverse of the CAM's associative
-	// lookup.
-	rmap [isa.NumLogical]PhysReg
-
-	// snapPool recycles snapshot backing sets (see ReleaseSnapshot):
-	// checkpoint-heavy runs take one snapshot per window, and the bitset
-	// clones per take dominated the simulator's allocation profile
-	// before pooling.
-	snapPool []Snapshot
 }
-
-// Snapshot is the checkpoint record of the rename state at one point in
-// the program. See the package comment for the hardware-cost argument.
-type Snapshot struct {
-	valid      *bitset.Set
-	futureFree *bitset.Set
-	rmap       [isa.NumLogical]PhysReg
-}
-
-// FutureFree returns the snapshot's captured Future Free set: the
-// registers superseded during the *previous* checkpoint's window, to be
-// freed when that previous checkpoint commits.
-func (s *Snapshot) FutureFree() *bitset.Set { return s.futureFree }
 
 // New builds a rename table with nPhys physical registers and allocates
 // an initial mapping for every logical register (architectural state
@@ -94,7 +74,6 @@ func New(nPhys int) *Table {
 	}
 	t := &Table{
 		n:          nPhys,
-		logical:    make([]isa.Reg, nPhys),
 		valid:      bitset.New(nPhys),
 		futureFree: bitset.New(nPhys),
 		freeStack:  make([]PhysReg, 0, nPhys),
@@ -104,15 +83,11 @@ func New(nPhys int) *Table {
 	// Push high to low so the first pops hand out the lowest indices,
 	// matching the initial mappings below.
 	for p := nPhys - 1; p >= isa.NumLogical; p-- {
-		t.logical[p] = isa.RegNone
-		t.freeStack = append(t.freeStack, PhysReg(p))
-		t.inFree[p] = true
+		t.pushFree(PhysReg(p))
 	}
 	for l := 0; l < isa.NumLogical; l++ {
-		p := PhysReg(l)
-		t.valid.Set(int(p))
-		t.logical[p] = isa.Reg(l)
-		t.rmap[l] = p
+		t.valid.Set(l)
+		t.rmap[l] = PhysReg(l)
 	}
 	return t
 }
@@ -153,7 +128,6 @@ func (t *Table) Allocate(dest isa.Reg) (newP, prevP PhysReg, ok bool) {
 	t.inFree[newP] = false
 	prevP = t.rmap[dest]
 	t.valid.Set(int(newP))
-	t.logical[newP] = dest
 	t.rmap[dest] = newP
 	if prevP != PhysNone {
 		t.valid.Clear(int(prevP))
@@ -162,8 +136,8 @@ func (t *Table) Allocate(dest isa.Reg) (newP, prevP PhysReg, ok bool) {
 	return newP, prevP, true
 }
 
-// Free returns p to the free list (ROB-mode commit, or rollback
-// cleanup), clearing its Future Free bit.
+// Free returns p to the free list at an in-order (ROB-mode) commit,
+// clearing its Future Free bit.
 func (t *Table) Free(p PhysReg) {
 	if p == PhysNone {
 		return
@@ -173,10 +147,9 @@ func (t *Table) Free(p PhysReg) {
 		panic(fmt.Sprintf("rename: double free of p%d", p))
 	}
 	if t.valid.Get(i) {
-		panic(fmt.Sprintf("rename: freeing valid mapping p%d (%v)", p, t.logical[i]))
+		panic(fmt.Sprintf("rename: freeing valid mapping p%d", p))
 	}
 	t.futureFree.Clear(i)
-	t.logical[i] = isa.RegNone
 	t.pushFree(p)
 }
 
@@ -185,7 +158,7 @@ func (t *Table) Free(p PhysReg) {
 // as the current mapping. Squashes must unwind in reverse program order.
 // It also clears prevP's Future Free bit, which is only valid when no
 // checkpoint was taken after the allocation (the caller guarantees it —
-// otherwise the bit to restore lives in a snapshot, and a full rollback
+// otherwise the bit to restore lives in a checkpoint, and a full rollback
 // is required).
 func (t *Table) Unwind(dest isa.Reg, newP, prevP PhysReg) {
 	if t.rmap[dest] != newP {
@@ -193,111 +166,12 @@ func (t *Table) Unwind(dest isa.Reg, newP, prevP PhysReg) {
 			dest, newP, t.rmap[dest]))
 	}
 	t.valid.Clear(int(newP))
-	t.logical[newP] = isa.RegNone
 	t.pushFree(newP)
 	t.rmap[dest] = prevP
 	if prevP != PhysNone {
 		t.valid.Set(int(prevP))
 		t.futureFree.Clear(int(prevP))
 	}
-}
-
-// TakeSnapshot implements taking a checkpoint (figure 6): it captures
-// the Valid and Future Free bits (plus the logical map for the
-// simulator's benefit) and clears the live Future Free bits so the next
-// window starts accumulating afresh. The free list is not captured —
-// Rollback re-derives it, as the hardware would.
-func (t *Table) TakeSnapshot() Snapshot {
-	var s Snapshot
-	if n := len(t.snapPool); n > 0 {
-		s = t.snapPool[n-1]
-		t.snapPool[n-1] = Snapshot{}
-		t.snapPool = t.snapPool[:n-1]
-		s.valid.CopyFrom(t.valid)
-		s.futureFree.CopyFrom(t.futureFree)
-	} else {
-		s = Snapshot{
-			valid:      t.valid.Clone(),
-			futureFree: t.futureFree.Clone(),
-		}
-	}
-	s.rmap = t.rmap
-	t.futureFree.Reset()
-	return s
-}
-
-// ReleaseSnapshot returns a snapshot's backing sets to the table's
-// internal pool for reuse by a future TakeSnapshot. The caller must
-// drop every reference into the snapshot (including its FutureFree set)
-// before releasing; the owning checkpoint's commit or rollback-discard
-// is the natural point. Releasing the zero Snapshot is a no-op.
-func (t *Table) ReleaseSnapshot(s Snapshot) {
-	if s.valid == nil {
-		return
-	}
-	t.snapPool = append(t.snapPool, s)
-}
-
-// CommitFutureFree releases every register in ff (a snapshot's captured
-// Future Free set) back to the free list. Called when the checkpoint
-// owning that window commits.
-func (t *Table) CommitFutureFree(ff *bitset.Set) {
-	ff.ForEach(func(i int) {
-		if t.valid.Get(i) {
-			panic(fmt.Sprintf("rename: future-free register p%d still valid", i))
-		}
-		if !t.inFree[i] {
-			t.logical[i] = isa.RegNone
-			t.pushFree(PhysReg(i))
-		}
-	})
-}
-
-// Rollback restores the rename state to snapshot s, taken at the
-// checkpoint being rolled back to. Because older checkpoints may have
-// committed (and freed registers) since s was captured, the free list is
-// recomputed as "everything not valid and not pending a deferred free",
-// where pendingFree is the union of the captured Future Free sets of all
-// still-live older checkpoints. The live Future Free accumulator
-// restarts empty, exactly the post-TakeSnapshot state.
-func (t *Table) Rollback(s Snapshot, pendingFree []*bitset.Set) {
-	t.valid.CopyFrom(s.valid)
-	t.rmap = s.rmap
-	t.futureFree.Reset()
-
-	// free = ~(valid | union(pendingFree)), rebuilt in ascending index
-	// order (deterministic; subsequent pops take the highest index
-	// first, which is as arbitrary — and as architecturally invisible —
-	// as any other order).
-	t.scratch.SetAll()
-	t.scratch.AndNotWith(t.valid)
-	for _, pf := range pendingFree {
-		t.scratch.AndNotWith(pf)
-	}
-	t.freeStack = t.freeStack[:0]
-	clear(t.inFree)
-	// Rebuild the logical fields of valid entries from the snapshot map
-	// (hardware keeps them in the CAM; the simulator re-derives them).
-	for l := 0; l < isa.NumLogical; l++ {
-		p := t.rmap[l]
-		if p != PhysNone {
-			t.logical[p] = isa.Reg(l)
-		}
-	}
-	t.scratch.ForEach(func(i int) {
-		t.logical[i] = isa.RegNone
-		t.freeStack = append(t.freeStack, PhysReg(i))
-		t.inFree[i] = true
-	})
-}
-
-// Logical returns the logical register physical p currently renames, or
-// isa.RegNone.
-func (t *Table) Logical(p PhysReg) isa.Reg {
-	if p == PhysNone {
-		return isa.RegNone
-	}
-	return t.logical[p]
 }
 
 // Valid reports whether p holds the current mapping of its logical
@@ -325,9 +199,6 @@ func (t *Table) CheckInvariants() error {
 		}
 		if !t.valid.Get(int(p)) {
 			return fmt.Errorf("rename: logical %v maps to invalid p%d", isa.Reg(l), p)
-		}
-		if t.logical[p] != isa.Reg(l) {
-			return fmt.Errorf("rename: p%d records %v, rmap says %v", p, t.logical[p], isa.Reg(l))
 		}
 		if prev, dup := seen[p]; dup {
 			return fmt.Errorf("rename: p%d mapped by both %v and %v", p, prev, isa.Reg(l))

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/isa"
 )
 
@@ -22,14 +21,16 @@ func TestInitialMapping(t *testing.T) {
 	if tbl.FreeCount() != 128-isa.NumLogical {
 		t.Fatalf("free count = %d", tbl.FreeCount())
 	}
+	seen := map[PhysReg]bool{}
 	for l := 0; l < isa.NumLogical; l++ {
 		p := tbl.Lookup(isa.Reg(l))
 		if p == PhysNone || !tbl.Valid(p) {
 			t.Fatalf("logical %v unmapped", isa.Reg(l))
 		}
-		if tbl.Logical(p) != isa.Reg(l) {
-			t.Fatalf("inverse map broken for %v", isa.Reg(l))
+		if seen[p] {
+			t.Fatalf("%v shares p%d with another logical register", isa.Reg(l), p)
 		}
+		seen[p] = true
 	}
 	if tbl.Lookup(isa.RegNone) != PhysNone {
 		t.Error("Lookup(RegNone) must be PhysNone")
@@ -81,27 +82,29 @@ func TestSnapshotClearsFutureFree(t *testing.T) {
 	tbl := newTable(t)
 	p0 := tbl.Lookup(isa.IntReg(2))
 	tbl.Allocate(isa.IntReg(2))
-	snap := tbl.TakeSnapshot()
+	e := NewCheckpointTable(8, tbl).Take(0, 0, 0)
 	if tbl.FutureFreePending(p0) {
-		t.Error("TakeSnapshot must clear the live future-free bits")
+		t.Error("a take must clear the live future-free bits")
 	}
-	if !snap.FutureFree().Get(int(p0)) {
-		t.Error("snapshot must capture the superseded mapping")
+	if !e.futureFree.Get(int(p0)) {
+		t.Error("the checkpoint must capture the superseded mapping")
 	}
 }
 
+// TestCommitFutureFree: a checkpoint's commit frees the Future Free set
+// the next checkpoint captured, and nothing else.
 func TestCommitFutureFree(t *testing.T) {
 	tbl := newTable(t)
+	ct := NewCheckpointTable(8, tbl)
+	ct.Take(0, 0, 0)
 	p0 := tbl.Lookup(isa.IntReg(3))
 	tbl.Allocate(isa.IntReg(3))
-	snap := tbl.TakeSnapshot()
+	ct.Take(1, 1, 0)
+	tbl.Allocate(isa.IntReg(3)) // superseded in the open window: still owed
 	free := tbl.FreeCount()
-	tbl.CommitFutureFree(snap.FutureFree())
-	if tbl.FreeCount() != free+1 {
-		t.Fatalf("free count %d, want %d", tbl.FreeCount(), free+1)
-	}
-	if tbl.Logical(p0) != isa.RegNone {
-		t.Error("freed register must forget its logical name")
+	ct.Commit()
+	if tbl.FreeCount() != free+1 || !tbl.IsFree(p0) {
+		t.Fatalf("free count %d, want %d with p%d back", tbl.FreeCount(), free+1, p0)
 	}
 	if err := tbl.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -188,21 +191,40 @@ func TestUnwindCheckpointed(t *testing.T) {
 	}
 }
 
+// TestRollback: a rollback restores the map a checkpoint captured and
+// rebuilds the Valid bits as its image: every mapping made after the
+// take loses its Valid bit and returns to the free list.
 func TestRollback(t *testing.T) {
 	tbl := newTable(t)
+	ct := NewCheckpointTable(8, tbl)
 	d1, d2 := isa.IntReg(1), isa.FPReg(2)
 	tbl.Allocate(d1)
-	snap := tbl.TakeSnapshot()
-	mapped1 := tbl.Lookup(d1)
+	e := ct.Take(0, 0, 0)
+	mapped1, mapped2 := tbl.Lookup(d1), tbl.Lookup(d2)
 
-	// Post-snapshot work to be rolled back.
-	tbl.Allocate(d1)
-	tbl.Allocate(d2)
-	tbl.Allocate(d2)
+	// Post-take work to be rolled back.
+	var later []PhysReg
+	for _, d := range []isa.Reg{d1, d2, d2} {
+		p, _, _ := tbl.Allocate(d)
+		later = append(later, p)
+	}
 
-	tbl.Rollback(snap, nil)
-	if tbl.Lookup(d1) != mapped1 {
-		t.Error("d1 mapping not restored")
+	ct.Rollback(e)
+	if tbl.Lookup(d1) != mapped1 || tbl.Lookup(d2) != mapped2 {
+		t.Error("mappings not restored")
+	}
+	if !tbl.Valid(mapped1) || !tbl.Valid(mapped2) {
+		t.Error("restored mappings must be valid")
+	}
+	for _, p := range later {
+		if tbl.Valid(p) || !tbl.IsFree(p) {
+			t.Errorf("p%d, mapped after the take, must be free and not valid", p)
+		}
+	}
+	// The only live checkpoint owes no commit, so every register off
+	// the map is free, the one superseded before the take included.
+	if free := 128 - isa.NumLogical; tbl.FreeCount() != free {
+		t.Errorf("free count %d, want %d", tbl.FreeCount(), free)
 	}
 	if err := tbl.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -214,23 +236,25 @@ func TestRollbackWithPendingFrees(t *testing.T) {
 	// not return to the free list on rollback (an older window still
 	// owes them a deferred free).
 	tbl := newTable(t)
+	ct := NewCheckpointTable(8, tbl)
+	ct.Take(0, 0, 0)
 	p0 := tbl.Lookup(isa.IntReg(1))
 	tbl.Allocate(isa.IntReg(1)) // p0 superseded in window 0
-	snap1 := tbl.TakeSnapshot() // checkpoint 1 captures {p0}
-	snapRB := tbl.TakeSnapshot()
+	ct.Take(1, 1, 0)            // checkpoint 1 captures {p0}
+	target := ct.Take(2, 2, 0)
 
 	tbl.Allocate(isa.IntReg(2))
-	tbl.Rollback(snapRB, []*bitset.Set{snap1.FutureFree()})
+	ct.Rollback(target)
 	if err := tbl.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	// p0 is invalid but pending a free: it must NOT be on the free list.
-	if tbl.Valid(p0) {
-		t.Fatal("p0 must not be valid")
+	if tbl.Valid(p0) || tbl.IsFree(p0) {
+		t.Fatal("p0 must be neither valid nor free")
 	}
 	free := tbl.FreeCount()
-	tbl.CommitFutureFree(snap1.FutureFree())
-	if tbl.FreeCount() != free+1 {
+	ct.Commit()
+	if tbl.FreeCount() != free+1 || !tbl.IsFree(p0) {
 		t.Error("p0 should only free via the deferred commit")
 	}
 }
@@ -257,56 +281,46 @@ func TestNewPanicsOnTooFewRegisters(t *testing.T) {
 	New(isa.NumLogical - 1)
 }
 
-// TestRandomizedCheckpointing drives the table through random
-// allocate/snapshot/commit/rollback sequences, mimicking the processor's
-// usage, and checks invariants throughout. This is the rename-level
-// model of the paper's whole mechanism.
+// TestRandomizedCheckpointing drives the rename table and a checkpoint
+// table through random allocate/take/commit/rollback sequences,
+// mimicking the processor's usage, and checks invariants throughout.
+// This is the rename-level model of the paper's whole mechanism, and
+// the checkpoint table's invariants include register conservation;
+// FuzzCheckpointTable, in internal/checkpoint, adds the window counters.
 func TestRandomizedCheckpointing(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
 		tbl := New(96)
-		type ckpt struct {
-			snap Snapshot
-		}
-		var live []ckpt
-		live = append(live, ckpt{tbl.TakeSnapshot()})
+		ct := NewCheckpointTable(8, tbl)
+		ct.Take(0, 0, 0)
 
-		for step := 0; step < 400; step++ {
+		for step := 1; step <= 400; step++ {
 			switch r := rng.Intn(10); {
 			case r < 6: // rename
 				dest := isa.Reg(rng.Intn(isa.NumLogical))
 				tbl.Allocate(dest)
-			case r < 7: // take a checkpoint
-				if len(live) < 8 {
-					live = append(live, ckpt{tbl.TakeSnapshot()})
-				}
+			case r < 7: // take a checkpoint, unless the table is full
+				ct.Take(uint64(step), int64(step), 0)
 			case r < 8: // commit the oldest window
-				if len(live) >= 2 {
-					tbl.CommitFutureFree(live[1].snap.FutureFree())
-					live = live[1:]
+				if ct.CanCommit() {
+					ct.Commit()
 				}
 			default: // roll back to a random live checkpoint
-				if len(live) >= 2 {
-					k := 1 + rng.Intn(len(live)-1)
-					var pending []*bitset.Set
-					for i := 1; i <= k; i++ {
-						pending = append(pending, live[i].snap.FutureFree())
-					}
-					tbl.Rollback(live[k].snap, pending)
-					live = live[:k+1]
+				if ct.Len() >= 2 {
+					ct.Rollback(ct.At(1 + rng.Intn(ct.Len()-1)))
 				}
 			}
 			if tbl.FreeCount() == 0 {
 				// Out of registers: commit or stop, like the pipeline.
-				if len(live) >= 2 {
-					tbl.CommitFutureFree(live[1].snap.FutureFree())
-					live = live[1:]
-				} else {
+				if !ct.CanCommit() {
 					break
 				}
+				ct.Commit()
 			}
-			if err := tbl.CheckInvariants(); err != nil {
-				t.Fatalf("trial %d step %d: %v", trial, step, err)
+			for _, err := range []error{tbl.CheckInvariants(), ct.CheckInvariants()} {
+				if err != nil {
+					t.Fatalf("trial %d step %d: %v", trial, step, err)
+				}
 			}
 		}
 	}

@@ -12,7 +12,8 @@ import (
 
 // TestSweepLaddersMatchRuns is the exactness contract of SLIQ ladders:
 // every result a Sweep produces, simulated or reused from a smaller
-// SLIQ's clean run, equals an independent Run of its spec. At IQ 32 and
+// SLIQ's clean run, equals an independent Run of its spec and satisfies
+// the counter identities (stats.Results.CheckIdentities). At IQ 32 and
 // 20k instructions, stream, stencil and blocked fill an 8-entry SLIQ and
 // run differently with 64 entries, so each {8, 64, 2048} ladder takes
 // both branches of the rule: SLIQ 8 refuses and forces 64 to simulate,
@@ -56,6 +57,9 @@ func TestSweepLaddersMatchRuns(t *testing.T) {
 		ref, refused[i], err = runSpec(spec, nil, nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if err := swept[i].CheckIdentities(); err != nil {
+			t.Errorf("spec %d: %v", i, err)
 		}
 		if !swept[i].Equal(ref) {
 			t.Errorf("spec %d (%s / %s): swept result differs from its own run:\n%+v\nvs\n%+v",

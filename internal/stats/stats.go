@@ -369,6 +369,36 @@ func (r Results) ReplayRate() float64 {
 	return float64(r.Replayed) / float64(r.Committed)
 }
 
+// CheckIdentities checks the counter identities that every full-detail
+// result satisfies. Fetch and dispatch are one stage, so they count
+// alike; nothing issues, commits or is replayed without dispatching, and
+// nothing commits, wakes from the SLIQ or is classified at extraction
+// without being taken, moved or dispatched first. A sampled result is
+// exempt: its measured windows can, for one, wake SLIQ residents that
+// the warm-up before them moved.
+func (r Results) CheckIdentities() error {
+	if r.Sampled != nil {
+		return nil
+	}
+	switch {
+	case r.Fetched != r.Dispatched:
+		return fmt.Errorf("%s: fetched %d, dispatched %d", r.Name, r.Fetched, r.Dispatched)
+	case r.Issued > r.Dispatched:
+		return fmt.Errorf("%s: issued %d > dispatched %d", r.Name, r.Issued, r.Dispatched)
+	case r.Committed+r.Replayed > r.Dispatched:
+		return fmt.Errorf("%s: committed %d + replayed %d > dispatched %d", r.Name, r.Committed, r.Replayed, r.Dispatched)
+	case r.CheckpointsCommitted > r.CheckpointsTaken:
+		return fmt.Errorf("%s: %d checkpoints committed, %d taken", r.Name, r.CheckpointsCommitted, r.CheckpointsTaken)
+	case r.SLIQWoken > r.SLIQMoved:
+		return fmt.Errorf("%s: %d SLIQ wakes, %d moves", r.Name, r.SLIQWoken, r.SLIQMoved)
+	case r.Retire.Total() > r.Dispatched:
+		return fmt.Errorf("%s: %d extractions classified, %d dispatched", r.Name, r.Retire.Total(), r.Dispatched)
+	case r.Occ != nil && r.Occ.Samples() != uint64(r.Cycles):
+		return fmt.Errorf("%s: %d occupancy samples over %d cycles", r.Name, r.Occ.Samples(), r.Cycles)
+	}
+	return nil
+}
+
 // String renders a one-line summary.
 func (r Results) String() string {
 	return fmt.Sprintf("%s: IPC=%.3f cycles=%d committed=%d inflight(avg)=%.0f mispred=%.2f%% L2miss=%.1f%%",

@@ -487,3 +487,37 @@ func TestSkipCountersOmittedWhenZero(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckIdentities breaks each counter identity of a consistent
+// result in turn, and exempts a sampled result.
+func TestCheckIdentities(t *testing.T) {
+	ok := Results{
+		Name: "ok", Cycles: 10, Fetched: 8, Dispatched: 8, Issued: 7,
+		Committed: 5, Replayed: 2, CheckpointsTaken: 3, CheckpointsCommitted: 2,
+		SLIQMoved: 2, SLIQWoken: 2, Retire: Breakdown{RetireFinished: 8},
+		Occ: NewOccupancy(8),
+	}
+	ok.Occ.SampleN(10, 1, 0, 0)
+	if err := ok.CheckIdentities(); err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(*Results){
+		"fetched":     func(r *Results) { r.Fetched++ },
+		"issued":      func(r *Results) { r.Issued = 9 },
+		"committed":   func(r *Results) { r.Replayed = 4 },
+		"checkpoints": func(r *Results) { r.CheckpointsCommitted = 4 },
+		"sliq":        func(r *Results) { r.SLIQWoken = 3 },
+		"retire":      func(r *Results) { r.Retire[RetireStore] = 1 },
+		"occupancy":   func(r *Results) { r.Cycles = 11 },
+	} {
+		r := ok
+		mutate(&r)
+		if r.CheckIdentities() == nil {
+			t.Errorf("%s: a broken identity passed", name)
+		}
+		r.Sampled = &Sampled{}
+		if err := r.CheckIdentities(); err != nil {
+			t.Errorf("%s: a sampled result must be exempt: %v", name, err)
+		}
+	}
+}
