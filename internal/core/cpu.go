@@ -37,7 +37,8 @@ type physReg struct {
 	// empties it (finishCompletion), and so does the producer's squash.
 	waiters []consumerRef
 	// ready: the value is written. longTaint: it transitively depends on
-	// an L2-missing load (Figure 7's live-instruction split).
+	// an L2-missing load (Figure 7's live-instruction split, tracked only
+	// while the CPU collects occupancy).
 	ready, longTaint bool
 	// vbound and vfused are the value's bind state (virtual-register mode
 	// only): its bind took a physical register; its redefiner completed
@@ -340,11 +341,20 @@ func WarmDonor(key mem.WarmKey, tr *trace.Trace) (*mem.Hierarchy, error) {
 	if tr == nil || tr.Len() == 0 {
 		return nil, fmt.Errorf("core: empty trace")
 	}
+	return WarmDonorStream(key, tr.OpenStream(), 0)
+}
+
+// WarmDonorStream is WarmDonor over a stream: it builds a donor for key
+// and warms it from st's first limit instructions, or to st's end when
+// limit is 0. A sampled point's donor warms from a fresh recipe stream
+// this way, as far as its full-detail twin's materialised trace reaches
+// (see RunSampled).
+func WarmDonorStream(key mem.WarmKey, st *trace.InstStream, limit uint64) (*mem.Hierarchy, error) {
 	h, err := key.Donor()
 	if err != nil {
 		return nil, err
 	}
-	if err := warmHierarchy(h, tr.OpenStream(), 0); err != nil {
+	if err := warmHierarchy(h, st, limit); err != nil {
 		return nil, err
 	}
 	return h, nil
@@ -363,9 +373,9 @@ const warmLineBytes = 32
 // instructions, or to its end when limit is 0.
 //
 // It is the one warm-up: a cold CPU and a donor replay a borrowed view
-// of the materialised trace to its end, and a sampled run replays a
-// second recipe stream as far as a materialised trace of its budget
-// would reach. A sampled point therefore warms exactly like its
+// of the materialised trace to its end, and a sampled point's donor
+// replays a fresh recipe stream as far as a materialised trace of its
+// budget would reach. A sampled point therefore warms exactly like its
 // full-detail twin, including the evictions a footprint larger than the
 // L2 inflicts on its own oldest lines (a just-in-time per-window warm
 // would hide those and read systematically fast), and forked and cold

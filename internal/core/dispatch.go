@@ -135,29 +135,17 @@ func (c *CPU) tryDispatch(inst isa.Inst, pos int64, wrongPath bool) bool {
 		*r = physReg{producer: d, waiters: r.waiters}
 	}
 
-	// Source readiness, consumer registration and the blocked-long
-	// taint used for Figure 7's live-instruction split.
+	// Source readiness and consumer registration.
 	pending := 0
-	long := false
 	for i := 0; i < d.NumSrcs; i++ {
 		r := &c.regs[d.SrcPhys[i]]
 		if !r.ready {
 			pending++
 			r.waiters = append(r.waiters, consumerRef{d: d, seq: d.Seq})
-			long = long || r.longTaint
 		}
 	}
-	if long && d.DestPhys != rename.PhysNone {
-		c.regs[d.DestPhys].longTaint = true
-	}
-	if inst.Op == isa.FPAlu && pending > 0 {
-		d.LiveLong = long
-		d.countedLive = true
-		if long {
-			c.liveFPLong++
-		} else {
-			c.liveFPShort++
-		}
+	if c.occ != nil {
+		c.classifyLive(d, pending)
 	}
 
 	if inst.Op == isa.Store {
@@ -337,4 +325,32 @@ func (c *CPU) acceptFromSLIQ(seq uint64, d *DynInst) bool {
 	d.inSLIQ = false
 	c.startExecution(d, aluDone)
 	return true
+}
+
+// classifyLive makes Figure 7's live-instruction split for a dispatched
+// instruction d with pending unready sources (possibly none): its
+// destination inherits the blocked-long taint of any unready source,
+// and an FP instruction that waits joins the live counters as
+// blocked-long or blocked-short. Only the occupancy distribution reads
+// the split, so only a CPU that collects it pays for it (see
+// propagateLongTaint).
+func (c *CPU) classifyLive(d *DynInst, pending int) {
+	long := false
+	for i := 0; i < d.NumSrcs; i++ {
+		if r := &c.regs[d.SrcPhys[i]]; !r.ready && r.longTaint {
+			long = true
+		}
+	}
+	if long && d.DestPhys != rename.PhysNone {
+		c.regs[d.DestPhys].longTaint = true
+	}
+	if d.Inst.Op == isa.FPAlu && pending > 0 {
+		d.LiveLong = long
+		d.countedLive = true
+		if long {
+			c.liveFPLong++
+		} else {
+			c.liveFPShort++
+		}
+	}
 }

@@ -73,8 +73,9 @@ type DynInst struct {
 	// mispredicted branch; they never commit.
 	WrongPath bool
 	// LiveLong records the blocked-long/blocked-short classification
-	// made at dispatch (Figure 7's live-instruction split); countedLive
-	// marks that the instruction is in the live FP counters.
+	// made at dispatch (Figure 7's live-instruction split, made only
+	// while the CPU collects occupancy); countedLive marks that the
+	// instruction is in the live FP counters.
 	LiveLong    bool
 	countedLive bool
 	// ExceptAt requests a precise exception when this instruction

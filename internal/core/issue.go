@@ -46,8 +46,9 @@ func (c *CPU) issueStage() {
 
 // propagateLongTaint marks a register as transitively dependent on an
 // L2-missing load and reclassifies already-dispatched waiting consumers
-// from blocked-short to blocked-long (Figure 7's split). Dispatch-time
-// classification alone misses consumers dispatched in the window before
+// from blocked-short to blocked-long (Figure 7's split, which only a CPU
+// collecting occupancy makes). Dispatch-time classification
+// (classifyLive) alone misses consumers dispatched in the window before
 // the load's miss is discovered. The wait list also holds SLIQ trigger
 // waits; those add no taint, since a resident's chain to its trigger
 // runs through source waits this recursion reaches anyway.
@@ -124,7 +125,7 @@ func (c *CPU) startExecution(d *DynInst, aluDone int64) {
 			d.DoneCycle = res.Done
 			if res.MissedL2 {
 				d.MissedL2 = true
-				if d.DestPhys >= 0 {
+				if d.DestPhys >= 0 && c.occ != nil {
 					c.propagateLongTaint(d.DestPhys)
 				}
 			}

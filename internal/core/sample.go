@@ -24,22 +24,14 @@ type sampleState struct {
 }
 
 // newSampleState builds the persistent substrate for sampling st exactly
-// as a cold CPU would: an untrained front end and a hierarchy warmed
-// through warmHierarchy from warm, a second stream over the same
-// workload (window CPUs adopt both and skip warming). A program warms
-// to its halt, like a full-detail run over its materialised trace; a
-// synthetic stream never ends, so it warms as far as a materialised
-// trace of the budget reaches.
-func newSampleState(cfg config.Config, st, warm *trace.InstStream, budget uint64) (*sampleState, error) {
-	ss := &sampleState{hier: mem.NewHierarchy(cfg), frontEnd: newFrontEnd(cfg, st.Code())}
-	limit := uint64(0)
-	if st.Code() == nil {
-		limit = uint64(trace.LenFor(budget))
-	}
-	if err := warmHierarchy(ss.hier, warm, limit); err != nil {
+// as a forked CPU would: a fork of the warmed donor's caches and an
+// untrained front end (window CPUs adopt both and skip warming).
+func newSampleState(cfg config.Config, st *trace.InstStream, donor *mem.Hierarchy) (*sampleState, error) {
+	hier, err := donor.Fork(cfg)
+	if err != nil {
 		return nil, err
 	}
-	return ss, nil
+	return &sampleState{hier: hier, frontEnd: newFrontEnd(cfg, st.Code())}, nil
 }
 
 // fastForward functionally executes up to n instructions from the
@@ -92,44 +84,59 @@ func (ss *sampleState) fastForward(cfg config.Config, st *trace.InstStream, n ui
 	return done, nil
 }
 
+// ValidateSampled returns the error RunSampled would refuse its
+// arguments with, without running anything, so a sweep can fail a bad
+// sampled point before warming the donor it would fork.
+func ValidateSampled(cfg config.Config, st *trace.InstStream, sample trace.SampleSpec, opt RunOptions) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if !sample.Enabled() {
+		return fmt.Errorf("core: RunSampled without a sample spec")
+	}
+	if err := sample.Validate(); err != nil {
+		return err
+	}
+	if opt.CollectOccupancy {
+		return fmt.Errorf("core: occupancy collection is per-cycle state and cannot be sampled")
+	}
+	if opt.MaxInsts == 0 && st.Code() == nil {
+		return fmt.Errorf("core: sampled synthetic workload %q needs an instruction budget (the stream is unbounded)", st.Name())
+	}
+	return nil
+}
+
 // RunSampled simulates the stream under the SMARTS sampling protocol:
 // per period, simulate Warmup+Detail instructions in full pipeline
 // detail on a fresh window CPU that adopts the persistent hierarchy and
 // front end, keeping only the post-warmup portion in the statistics
 // (the interval between two snapshots of the same CPU), then
 // fast-forward the rest of the period with functional warming only.
-// warm is a second, unconsumed stream over the same workload used for
-// the one-time whole-footprint cache warm (see warmHierarchy).
+// The persistent hierarchy is a fork of donor, which is only read, so
+// one donor serves every sampled point of a sweep group. To start from
+// the warm state of the point's full-detail twin, donor is warmed with
+// WarmDonorStream over a fresh stream of the workload: a program to its
+// halt (limit 0), and a synthetic stream, which never ends, to
+// trace.LenFor(opt.MaxInsts), as far as a materialised trace of the
+// budget reaches. Each window CPU reads its window in place
+// (InstStream.Window) and is recycled before the stream moves on.
 // opt.MaxInsts bounds the total stream coverage and must be set for
 // synthetic workloads (their streams never end); program streams also
 // stop when the program halts. The returned Results carry detail-window
 // statistics only, plus the Sampled block with the per-window IPC
 // spread.
-func RunSampled(cfg config.Config, st, warm *trace.InstStream, sample trace.SampleSpec, opt RunOptions) (stats.Results, error) {
-	if err := cfg.Validate(); err != nil {
+func RunSampled(cfg config.Config, st *trace.InstStream, donor *mem.Hierarchy, sample trace.SampleSpec, opt RunOptions) (stats.Results, error) {
+	if err := ValidateSampled(cfg, st, sample, opt); err != nil {
 		return stats.Results{}, err
 	}
-	if !sample.Enabled() {
-		return stats.Results{}, fmt.Errorf("core: RunSampled without a sample spec")
+	if donor == nil {
+		return stats.Results{}, fmt.Errorf("core: RunSampled needs a warmed donor (see WarmDonorStream)")
 	}
-	if err := sample.Validate(); err != nil {
-		return stats.Results{}, err
-	}
-	if opt.CollectOccupancy {
-		return stats.Results{}, fmt.Errorf("core: occupancy collection is per-cycle state and cannot be sampled")
-	}
-	budget := opt.MaxInsts
-	if budget == 0 && st.Code() == nil {
-		return stats.Results{}, fmt.Errorf("core: sampled synthetic workload %q needs an instruction budget (the stream is unbounded)", st.Name())
-	}
-	if warm == nil {
-		return stats.Results{}, fmt.Errorf("core: RunSampled needs a warm stream (a second stream over the same workload)")
-	}
-
-	ss, err := newSampleState(cfg, st, warm, budget)
+	ss, err := newSampleState(cfg, st, donor)
 	if err != nil {
 		return stats.Results{}, err
 	}
+	budget := opt.MaxInsts
 	arena := NewArena()
 	ff := sample.Period - sample.Warmup - sample.Detail
 

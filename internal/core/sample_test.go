@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/isa/programs"
+	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
@@ -47,15 +48,23 @@ func TestSampledRunsPinned(t *testing.T) {
 			h := sha256.New()
 			for _, r := range recipes {
 				for _, disable := range []bool{true, false} {
-					st, err := r.OpenStream()
-					if err != nil {
-						t.Fatal(err)
-					}
 					warm, err := r.OpenStream()
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, err := RunSampled(pc.cfg, st, warm, sample, RunOptions{MaxInsts: budget, DisableSkip: disable})
+					extent := uint64(0)
+					if r.Kernel != trace.KernelProgram {
+						extent = uint64(trace.LenFor(budget))
+					}
+					donor, err := WarmDonorStream(mem.WarmKeyFor(pc.cfg), warm, extent)
+					if err != nil {
+						t.Fatal(err)
+					}
+					st, err := r.OpenStream()
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := RunSampled(pc.cfg, st, donor, sample, RunOptions{MaxInsts: budget, DisableSkip: disable})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -11,11 +11,12 @@ import (
 )
 
 // TestSampledWarmMatchesDonor checks the warm invariant on cache state:
-// for every synthetic kernel and every program, the substrate a sampled
-// run warms from a fresh recipe stream (to RunSampled's limit for the
-// budget) holds byte-for-byte the cache contents of a donor warmed over
-// the materialised trace — the state every full-detail point of the
-// workload starts from.
+// for every synthetic kernel and every program, the donor a sampled
+// point forks, warmed from a fresh recipe stream to the sampled extent
+// (a synthetic stream to trace.LenFor of the budget, a program to its
+// halt; see RunSampled), holds byte-for-byte the cache contents of a
+// donor warmed over the materialised trace — the state every
+// full-detail point of the workload starts from.
 func TestSampledWarmMatchesDonor(t *testing.T) {
 	const budget = 40_000
 	n := trace.LenFor(budget)
@@ -54,16 +55,16 @@ func TestSampledWarmMatchesDonor(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := r.OpenStream()
+			extent := uint64(0)
+			if r.Kernel != trace.KernelProgram {
+				extent = uint64(trace.LenFor(budget))
+			}
+			sampled, err := WarmDonorStream(mem.WarmKeyFor(cfg), st, extent)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ss, err := newSampleState(cfg, st, warm, budget)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(snapshot(ss.hier), snapshot(donor)) {
-				t.Fatal("sampled substrate's warm caches differ from the full-detail donor's")
+			if !bytes.Equal(snapshot(sampled), snapshot(donor)) {
+				t.Fatal("sampled donor's warm caches differ from the full-detail donor's")
 			}
 		})
 	}

@@ -65,6 +65,10 @@ type Options struct {
 	// test), so a cached set is shared read-only across figures and
 	// across every concurrent CPU inside a sweep.
 	cache *keyed.Memo[suiteKey, []suiteTrace]
+	// results, set by WithTraceCache beside cache, holds every result
+	// an in-process sweep simulated, by RunSpec.Fingerprint, so a point
+	// that several figures need is simulated once (see runSpecs).
+	results *keyed.Memo[string, stats.Results]
 }
 
 // RunRecord is the machine-readable form of one completed run.
@@ -122,10 +126,12 @@ type suiteKey struct {
 }
 
 // WithTraceCache returns Options that generate each suite trace set
-// once and reuse it across figures (cmd/experiments -figure all shares
-// one generation pass this way).
+// once and reuse it across figures, and that simulate each distinct
+// point once in process (cmd/experiments -figure all shares one
+// generation pass and one result per point this way).
 func (o Options) WithTraceCache() Options {
 	o.cache = &keyed.Memo[suiteKey, []suiteTrace]{}
+	o.results = &keyed.Memo[string, stats.Results]{}
 	return o
 }
 
@@ -209,39 +215,7 @@ func (o Options) runPoints(ctx context.Context, points []point, suite []suiteTra
 			})
 		}
 	}
-	sopt := sim.Options{Workers: o.Workers, Progress: o.Progress}
-	if o.Record != nil {
-		// Runs complete in any order. Park each under its spec index and
-		// record them in index order once the sweep returns, failed or
-		// not. Identical specs give identical results, so which of their
-		// indices a completion takes does not matter.
-		finished := make([]*stats.Results, len(specs))
-		open := make(map[sim.RunSpec][]int, len(specs))
-		for i, s := range specs {
-			open[s] = append(open[s], i)
-		}
-		sopt.OnResult = func(spec sim.RunSpec, res stats.Results) {
-			is := open[spec]
-			finished[is[0]] = &res
-			open[spec] = is[1:]
-		}
-		defer func() {
-			for i, res := range finished {
-				if res != nil {
-					o.Record(RunRecord{
-						Benchmark: specs[i].Name,
-						Config:    specs[i].Config.Summary(),
-						Results:   *res,
-					})
-				}
-			}
-		}()
-	}
-	run := o.Runner
-	if run == nil {
-		run = sim.Sweep
-	}
-	flat, err := run(ctx, specs, sopt)
+	flat, err := o.runSpecs(ctx, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -250,6 +224,101 @@ func (o Options) runPoints(ctx context.Context, points []point, suite []suiteTra
 		groups[i] = flat[i*len(suite) : (i+1)*len(suite)]
 	}
 	return groups, nil
+}
+
+// runSpecs runs specs through the Runner, or in process through sim.Sweep,
+// and returns their results in spec order. In process under
+// WithTraceCache, a spec whose fingerprint an earlier sweep or an
+// earlier spec of this one carries never reaches sim.Sweep: it takes
+// the result already simulated. Record still receives every spec's run.
+func (o Options) runSpecs(ctx context.Context, specs []sim.RunSpec) ([]stats.Results, error) {
+	results := make([]stats.Results, len(specs))
+	finished := make([]bool, len(specs))
+	if o.Record != nil {
+		// Record in spec order once the sweep returns, failed or not.
+		defer func() {
+			for i, ok := range finished {
+				if ok {
+					o.Record(RunRecord{
+						Benchmark: specs[i].Name,
+						Config:    specs[i].Config.Summary(),
+						Results:   results[i],
+					})
+				}
+			}
+		}()
+	}
+	memo := o.results
+	if o.Runner != nil {
+		memo = nil // every point goes to the remote runner
+	}
+	// submit holds the specs to simulate; answers[k] lists the specs
+	// that submit[k]'s result answers, and fps[k] its fingerprint ("" if
+	// it is not memoised).
+	var (
+		submit  []sim.RunSpec
+		answers [][]int
+		fps     []string
+	)
+	byFP := map[string]int{}
+	for i, s := range specs {
+		fp := ""
+		if memo != nil {
+			fp, _ = s.Fingerprint() // "" when the trace has no recipe
+		}
+		if fp != "" {
+			if res, ok, _ := memo.Peek(fp); ok {
+				results[i], finished[i] = res, true
+				continue
+			}
+			if k, ok := byFP[fp]; ok {
+				answers[k] = append(answers[k], i)
+				continue
+			}
+			byFP[fp] = len(submit)
+		}
+		submit = append(submit, s)
+		answers = append(answers, []int{i})
+		fps = append(fps, fp)
+	}
+	if len(submit) == 0 {
+		return results, ctx.Err()
+	}
+
+	sopt := sim.Options{Workers: o.Workers, Progress: o.Progress}
+	if o.Record != nil {
+		// Runs complete in any order. Park each under its spec indices;
+		// identical specs give identical results, so which of their
+		// indices a completion takes does not matter.
+		open := make(map[sim.RunSpec][]int, len(submit))
+		for k, s := range submit {
+			open[s] = append(open[s], k)
+		}
+		sopt.OnResult = func(spec sim.RunSpec, res stats.Results) {
+			ks := open[spec]
+			open[spec] = ks[1:]
+			for _, i := range answers[ks[0]] {
+				results[i], finished[i] = res, true
+			}
+		}
+	}
+	run := o.Runner
+	if run == nil {
+		run = sim.Sweep
+	}
+	flat, err := run(ctx, submit, sopt)
+	if err != nil {
+		return nil, err
+	}
+	for k, res := range flat {
+		for _, i := range answers[k] {
+			results[i], finished[i] = res, true
+		}
+		if fps[k] != "" {
+			memo.Get(fps[k], func() (stats.Results, error) { return res, nil })
+		}
+	}
+	return results, nil
 }
 
 // meanIPC returns the arithmetic-mean IPC of one point's suite results.

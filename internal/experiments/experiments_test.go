@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -461,5 +463,53 @@ func TestRecordFollowsSpecOrder(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTraceCacheSimulatesEachPointOnce: under WithTraceCache a point an
+// earlier figure simulated never reaches the sweep engine again, yet
+// Record still receives every run. Figure 12's grid is Figure 9's
+// checkpoint half, so after Figure 9 it simulates nothing, and its
+// records are byte-identical to an uncached run's.
+func TestTraceCacheSimulatesEachPointOnce(t *testing.T) {
+	records := func(opt Options, figures ...func(context.Context, Options) error) (recs []RunRecord, reached int) {
+		opt.Progress = func(int, int, string) { reached++ }
+		opt.Record = func(r RunRecord) { recs = append(recs, r) }
+		for _, f := range figures {
+			recs = nil
+			if err := f(ctx(), opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return recs, reached
+	}
+	fig9 := func(ctx context.Context, o Options) error { _, err := Figure9(ctx, o); return err }
+	fig12 := func(ctx context.Context, o Options) error { _, err := Figure12(ctx, o); return err }
+	opt := Options{Insts: 10_000, Seed: 42}
+
+	_, alone9 := records(opt.WithTraceCache(), fig9)
+	got, reached := records(opt.WithTraceCache(), fig9, fig12)
+	if alone9 == 0 {
+		t.Fatal("figure 9 sent no points to the sweep engine")
+	}
+	if reached != alone9 {
+		t.Fatalf("figures 9 and 12 sent %d points to the sweep engine, figure 9 alone %d", reached, alone9)
+	}
+	want, _ := records(opt, fig12)
+	if len(got) != len(want) {
+		t.Fatalf("figure 12 recorded %d runs, want %d", len(got), len(want))
+	}
+	for i := range want {
+		a, err := json.Marshal(got[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(want[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("record %d differs from an uncached run:\n%s\nvs\n%s", i, a, b)
+		}
 	}
 }

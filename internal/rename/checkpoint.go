@@ -122,7 +122,14 @@ func (t *CheckpointTable) Full() bool { return t.n == len(t.ring) }
 
 // At returns the i-th live checkpoint, oldest first (0 <= i < Len).
 func (t *CheckpointTable) At(i int) *Checkpoint {
-	return &t.ring[(t.head+i)%len(t.ring)]
+	// head and i are both below the capacity, so one wrap suffices.
+	// Dispatch reads the youngest twice per instruction, and a modulo by
+	// a run-time length is a division.
+	j := t.head + i
+	if j >= len(t.ring) {
+		j -= len(t.ring)
+	}
+	return &t.ring[j]
 }
 
 // Oldest returns the oldest live checkpoint, or nil.
@@ -200,7 +207,9 @@ func (t *CheckpointTable) Commit() (endSeq uint64) {
 			rt.pushFree(PhysReg(i))
 		}
 	})
-	t.head = (t.head + 1) % len(t.ring)
+	if t.head++; t.head == len(t.ring) {
+		t.head = 0
+	}
 	t.n--
 	t.stats.Committed++
 	return next.StartSeq

@@ -84,8 +84,7 @@ type Batch struct {
 	warmBuilds int
 	warmReuses int
 	logged     bool
-	journaled  bool
-	jdone      bool
+	journal    *Journal // set by MarkJournaled until the last Complete
 	errs       []string
 	results    []json.RawMessage
 	events     []Event
@@ -151,6 +150,14 @@ func (b *Batch) Complete(i int, raw json.RawMessage, cached bool, err error) {
 	}
 	b.events = append(b.events, ev)
 	if b.done == len(b.jobs) {
+		if b.journal != nil {
+			// Under the lock, before the state flips and waiters wake:
+			// a journal replayed after Wait never finds the batch
+			// pending. A failed append only re-admits the batch at the
+			// next recovery, where every point is a cache hit.
+			_ = b.journal.AppendBatchDone(b.id)
+			b.journal = nil
+		}
 		b.state = StateDone
 		b.events = append(b.events, Event{Type: "done", Index: -1, Done: b.done, Total: len(b.jobs)})
 	}
@@ -198,24 +205,13 @@ func (b *Batch) warmShared(forked, reused bool) {
 	b.mu.Unlock()
 }
 
-// MarkJournaled records that a "batch" journal record was written for
-// this batch, so completion knows to append the matching "batchdone".
-func (b *Batch) MarkJournaled() {
+// MarkJournaled records that a "batch" journal record was written to j
+// for this batch. The last Complete appends the matching "batchdone"
+// record before any waiter can see the batch done.
+func (b *Batch) MarkJournaled(j *Journal) {
 	b.mu.Lock()
-	b.journaled = true
+	b.journal = j
 	b.mu.Unlock()
-}
-
-// TakeJournalDone reports true exactly once, when a journaled batch has
-// completed — the scheduler appends the "batchdone" record on it.
-func (b *Batch) TakeJournalDone() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.journaled || b.jdone || b.state != StateDone {
-		return false
-	}
-	b.jdone = true
-	return true
 }
 
 // TakeDoneLine returns the batch's completion log line exactly once,

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -33,7 +34,14 @@ import (
 type Journal struct {
 	mu   sync.Mutex
 	path string
-	f    *os.File
+	f    journalFile
+}
+
+// journalFile is the journal's open file; a test substitutes one that
+// stalls a write to observe what the scheduler does meanwhile.
+type journalFile interface {
+	io.WriteCloser
+	Truncate(size int64) error
 }
 
 type journalRecord struct {

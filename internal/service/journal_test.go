@@ -265,24 +265,14 @@ func TestSchedulerJournalsBatchLifecycle(t *testing.T) {
 	if _, err := b.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// Wait's return races the post-Complete journal appends by a hair;
-	// poll briefly for the batchdone record.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		raw, err := os.ReadFile(filepath.Join(dir, "journal.ndjson"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bytes.Contains(raw, []byte(`"batchdone"`)) {
-			if !bytes.Contains(raw, []byte(`"t":"batch"`)) || bytes.Count(raw, []byte("\n")) != 2 {
-				t.Fatalf("journal should hold one batch and one batchdone record: %s", raw)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("batchdone never journaled: %s", raw)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The batchdone record is written before Wait can return.
+	raw, err := os.ReadFile(filepath.Join(dir, "journal.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"t":"batch"`)) || !bytes.Contains(raw, []byte(`"batchdone"`)) ||
+		bytes.Count(raw, []byte("\n")) != 2 {
+		t.Fatalf("journal should hold one batch and one batchdone record: %s", raw)
 	}
 
 	// Resubmitting the same jobs is now all hits: no new batch record.
@@ -297,5 +287,63 @@ func TestSchedulerJournalsBatchLifecycle(t *testing.T) {
 	after, _ := os.ReadFile(filepath.Join(dir, "journal.ndjson"))
 	if !bytes.Equal(before, after) {
 		t.Fatalf("all-hit batch appended journal records:\nbefore: %s\nafter: %s", before, after)
+	}
+}
+
+// stallingFile passes writes through to a journal's file, but a write
+// that carries marker first announces itself on writing and then waits
+// for release.
+type stallingFile struct {
+	journalFile
+	marker           []byte
+	writing, release chan struct{}
+}
+
+func (f *stallingFile) Write(b []byte) (int, error) {
+	if bytes.Contains(b, f.marker) {
+		close(f.writing)
+		<-f.release
+	}
+	return f.journalFile.Write(b)
+}
+
+// TestBatchDoneJournaledBeforeWaitReturns: a journaled batch's
+// "batchdone" record is written before any waiter can see the batch
+// done, so a replay right after Wait never finds the batch pending.
+// While the record's write is held, the batch must not read as done.
+func TestBatchDoneJournaledBeforeWaitReturns(t *testing.T) {
+	j := openTestJournal(t, t.TempDir())
+	f := &stallingFile{journalFile: j.f, marker: []byte(`"batchdone"`),
+		writing: make(chan struct{}), release: make(chan struct{})}
+	j.f = f
+	s := NewScheduler(SchedulerOptions{Workers: 1, Journal: j})
+	b, err := s.Submit([]Job{testJob("x", 32)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-f.writing
+	// Waiters read the state under the batch's lock: while the last
+	// Complete writes the record it holds the lock, and the state has
+	// not flipped.
+	if b.mu.TryLock() {
+		done := b.state == StateDone
+		b.mu.Unlock()
+		if done {
+			close(f.release)
+			t.Fatal("the batch reads done while its batchdone record is still unwritten")
+		}
+	}
+	close(f.release)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, err := b.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	pending, err := j.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pending) != 0 {
+		t.Fatalf("replay after Wait found %d pending batch(es)", len(pending))
 	}
 }

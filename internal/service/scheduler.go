@@ -154,7 +154,7 @@ func (s *Scheduler) Submit(jobs []Job) (*Batch, error) {
 	// and need no recovery.
 	if s.journal != nil && len(misses) > 0 {
 		if err := s.journal.AppendBatch(b.id, b.jobs); err == nil {
-			b.MarkJournaled()
+			b.MarkJournaled(s.journal)
 		} else if s.log != nil {
 			s.log("journal append failed for batch %s: %v", b.id, err)
 		}
@@ -249,8 +249,8 @@ func (s *Scheduler) runJob(b *Batch, i int) {
 			// Sampled jobs stream: the recipe is handed through as a
 			// recipe-only trace handle (never materialised, so the
 			// streamed budget cap applies instead of MaxRecipeInsts) and
-			// no warm donor is built — the sampled run warms its own
-			// persistent substrate by fast-forwarding the stream.
+			// no shared donor is acquired — sim.Run warms the point's
+			// own donor from a fresh stream and forks it.
 			var err error
 			if tr, err = trace.StreamOnly(job.Trace); err != nil {
 				return nil, err
@@ -301,8 +301,5 @@ func (s *Scheduler) runJob(b *Batch, i int) {
 		s.metrics.PointErrors.Add(1)
 	}
 	b.Complete(i, raw, cached, err)
-	if s.journal != nil && b.TakeJournalDone() {
-		s.journal.AppendBatchDone(b.id)
-	}
 	b.LogDone(s.log)
 }

@@ -49,9 +49,10 @@ func TestSweepForkedMatchesColdAllPolicies(t *testing.T) {
 	}
 }
 
-// TestGroupSpecsClustersByWarmShape: the sweep feed clusters specs by
-// (trace, warm-relevant shape); timing-only differences share a group
-// and geometry differences split one, while results indices stay
+// TestGroupSpecsClustersByWarmShape: the sweep groups specs by (trace,
+// warm-relevant shape); timing-only differences share a group and
+// geometry differences split one. The feed takes every group's first
+// member before any group's second, while results indices stay
 // untouched.
 func TestGroupSpecsClustersByWarmShape(t *testing.T) {
 	n := trace.LenFor(1000)
@@ -78,7 +79,7 @@ func TestGroupSpecsClustersByWarmShape(t *testing.T) {
 	if bySpec[0] == bySpec[3] {
 		t.Error("different cache geometries must split warm groups")
 	}
-	want := []int{0, 2, 4, 1, 3} // groups in first appearance order, members in spec order
+	want := []int{0, 1, 3, 2, 4} // first members in group order, then second members, then third
 	if len(order) != len(want) {
 		t.Fatalf("order %v, want %v", order, want)
 	}

@@ -88,17 +88,19 @@ func Run(spec RunSpec) (stats.Results, error) {
 
 // RunForked executes one spec against a fork of donor's warmed cache
 // state instead of replaying the warm-up footprint (see core.WarmDonor
-// and core.NewForked). The donor is only read; it may serve concurrent
-// RunForked calls. Error handling matches Run.
+// and core.NewForked; a sampled spec's donor is warmed as its sweep
+// group's is, see Sweep). The donor is only read; it may serve
+// concurrent RunForked calls. Error handling matches Run.
 func RunForked(spec RunSpec, donor *mem.Hierarchy) (stats.Results, error) {
 	res, _, err := runSpec(spec, func() (*mem.Hierarchy, error) { return donor, nil }, nil)
 	return res, err
 }
 
 // runSpec is the worker body shared by the cold and forked paths: a nil
-// getDonor runs cold (build and warm a private hierarchy), otherwise
-// the CPU forks the donor's warmed cache state. arena, when non-nil, is
-// the calling worker's record arena (single-owner). refused reports
+// getDonor runs cold (a full-detail CPU builds and warms a private
+// hierarchy, a sampled point a private donor), otherwise the point
+// forks the donor's warmed cache state. arena, when non-nil, is the
+// calling worker's record arena (single-owner). refused reports
 // core.CPU.SLIQRefused for a full-detail run.
 func runSpec(spec RunSpec, getDonor func() (*mem.Hierarchy, error), arena *core.Arena) (res stats.Results, refused bool, err error) {
 	defer func() {
@@ -107,10 +109,10 @@ func runSpec(spec RunSpec, getDonor func() (*mem.Hierarchy, error), arena *core.
 		}
 	}()
 	if spec.Sample.Enabled() {
-		// Sampled points stream; they neither need nor use a warm donor
-		// (core.RunSampled warms its persistent substrate from a second
-		// stream over the workload).
-		res, err = runSampled(spec)
+		if getDonor == nil {
+			getDonor = groupOf(spec).warm
+		}
+		res, err = runSampled(spec, getDonor)
 		if err != nil {
 			err = fmt.Errorf("sim: %s (%s): %w", spec.Name, spec.Config.Summary(), err)
 		}
@@ -141,63 +143,105 @@ func runSpec(spec RunSpec, getDonor func() (*mem.Hierarchy, error), arena *core.
 // runSampled executes a sampled point: open the workload's segment
 // stream — from the recipe when the trace is a recipe-only handle (the
 // normal sampled path, which never materialises), or over the slice of
-// an already-materialised trace — and drive it through core.RunSampled.
-func runSampled(spec RunSpec) (stats.Results, error) {
-	if err := spec.Sample.Validate(); err != nil {
-		return stats.Results{}, err
-	}
-	if spec.CollectOccupancy {
-		return stats.Results{}, fmt.Errorf("occupancy collection cannot be sampled")
-	}
+// an already-materialised trace — and drive it through core.RunSampled
+// from a fork of the donor getDonor returns. The point is checked
+// first, so a bad one fails before its group warms anything.
+func runSampled(spec RunSpec, getDonor func() (*mem.Hierarchy, error)) (stats.Results, error) {
 	if spec.Trace == nil {
 		return stats.Results{}, fmt.Errorf("no trace")
 	}
-	// Two independent streams over the same workload: one the sampling
-	// loop consumes, one the whole-footprint cache warm consumes (the
-	// same warm-up a full-detail point replays over its materialised
-	// trace).
-	var st, warm *trace.InstStream
+	var st *trace.InstStream
 	if spec.Trace.Len() > 0 {
 		st = spec.Trace.OpenStream()
-		warm = spec.Trace.OpenStream()
 	} else if r, ok := spec.Trace.Recipe(); ok {
 		var err error
 		if st, err = r.OpenStream(); err != nil {
 			return stats.Results{}, err
 		}
-		if warm, err = r.OpenStream(); err != nil {
-			return stats.Results{}, err
-		}
 	} else {
 		return stats.Results{}, fmt.Errorf("empty trace")
 	}
-	return core.RunSampled(spec.Config, st, warm, spec.Sample, core.RunOptions{
-		MaxInsts:    spec.Insts,
-		DisableSkip: spec.DisableSkip,
-	})
+	opt := core.RunOptions{
+		MaxInsts:         spec.Insts,
+		CollectOccupancy: spec.CollectOccupancy,
+		DisableSkip:      spec.DisableSkip,
+	}
+	if err := core.ValidateSampled(spec.Config, st, spec.Sample, opt); err != nil {
+		return stats.Results{}, err
+	}
+	donor, err := getDonor()
+	if err != nil {
+		return stats.Results{}, err
+	}
+	return core.RunSampled(spec.Config, st, donor, spec.Sample, opt)
 }
 
 // warmGroup is a snapshot group of a sweep: every spec with the same
-// (trace, warm shape) forks one warmed donor hierarchy.
+// workload, warm shape and warm extent forks one warmed donor
+// hierarchy. A materialised trace is identified by its pointer, and a
+// recipe-only handle (tr nil) by its recipe, since every
+// trace.StreamOnly call returns a new handle. extent is how many
+// instructions the donor warms, 0 meaning the whole workload: a
+// full-detail point's trace or a program's run to its halt. A sampled
+// synthetic stream never ends, so its donor warms as far as a
+// materialised trace of the point's budget reaches, and one recipe
+// sampled at two budgets forms two groups.
 type warmGroup struct {
-	tr  *trace.Trace
-	key mem.WarmKey
+	tr     *trace.Trace
+	recipe trace.Recipe
+	key    mem.WarmKey
+	extent uint64
 }
 
-func (g warmGroup) warm() (*mem.Hierarchy, error) { return core.WarmDonor(g.key, g.tr) }
+// groupOf returns the warm group of s.
+func groupOf(s RunSpec) warmGroup {
+	g := warmGroup{tr: s.Trace, key: mem.WarmKeyFor(s.Config)}
+	if !s.Sample.Enabled() || s.Trace == nil {
+		return g
+	}
+	program := s.Trace.Code() != nil
+	if r, ok := s.Trace.Recipe(); ok && s.Trace.Len() == 0 {
+		g.tr, g.recipe = nil, r
+		program = r.Kernel == trace.KernelProgram
+	}
+	if !program {
+		g.extent = uint64(trace.LenFor(s.Insts))
+	}
+	return g
+}
 
-// groupSpecs assigns every spec its warm group and returns a
-// group-clustered order: members of one group are adjacent (groups in
-// first-appearance order, members in spec order), so the donor a worker
-// forks is mostly the one most recently touched. ladderTasks splits the
-// order into the sweep's tasks. Results are still reported by spec
-// index, so the reordering is invisible in the output.
+// warm builds the group's donor: a recipe-only group's from a fresh
+// stream of its recipe, any other from its trace (core.WarmDonor refuses
+// an empty or missing one, as core.New does).
+func (g warmGroup) warm() (*mem.Hierarchy, error) {
+	switch {
+	case g.recipe != (trace.Recipe{}):
+		st, err := g.recipe.OpenStream()
+		if err != nil {
+			return nil, err
+		}
+		return core.WarmDonorStream(g.key, st, g.extent)
+	case g.extent == 0:
+		return core.WarmDonor(g.key, g.tr)
+	default:
+		return core.WarmDonorStream(g.key, g.tr.OpenStream(), g.extent)
+	}
+}
+
+// groupSpecs assigns every spec its warm group (groupOf) and returns
+// the order the sweep feeds them in: every group's first member (groups
+// in first-appearance order), then every group's second member, and so
+// on. Each worker thus starts on a group of its own and warms its donor
+// while the others warm theirs, instead of waiting on another worker's
+// warm-up of the group both started on. ladderTasks splits the order
+// into the sweep's tasks. Results are still reported by spec index, so
+// the reordering is invisible in the output.
 func groupSpecs(specs []RunSpec) (bySpec []warmGroup, order []int) {
 	groups := make(map[warmGroup]int)
 	bySpec = make([]warmGroup, len(specs))
 	var members [][]int
 	for i, s := range specs {
-		g := warmGroup{s.Trace, mem.WarmKeyFor(s.Config)}
+		g := groupOf(s)
 		gi, ok := groups[g]
 		if !ok {
 			gi = len(members)
@@ -208,22 +252,26 @@ func groupSpecs(specs []RunSpec) (bySpec []warmGroup, order []int) {
 		members[gi] = append(members[gi], i)
 	}
 	order = make([]int, 0, len(specs))
-	for _, m := range members {
-		order = append(order, m...)
+	for rank := 0; len(order) < len(specs); rank++ {
+		for _, m := range members {
+			if rank < len(m) {
+				order = append(order, m[rank])
+			}
+		}
 	}
 	return bySpec, order
 }
 
-// ladderTasks splits a group-clustered order into the tasks of a pool
+// ladderTasks splits the feed order of groupSpecs into the tasks of a pool
 // of workers. A ladder is the specs that differ only in
 // Config.SLIQEntries: a full-detail spec with a SLIQ joins the ladder of
 // its own copy with the SLIQ cleared, and every other spec is a task of
 // its own. A ladder's members run smallest SLIQ first. Longer tasks come
 // first, so no ladder starts last while the other workers idle; ties
-// keep the group order. Ladders form only while there are more tasks
+// keep the feed order. Ladders form only while there are more tasks
 // than workers: with a worker for every task, a ladder would run its
 // members one after another while the workers they could have used sit
-// idle, so then every spec is a task of its own, in group order.
+// idle, so then every spec is a task of its own, in feed order.
 func ladderTasks(specs []RunSpec, order []int, workers int) [][]int {
 	ladders := make(map[RunSpec]int)
 	var tasks [][]int
@@ -265,11 +313,13 @@ func ladderTasks(specs []RunSpec, order []int, workers int) [][]int {
 // and its error is returned; ctx cancellation stops the sweep early
 // with ctx's error.
 //
-// Specs are grouped by (trace, warm-relevant cache shape) under the
-// snapshot-fork kernel: each group warms one donor hierarchy via the
-// trace's warm-up footprint and every member forks the donor's cache
-// state, so a figure-9-style sweep replays each workload's warm-up once
-// per cache geometry instead of once per point.
+// Specs are grouped by (workload, warm-relevant cache shape, warm
+// extent) under the snapshot-fork kernel (see warmGroup): each group
+// warms one donor hierarchy via the workload's warm-up footprint and
+// every member, full-detail or sampled, forks the donor's cache state,
+// so a sweep replays each workload's warm-up once per cache geometry
+// instead of once per point. Groups start in parallel: the feed takes
+// every group's first member before any group's second (groupSpecs).
 //
 // Specs that differ only in their SLIQ size form a ladder (see
 // ladderTasks), which one worker runs smallest SLIQ first. Once a
@@ -283,7 +333,7 @@ func ladderTasks(specs []RunSpec, order []int, workers int) [][]int {
 // members run one after another, so ladders form only while the sweep
 // has more tasks than workers, and a pool with a worker for every task
 // runs every spec on its own. Execution order is ladders first, longest
-// first, and otherwise group-clustered for donor locality; every spec,
+// first, and otherwise the groups' members in turn; every spec,
 // simulated or reused, still gets its Progress and OnResult call, and
 // results stay in spec order.
 func Sweep(ctx context.Context, specs []RunSpec, opt Options) ([]stats.Results, error) {

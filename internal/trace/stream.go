@@ -86,17 +86,20 @@ func (s *InstStream) Skip(n int) {
 	s.base += int64(n)
 }
 
-// Window copies the next n instructions (fewer at end of stream) into a
-// materialised Trace without consuming them: the detailed-simulation
-// view of one sampling window. The window trace carries the stream's
-// name and static code, so window runs exercise the same BTB/wrong-path
-// machinery as full runs.
+// Window returns the next n instructions (fewer at end of stream) as a
+// Trace without consuming them: the detailed-simulation view of one
+// sampling window. The window trace carries the stream's name and
+// static code, so window runs exercise the same BTB/wrong-path
+// machinery as full runs. It copies nothing: the trace reads the
+// stream's own buffer, so, like a Peek, it is valid only until the
+// stream next moves (Peek, Skip or Window). A sampled run finishes
+// with its window CPU before it skips past the window.
 func (s *InstStream) Window(n int) (*Trace, error) {
 	w, err := s.Peek(n)
 	if err != nil {
 		return nil, err
 	}
-	return &Trace{name: s.name, insts: append([]isa.Inst(nil), w...), code: s.code}, nil
+	return &Trace{name: s.name, insts: w[:len(w):len(w)], code: s.code}, nil
 }
 
 // drain consumes up to n instructions (fewer if the stream ends first)
