@@ -58,7 +58,8 @@ type BatchStatus struct {
 	SnapshotGroups int `json:"snapshot_groups"`
 	// WarmBuilds and WarmReuses count this batch's simulated points
 	// that warmed a fresh donor vs forked an already-warmed one
-	// (cache-hit points touch no donor and appear in neither).
+	// (cache-hit points touch no donor and appear in neither). A
+	// sampled point warms a private donor, so it always counts a build.
 	WarmBuilds int `json:"warm_builds"`
 	WarmReuses int `json:"warm_reuses"`
 	// Errors lists failed points; empty means every completed point

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/keyed"
 )
 
 // ErrDraining rejects submissions while the node is draining.
@@ -22,6 +24,12 @@ var ErrOverloaded = errors.New("service: queue full")
 // retainBatches bounds how many finished batches stay pollable before
 // the oldest are forgotten.
 const retainBatches = 256
+
+// jobMemoLimit bounds each of a node's two job memos: the submit
+// handler's decoded jobs and its Front's fingerprints. A memo that
+// would pass it starts over (keyed.Memo), so a node pins at most a few
+// MB of jobs; the benchmark's fleet workloads send 726 distinct jobs.
+const jobMemoLimit = 4096
 
 // Front is the batch front end a Scheduler and a fleet Coordinator
 // both embed: validation and fingerprinting, the split of a batch into
@@ -37,6 +45,8 @@ type Front struct {
 	points    atomic.Uint64
 	queued    atomic.Int64 // admitted misses not yet finished
 	draining  atomic.Bool
+
+	fps keyed.Memo[Job, string] // each job's validated fingerprint
 
 	mu         sync.Mutex
 	batches    map[string]*Batch
@@ -55,6 +65,7 @@ func NewFront(prefix string, maxQueue int) *Front {
 	return &Front{
 		idPrefix:   fmt.Sprintf("%s%08x-", prefix, rand.Uint32()),
 		maxQueue:   maxQueue,
+		fps:        keyed.Memo[Job, string]{Limit: jobMemoLimit},
 		batches:    map[string]*Batch{},
 		maxBatches: retainBatches,
 	}
@@ -62,7 +73,10 @@ func NewFront(prefix string, maxQueue int) *Front {
 
 // Prepare validates and fingerprints a batch. An empty batch, or any
 // batch while draining (ErrDraining, counted as a rejection), is
-// refused, and one invalid job rejects the whole batch.
+// refused, and one invalid job rejects the whole batch. Each distinct
+// job value is validated and fingerprinted once per front and then
+// remembered, its validation error included, so a repeated job costs
+// one map lookup instead of a canonical encode and a SHA-256.
 func (f *Front) Prepare(jobs []Job) (fps []string, err error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("service: empty batch")
@@ -73,15 +87,22 @@ func (f *Front) Prepare(jobs []Job) (fps []string, err error) {
 	}
 	fps = make([]string, len(jobs))
 	for i, j := range jobs {
-		err := j.Validate()
-		if err == nil {
-			fps[i], err = j.Fingerprint()
-		}
+		fp, _, err := f.fps.Get(j, func() (string, error) { return checkJob(j) })
 		if err != nil {
 			return nil, fmt.Errorf("service: job %d (%s): %w", i, j.label(), err)
 		}
+		fps[i] = fp
 	}
 	return fps, nil
+}
+
+// checkJob validates a job and returns its fingerprint. It is a
+// variable so tests can count the work the fingerprint memo saves.
+var checkJob = func(j Job) (string, error) {
+	if err := j.Validate(); err != nil {
+		return "", err
+	}
+	return j.Fingerprint()
 }
 
 // AdmitHits looks every fingerprint of a prepared batch up in cache

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,11 +11,19 @@ import (
 	"log"
 	"net/http"
 	"time"
+
+	"repro/internal/keyed"
 )
 
 // API wire types.
 type submitRequest struct {
 	Jobs []Job `json:"jobs"`
+}
+
+// submitEnvelope is a submission as the handler reads it: each job
+// stays its raw element until the job memo has looked its bytes up.
+type submitEnvelope struct {
+	Jobs []json.RawMessage `json:"jobs"`
 }
 
 type apiError struct {
@@ -68,6 +78,14 @@ type HandlerOptions struct {
 //	POST /drainz                 start graceful drain (see StartDrain)
 //	GET  /metrics                Prometheus text metrics (see Metrics)
 //	GET  /v1/donors/{key}        warm-donor snapshot (workers only)
+//
+// A submission is decoded strictly: an unknown or wrongly typed field
+// anywhere, or anything but whitespace after the batch object, is a 400
+// that names it. The handler remembers each job element it decoded, by
+// the SHA-256 of its exact bytes, in a memo of at most jobMemoLimit
+// jobs (see decodeJobs), so a repeated job is not decoded again; with
+// Front.Prepare's fingerprint memo, an all-hit batch pays one scan of
+// its body plus one hash and two map lookups per job.
 func NewAPIHandler(s BatchAPI, opt HandlerOptions) http.Handler {
 	mux := http.NewServeMux()
 
@@ -108,11 +126,10 @@ func NewAPIHandler(s BatchAPI, opt HandlerOptions) http.Handler {
 		mux.Handle("GET /v1/donors/{key}", opt.Donors)
 	}
 
+	decoded := &keyed.Memo[[sha256.Size]byte, Job]{Limit: jobMemoLimit}
 	mux.HandleFunc("POST /v1/batches", func(w http.ResponseWriter, r *http.Request) {
-		var req submitRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		jobs, err := decodeJobs(http.MaxBytesReader(w, r.Body, maxBatchBody), decoded)
+		if err != nil {
 			code := http.StatusBadRequest
 			if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
 				code = http.StatusRequestEntityTooLarge
@@ -120,7 +137,7 @@ func NewAPIHandler(s BatchAPI, opt HandlerOptions) http.Handler {
 			writeJSON(w, code, apiError{Error: "bad request body: " + err.Error()})
 			return
 		}
-		b, err := s.Submit(req.Jobs)
+		b, err := s.Submit(jobs)
 		if err != nil {
 			switch {
 			case errors.Is(err, ErrOverloaded):
@@ -171,6 +188,49 @@ func NewAPIHandler(s BatchAPI, opt HandlerOptions) http.Handler {
 	})
 
 	return mux
+}
+
+// decodeJobs reads a submission body: the envelope strictly (an unknown
+// field, or anything but whitespace after it, is an error), then each
+// job element through memo, keyed by the SHA-256 of the element's exact
+// bytes. A remembered element returns what its first strict decode
+// returned, error included, so a repeated job costs one hash and one
+// lookup instead of a reflection decode. An error names the job's
+// index in the batch.
+func decodeJobs(body io.Reader, memo *keyed.Memo[[sha256.Size]byte, Job]) ([]Job, error) {
+	var req submitEnvelope
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, err
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		// A read error (such as the size bound) stays itself.
+		if err == nil || errors.As(err, new(*json.SyntaxError)) {
+			err = errors.New("trailing data after the batch object")
+		}
+		return nil, err
+	}
+	jobs := make([]Job, len(req.Jobs))
+	for i, raw := range req.Jobs {
+		job, _, err := memo.Get(sha256.Sum256(raw), func() (Job, error) { return strictJob(raw) })
+		if err != nil {
+			return nil, fmt.Errorf("job %d: %w", i, err)
+		}
+		jobs[i] = job
+	}
+	return jobs, nil
+}
+
+// strictJob decodes one job element as strictly as the envelope: an
+// unknown field is an error. It is a variable so tests can count the
+// decodes the memo saves.
+var strictJob = func(raw []byte) (Job, error) {
+	var j Job
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&j)
+	return j, err
 }
 
 // NewHandler returns the worker daemon's full HTTP surface over a

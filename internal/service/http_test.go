@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -158,14 +159,23 @@ func TestHTTPErrors(t *testing.T) {
 		t.Error("empty submit succeeded")
 	}
 
-	// Malformed request body.
-	resp, err := http.Post(srv.URL+"/v1/batches", "application/json", strings.NewReader(`{"jbos":[]}`))
-	if err != nil {
-		t.Fatal(err)
+	// Malformed request bodies: each is 400, and the error names what
+	// is wrong. The job they corrupt is admitted as it stands.
+	job := `{"name":"x","config":` + testJobConfigJSON(t, 64) + `,"trace":{"kernel":"stream","n":6000},"insts":1500}`
+	if code, msg := postBatch(t, srv.URL, `{"jobs":[`+job+`]}`); code != http.StatusAccepted {
+		t.Fatalf("well-formed body: status %d (%s), want 202", code, msg)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field in body: status %d, want 400", resp.StatusCode)
+	for _, c := range []struct{ name, body, want string }{
+		{"unknown field", `{"jbos":[]}`, "jbos"},
+		{"unknown config field", `{"jobs":[` + strings.Replace(job, `"config":{`, `"config":{"NoSuchKnob":1,`, 1) + `]}`, "NoSuchKnob"},
+		{"unknown trace field", `{"jobs":[` + strings.Replace(job, `"trace":{`, `"trace":{"no_such_trace_field":1,`, 1) + `]}`, "no_such_trace_field"},
+		{"wrongly typed field", `{"jobs":[` + strings.Replace(job, `"insts":1500`, `"insts":"many"`, 1) + `]}`, "insts"},
+		{"trailing garbage", `{"jobs":[` + job + `]} xyz`, "trailing data"},
+		{"trailing object", `{"jobs":[` + job + `]} {"garbage":true}`, "trailing data"},
+	} {
+		if code, msg := postBatch(t, srv.URL, c.body); code != http.StatusBadRequest || !strings.Contains(msg, c.want) {
+			t.Errorf("%s: status %d (%s), want 400 naming %q", c.name, code, msg, c.want)
+		}
 	}
 
 	// A body past the limit: 413, which the client treats as final.
@@ -183,13 +193,13 @@ func TestHTTPErrors(t *testing.T) {
 		w.WriteHeader(http.StatusRequestEntityTooLarge)
 	}))
 	defer tooLarge.Close()
-	_, err = (&Client{BaseURL: tooLarge.URL}).Submit(ctx, []Job{testJob("big", 64)})
+	_, err := (&Client{BaseURL: tooLarge.URL}).Submit(ctx, []Job{testJob("big", 64)})
 	if se := new(StatusError); !errors.As(err, &se) || se.Code != http.StatusRequestEntityTooLarge || posts.Load() != 1 {
 		t.Errorf("submit answered 413: error %v after %d posts, want one post", err, posts.Load())
 	}
 
 	// Health endpoint.
-	resp, err = http.Get(srv.URL + "/healthz")
+	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,6 +207,22 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz status %d", resp.StatusCode)
 	}
+}
+
+// postBatch posts body to a batch API and returns the status code and
+// the error text of a non-202 answer.
+func postBatch(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/batches", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e apiError
+	if resp.StatusCode != http.StatusAccepted {
+		json.NewDecoder(resp.Body).Decode(&e)
+	}
+	return resp.StatusCode, e.Error
 }
 
 // spaces is an endless run of JSON whitespace.

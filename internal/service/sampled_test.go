@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http/httptest"
@@ -168,5 +169,41 @@ func TestSampledFingerprintDistinct(t *testing.T) {
 	want := r.String() + "/sample/w=100/d=400/p=1000"
 	if got := trace.PointString(r, sampled.Sample); got != want {
 		t.Fatalf("sampled PointString = %q, want %q", got, want)
+	}
+}
+
+// TestSampledWarmUpsCountAsBuilds: a sampled point warms a private
+// donor, so four sampled points of one recipe and warm shape form one
+// snapshot group and four warm builds, in the batch status and in
+// ooosim_warm_builds_total.
+func TestSampledWarmUpsCountAsBuilds(t *testing.T) {
+	s := NewScheduler(SchedulerOptions{Workers: 2})
+	r := trace.Recipe{Kernel: trace.KernelFPMix, N: 1 << 20, Seed: 42}
+	var jobs []Job
+	for _, iq := range []int{32, 64, 128, 256} {
+		jobs = append(jobs, Job{
+			Name: "fpmix", Config: config.CheckpointDefault(iq, 512), Trace: r,
+			Insts: 20_000, Sample: trace.SampleSpec{Warmup: 200, Detail: 800, Period: 5000},
+		})
+	}
+	b, err := s.Submit(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := b.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Errors) != 0 {
+		t.Fatalf("errors: %v", st.Errors)
+	}
+	if st.SnapshotGroups != 1 || st.WarmBuilds != 4 || st.WarmReuses != 0 {
+		t.Errorf("snapshot groups %d, warm builds/reuses %d/%d; want 1, 4/0",
+			st.SnapshotGroups, st.WarmBuilds, st.WarmReuses)
+	}
+	var metrics bytes.Buffer
+	s.WriteMetrics(&metrics)
+	if !strings.Contains(metrics.String(), "\nooosim_warm_builds_total 4\n") {
+		t.Errorf("/metrics does not count the four warm-ups:\n%s", metrics.String())
 	}
 }

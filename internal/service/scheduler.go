@@ -250,7 +250,9 @@ func (s *Scheduler) runJob(b *Batch, i int) {
 			// recipe-only trace handle (never materialised, so the
 			// streamed budget cap applies instead of MaxRecipeInsts) and
 			// no shared donor is acquired — sim.Run warms the point's
-			// own donor from a fresh stream and forks it.
+			// own donor from a fresh stream and forks it. Sharing one
+			// would need the warm extent (the budget, for a synthetic
+			// stream) in the donor key.
 			var err error
 			if tr, err = trace.StreamOnly(job.Trace); err != nil {
 				return nil, err
@@ -281,6 +283,12 @@ func (s *Scheduler) runJob(b *Batch, i int) {
 		}, donor)
 		if err != nil {
 			return nil, err
+		}
+		if job.Sample.Enabled() {
+			// The run warmed a private donor: a warm build, though no
+			// other point shares it.
+			b.warmShared(true, false)
+			s.metrics.SampledWarmBuilds.Add(1)
 		}
 		s.metrics.Cycles.Add(uint64(res.Cycles))
 		s.metrics.SkippedCycles.Add(uint64(res.SkippedCycles))
