@@ -107,20 +107,30 @@ func WarmKeyFor(cfg config.Config) WarmKey {
 // donor's latencies are never observed. Geometry errors come back as
 // errors (not panics) because a sweep worker must survive a bad point.
 func (k WarmKey) Donor() (*Hierarchy, error) {
+	if err := k.Validate(); err != nil {
+		return nil, err
+	}
 	cfg := config.Config{IL1: k.IL1, DL1: k.DL1, L2: k.L2, PerfectL2: k.PerfectL2, MemoryLatency: 1}
 	cfg.IL1.LatencyCycles = 1
 	cfg.DL1.LatencyCycles = 1
 	cfg.L2.LatencyCycles = 1
+	// WarmKeyFor zeroes latencies, so the donor's own key equals k.
+	return NewHierarchy(cfg), nil
+}
+
+// Validate reports a cache geometry Donor cannot build, first IL1,
+// then DL1, then L2. A key that arrives from a peer is checked with it.
+func (k WarmKey) Validate() error {
 	for _, c := range []struct {
 		name string
 		cc   config.CacheConfig
-	}{{"IL1", cfg.IL1}, {"DL1", cfg.DL1}, {"L2", cfg.L2}} {
+	}{{"IL1", k.IL1}, {"DL1", k.DL1}, {"L2", k.L2}} {
+		c.cc.LatencyCycles = 1 // the key carries no latency
 		if err := c.cc.Validate(); err != nil {
-			return nil, fmt.Errorf("mem: warm donor %s: %w", c.name, err)
+			return fmt.Errorf("mem: warm donor %s: %w", c.name, err)
 		}
 	}
-	// WarmKeyFor zeroes latencies, so the donor's own key equals k.
-	return NewHierarchy(cfg), nil
+	return nil
 }
 
 // WarmKey returns the hierarchy's warm-relevant shape.

@@ -174,10 +174,6 @@ func (t *Table) Unwind(dest isa.Reg, newP, prevP PhysReg) {
 	}
 }
 
-// Valid reports whether p holds the current mapping of its logical
-// register.
-func (t *Table) Valid(p PhysReg) bool { return p != PhysNone && t.valid.Get(int(p)) }
-
 // IsFree reports whether p is on the free list.
 func (t *Table) IsFree(p PhysReg) bool { return p != PhysNone && t.inFree[p] }
 

@@ -24,7 +24,7 @@ func TestInitialMapping(t *testing.T) {
 	seen := map[PhysReg]bool{}
 	for l := 0; l < isa.NumLogical; l++ {
 		p := tbl.Lookup(isa.Reg(l))
-		if p == PhysNone || !tbl.Valid(p) {
+		if p == PhysNone || !tbl.valid.Get(int(p)) {
 			t.Fatalf("logical %v unmapped", isa.Reg(l))
 		}
 		if seen[p] {
@@ -48,7 +48,7 @@ func TestAllocateSetsFutureFree(t *testing.T) {
 	if tbl.Lookup(dest) != newP {
 		t.Error("mapping not updated")
 	}
-	if tbl.Valid(old) {
+	if tbl.valid.Get(int(old)) {
 		t.Error("previous mapping must lose its valid bit")
 	}
 	if !tbl.FutureFreePending(old) {
@@ -183,7 +183,7 @@ func TestUnwindCheckpointed(t *testing.T) {
 	if tbl.FutureFreePending(old) {
 		t.Error("unwind must clear the future-free bit it set")
 	}
-	if !tbl.Valid(old) {
+	if !tbl.valid.Get(int(old)) {
 		t.Error("unwind must restore the valid bit")
 	}
 	if err := tbl.CheckInvariants(); err != nil {
@@ -213,11 +213,11 @@ func TestRollback(t *testing.T) {
 	if tbl.Lookup(d1) != mapped1 || tbl.Lookup(d2) != mapped2 {
 		t.Error("mappings not restored")
 	}
-	if !tbl.Valid(mapped1) || !tbl.Valid(mapped2) {
+	if !tbl.valid.Get(int(mapped1)) || !tbl.valid.Get(int(mapped2)) {
 		t.Error("restored mappings must be valid")
 	}
 	for _, p := range later {
-		if tbl.Valid(p) || !tbl.IsFree(p) {
+		if tbl.valid.Get(int(p)) || !tbl.IsFree(p) {
 			t.Errorf("p%d, mapped after the take, must be free and not valid", p)
 		}
 	}
@@ -249,7 +249,7 @@ func TestRollbackWithPendingFrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	// p0 is invalid but pending a free: it must NOT be on the free list.
-	if tbl.Valid(p0) || tbl.IsFree(p0) {
+	if tbl.valid.Get(int(p0)) || tbl.IsFree(p0) {
 		t.Fatal("p0 must be neither valid nor free")
 	}
 	free := tbl.FreeCount()

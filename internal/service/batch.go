@@ -51,15 +51,15 @@ type BatchStatus struct {
 	// CacheHits counts points that needed no simulation from this
 	// submission (cache hits plus deduplicated concurrent runs).
 	CacheHits int `json:"cache_hits"`
-	// SnapshotGroups counts the batch's distinct (trace recipe,
-	// warm-relevant cache shape) groups: each group warms one donor
-	// hierarchy that every member point forks (see the scheduler's
+	// SnapshotGroups counts the batch's distinct snapshot groups
+	// (sim.WarmGroup: trace recipe, warm-relevant cache shape and warm
+	// length): each group warms one donor hierarchy that every member
+	// point, full-detail or sampled, forks (see the scheduler's
 	// snapshot-fork sharing).
 	SnapshotGroups int `json:"snapshot_groups"`
 	// WarmBuilds and WarmReuses count this batch's simulated points
-	// that warmed a fresh donor vs forked an already-warmed one
-	// (cache-hit points touch no donor and appear in neither). A
-	// sampled point warms a private donor, so it always counts a build.
+	// that warmed (or adopted) a fresh donor vs forked an already-warmed
+	// one (cache-hit points touch no donor and appear in neither).
 	WarmBuilds int `json:"warm_builds"`
 	WarmReuses int `json:"warm_reuses"`
 	// Errors lists failed points; empty means every completed point
@@ -191,12 +191,9 @@ func (b *Batch) Status() BatchStatus {
 	return st
 }
 
-// warmShared records one simulated point's donor usage: forked reports
-// that a warm donor existed at all, reused that it was already warm.
-func (b *Batch) warmShared(forked, reused bool) {
-	if !forked {
-		return
-	}
+// warmShared records the donor one simulated point forked: reused
+// reports that it was already warm.
+func (b *Batch) warmShared(reused bool) {
 	b.mu.Lock()
 	if reused {
 		b.warmReuses++

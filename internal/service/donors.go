@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/keyed"
 	"repro/internal/mem"
@@ -25,42 +24,42 @@ import (
 // GET /v1/donors/{key} responses. Snapshot validation in mem is
 // structural (magic, lengths, bounds) and cannot detect bit flips
 // inside the tag arrays, so the transport adds an end-to-end digest:
-// a fetch whose body does not hash to the header is rejected (and
-// retried, then degraded to a local warm-up — never silently adopted).
+// a fetch whose body does not hash to the header, or that carries no
+// header, is rejected (and retried, then degraded to a local warm-up —
+// never silently adopted).
 const donorSumHeader = "X-Ooosim-Snapshot-Sum"
 
 // DonorExchange is the warm-donor shipping fabric of a worker fleet.
 //
-// Every snapshot group — a (trace recipe, warm-relevant cache shape)
-// pair — has one *home node*, chosen by sharding the group's donor key
-// over the fleet's canonical peer list. The home node warms the group's
-// donor exactly once; every other node adopts it over HTTP
-// (GET /v1/donors/{key}) instead of replaying the warm-up itself, so a
-// fleet of N nodes sweeping G groups performs G donor warm-ups, not
-// N*G. The endpoint builds on demand: a request carrying the group's
-// spec (recipe + warm key) makes the home node warm the donor even
-// before any of its own points need it, which is what makes the
-// one-build guarantee deterministic rather than a race.
+// Every snapshot group (a sim.WarmGroup: trace recipe, warm-relevant
+// cache shape and warm length) has one *home node*, chosen by sharding
+// the group's donor key over the fleet's canonical peer list. The home
+// node warms the group's donor exactly once; every other node adopts it
+// over HTTP (GET /v1/donors/{key}) instead of replaying the warm-up
+// itself, so a fleet of N nodes sweeping G groups performs G donor
+// warm-ups, not N*G. Full-detail and sampled points of one group share
+// its donor alike. The endpoint builds on demand: a request carrying
+// the group as its spec makes the home node warm the donor, from a
+// fresh stream of the recipe, even before any of its own points need
+// it, which is what makes the one-build guarantee deterministic rather
+// than a race.
 //
 // Failure degrades, never blocks: a dead or misbehaving home node means
 // the requester warms locally (exactly the pre-fleet behaviour), and a
 // node with no peer list behaves like a single-node daemon.
 //
-// The exchange holds the node's one donor memo, keyed by DonorKey and
-// read by the scheduler's miss path and the endpoint alike; a scheduler
-// without a configured exchange keeps a peerless one it does not serve.
+// The exchange holds the node's one donor memo, keyed by the group's
+// DonorKey and read by the scheduler's miss path and the endpoint alike;
+// a scheduler without a configured exchange keeps a peerless one it does
+// not serve.
 //
 // Donors ship as mem.Hierarchy snapshots (see mem.WriteSnapshot); the
 // adopted donor forks bit-identically to a locally warmed one, so
 // results are byte-identical whichever path produced the donor.
 type DonorExchange struct {
-	self   string   // this node's entry in peers ("" disables homing)
+	self   string   // this node's entry in peers (empty or unlisted: home to no group)
 	peers  []string // all fleet workers, same canonical order on every node
 	client *http.Client
-
-	// materialise regenerates a trace from its recipe for on-demand
-	// builds; the owning scheduler wires its trace memo here.
-	materialise func(trace.Recipe) (*trace.Trace, error)
 
 	donors keyed.Memo[string, donor]
 
@@ -91,46 +90,44 @@ func newDonor(h *mem.Hierarchy) donor {
 // NewDonorExchange builds the exchange for a node. peers is the full
 // fleet worker list — every node must pass the same URLs in the same
 // order, or home selection diverges and the one-build guarantee decays
-// to best-effort adoption. self is this node's own entry in peers; an
-// empty or unlisted self disables homing (the node warms everything
-// locally and only serves).
+// to best-effort adoption. self is this node's own entry in peers. A
+// node whose self is empty or unlisted is home to no group: it adopts
+// every donor from the group's home, warming locally only when that
+// fails. A node without peers warms everything locally and only serves.
 func NewDonorExchange(self string, peers []string) *DonorExchange {
 	return &DonorExchange{
 		self:  self,
 		peers: append([]string(nil), peers...),
 		// Donor fetches block a warm-up, not a request handler; the
-		// timeout must cover an on-demand build (trace materialisation +
-		// warm replay, well under a second at figure scale) plus shipping
-		// a few hundred KB.
+		// timeout must cover an on-demand build (a warm replay of the
+		// recipe's stream, well under a second at figure scale) plus
+		// shipping a few hundred KB.
 		client: &http.Client{Timeout: 30 * time.Second},
 		donors: keyed.Memo[string, donor]{Limit: donorMemoLimit},
 	}
 }
 
-// DonorSpec is the wire description of a snapshot group: everything a
-// peer needs to build the donor on demand.
-type DonorSpec struct {
-	Trace trace.Recipe `json:"trace"`
-	Warm  mem.WarmKey  `json:"warm"`
-}
-
 // DonorKey returns the group's content address: a hex SHA-256 over the
-// canonical recipe string and the warm key. Peers address donors by it,
-// and home selection shards it over the peer list.
-func DonorKey(r trace.Recipe, key mem.WarmKey) string {
-	keyJSON, err := json.Marshal(key)
+// canonical recipe string, the warm key and, when set, the warm length.
+// Peers address donors by it, and home selection shards it over the
+// peer list.
+func DonorKey(g sim.WarmGroup) string {
+	keyJSON, err := json.Marshal(g.Warm)
 	if err != nil {
 		// WarmKey is a plain struct of plain structs; Marshal cannot fail.
 		panic(fmt.Sprintf("service: marshal warm key: %v", err))
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "ooosim-donor-v1\x00%s\x00", r.String())
+	fmt.Fprintf(h, "ooosim-donor-v1\x00%s\x00", g.Trace.String())
 	h.Write(keyJSON)
+	if g.Len != 0 {
+		fmt.Fprintf(h, "\x00len=%d", g.Len)
+	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// home returns the node responsible for warming key, or "" when homing
-// is disabled.
+// home returns the node responsible for warming key, or "" for a node
+// without peers.
 func (dx *DonorExchange) home(key string) string {
 	if len(dx.peers) == 0 {
 		return ""
@@ -138,29 +135,31 @@ func (dx *DonorExchange) home(key string) string {
 	return dx.peers[sim.ShardFor(key, len(dx.peers))]
 }
 
-// Acquire returns the group's donor, building it once per node: adopted
-// from the group's home node when that is a peer, warmed locally from tr
-// otherwise (or when the peer fails). reused is false for the one call
-// that built it. A nil donor means the group cannot be warmed; its
-// points run cold.
-func (dx *DonorExchange) Acquire(r trace.Recipe, warm mem.WarmKey, tr *trace.Trace) (h *mem.Hierarchy, reused bool) {
-	key := DonorKey(r, warm)
-	d, built, _ := dx.donors.Get(key, func() (donor, error) {
+// Acquire returns group g's donor, building it once per node: adopted
+// from the group's home node when that is a peer, warmed locally
+// otherwise (or when the peer fails) by g.WarmDonor(tr), where tr is a
+// materialised trace of the group's workload or nil to warm from the
+// recipe's stream. reused is false for the one call that built it. A
+// group that cannot be warmed returns its warm-up's error to every
+// caller.
+func (dx *DonorExchange) Acquire(g sim.WarmGroup, tr *trace.Trace) (h *mem.Hierarchy, reused bool, err error) {
+	key := DonorKey(g)
+	d, built, err := dx.donors.Get(key, func() (donor, error) {
 		if home := dx.home(key); home != "" && home != dx.self {
-			if h, err := dx.fetch(home, DonorSpec{Trace: r, Warm: warm}); err == nil {
+			if h, err := dx.fetch(home, g); err == nil {
 				dx.adopted.Add(1)
 				return newDonor(h), nil
 			}
 			dx.fetchFails.Add(1)
 		}
-		return dx.warm(warm, tr)
+		return dx.warm(g, tr)
 	})
-	return d.h, !built
+	return d.h, !built, err
 }
 
 // warm builds a donor on this node.
-func (dx *DonorExchange) warm(key mem.WarmKey, tr *trace.Trace) (donor, error) {
-	h, err := core.WarmDonor(key, tr)
+func (dx *DonorExchange) warm(g sim.WarmGroup, tr *trace.Trace) (donor, error) {
+	h, err := g.WarmDonor(tr)
 	if err != nil {
 		return donor{}, err
 	}
@@ -182,13 +181,13 @@ const maxDonorSnapshot = 64 << 20
 // times before the caller falls back to a local warm-up. The body is
 // verified against the peer's snapshot digest header before a single
 // byte of it is parsed.
-func (dx *DonorExchange) fetch(peer string, spec DonorSpec) (*mem.Hierarchy, error) {
+func (dx *DonorExchange) fetch(peer string, spec sim.WarmGroup) (*mem.Hierarchy, error) {
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		return nil, err
 	}
 	url := fmt.Sprintf("%s/v1/donors/%s?spec=%s",
-		peer, DonorKey(spec.Trace, spec.Warm), base64.RawURLEncoding.EncodeToString(specJSON))
+		peer, DonorKey(spec), base64.RawURLEncoding.EncodeToString(specJSON))
 	retrier := &faults.Retrier{
 		MaxAttempts: 3,
 		BaseDelay:   50 * time.Millisecond,
@@ -216,12 +215,10 @@ func (dx *DonorExchange) fetch(peer string, spec DonorSpec) (*mem.Hierarchy, err
 		if err != nil {
 			return faults.MarkTransient(fmt.Errorf("service: donor fetch: %w", err))
 		}
-		if want := resp.Header.Get(donorSumHeader); want != "" {
-			sum := sha256.Sum256(blob)
-			if hex.EncodeToString(sum[:]) != want {
-				// Damaged in transit; the peer's copy is fine, refetch.
-				return faults.MarkTransient(fmt.Errorf("service: donor fetch: snapshot digest mismatch"))
-			}
+		if sum := sha256.Sum256(blob); hex.EncodeToString(sum[:]) != resp.Header.Get(donorSumHeader) {
+			// Damaged in transit, or sent without its digest: the peer's
+			// copy is fine, refetch.
+			return faults.MarkTransient(fmt.Errorf("service: donor fetch: snapshot digest mismatch"))
 		}
 		d, err := mem.ReadSnapshot(bytes.NewReader(blob))
 		if err != nil {
@@ -241,27 +238,41 @@ func (dx *DonorExchange) fetch(peer string, spec DonorSpec) (*mem.Hierarchy, err
 }
 
 // ServeHTTP answers GET /v1/donors/{key}: the serialised donor for the
-// group, built on demand when the request carries the group's spec.
-// Without a spec only already-warmed donors are served (404 otherwise).
+// group, built on demand when the request carries the group's spec, the
+// base64url JSON of its sim.WarmGroup (a natural-length group's carries
+// no "len"). Without a spec only already-warmed donors are served (404
+// otherwise).
 func (dx *DonorExchange) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	var spec *DonorSpec
+	var spec *sim.WarmGroup
 	if raw := r.URL.Query().Get("spec"); raw != "" {
 		specJSON, err := base64.RawURLEncoding.DecodeString(raw)
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, apiError{Error: "bad spec encoding: " + err.Error()})
 			return
 		}
-		var s DonorSpec
+		var s sim.WarmGroup
 		if err := json.Unmarshal(specJSON, &s); err != nil {
 			writeJSON(w, http.StatusBadRequest, apiError{Error: "bad spec: " + err.Error()})
 			return
 		}
-		if err := s.Trace.Validate(); err != nil {
+		// A sampled group's recipe may pass the materialisation cap,
+		// as Job.Validate allows, and only a synthetic stream sets a
+		// warm length.
+		err = s.Trace.ValidateStreamed()
+		if err == nil {
+			err = s.Warm.Validate()
+		}
+		if err != nil {
 			writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 			return
 		}
-		if DonorKey(s.Trace, s.Warm) != key {
+		if s.Len != 0 && (s.Trace.Kernel == trace.KernelProgram || s.Len > trace.MaxStreamInsts) {
+			writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf(
+				"bad spec: warm length %d on %s: only a synthetic stream takes one, of at most %d", s.Len, s.Trace, trace.MaxStreamInsts)})
+			return
+		}
+		if DonorKey(s) != key {
 			writeJSON(w, http.StatusBadRequest, apiError{Error: "spec does not hash to the requested donor key"})
 			return
 		}
@@ -273,13 +284,7 @@ func (dx *DonorExchange) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	d, ok, err := dx.donors.Peek(key)
 	if !ok && spec != nil {
 		ok = true
-		d, _, err = dx.donors.Get(key, func() (donor, error) {
-			tr, err := dx.materialise(spec.Trace)
-			if err != nil {
-				return donor{}, err
-			}
-			return dx.warm(spec.Warm, tr)
-		})
+		d, _, err = dx.donors.Get(key, func() (donor, error) { return dx.warm(*spec, nil) })
 	}
 	if !ok {
 		// Not built here, and no spec to build from: the requester warms

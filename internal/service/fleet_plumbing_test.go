@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -328,9 +329,11 @@ func TestDonorExchangeAdoptsFromHome(t *testing.T) {
 	}
 }
 
-// TestDonorEndpointContract covers the shipping endpoint directly:
-// build-on-demand with a valid spec, 404 without one, and rejection of
-// a spec that does not hash to the key.
+// TestDonorEndpointContract covers the shipping endpoint directly: 404
+// for a lookup without a spec, 400 for a spec that does not hash to the
+// key or cannot be warmed (a bad warm length or cache geometry), and
+// build-on-demand for a valid spec, including a sampled group whose
+// recipe passes the materialisation cap.
 func TestDonorEndpointContract(t *testing.T) {
 	s := NewScheduler(SchedulerOptions{
 		Donors: NewDonorExchange("", nil), // serve-only node
@@ -338,31 +341,55 @@ func TestDonorEndpointContract(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(s))
 	defer srv.Close()
 
-	j := testJob("x", 64)
-	spec := DonorSpec{Trace: j.Trace, Warm: mem.WarmKeyFor(j.Config)}
-	key := DonorKey(spec.Trace, spec.Warm)
-
-	// No spec, nothing warmed: 404.
-	resp, err := http.Get(srv.URL + "/v1/donors/" + key)
-	if err != nil {
-		t.Fatalf("get: %v", err)
+	spec := testJob("x", 64).group()
+	// Nodes of a fleet must agree on a group's key and wire spec: a
+	// natural-length group's spec carries no warm length, and its key
+	// is pinned.
+	const wantKey = "695b382e78f53334e13f537e9e3343efd04d23c98447708cb73f6291f048f7db"
+	if got := DonorKey(spec); got != wantKey {
+		t.Errorf("DonorKey = %s, want %s", got, wantKey)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unwarmed fetch = %d, want 404", resp.StatusCode)
+	if raw, err := json.Marshal(spec); err != nil || bytes.Contains(raw, []byte(`"len"`)) {
+		t.Errorf("natural-length spec %s (%v) carries a warm length", raw, err)
 	}
-
-	// A spec that does not hash to the requested key is rejected before
-	// any build (hand-built URL; the client always recomputes the key).
-	otherSpec := DonorSpec{Trace: trace.Recipe{Kernel: trace.KernelStream, N: 4000}, Warm: spec.Warm}
-	otherJSON, _ := json.Marshal(otherSpec)
-	resp, err = http.Get(srv.URL + "/v1/donors/" + key + "?spec=" + base64.RawURLEncoding.EncodeToString(otherJSON))
-	if err != nil {
-		t.Fatalf("mismatched fetch: %v", err)
+	encode := func(g sim.WarmGroup) string {
+		raw, err := json.Marshal(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return base64.RawURLEncoding.EncodeToString(raw)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("mismatched spec/key fetch = %d, want 400", resp.StatusCode)
+	other := sim.WarmGroup{Trace: trace.Recipe{Kernel: trace.KernelStream, N: 4000}, Warm: spec.Warm}
+	program := sim.WarmGroup{Trace: trace.Recipe{Kernel: trace.KernelProgram, Program: "isort", Input: 150, Seed: 42}, Warm: spec.Warm, Len: 10_000}
+	tooLong := sim.WarmGroup{Trace: other.Trace, Warm: spec.Warm, Len: trace.MaxStreamInsts + 1}
+	pastCap := sim.WarmGroup{Trace: trace.Recipe{Kernel: trace.KernelStream, N: trace.MaxRecipeInsts + 1}, Warm: spec.Warm, Len: 10_000}
+	badCache := spec
+	badCache.Warm.L2.SizeBytes = 3
+	for _, c := range []struct {
+		name, key, spec string
+		want            int
+	}{
+		{"no spec, nothing warmed", DonorKey(spec), "", http.StatusNotFound},
+		// Hand-built URL; the client always recomputes the key.
+		{"spec of another key", DonorKey(spec), encode(other), http.StatusBadRequest},
+		{"warm length on a program", DonorKey(program), encode(program), http.StatusBadRequest},
+		{"warm length past the stream cap", DonorKey(tooLong), encode(tooLong), http.StatusBadRequest},
+		{"cache geometry no donor can have", DonorKey(badCache), encode(badCache), http.StatusBadRequest},
+		{"sampled recipe past the materialisation cap", DonorKey(pastCap), encode(pastCap), http.StatusOK},
+	} {
+		url := srv.URL + "/v1/donors/" + c.key
+		if c.spec != "" {
+			url += "?spec=" + c.spec
+		}
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: HTTP %d, want %d", c.name, resp.StatusCode, c.want)
+		}
 	}
 
 	// With the right spec the endpoint builds on demand and ships a
@@ -377,10 +404,63 @@ func TestDonorEndpointContract(t *testing.T) {
 	}
 	// The server counts a shipment after its write returns, which can be
 	// after the client has read the whole body: wait for the count.
-	waitUntil(t, func() bool { _, _, shipped, _ := s.Donors().Stats(); return shipped > 0 })
-	_, built, shipped, _ := s.Donors().Stats()
-	if built != 1 || shipped != 1 {
-		t.Fatalf("server built=%d shipped=%d, want 1 and 1", built, shipped)
+	waitUntil(t, func() bool { _, _, shipped, _ := s.Donors().Stats(); return shipped == 2 })
+	if _, built, _, _ := s.Donors().Stats(); built != 2 {
+		t.Fatalf("server built %d donors, want 2", built)
+	}
+}
+
+// TestDonorWithoutDigestIsNotAdopted: a peer that serves a valid
+// snapshot without its digest header is treated as a digest mismatch.
+// The fetch is retried, then the node warms the donor itself, and the
+// point's result is sim.Run's.
+func TestDonorWithoutDigestIsNotAdopted(t *testing.T) {
+	job := testJob("x", 64)
+	tr, err := job.Trace.Materialise()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := job.group().WarmDonor(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snapshot bytes.Buffer
+	if err := h.WriteSnapshot(&snapshot); err != nil {
+		t.Fatal(err)
+	}
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Write(snapshot.Bytes())
+	}))
+	defer peer.Close()
+
+	// The peer is the only entry of the peer list, so it is every
+	// group's home.
+	s := NewScheduler(SchedulerOptions{Workers: 1, Donors: NewDonorExchange("", []string{peer.URL})})
+	b, err := s.Submit([]Job{job})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := b.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Errors) != 0 {
+		t.Fatalf("errors: %v", st.Errors)
+	}
+	if adopted, built, _, fails := s.Donors().Stats(); adopted != 0 || built != 1 || fails != 1 {
+		t.Errorf("adopted=%d built=%d fetchFails=%d, want 0, 1 and 1", adopted, built, fails)
+	}
+	want, err := sim.Run(sim.RunSpec{Name: job.label(), Config: job.Config, Trace: tr, Insts: job.Insts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(st.Results[0], raw) {
+		t.Errorf("result differs from sim.Run:\n%s\nvs\n%s", st.Results[0], raw)
 	}
 }
 
@@ -405,8 +485,7 @@ func TestDonorGetsWithoutSpecKeepWarmedDonors(t *testing.T) {
 	s := NewScheduler(SchedulerOptions{Donors: NewDonorExchange("", nil)})
 	srv := httptest.NewServer(NewHandler(s))
 	defer srv.Close()
-	j := testJob("x", 64)
-	spec := DonorSpec{Trace: j.Trace, Warm: mem.WarmKeyFor(j.Config)}
+	spec := testJob("x", 64).group()
 	if _, err := NewDonorExchange("", nil).fetch(srv.URL, spec); err != nil {
 		t.Fatalf("spec fetch: %v", err)
 	}
@@ -424,7 +503,7 @@ func TestDonorGetsWithoutSpecKeepWarmedDonors(t *testing.T) {
 			t.Fatalf("unknown key %d: HTTP %d, want 404", i, code)
 		}
 	}
-	if code := get(DonorKey(spec.Trace, spec.Warm)); code != http.StatusOK {
+	if code := get(DonorKey(spec)); code != http.StatusOK {
 		t.Fatalf("warmed donor after 200 unknown-key GETs: HTTP %d, want 200", code)
 	}
 	if _, built, _, _ := s.Donors().Stats(); built != 1 {

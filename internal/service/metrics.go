@@ -22,11 +22,9 @@ type Metrics struct {
 	// InFlight gauges runs currently holding a worker slot.
 	InFlight atomic.Int64
 	// WarmReuses counts forks of an already-available snapshot-group
-	// donor (the donor exchange counts the builds).
+	// donor, full-detail and sampled points alike (the donor exchange
+	// counts the builds).
 	WarmReuses atomic.Uint64
-	// SampledWarmBuilds counts the private donors sampled points warm
-	// for themselves, outside the donor exchange.
-	SampledWarmBuilds atomic.Uint64
 	// Cycles / SkippedCycles total the simulated-cycle and elided-cycle
 	// counts over this node's simulator runs (PR 6's event-driven clock
 	// skip); their ratio is the node's skip rate.
@@ -80,8 +78,7 @@ func (s *Scheduler) WriteMetrics(w io.Writer) {
 	Gauge(w, "ooosim_worker_slots", "Size of the simulation worker pool.", int64(cap(s.sem)))
 	// Adopted donors are not builds: the exchange counts local warm-ups
 	// only, configured or not.
-	Counter(w, "ooosim_warm_builds_total", "Warm donors built on this node (snapshot-group donors and sampled points' private ones).",
-		s.donors.built.Load()+m.SampledWarmBuilds.Load())
+	Counter(w, "ooosim_warm_builds_total", "Snapshot-group warm donors built on this node.", s.donors.built.Load())
 	Counter(w, "ooosim_warm_reuses_total", "Forks of an already-available donor.", m.WarmReuses.Load())
 	Counter(w, "ooosim_cycles_simulated_total", "Cycles accounted across simulator runs.", m.Cycles.Load())
 	Counter(w, "ooosim_cycles_skipped_total", "Cycles elided by the event-driven clock skip.", m.SkippedCycles.Load())

@@ -172,10 +172,10 @@ func TestSampledFingerprintDistinct(t *testing.T) {
 	}
 }
 
-// TestSampledWarmUpsCountAsBuilds: a sampled point warms a private
-// donor, so four sampled points of one recipe and warm shape form one
-// snapshot group and four warm builds, in the batch status and in
-// ooosim_warm_builds_total.
+// TestSampledWarmUpsCountAsBuilds: sampled points fork their snapshot
+// group's donor, so four sampled points of one recipe, warm shape and
+// budget form one group, one warm build and three reuses, in the batch
+// status and in ooosim_warm_builds_total.
 func TestSampledWarmUpsCountAsBuilds(t *testing.T) {
 	s := NewScheduler(SchedulerOptions{Workers: 2})
 	r := trace.Recipe{Kernel: trace.KernelFPMix, N: 1 << 20, Seed: 42}
@@ -197,13 +197,66 @@ func TestSampledWarmUpsCountAsBuilds(t *testing.T) {
 	if len(st.Errors) != 0 {
 		t.Fatalf("errors: %v", st.Errors)
 	}
-	if st.SnapshotGroups != 1 || st.WarmBuilds != 4 || st.WarmReuses != 0 {
-		t.Errorf("snapshot groups %d, warm builds/reuses %d/%d; want 1, 4/0",
+	if st.SnapshotGroups != 1 || st.WarmBuilds != 1 || st.WarmReuses != 3 {
+		t.Errorf("snapshot groups %d, warm builds/reuses %d/%d; want 1, 1/3",
 			st.SnapshotGroups, st.WarmBuilds, st.WarmReuses)
 	}
 	var metrics bytes.Buffer
 	s.WriteMetrics(&metrics)
-	if !strings.Contains(metrics.String(), "\nooosim_warm_builds_total 4\n") {
-		t.Errorf("/metrics does not count the four warm-ups:\n%s", metrics.String())
+	if !strings.Contains(metrics.String(), "\nooosim_warm_builds_total 1\n") {
+		t.Errorf("/metrics does not count the one warm-up:\n%s", metrics.String())
+	}
+}
+
+// TestSampledTwinSharesFullDetailDonor: a sampled job whose budget
+// sizes its recipe (trace.LenFor(Insts) == N) forks its full-detail
+// twin's donor, while the same sampled job at another budget warms a
+// group of its own. Every result is sim.Run's, byte for byte.
+func TestSampledTwinSharesFullDetailDonor(t *testing.T) {
+	const insts = 20_000
+	r := trace.Recipe{Kernel: trace.KernelFPMix, N: trace.LenFor(insts), Seed: 42}
+	sample := trace.SampleSpec{Warmup: 200, Detail: 800, Period: 5000}
+	full := Job{Name: "fpmix", Config: config.CheckpointDefault(64, 512), Trace: r, Insts: insts}
+	twin := full
+	twin.Sample = sample
+	longer := twin
+	longer.Insts = 2 * insts
+	jobs := []Job{full, twin, longer}
+
+	s := NewScheduler(SchedulerOptions{Workers: 2})
+	b, err := s.Submit(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := b.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Errors) != 0 {
+		t.Fatalf("errors: %v", st.Errors)
+	}
+	if st.SnapshotGroups != 2 || st.WarmBuilds != 2 || st.WarmReuses != 1 {
+		t.Errorf("snapshot groups %d, warm builds/reuses %d/%d; want 2, 2/1",
+			st.SnapshotGroups, st.WarmBuilds, st.WarmReuses)
+	}
+	for i, j := range jobs {
+		tr, err := r.Materialise()
+		if j.Sample.Enabled() {
+			tr, err = trace.StreamOnly(r)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run(sim.RunSpec{Name: j.label(), Config: j.Config, Trace: tr, Insts: j.Insts, Sample: j.Sample})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(st.Results[i], want) {
+			t.Errorf("job %d: result differs from sim.Run:\n%s\nvs\n%s", i, st.Results[i], want)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"sort"
 
 	"repro/internal/keyed"
 	"repro/internal/mem"
@@ -32,9 +31,8 @@ type SchedulerOptions struct {
 	MaxQueue int
 	// Donors, when non-nil, is the fleet's warm-donor shipping fabric:
 	// snapshot-group donors are adopted from their home peer instead of
-	// warmed locally, and this node serves its own donors to peers. The
-	// scheduler wires its trace memo into the exchange. Without one the
-	// node keeps the same donor memo privately.
+	// warmed locally, and this node serves its own donors to peers.
+	// Without one the node keeps the same donor memo privately.
 	Donors *DonorExchange
 	// Log, when non-nil, receives one line per completed batch with the
 	// batch's cache and snapshot-sharing statistics (cmd/ooosimd wires
@@ -51,8 +49,10 @@ type SchedulerOptions struct {
 // cache hits (answered immediately, no simulation) and misses; misses
 // run through the simulator on the shared bounded pool, deduplicated by
 // fingerprint so concurrent identical submissions — within one batch or
-// across batches — simulate once and share the result. Its Front admits
-// batches against a bound on queued misses.
+// across batches — simulate once and share the result. Every miss,
+// full-detail or sampled, forks the donor of its snapshot group
+// (sim.WarmGroup), which the node warms or adopts once. Its Front
+// admits batches against a bound on queued misses.
 type Scheduler struct {
 	*Front
 	cache    *Cache
@@ -65,9 +65,9 @@ type Scheduler struct {
 	journal  *Journal
 	metrics  Metrics
 
-	// run executes one materialised point; donor is the point's shared
-	// warm-state donor hierarchy (nil runs the cold path). Production
-	// wires sim.RunForked/sim.Run; tests substitute counting wrappers.
+	// run executes one point on a fork of its group's donor.
+	// Production wires sim.RunForked; tests substitute counting
+	// wrappers.
 	run func(sim.RunSpec, *mem.Hierarchy) (stats.Results, error)
 }
 
@@ -95,25 +95,9 @@ func NewScheduler(opt SchedulerOptions) *Scheduler {
 		exchange: opt.Donors,
 		log:      opt.Log,
 		journal:  opt.Journal,
-		run: func(spec sim.RunSpec, donor *mem.Hierarchy) (stats.Results, error) {
-			if donor == nil {
-				return sim.Run(spec)
-			}
-			return sim.RunForked(spec, donor)
-		},
+		run:      sim.RunForked,
 	}
-	// On-demand donor builds (a peer asking before any local point
-	// touched the group) regenerate the trace through the same memo the
-	// simulation path uses.
-	s.donors.materialise = s.materialise
 	return s
-}
-
-// materialise returns a recipe's trace, generating each recipe once
-// while it stays in the memo.
-func (s *Scheduler) materialise(r trace.Recipe) (*trace.Trace, error) {
-	tr, _, err := s.traces.Get(r.String(), r.Materialise)
-	return tr, err
 }
 
 // Donors returns the scheduler's donor exchange (nil outside a fleet).
@@ -138,17 +122,6 @@ func (s *Scheduler) Submit(jobs []Job) (*Batch, error) {
 	}
 	s.metrics.CachedPoints.Add(uint64(len(jobs) - len(misses)))
 
-	// Launch the misses clustered by snapshot group — (trace recipe,
-	// warm-relevant cache shape) — so jobs that fork the same warm donor
-	// tend to run near each other (best-effort: the shared pool admits
-	// them in arrival order).
-	groupKeys := make([]string, len(b.jobs))
-	for _, i := range misses {
-		groupKeys[i] = snapshotGroupKey(b.jobs[i])
-	}
-	sort.SliceStable(misses, func(x, y int) bool {
-		return groupKeys[misses[x]] < groupKeys[misses[y]]
-	})
 	// Journal the batch before any miss launches: once admitted, a crash
 	// must be able to re-admit it. All-hit batches finished at admission
 	// and need no recovery.
@@ -202,23 +175,12 @@ func (s *Scheduler) Recover() (requeued int, err error) {
 	return requeued, nil
 }
 
-// snapshotGroupKey renders a job's snapshot-sharing identity: jobs with
-// equal keys fork the same warmed donor hierarchy.
-func snapshotGroupKey(j Job) string {
-	return fmt.Sprintf("%s\x00%+v", j.Trace.String(), mem.WarmKeyFor(j.Config))
-}
-
-// countSnapshotGroups counts the distinct snapshot groups in a batch.
-// It keys on the same identity as snapshotGroupKey without formatting
-// it, since every batch at every hop counts its groups, hits included.
+// countSnapshotGroups counts the distinct snapshot groups in a batch:
+// the donors its points fork.
 func countSnapshotGroups(jobs []Job) int {
-	type group struct {
-		recipe string
-		warm   mem.WarmKey
-	}
-	seen := make(map[group]struct{}, len(jobs))
+	seen := make(map[sim.WarmGroup]struct{}, len(jobs))
 	for _, j := range jobs {
-		seen[group{j.Trace.String(), mem.WarmKeyFor(j.Config)}] = struct{}{}
+		seen[j.group()] = struct{}{}
 	}
 	return len(seen)
 }
@@ -243,34 +205,30 @@ func (s *Scheduler) runJob(b *Batch, i int) {
 		s.sem <- struct{}{}
 		s.metrics.InFlight.Add(1)
 		defer func() { s.metrics.InFlight.Add(-1); <-s.sem }()
-		var tr *trace.Trace
-		var donor *mem.Hierarchy
+		// A sampled job streams: its recipe is handed through as a
+		// recipe-only trace handle (never materialised, so the streamed
+		// budget cap applies instead of MaxRecipeInsts), and its group's
+		// donor warms from a fresh stream unless a peer or an earlier
+		// point of the group warmed it. A full-detail job materialises
+		// its trace once per recipe and warms from it.
+		var tr, warmFrom *trace.Trace
+		var err error
 		if job.Sample.Enabled() {
-			// Sampled jobs stream: the recipe is handed through as a
-			// recipe-only trace handle (never materialised, so the
-			// streamed budget cap applies instead of MaxRecipeInsts) and
-			// no shared donor is acquired — sim.Run warms the point's
-			// own donor from a fresh stream and forks it. Sharing one
-			// would need the warm extent (the budget, for a synthetic
-			// stream) in the donor key.
-			var err error
-			if tr, err = trace.StreamOnly(job.Trace); err != nil {
-				return nil, err
-			}
+			tr, err = trace.StreamOnly(job.Trace)
 		} else {
-			var err error
-			if tr, err = s.materialise(job.Trace); err != nil {
-				return nil, err
-			}
-			// Fork the job's snapshot group's warmed donor instead of
-			// replaying the warm-up per point; a donor failure degrades to
-			// the cold path (never fails the job).
-			var reused bool
-			donor, reused = s.donors.Acquire(job.Trace, mem.WarmKeyFor(job.Config), tr)
-			b.warmShared(donor != nil, reused)
-			if donor != nil && reused {
-				s.metrics.WarmReuses.Add(1)
-			}
+			tr, _, err = s.traces.Get(job.Trace.String(), job.Trace.Materialise)
+			warmFrom = tr
+		}
+		if err != nil {
+			return nil, err
+		}
+		donor, reused, err := s.donors.Acquire(job.group(), warmFrom)
+		if err != nil {
+			return nil, err
+		}
+		b.warmShared(reused)
+		if reused {
+			s.metrics.WarmReuses.Add(1)
 		}
 		s.metrics.Simulations.Add(1)
 		res, err := s.run(sim.RunSpec{
@@ -283,12 +241,6 @@ func (s *Scheduler) runJob(b *Batch, i int) {
 		}, donor)
 		if err != nil {
 			return nil, err
-		}
-		if job.Sample.Enabled() {
-			// The run warmed a private donor: a warm build, though no
-			// other point shares it.
-			b.warmShared(true, false)
-			s.metrics.SampledWarmBuilds.Add(1)
 		}
 		s.metrics.Cycles.Add(uint64(res.Cycles))
 		s.metrics.SkippedCycles.Add(uint64(res.SkippedCycles))

@@ -97,6 +97,11 @@ func (j Job) Fingerprint() (string, error) {
 	return sim.Fingerprint(j.Config, trace.PointString(j.Trace, j.Sample), j.Insts, j.CollectOccupancy)
 }
 
+// group returns the job's snapshot group: the donor its run forks.
+func (j Job) group() sim.WarmGroup {
+	return sim.WarmGroupFor(j.Trace, j.Config, j.Insts, j.Sample)
+}
+
 // label names the job in events and errors.
 func (j Job) label() string {
 	if j.Name != "" {

@@ -146,11 +146,10 @@ func TestBatchDoneLineText(t *testing.T) {
 	jobs := []Job{testJob("a", 32), testJob("b", 64), testJob("c", 128), testJob("d", 256), other}
 	b := NewBatch("b7", jobs, []string{"f0", "f1", "f2", "f3", "f4"})
 	b.Complete(0, raw(1000, 250), true, nil)
-	b.warmShared(true, false)
+	b.warmShared(false)
 	b.Complete(2, raw(3000, 1500), false, nil)
-	b.warmShared(true, true)
+	b.warmShared(true)
 	b.Complete(1, nil, false, errors.New("boom"))
-	b.warmShared(false, false)
 	b.Complete(4, json.RawMessage(`{"Cycles":`), false, nil)
 	if _, ok := b.TakeDoneLine(); ok {
 		t.Fatal("done line before the last point")
@@ -253,33 +252,20 @@ func TestProgramBatchColdThenWarm(t *testing.T) {
 func TestSnapshotGroupKeySplits(t *testing.T) {
 	a := testJob("a", 32)
 	b := testJob("b", 128)
-	if snapshotGroupKey(a) != snapshotGroupKey(b) {
+	if a.group() != b.group() {
 		t.Error("window-size differences must share a snapshot group")
 	}
 	c := a
 	c.Config.L2.SizeBytes *= 2
-	if snapshotGroupKey(a) == snapshotGroupKey(c) {
+	if a.group() == c.group() {
 		t.Error("L2 geometry differences must split snapshot groups")
 	}
 	d := a
 	d.Trace = trace.Recipe{Kernel: trace.KernelStencil, N: 6000}
-	if snapshotGroupKey(a) == snapshotGroupKey(d) {
+	if a.group() == d.group() {
 		t.Error("different workloads must split snapshot groups")
 	}
 	if countSnapshotGroups([]Job{a, b, c, d}) != 3 {
 		t.Errorf("counted %d groups, want 3", countSnapshotGroups([]Job{a, b, c, d}))
-	}
-	// The count keys on a struct, not the formatted key: both must agree.
-	e := a
-	e.Config.DL1.LatencyCycles++ // latency only: same group
-	f := a
-	f.Config.PerfectL2 = true
-	jobs := append(figure9Batch(1200), a, b, c, d, e, f)
-	keys := map[string]bool{}
-	for _, j := range jobs {
-		keys[snapshotGroupKey(j)] = true
-	}
-	if got := countSnapshotGroups(jobs); got != len(keys) {
-		t.Errorf("counted %d groups, %d distinct keys", got, len(keys))
 	}
 }

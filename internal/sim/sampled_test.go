@@ -194,7 +194,7 @@ func TestGroupSpecsSampledPrograms(t *testing.T) {
 		t.Fatalf("%d specs, want 10", len(specs))
 	}
 	bySpec, order := groupSpecs(specs)
-	first := map[warmGroup]int{} // group -> feed position of its first member
+	first := map[sweepGroup]int{} // group -> feed position of its first member
 	for pos, i := range order {
 		if _, ok := first[bySpec[i]]; !ok {
 			first[bySpec[i]] = pos

@@ -77,29 +77,32 @@ func ProgressLine(spec RunSpec, res stats.Results) string {
 	return fmt.Sprintf("  %-10s %-34s IPC=%.3f", spec.Name, spec.Config.Summary(), res.IPC())
 }
 
-// Run executes a single spec synchronously. Construction failures and
-// simulator panics (e.g. the commit watchdog) come back as errors
-// labelled with the spec, never as process-killing panics — a worker
-// pool must survive one bad point.
+// Run executes a single spec synchronously. The point warms its own
+// group's donor (WarmGroup.WarmDonor) and forks it, full-detail or
+// sampled, exactly as a sweep's member forks its group's shared donor,
+// so Run, RunForked and Sweep return the same bytes. Construction
+// failures and simulator panics (e.g. the commit watchdog) come back as
+// errors labelled with the spec, never as process-killing panics — a
+// worker pool must survive one bad point.
 func Run(spec RunSpec) (stats.Results, error) {
 	res, _, err := runSpec(spec, nil, nil)
 	return res, err
 }
 
 // RunForked executes one spec against a fork of donor's warmed cache
-// state instead of replaying the warm-up footprint (see core.WarmDonor
-// and core.NewForked; a sampled spec's donor is warmed as its sweep
-// group's is, see Sweep). The donor is only read; it may serve
-// concurrent RunForked calls. Error handling matches Run.
+// state instead of warming its own: donor must be the WarmDonor of the
+// spec's warm group (see WarmGroupFor), as the daemon's donor exchange
+// hands it out. The donor is only read; it may serve concurrent
+// RunForked calls. Error handling matches Run.
 func RunForked(spec RunSpec, donor *mem.Hierarchy) (stats.Results, error) {
 	res, _, err := runSpec(spec, func() (*mem.Hierarchy, error) { return donor, nil }, nil)
 	return res, err
 }
 
-// runSpec is the worker body shared by the cold and forked paths: a nil
-// getDonor runs cold (a full-detail CPU builds and warms a private
-// hierarchy, a sampled point a private donor), otherwise the point
-// forks the donor's warmed cache state. arena, when non-nil, is the
+// runSpec is the worker body of Run, RunForked and Sweep: the point
+// forks the donor getDonor returns, and a nil getDonor warms the
+// point's own group's donor. The point is checked first, so a bad one
+// fails before its group warms anything. arena, when non-nil, is the
 // calling worker's record arena (single-owner). refused reports
 // core.CPU.SLIQRefused for a full-detail run.
 func runSpec(spec RunSpec, getDonor func() (*mem.Hierarchy, error), arena *core.Arena) (res stats.Results, refused bool, err error) {
@@ -108,34 +111,43 @@ func runSpec(spec RunSpec, getDonor func() (*mem.Hierarchy, error), arena *core.
 			err = fmt.Errorf("sim: %s (%s): panic: %v", spec.Name, spec.Config.Summary(), r)
 		}
 	}()
-	if spec.Sample.Enabled() {
-		if getDonor == nil {
-			getDonor = groupOf(spec).warm
-		}
-		res, err = runSampled(spec, getDonor)
-		if err != nil {
-			err = fmt.Errorf("sim: %s (%s): %w", spec.Name, spec.Config.Summary(), err)
-		}
-		return res, false, err
-	}
-	var cpu *core.CPU
 	if getDonor == nil {
-		cpu, err = core.New(spec.Config, spec.Trace)
-	} else {
-		var donor *mem.Hierarchy
-		if donor, err = getDonor(); err == nil {
-			cpu, err = core.NewForked(spec.Config, spec.Trace, donor, arena)
-		}
+		getDonor = groupOf(spec).warm
+	}
+	switch {
+	case spec.Trace == nil:
+		err = fmt.Errorf("no trace")
+	case spec.Sample.Enabled():
+		res, err = runSampled(spec, getDonor)
+	default:
+		res, refused, err = runDetailed(spec, getDonor, arena)
 	}
 	if err != nil {
-		return stats.Results{}, false, fmt.Errorf("sim: %s (%s): %w", spec.Name, spec.Config.Summary(), err)
+		err = fmt.Errorf("sim: %s (%s): %w", spec.Name, spec.Config.Summary(), err)
 	}
-	res = cpu.Run(core.RunOptions{
+	return res, refused, err
+}
+
+// runDetailed simulates every instruction of a full-detail point on a
+// fork of the donor getDonor returns.
+func runDetailed(spec RunSpec, getDonor func() (*mem.Hierarchy, error), arena *core.Arena) (stats.Results, bool, error) {
+	if err := spec.Config.Validate(); err != nil {
+		return stats.Results{}, false, err
+	}
+	donor, err := getDonor()
+	if err != nil {
+		return stats.Results{}, false, err
+	}
+	cpu, err := core.NewForked(spec.Config, spec.Trace, donor, arena)
+	if err != nil {
+		return stats.Results{}, false, err
+	}
+	res := cpu.Run(core.RunOptions{
 		MaxInsts:         spec.Insts,
 		CollectOccupancy: spec.CollectOccupancy,
 		DisableSkip:      spec.DisableSkip,
 	})
-	refused = cpu.SLIQRefused()
+	refused := cpu.SLIQRefused()
 	cpu.Recycle(arena)
 	return res, refused, nil
 }
@@ -144,12 +156,8 @@ func runSpec(spec RunSpec, getDonor func() (*mem.Hierarchy, error), arena *core.
 // stream — from the recipe when the trace is a recipe-only handle (the
 // normal sampled path, which never materialises), or over the slice of
 // an already-materialised trace — and drive it through core.RunSampled
-// from a fork of the donor getDonor returns. The point is checked
-// first, so a bad one fails before its group warms anything.
+// from a fork of the donor getDonor returns.
 func runSampled(spec RunSpec, getDonor func() (*mem.Hierarchy, error)) (stats.Results, error) {
-	if spec.Trace == nil {
-		return stats.Results{}, fmt.Errorf("no trace")
-	}
 	var st *trace.InstStream
 	if spec.Trace.Len() > 0 {
 		st = spec.Trace.OpenStream()
@@ -176,57 +184,83 @@ func runSampled(spec RunSpec, getDonor func() (*mem.Hierarchy, error)) (stats.Re
 	return core.RunSampled(spec.Config, st, donor, spec.Sample, opt)
 }
 
-// warmGroup is a snapshot group of a sweep: every spec with the same
-// workload, warm shape and warm extent forks one warmed donor
-// hierarchy. A materialised trace is identified by its pointer, and a
-// recipe-only handle (tr nil) by its recipe, since every
-// trace.StreamOnly call returns a new handle. extent is how many
-// instructions the donor warms, 0 meaning the whole workload: a
-// full-detail point's trace or a program's run to its halt. A sampled
-// synthetic stream never ends, so its donor warms as far as a
-// materialised trace of the point's budget reaches, and one recipe
-// sampled at two budgets forms two groups.
-type warmGroup struct {
-	tr     *trace.Trace
-	recipe trace.Recipe
-	key    mem.WarmKey
-	extent uint64
+// WarmGroup is a snapshot group: every point with the same workload
+// recipe, warm-relevant cache shape and warm length forks one warmed
+// donor hierarchy. It is comparable, and it is the one identity of a
+// group: sweeps key their recipe-only groups by it, a daemon batch
+// counts its snapshot groups by it, and the daemon's donor exchange
+// keys, warms and ships donors by it.
+type WarmGroup struct {
+	Trace trace.Recipe `json:"trace"`
+	Warm  mem.WarmKey  `json:"warm"`
+	// Len is how many instructions the donor warms. 0 means the
+	// workload's natural length: a synthetic recipe's N, or a program's
+	// run to its halt. A sampled synthetic point's stream never ends, so
+	// its donor warms as far as a materialised trace of its budget
+	// would reach, trace.LenFor(Insts); only where that differs from
+	// the recipe's N is Len set, and one recipe sampled at two such
+	// budgets forms two groups.
+	Len uint64 `json:"len,omitempty"`
 }
 
-// groupOf returns the warm group of s.
-func groupOf(s RunSpec) warmGroup {
-	g := warmGroup{tr: s.Trace, key: mem.WarmKeyFor(s.Config)}
-	if !s.Sample.Enabled() || s.Trace == nil {
-		return g
-	}
-	program := s.Trace.Code() != nil
-	if r, ok := s.Trace.Recipe(); ok && s.Trace.Len() == 0 {
-		g.tr, g.recipe = nil, r
-		program = r.Kernel == trace.KernelProgram
-	}
-	if !program {
-		g.extent = uint64(trace.LenFor(s.Insts))
+// WarmGroupFor returns the warm group of a point over recipe r.
+func WarmGroupFor(r trace.Recipe, cfg config.Config, insts uint64, sample trace.SampleSpec) WarmGroup {
+	g := WarmGroup{Trace: r, Warm: mem.WarmKeyFor(cfg)}
+	if n := trace.LenFor(insts); sample.Enabled() && r.Kernel != trace.KernelProgram && n != r.N {
+		g.Len = uint64(n)
 	}
 	return g
 }
 
-// warm builds the group's donor: a recipe-only group's from a fresh
-// stream of its recipe, any other from its trace (core.WarmDonor refuses
-// an empty or missing one, as core.New does).
-func (g warmGroup) warm() (*mem.Hierarchy, error) {
+// WarmDonor builds the group's donor. tr, when non-nil, is a
+// materialised trace of the group's workload, and the donor warms from
+// its first Len instructions, or all of them when Len is 0 or reaches
+// past its end (the points that run over tr never read further);
+// core.WarmDonor refuses an empty trace, as core.New does. A nil tr
+// warms the donor from a fresh stream of the recipe, as far as the
+// group's length. The two agree wherever the trace reaches that length,
+// since a materialised trace is a prefix of its recipe's stream.
+func (g WarmGroup) WarmDonor(tr *trace.Trace) (*mem.Hierarchy, error) {
 	switch {
-	case g.recipe != (trace.Recipe{}):
-		st, err := g.recipe.OpenStream()
+	case tr == nil:
+		st, err := g.Trace.OpenStream()
 		if err != nil {
 			return nil, err
 		}
-		return core.WarmDonorStream(g.key, st, g.extent)
-	case g.extent == 0:
-		return core.WarmDonor(g.key, g.tr)
+		// A program recipe's N is 0: its stream ends at its halt.
+		return core.WarmDonorStream(g.Warm, st, cmp.Or(g.Len, uint64(g.Trace.N)))
+	case g.Len == 0:
+		return core.WarmDonor(g.Warm, tr)
 	default:
-		return core.WarmDonorStream(g.key, g.tr.OpenStream(), g.extent)
+		return core.WarmDonorStream(g.Warm, tr.OpenStream(), g.Len)
 	}
 }
+
+// sweepGroup is a warm group as a sweep keys it. A materialised trace
+// keeps its pointer (a trace without a recipe has no other identity)
+// and warms the donor, while a sampled point's recipe-only handle (tr
+// nil) is known by its WarmGroup alone, since every trace.StreamOnly
+// call returns a new handle, and warms it from the recipe's stream.
+type sweepGroup struct {
+	tr *trace.Trace
+	WarmGroup
+}
+
+// groupOf returns the sweep group of s.
+func groupOf(s RunSpec) sweepGroup {
+	var r trace.Recipe
+	if s.Trace != nil {
+		r, _ = s.Trace.Recipe()
+	}
+	g := sweepGroup{tr: s.Trace, WarmGroup: WarmGroupFor(r, s.Config, s.Insts, s.Sample)}
+	if s.Sample.Enabled() && r != (trace.Recipe{}) && s.Trace.Len() == 0 {
+		g.tr = nil
+	}
+	return g
+}
+
+// warm builds the group's donor.
+func (g sweepGroup) warm() (*mem.Hierarchy, error) { return g.WarmDonor(g.tr) }
 
 // groupSpecs assigns every spec its warm group (groupOf) and returns
 // the order the sweep feeds them in: every group's first member (groups
@@ -236,9 +270,9 @@ func (g warmGroup) warm() (*mem.Hierarchy, error) {
 // warm-up of the group both started on. ladderTasks splits the order
 // into the sweep's tasks. Results are still reported by spec index, so
 // the reordering is invisible in the output.
-func groupSpecs(specs []RunSpec) (bySpec []warmGroup, order []int) {
-	groups := make(map[warmGroup]int)
-	bySpec = make([]warmGroup, len(specs))
+func groupSpecs(specs []RunSpec) (bySpec []sweepGroup, order []int) {
+	groups := make(map[sweepGroup]int)
+	bySpec = make([]sweepGroup, len(specs))
 	var members [][]int
 	for i, s := range specs {
 		g := groupOf(s)
@@ -313,13 +347,14 @@ func ladderTasks(specs []RunSpec, order []int, workers int) [][]int {
 // and its error is returned; ctx cancellation stops the sweep early
 // with ctx's error.
 //
-// Specs are grouped by (workload, warm-relevant cache shape, warm
-// extent) under the snapshot-fork kernel (see warmGroup): each group
-// warms one donor hierarchy via the workload's warm-up footprint and
-// every member, full-detail or sampled, forks the donor's cache state,
-// so a sweep replays each workload's warm-up once per cache geometry
-// instead of once per point. Groups start in parallel: the feed takes
-// every group's first member before any group's second (groupSpecs).
+// Specs are grouped by their WarmGroup under the snapshot-fork kernel,
+// with a materialised trace also keyed by its pointer (see sweepGroup):
+// each group warms one donor hierarchy via the workload's warm-up
+// footprint and every member, full-detail or sampled, forks the donor's
+// cache state, so a sweep replays each workload's warm-up once per
+// cache geometry instead of once per point. Groups start in parallel:
+// the feed takes every group's first member before any group's second
+// (groupSpecs).
 //
 // Specs that differ only in their SLIQ size form a ladder (see
 // ladderTasks), which one worker runs smallest SLIQ first. Once a
@@ -370,7 +405,7 @@ func Sweep(ctx context.Context, specs []RunSpec, opt Options) ([]stats.Results, 
 	bySpec, order := groupSpecs(specs)
 	// The first member a worker reaches warms its group's donor, once;
 	// every member forks it.
-	var donors keyed.Memo[warmGroup, *mem.Hierarchy]
+	var donors keyed.Memo[sweepGroup, *mem.Hierarchy]
 	deliver := func(i int, res stats.Results) {
 		results[i] = res
 		if opt.Progress != nil || opt.OnResult != nil {
